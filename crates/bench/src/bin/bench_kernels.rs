@@ -7,13 +7,18 @@
 //!   (`lanes::lane_sum` family) vs a sequential zip fold of the same
 //!   term, in GB/s of series data touched (two `f64` slices per pair);
 //! * **DP** — the anti-diagonal wavefront DTW/WDTW vs the row-major
-//!   reference kernels, in DP cells/s.
+//!   reference kernels, in DP cells/s;
+//! * **row** — the MSM/TWE batch-axis row kernels
+//!   (`Distance::distance_row_ws`, eight training series per SIMD lane)
+//!   vs the per-pair `distance_ws` loop over the same matrix rows, in DP
+//!   cells/s.
 //!
 //! The scalar twins live in this binary on purpose: they are the
 //! pre-vectorization implementations, kept runnable so the speedup
 //! claims in DESIGN.md §9 stay measurable rather than historical. The
 //! run also asserts the numeric contracts that make the comparison
-//! meaningful — wavefront DP values are *bit-identical* to row-major;
+//! meaningful — wavefront DP values are *bit-identical* to row-major,
+//! every row-kernel entry is *bit-identical* to its per-pair value;
 //! lane reductions agree within the lock-step conformance tolerance —
 //! and reports `lanes_hint` coverage over the parameter-free registry.
 //!
@@ -132,12 +137,75 @@ struct DpRow {
     lanes_hint: usize,
 }
 
+struct RowKernelRow {
+    name: &'static str,
+    pair_seconds: f64,
+    row_seconds: f64,
+    cells_per_sec_pair: f64,
+    cells_per_sec_row: f64,
+    identical_bits: bool,
+}
+
+/// One measure's matrix rows (`queries` x `cols`) through the row kernel
+/// against the per-pair `distance_ws` loop the batch engine ran before.
+fn bench_row_kernel(
+    name: &'static str,
+    d: &dyn Distance,
+    queries: &[Vec<f64>],
+    cols: &[Vec<f64>],
+    reps: usize,
+) -> RowKernelRow {
+    let mut ws = Workspace::new();
+    let mut out = vec![0.0; cols.len()];
+    let row_seconds = median_seconds(reps, || {
+        queries
+            .iter()
+            .map(|x| {
+                d.distance_row_ws(x, cols, &mut out, &mut ws);
+                out.iter().sum::<f64>()
+            })
+            .sum()
+    });
+    let pair_seconds = median_seconds(reps, || {
+        queries
+            .iter()
+            .flat_map(|x| cols.iter().map(move |y| (x, y)))
+            .map(|(x, y)| d.distance_ws(x, y, &mut ws))
+            .sum()
+    });
+    let identical_bits = queries.iter().all(|x| {
+        d.distance_row_ws(x, cols, &mut out, &mut ws);
+        out.iter()
+            .zip(cols)
+            .all(|(&v, y)| v.to_bits() == d.distance_ws(x, y, &mut ws).to_bits())
+    });
+    let cells: usize = queries
+        .iter()
+        .map(|x| cols.iter().map(|y| x.len() * y.len()).sum::<usize>())
+        .sum();
+    RowKernelRow {
+        name,
+        pair_seconds,
+        row_seconds,
+        cells_per_sec_pair: cells as f64 / pair_seconds.max(1e-12),
+        cells_per_sec_row: cells as f64 / row_seconds.max(1e-12),
+        identical_bits,
+    }
+}
+
 fn main() {
     let cfg = ExperimentConfig::from_args();
     let (len, ls_pairs, dp_pairs, reps) = if cfg.quick {
         (256usize, 64usize, 8usize, 3usize)
     } else {
         (1024, 256, 32, 5)
+    };
+    // Row kernels: series of a study-sized length; the column count is
+    // not a multiple of the lane width, so a partial block is timed too.
+    let (row_len, row_queries, row_cols) = if cfg.quick {
+        (64usize, 3usize, 20usize)
+    } else {
+        (128, 8, 60)
     };
     let band = len / 10;
     let mut noise = Noise(cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xBEEF);
@@ -281,6 +349,30 @@ fn main() {
         );
     }
 
+    // --- Row kernels: batch-axis MSM/TWE vs the per-pair loop. --------
+    let queries: Vec<Vec<f64>> = (0..row_queries).map(|_| noise.series(row_len)).collect();
+    let cols: Vec<Vec<f64>> = (0..row_cols).map(|_| noise.series(row_len)).collect();
+    let row_kernels = vec![
+        bench_row_kernel("MSM(c=0.5)", &Msm::new(0.5), &queries, &cols, reps),
+        bench_row_kernel(
+            "TWE(l=1,nu=1e-4)",
+            &Twe::new(1.0, 1e-4),
+            &queries,
+            &cols,
+            reps,
+        ),
+    ];
+    for row in &row_kernels {
+        eprintln!(
+            "[bench_kernels] {:16} pair {:8.1} Mcells/s  row {:8.1} Mcells/s  x{:4.2}  bits {}",
+            row.name,
+            row.cells_per_sec_pair / 1e6,
+            row.cells_per_sec_row / 1e6,
+            row.pair_seconds / row.row_seconds.max(1e-12),
+            row.identical_bits
+        );
+    }
+
     // --- lanes_hint coverage over the registry. -----------------------
     let mut instances: Vec<(String, usize)> = registry::lockstep_parameter_free()
         .into_iter()
@@ -306,7 +398,8 @@ fn main() {
     json.push_str(&format!(
         "  \"config\": {{\"length\": {len}, \"lockstep_pairs\": {ls_pairs}, \
          \"dp_pairs\": {dp_pairs}, \"band\": {band}, \"repetitions\": {reps}, \
-         \"seed\": {}, \"quick\": {}}},\n",
+         \"row_length\": {row_len}, \"row_queries\": {row_queries}, \
+         \"row_columns\": {row_cols}, \"seed\": {}, \"quick\": {}}},\n",
         cfg.seed, cfg.quick
     ));
     json.push_str("  \"lockstep\": [\n");
@@ -344,6 +437,22 @@ fn main() {
             if i + 1 < dp_rows.len() { "," } else { "" }
         ));
     }
+    json.push_str("  ],\n  \"row\": [\n");
+    for (i, r) in row_kernels.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"name\": \"{}\", \"pair_seconds\": {:.6}, \"row_seconds\": {:.6}, \
+             \"speedup\": {:.3}, \"cells_per_sec_pair\": {:.0}, \"cells_per_sec_row\": {:.0}, \
+             \"identical_bits\": {}}}{}\n",
+            r.name,
+            r.pair_seconds,
+            r.row_seconds,
+            r.pair_seconds / r.row_seconds.max(1e-12),
+            r.cells_per_sec_pair,
+            r.cells_per_sec_row,
+            r.identical_bits,
+            if i + 1 < row_kernels.len() { "," } else { "" }
+        ));
+    }
     json.push_str(&format!(
         "  ],\n  \"coverage\": {{\"vectorized\": {vectorized}, \"total\": {}}}\n}}\n",
         instances.len()
@@ -367,6 +476,15 @@ fn main() {
         if !r.identical_bits {
             eprintln!(
                 "FAIL: {} wavefront is not bit-identical to row-major",
+                r.name
+            );
+            failed = true;
+        }
+    }
+    for r in &row_kernels {
+        if !r.identical_bits {
+            eprintln!(
+                "FAIL: {} row kernel is not bit-identical to the per-pair kernel",
                 r.name
             );
             failed = true;

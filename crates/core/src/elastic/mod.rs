@@ -20,9 +20,12 @@
 //! [`lower_bounds`] used to accelerate DTW 1-NN search.
 //!
 //! All DP implementations run in O(m) memory: the reference kernels use
-//! two-row rolling buffers, the production DTW/WDTW/MSM/TWE/ERP paths use
-//! three rolling anti-diagonals (see [`wavefront`]).
+//! two-row rolling buffers, the production DTW/WDTW/TWE/ERP paths use
+//! three rolling anti-diagonals (see [`wavefront`]), and MSM/TWE matrix
+//! rows run one row-major DP across eight training series at a time, one
+//! per SIMD lane (`Distance::distance_row_ws`).
 
+mod batch;
 pub mod dtw;
 pub mod edit;
 pub mod lower_bounds;

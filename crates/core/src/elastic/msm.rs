@@ -6,6 +6,7 @@
 //! the two measures (with TWE) that the paper finds significantly better
 //! than DTW, debunking M4.
 
+use super::batch;
 use crate::measure::Distance;
 use crate::workspace::Workspace;
 
@@ -29,14 +30,11 @@ impl Msm {
 
     /// The split/merge cost function C(new, adjacent, opposite):
     /// `c` when `new` lies between its neighbours, otherwise `c` plus the
-    /// distance to the nearer neighbour.
+    /// distance to the nearer neighbour (branch-free; shared with the
+    /// batch-axis row kernel).
     #[inline]
     fn c(&self, new: f64, adjacent: f64, opposite: f64) -> f64 {
-        if (adjacent <= new && new <= opposite) || (adjacent >= new && new >= opposite) {
-            self.cost
-        } else {
-            self.cost + (new - adjacent).abs().min((new - opposite).abs())
-        }
+        batch::msm_cost(self.cost, new, adjacent, opposite)
     }
 }
 
@@ -75,13 +73,9 @@ impl Distance for Msm {
     }
 
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        // Row-major, deliberately NOT the wavefront: the branchy cost
-        // function `c` blocks vectorization either way, so diagonal order
-        // buys no lanes while its reversed-`y` gather and boundary
-        // branches cost ~2x wall-clock (measured in bench_prune). The
-        // wavefront schedule lives on as `wavefront_ws`, pinned
-        // bit-identical by the tests, for when the recurrence is ever
-        // made branchless.
+        // Row-major: the left-neighbour (merge) term serializes each
+        // row, and diagonal order measured ~2x slower for MSM. Matrix
+        // rows get their SIMD lanes from `distance_row_ws` instead.
         let m = x.len();
         let n = y.len();
         if m == 0 || n == 0 {
@@ -93,12 +87,12 @@ impl Distance for Msm {
         // Row 0.
         prev[0] = (x[0] - y[0]).abs();
         for j in 1..n {
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "branchy threshold recurrence; the comparison chain, not the bounds check, dominates and blocks vectorization")
+            // tsdist-lint: allow(hot-path-bounds-check, reason = "row-major recurrence carries curr[j - 1]; that dependency chain, not the bounds check, bounds the scalar kernel — matrix rows vectorize across columns in distance_row_ws")
             prev[j] = prev[j - 1] + self.c(y[j], y[j - 1], x[0]);
         }
 
         for i in 1..m {
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "branchy threshold recurrence; the comparison chain, not the bounds check, dominates and blocks vectorization")
+            // tsdist-lint: allow(hot-path-bounds-check, reason = "row-major recurrence carries curr[j - 1]; that dependency chain, not the bounds check, bounds the scalar kernel — matrix rows vectorize across columns in distance_row_ws")
             curr[0] = prev[0] + self.c(x[i], x[i - 1], y[0]);
             for j in 1..n {
                 let move_cost = prev[j - 1] + (x[i] - y[j]).abs();
@@ -180,49 +174,16 @@ impl Distance for Msm {
         }
         prev[n - 1]
     }
-}
 
-impl Msm {
-    /// Anti-diagonal wavefront schedule for the MSM recurrence, kept as a
-    /// bit-identical alternative kernel (see the `distance_ws` note for
-    /// why it is not the dispatch target). Cells on diagonal `d = i + j`,
-    /// indexed by `i`, depend only on the two previous diagonals; per-cell
-    /// dataflow — cost expressions and `min` operand order — matches the
-    /// row-major kernel exactly.
-    pub fn wavefront_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return if m == n { 0.0 } else { f64::INFINITY };
-        }
-        let (mut p2, mut p1, mut cur, _) = ws.diag_scratch(m, 0);
-
-        // Diagonal 0 is the single corner cell.
-        p1[0] = (x[0] - y[0]).abs();
-        for d in 1..=(m + n - 2) {
-            // Row-0 cell (0, d): the same chain as the row-major row 0,
-            // one term per diagonal.
-            if d < n {
-                // tsdist-lint: allow(hot-path-bounds-check, reason = "diagonal index arithmetic (j = d - i) and O(1) boundary cells have no slice-friendly form; every index is proven in-bounds by the diagonal-range algebra")
-                cur[0] = p1[0] + self.c(y[d], y[d - 1], x[0]);
-            }
-            // Column-0 cell (d, 0): the split chain down column 0.
-            if d < m {
-                cur[d] = p1[d - 1] + self.c(x[d], x[d - 1], y[0]);
-            }
-            let lo = 1.max(d.saturating_sub(n - 1));
-            let hi = (m - 1).min(d - 1);
-            for i in lo..=hi {
-                let j = d - i;
-                let move_cost = p2[i - 1] + (x[i] - y[j]).abs();
-                let split_x = p1[i - 1] + self.c(x[i], x[i - 1], y[j]);
-                let merge_y = p1[i] + self.c(y[j], x[i], y[j - 1]);
-                cur[i] = move_cost.min(split_x).min(merge_y);
-            }
-            std::mem::swap(&mut p2, &mut p1);
-            std::mem::swap(&mut p1, &mut cur);
-        }
-        p1[m - 1]
+    fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
+        batch::row_ws(
+            x,
+            cols,
+            out,
+            ws,
+            |x, y, ws| self.distance_ws(x, y, ws),
+            |x, block, ws| batch::msm_block_ws(self.cost, x, block, ws),
+        );
     }
 }
 
@@ -300,22 +261,5 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_cost_panics() {
         let _ = Msm::new(-1.0);
-    }
-
-    #[test]
-    fn wavefront_schedule_is_bit_identical_to_the_dispatch_kernel() {
-        let mut ws = Workspace::default();
-        let d = Msm::new(0.5);
-        for (m, n) in [(1, 1), (1, 9), (7, 7), (9, 1), (17, 23), (64, 64)] {
-            let x: Vec<f64> = (0..m)
-                .map(|i| ((i * 37 + 11) % 19) as f64 * 0.3 - 2.0)
-                .collect();
-            let y: Vec<f64> = (0..n)
-                .map(|i| ((i * 53 + 5) % 23) as f64 * 0.2 - 1.5)
-                .collect();
-            let row_major = d.distance_ws(&x, &y, &mut ws);
-            let wave = d.wavefront_ws(&x, &y, &mut ws);
-            assert_eq!(row_major.to_bits(), wave.to_bits(), "m={m} n={n}");
-        }
     }
 }

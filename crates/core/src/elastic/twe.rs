@@ -5,6 +5,7 @@
 //! timestamp gap) and `λ` penalizes delete operations. With MSM, it is
 //! one of the two measures the paper finds significantly better than DTW.
 
+use super::batch;
 use crate::measure::Distance;
 use crate::workspace::Workspace;
 
@@ -187,6 +188,17 @@ impl Distance for Twe {
             std::mem::swap(&mut prev, &mut curr);
         }
         prev[n]
+    }
+
+    fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
+        batch::row_ws(
+            x,
+            cols,
+            out,
+            ws,
+            |x, y, ws| self.distance_ws(x, y, ws),
+            |x, block, ws| batch::twe_block_ws(self.lambda, self.nu, x, block, ws),
+        );
     }
 }
 

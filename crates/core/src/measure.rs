@@ -114,6 +114,24 @@ pub trait Distance: Send + Sync {
         self.distance_ws(x, y, ws)
     }
 
+    /// One matrix row: `out[j] = distance_ws(x, cols[j])` for every
+    /// column, with `out.len() == cols.len()`.
+    ///
+    /// Each entry must be bit-identical to the per-pair
+    /// [`Distance::distance_ws`] value; the default is exactly that
+    /// per-pair loop. The batch matrix engine in `tsdist-eval` fills
+    /// every row through this method, so a measure can evaluate several
+    /// columns at once: MSM and TWE run one DP over
+    /// [`crate::lanes::LANES`] equal-length columns, one per SIMD lane
+    /// (DESIGN.md §9.5). Delegating wrappers must forward it, or the
+    /// wrapped measure silently keeps the per-pair path.
+    fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
+        debug_assert_eq!(out.len(), cols.len(), "one output slot per column");
+        for (slot, col) in out.iter_mut().zip(cols) {
+            *slot = self.distance_ws(x, col, ws);
+        }
+    }
+
     /// Whether `distance(x, y)` and `distance(y, x)` are *bit-identical*
     /// for all **equal-length** inputs (the only case the batch engine
     /// mirrors; per-length normalizers like Gower divide by `x.len()` and
@@ -182,6 +200,9 @@ impl<D: Distance + ?Sized> Distance for Box<D> {
     fn distance_upto(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
         (**self).distance_upto(x, y, ws, cutoff)
     }
+    fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
+        (**self).distance_row_ws(x, cols, out, ws)
+    }
     fn is_symmetric(&self) -> bool {
         (**self).is_symmetric()
     }
@@ -208,6 +229,9 @@ impl<D: Distance + ?Sized> Distance for &D {
     }
     fn distance_upto(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
         (**self).distance_upto(x, y, ws, cutoff)
+    }
+    fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
+        (**self).distance_row_ws(x, cols, out, ws)
     }
     fn is_symmetric(&self) -> bool {
         (**self).is_symmetric()

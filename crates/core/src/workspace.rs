@@ -12,6 +12,8 @@
 //! A [`Workspace`] is a set of independent arenas:
 //!
 //! * [`Workspace::dp_rows2`] / [`Workspace::dp_rows4`] — `f64` DP rows,
+//! * `Workspace::lane_rows3` — lane-interleaved rows for the MSM/TWE
+//!   batch-axis row kernels (crate-internal),
 //! * [`Workspace::int_rows2`] — `u32` DP rows (LCSS/EDR),
 //! * [`Workspace::take_aux`] / [`Workspace::take_aux2`] — owned `f64`
 //!   buffers for series-length data (derivatives, weights, rescaled
@@ -24,7 +26,15 @@
 //! `ws_equivalence` suite verifies by bit-comparing against the
 //! allocating paths.
 
+use crate::lanes::LANES;
 use tsdist_fft::CcScratch;
+
+/// The three rows handed out by [`Workspace::lane_rows3`].
+pub(crate) type LaneRows3<'a> = (
+    &'a mut [[f64; LANES]],
+    &'a mut [[f64; LANES]],
+    &'a mut [[f64; LANES]],
+);
 
 /// Reusable scratch arenas for [`crate::measure::Distance::distance_ws`].
 ///
@@ -94,6 +104,26 @@ impl Workspace {
         let (b, rest) = rest.split_at_mut(rows);
         let (c, extra) = rest.split_at_mut(rows);
         (a, b, c, extra)
+    }
+
+    /// Three lane-interleaved rows of `len` cells each, carved from the
+    /// shared `f64` DP arena — the `[j][lane]` layout of the batch-axis
+    /// row kernels behind MSM's and TWE's
+    /// [`crate::measure::Distance::distance_row_ws`]: cell `j` of all
+    /// [`LANES`] lanes is one array. The first row holds the interleaved
+    /// columns, the other two the rolling DP rows.
+    ///
+    /// Contents are unspecified; callers must initialize every cell they
+    /// read.
+    pub(crate) fn lane_rows3(&mut self, len: usize) -> LaneRows3<'_> {
+        let cells = 3 * len * LANES;
+        if self.dp.len() < cells {
+            self.dp.resize(cells, 0.0);
+        }
+        let (rows, _) = self.dp[..cells].as_chunks_mut::<LANES>();
+        let (a, rest) = rows.split_at_mut(len);
+        let (b, c) = rest.split_at_mut(len);
+        (a, b, c)
     }
 
     /// Two `u32` DP rows of length `len` (LCSS/EDR counters).
@@ -194,6 +224,20 @@ mod tests {
         assert!(b.iter().all(|&v| v == 2.0));
         assert!(c.iter().all(|&v| v == 3.0));
         assert!(extra.iter().all(|&v| v == 4.0));
+    }
+
+    #[test]
+    fn lane_rows_are_disjoint_and_right_sized() {
+        let mut ws = Workspace::new();
+        let (a, b, c) = ws.lane_rows3(5);
+        assert_eq!((a.len(), b.len(), c.len()), (5, 5, 5));
+        a.fill([1.0; LANES]);
+        b.fill([2.0; LANES]);
+        c.fill([3.0; LANES]);
+        let (a, b, c) = ws.lane_rows3(5);
+        assert!(a.iter().flatten().all(|&v| v == 1.0));
+        assert!(b.iter().flatten().all(|&v| v == 2.0));
+        assert!(c.iter().flatten().all(|&v| v == 3.0));
     }
 
     #[test]

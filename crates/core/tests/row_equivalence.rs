@@ -1,0 +1,292 @@
+//! Registry-driven equivalence suite for the row entry point.
+//!
+//! The batch matrix engine in `tsdist-eval` fills every matrix row with
+//! `Distance::distance_row_ws`. MSM and TWE override it with a
+//! batch-axis kernel that runs one DP over eight equal-length columns at
+//! a time, one per SIMD lane; every other measure keeps the per-pair
+//! default. Either way each entry must be the per-pair `distance_ws`
+//! value bit for bit. This suite checks that for every registry
+//! instance over the shapes that stress the lane blocking — column
+//! counts around the lane width, rows mixing lengths so blocks split,
+//! empty series — and over adversarial values, and it checks that the
+//! delegating wrappers reach an override instead of silently falling
+//! back to the per-pair loop.
+
+use tsdist_core::elastic::{Msm, Twe};
+use tsdist_core::lanes::LANES;
+use tsdist_core::measure::Distance;
+use tsdist_core::registry;
+use tsdist_core::Workspace;
+
+/// Tiny deterministic generator (SplitMix64) so the suite needs no
+/// external crates and reruns identically.
+struct Gen(u64);
+
+impl Gen {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[-2, 2)`.
+    fn value(&mut self) -> f64 {
+        ((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0
+    }
+
+    fn series(&mut self, len: usize) -> Vec<f64> {
+        (0..len).map(|_| self.value()).collect()
+    }
+}
+
+/// Every distance instance the registry hands out (full Table 4 grids).
+fn registry_distances() -> Vec<Box<dyn Distance>> {
+    let mut all: Vec<Box<dyn Distance>> = Vec::new();
+    all.extend(registry::lockstep_parameter_free());
+    all.extend(registry::minkowski_family().grid);
+    all.extend(registry::sliding_measures());
+    for family in registry::elastic_families() {
+        all.extend(family.grid);
+    }
+    all
+}
+
+/// The measures with a batch-axis override, over a spread of
+/// parameters including the zero-cost corner.
+fn batch_measures() -> Vec<Box<dyn Distance>> {
+    let mut all: Vec<Box<dyn Distance>> =
+        vec![Box::new(Msm::new(0.0)), Box::new(Twe::new(0.0, 0.0))];
+    for c in [0.01, 0.5, 100.0] {
+        all.push(Box::new(Msm::new(c)));
+    }
+    for (lambda, nu) in [(1.0, 1e-4), (0.25, 1.0), (0.0, 1e-5)] {
+        all.push(Box::new(Twe::new(lambda, nu)));
+    }
+    all
+}
+
+fn assert_bits_eq(a: f64, b: f64, what: &str) {
+    assert!(
+        a.to_bits() == b.to_bits(),
+        "{what}: {a:?} ({:#x}) != {b:?} ({:#x})",
+        a.to_bits(),
+        b.to_bits()
+    );
+}
+
+/// Runs `distance_row_ws` into a sentinel-filled row and compares every
+/// slot with the per-pair value.
+fn check_row(d: &dyn Distance, x: &[f64], cols: &[Vec<f64>], ws: &mut Workspace, what: &str) {
+    check_row_with(d, x, cols, ws, what, assert_bits_eq);
+}
+
+fn check_row_with(
+    d: &dyn Distance,
+    x: &[f64],
+    cols: &[Vec<f64>],
+    ws: &mut Workspace,
+    what: &str,
+    assert_same: fn(f64, f64, &str),
+) {
+    let sentinel = f64::from_bits(0x7FF0_DEAD_BEEF_0001);
+    let mut out = vec![sentinel; cols.len()];
+    d.distance_row_ws(x, cols, &mut out, ws);
+    for (j, (col, &got)) in cols.iter().zip(&out).enumerate() {
+        let want = d.distance_ws(x, col, ws);
+        assert_same(got, want, &format!("{} {what} col {j}", d.name()));
+    }
+}
+
+/// Bit equality, except that any two NaNs match. The optimizer does
+/// not preserve a NaN's sign or payload, so the same per-pair code
+/// inlined into the default row loop may return `-NaN` where a dynamic
+/// call returns `+NaN` (seen for DISSIM in release builds).
+fn assert_bits_eq_any_nan(a: f64, b: f64, what: &str) {
+    if !(a.is_nan() && b.is_nan()) {
+        assert_bits_eq(a, b, what);
+    }
+}
+
+const COLUMN_COUNTS: [usize; 7] = [0, 1, 7, 8, 9, 17, 30];
+
+#[test]
+fn every_registry_instance_matches_per_pair_over_column_counts() {
+    let mut g = Gen(0x5EED_0001);
+    let len = 12;
+    let x = g.series(len);
+    let short_x = g.series(5);
+    let pool: Vec<Vec<f64>> = (0..30).map(|_| g.series(len)).collect();
+    // One long-lived workspace across every measure and shape, as a
+    // matrix worker uses it.
+    let mut ws = Workspace::default();
+    for d in registry_distances() {
+        for count in COLUMN_COUNTS {
+            check_row(
+                d.as_ref(),
+                &x,
+                &pool[..count],
+                &mut ws,
+                &format!("{count} cols"),
+            );
+        }
+        // A query of another length than its (equal-length) columns.
+        check_row(d.as_ref(), &short_x, &pool[..9], &mut ws, "short query");
+    }
+}
+
+#[test]
+fn batch_kernels_match_per_pair_over_column_counts_and_lengths() {
+    let mut g = Gen(0x5EED_0002);
+    let mut ws = Workspace::default();
+    for d in batch_measures() {
+        for (m, n) in [(1, 1), (1, 9), (9, 1), (2, 2), (8, 8), (17, 23), (33, 33)] {
+            let x = g.series(m);
+            let pool: Vec<Vec<f64>> = (0..30).map(|_| g.series(n)).collect();
+            for count in COLUMN_COUNTS {
+                check_row(
+                    d.as_ref(),
+                    &x,
+                    &pool[..count],
+                    &mut ws,
+                    &format!("m={m} n={n} {count} cols"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn rows_mixing_lengths_split_blocks_and_stay_identical() {
+    let mut g = Gen(0x5EED_0003);
+    // Runs of 3, 1, 9, 2 (then empty), 8 and a ragged tail: blocks must
+    // split at every length change and at the lane width.
+    let lengths = [
+        9, 9, 9, 4, 9, 9, 9, 9, 9, 9, 9, 9, 9, 6, 6, 0, 11, 11, 11, 11, 11, 11, 11, 11, 0, 0, 3, 9,
+        9,
+    ];
+    let cols: Vec<Vec<f64>> = lengths.iter().map(|&n| g.series(n)).collect();
+    let mut ws = Workspace::default();
+    let mut all = registry_distances();
+    all.extend(batch_measures());
+    for d in &all {
+        for x in [g.series(9), g.series(4), Vec::new()] {
+            check_row(
+                d.as_ref(),
+                &x,
+                &cols,
+                &mut ws,
+                &format!("mixed, |x|={}", x.len()),
+            );
+        }
+    }
+}
+
+#[test]
+fn empty_series_rows_match_per_pair() {
+    let mut ws = Workspace::default();
+    let empties = vec![Vec::new(); 10];
+    for d in batch_measures() {
+        check_row(d.as_ref(), &[], &empties, &mut ws, "empty vs empty");
+        check_row(d.as_ref(), &[1.0, 2.0], &empties, &mut ws, "query vs empty");
+        check_row(
+            d.as_ref(),
+            &[],
+            &vec![vec![1.0, 2.0]; 10],
+            &mut ws,
+            "empty query",
+        );
+    }
+}
+
+#[test]
+fn adversarial_values_stay_bit_identical_in_every_lane() {
+    let specials = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        1e308,
+        -1e308,
+        f64::MIN_POSITIVE / 4.0,
+        -f64::MIN_POSITIVE / 3.0,
+        1.0,
+    ];
+    let mut g = Gen(0x5EED_0004);
+    let len = 10;
+    let mut cols: Vec<Vec<f64>> = Vec::new();
+    // Each special value planted at a few positions of a random series,
+    // plus constant series made of it.
+    for &s in &specials {
+        for pos in [0, len / 2, len - 1] {
+            let mut c = g.series(len);
+            c[pos] = s;
+            cols.push(c);
+        }
+        cols.push(vec![s; len]);
+    }
+    let mut queries: Vec<Vec<f64>> = vec![g.series(len), vec![0.0; len], vec![-0.0; len]];
+    for &s in &specials {
+        let mut q = g.series(len);
+        q[len / 3] = s;
+        queries.push(q);
+    }
+    let mut ws = Workspace::default();
+    // The batch kernels keep even NaN bits.
+    for d in batch_measures() {
+        for x in &queries {
+            check_row(d.as_ref(), x, &cols, &mut ws, "adversarial");
+        }
+    }
+    for d in registry_distances() {
+        for x in &queries {
+            let what = "adversarial";
+            check_row_with(d.as_ref(), x, &cols, &mut ws, what, assert_bits_eq_any_nan);
+        }
+    }
+}
+
+/// A test-only measure whose row override writes a sentinel, so a
+/// wrapper that fails to forward `distance_row_ws` is caught.
+struct RowSentinel;
+
+const SENTINEL: f64 = 4242.0;
+
+impl Distance for RowSentinel {
+    fn name(&self) -> String {
+        "row-sentinel".into()
+    }
+    fn distance(&self, _x: &[f64], _y: &[f64]) -> f64 {
+        0.0
+    }
+    fn distance_row_ws(
+        &self,
+        _x: &[f64],
+        _cols: &[Vec<f64>],
+        out: &mut [f64],
+        _ws: &mut Workspace,
+    ) {
+        out.fill(SENTINEL);
+    }
+}
+
+#[test]
+fn boxed_and_borrowed_distances_forward_the_row_method() {
+    let cols = vec![vec![1.0, 2.0]; LANES + 3];
+    let mut ws = Workspace::default();
+
+    let boxed: Box<dyn Distance> = Box::new(RowSentinel);
+    let mut out = vec![0.0; cols.len()];
+    Distance::distance_row_ws(&boxed, &[1.0], &cols, &mut out, &mut ws);
+    assert!(
+        out.iter().all(|&v| v == SENTINEL),
+        "Box<dyn Distance>: {out:?}"
+    );
+
+    let borrowed = &RowSentinel;
+    let mut out = vec![0.0; cols.len()];
+    Distance::distance_row_ws(&borrowed, &[1.0], &cols, &mut out, &mut ws);
+    assert!(out.iter().all(|&v| v == SENTINEL), "&D: {out:?}");
+}

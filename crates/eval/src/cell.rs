@@ -13,9 +13,11 @@
 //!   look at a clock) are interrupted at the next pairwise call.
 //! * [`GuardedDistance`] / [`GuardedKernel`] — transparent measure
 //!   wrappers that consult the flag before every pairwise computation
+//!   (for matrix rows: before every block of at most `LANES` columns)
 //!   and unwind with a cancellation payload once it is raised. They
-//!   delegate `distance_ws` / `is_symmetric`, so guarded evaluation is
-//!   bit-identical to unguarded evaluation for healthy cells.
+//!   delegate `distance_ws` / `distance_row_ws` / `is_symmetric`, so
+//!   guarded evaluation is bit-identical to unguarded evaluation for
+//!   healthy cells.
 //! * [`find_non_finite`] — the at-the-source NaN/±Inf guard: a
 //!   dissimilarity matrix containing a non-finite cell is reported as
 //!   [`CellError::NonFiniteDistance`] instead of silently sorting last
@@ -27,6 +29,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::error::EvalError;
+use tsdist_core::lanes::LANES;
 use tsdist_core::measure::{Distance, IndexProfile, Kernel, MetricRegime};
 use tsdist_core::Workspace;
 use tsdist_linalg::Matrix;
@@ -266,9 +269,10 @@ pub struct CellResult {
 }
 
 /// A [`Distance`] wrapper that checks a [`CancelFlag`] before every
-/// pairwise computation. Pure delegation otherwise — including
-/// `distance_ws` and `is_symmetric` — so healthy guarded cells are
-/// bit-identical to unguarded ones.
+/// pairwise computation, and before every chunk of at most
+/// [`LANES`] columns of a matrix row. Pure delegation otherwise —
+/// including `distance_ws`, `distance_row_ws` and `is_symmetric` — so
+/// healthy guarded cells are bit-identical to unguarded ones.
 pub struct GuardedDistance<'a> {
     inner: &'a dyn Distance,
     flag: &'a CancelFlag,
@@ -296,6 +300,15 @@ impl Distance for GuardedDistance<'_> {
     fn distance_upto(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
         self.flag.panic_if_cancelled();
         self.inner.distance_upto(x, y, ws, cutoff)
+    }
+    // Forwarded so the inner measure's row kernel is reached; the flag
+    // is checked once per chunk of at most `LANES` columns, which keeps
+    // the cancellation latency at one SIMD block of work.
+    fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
+        for (cols, out) in cols.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            self.flag.panic_if_cancelled();
+            self.inner.distance_row_ws(x, cols, out, ws);
+        }
     }
     fn is_symmetric(&self) -> bool {
         self.inner.is_symmetric()

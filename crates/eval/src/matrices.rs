@@ -6,12 +6,15 @@
 //!
 //! Construction is *row-parallel*: worker threads claim matrix rows from
 //! a shared counter ([`crate::parallel::parallel_fill_rows`]) and each
-//! carries its own [`Workspace`], so the DP/FFT measures run through
-//! their allocation-free `distance_ws` path. Train-by-train matrices of
-//! measures whose [`Distance::is_symmetric`] hint holds additionally
-//! compute only the upper triangle and mirror it — the hint promises
-//! bit-identical `d(x, y)` and `d(y, x)`, so the mirrored matrix equals
-//! the full computation exactly.
+//! carries its own [`Workspace`]. Every row is one
+//! [`Distance::distance_row_ws`] call, so the DP/FFT measures run through
+//! their allocation-free `distance_ws` path and MSM/TWE through their
+//! batch-axis kernels (eight training series per SIMD lane, bit-identical
+//! to the per-pair values). Train-by-train matrices of measures whose
+//! [`Distance::is_symmetric`] hint holds additionally compute only the
+//! upper triangle (row `i` against `items[i..]`) and mirror it — the
+//! hint promises bit-identical `d(x, y)` and `d(y, x)`, so the mirrored
+//! matrix equals the full computation exactly.
 //!
 //! Every builder also has an `*_into` variant filling a caller-owned
 //! [`Matrix`], which the supervised grid loops use to reuse one `W`/`E`
@@ -62,11 +65,7 @@ pub fn distance_matrix_into(
         out.as_mut_slice(),
         cols.len(),
         Workspace::default,
-        |ws, i, out_row| {
-            for (slot, col) in out_row.iter_mut().zip(cols) {
-                *slot = d.distance_ws(&rows[i], col, ws);
-            }
-        },
+        |ws, i, out_row| d.distance_row_ws(&rows[i], cols, out_row, ws),
     );
 }
 
@@ -91,11 +90,7 @@ pub fn symmetric_distance_matrix_into(d: &dyn Distance, items: &[Vec<f64>], out:
         out.as_mut_slice(),
         n,
         Workspace::default,
-        |ws, i, out_row| {
-            for (j, slot) in out_row.iter_mut().enumerate().skip(i) {
-                *slot = d.distance_ws(&items[i], &items[j], ws);
-            }
-        },
+        |ws, i, out_row| d.distance_row_ws(&items[i], &items[i..], &mut out_row[i..], ws),
     );
     mirror_upper_to_lower(out);
 }

@@ -1,7 +1,8 @@
 //! Fault-injection suite for the resumable cell runner: chaos measures
 //! (panics, NaN, delays), deadline enforcement, retry recovery, journal
-//! kill/resume equivalence, and the lenient archive loader feeding a
-//! study over the surviving datasets.
+//! kill/resume equivalence, the lenient archive loader feeding a study
+//! over the surviving datasets, and the cancellation granularity of
+//! guarded matrix rows.
 
 // The cancellable `try_evaluate_distance` shim stays covered here until
 // removal: runner integration must keep working for callers that have
@@ -9,17 +10,23 @@
 #![allow(deprecated)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use tsdist_core::chaos::{ChaosDistance, Fault, Schedule};
+use tsdist_core::elastic::Msm;
+use tsdist_core::lanes::LANES;
 use tsdist_core::lockstep::{Euclidean, Lorentzian};
+use tsdist_core::measure::Distance;
 use tsdist_core::normalization::Normalization;
+use tsdist_core::Workspace;
 use tsdist_data::synthetic::{generate_archive, generate_dataset, ArchiveConfig};
 use tsdist_data::ucr::write_ucr_dataset;
 use tsdist_data::{load_ucr_archive_lenient, Dataset};
+use tsdist_eval::cell::{CancelPanic, GuardedDistance};
 use tsdist_eval::{
-    cell_key, run_study, run_study_resumable, try_evaluate_distance, CellError, CellOutcome,
-    CellRunner, Entrant, Evaluation, RunnerConfig,
+    cell_key, distance_matrix, run_study, run_study_resumable, try_evaluate_distance, CellError,
+    CellOutcome, CellRunner, Entrant, Evaluation, RunnerConfig,
 };
 
 fn quick_archive(n: usize) -> Vec<Dataset> {
@@ -293,4 +300,156 @@ fn deadline_applies_per_cell_not_per_study() {
         assert!(result.outcome.is_ok());
     }
     assert_eq!(calls.load(Ordering::SeqCst), 2);
+}
+
+/// A per-pair measure (it keeps the default `distance_row_ws`) that
+/// counts its calls and, once armed with a cancel flag, raises it on
+/// call number `at`, the way a watchdog fires in the middle of a
+/// matrix row.
+struct CancelAt {
+    flag: Mutex<Option<tsdist_eval::CancelFlag>>,
+    at: usize,
+    calls: AtomicUsize,
+}
+
+impl CancelAt {
+    fn new(at: usize) -> Self {
+        CancelAt {
+            flag: Mutex::new(None),
+            at,
+            calls: AtomicUsize::new(0),
+        }
+    }
+
+    fn arm(&self, flag: &tsdist_eval::CancelFlag) {
+        *self.flag.lock().expect("flag lock") = Some(flag.clone());
+    }
+
+    fn calls(&self) -> usize {
+        self.calls.load(Ordering::SeqCst)
+    }
+}
+
+impl Distance for CancelAt {
+    fn name(&self) -> String {
+        "CancelAt".into()
+    }
+    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
+        if self.calls.fetch_add(1, Ordering::SeqCst) + 1 == self.at {
+            if let Some(flag) = &*self.flag.lock().expect("flag lock") {
+                flag.cancel();
+            }
+        }
+        Euclidean.distance(x, y)
+    }
+}
+
+#[test]
+fn cancel_raised_mid_row_stops_the_guarded_row_within_one_chunk() {
+    let flag = tsdist_eval::CancelFlag::new();
+    // Raised on the 11th pair, inside the second chunk of the row.
+    let measure = CancelAt::new(11);
+    measure.arm(&flag);
+    let guarded = GuardedDistance::new(&measure, &flag);
+    let cols = vec![vec![0.5, 1.5, -1.0]; 5 * LANES];
+    let mut out = vec![0.0; cols.len()];
+    let mut ws = Workspace::new();
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        guarded.distance_row_ws(&[0.0, 1.0, 2.0], &cols, &mut out, &mut ws);
+    }))
+    .expect_err("a raised flag must unwind the row");
+    assert!(unwound.downcast_ref::<CancelPanic>().is_some());
+    // The second chunk finishes, the check before the third stops it.
+    assert_eq!(measure.calls(), 2 * LANES);
+}
+
+#[test]
+fn cancel_raised_mid_row_ends_the_cell_timed_out() {
+    let ds = generate_dataset(&ArchiveConfig::quick(1, 13), 0);
+    let pairs = ds.test.len() * ds.train.len();
+    let runner = CellRunner::new(RunnerConfig::named("cancel-mid-row"));
+    // Raised a few pairs into the second row of `E`.
+    let measure = CancelAt::new(ds.train.len() + 3);
+    let result = runner.run_cell(&cell_key("CancelAt(ED)", &ds.name), |flag| {
+        measure.arm(flag);
+        try_evaluate_distance(&measure, &ds, Normalization::ZScore, flag)
+    });
+    assert_eq!(result.outcome, CellOutcome::TimedOut);
+    let calls = measure.calls();
+    // Each matrix worker finishes at most its current chunk.
+    let bound = ds.train.len() + 3 + LANES * tsdist_eval::worker_count();
+    assert!(calls > 0 && calls <= bound, "{calls} calls, bound {bound}");
+    assert!(calls < pairs, "the matrix must not run to completion");
+}
+
+#[test]
+fn chaos_schedules_count_pairs_even_around_a_row_kernel() {
+    // `ChaosDistance` keeps the per-pair row default, so wrapping MSM (a
+    // measure with a batch-axis row kernel) still sees one call per
+    // matrix cell, and the untouched cells are MSM's own bits.
+    let mut g = 0.37f64;
+    let mut series = |n: usize| -> Vec<f64> {
+        (0..n)
+            .map(|_| {
+                g = (g * 3.7 + 0.11).fract();
+                g * 4.0 - 2.0
+            })
+            .collect()
+    };
+    let rows: Vec<Vec<f64>> = (0..4).map(|_| series(16)).collect();
+    let cols: Vec<Vec<f64>> = (0..19).map(|_| series(16)).collect();
+    let msm = Msm::new(0.5);
+    let flag = tsdist_eval::CancelFlag::new();
+    let mut ws = Workspace::new();
+    for (schedule, faults) in [
+        (Schedule::FirstN(3), 3),
+        (Schedule::EveryNth(5), 4 * 19 / 5),
+    ] {
+        let chaos = ChaosDistance::new(msm, Fault::Value(-7.0), schedule);
+        let guarded = GuardedDistance::new(&chaos, &flag);
+        let m = distance_matrix(&guarded, &rows, &cols);
+        assert_eq!(chaos.calls(), rows.len() * cols.len(), "{schedule:?}");
+        let injected = m.as_slice().iter().filter(|&&v| v == -7.0).count();
+        assert_eq!(injected, faults, "{schedule:?}");
+        for (i, x) in rows.iter().enumerate() {
+            for (j, y) in cols.iter().enumerate() {
+                let v = m[(i, j)];
+                if v != -7.0 {
+                    assert_eq!(v.to_bits(), msm.distance_ws(x, y, &mut ws).to_bits());
+                }
+            }
+        }
+    }
+}
+
+/// A test-only measure whose row override writes a sentinel, so a
+/// wrapper that fails to forward `distance_row_ws` is caught.
+struct RowSentinel;
+
+impl Distance for RowSentinel {
+    fn name(&self) -> String {
+        "RowSentinel".into()
+    }
+    fn distance(&self, _x: &[f64], _y: &[f64]) -> f64 {
+        0.0
+    }
+    fn distance_row_ws(
+        &self,
+        _x: &[f64],
+        _cols: &[Vec<f64>],
+        out: &mut [f64],
+        _ws: &mut Workspace,
+    ) {
+        out.fill(4242.0);
+    }
+}
+
+#[test]
+fn guarded_distance_forwards_the_row_method_in_every_chunk() {
+    let flag = tsdist_eval::CancelFlag::new();
+    let guarded = GuardedDistance::new(&RowSentinel, &flag);
+    let cols = vec![vec![1.0]; 2 * LANES + 3];
+    let mut out = vec![0.0; cols.len()];
+    guarded.distance_row_ws(&[1.0], &cols, &mut out, &mut Workspace::new());
+    assert!(out.iter().all(|&v| v == 4242.0), "{out:?}");
 }

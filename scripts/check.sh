@@ -29,7 +29,7 @@ echo "==> conformance gate (quick differential + committed golden bits)"
 "$TSDIST" conformance --quick >/dev/null
 echo "    quick oracle subset clean, golden bits match results/conformance/registry_v1.tsv"
 
-echo "==> bench_kernels smoke (lane/wavefront kernels vs scalar twins, bit gates)"
+echo "==> bench_kernels smoke (lane/wavefront/row kernels vs scalar twins, bit gates)"
 cargo build -q --offline -p tsdist-bench --bin bench_kernels
 target/debug/bench_kernels --quick --out "$SMOKE" >/dev/null 2>"$SMOKE/bench_kernels.log"
 if [ ! -s "$SMOKE/BENCH_kernels.json" ]; then
@@ -40,11 +40,20 @@ fi
 # checked are recorded in the artifact rather than silently absent.
 grep -q '"identical_bits": true' "$SMOKE/BENCH_kernels.json"
 grep -q '"coverage": {"vectorized": ' "$SMOKE/BENCH_kernels.json"
+# The MSM/TWE batch-axis row kernels must be recorded bit-identical to
+# their per-pair kernels.
+for measure in 'MSM(c=0.5)' 'TWE(l=1,nu=1e-4)'; do
+  if ! grep -F "{\"name\": \"$measure\", \"pair_seconds\"" "$SMOKE/BENCH_kernels.json" \
+    | grep -q '"identical_bits": true'; then
+    echo "bench_kernels recorded no bit-identical $measure row-kernel entry" >&2
+    exit 1
+  fi
+done
 if grep -q '"identical_bits": false' "$SMOKE/BENCH_kernels.json"; then
-  echo "bench_kernels reported a wavefront/row-major bit mismatch" >&2
+  echo "bench_kernels reported a wavefront/row-major or row/pair bit mismatch" >&2
   exit 1
 fi
-echo "    lane + wavefront kernels bit/tolerance gates pass; artifact has coverage"
+echo "    lane + wavefront + row kernels bit/tolerance gates pass; artifact has coverage"
 
 echo "==> resumable-study smoke (kill after one cell, resume, diff)"
 "$TSDIST" generate "$SMOKE/archive" --datasets 2 --seed 7 --quick >/dev/null
