@@ -8,10 +8,11 @@
 //!   term, in GB/s of series data touched (two `f64` slices per pair);
 //! * **DP** — the anti-diagonal wavefront DTW/WDTW vs the row-major
 //!   reference kernels, in DP cells/s;
-//! * **row** — the MSM/TWE batch-axis row kernels
-//!   (`Distance::distance_row_ws`, eight training series per SIMD lane)
-//!   vs the per-pair `distance_ws` loop over the same matrix rows, in DP
-//!   cells/s.
+//! * **row** — the batch-axis row kernels of MSM, TWE, banded DTW and
+//!   NCC_c (`Distance::distance_row_ws`, eight training series per SIMD
+//!   lane) vs the per-pair `distance_ws` loop over the same matrix rows,
+//!   in µs per pair and, for the DPs, DP cells/s. DTW also runs at a long
+//!   length, where its per-pair wavefront is strongest.
 //!
 //! The scalar twins live in this binary on purpose: they are the
 //! pre-vectorization implementations, kept runnable so the speedup
@@ -35,6 +36,7 @@ use tsdist_core::elastic::{
 use tsdist_core::lockstep::{Chebyshev, CityBlock, Euclidean, Minkowski};
 use tsdist_core::measure::Distance;
 use tsdist_core::registry;
+use tsdist_core::sliding::CrossCorrelation;
 use tsdist_core::Workspace;
 
 /// SplitMix64 noise in `[-2, 2)` — the same deterministic generator the
@@ -138,22 +140,27 @@ struct DpRow {
 }
 
 struct RowKernelRow {
-    name: &'static str,
+    name: String,
+    length: usize,
     pair_seconds: f64,
     row_seconds: f64,
-    cells_per_sec_pair: f64,
-    cells_per_sec_row: f64,
+    us_per_pair_pair: f64,
+    us_per_pair_row: f64,
+    /// DP cells per second (pair, row); `None` for the FFT measures.
+    cells_per_sec: Option<(f64, f64)>,
     identical_bits: bool,
 }
 
 /// One measure's matrix rows (`queries` x `cols`) through the row kernel
 /// against the per-pair `distance_ws` loop the batch engine ran before.
+/// `cells` counts a DP measure's cells for a pair of lengths.
 fn bench_row_kernel(
-    name: &'static str,
+    name: String,
     d: &dyn Distance,
     queries: &[Vec<f64>],
     cols: &[Vec<f64>],
     reps: usize,
+    cells: Option<&dyn Fn(usize, usize) -> u64>,
 ) -> RowKernelRow {
     let mut ws = Workspace::new();
     let mut out = vec![0.0; cols.len()];
@@ -179,16 +186,25 @@ fn bench_row_kernel(
             .zip(cols)
             .all(|(&v, y)| v.to_bits() == d.distance_ws(x, y, &mut ws).to_bits())
     });
-    let cells: usize = queries
-        .iter()
-        .map(|x| cols.iter().map(|y| x.len() * y.len()).sum::<usize>())
-        .sum();
+    let pairs = (queries.len() * cols.len()) as f64;
+    let cells_per_sec = cells.map(|cells| {
+        let total: u64 = queries
+            .iter()
+            .flat_map(|x| cols.iter().map(move |y| cells(x.len(), y.len())))
+            .sum();
+        (
+            total as f64 / pair_seconds.max(1e-12),
+            total as f64 / row_seconds.max(1e-12),
+        )
+    });
     RowKernelRow {
         name,
+        length: cols.first().map_or(0, Vec::len),
         pair_seconds,
         row_seconds,
-        cells_per_sec_pair: cells as f64 / pair_seconds.max(1e-12),
-        cells_per_sec_row: cells as f64 / row_seconds.max(1e-12),
+        us_per_pair_pair: pair_seconds / pairs * 1e6,
+        us_per_pair_row: row_seconds / pairs * 1e6,
+        cells_per_sec,
         identical_bits,
     }
 }
@@ -202,11 +218,13 @@ fn main() {
     };
     // Row kernels: series of a study-sized length; the column count is
     // not a multiple of the lane width, so a partial block is timed too.
+    // The long DTW rows use the lock-step/DP length.
     let (row_len, row_queries, row_cols) = if cfg.quick {
         (64usize, 3usize, 20usize)
     } else {
         (128, 8, 60)
     };
+    let (long_queries, long_cols) = if cfg.quick { (1usize, 9usize) } else { (2, 20) };
     let band = len / 10;
     let mut noise = Noise(cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xBEEF);
     let pairs: Vec<(Vec<f64>, Vec<f64>)> = (0..ls_pairs)
@@ -349,25 +367,44 @@ fn main() {
         );
     }
 
-    // --- Row kernels: batch-axis MSM/TWE vs the per-pair loop. --------
+    // --- Row kernels: batch-axis rows vs the per-pair loop. ----------
     let queries: Vec<Vec<f64>> = (0..row_queries).map(|_| noise.series(row_len)).collect();
     let cols: Vec<Vec<f64>> = (0..row_cols).map(|_| noise.series(row_len)).collect();
+    let long_x: Vec<Vec<f64>> = (0..long_queries).map(|_| noise.series(len)).collect();
+    let long_y: Vec<Vec<f64>> = (0..long_cols).map(|_| noise.series(len)).collect();
+    let full_table = |m: usize, n: usize| (m * n) as u64;
+    let dtw_cells = |m: usize, n: usize| banded_cells(m, n, dtw.band(m, n));
+    let msm = Msm::new(0.5);
+    let twe = Twe::new(1.0, 1e-4);
+    let sbd = CrossCorrelation::sbd();
     let row_kernels = vec![
-        bench_row_kernel("MSM(c=0.5)", &Msm::new(0.5), &queries, &cols, reps),
+        bench_row_kernel(msm.name(), &msm, &queries, &cols, reps, Some(&full_table)),
         bench_row_kernel(
-            "TWE(l=1,nu=1e-4)",
-            &Twe::new(1.0, 1e-4),
+            "TWE(l=1,nu=1e-4)".into(),
+            &twe,
             &queries,
             &cols,
             reps,
+            Some(&full_table),
         ),
+        bench_row_kernel(dtw.name(), &dtw, &queries, &cols, reps, Some(&dtw_cells)),
+        bench_row_kernel(
+            format!("{}@{len}", dtw.name()),
+            &dtw,
+            &long_x,
+            &long_y,
+            reps,
+            Some(&dtw_cells),
+        ),
+        bench_row_kernel(sbd.name(), &sbd, &queries, &cols, reps, None),
     ];
     for row in &row_kernels {
         eprintln!(
-            "[bench_kernels] {:16} pair {:8.1} Mcells/s  row {:8.1} Mcells/s  x{:4.2}  bits {}",
+            "[bench_kernels] {:16} len {:5}  pair {:8.2} us  row {:8.2} us  x{:4.2}  bits {}",
             row.name,
-            row.cells_per_sec_pair / 1e6,
-            row.cells_per_sec_row / 1e6,
+            row.length,
+            row.us_per_pair_pair,
+            row.us_per_pair_row,
             row.pair_seconds / row.row_seconds.max(1e-12),
             row.identical_bits
         );
@@ -399,7 +436,8 @@ fn main() {
         "  \"config\": {{\"length\": {len}, \"lockstep_pairs\": {ls_pairs}, \
          \"dp_pairs\": {dp_pairs}, \"band\": {band}, \"repetitions\": {reps}, \
          \"row_length\": {row_len}, \"row_queries\": {row_queries}, \
-         \"row_columns\": {row_cols}, \"seed\": {}, \"quick\": {}}},\n",
+         \"row_columns\": {row_cols}, \"long_row_queries\": {long_queries}, \
+         \"long_row_columns\": {long_cols}, \"seed\": {}, \"quick\": {}}},\n",
         cfg.seed, cfg.quick
     ));
     json.push_str("  \"lockstep\": [\n");
@@ -439,16 +477,22 @@ fn main() {
     }
     json.push_str("  ],\n  \"row\": [\n");
     for (i, r) in row_kernels.iter().enumerate() {
+        let (cells_pair, cells_row) = match r.cells_per_sec {
+            Some((pair, row)) => (format!("{pair:.0}"), format!("{row:.0}")),
+            None => ("null".into(), "null".into()),
+        };
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"pair_seconds\": {:.6}, \"row_seconds\": {:.6}, \
-             \"speedup\": {:.3}, \"cells_per_sec_pair\": {:.0}, \"cells_per_sec_row\": {:.0}, \
-             \"identical_bits\": {}}}{}\n",
+             \"speedup\": {:.3}, \"length\": {}, \"us_per_pair_pair\": {:.3}, \
+             \"us_per_pair_row\": {:.3}, \"cells_per_sec_pair\": {cells_pair}, \
+             \"cells_per_sec_row\": {cells_row}, \"identical_bits\": {}}}{}\n",
             r.name,
             r.pair_seconds,
             r.row_seconds,
             r.pair_seconds / r.row_seconds.max(1e-12),
-            r.cells_per_sec_pair,
-            r.cells_per_sec_row,
+            r.length,
+            r.us_per_pair_pair,
+            r.us_per_pair_row,
             r.identical_bits,
             if i + 1 < row_kernels.len() { "," } else { "" }
         ));

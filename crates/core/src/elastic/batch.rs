@@ -1,12 +1,15 @@
-//! Batch-axis row kernels for MSM and TWE.
+//! Batch-axis row kernels: MSM, TWE and banded DTW, and the row driver
+//! the NCC family shares.
 //!
 //! MSM's split/merge cost and TWE's edit terms leave no parallelism
 //! inside one pair: the row-major recurrence carries `curr[j - 1]` into
 //! `curr[j]`, and MSM's data-dependent cost made its anti-diagonal
-//! schedule a measured loss. A matrix row, however, is one query `x`
-//! against many training columns, and those pairs are independent. The
-//! kernels here run the scalar row-major recurrence once for
-//! [`LANES`] equal-length columns at a time, one column per SIMD lane:
+//! schedule a measured loss. DTW's anti-diagonal schedule does win, but
+//! a narrow band leaves it diagonals of a handful of cells. A matrix
+//! row, however, is one query `x` against many training columns, and
+//! those pairs are independent. The kernels here run the scalar
+//! row-major recurrence once for [`LANES`] equal-length columns at a
+//! time, one column per SIMD lane:
 //!
 //! * **Layout.** The columns are copied into a column-major `[j][lane]`
 //!   scratch ([`Workspace::lane_rows3`]), so cell `j` of all lanes is one
@@ -24,6 +27,9 @@
 //!   The row is split into runs of equal-length columns; a run of one
 //!   column, an empty column or an empty query falls back to the
 //!   per-pair kernel.
+//!
+//! [`row_ws`] is the part that is not a DP: the sliding measures use it
+//! too, with an FFT block (`CrossCorrelation`'s lane transform).
 
 use std::array;
 
@@ -32,6 +38,9 @@ use crate::workspace::Workspace;
 
 /// One DP cell (or one sample) of all [`LANES`] columns of a block.
 type Lanes = [f64; LANES];
+
+/// An unreachable cell in every lane.
+const INF: Lanes = [f64::INFINITY; LANES];
 
 /// Fills `out[j]` with the distance from `x` to `cols[j]`: blocks of
 /// equal-length columns go through `block`, everything else through
@@ -142,6 +151,58 @@ pub(crate) fn msm_block_ws(
         std::mem::swap(&mut prev, &mut curr);
     }
     prev[n - 1]
+}
+
+/// The banded DTW row-major recurrence (squared local costs, Sakoe–Chiba
+/// radius `band`) over one block: `x` against [`LANES`] non-empty
+/// columns of one length. Lane `l` of the result is
+/// `Dtw::distance_ws(x, cols[l])` bit for bit: the cell is
+/// `d * d + prev[j - 1].min(prev[j]).min(curr[j - 1])`, the expression
+/// and `min` order of `dtw_banded_ws` and of the wavefront kernel.
+///
+/// Only the cells a row reads outside its own band are reset to ∞: the
+/// one left of the band (the first cell's left neighbour) and the one
+/// right of it (the next row's `prev[hi + 1]`). The band moves by at
+/// most one cell per row, so every other read lands in the previous
+/// row's band or on one of those two cells.
+///
+/// `band` must be at least `|x.len() - n|` (as `Dtw::band` guarantees),
+/// so every row's band is non-empty and the corner is reachable.
+pub(crate) fn dtw_block_ws(
+    band: usize,
+    x: &[f64],
+    cols: &[&[f64]; LANES],
+    ws: &mut Workspace,
+) -> Lanes {
+    let n = cols[0].len();
+    debug_assert!(band >= x.len().abs_diff(n), "band strands the corner");
+    let (ys, mut prev, mut curr) = ws.lane_rows3(n + 1);
+    interleave(cols, &mut ys[1..]);
+
+    // Row 0: only the origin is reachable.
+    prev[0] = [0.0; LANES];
+    prev[1..].fill(INF);
+
+    for (i, &xi) in (1usize..).zip(x) {
+        let lo = i.saturating_sub(band).max(1);
+        let hi = (i + band).min(n);
+        let mut left = INF;
+        curr[lo - 1] = left;
+        let diag_up = prev[lo - 1..hi].iter().zip(&prev[lo..=hi]);
+        let cells = curr[lo..=hi].iter_mut().zip(diag_up).zip(&ys[lo..=hi]);
+        for ((c, (p_diag, p_up)), y) in cells {
+            left = array::from_fn(|l| {
+                let d = xi - y[l];
+                d * d + p_diag[l].min(p_up[l]).min(left[l])
+            });
+            *c = left;
+        }
+        if let Some(edge) = curr.get_mut(hi + 1) {
+            *edge = INF;
+        }
+        std::mem::swap(&mut prev, &mut curr);
+    }
+    prev[n]
 }
 
 /// The TWE row-major recurrence (Marteau's 1-based form with a zero 0th

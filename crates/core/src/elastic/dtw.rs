@@ -7,6 +7,7 @@
 //! from the diagonal, `δ = 100` is unconstrained, and `δ = 0` degenerates
 //! to the Euclidean alignment.
 
+use super::batch;
 use crate::measure::Distance;
 use crate::workspace::Workspace;
 
@@ -79,6 +80,20 @@ impl Distance for Dtw {
             return self.distance_ws(x, y, ws);
         }
         dtw_banded_pruned(x, y, self.band(x.len(), y.len()), cutoff, ws).0
+    }
+
+    fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
+        // Row-major across eight columns, one per lane: at narrow bands
+        // the wavefront's diagonals are too short to fill the vector
+        // unit, while the lanes always are full.
+        batch::row_ws(
+            x,
+            cols,
+            out,
+            ws,
+            |x, y, ws| self.distance_ws(x, y, ws),
+            |x, block, ws| batch::dtw_block_ws(self.band(x.len(), block[0].len()), x, block, ws),
+        );
     }
 
     fn lanes_hint(&self) -> usize {
@@ -155,7 +170,7 @@ pub fn dtw_banded_ws(x: &[f64], y: &[f64], band: usize, ws: &mut Workspace) -> f
             continue;
         }
         for j in lo..=hi {
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "reference row-major kernel kept for wavefront equivalence tests; not on the production dispatch path")
+            // tsdist-lint: allow(hot-path-bounds-check, reason = "reference row-major kernel: the wavefront equivalence tests compare against it, and only ItakuraDtw's pinched-parallelogram fallback calls it in production, at most once per pair")
             let d = x[i - 1] - y[j - 1];
             let cost = d * d;
             let best = prev[j - 1].min(prev[j]).min(curr[j - 1]);

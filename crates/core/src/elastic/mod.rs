@@ -21,11 +21,11 @@
 //!
 //! All DP implementations run in O(m) memory: the reference kernels use
 //! two-row rolling buffers, the production DTW/WDTW/TWE/ERP paths use
-//! three rolling anti-diagonals (see [`wavefront`]), and MSM/TWE matrix
-//! rows run one row-major DP across eight training series at a time, one
-//! per SIMD lane (`Distance::distance_row_ws`).
+//! three rolling anti-diagonals (see [`wavefront`]), and MSM/TWE/DTW
+//! matrix rows run one row-major DP across eight training series at a
+//! time, one per SIMD lane (`Distance::distance_row_ws`).
 
-mod batch;
+pub(crate) mod batch;
 pub mod dtw;
 pub mod edit;
 pub mod lower_bounds;

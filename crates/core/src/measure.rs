@@ -121,9 +121,9 @@ pub trait Distance: Send + Sync {
     /// [`Distance::distance_ws`] value; the default is exactly that
     /// per-pair loop. The batch matrix engine in `tsdist-eval` fills
     /// every row through this method, so a measure can evaluate several
-    /// columns at once: MSM and TWE run one DP over
-    /// [`crate::lanes::LANES`] equal-length columns, one per SIMD lane
-    /// (DESIGN.md §9.5). Delegating wrappers must forward it, or the
+    /// columns at once: MSM, TWE and banded DTW run one DP over
+    /// [`crate::lanes::LANES`] equal-length columns, one per SIMD lane,
+    /// and the NCC family one FFT (DESIGN.md §9.5). Delegating wrappers must forward it, or the
     /// wrapped measure silently keeps the per-pair path.
     fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
         debug_assert_eq!(out.len(), cols.len(), "one output slot per column");

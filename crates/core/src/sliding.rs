@@ -15,6 +15,10 @@
 //! bounded dissimilarity; for the unnormalized variants we use `d = -sim`,
 //! which induces the identical 1-NN ordering.
 
+use std::array;
+
+use crate::elastic::batch;
+use crate::lanes::LANES;
 use crate::measure::Distance;
 use crate::workspace::Workspace;
 use tsdist_fft::{cross_correlation, overlap_at};
@@ -63,65 +67,74 @@ impl CrossCorrelation {
     /// The maximum normalized similarity over all shifts.
     pub fn similarity(&self, x: &[f64], y: &[f64]) -> f64 {
         let cc = cross_correlation(x, y);
-        if cc.is_empty() {
-            return 0.0;
-        }
-        let m = x.len().max(y.len()) as f64;
-        match self.variant {
-            NccVariant::Raw => cc.iter().cloned().fold(f64::MIN, f64::max),
-            NccVariant::Biased => cc.iter().cloned().fold(f64::MIN, f64::max) / m,
-            NccVariant::Unbiased => cc
-                .iter()
-                .enumerate()
-                .map(|(w, &v)| {
-                    let overlap = overlap_at(x.len(), y.len(), w).max(1);
-                    v / overlap as f64
-                })
-                .fold(f64::MIN, f64::max),
-            NccVariant::Coefficient => {
-                let nx: f64 = x.iter().map(|v| v * v).sum::<f64>().sqrt();
-                let ny: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt();
-                let denom = nx * ny;
-                if denom <= 0.0 {
-                    0.0
-                } else {
-                    cc.iter().cloned().fold(f64::MIN, f64::max) / denom
-                }
-            }
-        }
+        self.variant.reduce(|| cc.iter().copied(), x, y)
     }
 
     /// [`CrossCorrelation::similarity`] with the FFT buffers drawn from
     /// `ws`; bit-identical to the allocating path.
     pub fn similarity_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         let cc = ws.cc_scratch().cross_correlation(x, y);
-        if cc.is_empty() {
+        self.variant.reduce(|| cc.iter().copied(), x, y)
+    }
+
+    /// The dissimilarity of a similarity: `1 - sim` for NCC_c (SBD),
+    /// `-sim` for the unnormalized variants.
+    fn dissimilarity(&self, sim: f64) -> f64 {
+        match self.variant {
+            NccVariant::Coefficient => 1.0 - sim,
+            _ => -sim,
+        }
+    }
+
+    /// Distances from `x` to [`LANES`] equal-length, non-empty columns
+    /// through the lane cross-correlation; lane `l` is
+    /// `distance_ws(x, cols[l])` bit for bit.
+    fn block_ws(&self, x: &[f64], cols: &[&[f64]; LANES], ws: &mut Workspace) -> [f64; LANES] {
+        let rows = ws.cc_scratch().cross_correlation_lanes(x, cols);
+        array::from_fn(|l| {
+            let lane = || rows.iter().map(|r| r[l]);
+            self.dissimilarity(self.variant.reduce(lane, x, cols[l]))
+        })
+    }
+}
+
+impl NccVariant {
+    /// The variant's similarity of `x` and `y` from their
+    /// cross-correlation sequence `cc` (a slice for one pair, one lane
+    /// of the rows for a lane block): the maximum over all shifts of the
+    /// sequence scaled by Eq. (11)'s normalizer. Empty series have
+    /// similarity 0. The one reduction behind the allocating, the
+    /// workspace and the lane path.
+    fn reduce<I: Iterator<Item = f64>>(self, cc: impl FnOnce() -> I, x: &[f64], y: &[f64]) -> f64 {
+        if x.is_empty() || y.is_empty() {
             return 0.0;
         }
-        let m = x.len().max(y.len()) as f64;
-        match self.variant {
-            NccVariant::Raw => cc.iter().cloned().fold(f64::MIN, f64::max),
-            NccVariant::Biased => cc.iter().cloned().fold(f64::MIN, f64::max) / m,
-            NccVariant::Unbiased => cc
-                .iter()
+        let max = |it: I| it.fold(f64::MIN, f64::max);
+        match self {
+            NccVariant::Raw => max(cc()),
+            NccVariant::Biased => max(cc()) / x.len().max(y.len()) as f64,
+            NccVariant::Unbiased => cc()
                 .enumerate()
-                .map(|(w, &v)| {
+                .map(|(w, v)| {
                     let overlap = overlap_at(x.len(), y.len(), w).max(1);
                     v / overlap as f64
                 })
                 .fold(f64::MIN, f64::max),
             NccVariant::Coefficient => {
-                let nx: f64 = x.iter().map(|v| v * v).sum::<f64>().sqrt();
-                let ny: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt();
-                let denom = nx * ny;
+                let denom = norm(x) * norm(y);
                 if denom <= 0.0 {
                     0.0
                 } else {
-                    cc.iter().cloned().fold(f64::MIN, f64::max) / denom
+                    max(cc()) / denom
                 }
             }
         }
     }
+}
+
+/// The Euclidean norm `||x||`.
+fn norm(x: &[f64]) -> f64 {
+    x.iter().map(|v| v * v).sum::<f64>().sqrt()
 }
 
 impl Distance for CrossCorrelation {
@@ -135,17 +148,24 @@ impl Distance for CrossCorrelation {
     }
 
     fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        match self.variant {
-            NccVariant::Coefficient => 1.0 - self.similarity(x, y),
-            _ => -self.similarity(x, y),
-        }
+        self.dissimilarity(self.similarity(x, y))
     }
 
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        match self.variant {
-            NccVariant::Coefficient => 1.0 - self.similarity_ws(x, y, ws),
-            _ => -self.similarity_ws(x, y, ws),
-        }
+        self.dissimilarity(self.similarity_ws(x, y, ws))
+    }
+
+    fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
+        // Eight columns per FFT, one per lane; the query's spectrum is
+        // computed once per row and transform length.
+        batch::row_ws(
+            x,
+            cols,
+            out,
+            ws,
+            |x, y, ws| self.distance_ws(x, y, ws),
+            |x, block, ws| self.block_ws(x, block, ws),
+        );
     }
 
     fn is_symmetric(&self) -> bool {

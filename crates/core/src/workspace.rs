@@ -12,7 +12,7 @@
 //! A [`Workspace`] is a set of independent arenas:
 //!
 //! * [`Workspace::dp_rows2`] / [`Workspace::dp_rows4`] — `f64` DP rows,
-//! * `Workspace::lane_rows3` — lane-interleaved rows for the MSM/TWE
+//! * `Workspace::lane_rows3` — lane-interleaved rows for the MSM/TWE/DTW
 //!   batch-axis row kernels (crate-internal),
 //! * [`Workspace::int_rows2`] — `u32` DP rows (LCSS/EDR),
 //! * [`Workspace::take_aux`] / [`Workspace::take_aux2`] — owned `f64`
@@ -108,7 +108,7 @@ impl Workspace {
 
     /// Three lane-interleaved rows of `len` cells each, carved from the
     /// shared `f64` DP arena — the `[j][lane]` layout of the batch-axis
-    /// row kernels behind MSM's and TWE's
+    /// row kernels behind MSM's, TWE's and DTW's
     /// [`crate::measure::Distance::distance_row_ws`]: cell `j` of all
     /// [`LANES`] lanes is one array. The first row holds the interleaved
     /// columns, the other two the rolling DP rows.

@@ -1,9 +1,10 @@
 //! Registry-driven equivalence suite for the row entry point.
 //!
 //! The batch matrix engine in `tsdist-eval` fills every matrix row with
-//! `Distance::distance_row_ws`. MSM and TWE override it with a
-//! batch-axis kernel that runs one DP over eight equal-length columns at
-//! a time, one per SIMD lane; every other measure keeps the per-pair
+//! `Distance::distance_row_ws`. MSM, TWE and banded DTW override it with
+//! a batch-axis kernel that runs one DP over eight equal-length columns
+//! at a time, one per SIMD lane, and the four NCC variants with a lane
+//! FFT over eight columns; every other measure keeps the per-pair
 //! default. Either way each entry must be the per-pair `distance_ws`
 //! value bit for bit. This suite checks that for every registry
 //! instance over the shapes that stress the lane blocking — column
@@ -12,10 +13,11 @@
 //! delegating wrappers reach an override instead of silently falling
 //! back to the per-pair loop.
 
-use tsdist_core::elastic::{Msm, Twe};
+use tsdist_core::elastic::{Dtw, Msm, Twe};
 use tsdist_core::lanes::LANES;
 use tsdist_core::measure::Distance;
 use tsdist_core::registry;
+use tsdist_core::sliding::{CrossCorrelation, NccVariant};
 use tsdist_core::Workspace;
 
 /// Tiny deterministic generator (SplitMix64) so the suite needs no
@@ -54,7 +56,7 @@ fn registry_distances() -> Vec<Box<dyn Distance>> {
 }
 
 /// The measures with a batch-axis override, over a spread of
-/// parameters including the zero-cost corner.
+/// parameters including the zero-cost and zero-band corners.
 fn batch_measures() -> Vec<Box<dyn Distance>> {
     let mut all: Vec<Box<dyn Distance>> =
         vec![Box::new(Msm::new(0.0)), Box::new(Twe::new(0.0, 0.0))];
@@ -64,7 +66,25 @@ fn batch_measures() -> Vec<Box<dyn Distance>> {
     for (lambda, nu) in [(1.0, 1e-4), (0.25, 1.0), (0.0, 1e-5)] {
         all.push(Box::new(Twe::new(lambda, nu)));
     }
+    all.extend(dtw_measures());
+    all.extend(ncc_measures());
     all
+}
+
+/// Banded DTW at the zero, the study's and the unconstrained band.
+fn dtw_measures() -> Vec<Box<dyn Distance>> {
+    [0.0, 10.0, 100.0]
+        .into_iter()
+        .map(|w| Box::new(Dtw::with_window_pct(w)) as Box<dyn Distance>)
+        .collect()
+}
+
+/// All four NCC variants.
+fn ncc_measures() -> Vec<Box<dyn Distance>> {
+    NccVariant::ALL
+        .into_iter()
+        .map(|v| Box::new(CrossCorrelation::new(v)) as Box<dyn Distance>)
+        .collect()
 }
 
 fn assert_bits_eq(a: f64, b: f64, what: &str) {
@@ -155,6 +175,58 @@ fn batch_kernels_match_per_pair_over_column_counts_and_lengths() {
             }
         }
     }
+}
+
+#[test]
+fn dtw_rows_match_per_pair_when_query_and_columns_differ_in_length() {
+    let mut g = Gen(0x5EED_0005);
+    let mut ws = Workspace::default();
+    // These shapes make the band radius the length difference (δ = 0),
+    // a few cells wider than it (δ = 10) or the whole row (δ = 100), and
+    // the first and last rows clip the band on one side.
+    for d in dtw_measures() {
+        for (m, n) in [
+            (40, 50),
+            (50, 40),
+            (96, 96),
+            (30, 31),
+            (31, 40),
+            (41, 30),
+            (64, 3),
+            (3, 64),
+        ] {
+            let x = g.series(m);
+            let pool: Vec<Vec<f64>> = (0..19).map(|_| g.series(n)).collect();
+            check_row(d.as_ref(), &x, &pool, &mut ws, &format!("m={m} n={n}"));
+        }
+    }
+}
+
+#[test]
+fn ncc_rows_with_all_zero_series_take_the_zero_norm_branch() {
+    let mut g = Gen(0x5EED_0006);
+    let mut ws = Workspace::default();
+    let len = 16;
+    // Zero columns among random ones, in every lane position of a
+    // block, and an all-zero query: NCC_c's `||x|| ||y|| <= 0` branch.
+    let mut cols: Vec<Vec<f64>> = (0..20).map(|_| g.series(len)).collect();
+    for j in [0, 5, 7, 8, 19] {
+        cols[j] = vec![0.0; len];
+    }
+    cols[12] = vec![-0.0; len];
+    for d in ncc_measures() {
+        for x in [g.series(len), vec![0.0; len], g.series(len - 3)] {
+            check_row(d.as_ref(), &x, &cols, &mut ws, &format!("|x|={}", x.len()));
+        }
+        let zeros = vec![vec![0.0; len]; LANES + 1];
+        check_row(d.as_ref(), &g.series(len), &zeros, &mut ws, "all-zero row");
+    }
+    let mut out = vec![0.0; cols.len()];
+    CrossCorrelation::sbd().distance_row_ws(&vec![0.0; len], &cols, &mut out, &mut ws);
+    assert!(
+        out.iter().all(|&v| v == 1.0),
+        "SBD of a zero query: {out:?}"
+    );
 }
 
 #[test]

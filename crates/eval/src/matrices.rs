@@ -8,9 +8,9 @@
 //! a shared counter ([`crate::parallel::parallel_fill_rows`]) and each
 //! carries its own [`Workspace`]. Every row is one
 //! [`Distance::distance_row_ws`] call, so the DP/FFT measures run through
-//! their allocation-free `distance_ws` path and MSM/TWE through their
-//! batch-axis kernels (eight training series per SIMD lane, bit-identical
-//! to the per-pair values). Train-by-train matrices of measures whose
+//! their allocation-free `distance_ws` path and MSM, TWE, banded DTW and
+//! the NCC family through their batch-axis kernels (eight training series
+//! per SIMD lane, bit-identical to the per-pair values). Train-by-train matrices of measures whose
 //! [`Distance::is_symmetric`] hint holds additionally compute only the
 //! upper triangle (row `i` against `items[i..]`) and mirror it — the
 //! hint promises bit-identical `d(x, y)` and `d(y, x)`, so the mirrored

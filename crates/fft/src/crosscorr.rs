@@ -17,66 +17,68 @@
 //! costs O(L log L) with `L = next_pow2(p + q - 1)`.
 
 use crate::complex::Complex;
-use crate::fft::{fft, ifft, next_power_of_two};
+use crate::fft::{next_power_of_two, LaneComplex, Lanes, Twiddles, LANES};
 
 /// Cross-correlation via FFT. Output length is `x.len() + y.len() - 1`;
 /// entry `k` corresponds to shift `s = k - (y.len() - 1)`.
 ///
-/// Returns an empty vector if either input is empty.
+/// Returns an empty vector if either input is empty. Runs through a
+/// fresh [`CcScratch`], so it is bit-identical to
+/// [`CcScratch::cross_correlation`].
 pub fn cross_correlation(x: &[f64], y: &[f64]) -> Vec<f64> {
-    let p = x.len();
-    let q = y.len();
-    if p == 0 || q == 0 {
-        return Vec::new();
-    }
-    let out_len = p + q - 1;
-    let l = next_power_of_two(out_len);
-
-    let mut fx = vec![Complex::ZERO; l];
-    let mut fy = vec![Complex::ZERO; l];
-    for (i, &v) in x.iter().enumerate() {
-        fx[i] = Complex::from_real(v);
-    }
-    for (i, &v) in y.iter().enumerate() {
-        fy[i] = Complex::from_real(v);
-    }
-    fft(&mut fx);
-    fft(&mut fy);
-    for i in 0..l {
-        fx[i] *= fy[i].conj();
-    }
-    ifft(&mut fx);
-
-    // fx[k] = sum_i x[i] y[i - k mod L]: k = 0..p-1 are shifts 0..p-1,
-    // k = L-1 down to L-(q-1) are shifts -1..-(q-1).
-    let mut out = vec![0.0; out_len];
-    for s in 0..p {
-        out[s + q - 1] = fx[s].re;
-    }
-    for s in 1..q {
-        out[q - 1 - s] = fx[l - s].re;
-    }
-    out
+    CcScratch::new().cross_correlation(x, y).to_vec()
 }
 
-/// Reusable buffers for [`CcScratch::cross_correlation`], the
-/// allocation-free twin of [`cross_correlation`].
+/// Reusable state for FFT cross-correlation: the twiddle tables of the
+/// last transform length, the spectrum of the last query, and the work
+/// and output buffers.
 ///
-/// One scratch per thread amortizes the two complex FFT buffers and the
-/// output vector across the millions of sliding-measure calls a matrix
-/// build performs. The computation is operation-for-operation identical
-/// to [`cross_correlation`], so results are bit-exact equal.
+/// One scratch per thread amortizes all of them across the millions of
+/// sliding-measure calls a matrix build performs. A scratch computes
+/// `cc = ifft(fft(x) * conj(fft(y)))`; the spectrum of `x` is kept and
+/// reused while the next call has the same `x` (compared bit for bit)
+/// and transform length, which is the common case of one query against
+/// many training series. Reuse never changes a result: the same
+/// transform of the same input gives the same bits.
 #[derive(Default)]
 pub struct CcScratch {
-    fx: Vec<Complex>,
+    twiddles: Twiddles,
+    /// The query whose spectrum `spectrum` holds, and that spectrum's
+    /// transform length (0 = none).
+    query: Vec<f64>,
+    spectrum: Vec<Complex>,
+    spectrum_len: usize,
     fy: Vec<Complex>,
     out: Vec<f64>,
+    lanes: Vec<LaneComplex>,
+    lane_out: Vec<Lanes>,
 }
 
 impl CcScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         CcScratch::default()
+    }
+
+    /// Makes `twiddles` and `spectrum` hold length `l` and the padded
+    /// spectrum of `x`.
+    fn prepare_query(&mut self, x: &[f64], l: usize) {
+        self.twiddles.prepare(l);
+        let same_query = self.spectrum_len == l
+            && self.query.len() == x.len()
+            && self
+                .query
+                .iter()
+                .zip(x)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if same_query {
+            return;
+        }
+        self.query.clear();
+        self.query.extend_from_slice(x);
+        load_reversed(&mut self.spectrum, x, &self.twiddles);
+        self.twiddles.transform_reversed(&mut self.spectrum, false);
+        self.spectrum_len = l;
     }
 
     /// Cross-correlation with the same convention as
@@ -88,36 +90,92 @@ impl CcScratch {
         if p == 0 || q == 0 {
             return &[];
         }
-        let out_len = p + q - 1;
-        let l = next_power_of_two(out_len);
+        let l = next_power_of_two(p + q - 1);
+        self.prepare_query(x, l);
 
-        self.fx.clear();
-        self.fx.resize(l, Complex::ZERO);
-        self.fy.clear();
-        self.fy.resize(l, Complex::ZERO);
-        for (i, &v) in x.iter().enumerate() {
-            self.fx[i] = Complex::from_real(v);
+        load_reversed(&mut self.fy, y, &self.twiddles);
+        self.twiddles.transform_reversed(&mut self.fy, false);
+        for (f, &s) in self.fy.iter_mut().zip(&self.spectrum) {
+            *f = s * f.conj();
         }
-        for (i, &v) in y.iter().enumerate() {
-            self.fy[i] = Complex::from_real(v);
-        }
-        fft(&mut self.fx);
-        fft(&mut self.fy);
-        for i in 0..l {
-            self.fx[i] *= self.fy[i].conj();
-        }
-        ifft(&mut self.fx);
+        self.twiddles.transform(&mut self.fy, true);
 
+        let scale = 1.0 / l as f64;
+        let (neg, pos) = shift_halves(&self.fy, p, q);
         self.out.clear();
-        self.out.resize(out_len, 0.0);
-        for s in 0..p {
-            self.out[s + q - 1] = self.fx[s].re;
-        }
-        for s in 1..q {
-            self.out[q - 1 - s] = self.fx[l - s].re;
-        }
+        self.out.extend(neg.iter().chain(pos).map(|z| z.re * scale));
         &self.out
     }
+
+    /// [`CcScratch::cross_correlation`] of `x` against [`LANES`]
+    /// columns of one length at once, one column per SIMD lane: row `k`
+    /// of the result holds entry `k` of every column's sequence, and lane
+    /// `l` of the rows is `cross_correlation(x, ys[l])` bit for bit. The
+    /// spectrum of `x` is computed once and reused across calls, like
+    /// the per-pair path's.
+    ///
+    /// Returns an empty slice if `x` or the columns are empty.
+    ///
+    /// # Panics
+    /// Panics if the columns differ in length.
+    pub fn cross_correlation_lanes(&mut self, x: &[f64], ys: &[&[f64]; LANES]) -> &[Lanes] {
+        let p = x.len();
+        let q = ys[0].len();
+        assert!(
+            ys.iter().all(|y| y.len() == q),
+            "lane columns must share one length"
+        );
+        if p == 0 || q == 0 {
+            return &[];
+        }
+        let l = next_power_of_two(p + q - 1);
+        self.prepare_query(x, l);
+
+        // The columns go straight to their bit-reversed slots.
+        self.lanes.clear();
+        self.lanes.resize(l, LaneComplex::ZERO);
+        let reversal = self.twiddles.reversal();
+        for (lane, y) in ys.iter().enumerate() {
+            for (&slot, &v) in reversal.iter().zip(y.iter()) {
+                self.lanes[slot].re[lane] = v;
+            }
+        }
+        self.twiddles.transform_reversed(&mut self.lanes, false);
+        // `s * conj(z)` per lane, with `Complex`'s operand order.
+        for (z, s) in self.lanes.iter_mut().zip(&self.spectrum) {
+            let conj_im: Lanes = std::array::from_fn(|l| -z.im[l]);
+            let re: Lanes = std::array::from_fn(|l| s.re * z.re[l] - s.im * conj_im[l]);
+            let im: Lanes = std::array::from_fn(|l| s.re * conj_im[l] + s.im * z.re[l]);
+            *z = LaneComplex { re, im };
+        }
+        self.twiddles.transform(&mut self.lanes, true);
+
+        let scale = 1.0 / l as f64;
+        let (neg, pos) = shift_halves(&self.lanes, p, q);
+        self.lane_out.clear();
+        self.lane_out
+            .extend(neg.iter().chain(pos).map(|z| z.re.map(|re| re * scale)));
+        &self.lane_out
+    }
+}
+
+/// Fills `buf` with the real samples `x`, zero-padded to the prepared
+/// length, in bit-reversed order: the input of
+/// [`Twiddles::transform_reversed`].
+fn load_reversed(buf: &mut Vec<Complex>, x: &[f64], twiddles: &Twiddles) {
+    let reversal = twiddles.reversal();
+    buf.clear();
+    buf.resize(reversal.len(), Complex::ZERO);
+    for (&slot, &v) in reversal.iter().zip(x) {
+        buf[slot] = Complex::from_real(v);
+    }
+}
+
+/// Splits a length-`l` circular correlation into the output order: the
+/// negative shifts `-(q-1)..-1` (the last `q - 1` entries) and then the
+/// shifts `0..p-1` (the first `p`).
+fn shift_halves<T>(buf: &[T], p: usize, q: usize) -> (&[T], &[T]) {
+    (&buf[buf.len() + 1 - q..], &buf[..p])
 }
 
 /// Direct O(p*q) cross-correlation with the same output convention as
@@ -247,16 +305,51 @@ mod tests {
         assert!(cross_correlation(&[1.0], &[]).is_empty());
     }
 
+    /// The correlation composed from the public transforms, as the
+    /// scratch computed it before it cached twiddles and spectra.
+    fn composed(x: &[f64], y: &[f64]) -> Vec<f64> {
+        let (p, q) = (x.len(), y.len());
+        let l = crate::next_power_of_two(p + q - 1);
+        let mut fx = vec![Complex::ZERO; l];
+        let mut fy = vec![Complex::ZERO; l];
+        for (z, &v) in fx.iter_mut().zip(x) {
+            *z = Complex::from_real(v);
+        }
+        for (z, &v) in fy.iter_mut().zip(y) {
+            *z = Complex::from_real(v);
+        }
+        crate::fft(&mut fx);
+        crate::fft(&mut fy);
+        for (a, b) in fx.iter_mut().zip(&fy) {
+            *a *= b.conj();
+        }
+        crate::ifft(&mut fx);
+        let mut out = vec![0.0; p + q - 1];
+        for s in 0..p {
+            out[s + q - 1] = fx[s].re;
+        }
+        for s in 1..q {
+            out[q - 1 - s] = fx[l - s].re;
+        }
+        out
+    }
+
     #[test]
-    fn scratch_is_bit_identical_to_allocating_path() {
+    fn scratch_is_bit_identical_to_the_composed_transforms() {
         let mut scratch = CcScratch::new();
-        // Interleave shapes so buffer reuse (grow, shrink, regrow) is
-        // exercised; every output must still match bit-for-bit.
-        let cases: [(Vec<f64>, Vec<f64>); 4] = [
-            (
-                (0..37).map(|i| (i as f64 * 0.7).sin()).collect(),
-                (0..53).map(|i| (i as f64 * 0.3).cos()).collect(),
-            ),
+        let a: Vec<f64> = (0..37).map(|i| (i as f64 * 0.7).sin()).collect();
+        let b: Vec<f64> = (0..53).map(|i| (i as f64 * 0.3).cos()).collect();
+        let mut a_flipped = a.clone();
+        a_flipped[36] = -a_flipped[36];
+        // Interleave shapes and queries so buffer reuse (grow, shrink,
+        // regrow) and the cached query spectrum (same query, same query
+        // at another length, a query differing in one sample) are all
+        // exercised; every output must match bit for bit.
+        let cases: Vec<(Vec<f64>, Vec<f64>)> = vec![
+            (a.clone(), b.clone()),
+            (a.clone(), b[..20].to_vec()),
+            (a.clone(), b.clone()),
+            (a_flipped, b.clone()),
             (vec![1.0], vec![2.0]),
             (
                 (0..128).map(|i| (i as f64).sqrt()).collect(),
@@ -266,14 +359,20 @@ mod tests {
                 (0..5).map(|i| i as f64 - 2.0).collect(),
                 (0..90).map(|i| (i as f64 * 0.11).sin()).collect(),
             ),
+            (a.clone(), b.clone()),
         ];
         for (x, y) in &cases {
-            let expected = cross_correlation(x, y);
+            let expected = composed(x, y);
             let got = scratch.cross_correlation(x, y);
             assert_eq!(got.len(), expected.len());
             for (g, e) in got.iter().zip(&expected) {
                 assert_eq!(g.to_bits(), e.to_bits());
             }
+            let fresh = cross_correlation(x, y);
+            assert!(fresh
+                .iter()
+                .zip(&expected)
+                .all(|(g, e)| g.to_bits() == e.to_bits()));
         }
         assert!(scratch.cross_correlation(&[], &[1.0]).is_empty());
     }

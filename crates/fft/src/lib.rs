@@ -14,7 +14,9 @@
 //! * [`fft`] / [`ifft`] — radix-2 Cooley–Tukey for power-of-two lengths and
 //!   Bluestein's chirp-z for arbitrary lengths,
 //! * [`cross_correlation`] — the full shift-product sequence used by the
-//!   NCC measures.
+//!   NCC measures, and [`CcScratch`], its reusable-buffer form, which
+//!   also correlates one query against [`LANES`] columns at once
+//!   ([`CcScratch::cross_correlation_lanes`]).
 //!
 //! ```
 //! use tsdist_fft::cross_correlation;
@@ -35,4 +37,4 @@ mod fft;
 
 pub use complex::Complex;
 pub use crosscorr::{cross_correlation, cross_correlation_naive, overlap_at, CcScratch};
-pub use fft::{fft, fft_real, ifft, is_power_of_two, next_power_of_two};
+pub use fft::{fft, fft_real, ifft, is_power_of_two, next_power_of_two, Lanes, LANES};

@@ -40,9 +40,10 @@ fi
 # checked are recorded in the artifact rather than silently absent.
 grep -q '"identical_bits": true' "$SMOKE/BENCH_kernels.json"
 grep -q '"coverage": {"vectorized": ' "$SMOKE/BENCH_kernels.json"
-# The MSM/TWE batch-axis row kernels must be recorded bit-identical to
+# The batch-axis row kernels (MSM, TWE, banded DTW at the row length and
+# at the long quick length, NCC_c) must be recorded bit-identical to
 # their per-pair kernels.
-for measure in 'MSM(c=0.5)' 'TWE(l=1,nu=1e-4)'; do
+for measure in 'MSM(c=0.5)' 'TWE(l=1,nu=1e-4)' 'DTW(δ=10)' 'DTW(δ=10)@256' 'NCC_c'; do
   if ! grep -F "{\"name\": \"$measure\", \"pair_seconds\"" "$SMOKE/BENCH_kernels.json" \
     | grep -q '"identical_bits": true'; then
     echo "bench_kernels recorded no bit-identical $measure row-kernel entry" >&2
