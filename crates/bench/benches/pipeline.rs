@@ -1,6 +1,5 @@
 //! The 1-NN evaluation pipeline: dissimilarity-matrix construction,
-//! classification, LOOCV — and the lower-bound-pruned DTW search
-//! ablation from Section 10.
+//! classification and LOOCV, for ED, SBD and DTW(δ=10).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -11,7 +10,7 @@ use tsdist_core::lockstep::Euclidean;
 use tsdist_core::normalization::Normalization;
 use tsdist_core::sliding::CrossCorrelation;
 use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
-use tsdist_eval::{distance_matrix, loocv_accuracy, one_nn_accuracy, prepare, pruned_dtw_search};
+use tsdist_eval::{distance_matrix, loocv_accuracy, one_nn_accuracy, prepare};
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
@@ -42,17 +41,12 @@ fn bench_pipeline(c: &mut Criterion) {
         })
     });
 
-    // Ablation: exhaustive banded-DTW 1-NN vs the LB_Kim/LB_Keogh cascade.
-    let band = (ds.series_len() as f64 * 0.1).ceil() as usize;
     group.bench_function("dtw10_exhaustive_search", |b| {
         let dtw = Dtw::with_window_pct(10.0);
         b.iter(|| {
             let e = distance_matrix(&dtw, &ds.test, &ds.train);
             black_box(one_nn_accuracy(&e, &ds.test_labels, &ds.train_labels))
         })
-    });
-    group.bench_function("dtw10_lb_pruned_search", |b| {
-        b.iter(|| black_box(pruned_dtw_search(&ds, band)))
     });
     group.finish();
 }

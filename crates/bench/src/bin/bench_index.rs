@@ -38,9 +38,7 @@ use tsdist_core::lockstep::{
 use tsdist_core::measure::Distance;
 use tsdist_core::normalization::Normalization;
 use tsdist_data::Dataset;
-use tsdist_eval::index::indexed_nn_search_stats;
-use tsdist_eval::prepare;
-use tsdist_eval::pruned::pruned_nn_search;
+use tsdist_eval::{indexed_nn_search_stats, prepare, pruned_nn_search};
 
 /// Maximum median candidates-examined fraction across workloads. The
 /// acceptance criterion: the indexed tier must answer the median

@@ -1,7 +1,7 @@
 //! `BENCH_prune.json`: exact vs cutoff-threaded 1-NN micro-benchmark.
 //!
-//! Times the full-matrix 1-NN path (`evaluate_distance`) against the
-//! early-abandoning engine (`evaluate_distance_pruned`) on a fixed-seed
+//! Times the full-matrix 1-NN path (`Eval`, Exact plan) against the
+//! early-abandoning one (`Eval::pruned`, Cutoff plan) on a fixed-seed
 //! UCR-shaped dataset — 64 train / 64 test series of length 256, DTW band
 //! 10% — reporting the median of 5 repetitions per path. Accuracies must
 //! be byte-identical (the cutoff contract guarantees it); the JSON records

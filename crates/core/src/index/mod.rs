@@ -15,10 +15,12 @@
 //!   ([`assert_metric_on`]), so a wrongly-flagged measure fails loudly at
 //!   build time instead of silently corrupting answers.
 //!
-//! The query planner in `tsdist-eval` asks [`TrainIndex::plan`] per query
+//! The scan engine in `tsdist-eval` asks [`TrainIndex::plan`] per query
 //! row; anything that doesn't fit (ragged train, length mismatch,
 //! positive-regime data with a non-positive query, unprepared measure)
-//! falls back to [`QueryPlan::Linear`], i.e. the existing exact scan.
+//! gets [`QueryPlan::Linear`], i.e. an unpruned or cutoff-threaded scan.
+//! The base index also holds the strided sample table behind
+//! [`cheap_score`], the candidate order of those cutoff-threaded scans.
 //! Every bound produced here is deflated for floating-point safety
 //! (see [`paa::LB_DEFLATE`] and [`pivots::PIVOT_MARGIN`]), which is what
 //! lets the planner skip candidates while keeping 1-NN/k-NN answers
@@ -119,7 +121,7 @@ pub enum QueryPlan<'a> {
     Cascade(&'a DtwBandIndex),
     /// Reverse-triangle pivot pruning → `distance_upto`.
     Pivots(&'a PivotTable),
-    /// No admissible structure: exact linear scan.
+    /// No admissible structure: a scan over every candidate.
     Linear,
 }
 
@@ -138,6 +140,30 @@ pub struct TrainIndex {
     bounds: Vec<usize>,
     dtw_bands: BTreeMap<usize, DtwBandIndex>,
     pivot_tables: BTreeMap<String, PivotTable>,
+    /// The positions [`cheap_score`] samples in a series of `series_len`
+    /// points.
+    sample_positions: Vec<usize>,
+    /// Flat `n x sample_positions.len()` table: row `j` holds train
+    /// series `j`'s samples.
+    samples: Vec<f64>,
+}
+
+/// The stride [`cheap_score`] samples two series of `n` points with.
+fn cheap_stride(n: usize) -> usize {
+    (n / 16).max(1)
+}
+
+/// Sampled squared-difference score of `x` against `y`, used only to
+/// *order* candidates so a cutoff-threaded scan tightens its cutoff
+/// fast; no answer depends on it.
+pub fn cheap_score(x: &[f64], y: &[f64]) -> f64 {
+    let n = x.len().min(y.len());
+    let mut acc = 0.0;
+    for k in (0..n).step_by(cheap_stride(n)) {
+        let d = x[k] - y[k];
+        acc += d * d;
+    }
+    acc
 }
 
 /// Target points per PAA segment: segments = `len / 8`, clamped to
@@ -156,6 +182,12 @@ impl TrainIndex {
         if !uniform {
             return TrainIndex::default();
         }
+        let sample_positions: Vec<usize> =
+            (0..series_len).step_by(cheap_stride(series_len)).collect();
+        let samples = train
+            .iter()
+            .flat_map(|t| sample_positions.iter().map(|&p| t[p]))
+            .collect();
         TrainIndex {
             series_len,
             n: train.len(),
@@ -163,7 +195,40 @@ impl TrainIndex {
             bounds: segment_bounds(series_len, default_segments(series_len)),
             dtw_bands: BTreeMap::new(),
             pivot_tables: BTreeMap::new(),
+            sample_positions,
+            samples,
         }
+    }
+
+    /// Fills `scores` with [`cheap_score`]`(query, train[j])` for every
+    /// indexed series `j`, read from the hoisted sample table instead of
+    /// the series: the positions and the accumulation order are the
+    /// same, so the scores are bit-identical. `qsamples` is scratch.
+    ///
+    /// Returns `false` (leaving `scores` untouched) when the index is
+    /// inert or `query` has another length (its sample positions would
+    /// differ); callers then score the series themselves.
+    pub fn cheap_scores(
+        &self,
+        query: &[f64],
+        qsamples: &mut Vec<f64>,
+        scores: &mut Vec<f64>,
+    ) -> bool {
+        if self.series_len == 0 || query.len() != self.series_len {
+            return false;
+        }
+        qsamples.clear();
+        qsamples.extend(self.sample_positions.iter().map(|&p| query[p]));
+        scores.clear();
+        scores.extend(self.samples.chunks_exact(qsamples.len()).map(|row| {
+            let mut acc = 0.0;
+            for (a, b) in qsamples.iter().zip(row) {
+                let d = a - b;
+                acc += d * d;
+            }
+            acc
+        }));
+        true
     }
 
     /// Number of indexed train series (0 when the split was empty or
@@ -304,6 +369,22 @@ mod tests {
             ix.plan(&Euclidean, &[1.0, 2.0]),
             QueryPlan::Linear
         ));
+    }
+
+    #[test]
+    fn hoisted_cheap_scores_are_bit_identical() {
+        let train = toy_train(7, 33);
+        let query: Vec<f64> = (0..33).map(|t| (t as f64 * 0.9).cos()).collect();
+        let ix = TrainIndex::build(&train);
+        let (mut qs, mut scores) = (Vec::new(), Vec::new());
+        assert!(ix.cheap_scores(&query, &mut qs, &mut scores));
+        for (j, t) in train.iter().enumerate() {
+            assert_eq!(scores[j].to_bits(), cheap_score(&query, t).to_bits());
+        }
+        // A query of another length samples other positions: the table
+        // must refuse, and so must an inert index.
+        assert!(!ix.cheap_scores(&query[..10], &mut qs, &mut scores));
+        assert!(!TrainIndex::build(&[]).cheap_scores(&[], &mut qs, &mut scores));
     }
 
     #[test]

@@ -1,31 +1,8 @@
 //! High-level evaluation of measures on datasets: normalization handling,
 //! the supervised (LOOCCV) and unsupervised settings, and category-
-//! specific paths for distances, kernels, and embeddings.
-//!
-//! # Migration note: the `Eval` request builder
-//!
-//! The historical trio of unsupervised distance entry points —
-//! `evaluate_distance`, `try_evaluate_distance`, and
-//! `evaluate_distance_pruned` (plus their pruned `try_` twin) — is
-//! superseded by the single [`Eval`](crate::request::Eval) request
-//! builder, which the CLI, the query server (`tsdist-serve`), and the
-//! study runner now share verbatim:
-//!
-//! | old call | new call |
-//! |----------|----------|
-//! | `evaluate_distance(d, ds, norm)` | `Eval::new(d).on(ds).normalized(norm).run()?.accuracy` |
-//! | `try_evaluate_distance(d, ds, norm, flag)` | `Eval::new(d).on(ds).normalized(norm).cancelled_by(flag).run()` |
-//! | `evaluate_distance_pruned(d, ds, norm)` | `Eval::new(d).on(ds).normalized(norm).pruned(true).run()?.accuracy` |
-//! | `try_evaluate_distance_pruned(d, ds, norm, flag)` | `Eval::new(d).on(ds).normalized(norm).pruned(true).cancelled_by(flag).run()` |
-//! | `pruned_one_nn_accuracy(d, test, train, tel, trl, warm)` | `Eval::new(d).on(ds).pruned(true).warm_start(warm).run()?.accuracy` |
-//! | `pruned_knn_accuracy(d, …, k, warm)` | `Eval::new(d).on(ds).pruned(true).k(k).warm_start(warm).run()?.accuracy` |
-//!
-//! `run()` returns a typed [`EvalReport`](crate::request::EvalReport);
-//! errors (shape mismatches, deadlines, non-finite distances, measure
-//! faults) surface as [`EvalError`] instead of splitting across a
-//! panicking facade and a `try_` twin. The deprecated shims remain thin
-//! wrappers over the same cores and keep their historical behaviour.
-//! The supervised / kernel / embedding entry points are unchanged.
+//! specific paths for distances, kernels, and embeddings. Unsupervised
+//! distance evaluation goes through the [`Eval`](crate::request::Eval)
+//! request builder, which shares `distance_cell` with the study runner.
 
 use crate::cell::{
     find_non_finite, CancelFlag, CellError, Evaluation, GuardedDistance, GuardedKernel,
@@ -35,11 +12,14 @@ use crate::matrices::{
     distance_matrix, embedding_matrices, kernel_matrices, kernel_matrices_into,
     symmetric_distance_matrix_into,
 };
-use crate::nn::{loocv_accuracy, one_nn_accuracy, try_loocv_accuracy, try_one_nn_accuracy};
-use crate::pruned::{one_nn_accuracy_core, one_nn_vote_accuracy, pruned_nn_search};
+use crate::nn::{
+    check_shapes, loocv_accuracy, one_nn_accuracy, try_loocv_accuracy, try_one_nn_accuracy,
+};
+use crate::scan::{one_nn_vote_accuracy, Rows, Scan};
 use tsdist_core::embedding::Embedding;
 use tsdist_core::measure::{Distance, Kernel};
 use tsdist_core::normalization::{AdaptiveScaled, Normalization};
+use tsdist_core::TrainIndex;
 use tsdist_data::Dataset;
 use tsdist_linalg::Matrix;
 
@@ -70,22 +50,8 @@ pub struct SupervisedOutcome {
     pub best_index: usize,
 }
 
-/// Test accuracy of one distance measure on one dataset under one
-/// normalization (the unsupervised path for parameter-free measures).
-///
-/// When `norm` is the pairwise [`Normalization::AdaptiveScaling`], the
-/// measure is wrapped in [`AdaptiveScaled`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Eval::new(measure).on(dataset).normalized(norm).run()`; see the module docs for the migration table"
-)]
-pub fn evaluate_distance(d: &dyn Distance, ds: &Dataset, norm: Normalization) -> f64 {
-    distance_accuracy(d, ds, norm)
-}
-
-/// The matrix-backed accuracy core behind the deprecated
-/// [`evaluate_distance`] shim, still used by the supervised grid path
-/// (which scores the winning grid point on the test split).
+/// The matrix-backed 1-NN test accuracy of one distance measure, which
+/// the supervised grid path scores its winning grid point with.
 fn distance_accuracy(d: &dyn Distance, ds: &Dataset, norm: Normalization) -> f64 {
     let prepared = prepare(ds, norm);
     let e = if norm.is_pairwise() {
@@ -95,43 +61,6 @@ fn distance_accuracy(d: &dyn Distance, ds: &Dataset, norm: Normalization) -> f64
         distance_matrix(d, &prepared.test, &prepared.train)
     };
     one_nn_accuracy(&e, &prepared.test_labels, &prepared.train_labels)
-}
-
-/// Cutoff-threaded variant of [`evaluate_distance`]: the 1-NN scan runs
-/// through [`Distance::distance_upto`] with the best-so-far threaded as
-/// a cutoff (plus warm-started, cheap-ordered candidate scans), never
-/// materializing `E`. Accuracy is byte-identical to
-/// [`evaluate_distance`]; only the work done changes.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Eval::new(measure).on(dataset).normalized(norm).pruned(true).run()`; see the module docs for the migration table"
-)]
-pub fn evaluate_distance_pruned(d: &dyn Distance, ds: &Dataset, norm: Normalization) -> f64 {
-    distance_accuracy_pruned(d, ds, norm)
-}
-
-/// The pruned accuracy core behind the deprecated
-/// [`evaluate_distance_pruned`] shim.
-fn distance_accuracy_pruned(d: &dyn Distance, ds: &Dataset, norm: Normalization) -> f64 {
-    let prepared = prepare(ds, norm);
-    let run = |d: &dyn Distance| {
-        one_nn_accuracy_core(
-            d,
-            &prepared.test,
-            &prepared.train,
-            &prepared.test_labels,
-            &prepared.train_labels,
-            true,
-            None,
-        )
-        // tsdist-lint: allow(no-unwrap-in-lib, reason = "panicking facade: shapes were validated by `prepare`, so the typed error is unreachable")
-        .unwrap_or_else(|err| panic!("{err}"))
-    };
-    if norm.is_pairwise() {
-        run(&AdaptiveScaled::new(d))
-    } else {
-        run(d)
-    }
 }
 
 /// Supervised evaluation of a parameter grid: every grid point's LOOCV
@@ -184,264 +113,60 @@ pub fn evaluate_kernel(k: &dyn Kernel, ds: &Dataset) -> f64 {
     one_nn_accuracy(&e, &prepared.test_labels, &prepared.train_labels)
 }
 
-/// Supervised evaluation of a kernel grid (LOOCV on `W`, test on `E`).
-///
-/// # Panics
-///
-/// Panics when `grid` is empty.
-pub fn evaluate_kernel_supervised(grid: &[Box<dyn Kernel>], ds: &Dataset) -> SupervisedOutcome {
-    assert!(!grid.is_empty(), "empty parameter grid");
-    let prepared = prepare(ds, Normalization::ZScore);
-    let mut best_idx = 0;
-    let mut best_train = f64::NEG_INFINITY;
-    // `W` and `E` buffers are reused across the grid; the best `E` so far
-    // is kept by swapping, so no matrix is ever cloned.
-    let mut w = Matrix::zeros(0, 0);
-    let mut e = Matrix::zeros(0, 0);
-    let mut best_e = Matrix::zeros(0, 0);
-    for (idx, k) in grid.iter().enumerate() {
-        kernel_matrices_into(k.as_ref(), &prepared.train, &prepared.test, &mut w, &mut e);
-        let train_acc = loocv_accuracy(&w, &prepared.train_labels);
-        if train_acc > best_train {
-            best_train = train_acc;
-            best_idx = idx;
-            std::mem::swap(&mut best_e, &mut e);
-        }
-    }
-    SupervisedOutcome {
-        test_accuracy: one_nn_accuracy(&best_e, &prepared.test_labels, &prepared.train_labels),
-        train_accuracy: best_train,
-        best_index: best_idx,
-    }
-}
-
-/// Test accuracy of one embedding on one dataset: fit on the train split,
-/// embed everything, compare representations with ED.
-pub fn evaluate_embedding(emb: &dyn Embedding, ds: &Dataset) -> f64 {
-    let prepared = prepare(ds, Normalization::ZScore);
-    let mut all = prepared.train.clone();
-    all.extend(prepared.test.iter().cloned());
-    let z = emb.embed(&all, prepared.train.len());
-    let (_, e) = embedding_matrices(&z, prepared.train.len());
-    one_nn_accuracy(&e, &prepared.test_labels, &prepared.train_labels)
-}
-
-/// Supervised evaluation of an embedding grid.
-///
-/// # Panics
-///
-/// Panics when `grid` is empty.
-pub fn evaluate_embedding_supervised(
-    grid: &[Box<dyn Embedding>],
-    ds: &Dataset,
-) -> SupervisedOutcome {
-    assert!(!grid.is_empty(), "empty parameter grid");
-    let prepared = prepare(ds, Normalization::ZScore);
-    let mut all = prepared.train.clone();
-    all.extend(prepared.test.iter().cloned());
-    let n_train = prepared.train.len();
-
-    let mut best_idx = 0;
-    let mut best_train = f64::NEG_INFINITY;
-    let mut best_e = None;
-    for (idx, emb) in grid.iter().enumerate() {
-        let z = emb.embed(&all, n_train);
-        let (w, e) = embedding_matrices(&z, n_train);
-        let train_acc = loocv_accuracy(&w, &prepared.train_labels);
-        if train_acc > best_train {
-            best_train = train_acc;
-            best_idx = idx;
-            best_e = Some(e);
-        }
-    }
-    let e = match best_e {
-        Some(e) => e,
-        // The grid was checked non-empty above, so at least one point won.
-        // tsdist-lint: allow(no-unwrap-in-lib, reason = "non-empty grid was checked above, so a winner always exists")
-        None => unreachable!("non-empty grid always selects a point"),
-    };
-    SupervisedOutcome {
-        test_accuracy: one_nn_accuracy(&e, &prepared.test_labels, &prepared.train_labels),
-        train_accuracy: best_train,
-        best_index: best_idx,
-    }
-}
-
 // --- Cancellable, fault-classified cell cores -------------------------------
 //
 // The `try_evaluate_*` functions below are what the fault-tolerant
 // [`CellRunner`](crate::runner::CellRunner) executes inside each cell.
-// They differ from the legacy entry points above in three ways: the
+// They differ from the panicking entry points above in three ways: the
 // measure is wrapped in a guarded adapter that honours a [`CancelFlag`]
 // (so watchdog deadlines interrupt even the matrix kernels), supervised
 // grid loops check the flag cooperatively between parameter points, and
 // every dissimilarity matrix is screened for NaN/±Inf at the source —
 // reported as [`CellError::NonFiniteDistance`] instead of silently
 // sorting last in the 1-NN selection. Healthy cells compute bit-identical
-// accuracies to the legacy paths (the guards delegate transparently,
+// accuracies to the panicking paths (the guards delegate transparently,
 // including `distance_ws` and `is_symmetric`).
 
-/// Cancellable, fault-classified variant of [`evaluate_distance`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Eval::new(measure).on(dataset).normalized(norm).cancelled_by(flag).run()`; see the module docs for the migration table"
-)]
-pub fn try_evaluate_distance(
-    d: &dyn Distance,
-    ds: &Dataset,
-    norm: Normalization,
-    cancel: &CancelFlag,
-) -> Result<Evaluation, CellError> {
-    distance_cell(d, ds, norm, cancel)
-}
-
-/// The cancellable, fault-classified cell core shared by the runner, the
-/// [`Eval`](crate::request::Eval) builder, and the deprecated
-/// [`try_evaluate_distance`] shim.
+/// The one distance-cell core, shared by the runner and the
+/// [`Eval`](crate::request::Eval) builder: Algorithm 1 over a
+/// [`prepare`]d dataset's test split, through a [`Scan`] whose plan
+/// inputs are `index` and `pruned`, with the NaN/±Inf screen.
+///
+/// The measure is guarded by `cancel`. An unindexed, unpruned scan builds
+/// `E` exactly like [`distance_matrix`] and reports the first non-finite
+/// entry in row-major order, as [`find_non_finite`] does. Other plans
+/// never see every entry, so their screen is best-effort: only distances
+/// computed exactly are inspectable (an abandoned candidate legitimately
+/// reports `INFINITY`). A fault is reported as
+/// [`CellError::NonFiniteDistance`] with `i` the test row and `j` the
+/// training index.
 pub(crate) fn distance_cell(
     d: &dyn Distance,
-    ds: &Dataset,
-    norm: Normalization,
-    cancel: &CancelFlag,
-) -> Result<Evaluation, CellError> {
-    cancel.checkpoint()?;
-    let prepared = prepare(ds, norm);
-    distance_cell_prepared(d, &prepared, norm, cancel)
-}
-
-/// [`distance_cell`] on an already-[`prepare`]d dataset — the hook the
-/// query service uses to amortize preprocessing across batches.
-pub(crate) fn distance_cell_prepared(
-    d: &dyn Distance,
     prepared: &Dataset,
     norm: Normalization,
     cancel: &CancelFlag,
-) -> Result<Evaluation, CellError> {
-    cancel.checkpoint()?;
-    let guarded = GuardedDistance::new(d, cancel);
-    let e = if norm.is_pairwise() {
-        let wrapped = AdaptiveScaled::new(guarded);
-        distance_matrix(&wrapped, &prepared.test, &prepared.train)
-    } else {
-        distance_matrix(&guarded, &prepared.test, &prepared.train)
-    };
-    if let Some((i, j)) = find_non_finite(&e) {
-        return Err(CellError::NonFiniteDistance { i, j });
-    }
-    let accuracy = try_one_nn_accuracy(&e, &prepared.test_labels, &prepared.train_labels)?;
-    Ok(Evaluation::unsupervised(accuracy))
-}
-
-/// Cancellable, fault-classified variant of [`evaluate_distance_pruned`]
-/// — the cell core behind `RunnerConfig::with_pruned`.
-///
-/// Mirrors [`try_evaluate_distance`] with one caveat: `E` is never
-/// materialized, so the NaN/±Inf screen is best-effort — only distances
-/// the scan computed *exactly* are inspectable (an abandoned candidate
-/// legitimately reports `INFINITY`). Healthy measures produce a
-/// byte-identical [`Evaluation`]; a fault the scan does observe is still
-/// reported as [`CellError::NonFiniteDistance`] with `i` the test row
-/// and `j` the offending training index.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Eval::new(measure).on(dataset).normalized(norm).pruned(true).cancelled_by(flag).run()`; see the module docs for the migration table"
-)]
-pub fn try_evaluate_distance_pruned(
-    d: &dyn Distance,
-    ds: &Dataset,
-    norm: Normalization,
-    cancel: &CancelFlag,
-) -> Result<Evaluation, CellError> {
-    distance_cell_pruned(d, ds, norm, cancel)
-}
-
-/// The pruned cell core shared by the runner, the
-/// [`Eval`](crate::request::Eval) builder, and the deprecated
-/// [`try_evaluate_distance_pruned`] shim.
-pub(crate) fn distance_cell_pruned(
-    d: &dyn Distance,
-    ds: &Dataset,
-    norm: Normalization,
-    cancel: &CancelFlag,
-) -> Result<Evaluation, CellError> {
-    cancel.checkpoint()?;
-    let prepared = prepare(ds, norm);
-    distance_cell_pruned_prepared(d, &prepared, norm, cancel)
-}
-
-/// [`distance_cell_pruned`] on an already-[`prepare`]d dataset.
-pub(crate) fn distance_cell_pruned_prepared(
-    d: &dyn Distance,
-    prepared: &Dataset,
-    norm: Normalization,
-    cancel: &CancelFlag,
-) -> Result<Evaluation, CellError> {
-    cancel.checkpoint()?;
-    if prepared.train.is_empty() {
-        return Err(EvalError::EmptyTrainSet.into());
-    }
-    let guarded = GuardedDistance::new(d, cancel);
-    let nns = if norm.is_pairwise() {
-        let wrapped = AdaptiveScaled::new(guarded);
-        pruned_nn_search(&wrapped, &prepared.test, &prepared.train, true)
-    } else {
-        pruned_nn_search(&guarded, &prepared.test, &prepared.train, true)
-    };
-    if let Some((i, j)) = nns
-        .iter()
-        .enumerate()
-        .find_map(|(i, nn)| nn.non_finite.map(|j| (i, j)))
-    {
-        return Err(CellError::NonFiniteDistance { i, j });
-    }
-    let accuracy = one_nn_vote_accuracy(&nns, &prepared.test_labels, &prepared.train_labels);
-    Ok(Evaluation::unsupervised(accuracy))
-}
-
-/// [`distance_cell_pruned_prepared`] with an index tier: rows with an
-/// admissible plan skip candidates via the lower-bound cascade or pivot
-/// bounds; everything else takes the linear scan. Byte-identical
-/// accuracy either way. The `index` must have been built over this
-/// *prepared* train split (the caller's contract, as with
-/// `assume_prepared`); a mismatched index is detected by length and
-/// never prunes.
-pub(crate) fn distance_cell_indexed_prepared(
-    d: &dyn Distance,
-    prepared: &Dataset,
-    norm: Normalization,
-    cancel: &CancelFlag,
-    index: &tsdist_core::TrainIndex,
+    index: Option<&TrainIndex>,
+    pruned: bool,
     warm_start: bool,
-    cache: Option<&crate::runtime::EnvelopeCache>,
 ) -> Result<Evaluation, CellError> {
     cancel.checkpoint()?;
-    if prepared.train.is_empty() {
-        return Err(EvalError::EmptyTrainSet.into());
-    }
     let guarded = GuardedDistance::new(d, cancel);
-    let (nns, _) = if norm.is_pairwise() {
+    let scaled;
+    let d: &dyn Distance = if norm.is_pairwise() {
         // Per-pair rescaling invalidates every precomputed bound; the
-        // wrapper declares no index profile, so each row's plan falls
-        // back to the linear scan on its own.
-        let wrapped = AdaptiveScaled::new(guarded);
-        crate::index::indexed_nn_search_rows(
-            &wrapped,
-            &prepared.test,
-            &prepared.train,
-            index,
-            warm_start,
-            cache,
-        )
+        // wrapper declares no index profile, so no row gets a structure.
+        scaled = AdaptiveScaled::new(&guarded);
+        &scaled
     } else {
-        crate::index::indexed_nn_search_rows(
-            &guarded,
-            &prepared.test,
-            &prepared.train,
-            index,
-            warm_start,
-            cache,
-        )
+        &guarded
     };
+    let mut scan = Scan::new(d, &prepared.train)
+        .pruned(pruned)
+        .warm_start(warm_start);
+    if let Some(ix) = index {
+        scan = scan.indexed(ix);
+    }
+    let (nns, _) = scan.nearest(Rows::Queries(&prepared.test));
     if let Some((i, j)) = nns
         .iter()
         .enumerate()
@@ -449,6 +174,12 @@ pub(crate) fn distance_cell_indexed_prepared(
     {
         return Err(CellError::NonFiniteDistance { i, j });
     }
+    check_shapes(
+        prepared.test.len(),
+        prepared.train.len(),
+        &prepared.test_labels,
+        &prepared.train_labels,
+    )?;
     let accuracy = one_nn_vote_accuracy(&nns, &prepared.test_labels, &prepared.train_labels);
     Ok(Evaluation::unsupervised(accuracy))
 }
@@ -488,7 +219,15 @@ pub fn try_evaluate_distance_supervised(
             best_idx = idx;
         }
     }
-    let test = distance_cell(grid[best_idx].as_ref(), ds, norm, cancel)?;
+    let test = distance_cell(
+        grid[best_idx].as_ref(),
+        &prepared,
+        norm,
+        cancel,
+        None,
+        false,
+        true,
+    )?;
     Ok(Evaluation {
         accuracy: test.accuracy,
         train_accuracy: Some(best_train),
@@ -512,7 +251,8 @@ pub fn try_evaluate_kernel(
     Ok(Evaluation::unsupervised(accuracy))
 }
 
-/// Cancellable, fault-classified variant of [`evaluate_kernel_supervised`].
+/// Supervised evaluation of a kernel grid (LOOCV on `W`, test on `E`),
+/// cancellable and fault-classified.
 pub fn try_evaluate_kernel_supervised(
     grid: &[Box<dyn Kernel>],
     ds: &Dataset,
@@ -546,8 +286,9 @@ pub fn try_evaluate_kernel_supervised(
     })
 }
 
-/// Cancellable, fault-classified variant of [`evaluate_embedding`].
-/// Embeddings have no pairwise kernel to guard, so cancellation is
+/// Test accuracy of one embedding on one dataset (fit on the train
+/// split, embed everything, compare representations with ED),
+/// cancellable and fault-classified. Embeddings have no pairwise kernel to guard, so cancellation is
 /// checked before the (single) embedding pass.
 pub fn try_evaluate_embedding(
     emb: &dyn Embedding,
@@ -567,9 +308,8 @@ pub fn try_evaluate_embedding(
     Ok(Evaluation::unsupervised(accuracy))
 }
 
-/// Cancellable, fault-classified variant of
-/// [`evaluate_embedding_supervised`]: the flag is checked between grid
-/// points.
+/// Supervised evaluation of an embedding grid, cancellable and
+/// fault-classified: the flag is checked between grid points.
 pub fn try_evaluate_embedding_supervised(
     grid: &[Box<dyn Embedding>],
     ds: &Dataset,
@@ -626,8 +366,7 @@ mod tests {
     #[test]
     fn euclidean_beats_chance_on_shape_data() {
         let ds = easy_dataset();
-        #[allow(deprecated)]
-        let acc = evaluate_distance(&Euclidean, &ds, Normalization::ZScore);
+        let acc = distance_accuracy(&Euclidean, &ds, Normalization::ZScore);
         let chance = 1.0 / ds.n_classes() as f64;
         assert!(acc > chance, "acc {acc} <= chance {chance}");
     }
@@ -676,8 +415,7 @@ mod tests {
     #[test]
     fn adaptive_scaling_normalization_runs_via_wrapper() {
         let ds = easy_dataset();
-        #[allow(deprecated)]
-        let acc = evaluate_distance(&Euclidean, &ds, Normalization::AdaptiveScaling);
+        let acc = distance_accuracy(&Euclidean, &ds, Normalization::AdaptiveScaling);
         assert!((0.0..=1.0).contains(&acc));
     }
 }

@@ -85,8 +85,8 @@ fn predict_row(row: &[f64], train_labels: &[Label], k: usize) -> Option<Label> {
 /// distance order); ties resolve to the class whose nearest member comes
 /// first among the neighbours. `None` when `neighbours` is empty.
 ///
-/// Shared between the matrix-backed [`predict_row`] and the pruned
-/// search in [`crate::pruned`], so both paths vote identically.
+/// Shared between the matrix-backed [`predict_row`] and the scan
+/// engine in [`crate::scan`], so both paths vote identically.
 pub(crate) fn majority_vote(neighbours: &[usize], train_labels: &[Label]) -> Option<Label> {
     let mut counts: Vec<(Label, usize, usize)> = Vec::new(); // (label, votes, first_pos)
     for (pos, &j) in neighbours.iter().enumerate() {

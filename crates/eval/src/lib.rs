@@ -38,10 +38,19 @@
 //!
 //! Evaluations are described by one typed request ([`Eval`], in
 //! [`request`]) shared verbatim by the CLI, the `tsdist serve` query
-//! service, and the study runner. The historical `evaluate_distance` /
-//! `try_evaluate_distance` / `evaluate_distance_pruned` trio remains as
-//! deprecated shims; see the [`evaluator`] module docs for the
-//! migration table.
+//! service, and the study runner.
+//!
+//! ## One nearest-neighbour scan
+//!
+//! Every 1-NN and k-NN search — the test-split accuracy, leave-one-out
+//! tuning, served queries — runs through the one engine in [`scan`]:
+//! four per-row plans (Exact, Cutoff, Cascade, Pivots) over two
+//! incumbents (Algorithm 1's nearest neighbour and the top-k selection),
+//! chosen by one rule from the supplied [`tsdist_core::TrainIndex`] and
+//! whether the search is pruned. Every plan gives the same answers, bit
+//! for bit; they differ only in the work done. The `pruned_*` and
+//! `indexed_*` search functions are thin forwarders to it, and the
+//! matrix-consuming classifiers of [`nn`] and [`knn`] are its reference.
 //!
 //! The typical flow for one experiment:
 //!
@@ -73,16 +82,15 @@ pub mod cell;
 pub mod comparison;
 pub mod error;
 pub mod evaluator;
-pub mod index;
 pub mod journal;
 pub mod knn;
 pub mod matrices;
 pub mod nn;
 pub mod parallel;
-pub mod pruned;
 pub mod request;
 pub mod runner;
 pub mod runtime;
+pub mod scan;
 pub mod study;
 pub mod wire;
 
@@ -92,20 +100,10 @@ pub use comparison::{
     RankingAnalysis, NEMENYI_ALPHA, WILCOXON_ALPHA,
 };
 pub use error::EvalError;
-#[allow(deprecated)]
 pub use evaluator::{
-    evaluate_distance, evaluate_distance_pruned, try_evaluate_distance,
-    try_evaluate_distance_pruned,
-};
-pub use evaluator::{
-    evaluate_distance_supervised, evaluate_embedding, evaluate_embedding_supervised,
-    evaluate_kernel, evaluate_kernel_supervised, prepare, try_evaluate_distance_supervised,
+    evaluate_distance_supervised, evaluate_kernel, prepare, try_evaluate_distance_supervised,
     try_evaluate_embedding, try_evaluate_embedding_supervised, try_evaluate_kernel,
     try_evaluate_kernel_supervised, SupervisedOutcome,
-};
-pub use index::{
-    indexed_knn_search, indexed_knn_search_stats, indexed_loocv_search, indexed_nn_search,
-    indexed_nn_search_stats, IndexedStats, KEOGH_INFLATE,
 };
 pub use journal::{
     crc32, is_v2_journal, read_journal, recover_journal, recover_lines, DurableConfig,
@@ -119,21 +117,14 @@ pub use matrices::{
 };
 pub use nn::{loocv_accuracy, one_nn_accuracy, try_loocv_accuracy, try_one_nn_accuracy};
 pub use parallel::{parallel_fill_rows, parallel_map, parallel_map_with, worker_count};
-#[allow(deprecated)]
-pub use pruned::{
-    pruned_knn_accuracy, pruned_loocv_accuracy, pruned_one_nn_accuracy, try_pruned_knn_accuracy,
-    try_pruned_loocv_accuracy, try_pruned_one_nn_accuracy,
-};
-pub use pruned::{
-    pruned_knn_search, pruned_knn_search_cached, pruned_loocv_search, pruned_nn_search,
-    pruned_nn_search_cached, NearestNeighbour,
-};
 pub use request::{Answer, Eval, EvalReport, EvalRequest};
 pub use runner::{
     cell_key, run_study_resumable, summarize_cells, CellRunner, RobustStudyReport, RunnerConfig,
 };
-pub use runtime::{
-    measure_inference, pruned_dtw_search, pruned_dtw_search_cached, EnvelopeCache,
-    PrunedSearchStats, RuntimeMeasurement,
+pub use runtime::{measure_inference, RuntimeMeasurement};
+pub use scan::{
+    indexed_knn_search, indexed_knn_search_stats, indexed_loocv_search, indexed_nn_search,
+    indexed_nn_search_stats, pruned_knn_search, pruned_loocv_search, pruned_nn_search,
+    IndexedStats, NearestNeighbour, Rows, Scan, KEOGH_INFLATE,
 };
 pub use study::{run_study, Entrant, StudyReport};

@@ -23,7 +23,7 @@
 //! # No cutoffs here — deliberately
 //!
 //! The batch engine never threads `Distance::distance_upto` cutoffs, even
-//! though the pruned 1-NN engine ([`crate::pruned`]) exists: these
+//! though the scan engine ([`crate::scan`]) threads them: these
 //! matrices feed Wilcoxon/Friedman/Nemenyi statistics and LOOCV tuning,
 //! which consume *every* entry, so an early-abandoned (`>=` cutoff,
 //! typically infinite) entry would silently corrupt rank computations —

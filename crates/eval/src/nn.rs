@@ -23,23 +23,7 @@ pub fn try_one_nn_accuracy(
     test_labels: &[Label],
     train_labels: &[Label],
 ) -> Result<f64, EvalError> {
-    if e.rows() != test_labels.len() {
-        return Err(EvalError::ShapeMismatch {
-            what: "row/label count",
-            expected: e.rows(),
-            got: test_labels.len(),
-        });
-    }
-    if e.cols() != train_labels.len() {
-        return Err(EvalError::ShapeMismatch {
-            what: "col/label count",
-            expected: e.cols(),
-            got: train_labels.len(),
-        });
-    }
-    if e.cols() == 0 {
-        return Err(EvalError::EmptyTrainSet);
-    }
+    check_shapes(e.rows(), e.cols(), test_labels, train_labels)?;
     let mut correct = 0usize;
     for (i, &true_label) in test_labels.iter().enumerate() {
         let mut best_dist = f64::INFINITY;
@@ -56,6 +40,35 @@ pub fn try_one_nn_accuracy(
         }
     }
     Ok(correct as f64 / test_labels.len() as f64)
+}
+
+/// The shape checks of Algorithm 1 for `rows` test rows against `cols`
+/// training series: one label per row and per column, and at least one
+/// training series.
+pub(crate) fn check_shapes(
+    rows: usize,
+    cols: usize,
+    test_labels: &[Label],
+    train_labels: &[Label],
+) -> Result<(), EvalError> {
+    if rows != test_labels.len() {
+        return Err(EvalError::ShapeMismatch {
+            what: "row/label count",
+            expected: rows,
+            got: test_labels.len(),
+        });
+    }
+    if cols != train_labels.len() {
+        return Err(EvalError::ShapeMismatch {
+            what: "col/label count",
+            expected: cols,
+            got: train_labels.len(),
+        });
+    }
+    if cols == 0 {
+        return Err(EvalError::EmptyTrainSet);
+    }
+    Ok(())
 }
 
 /// Leave-one-out training accuracy from the train-by-train matrix `W`:

@@ -1,17 +1,15 @@
 //! The consolidated evaluation request: one builder, one `run()`.
 //!
-//! [`Eval`] subsumes the historical trio of unsupervised distance entry
-//! points (`evaluate_distance` / `try_evaluate_distance` /
-//! `evaluate_distance_pruned`) behind a single typed request that the
-//! CLI, the query server (`tsdist-serve`), and the study runner share
-//! verbatim — one request type flows from wire format to inner loop.
+//! [`Eval`] is the one typed request for unsupervised distance
+//! evaluation that the CLI, the query server (`tsdist-serve`), and the
+//! study runner share verbatim — one request type flows from wire format
+//! to inner loop, the [`Scan`] engine.
 //!
 //! Two modes, selected by whether [`EvalRequest::queries`] was called:
 //!
 //! * **Dataset mode** (default): classify the dataset's own test split
-//!   against its train split and report the accuracy — exactly what the
-//!   deprecated trio computed, including the NaN/±Inf screen of the
-//!   `try_` variants.
+//!   against its train split and report the accuracy, with the NaN/±Inf
+//!   screen of the study runner's cells at `k = 1`.
 //! * **Query mode**: answer ad-hoc 1-NN / k-NN queries against the train
 //!   split, one [`Answer`] per query. Queries go through the same
 //!   preprocessing pipeline as dataset series, and answers are
@@ -30,15 +28,10 @@ use std::time::Duration;
 
 use crate::cell::{CancelFlag, CancelPanic, GuardedDistance, Watchdog};
 use crate::error::EvalError;
-use crate::evaluator::{
-    distance_cell_indexed_prepared, distance_cell_prepared, distance_cell_pruned_prepared, prepare,
-    preprocess_series,
-};
-use crate::index::{indexed_knn_search_rows, indexed_nn_search_rows, knn_accuracy_indexed_core};
+use crate::evaluator::{distance_cell, prepare, preprocess_series};
 use crate::knn::majority_vote;
-use crate::matrices::distance_matrix;
-use crate::pruned::{knn_accuracy_core, pruned_knn_search_rows, pruned_nn_search_rows};
-use crate::runtime::EnvelopeCache;
+use crate::nn::check_shapes;
+use crate::scan::{knn_vote_accuracy, Rows, Scan};
 use tsdist_core::measure::Distance;
 use tsdist_core::normalization::{AdaptiveScaled, Normalization};
 use tsdist_core::TrainIndex;
@@ -61,7 +54,6 @@ pub struct EvalRequest<'a> {
     deadline: Option<Duration>,
     cancel: Option<&'a CancelFlag>,
     queries: Option<&'a [Vec<f64>]>,
-    cache: Option<&'a EnvelopeCache>,
     index: Option<&'a TrainIndex>,
     assume_prepared: bool,
 }
@@ -81,7 +73,6 @@ impl<'a> EvalRequest<'a> {
             deadline: None,
             cancel: None,
             queries: None,
-            cache: None,
             index: None,
             assume_prepared: false,
         }
@@ -144,19 +135,12 @@ impl<'a> EvalRequest<'a> {
         self
     }
 
-    /// Reuse a caller-owned [`EnvelopeCache`] (built on this dataset's
-    /// *prepared* train split) for candidate ordering in pruned scans.
-    /// A mismatched cache is detected and ignored; answers never depend
-    /// on it.
-    pub fn with_cache(mut self, cache: &'a EnvelopeCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
     /// Search through a caller-owned [`TrainIndex`] built over this
-    /// dataset's **prepared** train split: rows with an admissible plan
-    /// skip candidates via the PAA lower-bound cascade or metric pivot
-    /// bounds, everything else takes the usual scan. Answers and
+    /// dataset's **prepared** train split: rows the index has a structure
+    /// for skip candidates via the PAA lower-bound cascade or metric
+    /// pivot bounds, everything else takes the usual scan: cutoff-threaded
+    /// (in the order of the index's sample table) if
+    /// [`pruned`](EvalRequest::pruned), exact otherwise. Answers and
     /// accuracies are byte-identical with or without the index — it only
     /// changes how much work is done. Building the index on anything
     /// other than the prepared split the request will search violates
@@ -225,8 +209,21 @@ impl<'a> EvalRequest<'a> {
         }
     }
 
-    /// Dataset mode: the accuracy paths of the deprecated trio (plus
-    /// their k-NN generalization).
+    /// The request's [`Scan`] of `train` under `d`.
+    fn scan<'s>(&self, d: &'s dyn Distance, train: &'s [Vec<f64>]) -> Scan<'s>
+    where
+        'a: 's,
+    {
+        let scan = Scan::new(d, train)
+            .pruned(self.pruned)
+            .warm_start(self.warm_start);
+        match self.index {
+            Some(ix) => scan.indexed(ix),
+            None => scan,
+        }
+    }
+
+    /// Dataset mode: the test-split accuracy.
     fn run_dataset(&self, ds: &Dataset, flag: &CancelFlag) -> Result<EvalReport, EvalError> {
         let prepared_storage;
         let prepared: &Dataset = if self.assume_prepared {
@@ -236,62 +233,40 @@ impl<'a> EvalRequest<'a> {
             &prepared_storage
         };
         let accuracy = if self.k == 1 {
-            let cell = if let Some(ix) = self.index {
-                distance_cell_indexed_prepared(
-                    self.measure,
-                    prepared,
-                    self.norm,
-                    flag,
-                    ix,
-                    self.warm_start,
-                    self.cache,
-                )
-            } else if self.pruned {
-                distance_cell_pruned_prepared(self.measure, prepared, self.norm, flag)
-            } else {
-                distance_cell_prepared(self.measure, prepared, self.norm, flag)
-            };
+            let cell = distance_cell(
+                self.measure,
+                prepared,
+                self.norm,
+                flag,
+                self.index,
+                self.pruned,
+                self.warm_start,
+            );
             cell.map_err(EvalError::from)?.accuracy
         } else {
+            check_shapes(
+                prepared.test.len(),
+                prepared.train.len(),
+                &prepared.test_labels,
+                &prepared.train_labels,
+            )?;
+            if prepared.test.is_empty() {
+                return Ok(EvalReport {
+                    accuracy: Some(0.0),
+                    answers: Vec::new(),
+                });
+            }
             let guarded = GuardedDistance::new(self.measure, flag);
-            let knn = |d: &dyn Distance| -> Result<f64, EvalError> {
-                if let Some(ix) = self.index {
-                    knn_accuracy_indexed_core(
-                        d,
-                        &prepared.test,
-                        &prepared.train,
-                        &prepared.test_labels,
-                        &prepared.train_labels,
-                        self.k,
-                        self.warm_start,
-                        ix,
-                        self.cache,
-                    )
-                } else if self.pruned {
-                    knn_accuracy_core(
-                        d,
-                        &prepared.test,
-                        &prepared.train,
-                        &prepared.test_labels,
-                        &prepared.train_labels,
-                        self.k,
-                        self.warm_start,
-                        self.cache,
-                    )
-                } else {
-                    let e = distance_matrix(d, &prepared.test, &prepared.train);
-                    crate::knn::try_knn_accuracy(
-                        &e,
-                        &prepared.test_labels,
-                        &prepared.train_labels,
-                        self.k,
-                    )
-                }
+            let knn = |d: &dyn Distance| {
+                let (rows, _) = self
+                    .scan(d, &prepared.train)
+                    .top_k(Rows::Queries(&prepared.test), self.k);
+                knn_vote_accuracy(&rows, &prepared.test_labels, &prepared.train_labels)
             };
             if self.norm.is_pairwise() {
-                knn(&AdaptiveScaled::new(guarded))?
+                knn(&AdaptiveScaled::new(guarded))
             } else {
-                knn(&guarded)?
+                knn(&guarded)
             }
         };
         Ok(EvalReport {
@@ -346,21 +321,9 @@ impl<'a> EvalRequest<'a> {
         train: &[Vec<f64>],
         train_labels: &[Label],
     ) -> Vec<Answer> {
-        // A cache built on a different split (or not on the prepared
-        // series) must not be consulted; length equality is re-checked
-        // per query inside the ordering itself.
-        let cache = self.cache.filter(|c| c.len() == train.len());
-        // A mismatched index is additionally re-checked (and demoted to
-        // all-linear rows) inside the indexed search itself.
-        let index = self.index.filter(|ix| ix.len() == train.len());
+        let scan = self.scan(d, train);
         if self.k == 1 {
-            let nns = if let Some(ix) = index {
-                indexed_nn_search_rows(d, queries, train, ix, self.warm_start, cache).0
-            } else if self.pruned {
-                pruned_nn_search_rows(d, queries, train, self.warm_start, cache)
-            } else {
-                exact_nn_rows(d, queries, train)
-            };
+            let (nns, _) = scan.nearest(Rows::Queries(queries));
             nns.iter()
                 .map(|nn| Answer {
                     index: nn.index,
@@ -372,13 +335,7 @@ impl<'a> EvalRequest<'a> {
                 })
                 .collect()
         } else {
-            let rows = if let Some(ix) = index {
-                indexed_knn_search_rows(d, queries, train, ix, self.k, self.warm_start, cache).0
-            } else if self.pruned {
-                pruned_knn_search_rows(d, queries, train, self.k, self.warm_start, cache)
-            } else {
-                exact_knn_rows(d, queries, train, self.k)
-            };
+            let (rows, _) = scan.top_k(Rows::Queries(queries), self.k);
             rows.iter()
                 .map(|row| {
                     let neighbours: Vec<usize> = row.iter().map(|&(_, j)| j).collect();
@@ -403,61 +360,6 @@ fn render_panic(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Exact (matrix-backed) 1-NN rows with Algorithm 1's strict-`<` scan —
-/// the `pruned(false)` query path, byte-identical to the pruned one for
-/// contract-honouring measures.
-fn exact_nn_rows(
-    d: &dyn Distance,
-    queries: &[Vec<f64>],
-    train: &[Vec<f64>],
-) -> Vec<crate::pruned::NearestNeighbour> {
-    let e = distance_matrix(d, queries, train);
-    (0..e.rows())
-        .map(|i| {
-            let row = e.row(i);
-            let mut best = f64::INFINITY;
-            let mut index = None;
-            for (j, &v) in row.iter().enumerate() {
-                if v < best {
-                    best = v;
-                    index = Some(j);
-                }
-            }
-            crate::pruned::NearestNeighbour {
-                index,
-                distance: if index.is_some() { best } else { f64::INFINITY },
-                non_finite: row.iter().position(|v| !v.is_finite()),
-            }
-        })
-        .collect()
-}
-
-/// Exact k-NN rows using the same `(total_cmp, index)` selection as the
-/// matrix-backed `knn_accuracy`.
-fn exact_knn_rows(
-    d: &dyn Distance,
-    queries: &[Vec<f64>],
-    train: &[Vec<f64>],
-    k: usize,
-) -> Vec<Vec<(f64, usize)>> {
-    let k = k.min(train.len());
-    let e = distance_matrix(d, queries, train);
-    (0..e.rows())
-        .map(|i| {
-            let row = e.row(i);
-            let by = |a: &usize, b: &usize| row[*a].total_cmp(&row[*b]).then(a.cmp(b));
-            let mut idx: Vec<usize> = (0..row.len()).collect();
-            if k > 0 && k < idx.len() {
-                idx.select_nth_unstable_by(k - 1, by);
-                idx.truncate(k);
-            }
-            idx.sort_unstable_by(by);
-            idx.truncate(k);
-            idx.into_iter().map(|j| (row[j], j)).collect()
-        })
-        .collect()
 }
 
 /// What a request produced.
@@ -491,6 +393,7 @@ pub struct Answer {
 mod tests {
     use super::*;
     use crate::evaluator::prepare;
+    use crate::matrices::distance_matrix;
     use tsdist_core::elastic::Dtw;
     use tsdist_core::lockstep::Euclidean;
     use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
@@ -500,11 +403,13 @@ mod tests {
     }
 
     #[test]
-    fn dataset_mode_matches_the_deprecated_trio() {
+    fn dataset_mode_matches_the_matrix_path() {
         let ds = dataset();
         for norm in [Normalization::ZScore, Normalization::MinMax] {
-            #[allow(deprecated)]
-            let legacy = crate::evaluator::evaluate_distance(&Euclidean, &ds, norm);
+            let prepared = prepare(&ds, norm);
+            let e = distance_matrix(&Euclidean, &prepared.test, &prepared.train);
+            let legacy =
+                crate::nn::one_nn_accuracy(&e, &prepared.test_labels, &prepared.train_labels);
             let exact = Eval::new(&Euclidean)
                 .on(&ds)
                 .normalized(norm)
@@ -554,7 +459,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.answers.len(), ds.test.len());
         let prepared = prepare(&ds, Normalization::ZScore);
-        let nns = crate::pruned::pruned_nn_search(
+        let nns = crate::scan::pruned_nn_search(
             &Dtw::with_window_pct(10.0),
             &prepared.test,
             &prepared.train,
@@ -581,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn assume_prepared_with_cache_is_byte_identical() {
+    fn assume_prepared_with_an_inert_index_is_byte_identical() {
         let ds = dataset();
         let baseline = Eval::new(&Euclidean)
             .on(&ds)
@@ -592,13 +497,15 @@ mod tests {
         // Pre-prepare the train split once, as a serve shard would.
         let mut prepared = prepare(&ds, Normalization::ZScore);
         prepared.test = ds.test.clone(); // raw queries, prepared train
-        let cache = EnvelopeCache::build(&prepared.train, 0);
+                                         // No `prepare_measure`: every row takes the Cutoff plan, ordered
+                                         // by the index's hoisted sample table.
+        let index = TrainIndex::build(&prepared.train);
         let cached = Eval::new(&Euclidean)
             .on(&prepared)
             .queries(&ds.test)
             .pruned(true)
             .assume_prepared(true)
-            .with_cache(&cache)
+            .indexed(&index)
             .run()
             .unwrap();
         assert_eq!(baseline, cached);

@@ -22,7 +22,7 @@ use crate::cell::{
 use crate::comparison::{
     compare_to_baseline, holm_adjusted_p_values, rank_measures, PairwiseComparison,
 };
-use crate::evaluator::{distance_cell, distance_cell_pruned};
+use crate::evaluator::{distance_cell, prepare};
 use crate::journal::{read_journal, Journal, JournalEntry};
 use crate::parallel::parallel_map;
 use crate::study::{Entrant, StudyReport};
@@ -411,16 +411,18 @@ pub fn run_study_resumable(
             parallel_map(archive.len(), |i| {
                 let ds = &archive[i];
                 runner.run_cell(&cell_key(&entrant.name, &ds.name), |flag| {
-                    if pruned {
-                        distance_cell_pruned(
-                            entrant.measure.as_ref(),
-                            ds,
-                            entrant.normalization,
-                            flag,
-                        )
-                    } else {
-                        distance_cell(entrant.measure.as_ref(), ds, entrant.normalization, flag)
-                    }
+                    flag.checkpoint()?;
+                    let norm = entrant.normalization;
+                    let prepared = prepare(ds, norm);
+                    distance_cell(
+                        entrant.measure.as_ref(),
+                        &prepared,
+                        norm,
+                        flag,
+                        None,
+                        pruned,
+                        true,
+                    )
                 })
             })
         })

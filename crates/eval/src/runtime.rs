@@ -1,16 +1,11 @@
 //! Inference-time measurement for the accuracy-to-runtime analysis
-//! (Figure 9) and the pruned 1-NN search built on DTW lower bounds
-//! (the Section 10 discussion of lower bounding).
+//! (Figure 9).
 
 use std::time::Instant;
 
 use crate::matrices::distance_matrix;
 use crate::nn::one_nn_accuracy;
-use tsdist_core::elastic::{
-    dtw::dtw_banded_pruned, keogh_envelope, lb_keogh_upto, lb_kim, wavefront::dtw_wavefront_ws,
-};
 use tsdist_core::measure::Distance;
-use tsdist_core::Workspace;
 use tsdist_data::Dataset;
 
 /// Accuracy and wall-clock inference time of one measure on one dataset.
@@ -36,226 +31,10 @@ pub fn measure_inference(d: &dyn Distance, ds: &Dataset) -> RuntimeMeasurement {
     }
 }
 
-/// Statistics from a lower-bound-pruned DTW 1-NN search.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PrunedSearchStats {
-    /// 1-NN test accuracy (identical to the exact search by construction).
-    pub accuracy: f64,
-    /// Fraction of candidate comparisons answered by LB_Kim or LB_Keogh
-    /// without running any DTW at all.
-    pub pruned_fraction: f64,
-    /// DP cells actually computed by the cutoff-pruned DTW calls (the
-    /// early-abandoned tail of a comparison costs only the cells visited
-    /// before the live window died).
-    pub dp_cells: u64,
-    /// DP cells an exact search would compute: the full band area of
-    /// every comparison. `dp_cells / dp_cells_full` is the genuine work
-    /// ratio, unlike `pruned_fraction` which counts whole comparisons.
-    pub dp_cells_full: u64,
-}
-
-/// Per-training-split state computed once and reused across every query
-/// (and every search over the dataset) — rebuilding it per call was pure
-/// waste, as each query re-derived the same `O(train x len)` data:
-///
-/// * the Keogh `(upper, lower)` envelopes under one band, feeding the
-///   LB_Kim -> LB_Keogh -> pruned-DTW cascade;
-/// * the strided candidate samples behind the cheap-score candidate
-///   ordering of [`crate::pruned`]. The sample positions depend only on
-///   the (uniform) series length, so each training series' samples are
-///   query-independent; hoisting them here drops the per-query ordering
-///   cost from `O(train x len)` series walks to `O(train x 16)`
-///   contiguous reads. Scores produced from the hoisted table are
-///   bit-identical to the uncached path, so candidate order — and hence
-///   (by the order-independence contract) every answer — is unchanged.
-pub struct EnvelopeCache {
-    band: usize,
-    /// `(upper, lower)` per training series.
-    envelopes: Vec<(Vec<f64>, Vec<f64>)>,
-    /// The uniform training-series length the strided table was built
-    /// for; `0` when the split is empty or ragged (table disabled).
-    series_len: usize,
-    /// Strided sample positions within a series of `series_len` points.
-    sample_positions: Vec<usize>,
-    /// Flat `train.len() x sample_positions.len()` table of strided
-    /// samples, row `j` holding training series `j`'s samples.
-    samples: Vec<f64>,
-}
-
-impl EnvelopeCache {
-    /// Builds the envelopes of `train` for the absolute band radius
-    /// `band`, plus the strided candidate-order table (when the split
-    /// has one uniform series length).
-    pub fn build(train: &[Vec<f64>], band: usize) -> EnvelopeCache {
-        let series_len = train.first().map_or(0, |t| t.len());
-        let uniform = series_len > 0 && train.iter().all(|t| t.len() == series_len);
-        let (series_len, sample_positions) = if uniform {
-            (
-                series_len,
-                crate::pruned::cheap_sample_positions(series_len),
-            )
-        } else {
-            (0, Vec::new())
-        };
-        let mut samples = Vec::with_capacity(sample_positions.len() * train.len());
-        if !sample_positions.is_empty() {
-            for t in train {
-                samples.extend(sample_positions.iter().map(|&p| t[p]));
-            }
-        }
-        EnvelopeCache {
-            band,
-            envelopes: train.iter().map(|t| keogh_envelope(t, band)).collect(),
-            series_len,
-            sample_positions,
-            samples,
-        }
-    }
-
-    /// The band the envelopes were built for.
-    pub fn band(&self) -> usize {
-        self.band
-    }
-
-    /// Number of cached envelopes.
-    pub fn len(&self) -> usize {
-        self.envelopes.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.envelopes.is_empty()
-    }
-
-    /// The `(upper, lower)` envelope of training series `j`.
-    pub fn envelope(&self, j: usize) -> (&[f64], &[f64]) {
-        let (upper, lower) = &self.envelopes[j];
-        (upper, lower)
-    }
-
-    /// Fills `scores` with every training series' cheap candidate score
-    /// against `query` from the hoisted strided table — bit-identical to
-    /// scoring each full series, since the sample positions and the
-    /// accumulation order match exactly.
-    ///
-    /// Returns `false` (leaving `scores` untouched) when the table is
-    /// unavailable: ragged/empty training split, or a query whose length
-    /// differs from the cached series length (the sample positions would
-    /// differ). Callers then fall back to the uncached scoring.
-    pub fn cheap_scores(
-        &self,
-        query: &[f64],
-        qsamples: &mut Vec<f64>,
-        scores: &mut Vec<f64>,
-    ) -> bool {
-        if self.sample_positions.is_empty() || query.len() != self.series_len {
-            return false;
-        }
-        qsamples.clear();
-        qsamples.extend(self.sample_positions.iter().map(|&p| query[p]));
-        let width = self.sample_positions.len();
-        scores.clear();
-        scores.extend(self.samples.chunks_exact(width).map(|row| {
-            let mut acc = 0.0;
-            for (a, b) in qsamples.iter().zip(row) {
-                let d = a - b;
-                acc += d * d;
-            }
-            acc
-        }));
-        true
-    }
-}
-
-/// DP cells of one exact banded-DTW comparison (the full band area).
-fn banded_cell_count(m: usize, n: usize, band: usize) -> u64 {
-    let mut cells = 0u64;
-    for i in 1..=m {
-        let lo = i.saturating_sub(band).max(1);
-        let hi = (i + band).min(n);
-        if lo <= hi {
-            cells += (hi - lo + 1) as u64;
-        }
-    }
-    cells
-}
-
-/// Exact DTW 1-NN with the full LB_Kim -> LB_Keogh -> cutoff-pruned-DTW
-/// cascade, the classic acceleration the paper points to in Section 10.
-/// `band` is the absolute Sakoe–Chiba radius. Envelopes are built once;
-/// see [`pruned_dtw_search_cached`] to reuse them across calls.
-pub fn pruned_dtw_search(ds: &Dataset, band: usize) -> PrunedSearchStats {
-    pruned_dtw_search_cached(ds, &EnvelopeCache::build(&ds.train, band))
-}
-
-/// [`pruned_dtw_search`] with a caller-owned [`EnvelopeCache`].
-///
-/// Candidates surviving both lower bounds run
-/// [`dtw_banded_pruned`] with the best-so-far as the cutoff, so even the
-/// "full" DTW calls stop at the first fully-dead DP row. Predictions are
-/// byte-identical to the exact scan: a candidate strictly below the
-/// incumbent computes exactly (cutoff admissibility), and anything the
-/// cascade discards was provably no better.
-pub fn pruned_dtw_search_cached(ds: &Dataset, cache: &EnvelopeCache) -> PrunedSearchStats {
-    let band = cache.band();
-    let mut ws = Workspace::new();
-    let mut pruned = 0usize;
-    let mut total = 0usize;
-    let mut correct = 0usize;
-    let mut dp_cells = 0u64;
-    let mut dp_cells_full = 0u64;
-    for (q, query) in ds.test.iter().enumerate() {
-        let mut best = f64::INFINITY;
-        let mut predicted = ds.train_labels[0];
-        for (j, candidate) in ds.train.iter().enumerate() {
-            total += 1;
-            let full = banded_cell_count(query.len(), candidate.len(), band);
-            dp_cells_full += full;
-            if lb_kim(query, candidate) >= best {
-                pruned += 1;
-                continue;
-            }
-            let (upper, lower) = cache.envelope(j);
-            // The early-abandoning LB walk: a partial envelope excursion
-            // reaching `best` settles the comparison without finishing
-            // the sum (and a finished sum is bit-identical to `lb_keogh`).
-            if lb_keogh_upto(query, upper, lower, best) >= best {
-                pruned += 1;
-                continue;
-            }
-            // Strict `<` keeps the first minimum, so `best` itself is an
-            // admissible cutoff: ties and worse candidates may abandon.
-            let (d, cells) = if best < f64::INFINITY {
-                dtw_banded_pruned(query, candidate, band, best, &mut ws)
-            } else {
-                (dtw_wavefront_ws(query, candidate, band, &mut ws), full)
-            };
-            dp_cells += cells;
-            if d < best {
-                best = d;
-                predicted = ds.train_labels[j];
-            }
-        }
-        if predicted == ds.test_labels[q] {
-            correct += 1;
-        }
-    }
-    PrunedSearchStats {
-        accuracy: correct as f64 / ds.test.len().max(1) as f64,
-        pruned_fraction: pruned as f64 / total.max(1) as f64,
-        dp_cells,
-        dp_cells_full,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::prepare;
-    use crate::request::Eval;
-    use tsdist_core::elastic::Dtw;
     use tsdist_core::lockstep::Euclidean;
-    use tsdist_core::normalization::Normalization;
     use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
 
     #[test]
@@ -264,53 +43,5 @@ mod tests {
         let m = measure_inference(&Euclidean, &ds);
         assert!((0.0..=1.0).contains(&m.accuracy));
         assert!(m.seconds >= 0.0);
-    }
-
-    #[test]
-    fn pruned_search_matches_exact_dtw_accuracy() {
-        let raw = generate_dataset(&ArchiveConfig::quick(1, 9), 2);
-        let ds = prepare(&raw, Normalization::ZScore);
-        let band = (ds.series_len() as f64 * 0.1).ceil() as usize;
-        let stats = pruned_dtw_search(&ds, band);
-        let exact = Eval::new(&Dtw::with_window_pct(10.0))
-            .on(&raw)
-            .normalized(Normalization::ZScore)
-            .run()
-            .unwrap()
-            .accuracy
-            .unwrap();
-        assert!(
-            (stats.accuracy - exact).abs() < 1e-12,
-            "pruned {} vs exact {exact}",
-            stats.accuracy
-        );
-        assert!((0.0..=1.0).contains(&stats.pruned_fraction));
-    }
-
-    #[test]
-    fn pruning_actually_fires_on_separable_data() {
-        let raw = generate_dataset(&ArchiveConfig::quick(1, 3), 0);
-        let ds = prepare(&raw, Normalization::ZScore);
-        let stats = pruned_dtw_search(&ds, 2);
-        assert!(stats.pruned_fraction > 0.0, "no comparisons pruned");
-        assert!(stats.dp_cells > 0, "cascade never reached the DP");
-        assert!(
-            stats.dp_cells < stats.dp_cells_full,
-            "cutoff threading saved no DP cells: {} vs {}",
-            stats.dp_cells,
-            stats.dp_cells_full
-        );
-    }
-
-    #[test]
-    fn cached_envelopes_reproduce_the_uncached_search() {
-        let raw = generate_dataset(&ArchiveConfig::quick(1, 11), 1);
-        let ds = prepare(&raw, Normalization::ZScore);
-        let cache = EnvelopeCache::build(&ds.train, 3);
-        assert_eq!(cache.len(), ds.train.len());
-        assert!(!cache.is_empty());
-        let cached = pruned_dtw_search_cached(&ds, &cache);
-        let fresh = pruned_dtw_search(&ds, 3);
-        assert_eq!(cached, fresh);
     }
 }

@@ -4,11 +4,6 @@
 //! over the surviving datasets, and the cancellation granularity of
 //! guarded matrix rows.
 
-// The cancellable `try_evaluate_distance` shim stays covered here until
-// removal: runner integration must keep working for callers that have
-// not migrated to the `Eval` builder yet.
-#![allow(deprecated)]
-
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -25,9 +20,22 @@ use tsdist_data::ucr::write_ucr_dataset;
 use tsdist_data::{load_ucr_archive_lenient, Dataset};
 use tsdist_eval::cell::{CancelPanic, GuardedDistance};
 use tsdist_eval::{
-    cell_key, distance_matrix, run_study, run_study_resumable, try_evaluate_distance, CellError,
-    CellOutcome, CellRunner, Entrant, Evaluation, RunnerConfig,
+    cell_key, distance_matrix, run_study, run_study_resumable, CancelFlag, CellError, CellOutcome,
+    CellRunner, Entrant, Eval, Evaluation, RunnerConfig,
 };
+
+/// One z-scored 1-NN cell on `ds` through the `Eval` builder, cancelled
+/// by the runner's flag: what a cell closure of a study runs.
+fn eval_cell(d: &dyn Distance, ds: &Dataset, flag: &CancelFlag) -> Result<Evaluation, CellError> {
+    let report = Eval::new(d)
+        .on(ds)
+        .normalized(Normalization::ZScore)
+        .cancelled_by(flag)
+        .run()?;
+    Ok(Evaluation::unsupervised(
+        report.accuracy.unwrap_or(f64::NAN),
+    ))
+}
 
 fn quick_archive(n: usize) -> Vec<Dataset> {
     generate_archive(&ArchiveConfig::quick(n, 42))
@@ -93,7 +101,7 @@ fn nan_cells_are_classified_as_non_finite_distance() {
     let chaos = ChaosDistance::new(Euclidean, Fault::Value(f64::NAN), Schedule::Always);
     let runner = CellRunner::new(RunnerConfig::named("chaos-nan"));
     let result = runner.run_cell(&cell_key("Chaos(ED)", &ds.name), |flag| {
-        try_evaluate_distance(&chaos, &ds, Normalization::ZScore, flag)
+        eval_cell(&chaos, &ds, flag)
     });
     assert!(
         matches!(
@@ -118,7 +126,7 @@ fn delayed_cells_blow_the_deadline_and_report_timeout() {
     let config = RunnerConfig::named("chaos-slow").with_deadline(Duration::from_millis(15));
     let runner = CellRunner::new(config);
     let result = runner.run_cell(&cell_key("Slow(ED)", &ds.name), |flag| {
-        try_evaluate_distance(&chaos, &ds, Normalization::ZScore, flag)
+        eval_cell(&chaos, &ds, flag)
     });
     assert_eq!(result.outcome, CellOutcome::TimedOut);
 }
@@ -134,12 +142,11 @@ fn retry_recovers_a_transiently_failing_cell() {
         .with_backoff(Duration::from_millis(1));
     let runner = CellRunner::new(config);
     let result = runner.run_cell(&cell_key("Flaky(ED)", &ds.name), |flag| {
-        try_evaluate_distance(&chaos, &ds, Normalization::ZScore, flag)
+        eval_cell(&chaos, &ds, flag)
     });
 
-    let flag = tsdist_eval::CancelFlag::new();
-    let clean = try_evaluate_distance(&Euclidean, &ds, Normalization::ZScore, &flag)
-        .expect("clean evaluation");
+    let flag = CancelFlag::new();
+    let clean = eval_cell(&Euclidean, &ds, &flag).expect("clean evaluation");
     match result.outcome {
         CellOutcome::Ok(Evaluation { accuracy, .. }) => {
             assert_eq!(accuracy.to_bits(), clean.accuracy.to_bits());
@@ -295,7 +302,7 @@ fn deadline_applies_per_cell_not_per_study() {
     for ds in &archive {
         let result = runner.run_cell(&cell_key("ED", &ds.name), |flag| {
             calls.fetch_add(1, Ordering::SeqCst);
-            try_evaluate_distance(&Euclidean, ds, Normalization::ZScore, flag)
+            eval_cell(&Euclidean, ds, flag)
         });
         assert!(result.outcome.is_ok());
     }
@@ -307,7 +314,7 @@ fn deadline_applies_per_cell_not_per_study() {
 /// call number `at`, the way a watchdog fires in the middle of a
 /// matrix row.
 struct CancelAt {
-    flag: Mutex<Option<tsdist_eval::CancelFlag>>,
+    flag: Mutex<Option<CancelFlag>>,
     at: usize,
     calls: AtomicUsize,
 }
@@ -321,7 +328,7 @@ impl CancelAt {
         }
     }
 
-    fn arm(&self, flag: &tsdist_eval::CancelFlag) {
+    fn arm(&self, flag: &CancelFlag) {
         *self.flag.lock().expect("flag lock") = Some(flag.clone());
     }
 
@@ -346,7 +353,7 @@ impl Distance for CancelAt {
 
 #[test]
 fn cancel_raised_mid_row_stops_the_guarded_row_within_one_chunk() {
-    let flag = tsdist_eval::CancelFlag::new();
+    let flag = CancelFlag::new();
     // Raised on the 11th pair, inside the second chunk of the row.
     let measure = CancelAt::new(11);
     measure.arm(&flag);
@@ -372,7 +379,7 @@ fn cancel_raised_mid_row_ends_the_cell_timed_out() {
     let measure = CancelAt::new(ds.train.len() + 3);
     let result = runner.run_cell(&cell_key("CancelAt(ED)", &ds.name), |flag| {
         measure.arm(flag);
-        try_evaluate_distance(&measure, &ds, Normalization::ZScore, flag)
+        eval_cell(&measure, &ds, flag)
     });
     assert_eq!(result.outcome, CellOutcome::TimedOut);
     let calls = measure.calls();
@@ -399,7 +406,7 @@ fn chaos_schedules_count_pairs_even_around_a_row_kernel() {
     let rows: Vec<Vec<f64>> = (0..4).map(|_| series(16)).collect();
     let cols: Vec<Vec<f64>> = (0..19).map(|_| series(16)).collect();
     let msm = Msm::new(0.5);
-    let flag = tsdist_eval::CancelFlag::new();
+    let flag = CancelFlag::new();
     let mut ws = Workspace::new();
     for (schedule, faults) in [
         (Schedule::FirstN(3), 3),
@@ -446,7 +453,7 @@ impl Distance for RowSentinel {
 
 #[test]
 fn guarded_distance_forwards_the_row_method_in_every_chunk() {
-    let flag = tsdist_eval::CancelFlag::new();
+    let flag = CancelFlag::new();
     let guarded = GuardedDistance::new(&RowSentinel, &flag);
     let cols = vec![vec![1.0]; 2 * LANES + 3];
     let mut out = vec![0.0; cols.len()];

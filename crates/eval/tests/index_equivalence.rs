@@ -12,11 +12,10 @@ use tsdist_core::normalization::Normalization;
 use tsdist_core::registry;
 use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
 use tsdist_data::Dataset;
-use tsdist_eval::index::{
-    indexed_knn_search, indexed_loocv_search, indexed_nn_search, indexed_nn_search_stats,
+use tsdist_eval::{
+    indexed_knn_search, indexed_loocv_search, indexed_nn_search, indexed_nn_search_stats, prepare,
+    pruned_knn_search, pruned_loocv_search, pruned_nn_search, Eval,
 };
-use tsdist_eval::pruned::{pruned_knn_search, pruned_loocv_search, pruned_nn_search};
-use tsdist_eval::{prepare, Eval};
 
 fn dataset(seed: u64) -> Dataset {
     generate_dataset(&ArchiveConfig::quick(1, seed), 0)

@@ -1,0 +1,328 @@
+//! The scan engine's four plans against the matrix-backed classifiers of
+//! `nn.rs`/`knn.rs`: Exact, Cutoff, Cascade (DTW) and Pivots (ED), each
+//! for 1-NN rows, k-NN rows (k ∈ {1, 3, train.len() + 1}) and
+//! leave-one-out rows, warm start on and off, over a split with exact
+//! ties, a NaN candidate, a +∞ candidate and an all-NaN row.
+
+use tsdist_core::elastic::Dtw;
+use tsdist_core::lockstep::Euclidean;
+use tsdist_core::measure::Distance;
+use tsdist_core::TrainIndex;
+use tsdist_data::{Dataset, Label};
+use tsdist_eval::cell::find_non_finite;
+use tsdist_eval::{
+    distance_matrix, knn_accuracy, loocv_accuracy, one_nn_accuracy, Eval, EvalError, IndexedStats,
+    NearestNeighbour, Rows, Scan,
+};
+use tsdist_linalg::Matrix;
+
+const LEN: usize = 16;
+
+fn wave(phase: f64, off: f64) -> Vec<f64> {
+    (0..LEN)
+        .map(|t| (t as f64 * 0.6 + phase).sin() + off)
+        .collect()
+}
+
+/// The adversarial split. Train: two identical series (exact ties), a
+/// near copy of them between the two (as a leave-one-out row, its tied
+/// neighbours come in the order a warm start from the previous row
+/// prefers: larger index first), a series with a NaN sample, a series
+/// with a +∞ sample, and ordinary ones in two classes. Test: a copy of
+/// the tied series, an all-NaN series (every distance non-finite) and
+/// ordinary queries.
+fn split() -> Dataset {
+    let tied = wave(0.0, 0.5);
+    let near = wave(0.0, 0.55);
+    let mut inf = wave(1.1, 0.0);
+    inf[9] = f64::INFINITY;
+    let mut nan = wave(0.3, 0.0);
+    nan[5] = f64::NAN;
+    let mut train = vec![wave(2.0, 1.0), tied.clone(), near, tied.clone(), inf, nan];
+    train.extend((0..6).map(|i| wave(i as f64 * 0.45, (i % 2) as f64)));
+    let train_labels: Vec<Label> = (0..train.len()).map(|j| j % 2).collect();
+    let mut test = vec![tied, vec![f64::NAN; LEN]];
+    test.extend((0..6).map(|i| wave(i as f64 * 0.7 + 0.2, (i % 2) as f64 * 0.9)));
+    let test_labels: Vec<Label> = (0..test.len()).map(|i| (i + 1) % 2).collect();
+    Dataset {
+        name: "adversarial".into(),
+        train,
+        train_labels,
+        test,
+        test_labels,
+    }
+}
+
+/// One plan: the scan it runs, and whether its rows must take an index
+/// structure.
+struct Plan<'a> {
+    name: &'static str,
+    scan: Scan<'a>,
+    structured: bool,
+}
+
+fn plans<'a>(d: &'a dyn Distance, train: &'a [Vec<f64>], ix: &'a TrainIndex) -> Vec<Plan<'a>> {
+    vec![
+        Plan {
+            name: "Exact",
+            scan: Scan::new(d, train),
+            structured: false,
+        },
+        Plan {
+            name: "Cutoff",
+            scan: Scan::new(d, train).pruned(true),
+            structured: false,
+        },
+        // Unpruned, so a row without a structure would show up as Exact
+        // in `fallback_rows`.
+        Plan {
+            name: if d.name().contains("DTW") {
+                "Cascade"
+            } else {
+                "Pivots"
+            },
+            scan: Scan::new(d, train).indexed(ix),
+            structured: true,
+        },
+    ]
+}
+
+/// Algorithm 1's strict-`<` scan of one matrix row in natural order,
+/// skipping `skip`.
+fn reference_nn(row: &[f64], skip: usize) -> (Option<usize>, f64) {
+    let mut best = f64::INFINITY;
+    let mut index = None;
+    for (j, &v) in row.iter().enumerate() {
+        if j != skip && v < best {
+            best = v;
+            index = Some(j);
+        }
+    }
+    (index, best)
+}
+
+/// The k-NN selection of `knn.rs`: the `k` smallest entries under
+/// `(total_cmp, index)`, skipping `skip`.
+fn reference_knn(row: &[f64], k: usize, skip: usize) -> Vec<(f64, usize)> {
+    let mut idx: Vec<usize> = (0..row.len()).filter(|&j| j != skip).collect();
+    idx.sort_unstable_by(|&a, &b| row[a].total_cmp(&row[b]).then(a.cmp(&b)));
+    idx.truncate(k);
+    idx.into_iter().map(|j| (row[j], j)).collect()
+}
+
+fn assert_rows_match(
+    what: &str,
+    nns: &[NearestNeighbour],
+    stats: &IndexedStats,
+    plan: &Plan<'_>,
+    m: &Matrix,
+    leave_one_out: bool,
+) {
+    assert_eq!(nns.len(), m.rows(), "{what}");
+    let fallback = if plan.structured { 0 } else { stats.rows };
+    assert_eq!(stats.fallback_rows, fallback, "{what}: plan not taken");
+    for (i, nn) in nns.iter().enumerate() {
+        let skip = if leave_one_out { i } else { usize::MAX };
+        let row = m.row(i);
+        let (index, best) = reference_nn(row, skip);
+        assert_eq!(nn.index, index, "{what} row {i}");
+        assert_eq!(nn.distance.to_bits(), best.to_bits(), "{what} row {i}");
+        let first = (0..row.len()).find(|&j| j != skip && !row[j].is_finite());
+        if plan.name == "Exact" {
+            assert_eq!(nn.non_finite, first, "{what} row {i}");
+        } else {
+            // Best-effort elsewhere: whatever is reported is non-finite,
+            // and a NaN entry is never missed (NaN cannot abandon, and no
+            // bound skips a candidate with a non-finite sample).
+            if let Some(j) = nn.non_finite {
+                assert!(!row[j].is_finite(), "{what} row {i}: {j} is finite");
+            }
+            let has_nan = (0..row.len()).any(|j| j != skip && row[j].is_nan());
+            assert!(
+                !has_nan || nn.non_finite.is_some(),
+                "{what} row {i}: NaN missed"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_plan_equals_the_matrix_reference() {
+    let ds = split();
+    let (train, test) = (&ds.train, &ds.test);
+    let dtw = Dtw::with_window_pct(10.0);
+    for d in [&dtw as &dyn Distance, &Euclidean] {
+        let mut ix = TrainIndex::build(train);
+        ix.prepare_measure(d, train);
+        let e = distance_matrix(d, test, train);
+        let w = distance_matrix(d, train, train);
+        // The split is adversarial on purpose: the first query ties two
+        // candidates exactly and sees the +∞ and NaN candidates (ED keeps
+        // NaN; DTW's min-plus recurrence turns it into +∞); the second
+        // sees nothing finite.
+        let row = e.row(0);
+        assert_eq!((row[1], row[3]), (0.0, 0.0));
+        assert!(row[4].is_infinite() && !row[5].is_finite());
+        let near = w.row(2);
+        assert!(near[1] > 0.0 && near[1].to_bits() == near[3].to_bits());
+        assert!(e.row(1).iter().all(|v| !v.is_finite()), "all-NaN row");
+        for plan in plans(d, train, &ix) {
+            for warm in [false, true] {
+                let scan = plan.scan.warm_start(warm);
+                let what = format!("{} {} warm={warm}", d.name(), plan.name);
+
+                let (nns, stats) = scan.nearest(Rows::Queries(test));
+                assert_rows_match(&format!("{what} 1-NN"), &nns, &stats, &plan, &e, false);
+                // Algorithm 1's accuracy: an all-non-finite row predicts
+                // the first training label.
+                let correct = nns
+                    .iter()
+                    .zip(&ds.test_labels)
+                    .filter(|(nn, &t)| {
+                        nn.index.map_or(ds.train_labels[0], |j| ds.train_labels[j]) == t
+                    })
+                    .count();
+                let acc = correct as f64 / test.len() as f64;
+                let expect = one_nn_accuracy(&e, &ds.test_labels, &ds.train_labels);
+                assert_eq!(acc.to_bits(), expect.to_bits(), "{what} 1-NN accuracy");
+
+                let (nns, stats) = scan.nearest(Rows::LeaveOneOut);
+                assert_rows_match(&format!("{what} LOOCV"), &nns, &stats, &plan, &w, true);
+                // LOOCV starts from "no prediction" instead.
+                let correct = nns
+                    .iter()
+                    .zip(&ds.train_labels)
+                    .filter(|(nn, &t)| nn.index.map(|j| ds.train_labels[j]) == Some(t))
+                    .count();
+                let acc = correct as f64 / train.len() as f64;
+                let expect = loocv_accuracy(&w, &ds.train_labels);
+                assert_eq!(acc.to_bits(), expect.to_bits(), "{what} LOOCV accuracy");
+
+                for k in [1, 3, train.len() + 1] {
+                    for (rows, m, loo) in [
+                        (Rows::Queries(test), &e, false),
+                        (Rows::LeaveOneOut, &w, true),
+                    ] {
+                        let what = format!("{what} {k}-NN leave_one_out={loo}");
+                        let (got, stats) = scan.top_k(rows, k);
+                        let fallback = if plan.structured { 0 } else { stats.rows };
+                        assert_eq!(stats.fallback_rows, fallback, "{what}");
+                        for (i, row) in got.iter().enumerate() {
+                            let skip = if loo { i } else { usize::MAX };
+                            let expect = reference_knn(m.row(i), k, skip);
+                            assert_eq!(row.len(), expect.len(), "{what} row {i}");
+                            for (a, b) in row.iter().zip(&expect) {
+                                assert_eq!(a.1, b.1, "{what} row {i}");
+                                assert_eq!(a.0.to_bits(), b.0.to_bits(), "{what} row {i}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The `Eval` request taking `plan`'s route over a prepared dataset.
+fn eval_for<'a>(name: &str, d: &'a dyn Distance, ds: &'a Dataset, ix: &'a TrainIndex) -> Eval<'a> {
+    let eval = Eval::new(d).on(ds).assume_prepared(true);
+    match name {
+        "Exact" => eval,
+        "Cutoff" => eval.pruned(true),
+        _ => eval.indexed(ix),
+    }
+}
+
+#[test]
+fn eval_accuracies_and_the_non_finite_screen_match_the_matrix_path() {
+    let ds = split();
+    let dtw = Dtw::with_window_pct(10.0);
+    for d in [&dtw as &dyn Distance, &Euclidean] {
+        let mut ix = TrainIndex::build(&ds.train);
+        ix.prepare_measure(d, &ds.train);
+        let e = distance_matrix(d, &ds.test, &ds.train);
+        let first = find_non_finite(&e).expect("the split has non-finite entries");
+        for name in ["Exact", "Cutoff", "Indexed"] {
+            for warm in [false, true] {
+                let eval = eval_for(name, d, &ds, &ix).warm_start(warm);
+                let what = format!("{} {name} warm={warm}", d.name());
+                // k = 1 is the study cell: the screen reports the first
+                // non-finite entry, exactly `find_non_finite`'s under the
+                // Exact plan and an actually non-finite one elsewhere.
+                match eval.run() {
+                    Err(EvalError::NonFiniteDistance { i, j }) => {
+                        if name == "Exact" {
+                            assert_eq!((i, j), first, "{what}");
+                        } else {
+                            assert!(!e[(i, j)].is_finite(), "{what}: ({i}, {j})");
+                        }
+                    }
+                    other => panic!("{what}: expected the non-finite screen, got {other:?}"),
+                }
+                // k > 1 votes without the screen, like `knn_accuracy`.
+                for k in [3, ds.train.len() + 1] {
+                    let got = eval.k(k).run().expect("k-NN runs").accuracy.unwrap();
+                    let expect = knn_accuracy(&e, &ds.test_labels, &ds.train_labels, k);
+                    assert_eq!(got.to_bits(), expect.to_bits(), "{what} k={k}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn edge_cases_match_the_matrix_path() {
+    let ds = split();
+    let d = Euclidean;
+    let mut ix = TrainIndex::build(&ds.train);
+    ix.prepare_measure(&d, &ds.train);
+    let no_test = Dataset {
+        test: Vec::new(),
+        test_labels: Vec::new(),
+        ..split()
+    };
+    let single = Dataset {
+        train: ds.train[..1].to_vec(),
+        train_labels: ds.train_labels[..1].to_vec(),
+        ..split()
+    };
+    let no_train = Dataset {
+        train: Vec::new(),
+        train_labels: Vec::new(),
+        ..split()
+    };
+    let empty_ix = TrainIndex::build(&[]);
+    for name in ["Exact", "Cutoff", "Indexed"] {
+        // An empty test split: NaN at k = 1 (Algorithm 1 divides by zero
+        // rows), 0.0 at k > 1.
+        let eval = eval_for(name, &d, &no_test, &ix);
+        let acc = eval.run().unwrap().accuracy.unwrap();
+        assert!(acc.is_nan(), "{name}: {acc}");
+        assert_eq!(eval.k(3).run().unwrap().accuracy, Some(0.0), "{name}");
+
+        // Single-series LOOCV: nothing is left to vote.
+        let single_ix = TrainIndex::build(&single.train);
+        let scan = match name {
+            "Exact" => Scan::new(&d, &single.train),
+            "Cutoff" => Scan::new(&d, &single.train).pruned(true),
+            _ => Scan::new(&d, &single.train).indexed(&single_ix),
+        };
+        let (nns, _) = scan.nearest(Rows::LeaveOneOut);
+        assert_eq!(nns.len(), 1);
+        assert_eq!(nns[0].index, None, "{name}");
+        assert_eq!(
+            loocv_accuracy(&Matrix::from_vec(1, 1, vec![0.0]), &[0]),
+            0.0
+        );
+
+        // An empty train split and k = 0 are typed errors.
+        for k in [1, 3] {
+            let eval = eval_for(name, &d, &no_train, &empty_ix).k(k);
+            assert_eq!(eval.run(), Err(EvalError::EmptyTrainSet), "{name} k={k}");
+            let queries = eval.queries(&ds.test).run();
+            assert_eq!(queries, Err(EvalError::EmptyTrainSet), "{name} k={k}");
+        }
+        let eval = eval_for(name, &d, &ds, &ix).k(0);
+        assert_eq!(eval.run(), Err(EvalError::ZeroK), "{name}");
+    }
+}

@@ -5,11 +5,6 @@
 //! byte-identical, which is what lets `--pruned` studies share journals
 //! and statistics with exact ones.
 
-// This suite deliberately exercises the deprecated `evaluate_distance*`
-// and `pruned_*_accuracy` facades: their byte-equivalence with the exact
-// path is part of the deprecation contract until they are removed.
-#![allow(deprecated)]
-
 use tsdist_core::elastic::{Cid, DerivativeDtw, Dtw, Erp, ItakuraDtw, Msm, Twe, WeightedDtw};
 use tsdist_core::lockstep::{Canberra, Chebyshev, CityBlock, Euclidean, Lorentzian, Minkowski};
 use tsdist_core::measure::Distance;
@@ -17,9 +12,8 @@ use tsdist_core::normalization::Normalization;
 use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
 use tsdist_data::Dataset;
 use tsdist_eval::{
-    distance_matrix, evaluate_distance, evaluate_distance_pruned, knn_accuracy, loocv_accuracy,
-    prepare, pruned_knn_accuracy, pruned_loocv_accuracy, pruned_one_nn_accuracy,
-    symmetric_distance_matrix, try_evaluate_distance, try_evaluate_distance_pruned, CancelFlag,
+    distance_matrix, knn_accuracy, loocv_accuracy, prepare, pruned_loocv_search,
+    symmetric_distance_matrix, CancelFlag, Eval,
 };
 
 fn measures() -> Vec<(&'static str, Box<dyn Distance>)> {
@@ -41,6 +35,15 @@ fn measures() -> Vec<(&'static str, Box<dyn Distance>)> {
     ]
 }
 
+/// The test-split accuracy of `Eval` (exact or pruned), which prepares
+/// the raw dataset itself.
+fn accuracy(eval: Eval<'_>) -> f64 {
+    eval.run()
+        .expect("healthy evaluation")
+        .accuracy
+        .expect("dataset mode")
+}
+
 fn datasets() -> Vec<Dataset> {
     (0..3)
         .map(|i| generate_dataset(&ArchiveConfig::quick(3, 1234), i))
@@ -52,8 +55,9 @@ fn evaluator_accuracies_are_byte_identical_across_the_registry() {
     for ds in &datasets() {
         for norm in [Normalization::ZScore, Normalization::AdaptiveScaling] {
             for (name, d) in measures() {
-                let exact = evaluate_distance(d.as_ref(), ds, norm);
-                let pruned = evaluate_distance_pruned(d.as_ref(), ds, norm);
+                let eval = Eval::new(d.as_ref()).on(ds).normalized(norm);
+                let exact = accuracy(eval);
+                let pruned = accuracy(eval.pruned(true));
                 assert_eq!(
                     exact.to_bits(),
                     pruned.to_bits(),
@@ -70,15 +74,15 @@ fn cancellable_cell_cores_agree_for_healthy_measures() {
     let ds = generate_dataset(&ArchiveConfig::quick(1, 77), 0);
     let flag = CancelFlag::new();
     for (name, d) in measures() {
-        let exact = try_evaluate_distance(d.as_ref(), &ds, Normalization::ZScore, &flag)
+        let eval = Eval::new(d.as_ref()).on(&ds).cancelled_by(&flag);
+        let exact = eval
+            .run()
             .unwrap_or_else(|e| panic!("{name}: exact path failed: {e}"));
-        let pruned = try_evaluate_distance_pruned(d.as_ref(), &ds, Normalization::ZScore, &flag)
+        let pruned = eval
+            .pruned(true)
+            .run()
             .unwrap_or_else(|e| panic!("{name}: pruned path failed: {e}"));
-        assert_eq!(
-            exact.accuracy.to_bits(),
-            pruned.accuracy.to_bits(),
-            "{name}: cell cores disagree"
-        );
+        assert_eq!(exact, pruned, "{name}: cell cores disagree");
     }
 }
 
@@ -93,7 +97,15 @@ fn loocv_and_knn_flavours_agree_with_the_matrix_path() {
         let w = symmetric_distance_matrix(d.as_ref(), &ds.train);
         let exact_loocv = loocv_accuracy(&w, &ds.train_labels);
         for warm in [false, true] {
-            let pruned_loocv = pruned_loocv_accuracy(d.as_ref(), &ds.train, &ds.train_labels, warm);
+            let nns = pruned_loocv_search(d.as_ref(), &ds.train, warm);
+            // LOOCV starts from "no prediction": an all-non-finite row
+            // counts as incorrect.
+            let correct = nns
+                .iter()
+                .zip(&ds.train_labels)
+                .filter(|(nn, &truth)| nn.index.map(|j| ds.train_labels[j]) == Some(truth))
+                .count();
+            let pruned_loocv = correct as f64 / ds.train_labels.len() as f64;
             assert_eq!(
                 exact_loocv.to_bits(),
                 pruned_loocv.to_bits(),
@@ -105,14 +117,12 @@ fn loocv_and_knn_flavours_agree_with_the_matrix_path() {
         for k in [1usize, 3, 7] {
             let exact_knn = knn_accuracy(&e, &ds.test_labels, &ds.train_labels, k);
             for warm in [false, true] {
-                let pruned_knn = pruned_knn_accuracy(
-                    d.as_ref(),
-                    &ds.test,
-                    &ds.train,
-                    &ds.test_labels,
-                    &ds.train_labels,
-                    k,
-                    warm,
+                let pruned_knn = accuracy(
+                    Eval::new(d.as_ref())
+                        .on(&raw)
+                        .k(k)
+                        .pruned(true)
+                        .warm_start(warm),
                 );
                 assert_eq!(
                     exact_knn.to_bits(),
@@ -135,14 +145,7 @@ fn warm_start_and_candidate_order_do_not_leak_into_results() {
         let e = distance_matrix(d.as_ref(), &ds.test, &ds.train);
         let exact = tsdist_eval::one_nn_accuracy(&e, &ds.test_labels, &ds.train_labels);
         for warm in [false, true] {
-            let pruned = pruned_one_nn_accuracy(
-                d.as_ref(),
-                &ds.test,
-                &ds.train,
-                &ds.test_labels,
-                &ds.train_labels,
-                warm,
-            );
+            let pruned = accuracy(Eval::new(d.as_ref()).on(&raw).pruned(true).warm_start(warm));
             assert_eq!(exact.to_bits(), pruned.to_bits(), "{name} warm={warm}");
         }
     }

@@ -4,11 +4,12 @@
 //! against a replay.
 //!
 //! An [`Engine`] owns a set of datasets and lazily-built per-`(dataset,
-//! normalization)` state: the [`prepare`]d train split, an
-//! [`EnvelopeCache`] for pruned candidate ordering, and a [`TrainIndex`]
-//! — the sublinear tier (PAA lower-bound cascade for banded DTW, metric
-//! pivot tables for declared metrics) that every query row consults
-//! before falling back to the linear scan. All are built once at shard
+//! normalization)` state: the [`prepare`]d train split and its one
+//! [`TrainIndex`] — the candidate-order sample table of pruned scans
+//! plus the sublinear tier (PAA lower-bound cascade for banded DTW,
+//! metric pivot tables for declared metrics) that every query row
+//! consults before falling back to a scan over every candidate. Both
+//! are built once at shard
 //! prepare time and amortized across every batch the engine answers —
 //! the point of shard-affine routing. Measures resolve once per spec and
 //! persist, so stateful wrappers (fault-injection counters) behave like
@@ -27,7 +28,7 @@ use std::time::Duration;
 use tsdist_core::measure::Distance;
 use tsdist_core::{IndexStats, TrainIndex};
 use tsdist_data::Dataset;
-use tsdist_eval::{prepare, CancelFlag, EnvelopeCache, Eval, EvalError};
+use tsdist_eval::{prepare, CancelFlag, Eval, EvalError};
 
 use crate::cache::{AnswerCache, CacheKey};
 use crate::protocol::{norm_tag, ErrorCode, QueryRequest, Response};
@@ -43,14 +44,11 @@ struct PreparedEntry {
     /// The dataset with its train split already preprocessed (queries
     /// run with `assume_prepared`, so this work happens once).
     prepared: Dataset,
-    /// Candidate-ordering cache over the prepared train split. Band 0 is
-    /// deliberate: the ordering is a heuristic shared by every measure
-    /// served from this entry, and answers never depend on it.
-    envelopes: EnvelopeCache,
-    /// The sublinear tier over the prepared train split, specialized
-    /// per served measure by `prepare_measure`. `None` when the engine
-    /// was built with the index disabled.
-    index: Option<TrainIndex>,
+    /// The index over the prepared train split: its sample table orders
+    /// pruned scans for every measure; `prepare_measure` adds the
+    /// sublinear tier per served measure unless the engine was built
+    /// with the index disabled.
+    index: TrainIndex,
     /// Measure specs whose `prepare_measure` panicked (a declared metric
     /// regime that flunked sampled conformance). Remembered so the loud
     /// failure fires once; those measures serve through the linear plan.
@@ -122,7 +120,8 @@ impl Engine {
     }
 
     /// Enables or disables the index tier. Answers are byte-identical
-    /// either way; disabling forces every row through the linear scan.
+    /// either way; disabling skips `prepare_measure`, so every row takes
+    /// the exact or cutoff-threaded scan its request asks for.
     pub fn with_index(mut self, enabled: bool) -> Engine {
         self.index_enabled = enabled;
         self
@@ -138,16 +137,18 @@ impl Engine {
         self
     }
 
-    /// Totals of every prepared entry's index structures.
+    /// Totals of every prepared entry's index structures (all zero when
+    /// the index tier is disabled).
     pub fn index_stats(&self) -> IndexStats {
         let mut total = IndexStats::default();
+        if !self.index_enabled {
+            return total;
+        }
         for entry in self.prepared.values() {
-            if let Some(ix) = &entry.index {
-                let s = ix.stats();
-                total.series += s.series;
-                total.dtw_bands += s.dtw_bands;
-                total.pivot_tables += s.pivot_tables;
-            }
+            let s = entry.index.stats();
+            total.series += s.series;
+            total.dtw_bands += s.dtw_bands;
+            total.pivot_tables += s.pivot_tables;
         }
         total
     }
@@ -263,18 +264,17 @@ impl Engine {
         let index_enabled = self.index_enabled;
         let entry = self.prepared.entry(key.clone()).or_insert_with(|| {
             let prepared = prepare(ds, q0.norm);
-            let envelopes = EnvelopeCache::build(&prepared.train, 0);
-            // Shard prepare time: the summary index is built here, once
-            // per (dataset, normalization), and reused by every batch.
-            let index = index_enabled.then(|| TrainIndex::build(&prepared.train));
+            // Shard prepare time: the index is built here, once per
+            // (dataset, normalization), and reused by every batch.
+            let index = TrainIndex::build(&prepared.train);
             PreparedEntry {
                 prepared,
-                envelopes,
                 index,
                 index_failed: BTreeSet::new(),
             }
         });
-        if let Some(ix) = entry.index.as_mut() {
+        if index_enabled {
+            let ix = &mut entry.index;
             if !entry.index_failed.contains(&q0.measure) {
                 // `prepare_measure` fails loudly (panics) when a measure's
                 // declared metric regime flunks sampled triangle-inequality
@@ -314,11 +314,8 @@ impl Engine {
             .k(q0.k)
             .pruned(q0.pruned)
             .assume_prepared(true)
-            .with_cache(&entry.envelopes)
+            .indexed(&entry.index)
             .cancelled_by(&flag);
-        if let Some(ix) = &entry.index {
-            eval = eval.indexed(ix);
-        }
         if let Some(ms) = q0.deadline_ms {
             eval = eval.deadline(Duration::from_millis(ms));
         }

@@ -7,13 +7,13 @@
 //!  client ── TCP ──▶ reader thread ── try_send ──▶ shard 0 worker ◀─ monitor
 //!     ▲                 │    │                     (owns its datasets,   │
 //!     │                 │    └─ try_send ────▶ shard 1 worker  prepared  │
-//!     └── writer thread ◀── mpsc ◀── responses ──┘   splits, envelope   restart
+//!     └── writer thread ◀── mpsc ◀── responses ──┘   splits, indexes    restart
 //!                                                    + answer caches)  on panic
 //! ```
 //!
 //! * **Sharding** — datasets are partitioned across worker threads by an
 //!   FNV-1a hash of their name; every query for a dataset lands on the
-//!   same worker, so its prepared train split, [`EnvelopeCache`], answer
+//!   same worker, so its prepared train split, [`TrainIndex`], answer
 //!   cache, and resolved measures are owned single-threaded state (no
 //!   locks on the hot path). Inside a worker, [`Eval`]'s pruned scans
 //!   fan rows out over the crate-wide worker pool with per-worker
@@ -46,7 +46,7 @@
 //!   job before the workers exit: in-flight requests are answered, which
 //!   the kill-mid-batch e2e test checks against journal replay.
 //!
-//! [`EnvelopeCache`]: tsdist_eval::EnvelopeCache
+//! [`TrainIndex`]: tsdist_core::TrainIndex
 //! [`Eval`]: tsdist_eval::Eval
 //! [`Engine`]: crate::engine::Engine
 //! [`DurableJournal`]: tsdist_eval::journal::DurableJournal

@@ -172,6 +172,29 @@ fi
 diff "$SMOKE/live.txt" "$SMOKE/replayed.txt"
 echo "    100 served answers clean; journal replay is byte-identical to the live run"
 
+echo "==> --no-index serve smoke (same 100 queries, byte-identical to the indexed run)"
+"$TSDIST" serve "$SMOKE/archive" --addr 127.0.0.1:0 --no-index \
+  --port-file "$SMOKE/noindex_port" >"$SMOKE/noindex_serve.log" 2>&1 &
+SERVE_PID=$!
+for _ in $(seq 1 100); do
+  [ -s "$SMOKE/noindex_port" ] && break
+  sleep 0.1
+done
+if [ ! -s "$SMOKE/noindex_port" ]; then
+  echo "--no-index tsdist serve never wrote its port file" >&2
+  exit 1
+fi
+"$TSDIST" serve-client "$(cat "$SMOKE/noindex_port")" "$SMOKE/requests.ndjson" \
+  --shutdown >"$SMOKE/noindex_live.txt"
+if ! wait "$SERVE_PID"; then
+  echo "--no-index tsdist serve exited non-zero" >&2
+  cat "$SMOKE/noindex_serve.log" >&2
+  exit 1
+fi
+grep -q "server shut down cleanly" "$SMOKE/noindex_serve.log"
+diff "$SMOKE/live.txt" "$SMOKE/noindex_live.txt"
+echo "    100 answers without the index tier are byte-identical to the indexed run"
+
 echo "==> kill-shard chaos smoke (supervisor restart, retrying client recovers)"
 "$TSDIST" serve "$SMOKE/archive" --addr 127.0.0.1:0 --chaos kill-shard:3 \
   --port-file "$SMOKE/chaos_port" >"$SMOKE/chaos_serve.log" 2>&1 &
