@@ -1,0 +1,646 @@
+//! `BENCH_scan.json`: every plan of the nearest-neighbour scan engine,
+//! timed and cross-checked on the same data.
+//!
+//! For each (dataset, measure, normalization) the binary runs
+//! [`Scan`] once per plan: `Exact`, `Cutoff`, and `Cascade` or `Pivots`
+//! when the split's [`TrainIndex`] has a structure for the measure. It
+//! writes one row per plan: the median wall seconds of `reps` whole scans
+//! of the test split, the candidates considered and examined, the 1-NN
+//! accuracy, and whether the plan's answers (index and distance bits)
+//! equal the Exact plan's. Every scan runs with `warm_start(false)`, so
+//! rows are independent and the counters do not depend on how rows are
+//! chunked across threads.
+//!
+//! Three kinds of dataset:
+//!
+//! * `bench`: the timed workload, one UCR-shaped dataset (64 train / 64
+//!   test series of length 256, the `mixed` archetype, whose
+//!   nearest-neighbour contrast, and hence abandoning, is representative)
+//!   under eight measures;
+//! * three small synthetic-archive datasets under the eleven measures with
+//!   a `distance_upto` override or a delegating default;
+//! * a clustered dataset (64 / 64, length 256, see [`clustered_dataset`])
+//!   under ten measure×normalization workloads with an index structure:
+//!   the DTW band cascade, the declared-metric lock-steps under z-score,
+//!   and the positive-orthant metrics under the logistic map.
+//!
+//! The run exits non-zero when
+//!
+//! * any plan's answers differ from the Exact plan's;
+//! * the median examined fraction of the clustered dataset's indexed rows
+//!   exceeds [`EXAMINED_BAR`] (the index has to prune, not merely agree);
+//! * on a full run, DTW, DDTW or WDTW exact on `bench` is less than
+//!   [`SPEEDUP_BARS`] times faster than its pre-vectorization median;
+//! * on a `--quick` run with the default seed, a golden does not match:
+//!   the Exact accuracies of `bench` and the archive datasets, bit for
+//!   bit, against `results/conformance/bench_prune_quick.tsv`, and the
+//!   clustered dataset's indexed `(candidates, examined)` against
+//!   `results/conformance/bench_index_quick.tsv`. Self-consistency alone
+//!   cannot catch a change that breaks every plan the same way, or one
+//!   that turns the cascade into a linear scan. After a reviewed change,
+//!   re-pin both with `BENCH_SCAN_UPDATE_GOLDEN=1 bench_scan --quick`.
+//!
+//! `--quick` shrinks every dataset (16 or 48 series of length 64, 3
+//! repetitions) for the `scripts/check.sh` smoke.
+
+use std::collections::BTreeMap;
+use std::time::Instant;
+
+use tsdist_bench::ExperimentConfig;
+use tsdist_core::elastic::{DerivativeDtw, Dtw, Erp, Msm, Twe, WeightedDtw};
+use tsdist_core::index::TrainIndex;
+use tsdist_core::lockstep::{
+    Canberra, Chebyshev, CityBlock, Euclidean, Gower, Lorentzian, Minkowski, Soergel,
+};
+use tsdist_core::measure::Distance;
+use tsdist_core::normalization::Normalization;
+use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
+use tsdist_data::Dataset;
+use tsdist_eval::{one_nn_vote_accuracy, prepare, IndexedStats, NearestNeighbour, Rows, Scan};
+
+/// Maximum median candidates-examined fraction over the clustered
+/// dataset's indexed rows: the index must answer the median workload
+/// while computing distances for at most 35% of candidates.
+const EXAMINED_BAR: f64 = 0.35;
+
+/// Pre-vectorization medians (seconds, `(name, exact, pruned)`) of the
+/// full `bench` workload (64x64, length 256, seed 20, median of 5),
+/// measured before the multi-lane lock-step and wavefront DP kernels
+/// landed: the before/after record behind the DESIGN.md §9 speedup
+/// claims, emitted into the ledger's provenance. CityBlock and Minkowski
+/// were not yet timed in that baseline.
+const BASELINE_MEDIANS: &[(&str, f64, f64)] = &[
+    ("ED", 0.000776, 0.000758),
+    ("DTW(δ=10)", 0.293782, 0.126726),
+    ("DDTW(δ=10)", 0.287090, 0.216285),
+    ("WDTW(g=0.05)", 1.169127, 0.141659),
+    ("MSM(c=0.5)", 1.345167, 0.936023),
+    ("TWE", 1.689527, 0.936201),
+];
+
+/// Required exact-median speedup over [`BASELINE_MEDIANS`] on full runs.
+/// ED at this size is dominated by fixed per-query cost rather than the
+/// 8-lane kernel, so it is reported but not gated; `bench_kernels` gates
+/// the ED kernel in isolation.
+const SPEEDUP_BARS: &[(&str, f64)] = &[
+    ("DTW(δ=10)", 2.0),
+    ("DDTW(δ=10)", 2.0),
+    ("WDTW(g=0.05)", 2.0),
+];
+
+/// Label of the timed dataset, also its key in the accuracy golden.
+const BENCH: &str = "bench";
+
+/// One measure×normalization workload.
+struct Workload {
+    name: &'static str,
+    norm: Normalization,
+    d: Box<dyn Distance>,
+}
+
+fn zscored(name: &'static str, d: Box<dyn Distance>) -> Workload {
+    Workload {
+        name,
+        norm: Normalization::ZScore,
+        d,
+    }
+}
+
+/// The timed measures of the `bench` dataset.
+fn timed() -> Vec<Workload> {
+    vec![
+        zscored("ED", Box::new(Euclidean)),
+        zscored("CityBlock", Box::new(CityBlock)),
+        zscored("Minkowski(p=3)", Box::new(Minkowski::new(3.0))),
+        zscored("DTW(δ=10)", Box::new(Dtw::with_window_pct(10.0))),
+        zscored("DDTW(δ=10)", Box::new(DerivativeDtw::with_window_pct(10.0))),
+        zscored("WDTW(g=0.05)", Box::new(WeightedDtw::new(0.05))),
+        zscored("MSM(c=0.5)", Box::new(Msm::new(0.5))),
+        zscored("TWE", Box::new(Twe::new(1.0, 1e-4))),
+    ]
+}
+
+/// Every family with a `distance_upto` override plus defaults that merely
+/// delegate: the archive datasets' measures.
+fn registry() -> Vec<Workload> {
+    vec![
+        zscored("ED", Box::new(Euclidean)),
+        zscored("CityBlock", Box::new(CityBlock)),
+        zscored("Chebyshev", Box::new(Chebyshev)),
+        zscored("Minkowski(p=3)", Box::new(Minkowski::new(3.0))),
+        zscored("Lorentzian", Box::new(Lorentzian)),
+        zscored("DTW(δ=10)", Box::new(Dtw::with_window_pct(10.0))),
+        zscored("DDTW(δ=10)", Box::new(DerivativeDtw::with_window_pct(10.0))),
+        zscored("WDTW(g=0.05)", Box::new(WeightedDtw::new(0.05))),
+        zscored("ERP", Box::new(Erp::new())),
+        zscored("MSM(c=0.5)", Box::new(Msm::new(0.5))),
+        zscored("TWE", Box::new(Twe::new(1.0, 1e-4))),
+    ]
+}
+
+/// The clustered dataset's workloads, each with an index structure.
+fn indexed() -> Vec<Workload> {
+    let logistic = |name, d| Workload {
+        name,
+        norm: Normalization::Logistic,
+        d,
+    };
+    vec![
+        zscored("DTW(δ=10)", Box::new(Dtw::with_window_pct(10.0))),
+        zscored("DTW(δ=5)", Box::new(Dtw::with_window_pct(5.0))),
+        zscored("ED", Box::new(Euclidean)),
+        zscored("CityBlock", Box::new(CityBlock)),
+        zscored("Chebyshev", Box::new(Chebyshev)),
+        zscored("Minkowski(p=3)", Box::new(Minkowski::new(3.0))),
+        zscored("Lorentzian", Box::new(Lorentzian)),
+        zscored("Gower", Box::new(Gower)),
+        logistic("Canberra", Box::new(Canberra)),
+        logistic("Soergel", Box::new(Soergel)),
+    ]
+}
+
+fn norm_label(norm: Normalization) -> &'static str {
+    match norm {
+        Normalization::ZScore => "zscore",
+        Normalization::Logistic => "logistic",
+        _ => "other",
+    }
+}
+
+fn splitmix64(x: &mut u64) -> u64 {
+    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A uniform draw in `[0, 1)` from the splitmix64 stream.
+fn unit(x: &mut u64) -> f64 {
+    (splitmix64(x) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// `CLUSTERS` piecewise-constant cluster shapes (random plateau levels per
+/// cluster); instances are shape + small uniform jitter, classes assigned
+/// round-robin.
+///
+/// Index pruning power is a property of the data's neighbourhood
+/// contrast, not of the index alone: on contrast-free data (e.g. the
+/// noise-dominated archive archetypes after z-scoring, where pairwise
+/// distances concentrate) no admissible lower bound separates candidates,
+/// and the cascade degenerates into the scan, still byte-identical but not
+/// sublinear. So the examined-fraction bar is measured on clustered data,
+/// the workload an index is for. Plateau shapes survive both z-scoring
+/// (affine per series) and the logistic map (monotone), and keep Keogh
+/// envelopes tight away from plateau transitions.
+fn clustered_dataset(n_train: usize, n_test: usize, length: usize, seed: u64) -> Dataset {
+    const CLUSTERS: usize = 8;
+    const PLATEAUS: usize = 4;
+    const JITTER: f64 = 0.05;
+    let mut state = seed ^ 0xA076_1D64_78BD_642F;
+    let levels: Vec<Vec<f64>> = (0..CLUSTERS)
+        .map(|_| {
+            (0..PLATEAUS)
+                .map(|_| unit(&mut state) * 3.0 - 1.5)
+                .collect()
+        })
+        .collect();
+    let mut split = |n: usize| -> (Vec<Vec<f64>>, Vec<usize>) {
+        (0..n)
+            .map(|i| {
+                let c = i % CLUSTERS;
+                let series = (0..length)
+                    .map(|t| {
+                        let p = (t * PLATEAUS / length).min(PLATEAUS - 1);
+                        levels[c][p] + (unit(&mut state) * 2.0 - 1.0) * JITTER
+                    })
+                    .collect();
+                (series, c)
+            })
+            .unzip()
+    };
+    let (train, train_labels) = split(n_train);
+    let (test, test_labels) = split(n_test);
+    Dataset {
+        name: format!("bench/clustered-{CLUSTERS}x{PLATEAUS}"),
+        train,
+        train_labels,
+        test,
+        test_labels,
+    }
+}
+
+/// What a dataset's rows are pinned against on a quick run.
+#[derive(Clone, Copy, PartialEq)]
+enum Pin {
+    /// The Exact rows' accuracy bits (`bench_prune_quick.tsv`).
+    Accuracy,
+    /// The indexed rows' counters (`bench_index_quick.tsv`).
+    Counters,
+}
+
+/// One dataset of the ledger with its workloads.
+struct Suite {
+    label: String,
+    ds: Dataset,
+    workloads: Vec<Workload>,
+    pin: Pin,
+}
+
+/// One (dataset, measure, normalization, plan) row.
+struct Row {
+    dataset: String,
+    measure: &'static str,
+    norm: &'static str,
+    plan: &'static str,
+    pin: Pin,
+    seconds: f64,
+    stats: IndexedStats,
+    accuracy: f64,
+    identical: bool,
+}
+
+impl Row {
+    fn indexed(&self) -> bool {
+        matches!(self.plan, "Cascade" | "Pivots")
+    }
+}
+
+fn same_answers(a: &[NearestNeighbour], b: &[NearestNeighbour]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.index == y.index && x.distance.to_bits() == y.distance.to_bits())
+}
+
+/// The rows of one workload on one dataset: every plan the split
+/// supports, each timed over `reps` whole scans.
+fn plan_rows(suite: &Suite, w: &Workload, reps: usize) -> Vec<Row> {
+    let prepared = prepare(&suite.ds, w.norm);
+    let (d, train) = (w.d.as_ref(), &prepared.train);
+    let mut ix = TrainIndex::build(train);
+    ix.prepare_measure(d, train);
+    let structure = ix.stats();
+    let base = Scan::new(d, train).warm_start(false);
+    let mut plans = vec![("Exact", base), ("Cutoff", base.pruned(true))];
+    if structure.dtw_bands > 0 {
+        plans.push(("Cascade", base.pruned(true).indexed(&ix)));
+    } else if structure.pivot_tables > 0 {
+        plans.push(("Pivots", base.pruned(true).indexed(&ix)));
+    }
+    let mut exact: Vec<NearestNeighbour> = Vec::new();
+    plans
+        .into_iter()
+        .map(|(plan, scan)| {
+            let mut times = Vec::with_capacity(reps);
+            let mut answers = (Vec::new(), IndexedStats::default());
+            for _ in 0..reps {
+                let start = Instant::now();
+                answers = scan.nearest(Rows::Queries(&prepared.test));
+                times.push(start.elapsed().as_secs_f64());
+            }
+            times.sort_by(f64::total_cmp);
+            let (nns, stats) = answers;
+            if plan == "Exact" {
+                exact.clone_from(&nns);
+            }
+            Row {
+                dataset: suite.label.clone(),
+                measure: w.name,
+                norm: norm_label(w.norm),
+                plan,
+                pin: suite.pin,
+                seconds: times[times.len() / 2],
+                stats,
+                accuracy: one_nn_vote_accuracy(&nns, &prepared.test_labels, &prepared.train_labels),
+                identical: same_answers(&nns, &exact),
+            }
+        })
+        .collect()
+}
+
+/// A committed golden: tab-separated lines whose first two fields are the
+/// key and whose next `compared` fields are pinned; any later field is a
+/// note for the reader.
+struct Golden {
+    path: &'static str,
+    title: &'static str,
+    columns: &'static str,
+    compared: usize,
+}
+
+const ACCURACY_GOLDEN: Golden = Golden {
+    path: concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/conformance/bench_prune_quick.tsv"
+    ),
+    title: "golden Exact-plan 1-NN accuracies",
+    columns: "measure\tinput\tbits\tvalue",
+    compared: 1,
+};
+
+const COUNTER_GOLDEN: Golden = Golden {
+    path: concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/conformance/bench_index_quick.tsv"
+    ),
+    title: "golden indexed-plan pruning counters",
+    columns: "measure\tnorm\tcandidates\texamined",
+    compared: 2,
+};
+
+impl Golden {
+    /// Re-pins the file from `entries` when `update`, otherwise compares
+    /// them with it; returns one line per discrepancy.
+    fn enforce(&self, entries: &[Vec<String>], seed: u64, update: bool) -> Vec<String> {
+        if update {
+            let mut text = format!(
+                "# bench_scan --quick {} (seed {seed})\n\
+                 # {} — re-pin with BENCH_SCAN_UPDATE_GOLDEN=1\n",
+                self.title, self.columns
+            );
+            for fields in entries {
+                text.push_str(&fields.join("\t"));
+                text.push('\n');
+            }
+            std::fs::write(self.path, text).expect("write golden file");
+            eprintln!(
+                "[bench_scan] pinned {} entries to {}",
+                entries.len(),
+                self.path
+            );
+            return Vec::new();
+        }
+        let text = match std::fs::read_to_string(self.path) {
+            Ok(text) => text,
+            Err(e) => return vec![format!("reading golden {}: {e}", self.path)],
+        };
+        let pinned = |fields: &[String]| -> Option<((String, String), Vec<String>)> {
+            let key = (fields.first()?.clone(), fields.get(1)?.clone());
+            Some((key, fields.get(2..2 + self.compared)?.to_vec()))
+        };
+        let mut committed: BTreeMap<(String, String), Vec<String>> = text
+            .lines()
+            .map(str::trim)
+            .filter(|line| !line.is_empty() && !line.starts_with('#'))
+            .filter_map(|line| pinned(&line.split('\t').map(String::from).collect::<Vec<_>>()))
+            .collect();
+        let mut problems = Vec::new();
+        for ((a, b), got) in entries.iter().filter_map(|fields| pinned(fields)) {
+            match committed.remove(&(a.clone(), b.clone())) {
+                Some(want) if want == got => {}
+                Some(want) => problems.push(format!(
+                    "golden mismatch: {a} ({b}): committed {}, computed {}",
+                    want.join(" "),
+                    got.join(" ")
+                )),
+                None => problems.push(format!("golden missing entry: {a} ({b})")),
+            }
+        }
+        for (a, b) in committed.keys() {
+            problems.push(format!("golden has stale entry: {a} ({b})"));
+        }
+        if problems.is_empty() {
+            eprintln!(
+                "[bench_scan] {} entries identical to golden {}",
+                entries.len(),
+                self.path
+            );
+        }
+        problems
+    }
+}
+
+fn ledger_json(
+    cfg: &ExperimentConfig,
+    reps: usize,
+    suites: &[Suite],
+    rows: &[Row],
+    median_fraction: Option<f64>,
+) -> String {
+    let mut json = format!(
+        "{{\n  \"config\": {{\"seed\": {}, \"quick\": {}, \"repetitions\": {reps}, \
+         \"warm_start\": false}},\n  \"datasets\": [\n",
+        cfg.seed, cfg.quick
+    );
+    let items: Vec<String> = suites
+        .iter()
+        .map(|s| {
+            format!(
+                "    {{\"name\": \"{}\", \"train\": {}, \"test\": {}, \"length\": {}}}",
+                s.label,
+                s.ds.train.len(),
+                s.ds.test.len(),
+                s.ds.train.first().map_or(0, Vec::len)
+            )
+        })
+        .collect();
+    json.push_str(&items.join(",\n"));
+    json.push_str("\n  ],\n  \"rows\": [\n");
+    let items: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"dataset\": \"{}\", \"measure\": \"{}\", \"norm\": \"{}\", \
+                 \"plan\": \"{}\", \"median_seconds\": {:.6e}, \"candidates\": {}, \
+                 \"examined\": {}, \"accuracy\": {}, \"identical\": {}}}",
+                r.dataset,
+                r.measure,
+                r.norm,
+                r.plan,
+                r.seconds,
+                r.stats.candidates,
+                r.stats.examined,
+                r.accuracy,
+                r.identical
+            )
+        })
+        .collect();
+    json.push_str(&items.join(",\n"));
+    let failures = rows.iter().filter(|r| !r.identical).count();
+    json.push_str(&format!(
+        "\n  ],\n  \"failures\": {failures},\n  \"median_examined_fraction\": {},\n  \
+         \"examined_bar\": {EXAMINED_BAR},\n  \
+         \"provenance\": {{\"baseline\": \"pre-vectorization kernels (scalar zip folds, \
+         row-major DP), Exact and Cutoff on bench\", \"baseline_medians_seconds\": {{\n",
+        median_fraction.map_or("null".to_string(), |f| format!("{f:.6}"))
+    ));
+    let items: Vec<String> = BASELINE_MEDIANS
+        .iter()
+        .map(|(name, exact, pruned)| format!("    \"{name}\": [{exact}, {pruned}]"))
+        .collect();
+    json.push_str(&items.join(",\n"));
+    json.push_str("}}\n}\n");
+    json
+}
+
+fn main() {
+    let cfg = ExperimentConfig::from_args();
+    let (bench_series, clustered_series, length, reps) = if cfg.quick {
+        (16, 48, 64, 3)
+    } else {
+        (64, 64, 256, 5)
+    };
+
+    // Index 6 of a 7-dataset archive is the `mixed` archetype.
+    let bench_cfg = ArchiveConfig {
+        n_datasets: 7,
+        seed: cfg.seed,
+        length: (length, length),
+        classes: (2, 4),
+        train_size: (bench_series, bench_series),
+        test_size: (bench_series, bench_series),
+        irregular_fraction: 0.0,
+    };
+    let mut suites = vec![Suite {
+        label: BENCH.to_string(),
+        ds: generate_dataset(&bench_cfg, 6),
+        workloads: timed(),
+        pin: Pin::Accuracy,
+    }];
+    let archive = ArchiveConfig::quick(3, cfg.seed.wrapping_add(1));
+    for index in 0..archive.n_datasets {
+        let ds = generate_dataset(&archive, index);
+        suites.push(Suite {
+            label: ds.name.clone(),
+            ds,
+            workloads: registry(),
+            pin: Pin::Accuracy,
+        });
+    }
+    let clustered = clustered_dataset(clustered_series, clustered_series, length, cfg.seed);
+    suites.push(Suite {
+        label: clustered.name.clone(),
+        ds: clustered,
+        workloads: indexed(),
+        pin: Pin::Counters,
+    });
+
+    let mut rows: Vec<Row> = Vec::new();
+    for suite in &suites {
+        eprintln!(
+            "[bench_scan] {}: {} train / {} test, {reps} reps per plan",
+            suite.label,
+            suite.ds.train.len(),
+            suite.ds.test.len()
+        );
+        for w in &suite.workloads {
+            for row in plan_rows(suite, w, reps) {
+                eprintln!(
+                    "[bench_scan] {:14} ({:8}) {:7} {:10.4e}s  examined {:6}/{:6}  \
+                     identical {}",
+                    row.measure,
+                    row.norm,
+                    row.plan,
+                    row.seconds,
+                    row.stats.examined,
+                    row.stats.candidates,
+                    row.identical
+                );
+                rows.push(row);
+            }
+        }
+    }
+
+    let mut fractions: Vec<f64> = rows
+        .iter()
+        .filter(|r| r.pin == Pin::Counters && r.indexed())
+        .map(|r| r.stats.examined_fraction())
+        .collect();
+    fractions.sort_by(f64::total_cmp);
+    let median_fraction = fractions.get(fractions.len() / 2).copied();
+    let ledger = ledger_json(&cfg, reps, &suites, &rows, median_fraction);
+    cfg.save("BENCH_scan.json", &ledger);
+
+    let mut failed = false;
+    for r in rows.iter().filter(|r| !r.identical) {
+        eprintln!(
+            "FAIL: {} ({}) on {}: {} answers differ from the Exact plan",
+            r.measure, r.norm, r.dataset, r.plan
+        );
+        failed = true;
+    }
+    match median_fraction {
+        Some(f) if f <= EXAMINED_BAR => eprintln!(
+            "[bench_scan] median indexed examined fraction {:.1}% (bar {:.0}%)",
+            f * 100.0,
+            EXAMINED_BAR * 100.0
+        ),
+        other => {
+            eprintln!("FAIL: median indexed examined fraction {other:?} exceeds {EXAMINED_BAR}");
+            failed = true;
+        }
+    }
+
+    // The goldens are only meaningful on the canonical quick workload;
+    // custom seeds produce other datasets.
+    if cfg.quick && cfg.seed == ExperimentConfig::default().seed {
+        let update = std::env::var_os("BENCH_SCAN_UPDATE_GOLDEN").is_some();
+        let accuracies: Vec<Vec<String>> = rows
+            .iter()
+            .filter(|r| r.pin == Pin::Accuracy && r.plan == "Exact")
+            .map(|r| {
+                vec![
+                    r.measure.to_string(),
+                    r.dataset.clone(),
+                    format!("{:#018x}", r.accuracy.to_bits()),
+                    format!("{:e}", r.accuracy),
+                ]
+            })
+            .collect();
+        let counters: Vec<Vec<String>> = rows
+            .iter()
+            .filter(|r| r.pin == Pin::Counters && r.indexed())
+            .map(|r| {
+                vec![
+                    r.measure.to_string(),
+                    r.norm.to_string(),
+                    r.stats.candidates.to_string(),
+                    r.stats.examined.to_string(),
+                ]
+            })
+            .collect();
+        for (golden, entries) in [(&ACCURACY_GOLDEN, accuracies), (&COUNTER_GOLDEN, counters)] {
+            let problems = golden.enforce(&entries, cfg.seed, update);
+            for p in &problems {
+                eprintln!("FAIL: {p}");
+                failed = true;
+            }
+            if !problems.is_empty() {
+                eprintln!(
+                    "re-pin deliberately with: BENCH_SCAN_UPDATE_GOLDEN=1 bench_scan --quick"
+                );
+            }
+        }
+    }
+
+    // Kernel-regression gate: the exact path must hold the vectorization
+    // win against the recorded pre-vectorization medians.
+    if !cfg.quick {
+        for (name, bar) in SPEEDUP_BARS {
+            let row = rows
+                .iter()
+                .find(|r| r.dataset == BENCH && r.plan == "Exact" && r.measure == *name);
+            let base = BASELINE_MEDIANS.iter().find(|(n, _, _)| n == name);
+            if let (Some(row), Some((_, base_exact, _))) = (row, base) {
+                let speedup = base_exact / row.seconds;
+                if speedup < *bar {
+                    eprintln!(
+                        "FAIL: {name} exact median {:.6}s is only {speedup:.2}x over the \
+                         pre-vectorization baseline {base_exact:.6}s (bar: {bar}x)",
+                        row.seconds
+                    );
+                    failed = true;
+                } else {
+                    eprintln!(
+                        "[bench_scan] {name} exact {speedup:.2}x over pre-vectorization \
+                         baseline (bar {bar}x)"
+                    );
+                }
+            }
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
+}

@@ -2,17 +2,18 @@
 //!
 //! The reproduction harness: shared infrastructure for the per-table and
 //! per-figure experiment binaries in `src/bin/` (see `DESIGN.md` for the
-//! experiment index) and the Criterion micro-benchmarks in `benches/`.
+//! experiment index), plus two ledgers with bit-identity gates:
+//! `bench_kernels` (`BENCH_kernels.json`, each vectorized kernel against
+//! its scalar twin) and `bench_scan` (`BENCH_scan.json`, every
+//! nearest-neighbour plan of `tsdist_eval::Scan` on the same data). The
+//! end-to-end benchmark of record is the standalone `perfbench/` package.
 //!
 //! Every experiment binary accepts:
 //!
 //! * `--datasets N` — archive size (default 42, the paper uses 128),
 //! * `--seed S` — archive seed (default 20),
 //! * `--quick` — small datasets for smoke runs,
-//! * `--out DIR` — results directory (default `results/`),
-//! * `--chaos` — extra fault-injection pass where supported
-//!   (`bench_serve` kills shard workers mid-run and asserts
-//!   degraded-but-typed service).
+//! * `--out DIR` — results directory (default `results/`).
 
 #![warn(missing_docs)]
 
@@ -47,9 +48,6 @@ pub struct ExperimentConfig {
     pub deadline_secs: Option<f64>,
     /// Retry budget for failed cells.
     pub retries: usize,
-    /// Run the additional chaos pass (bench_serve: kill-shard fault
-    /// injection asserting degraded-but-typed service).
-    pub chaos: bool,
 }
 
 impl Default for ExperimentConfig {
@@ -62,15 +60,14 @@ impl Default for ExperimentConfig {
             journal: false,
             deadline_secs: None,
             retries: 0,
-            chaos: false,
         }
     }
 }
 
 impl ExperimentConfig {
     /// Parses `--datasets`, `--seed`, `--quick`, `--out`, `--journal`,
-    /// `--deadline-secs`, `--retries`, `--chaos` from the process
-    /// arguments; unknown arguments abort with a usage message.
+    /// `--deadline-secs`, `--retries` from the process arguments; unknown
+    /// arguments abort with a usage message.
     pub fn from_args() -> Self {
         let mut cfg = ExperimentConfig::default();
         let mut args = std::env::args().skip(1);
@@ -112,7 +109,6 @@ impl ExperimentConfig {
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| usage("--retries needs a non-negative integer"));
                 }
-                "--chaos" => cfg.chaos = true,
                 other => usage(&format!("unknown argument {other:?}")),
             }
         }
@@ -179,7 +175,7 @@ fn usage(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!(
         "usage: <bin> [--datasets N] [--seed S] [--quick] [--out DIR] \
-         [--journal] [--deadline-secs S] [--retries N] [--chaos]"
+         [--journal] [--deadline-secs S] [--retries N]"
     );
     std::process::exit(2)
 }

@@ -29,7 +29,8 @@ use tsdist_data::synthetic::{generate_archive, ArchiveConfig};
 use tsdist_data::ucr::{load_ucr_archive, load_ucr_dataset, write_ucr_dataset};
 use tsdist_data::{load_ucr_archive_lenient, ArchiveSummary, Dataset, DatasetSummary};
 use tsdist_eval::{
-    compare_to_baseline, render_table, run_study_resumable, CellRunner, Entrant, Eval, RunnerConfig,
+    compare_to_baseline, render_table, rewrite_journal_in_order, run_study_resumable, CellRunner,
+    Entrant, Eval, RunnerConfig,
 };
 
 fn main() -> ExitCode {
@@ -412,6 +413,19 @@ fn cmd_evaluate_archive(args: &[String]) -> Result<(), String> {
         );
     }
     let robust = run_study_resumable(&archive, &entrants, &runner);
+    if let Some(path) = &journal {
+        // Cells were appended as they finished; leave them in grid order
+        // so two runs of one study journal identically.
+        let grid: Vec<String> = robust
+            .cells
+            .iter()
+            .flatten()
+            .map(|c| c.key.clone())
+            .collect();
+        let study = &runner.config().study;
+        rewrite_journal_in_order(Path::new(path), study, &grid)
+            .map_err(|e| format!("reordering journal {path}: {e}"))?;
+    }
     println!("{}", robust.render(&format!("study over {root}")));
     Ok(())
 }

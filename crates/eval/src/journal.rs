@@ -201,6 +201,45 @@ impl Journal {
     }
 }
 
+/// Rewrites the journal at `path` so `study`'s lines for `cells` come in
+/// the order of `cells` (a study's grid, entrant-major), after every other
+/// line. The sort is stable, so a cell journaled more than once keeps its
+/// last entry last and replay is unchanged; no line is added or dropped.
+/// Appends land in completion order, which races between cells running in
+/// parallel; the rewrite makes a finished study's journal deterministic.
+/// The new text goes to a temporary file beside the journal, is synced,
+/// and is renamed over it (then the directory is synced), so a crash
+/// leaves one whole version.
+pub fn rewrite_journal_in_order(path: &Path, study: &str, cells: &[String]) -> std::io::Result<()> {
+    let text = std::fs::read_to_string(path)?;
+    let rank: std::collections::BTreeMap<&str, usize> = cells
+        .iter()
+        .enumerate()
+        .map(|(i, cell)| (cell.as_str(), i + 1))
+        .collect();
+    let mut lines: Vec<(usize, &str)> = text
+        .lines()
+        .map(|line| match JournalEntry::parse(line) {
+            Ok(entry) if entry.study == study => {
+                (rank.get(entry.cell.as_str()).copied().unwrap_or(0), line)
+            }
+            _ => (0, line),
+        })
+        .collect();
+    lines.sort_by_key(|&(rank, _)| rank);
+    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = path.with_file_name(tmp_name);
+    let mut file = File::create(&tmp)?;
+    for (_, line) in &lines {
+        writeln!(file, "{line}")?;
+    }
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
 // ---------------------------------------------------------------------
 // Journal v2: durable checksummed records
 // ---------------------------------------------------------------------
@@ -576,6 +615,43 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn rewrite_in_order_sorts_the_study_grid_and_keeps_every_line() {
+        let dir = std::env::temp_dir().join(format!("tsdist-rewrite-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.ndjson");
+        let line = |study: &str, cell: &str, accuracy: f64| {
+            let mut entry = ok_entry(accuracy, None);
+            entry.study = study.into();
+            entry.cell = cell.into();
+            entry.render()
+        };
+        let written = [
+            line("s", "b::d2", 0.1),
+            line("other", "a::d1", 0.2),
+            line("s", "a::d2", 0.3),
+            "{\"study\":\"s\",\"cell\"".to_string(),
+            line("s", "a::d1", 0.4),
+            line("s", "b::d2", 0.5),
+        ];
+        std::fs::write(&path, written.join("\n") + "\n").unwrap();
+        let grid: Vec<String> = ["a::d1", "a::d2", "b::d2"].map(String::from).to_vec();
+        rewrite_journal_in_order(&path, "s", &grid).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let got: Vec<&str> = text.lines().collect();
+        let want = [
+            &written[1],
+            &written[3],
+            &written[4],
+            &written[2],
+            &written[0],
+            &written[5],
+        ];
+        assert_eq!(got, want);
+        assert!(!dir.join("j.ndjson.tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -106,8 +106,9 @@ pub use evaluator::{
     try_evaluate_kernel_supervised, SupervisedOutcome,
 };
 pub use journal::{
-    crc32, is_v2_journal, read_journal, recover_journal, recover_lines, DurableConfig,
-    DurableJournal, DurableReplay, FsyncPolicy, Journal, JournalEntry, JournalReplay,
+    crc32, is_v2_journal, read_journal, recover_journal, recover_lines, rewrite_journal_in_order,
+    DurableConfig, DurableJournal, DurableReplay, FsyncPolicy, Journal, JournalEntry,
+    JournalReplay,
 };
 pub use knn::{knn_accuracy, try_knn_accuracy, ConfusionMatrix};
 pub use matrices::{
@@ -124,7 +125,7 @@ pub use runner::{
 pub use runtime::{measure_inference, RuntimeMeasurement};
 pub use scan::{
     indexed_knn_search, indexed_knn_search_stats, indexed_loocv_search, indexed_nn_search,
-    indexed_nn_search_stats, pruned_knn_search, pruned_loocv_search, pruned_nn_search,
-    IndexedStats, NearestNeighbour, Rows, Scan, KEOGH_INFLATE,
+    indexed_nn_search_stats, one_nn_vote_accuracy, pruned_knn_search, pruned_loocv_search,
+    pruned_nn_search, IndexedStats, NearestNeighbour, Rows, Scan, KEOGH_INFLATE,
 };
 pub use study::{run_study, Entrant, StudyReport};

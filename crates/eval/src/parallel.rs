@@ -6,7 +6,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// The first panic payload caught across a worker pool, re-raised on the
 /// calling thread once the pool has drained.
@@ -50,10 +50,15 @@ impl FirstPanic {
 }
 
 /// Number of worker threads to use (the machine's available parallelism).
+/// Asked of std once per process: each ask re-reads the cgroup CPU quota
+/// files, and every parallel call needs the answer.
 pub fn worker_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Runs `f(i)` for every `i in 0..n` across all cores, writing results

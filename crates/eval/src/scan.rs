@@ -96,7 +96,7 @@ pub struct NearestNeighbour {
 }
 
 /// Work counters of a scan — the evidence that the index tier actually
-/// prunes (and the `bench_index` payload).
+/// prunes (and the `bench_scan` ledger's counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexedStats {
     /// Query rows answered.
@@ -623,7 +623,7 @@ fn chunk_spans(n: usize) -> Vec<(usize, usize)> {
 /// starts at the first training label, which an all-non-finite row never
 /// overwrites. An empty test split gives NaN, like
 /// [`crate::nn::one_nn_accuracy`].
-pub(crate) fn one_nn_vote_accuracy(
+pub fn one_nn_vote_accuracy(
     nns: &[NearestNeighbour],
     test_labels: &[Label],
     train_labels: &[Label],

@@ -1,5 +1,5 @@
 //! A blocking client for the serve protocol — used by the e2e suite,
-//! the `tsdist serve-client` subcommand, and `bench_serve`.
+//! the `tsdist serve-client` subcommand, and perfbench's serve workload.
 //!
 //! Responses are correlated by `id`, not arrival order: pipelined
 //! requests fan out across shards and complete out of order. The

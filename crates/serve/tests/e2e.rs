@@ -265,47 +265,68 @@ fn restarted_shard_rebuilds_its_index_and_retry_delivers_identical_answers() {
 #[test]
 fn served_answers_are_byte_identical_to_the_offline_evaluator() {
     let datasets = archive();
-    let mut handle = Server::start(
-        datasets.clone(),
-        resolver(),
-        &ServerConfig {
-            shards: 2,
-            batch_max: 8,
-            // Deep enough that a 100-query pipelined burst never sheds
-            // load (backpressure has its own test).
-            queue_cap: 256,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server start");
-
     let queries = mixed_queries(&datasets);
     let lines: Vec<String> = queries.iter().map(render_query).collect();
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    let responses = client.roundtrip(&lines).expect("roundtrip");
-    assert_eq!(responses.len(), queries.len());
+    // The same 100 queries pipelined on one connection, then spread over
+    // four concurrent connections whose requests batch together, each
+    // against a fresh server so no answer comes from the cache.
+    for clients in [1, 4] {
+        let mut handle = Server::start(
+            datasets.clone(),
+            resolver(),
+            &ServerConfig {
+                shards: 2,
+                batch_max: 8,
+                // Deep enough that a 100-query pipelined burst never sheds
+                // load (backpressure has its own test).
+                queue_cap: 256,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("server start");
+        let addr = handle.addr();
+        let responses: Vec<String> = std::thread::scope(|s| {
+            let threads: Vec<_> = lines
+                .chunks(lines.len().div_ceil(clients))
+                .map(|part| {
+                    s.spawn(move || {
+                        let mut client = Client::connect(addr).expect("connect");
+                        client.roundtrip(part).expect("roundtrip")
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .flat_map(|t| t.join().expect("client thread"))
+                .collect()
+        });
+        assert_eq!(responses.len(), queries.len(), "{clients} client(s)");
 
-    let mut by_id: BTreeMap<u64, Response> = BTreeMap::new();
-    for line in &responses {
-        let r = Response::parse(line).expect("parse response");
-        by_id.insert(r.id(), r);
-    }
-    for q in &queries {
-        let expect = offline_answer(&datasets, q);
-        match by_id.get(&q.id) {
-            Some(Response::Answer { answer, .. }) => {
-                assert_eq!(answer, &expect, "query id {}", q.id);
-                assert_eq!(
-                    answer.distance.to_bits(),
-                    expect.distance.to_bits(),
-                    "query id {}",
-                    q.id
-                );
-            }
-            other => panic!("query id {}: unexpected {other:?}", q.id),
+        let mut by_id: BTreeMap<u64, Response> = BTreeMap::new();
+        for line in &responses {
+            let r = Response::parse(line).expect("parse response");
+            by_id.insert(r.id(), r);
         }
+        for q in &queries {
+            let expect = offline_answer(&datasets, q);
+            match by_id.get(&q.id) {
+                Some(Response::Answer { answer, .. }) => {
+                    assert_eq!(answer, &expect, "query id {}, {clients} client(s)", q.id);
+                    assert_eq!(
+                        answer.distance.to_bits(),
+                        expect.distance.to_bits(),
+                        "query id {}, {clients} client(s)",
+                        q.id
+                    );
+                }
+                other => panic!(
+                    "query id {}, {clients} client(s): unexpected {other:?}",
+                    q.id
+                ),
+            }
+        }
+        handle.shutdown();
     }
-    handle.shutdown();
 }
 
 #[test]
