@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::Range;
 
-/// An inclusive-lo, exclusive-hi length range for [`vec`]. Built from a
+/// An inclusive-lo, exclusive-hi length range for [`vec`](fn@vec). Built from a
 /// bare `usize` (exact length) or a `Range<usize>`.
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
@@ -37,7 +37,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec`](fn@vec).
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

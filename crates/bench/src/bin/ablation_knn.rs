@@ -39,7 +39,7 @@ fn main() {
                 let accs = parallel_map(archive.len(), |i| {
                     let ds = prepare(&archive[i], Normalization::ZScore);
                     let e = distance_matrix(m.as_ref(), &ds.test, &ds.train);
-                    knn_accuracy(&e, &ds.test_labels, &ds.train_labels, k)
+                    knn_accuracy(&e, &ds.test_labels, &ds.train_labels, k).expect("k-NN accuracy")
                 });
                 accs.iter().sum::<f64>() / accs.len() as f64
             })

@@ -312,7 +312,8 @@ fn plan_rows(suite: &Suite, w: &Workload, reps: usize) -> Vec<Row> {
                 pin: suite.pin,
                 seconds: times[times.len() / 2],
                 stats,
-                accuracy: one_nn_vote_accuracy(&nns, &prepared.test_labels, &prepared.train_labels),
+                accuracy: one_nn_vote_accuracy(&nns, &prepared.test_labels, &prepared.train_labels)
+                    .expect("a generated split has a train label per series"),
                 identical: same_answers(&nns, &exact),
             }
         })

@@ -7,7 +7,7 @@ use tsdist_core::lockstep::Euclidean;
 use tsdist_core::measure::Distance;
 use tsdist_core::normalization::Normalization;
 use tsdist_core::registry::{lockstep_parameter_free, minkowski_family};
-use tsdist_eval::{evaluate_distance_supervised, parallel_map, rank_measures};
+use tsdist_eval::{evaluate_distance_supervised, parallel_map, rank_measures, CancelFlag};
 
 fn main() {
     let cfg = ExperimentConfig::from_args();
@@ -34,7 +34,10 @@ fn main() {
     // Supervised Minkowski, as in the paper's figure.
     let fam = minkowski_family();
     let mink: Vec<f64> = parallel_map(archive.len(), |i| {
-        evaluate_distance_supervised(&fam.grid, &archive[i], norm).test_accuracy
+        evaluate_distance_supervised(&fam.grid, &archive[i], norm, &CancelFlag::new())
+            .expect("supervised Minkowski evaluation")
+            .0
+            .accuracy
     });
     let mink_avg: f64 = mink.iter().sum::<f64>() / mink.len() as f64;
     if mink_avg > base_avg {

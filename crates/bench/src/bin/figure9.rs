@@ -3,9 +3,10 @@
 //! classifying), as in the paper; each point is the archive average.
 //! Embeddings report their encode+compare inference cost.
 //!
-//! Inference cells run under the fault-tolerant runner with the measure
-//! wrapped in a cancellation guard, so `--deadline-secs` interrupts a
-//! stalling kernel mid-matrix and the remaining measures still report.
+//! Each inference cell is one `Eval` run on the prepared split (the `E`
+//! build and the 1-NN vote) under the fault-tolerant runner, cancelled by
+//! the runner's flag, so `--deadline-secs` interrupts a stalling kernel
+//! mid-matrix and the remaining measures still report.
 
 use tsdist_bench::{robust_column, ExperimentConfig};
 use tsdist_core::elastic::{Dtw, Erp, Msm, Twe};
@@ -15,8 +16,7 @@ use tsdist_core::measure::{Distance, KernelDistance};
 use tsdist_core::normalization::Normalization;
 use tsdist_core::params::unsupervised as u;
 use tsdist_core::sliding::CrossCorrelation;
-use tsdist_eval::cell::GuardedDistance;
-use tsdist_eval::{measure_inference, prepare, Evaluation};
+use tsdist_eval::{prepare, Eval, Evaluation};
 
 fn main() {
     let cfg = ExperimentConfig::from_args();
@@ -54,10 +54,14 @@ fn main() {
     let mut faults = Vec::new();
     for (name, m) in &measures {
         let (_, cells) = robust_column(&runner, &prepared, name, |ds, flag| {
-            flag.checkpoint()?;
-            let guarded = GuardedDistance::new(m.as_ref(), flag);
-            let r = measure_inference(&guarded, ds);
-            Ok(Evaluation::unsupervised(r.accuracy))
+            let report = Eval::new(m.as_ref())
+                .on(ds)
+                .assume_prepared(true)
+                .cancelled_by(flag)
+                .run()?;
+            Ok(Evaluation::unsupervised(
+                report.accuracy.expect("dataset mode reports accuracy"),
+            ))
         });
         let completed: Vec<_> = cells
             .iter()

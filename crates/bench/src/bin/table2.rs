@@ -8,7 +8,9 @@ use tsdist_bench::{archive_accuracies, ExperimentConfig};
 use tsdist_core::lockstep::Euclidean;
 use tsdist_core::normalization::Normalization;
 use tsdist_core::registry::{lockstep_parameter_free, minkowski_family};
-use tsdist_eval::{compare_to_baseline, evaluate_distance_supervised, parallel_map, render_table};
+use tsdist_eval::{
+    compare_to_baseline, evaluate_distance_supervised, parallel_map, render_table, CancelFlag,
+};
 
 fn main() {
     let cfg = ExperimentConfig::from_args();
@@ -24,7 +26,10 @@ fn main() {
     for norm in Normalization::ALL {
         let fam = minkowski_family();
         let accs: Vec<f64> = parallel_map(archive.len(), |i| {
-            evaluate_distance_supervised(&fam.grid, &archive[i], norm).test_accuracy
+            evaluate_distance_supervised(&fam.grid, &archive[i], norm, &CancelFlag::new())
+                .expect("supervised Minkowski evaluation")
+                .0
+                .accuracy
         });
         let avg: f64 = accs.iter().sum::<f64>() / accs.len() as f64;
         csv.push_str(&format!("Minkowski,{},{:.4}\n", norm.name(), avg));

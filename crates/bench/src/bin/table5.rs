@@ -9,13 +9,12 @@
 //! the whole table, and `--journal` makes an interrupted run resumable.
 
 use tsdist_bench::{
-    reduce_columns, render_ranking, robust_distance_column, robust_supervised_column,
-    ExperimentConfig,
+    reduce_columns, render_ranking, robust_column, robust_distance_column, ExperimentConfig,
 };
 use tsdist_core::normalization::Normalization;
 use tsdist_core::registry::{elastic_families, elastic_unsupervised};
 use tsdist_core::sliding::CrossCorrelation;
-use tsdist_eval::{compare_to_baseline, render_table};
+use tsdist_eval::{compare_to_baseline, evaluate_distance_supervised, render_table};
 
 const BASELINE: &str = "NCC_c";
 
@@ -38,13 +37,9 @@ fn main() {
     // Supervised setting: LOOCCV tuning over the Table 4 grids.
     for family in elastic_families() {
         let label = format!("{} [LOOCCV]", family.family);
-        columns.push(robust_supervised_column(
-            &runner,
-            &archive,
-            &label,
-            &family.grid,
-            norm,
-        ));
+        columns.push(robust_column(&runner, &archive, &label, |ds, flag| {
+            Ok(evaluate_distance_supervised(&family.grid, ds, norm, flag)?.0)
+        }));
         sup_names.push(label);
     }
     // Unsupervised setting: the paper's fixed parameters.

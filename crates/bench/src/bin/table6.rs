@@ -11,13 +11,15 @@
 //! the whole table, and `--journal` makes an interrupted run resumable.
 
 use tsdist_bench::{
-    reduce_columns, render_ranking, robust_distance_column, robust_kernel_column,
-    robust_kernel_supervised_column, robust_supervised_column, ExperimentConfig,
+    reduce_columns, render_ranking, robust_column, robust_distance_column, ExperimentConfig,
 };
 use tsdist_core::normalization::Normalization;
 use tsdist_core::registry::{elastic_families, kernel_families, kernel_unsupervised};
 use tsdist_core::sliding::CrossCorrelation;
-use tsdist_eval::{compare_to_baseline, render_table};
+use tsdist_eval::{
+    compare_to_baseline, evaluate_distance_supervised, evaluate_kernel, evaluate_kernel_supervised,
+    render_table,
+};
 
 const BASELINE: &str = "NCC_c";
 
@@ -41,24 +43,18 @@ fn main() {
     let fig_kernels = ["KDTW", "GAK", "SINK"];
     for family in kernel_families() {
         let label = format!("{} [LOOCCV]", family.family);
-        columns.push(robust_kernel_supervised_column(
-            &runner,
-            &archive,
-            &label,
-            &family.grid,
-        ));
+        columns.push(robust_column(&runner, &archive, &label, |ds, flag| {
+            Ok(evaluate_kernel_supervised(&family.grid, ds, flag)?.0)
+        }));
         table_names.push(label.clone());
         if fig_kernels.contains(&family.family) {
             sup_names.push(label);
         }
     }
     for (name, kernel) in kernel_unsupervised() {
-        columns.push(robust_kernel_column(
-            &runner,
-            &archive,
-            &name,
-            kernel.as_ref(),
-        ));
+        columns.push(robust_column(&runner, &archive, &name, |ds, flag| {
+            evaluate_kernel(kernel.as_ref(), ds, flag)
+        }));
         table_names.push(name.clone());
         if !name.starts_with("RBF") {
             unsup_names.push(name);
@@ -70,13 +66,9 @@ fn main() {
     for family in elastic_families() {
         if keep_elastic.contains(&family.family) {
             let label = format!("{} [LOOCCV elastic]", family.family);
-            columns.push(robust_supervised_column(
-                &runner,
-                &archive,
-                &label,
-                &family.grid,
-                norm,
-            ));
+            columns.push(robust_column(&runner, &archive, &label, |ds, flag| {
+                Ok(evaluate_distance_supervised(&family.grid, ds, norm, flag)?.0)
+            }));
             sup_names.push(label);
         }
     }

@@ -14,7 +14,7 @@ use tsdist_core::params::EMBEDDING_DIMS;
 use tsdist_core::registry::embedding_families;
 use tsdist_core::sliding::CrossCorrelation;
 use tsdist_eval::{
-    compare_to_baseline, render_table, try_evaluate_embedding_supervised, CellError, EvalError,
+    compare_to_baseline, evaluate_embedding_supervised, render_table, CellError, EvalError,
 };
 
 const BASELINE: &str = "NCC_c";
@@ -54,7 +54,7 @@ fn main() {
                 .into_iter()
                 .find(|(n, _)| *n == fname)
                 .ok_or(CellError::Eval(EvalError::EmptyGrid))?;
-            try_evaluate_embedding_supervised(&grid, ds, flag)
+            Ok(evaluate_embedding_supervised(&grid, ds, flag)?.0)
         }));
     }
 

@@ -20,14 +20,13 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use tsdist_core::measure::{Distance, Kernel};
+use tsdist_core::measure::Distance;
 use tsdist_core::normalization::Normalization;
 use tsdist_data::synthetic::{generate_archive, ArchiveConfig};
 use tsdist_data::Dataset;
 use tsdist_eval::{
-    cell_key, evaluate_kernel, parallel_map, try_evaluate_distance_supervised, try_evaluate_kernel,
-    try_evaluate_kernel_supervised, CancelFlag, CellError, CellOutcome, CellResult, CellRunner,
-    Eval, Evaluation, RunnerConfig,
+    cell_key, parallel_map, CancelFlag, CellError, CellOutcome, CellResult, CellRunner, Eval,
+    Evaluation, RunnerConfig,
 };
 
 /// Configuration shared by all experiment binaries.
@@ -194,11 +193,6 @@ pub fn archive_accuracies(archive: &[Dataset], d: &dyn Distance, norm: Normaliza
     })
 }
 
-/// Per-dataset accuracies of a kernel across an archive.
-pub fn archive_kernel_accuracies(archive: &[Dataset], k: &dyn Kernel) -> Vec<f64> {
-    parallel_map(archive.len(), |i| evaluate_kernel(k, &archive[i]))
-}
-
 /// One experiment column: an entrant label plus its per-dataset cell
 /// results (aligned with the archive order).
 pub type RobustColumn = (String, Vec<CellResult>);
@@ -206,7 +200,7 @@ pub type RobustColumn = (String, Vec<CellResult>);
 /// Runs one entrant over every dataset of the archive through the
 /// fault-tolerant cell runner, parallelized over datasets. The closure
 /// evaluates a single cell and should forward the [`CancelFlag`] into the
-/// cancellable `try_evaluate_*` cores.
+/// cancellable `evaluate_*` cores.
 pub fn robust_column<F>(
     runner: &CellRunner,
     archive: &[Dataset],
@@ -241,43 +235,6 @@ pub fn robust_distance_column(
                 Evaluation::unsupervised(report.accuracy.expect("dataset mode reports accuracy"))
             })
             .map_err(CellError::from)
-    })
-}
-
-/// Robust per-dataset column for a LOOCV-tuned distance grid.
-pub fn robust_supervised_column(
-    runner: &CellRunner,
-    archive: &[Dataset],
-    entrant: &str,
-    grid: &[Box<dyn Distance>],
-    norm: Normalization,
-) -> RobustColumn {
-    robust_column(runner, archive, entrant, |ds, flag| {
-        try_evaluate_distance_supervised(grid, ds, norm, flag)
-    })
-}
-
-/// Robust per-dataset column for an unsupervised kernel.
-pub fn robust_kernel_column(
-    runner: &CellRunner,
-    archive: &[Dataset],
-    entrant: &str,
-    k: &dyn Kernel,
-) -> RobustColumn {
-    robust_column(runner, archive, entrant, |ds, flag| {
-        try_evaluate_kernel(k, ds, flag)
-    })
-}
-
-/// Robust per-dataset column for a LOOCV-tuned kernel grid.
-pub fn robust_kernel_supervised_column(
-    runner: &CellRunner,
-    archive: &[Dataset],
-    entrant: &str,
-    grid: &[Box<dyn Kernel>],
-) -> RobustColumn {
-    robust_column(runner, archive, entrant, |ds, flag| {
-        try_evaluate_kernel_supervised(grid, ds, flag)
     })
 }
 

@@ -327,7 +327,8 @@ fn check_dataset(case: &OracleCase, cfg: &EngineConfig, c: &mut Checker) {
         }
     }
 
-    let exact_acc = one_nn_accuracy(&full, &test_labels, &train_labels);
+    // A shape error leaves NaN, which fails the bit comparison below.
+    let exact_acc = one_nn_accuracy(&full, &test_labels, &train_labels).unwrap_or(f64::NAN);
     // Algorithm 1's vote over the pruned winners, written out by hand so
     // the oracle stays independent of the eval crate's accuracy cores.
     let pruned_nns = pruned_nn_search(m, &test, &train, false);

@@ -8,7 +8,7 @@
 //! them silently shifts 1-NN accuracy rankings. This crate holds the
 //! production implementations to account three ways:
 //!
-//! 1. [`reference`] — deliberately naive, textbook restatements of every
+//! 1. [`reference`](mod@reference) — deliberately naive, textbook restatements of every
 //!    measure (full-matrix DPs, index loops, no pruning), never optimized.
 //! 2. [`engine`] — the differential test engine: for every registry
 //!    measure, compare every execution path against the reference within

@@ -12,8 +12,10 @@
 //! * measures declaring a non-`None` [`MetricRegime`] get a
 //!   [`PivotTable`] of exact pivot distances, powering reverse-triangle
 //!   pruning — after the declared regime passes sampled conformance
-//!   ([`assert_metric_on`]), so a wrongly-flagged measure fails loudly at
-//!   build time instead of silently corrupting answers.
+//!   ([`assert_metric_on`]). That check is a smoke test, not a proof: it
+//!   catches a wrongly-flagged measure only when a sampled triple
+//!   violates the triangle inequality, and one that passes can still
+//!   corrupt pruned answers.
 //!
 //! The scan engine in `tsdist-eval` asks [`TrainIndex::plan`] per query
 //! row; anything that doesn't fit (ragged train, length mismatch,
@@ -259,8 +261,8 @@ impl TrainIndex {
     ///
     /// # Panics
     /// Panics when `d` declares a [`MetricRegime`] that fails sampled
-    /// triangle-inequality conformance — a wrong flag fails loudly here
-    /// rather than silently corrupting pruned answers.
+    /// triangle-inequality conformance. The sample is a smoke test, not a
+    /// proof: a wrong flag that passes it goes undetected.
     pub fn prepare_measure(&mut self, d: &dyn Distance, train: &[Vec<f64>]) {
         if self.series_len == 0 || train.len() != self.n {
             return;

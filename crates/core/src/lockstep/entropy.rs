@@ -1,7 +1,7 @@
 //! The Shannon entropy family: six divergences built on `x * ln(x/y)`.
 //!
 //! All six require density-like positive inputs; values are clamped to a
-//! positive floor before logarithms ([`super::clamp_pos`]).
+//! positive floor before logarithms (`clamp_pos`).
 
 use super::{clamp_pos, lockstep_measure, zip_sum};
 

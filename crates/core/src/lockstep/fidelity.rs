@@ -2,7 +2,7 @@
 //! `sqrt(x * y)`.
 //!
 //! These formulas require density-like non-negative inputs; values are
-//! clamped to a small positive floor ([`super::clamp_pos`]), which is why
+//! clamped to a small positive floor (`clamp_pos`), which is why
 //! they only become competitive under normalizations that keep the data
 //! positive (MinMax) — one of the paper's motivations for studying
 //! normalization at all.

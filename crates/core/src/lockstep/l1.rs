@@ -58,12 +58,12 @@ lockstep_measure!(
     /// Early-abandonable *when every denominator is non-negative*: the
     /// guarded terms `|x-y| / (x+y)` are then all `>= 0` and partial sums
     /// are monotone. On data where some `x_i + y_i < 0` (e.g. z-scored
-    /// series) [`safe_div`] yields negative terms, so the upto path
+    /// series) `safe_div` yields negative terms, so the upto path
     /// detects that with a vectorizable prescan and falls back to the
     /// exact sum — still contract-correct, just without abandoning.
     ///
     /// Canberra is the classical metric on non-negative reals, but the
-    /// [`safe_div`] guard bends the triangle inequality for coordinate
+    /// `safe_div` guard bends the triangle inequality for coordinate
     /// pairs summing below `EPS` (e.g. `d(0, ε) > d(0, ε/2) + d(ε/2, ε)`
     /// under a guarded denominator). `MetricRegime::Positive` — every
     /// coordinate `>= EPS` — is exactly the regime where the guard never

@@ -9,9 +9,9 @@
 //!
 //! Cha's formulas assume strictly positive densities. Time series —
 //! especially z-normalized ones — contain zeros and negative values, so
-//! every division is guarded ([`safe_div`]) and measures built on square
+//! every division is guarded (`safe_div`) and measures built on square
 //! roots or logarithms of the data (the Fidelity and Entropy families)
-//! clamp inputs to a small positive floor ([`clamp_pos`]). This is exactly
+//! clamp inputs to a small positive floor (`clamp_pos`). This is exactly
 //! why the paper finds that such measures only become competitive under
 //! normalizations like MinMax that keep the data positive.
 
@@ -121,9 +121,9 @@ pub(crate) fn zip_sum_upto(
 /// An optional `metric <Regime>,` token after the label declares the
 /// [`crate::measure::MetricRegime`] on which the measure satisfies the
 /// triangle inequality, opting it into the index tier's pivot layer. The
-/// declaration is validated against sampled triples at pivot-table build
-/// time, so a wrong flag fails loudly (satisfying the "Canberra silently
-/// falls out of the metric layer" fix with a checked, explicit opt-in).
+/// declaration is checked against sampled triples at pivot-table build
+/// time, which catches some wrong flags but proves nothing; the opt-in is
+/// explicit so that each declaration can point at its proof.
 macro_rules! lockstep_measure {
     (upto $(#[$doc:meta])* $name:ident, $label:expr, $(metric $regime:ident,)?
      |$x:ident, $y:ident| $body:expr,

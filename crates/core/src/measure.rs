@@ -17,13 +17,15 @@ use crate::workspace::Workspace;
 ///
 /// The index tier's pivot layer (`crate::index`) prunes candidates with
 /// the reverse triangle inequality, so it only engages for measures that
-/// *declare* a regime here — and the declaration is checked, not trusted:
-/// building a pivot table samples random triples from the actual data and
-/// panics if a declared regime is violated (see
-/// [`crate::index::assert_metric_on`]). `Canberra` is the motivating
-/// case: its guarded formula is a metric only on density-like positive
-/// data, so it declares [`MetricRegime::Positive`] and silently falls
-/// back to the lower-bound cascade or linear scan on z-scored inputs.
+/// *declare* a regime here. Building a pivot table samples random triples
+/// from the actual data and panics if a sampled triple violates the
+/// declared regime (see [`crate::index::assert_metric_on`]). That check
+/// is a smoke test, not a proof: a wrong declaration can pass it, so a
+/// declaration must rest on the measure's own proof. `Canberra` is the
+/// motivating case: its guarded formula is a metric only on density-like
+/// positive data, so it declares [`MetricRegime::Positive`] and silently
+/// falls back to the lower-bound cascade or linear scan on z-scored
+/// inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricRegime {
     /// Not a metric (or not known to be one) on any supported inputs.
@@ -164,9 +166,10 @@ pub trait Distance: Send + Sync {
     /// The input regime on which this measure is a (pseudo)metric — see
     /// [`MetricRegime`]. The default is [`MetricRegime::None`]: a measure
     /// must opt in explicitly to be eligible for triangle-inequality
-    /// pivot pruning, and the declaration is validated against sampled
-    /// triples when a pivot table is built, so a wrong flag fails loudly
-    /// instead of silently corrupting answers.
+    /// pivot pruning. Building a pivot table checks the declaration
+    /// against sampled triples, a smoke test rather than a proof: a wrong
+    /// flag can pass it and then corrupt pruned answers, so override this
+    /// only for a measure proven to be a metric on the regime.
     fn metric_regime(&self) -> MetricRegime {
         MetricRegime::None
     }

@@ -175,7 +175,7 @@ impl std::error::Error for CellError {}
 impl From<EvalError> for CellError {
     fn from(e: EvalError) -> Self {
         // The fault-shaped variants map onto their cell-level twins so a
-        // deadline classified by the public `EvalRequest` facade is still
+        // deadline classified by the public `Eval` request is still
         // reported as `TimedOut` by the runner, not as a generic failure.
         match e {
             EvalError::DeadlineExceeded => CellError::DeadlineExceeded,

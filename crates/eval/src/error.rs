@@ -1,10 +1,9 @@
 //! Typed errors for the evaluation platform.
 //!
-//! The shape checks that used to live in `assert!`s inside the
-//! classifiers and matrix builders are surfaced here as an [`EvalError`],
-//! returned by the `try_*` variants of those entry points. The original
-//! panicking signatures remain as thin wrappers, so existing callers and
-//! the paper-reproduction binaries keep their behaviour.
+//! The shape checks of the classifiers and matrix builders, and the
+//! misuse and fault conditions of an [`Eval`](crate::request::Eval)
+//! request, are returned as an [`EvalError`]; no evaluation entry point
+//! panics on them.
 
 use std::fmt;
 
@@ -104,8 +103,8 @@ mod tests {
 
     #[test]
     fn display_messages_keep_the_historic_wording() {
-        // The panicking wrappers format these messages, and pre-existing
-        // `should_panic(expected = ...)` tests match on substrings.
+        // Callers (the CLI's `error: ...` lines, cell fault summaries)
+        // print these messages.
         let s = EvalError::ShapeMismatch {
             what: "row/label count",
             expected: 2,

@@ -3,24 +3,31 @@
 //! specific paths for distances, kernels, and embeddings. Unsupervised
 //! distance evaluation goes through the [`Eval`](crate::request::Eval)
 //! request builder, which shares `distance_cell` with the study runner.
+//!
+//! Every function here is a cancellable, fault-classified cell core, the
+//! work the fault-tolerant [`CellRunner`](crate::runner::CellRunner)
+//! executes inside each cell. The measure is wrapped in a guarded adapter
+//! that honours a [`CancelFlag`] (so watchdog deadlines interrupt even the
+//! matrix kernels), the supervised grid loop checks the flag between
+//! parameter points, and every dissimilarity matrix is screened for
+//! NaN/±Inf at the source, reported as [`CellError::NonFiniteDistance`]
+//! instead of silently sorting last in the 1-NN selection. Callers without
+//! a deadline pass `&CancelFlag::new()`.
 
 use crate::cell::{
     find_non_finite, CancelFlag, CellError, Evaluation, GuardedDistance, GuardedKernel,
 };
 use crate::error::EvalError;
 use crate::matrices::{
-    distance_matrix, embedding_matrices, kernel_matrices, kernel_matrices_into,
-    symmetric_distance_matrix_into,
+    embedding_matrices, kernel_matrices, kernel_matrices_into, symmetric_distance_matrix_into,
 };
-use crate::nn::{
-    check_shapes, loocv_accuracy, one_nn_accuracy, try_loocv_accuracy, try_one_nn_accuracy,
-};
+use crate::nn::{loocv_accuracy, one_nn_accuracy};
 use crate::scan::{one_nn_vote_accuracy, Rows, Scan};
 use tsdist_core::embedding::Embedding;
 use tsdist_core::measure::{Distance, Kernel};
 use tsdist_core::normalization::{AdaptiveScaled, Normalization};
 use tsdist_core::TrainIndex;
-use tsdist_data::Dataset;
+use tsdist_data::{Dataset, Label};
 use tsdist_linalg::Matrix;
 
 /// Applies the study's preprocessing: every series is first z-normalized
@@ -39,93 +46,57 @@ pub(crate) fn preprocess_series(s: &[f64], norm: Normalization) -> Vec<f64> {
     norm.apply(&z)
 }
 
-/// Outcome of a supervised (grid-tuned) evaluation on one dataset.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SupervisedOutcome {
-    /// Test accuracy of the selected grid point.
-    pub test_accuracy: f64,
-    /// LOOCV training accuracy of the selected grid point.
-    pub train_accuracy: f64,
-    /// Index of the selected grid point (ties break to the first).
-    pub best_index: usize,
+/// Fails with [`CellError::NonFiniteDistance`] at the first NaN/±Inf
+/// entry of `m`, in row-major order.
+fn screen(m: &Matrix) -> Result<(), CellError> {
+    match find_non_finite(m) {
+        Some((i, j)) => Err(CellError::NonFiniteDistance { i, j }),
+        None => Ok(()),
+    }
 }
 
-/// The matrix-backed 1-NN test accuracy of one distance measure, which
-/// the supervised grid path scores its winning grid point with.
-fn distance_accuracy(d: &dyn Distance, ds: &Dataset, norm: Normalization) -> f64 {
-    let prepared = prepare(ds, norm);
-    let e = if norm.is_pairwise() {
-        let wrapped = AdaptiveScaled::new(d);
-        distance_matrix(&wrapped, &prepared.test, &prepared.train)
-    } else {
-        distance_matrix(d, &prepared.test, &prepared.train)
-    };
-    one_nn_accuracy(&e, &prepared.test_labels, &prepared.train_labels)
+/// Algorithm 1 on a screened test-by-train `E`.
+fn test_accuracy(e: &Matrix, prepared: &Dataset) -> Result<f64, CellError> {
+    screen(e)?;
+    one_nn_accuracy(e, &prepared.test_labels, &prepared.train_labels).map_err(Into::into)
 }
 
-/// Supervised evaluation of a parameter grid: every grid point's LOOCV
-/// training accuracy is computed from `W`; the best (first on ties, in
-/// grid order — matching the deterministic tuning of Section 3) is then
-/// scored on the test split.
-///
-/// # Panics
-///
-/// Panics when `grid` is empty — there is no "best of nothing" to
-/// score.
-pub fn evaluate_distance_supervised(
-    grid: &[Box<dyn Distance>],
-    ds: &Dataset,
-    norm: Normalization,
-) -> SupervisedOutcome {
-    assert!(!grid.is_empty(), "empty parameter grid");
-    let prepared = prepare(ds, norm);
-    let mut best_idx = 0;
-    let mut best_train = f64::NEG_INFINITY;
-    // One `W` buffer reused across the whole grid; symmetric measures only
-    // compute the upper triangle.
+/// The one supervised grid loop (Section 3's LOOCCV tuning). For each of
+/// the `points` grid points it checks `cancel`, lets `point` fill `W` and,
+/// when the point builds both at once, the test-by-train `E` (left empty
+/// otherwise), screens `W` and then `E`, and scores the LOOCV accuracy on
+/// `W`. The first point with the best accuracy wins ties, in grid order.
+/// `score` then gives the winner's test accuracy from its index and `E`.
+/// Returns the evaluation and the winning index.
+fn tune(
+    points: usize,
+    train_labels: &[Label],
+    cancel: &CancelFlag,
+    mut point: impl FnMut(usize, &mut Matrix, &mut Matrix) -> Result<(), CellError>,
+    score: impl FnOnce(usize, &Matrix) -> Result<f64, CellError>,
+) -> Result<(Evaluation, usize), CellError> {
     let mut w = Matrix::zeros(0, 0);
-    for (idx, d) in grid.iter().enumerate() {
-        if norm.is_pairwise() {
-            let wrapped = AdaptiveScaled::new(d);
-            symmetric_distance_matrix_into(&wrapped, &prepared.train, &mut w);
-        } else {
-            symmetric_distance_matrix_into(d.as_ref(), &prepared.train, &mut w);
-        }
-        let train_acc = loocv_accuracy(&w, &prepared.train_labels);
-        if train_acc > best_train {
-            best_train = train_acc;
-            best_idx = idx;
+    let mut e = Matrix::zeros(0, 0);
+    let mut best_e = Matrix::zeros(0, 0);
+    let mut best: Option<(usize, f64)> = None;
+    for idx in 0..points {
+        cancel.checkpoint()?;
+        point(idx, &mut w, &mut e)?;
+        screen(&w)?;
+        screen(&e)?;
+        let train_acc = loocv_accuracy(&w, train_labels)?;
+        if best.is_none_or(|(_, acc)| train_acc > acc) {
+            best = Some((idx, train_acc));
+            std::mem::swap(&mut e, &mut best_e);
         }
     }
-    let test_accuracy = distance_accuracy(grid[best_idx].as_ref(), ds, norm);
-    SupervisedOutcome {
-        test_accuracy,
-        train_accuracy: best_train,
-        best_index: best_idx,
-    }
+    let (idx, train_acc) = best.ok_or(CellError::from(EvalError::EmptyGrid))?;
+    let evaluation = Evaluation {
+        accuracy: score(idx, &best_e)?,
+        train_accuracy: Some(train_acc),
+    };
+    Ok((evaluation, idx))
 }
-
-/// Test accuracy of one kernel on one dataset (kernels are evaluated
-/// under z-normalization, as in Section 8).
-pub fn evaluate_kernel(k: &dyn Kernel, ds: &Dataset) -> f64 {
-    let prepared = prepare(ds, Normalization::ZScore);
-    let (_, e) = kernel_matrices(k, &prepared.train, &prepared.test);
-    one_nn_accuracy(&e, &prepared.test_labels, &prepared.train_labels)
-}
-
-// --- Cancellable, fault-classified cell cores -------------------------------
-//
-// The `try_evaluate_*` functions below are what the fault-tolerant
-// [`CellRunner`](crate::runner::CellRunner) executes inside each cell.
-// They differ from the panicking entry points above in three ways: the
-// measure is wrapped in a guarded adapter that honours a [`CancelFlag`]
-// (so watchdog deadlines interrupt even the matrix kernels), supervised
-// grid loops check the flag cooperatively between parameter points, and
-// every dissimilarity matrix is screened for NaN/±Inf at the source —
-// reported as [`CellError::NonFiniteDistance`] instead of silently
-// sorting last in the 1-NN selection. Healthy cells compute bit-identical
-// accuracies to the panicking paths (the guards delegate transparently,
-// including `distance_ws` and `is_symmetric`).
 
 /// The one distance-cell core, shared by the runner and the
 /// [`Eval`](crate::request::Eval) builder: Algorithm 1 over a
@@ -133,13 +104,13 @@ pub fn evaluate_kernel(k: &dyn Kernel, ds: &Dataset) -> f64 {
 /// inputs are `index` and `pruned`, with the NaN/±Inf screen.
 ///
 /// The measure is guarded by `cancel`. An unindexed, unpruned scan builds
-/// `E` exactly like [`distance_matrix`] and reports the first non-finite
-/// entry in row-major order, as [`find_non_finite`] does. Other plans
-/// never see every entry, so their screen is best-effort: only distances
-/// computed exactly are inspectable (an abandoned candidate legitimately
-/// reports `INFINITY`). A fault is reported as
-/// [`CellError::NonFiniteDistance`] with `i` the test row and `j` the
-/// training index.
+/// `E` exactly like [`distance_matrix`](crate::matrices::distance_matrix)
+/// and reports the first non-finite entry in row-major order, as
+/// [`find_non_finite`] does. Other plans never see every entry, so their
+/// screen is best-effort: only distances computed exactly are inspectable
+/// (an abandoned candidate legitimately reports `INFINITY`). A fault is
+/// reported as [`CellError::NonFiniteDistance`] with `i` the test row and
+/// `j` the training index.
 pub(crate) fn distance_cell(
     d: &dyn Distance,
     prepared: &Dataset,
@@ -174,68 +145,42 @@ pub(crate) fn distance_cell(
     {
         return Err(CellError::NonFiniteDistance { i, j });
     }
-    check_shapes(
-        prepared.test.len(),
-        prepared.train.len(),
-        &prepared.test_labels,
-        &prepared.train_labels,
-    )?;
-    let accuracy = one_nn_vote_accuracy(&nns, &prepared.test_labels, &prepared.train_labels);
+    let accuracy = one_nn_vote_accuracy(&nns, &prepared.test_labels, &prepared.train_labels)?;
     Ok(Evaluation::unsupervised(accuracy))
 }
 
-/// Cancellable, fault-classified variant of
-/// [`evaluate_distance_supervised`]: the flag is checked between grid
-/// points, and the selected point's LOOCV accuracy is returned alongside
-/// the test accuracy.
-pub fn try_evaluate_distance_supervised(
+/// Supervised evaluation of a distance grid: every grid point's LOOCV
+/// training accuracy is computed from `W`; the best (first on ties, in
+/// grid order — matching the deterministic tuning of Section 3) is then
+/// scored on the test split. Returns that evaluation and the winning
+/// grid index.
+pub fn evaluate_distance_supervised(
     grid: &[Box<dyn Distance>],
     ds: &Dataset,
     norm: Normalization,
     cancel: &CancelFlag,
-) -> Result<Evaluation, CellError> {
-    if grid.is_empty() {
-        return Err(EvalError::EmptyGrid.into());
-    }
+) -> Result<(Evaluation, usize), CellError> {
     let prepared = prepare(ds, norm);
-    let mut best_idx = 0;
-    let mut best_train = f64::NEG_INFINITY;
-    let mut w = Matrix::zeros(0, 0);
-    for (idx, d) in grid.iter().enumerate() {
-        cancel.checkpoint()?;
-        let guarded = GuardedDistance::new(d.as_ref(), cancel);
+    // Symmetric measures only compute the upper triangle of `W`.
+    let point = |idx: usize, w: &mut Matrix, _: &mut Matrix| {
+        let guarded = GuardedDistance::new(grid[idx].as_ref(), cancel);
         if norm.is_pairwise() {
-            let wrapped = AdaptiveScaled::new(guarded);
-            symmetric_distance_matrix_into(&wrapped, &prepared.train, &mut w);
+            symmetric_distance_matrix_into(&AdaptiveScaled::new(guarded), &prepared.train, w);
         } else {
-            symmetric_distance_matrix_into(&guarded, &prepared.train, &mut w);
+            symmetric_distance_matrix_into(&guarded, &prepared.train, w);
         }
-        if let Some((i, j)) = find_non_finite(&w) {
-            return Err(CellError::NonFiniteDistance { i, j });
-        }
-        let train_acc = try_loocv_accuracy(&w, &prepared.train_labels)?;
-        if train_acc > best_train {
-            best_train = train_acc;
-            best_idx = idx;
-        }
-    }
-    let test = distance_cell(
-        grid[best_idx].as_ref(),
-        &prepared,
-        norm,
-        cancel,
-        None,
-        false,
-        true,
-    )?;
-    Ok(Evaluation {
-        accuracy: test.accuracy,
-        train_accuracy: Some(best_train),
-    })
+        Ok(())
+    };
+    let score = |best: usize, _: &Matrix| {
+        let d = grid[best].as_ref();
+        Ok(distance_cell(d, &prepared, norm, cancel, None, false, true)?.accuracy)
+    };
+    tune(grid.len(), &prepared.train_labels, cancel, point, score)
 }
 
-/// Cancellable, fault-classified variant of [`evaluate_kernel`].
-pub fn try_evaluate_kernel(
+/// Test accuracy of one kernel on one dataset (kernels are evaluated
+/// under z-normalization, as in Section 8).
+pub fn evaluate_kernel(
     k: &dyn Kernel,
     ds: &Dataset,
     cancel: &CancelFlag,
@@ -244,115 +189,76 @@ pub fn try_evaluate_kernel(
     let prepared = prepare(ds, Normalization::ZScore);
     let guarded = GuardedKernel::new(k, cancel);
     let (_, e) = kernel_matrices(&guarded, &prepared.train, &prepared.test);
-    if let Some((i, j)) = find_non_finite(&e) {
-        return Err(CellError::NonFiniteDistance { i, j });
-    }
-    let accuracy = try_one_nn_accuracy(&e, &prepared.test_labels, &prepared.train_labels)?;
-    Ok(Evaluation::unsupervised(accuracy))
+    Ok(Evaluation::unsupervised(test_accuracy(&e, &prepared)?))
 }
 
-/// Supervised evaluation of a kernel grid (LOOCV on `W`, test on `E`),
-/// cancellable and fault-classified.
-pub fn try_evaluate_kernel_supervised(
+/// Supervised evaluation of a kernel grid (LOOCV on `W`, test on the
+/// winner's `E`), returning the evaluation and the winning grid index.
+pub fn evaluate_kernel_supervised(
     grid: &[Box<dyn Kernel>],
     ds: &Dataset,
     cancel: &CancelFlag,
-) -> Result<Evaluation, CellError> {
-    if grid.is_empty() {
-        return Err(EvalError::EmptyGrid.into());
-    }
+) -> Result<(Evaluation, usize), CellError> {
     let prepared = prepare(ds, Normalization::ZScore);
-    let mut best_train = f64::NEG_INFINITY;
-    let mut w = Matrix::zeros(0, 0);
-    let mut e = Matrix::zeros(0, 0);
-    let mut best_e = Matrix::zeros(0, 0);
-    for k in grid.iter() {
-        cancel.checkpoint()?;
-        let guarded = GuardedKernel::new(k.as_ref(), cancel);
-        kernel_matrices_into(&guarded, &prepared.train, &prepared.test, &mut w, &mut e);
-        if let Some((i, j)) = find_non_finite(&w).or_else(|| find_non_finite(&e)) {
-            return Err(CellError::NonFiniteDistance { i, j });
-        }
-        let train_acc = try_loocv_accuracy(&w, &prepared.train_labels)?;
-        if train_acc > best_train {
-            best_train = train_acc;
-            std::mem::swap(&mut best_e, &mut e);
-        }
-    }
-    let accuracy = try_one_nn_accuracy(&best_e, &prepared.test_labels, &prepared.train_labels)?;
-    Ok(Evaluation {
-        accuracy,
-        train_accuracy: Some(best_train),
-    })
+    let point = |idx: usize, w: &mut Matrix, e: &mut Matrix| {
+        let guarded = GuardedKernel::new(grid[idx].as_ref(), cancel);
+        kernel_matrices_into(&guarded, &prepared.train, &prepared.test, w, e);
+        Ok(())
+    };
+    let score = |_, e: &Matrix| test_accuracy(e, &prepared);
+    tune(grid.len(), &prepared.train_labels, cancel, point, score)
+}
+
+/// Train series then test series: the input an embedding is fitted on
+/// (its first `prepared.train.len()` rows) and applied to.
+fn train_then_test(prepared: &Dataset) -> Vec<Vec<f64>> {
+    prepared
+        .train
+        .iter()
+        .chain(&prepared.test)
+        .cloned()
+        .collect()
 }
 
 /// Test accuracy of one embedding on one dataset (fit on the train
-/// split, embed everything, compare representations with ED),
-/// cancellable and fault-classified. Embeddings have no pairwise kernel to guard, so cancellation is
+/// split, embed everything, compare representations with ED).
+/// Embeddings have no pairwise kernel to guard, so cancellation is
 /// checked before the (single) embedding pass.
-pub fn try_evaluate_embedding(
+pub fn evaluate_embedding(
     emb: &dyn Embedding,
     ds: &Dataset,
     cancel: &CancelFlag,
 ) -> Result<Evaluation, CellError> {
     cancel.checkpoint()?;
     let prepared = prepare(ds, Normalization::ZScore);
-    let mut all = prepared.train.clone();
-    all.extend(prepared.test.iter().cloned());
-    let z = emb.embed(&all, prepared.train.len());
-    let (_, e) = embedding_matrices(&z, prepared.train.len());
-    if let Some((i, j)) = find_non_finite(&e) {
-        return Err(CellError::NonFiniteDistance { i, j });
-    }
-    let accuracy = try_one_nn_accuracy(&e, &prepared.test_labels, &prepared.train_labels)?;
-    Ok(Evaluation::unsupervised(accuracy))
+    let n_train = prepared.train.len();
+    let z = emb.embed(&train_then_test(&prepared), n_train);
+    let (_, e) = embedding_matrices(&z, n_train)?;
+    Ok(Evaluation::unsupervised(test_accuracy(&e, &prepared)?))
 }
 
-/// Supervised evaluation of an embedding grid, cancellable and
-/// fault-classified: the flag is checked between grid points.
-pub fn try_evaluate_embedding_supervised(
+/// Supervised evaluation of an embedding grid (LOOCV on `W`, test on the
+/// winner's `E`), returning the evaluation and the winning grid index.
+pub fn evaluate_embedding_supervised(
     grid: &[Box<dyn Embedding>],
     ds: &Dataset,
     cancel: &CancelFlag,
-) -> Result<Evaluation, CellError> {
-    if grid.is_empty() {
-        return Err(EvalError::EmptyGrid.into());
-    }
+) -> Result<(Evaluation, usize), CellError> {
     let prepared = prepare(ds, Normalization::ZScore);
-    let mut all = prepared.train.clone();
-    all.extend(prepared.test.iter().cloned());
-    let n_train = prepared.train.len();
-
-    let mut best_train = f64::NEG_INFINITY;
-    let mut best_e = None;
-    for emb in grid.iter() {
-        cancel.checkpoint()?;
-        let z = emb.embed(&all, n_train);
-        let (w, e) = embedding_matrices(&z, n_train);
-        if let Some((i, j)) = find_non_finite(&w).or_else(|| find_non_finite(&e)) {
-            return Err(CellError::NonFiniteDistance { i, j });
-        }
-        let train_acc = try_loocv_accuracy(&w, &prepared.train_labels)?;
-        if train_acc > best_train {
-            best_train = train_acc;
-            best_e = Some(e);
-        }
-    }
-    let e = match best_e {
-        Some(e) => e,
-        // tsdist-lint: allow(no-unwrap-in-lib, reason = "non-empty grid was checked above, so a winner always exists")
-        None => unreachable!("non-empty grid always selects a point"),
+    let (all, n_train) = (train_then_test(&prepared), prepared.train.len());
+    let point = |idx: usize, w: &mut Matrix, e: &mut Matrix| {
+        (*w, *e) = embedding_matrices(&grid[idx].embed(&all, n_train), n_train)?;
+        Ok(())
     };
-    let accuracy = try_one_nn_accuracy(&e, &prepared.test_labels, &prepared.train_labels)?;
-    Ok(Evaluation {
-        accuracy,
-        train_accuracy: Some(best_train),
-    })
+    let score = |_, e: &Matrix| test_accuracy(e, &prepared);
+    tune(grid.len(), &prepared.train_labels, cancel, point, score)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::Eval;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use tsdist_core::elastic::Dtw;
     use tsdist_core::kernel::Rbf;
     use tsdist_core::lockstep::Euclidean;
@@ -361,6 +267,11 @@ mod tests {
     fn easy_dataset() -> Dataset {
         // Archetype index 0 (Shape) is the easiest.
         generate_dataset(&ArchiveConfig::quick(1, 42), 0)
+    }
+
+    fn distance_accuracy(d: &dyn Distance, ds: &Dataset, norm: Normalization) -> f64 {
+        let report = Eval::new(d).on(ds).normalized(norm).run().unwrap();
+        report.accuracy.unwrap()
     }
 
     #[test]
@@ -389,25 +300,23 @@ mod tests {
             Box::new(Dtw::with_window_pct(0.0)),
             Box::new(Dtw::with_window_pct(10.0)),
         ];
-        let out = evaluate_distance_supervised(&grid, &ds, Normalization::ZScore);
-        assert!(out.best_index < 2);
-        assert!((0.0..=1.0).contains(&out.test_accuracy));
-        assert!((0.0..=1.0).contains(&out.train_accuracy));
-    }
-
-    #[test]
-    fn supervised_ties_break_to_first_grid_point() {
-        let ds = easy_dataset();
-        // Identical grid points: the first must win.
-        let grid: Vec<Box<dyn Distance>> = vec![Box::new(Euclidean), Box::new(Euclidean)];
-        let out = evaluate_distance_supervised(&grid, &ds, Normalization::ZScore);
-        assert_eq!(out.best_index, 0);
+        let flag = CancelFlag::new();
+        let (out, best) =
+            evaluate_distance_supervised(&grid, &ds, Normalization::ZScore, &flag).unwrap();
+        assert!(best < 2);
+        assert!((0.0..=1.0).contains(&out.accuracy));
+        assert!(out.train_accuracy.is_some_and(|a| (0.0..=1.0).contains(&a)));
+        // The winner is scored exactly like an unsupervised evaluation.
+        let alone = distance_accuracy(grid[best].as_ref(), &ds, Normalization::ZScore);
+        assert_eq!(out.accuracy.to_bits(), alone.to_bits());
     }
 
     #[test]
     fn kernel_evaluation_beats_chance_on_shape_data() {
         let ds = easy_dataset();
-        let acc = evaluate_kernel(&Rbf::new(0.01), &ds);
+        let acc = evaluate_kernel(&Rbf::new(0.01), &ds, &CancelFlag::new())
+            .unwrap()
+            .accuracy;
         let chance = 1.0 / ds.n_classes() as f64;
         assert!(acc > chance, "acc {acc} <= chance {chance}");
     }
@@ -417,5 +326,99 @@ mod tests {
         let ds = easy_dataset();
         let acc = distance_accuracy(&Euclidean, &ds, Normalization::AdaptiveScaling);
         assert!((0.0..=1.0).contains(&acc));
+    }
+
+    #[test]
+    fn supervised_ties_break_to_first_grid_point() {
+        let ds = easy_dataset();
+        // Identical grid points: the first must win.
+        let grid: Vec<Box<dyn Distance>> = vec![Box::new(Euclidean), Box::new(Euclidean)];
+        let flag = CancelFlag::new();
+        let out = evaluate_distance_supervised(&grid, &ds, Normalization::ZScore, &flag);
+        assert_eq!(out.unwrap().1, 0);
+    }
+
+    /// Every call of a [`Counting`] measure.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+    /// ED, an RBF kernel and the identity embedding in one type, counting
+    /// its calls so a test can tell whether a matrix was built.
+    struct Counting;
+    impl Distance for Counting {
+        fn name(&self) -> String {
+            "counting".into()
+        }
+        fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            Euclidean.distance(x, y)
+        }
+    }
+    impl Kernel for Counting {
+        fn name(&self) -> String {
+            "counting".into()
+        }
+        fn kernel(&self, x: &[f64], y: &[f64]) -> f64 {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            Rbf::new(0.01).kernel(x, y)
+        }
+    }
+    impl Embedding for Counting {
+        fn name(&self) -> String {
+            "counting".into()
+        }
+        fn embed(&self, series: &[Vec<f64>], _n_train: usize) -> Matrix {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            Matrix::from_fn(series.len(), series[0].len(), |i, j| series[i][j])
+        }
+    }
+
+    /// The supervised evaluation of `kind` over `n` identical grid points.
+    fn tuned(
+        kind: &str,
+        n: usize,
+        ds: &Dataset,
+        flag: &CancelFlag,
+    ) -> Result<(Evaluation, usize), CellError> {
+        match kind {
+            "distance" => {
+                let grid: Vec<Box<dyn Distance>> =
+                    (0..n).map(|_| Box::new(Counting) as _).collect();
+                evaluate_distance_supervised(&grid, ds, Normalization::ZScore, flag)
+            }
+            "kernel" => {
+                let grid: Vec<Box<dyn Kernel>> = (0..n).map(|_| Box::new(Counting) as _).collect();
+                evaluate_kernel_supervised(&grid, ds, flag)
+            }
+            _ => {
+                let grid: Vec<Box<dyn Embedding>> =
+                    (0..n).map(|_| Box::new(Counting) as _).collect();
+                evaluate_embedding_supervised(&grid, ds, flag)
+            }
+        }
+    }
+
+    #[test]
+    fn the_grid_loop_rejects_empty_grids_breaks_ties_first_and_cancels_early() {
+        let ds = easy_dataset();
+        let (flag, raised) = (CancelFlag::new(), CancelFlag::new());
+        raised.cancel();
+        for kind in ["distance", "kernel", "embedding"] {
+            let empty = tuned(kind, 0, &ds, &flag);
+            assert_eq!(empty, Err(CellError::Eval(EvalError::EmptyGrid)), "{kind}");
+
+            let (alone, _) = tuned(kind, 1, &ds, &flag).unwrap();
+            let (tied, best) = tuned(kind, 2, &ds, &flag).unwrap();
+            assert_eq!(
+                (tied, best),
+                (alone, 0),
+                "{kind}: ties break to the first point"
+            );
+
+            let before = CALLS.load(Ordering::Relaxed);
+            let cancelled = tuned(kind, 2, &ds, &raised);
+            assert_eq!(cancelled, Err(CellError::DeadlineExceeded), "{kind}");
+            let calls = CALLS.load(Ordering::Relaxed) - before;
+            assert_eq!(calls, 0, "{kind}: a matrix was built after cancellation");
+        }
     }
 }

@@ -468,11 +468,6 @@ impl DurableJournal {
         Ok(())
     }
 
-    /// Appends one study-journal entry (the v1 line, durably framed).
-    pub fn append(&self, entry: &JournalEntry) -> std::io::Result<()> {
-        self.append_line(&entry.render())
-    }
-
     /// Flushes and syncs the active segment.
     pub fn sync(&self) -> std::io::Result<()> {
         let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -560,24 +555,6 @@ fn decode_record(bytes: &[u8]) -> Option<(String, usize)> {
         Ok(text) => Some((text.to_string(), V2_HEADER + len)),
         Err(_) => None,
     }
-}
-
-/// Recovers a v2 *study* journal: intact records parse as
-/// [`JournalEntry`] lines; records whose payload fails entry parsing are
-/// counted as corrupt too.
-pub fn recover_journal(base: &Path) -> std::io::Result<(JournalReplay, DurableReplay)> {
-    let durable = recover_lines(base)?;
-    let mut replay = JournalReplay {
-        corrupt_lines: durable.corrupt_records,
-        ..JournalReplay::default()
-    };
-    for line in &durable.lines {
-        match JournalEntry::parse(line) {
-            Ok(entry) => replay.entries.push(entry),
-            Err(_) => replay.corrupt_lines += 1,
-        }
-    }
-    Ok((replay, durable))
 }
 
 #[cfg(test)]
@@ -836,25 +813,6 @@ mod tests {
         let replay = recover_lines(&base).unwrap();
         assert_eq!(replay.lines, vec!["alpha", "omega"]);
         assert_eq!(replay.corrupt_records, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v2_study_entries_recover_bit_exactly() {
-        let dir = std::env::temp_dir().join(format!("tsdist_j2_study_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let base = dir.join("study.j2");
-        let journal = DurableJournal::open(&base, DurableConfig::default()).unwrap();
-        let entry = ok_entry(1.0 / 3.0, Some(0.123_456_789_012_345_68));
-        journal.append(&entry).unwrap();
-        let (replay, durable) = recover_journal(&base).unwrap();
-        assert_eq!(replay.entries, vec![entry.clone()]);
-        assert_eq!(replay.corrupt_lines, 0);
-        assert_eq!(durable.lines, vec![entry.render()]);
-        match &replay.entries[0].outcome {
-            CellOutcome::Ok(e) => assert_eq!(e.accuracy.to_bits(), (1.0f64 / 3.0).to_bits()),
-            other => panic!("unexpected {other:?}"),
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

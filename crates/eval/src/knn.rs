@@ -7,25 +7,16 @@
 //! not an artifact of the `k = 1` decision boundary.
 
 use crate::error::EvalError;
+use crate::nn::check_shapes;
 use tsdist_data::Label;
 use tsdist_linalg::Matrix;
 
 /// Majority-vote k-NN accuracy from the test-by-train matrix `E`.
 /// Vote ties break towards the class of the nearer neighbour (the first
 /// encountered in distance order), which reduces to Algorithm 1 at
-/// `k = 1`.
-///
-/// # Panics
-/// Panics on shape mismatches or `k == 0`; see [`try_knn_accuracy`] for
-/// the fallible variant.
-pub fn knn_accuracy(e: &Matrix, test_labels: &[Label], train_labels: &[Label], k: usize) -> f64 {
-    // tsdist-lint: allow(no-unwrap-in-lib, reason = "documented `# Panics` facade; `try_knn_accuracy` is the fallible twin")
-    try_knn_accuracy(e, test_labels, train_labels, k).unwrap_or_else(|err| panic!("{err}"))
-}
-
-/// [`knn_accuracy`] returning a typed error instead of panicking on shape
-/// mismatches or `k == 0`.
-pub fn try_knn_accuracy(
+/// `k = 1`. Shape mismatches, an empty train split and `k == 0` are
+/// typed errors.
+pub fn knn_accuracy(
     e: &Matrix,
     test_labels: &[Label],
     train_labels: &[Label],
@@ -34,28 +25,10 @@ pub fn try_knn_accuracy(
     if k == 0 {
         return Err(EvalError::ZeroK);
     }
-    if e.rows() != test_labels.len() {
-        return Err(EvalError::ShapeMismatch {
-            what: "row/label count",
-            expected: e.rows(),
-            got: test_labels.len(),
-        });
-    }
-    if e.cols() != train_labels.len() {
-        return Err(EvalError::ShapeMismatch {
-            what: "col/label count",
-            expected: e.cols(),
-            got: train_labels.len(),
-        });
-    }
-    let mut correct = 0usize;
-    for (i, &truth) in test_labels.iter().enumerate() {
-        match predict_row(e.row(i), train_labels, k) {
-            Some(predicted) if predicted == truth => correct += 1,
-            Some(_) => {}
-            None => return Err(EvalError::EmptyTrainSet),
-        }
-    }
+    check_shapes(e.rows(), e.cols(), test_labels, train_labels)?;
+    let correct = (0..e.rows())
+        .filter(|&i| predict_row(e.row(i), train_labels, k) == Some(test_labels[i]))
+        .count();
     Ok(correct as f64 / test_labels.len().max(1) as f64)
 }
 
@@ -231,7 +204,7 @@ mod tests {
         let knn = knn_accuracy(&e, &test, &train, 1);
         let one_nn = crate::nn::one_nn_accuracy(&e, &test, &train);
         assert_eq!(knn, one_nn);
-        assert_eq!(knn, 0.75);
+        assert_eq!(knn, Ok(0.75));
     }
 
     #[test]
@@ -239,7 +212,7 @@ mod tests {
         let (e, test, train) = toy_matrix();
         // With k=3 every row votes over labels [0,0,1]: always class 0.
         let acc = knn_accuracy(&e, &test, &train, 3);
-        assert_eq!(acc, 0.5);
+        assert_eq!(acc, Ok(0.5));
     }
 
     #[test]
@@ -256,7 +229,7 @@ mod tests {
         // Two train series, one per class, k=2: tie -> nearer one wins.
         let e = Matrix::from_vec(1, 2, vec![0.2, 0.1]);
         let acc = knn_accuracy(&e, &[1], &[0, 1], 2);
-        assert_eq!(acc, 1.0);
+        assert_eq!(acc, Ok(1.0));
     }
 
     #[test]
@@ -276,14 +249,14 @@ mod tests {
     }
 
     #[test]
-    fn try_knn_reports_typed_errors() {
+    fn knn_reports_typed_errors() {
         let (e, test, train) = toy_matrix();
         assert!(matches!(
-            try_knn_accuracy(&e, &test, &train, 0),
+            knn_accuracy(&e, &test, &train, 0),
             Err(EvalError::ZeroK)
         ));
         assert!(matches!(
-            try_knn_accuracy(&e, &test[..2], &train, 1),
+            knn_accuracy(&e, &test[..2], &train, 1),
             Err(EvalError::ShapeMismatch { .. })
         ));
     }
@@ -293,8 +266,8 @@ mod tests {
         // A NaN distance (degenerate measure/normalization combination)
         // must rank after every finite neighbour deterministically.
         let e = Matrix::from_vec(1, 3, vec![f64::NAN, 0.2, 0.1]);
-        assert_eq!(knn_accuracy(&e, &[1], &[0, 0, 1], 1), 1.0);
-        assert_eq!(knn_accuracy(&e, &[0], &[0, 0, 1], 2), 0.0);
+        assert_eq!(knn_accuracy(&e, &[1], &[0, 0, 1], 1), Ok(1.0));
+        assert_eq!(knn_accuracy(&e, &[0], &[0, 0, 1], 2), Ok(0.0));
     }
 
     #[test]
@@ -304,7 +277,7 @@ mod tests {
         let e = Matrix::from_vec(1, 5, vec![0.3, 0.1, 0.3, 0.1, 0.2]);
         // k=3 nearest are indices 1, 3 (dist 0.1) then 4 (0.2).
         let acc = knn_accuracy(&e, &[1], &[0, 1, 0, 1, 0], 3);
-        assert_eq!(acc, 1.0);
+        assert_eq!(acc, Ok(1.0));
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! worker thread (so elastic/kernel measures run allocation-free), a
 //! symmetric fast path computing only the upper triangle of train-by-train
 //! matrices, and `*_into` variants that reuse caller-owned buffers across
-//! supervised grid loops. Shape errors are typed as [`EvalError`] with
-//! `try_*` variants of every classifier entry point; the panicking
-//! signatures remain as thin wrappers. See the [`matrices`] module docs
-//! for a migration note on the historic `distance_matrix` signature.
+//! the supervised grid loop. Each evaluation job has one public function,
+//! and every classifier entry point returns its shape errors as a typed
+//! [`EvalError`] instead of panicking.
 //!
 //! ## Fault tolerance and resumable studies
 //!
@@ -29,8 +28,7 @@
 //! killed study with the same journal replays completed cells
 //! bit-identically and executes only the missing, failed, and timed-out
 //! ones. [`run_study_resumable`] reports rankings over the surviving
-//! subset with an explicit N; the strict [`run_study`] facade panics on
-//! the first fault, preserving the historical contract. Knobs live on
+//! subset with an explicit N. Knobs live on
 //! [`RunnerConfig`]: `deadline`, `max_retries`, `retry_backoff`,
 //! `max_cells` (stop-after-N, the hook the kill/resume smoke test uses).
 //!
@@ -48,9 +46,8 @@
 //! incumbents (Algorithm 1's nearest neighbour and the top-k selection),
 //! chosen by one rule from the supplied [`tsdist_core::TrainIndex`] and
 //! whether the search is pruned. Every plan gives the same answers, bit
-//! for bit; they differ only in the work done. The `pruned_*` and
-//! `indexed_*` search functions are thin forwarders to it, and the
-//! matrix-consuming classifiers of [`nn`] and [`knn`] are its reference.
+//! for bit; they differ only in the work done. The matrix-consuming
+//! classifiers of [`nn`] and [`knn`] are its reference.
 //!
 //! The typical flow for one experiment:
 //!
@@ -89,7 +86,6 @@ pub mod nn;
 pub mod parallel;
 pub mod request;
 pub mod runner;
-pub mod runtime;
 pub mod scan;
 pub mod study;
 pub mod wire;
@@ -101,31 +97,26 @@ pub use comparison::{
 };
 pub use error::EvalError;
 pub use evaluator::{
-    evaluate_distance_supervised, evaluate_kernel, prepare, try_evaluate_distance_supervised,
-    try_evaluate_embedding, try_evaluate_embedding_supervised, try_evaluate_kernel,
-    try_evaluate_kernel_supervised, SupervisedOutcome,
+    evaluate_distance_supervised, evaluate_embedding, evaluate_embedding_supervised,
+    evaluate_kernel, evaluate_kernel_supervised, prepare,
 };
 pub use journal::{
-    crc32, is_v2_journal, read_journal, recover_journal, recover_lines, rewrite_journal_in_order,
-    DurableConfig, DurableJournal, DurableReplay, FsyncPolicy, Journal, JournalEntry,
-    JournalReplay,
+    crc32, is_v2_journal, read_journal, recover_lines, rewrite_journal_in_order, DurableConfig,
+    DurableJournal, DurableReplay, FsyncPolicy, Journal, JournalEntry, JournalReplay,
 };
-pub use knn::{knn_accuracy, try_knn_accuracy, ConfusionMatrix};
+pub use knn::{knn_accuracy, ConfusionMatrix};
 pub use matrices::{
-    distance_matrices, distance_matrices_into, distance_matrix, distance_matrix_into,
-    embedding_matrices, kernel_matrices, kernel_matrices_into, symmetric_distance_matrix,
-    symmetric_distance_matrix_into, try_embedding_matrices,
+    distance_matrix, embedding_matrices, kernel_matrices, kernel_matrices_into,
+    symmetric_distance_matrix, symmetric_distance_matrix_into,
 };
-pub use nn::{loocv_accuracy, one_nn_accuracy, try_loocv_accuracy, try_one_nn_accuracy};
+pub use nn::{loocv_accuracy, one_nn_accuracy};
 pub use parallel::{parallel_fill_rows, parallel_map, parallel_map_with, worker_count};
-pub use request::{Answer, Eval, EvalReport, EvalRequest};
+pub use request::{Answer, Eval, EvalReport};
 pub use runner::{
     cell_key, run_study_resumable, summarize_cells, CellRunner, RobustStudyReport, RunnerConfig,
 };
-pub use runtime::{measure_inference, RuntimeMeasurement};
 pub use scan::{
-    indexed_knn_search, indexed_knn_search_stats, indexed_loocv_search, indexed_nn_search,
-    indexed_nn_search_stats, one_nn_vote_accuracy, pruned_knn_search, pruned_loocv_search,
-    pruned_nn_search, IndexedStats, NearestNeighbour, Rows, Scan, KEOGH_INFLATE,
+    indexed_nn_search_stats, one_nn_vote_accuracy, pruned_nn_search, IndexedStats,
+    NearestNeighbour, Rows, Scan, KEOGH_INFLATE,
 };
-pub use study::{run_study, Entrant, StudyReport};
+pub use study::{Entrant, StudyReport};

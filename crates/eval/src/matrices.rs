@@ -16,9 +16,9 @@
 //! hint promises bit-identical `d(x, y)` and `d(y, x)`, so the mirrored
 //! matrix equals the full computation exactly.
 //!
-//! Every builder also has an `*_into` variant filling a caller-owned
-//! [`Matrix`], which the supervised grid loops use to reuse one `W`/`E`
-//! allocation across all grid points.
+//! The `*_into` builders fill a caller-owned [`Matrix`], which the
+//! supervised grid loop uses to reuse one `W` allocation across all grid
+//! points.
 //!
 //! # No cutoffs here — deliberately
 //!
@@ -31,13 +31,9 @@
 //! where the sole consumer is an argmin; see the "Early abandoning and
 //! cutoff threading" section of `DESIGN.md`.
 //!
-//! # Migration note
-//!
-//! The historic `distance_matrix(d, rows, cols)` signature is unchanged,
-//! but it now computes in parallel with per-worker workspaces; results
-//! are bit-identical to the old serial loop. Callers building a
-//! train-by-train matrix should prefer [`symmetric_distance_matrix`],
-//! which exploits the symmetry hint automatically.
+//! Callers building a train-by-train matrix should prefer
+//! [`symmetric_distance_matrix`], which exploits the symmetry hint
+//! automatically.
 
 use crate::error::EvalError;
 use crate::parallel::{parallel_fill_rows, parallel_map_with};
@@ -54,12 +50,7 @@ pub fn distance_matrix(d: &dyn Distance, rows: &[Vec<f64>], cols: &[Vec<f64>]) -
 }
 
 /// [`distance_matrix`] into a caller-owned matrix (resized as needed).
-pub fn distance_matrix_into(
-    d: &dyn Distance,
-    rows: &[Vec<f64>],
-    cols: &[Vec<f64>],
-    out: &mut Matrix,
-) {
+fn distance_matrix_into(d: &dyn Distance, rows: &[Vec<f64>], cols: &[Vec<f64>], out: &mut Matrix) {
     out.resize(rows.len(), cols.len());
     parallel_fill_rows(
         out.as_mut_slice(),
@@ -102,32 +93,6 @@ fn mirror_upper_to_lower(m: &mut Matrix) {
             m[(i, j)] = m[(j, i)];
         }
     }
-}
-
-/// Computes both matrices for a distance measure: `W` (train x train,
-/// through the symmetric fast path when applicable) and `E` (test x
-/// train).
-pub fn distance_matrices(
-    d: &dyn Distance,
-    train: &[Vec<f64>],
-    test: &[Vec<f64>],
-) -> (Matrix, Matrix) {
-    let mut w = Matrix::zeros(0, 0);
-    let mut e = Matrix::zeros(0, 0);
-    distance_matrices_into(d, train, test, &mut w, &mut e);
-    (w, e)
-}
-
-/// [`distance_matrices`] into caller-owned matrices.
-pub fn distance_matrices_into(
-    d: &dyn Distance,
-    train: &[Vec<f64>],
-    test: &[Vec<f64>],
-    w: &mut Matrix,
-    e: &mut Matrix,
-) {
-    symmetric_distance_matrix_into(d, train, w);
-    distance_matrix_into(d, test, train, e);
 }
 
 /// The normalized kernel dissimilarity
@@ -199,18 +164,9 @@ pub fn kernel_matrices_into(
 
 /// Computes `W` and `E` as plain Euclidean distances between embedding
 /// rows (`z` holds train rows first, then test rows) — how the paper
-/// compares embedding measures.
-///
-/// # Panics
-/// Panics if `n_train` exceeds the embedded row count; see
-/// [`try_embedding_matrices`] for the fallible variant.
-pub fn embedding_matrices(z: &Matrix, n_train: usize) -> (Matrix, Matrix) {
-    // tsdist-lint: allow(no-unwrap-in-lib, reason = "documented `# Panics` facade; `try_embedding_matrices` is the fallible twin")
-    try_embedding_matrices(z, n_train).unwrap_or_else(|err| panic!("{err}"))
-}
-
-/// [`embedding_matrices`] returning a typed error instead of panicking.
-pub fn try_embedding_matrices(z: &Matrix, n_train: usize) -> Result<(Matrix, Matrix), EvalError> {
+/// compares embedding measures. An `n_train` above the embedded row count
+/// is a typed error.
+pub fn embedding_matrices(z: &Matrix, n_train: usize) -> Result<(Matrix, Matrix), EvalError> {
     let n = z.rows();
     if n_train > n {
         return Err(EvalError::TrainCountExceedsRows { n_train, rows: n });
@@ -262,7 +218,7 @@ mod tests {
     #[test]
     fn train_matrix_diagonal_is_zero_for_metrics() {
         let train = toy(5, 8, 0.0);
-        let (w, _) = distance_matrices(&Euclidean, &train, &toy(2, 8, 1.0));
+        let w = symmetric_distance_matrix(&Euclidean, &train);
         for i in 0..5 {
             assert_eq!(w[(i, i)], 0.0);
         }
@@ -372,7 +328,7 @@ mod tests {
     #[test]
     fn embedding_matrices_have_correct_shapes() {
         let z = Matrix::from_fn(7, 3, |i, j| (i * 3 + j) as f64);
-        let (w, e) = embedding_matrices(&z, 5);
+        let (w, e) = embedding_matrices(&z, 5).unwrap();
         assert_eq!((w.rows(), w.cols()), (5, 5));
         assert_eq!((e.rows(), e.cols()), (2, 5));
         // Self-distance zero on the diagonal.
@@ -385,7 +341,7 @@ mod tests {
     fn embedding_matrices_reject_oversized_train_count() {
         let z = Matrix::zeros(3, 2);
         assert_eq!(
-            try_embedding_matrices(&z, 4),
+            embedding_matrices(&z, 4),
             Err(EvalError::TrainCountExceedsRows {
                 n_train: 4,
                 rows: 3

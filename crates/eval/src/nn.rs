@@ -7,18 +7,9 @@ use tsdist_linalg::Matrix;
 /// Algorithm 1 verbatim: test accuracy of the 1-NN classifier given the
 /// test-by-train dissimilarity matrix `E`. Ties break to the *first*
 /// training series with the minimal distance (strict `<` comparison), as
-/// in the paper's pseudocode.
-///
-/// # Panics
-/// Panics if the matrix shape disagrees with the label vectors; see
-/// [`try_one_nn_accuracy`] for the fallible variant.
-pub fn one_nn_accuracy(e: &Matrix, test_labels: &[Label], train_labels: &[Label]) -> f64 {
-    // tsdist-lint: allow(no-unwrap-in-lib, reason = "documented `# Panics` facade; `try_one_nn_accuracy` is the fallible twin")
-    try_one_nn_accuracy(e, test_labels, train_labels).unwrap_or_else(|err| panic!("{err}"))
-}
-
-/// [`one_nn_accuracy`] returning a typed error instead of panicking.
-pub fn try_one_nn_accuracy(
+/// in the paper's pseudocode. A matrix whose shape disagrees with the
+/// label vectors, or an empty train split, is a typed error.
+pub fn one_nn_accuracy(
     e: &Matrix,
     test_labels: &[Label],
     train_labels: &[Label],
@@ -73,18 +64,9 @@ pub(crate) fn check_shapes(
 
 /// Leave-one-out training accuracy from the train-by-train matrix `W`:
 /// the same classifier, with each series' self-comparison excluded. The
-/// paper uses this (LOOCCV) to tune parameters on the training split.
-///
-/// # Panics
-/// Panics if `W` is not square or disagrees with the labels; see
-/// [`try_loocv_accuracy`] for the fallible variant.
-pub fn loocv_accuracy(w: &Matrix, train_labels: &[Label]) -> f64 {
-    // tsdist-lint: allow(no-unwrap-in-lib, reason = "documented `# Panics` facade; `try_loocv_accuracy` is the fallible twin")
-    try_loocv_accuracy(w, train_labels).unwrap_or_else(|err| panic!("{err}"))
-}
-
-/// [`loocv_accuracy`] returning a typed error instead of panicking.
-pub fn try_loocv_accuracy(w: &Matrix, train_labels: &[Label]) -> Result<f64, EvalError> {
+/// paper uses this (LOOCCV) to tune parameters on the training split. A
+/// `W` that is not square or disagrees with the labels is a typed error.
+pub fn loocv_accuracy(w: &Matrix, train_labels: &[Label]) -> Result<f64, EvalError> {
     if w.rows() != w.cols() {
         return Err(EvalError::NotSquare {
             rows: w.rows(),
@@ -132,13 +114,13 @@ mod tests {
         // Test series 0 nearest to train 0 (class 0), test 1 to train 1.
         let e = Matrix::from_vec(2, 2, vec![0.1, 5.0, 5.0, 0.1]);
         let acc = one_nn_accuracy(&e, &[0, 1], &[0, 1]);
-        assert_eq!(acc, 1.0);
+        assert_eq!(acc, Ok(1.0));
     }
 
     #[test]
     fn total_confusion_scores_zero() {
         let e = Matrix::from_vec(2, 2, vec![5.0, 0.1, 0.1, 5.0]);
-        assert_eq!(one_nn_accuracy(&e, &[0, 1], &[0, 1]), 0.0);
+        assert_eq!(one_nn_accuracy(&e, &[0, 1], &[0, 1]), Ok(0.0));
     }
 
     #[test]
@@ -146,15 +128,15 @@ mod tests {
         // Both training series at equal distance: Algorithm 1's strict
         // `<` keeps the first.
         let e = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        assert_eq!(one_nn_accuracy(&e, &[0], &[0, 1]), 1.0);
-        assert_eq!(one_nn_accuracy(&e, &[1], &[0, 1]), 0.0);
+        assert_eq!(one_nn_accuracy(&e, &[0], &[0, 1]), Ok(1.0));
+        assert_eq!(one_nn_accuracy(&e, &[1], &[0, 1]), Ok(0.0));
     }
 
     #[test]
     fn negative_distances_are_legal() {
         // Similarity-derived measures (e.g. -NCC) produce negative values.
         let e = Matrix::from_vec(1, 2, vec![-3.0, -1.0]);
-        assert_eq!(one_nn_accuracy(&e, &[1], &[1, 0]), 1.0);
+        assert_eq!(one_nn_accuracy(&e, &[1], &[1, 0]), Ok(1.0));
     }
 
     #[test]
@@ -172,36 +154,33 @@ mod tests {
         );
         // Series 0 and 1 are mutual NNs (same class), series 2's NN is
         // series 0 (different class).
-        let acc = loocv_accuracy(&w, &[0, 0, 1]);
+        let acc = loocv_accuracy(&w, &[0, 0, 1]).unwrap();
         assert!((acc - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn loocv_single_series_is_zero() {
         let w = Matrix::from_vec(1, 1, vec![0.0]);
-        assert_eq!(loocv_accuracy(&w, &[0]), 0.0);
+        assert_eq!(loocv_accuracy(&w, &[0]), Ok(0.0));
     }
 
     #[test]
-    #[should_panic(expected = "mismatch")]
-    fn shape_mismatch_panics() {
-        let e = Matrix::zeros(2, 2);
-        let _ = one_nn_accuracy(&e, &[0], &[0, 1]);
-    }
-
-    #[test]
-    fn try_variants_report_typed_errors() {
+    fn shape_mismatch_is_a_typed_error() {
         let e = Matrix::zeros(2, 2);
         assert!(matches!(
-            try_one_nn_accuracy(&e, &[0], &[0, 1]),
+            one_nn_accuracy(&e, &[0], &[0, 1]),
             Err(EvalError::ShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn empty_and_non_square_inputs_are_typed_errors() {
         assert!(matches!(
-            try_one_nn_accuracy(&Matrix::zeros(0, 0), &[], &[]),
+            one_nn_accuracy(&Matrix::zeros(0, 0), &[], &[]),
             Err(EvalError::EmptyTrainSet)
         ));
         assert!(matches!(
-            try_loocv_accuracy(&Matrix::zeros(2, 3), &[0, 0]),
+            loocv_accuracy(&Matrix::zeros(2, 3), &[0, 0]),
             Err(EvalError::NotSquare { rows: 2, cols: 3 })
         ));
     }

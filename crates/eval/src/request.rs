@@ -5,7 +5,7 @@
 //! study runner share verbatim — one request type flows from wire format
 //! to inner loop, the [`Scan`] engine.
 //!
-//! Two modes, selected by whether [`EvalRequest::queries`] was called:
+//! Two modes, selected by whether [`Eval::queries`] was called:
 //!
 //! * **Dataset mode** (default): classify the dataset's own test split
 //!   against its train split and report the accuracy, with the NaN/±Inf
@@ -31,20 +31,17 @@ use crate::error::EvalError;
 use crate::evaluator::{distance_cell, prepare, preprocess_series};
 use crate::knn::majority_vote;
 use crate::nn::check_shapes;
+use crate::runner::panic_message;
 use crate::scan::{knn_vote_accuracy, Rows, Scan};
 use tsdist_core::measure::Distance;
 use tsdist_core::normalization::{AdaptiveScaled, Normalization};
 use tsdist_core::TrainIndex;
 use tsdist_data::{Dataset, Label};
 
-/// Entry point of the consolidated evaluation API:
-/// `Eval::new(measure).on(dataset)…run()`.
-pub type Eval<'a> = EvalRequest<'a>;
-
-/// A fully-described evaluation request; build with [`Eval::new`] and
-/// execute with [`EvalRequest::run`].
+/// A fully-described evaluation request, the entry point of the
+/// consolidated evaluation API: `Eval::new(measure).on(dataset)…run()`.
 #[derive(Clone, Copy)]
-pub struct EvalRequest<'a> {
+pub struct Eval<'a> {
     measure: &'a dyn Distance,
     dataset: Option<&'a Dataset>,
     norm: Normalization,
@@ -58,12 +55,12 @@ pub struct EvalRequest<'a> {
     assume_prepared: bool,
 }
 
-impl<'a> EvalRequest<'a> {
+impl<'a> Eval<'a> {
     /// A request evaluating `measure`, with defaults matching the
     /// historical entry points: z-score normalization, exact (unpruned)
     /// scan, `k = 1`, warm start on, no deadline.
     pub fn new(measure: &'a dyn Distance) -> Self {
-        EvalRequest {
+        Eval {
             measure,
             dataset: None,
             norm: Normalization::ZScore,
@@ -121,7 +118,7 @@ impl<'a> EvalRequest<'a> {
     }
 
     /// An external cancellation flag checked before every pairwise
-    /// distance call (combines with [`EvalRequest::deadline`]).
+    /// distance call (combines with [`Eval::deadline`]).
     pub fn cancelled_by(mut self, flag: &'a CancelFlag) -> Self {
         self.cancel = Some(flag);
         self
@@ -140,7 +137,7 @@ impl<'a> EvalRequest<'a> {
     /// for skip candidates via the PAA lower-bound cascade or metric
     /// pivot bounds, everything else takes the usual scan: cutoff-threaded
     /// (in the order of the index's sample table) if
-    /// [`pruned`](EvalRequest::pruned), exact otherwise. Answers and
+    /// [`pruned`](Eval::pruned), exact otherwise. Answers and
     /// accuracies are byte-identical with or without the index — it only
     /// changes how much work is done. Building the index on anything
     /// other than the prepared split the request will search violates
@@ -202,7 +199,7 @@ impl<'a> EvalRequest<'a> {
                     Err(EvalError::Faulted {
                         // `&*payload`, not `&payload`: coercing the Box
                         // itself to `&dyn Any` would hide the payload.
-                        message: render_panic(&*payload),
+                        message: panic_message(&*payload),
                     })
                 }
             }
@@ -232,6 +229,12 @@ impl<'a> EvalRequest<'a> {
             prepared_storage = prepare(ds, self.norm);
             &prepared_storage
         };
+        check_shapes(
+            prepared.test.len(),
+            prepared.train.len(),
+            &prepared.test_labels,
+            &prepared.train_labels,
+        )?;
         let accuracy = if self.k == 1 {
             let cell = distance_cell(
                 self.measure,
@@ -244,12 +247,6 @@ impl<'a> EvalRequest<'a> {
             );
             cell.map_err(EvalError::from)?.accuracy
         } else {
-            check_shapes(
-                prepared.test.len(),
-                prepared.train.len(),
-                &prepared.test_labels,
-                &prepared.train_labels,
-            )?;
             if prepared.test.is_empty() {
                 return Ok(EvalReport {
                     accuracy: Some(0.0),
@@ -351,17 +348,6 @@ impl<'a> EvalRequest<'a> {
     }
 }
 
-/// Renders a caught panic payload the way the cell runner does.
-fn render_panic(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// What a request produced.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EvalReport {
@@ -409,7 +395,8 @@ mod tests {
             let prepared = prepare(&ds, norm);
             let e = distance_matrix(&Euclidean, &prepared.test, &prepared.train);
             let legacy =
-                crate::nn::one_nn_accuracy(&e, &prepared.test_labels, &prepared.train_labels);
+                crate::nn::one_nn_accuracy(&e, &prepared.test_labels, &prepared.train_labels)
+                    .unwrap();
             let exact = Eval::new(&Euclidean)
                 .on(&ds)
                 .normalized(norm)
@@ -433,7 +420,8 @@ mod tests {
         let e = distance_matrix(&Euclidean, &prepared.test, &prepared.train);
         for k in [1, 3] {
             let expect =
-                crate::knn::knn_accuracy(&e, &prepared.test_labels, &prepared.train_labels, k);
+                crate::knn::knn_accuracy(&e, &prepared.test_labels, &prepared.train_labels, k)
+                    .unwrap();
             for pruned in [false, true] {
                 let got = Eval::new(&Euclidean)
                     .on(&ds)

@@ -289,7 +289,7 @@ impl CellRunner {
 
 /// Renders a panic payload: the `&str` / `String` message when there is
 /// one (the overwhelmingly common case), a placeholder otherwise.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

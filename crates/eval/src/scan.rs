@@ -62,8 +62,10 @@
 //! argmin truncates values the rank statistics still need. See the
 //! "Early abandoning" section of `DESIGN.md`.
 
+use crate::error::EvalError;
 use crate::knn::majority_vote;
 use crate::matrices::distance_matrix;
+use crate::nn::check_shapes;
 use crate::parallel::{parallel_map, worker_count};
 use tsdist_core::elastic::lb_keogh_upto;
 use tsdist_core::index::{cheap_score, paa_means, DtwBandIndex, PivotTable};
@@ -622,18 +624,28 @@ fn chunk_spans(n: usize) -> Vec<(usize, usize)> {
 /// Algorithm 1's accuracy from a batch of row results: `predicted`
 /// starts at the first training label, which an all-non-finite row never
 /// overwrites. An empty test split gives NaN, like
-/// [`crate::nn::one_nn_accuracy`].
+/// [`crate::nn::one_nn_accuracy`]; a row count that disagrees with the
+/// test labels, an empty train split, or a neighbour index without a
+/// training label is a typed error.
 pub fn one_nn_vote_accuracy(
     nns: &[NearestNeighbour],
     test_labels: &[Label],
     train_labels: &[Label],
-) -> f64 {
-    let correct = nns
-        .iter()
-        .zip(test_labels)
-        .filter(|(nn, &truth)| nn.index.map_or(train_labels[0], |j| train_labels[j]) == truth)
-        .count();
-    correct as f64 / test_labels.len() as f64
+) -> Result<f64, EvalError> {
+    check_shapes(nns.len(), train_labels.len(), test_labels, train_labels)?;
+    let mut correct = 0usize;
+    for (nn, &truth) in nns.iter().zip(test_labels) {
+        let j = nn.index.unwrap_or(0);
+        let predicted = *train_labels.get(j).ok_or(EvalError::ShapeMismatch {
+            what: "neighbour index/train label count",
+            expected: train_labels.len(),
+            got: j + 1,
+        })?;
+        if predicted == truth {
+            correct += 1;
+        }
+    }
+    Ok(correct as f64 / test_labels.len() as f64)
 }
 
 /// The majority-vote accuracy over per-row k-NN results.
@@ -666,44 +678,9 @@ pub fn pruned_nn_search(
     scan.nearest(Rows::Queries(test)).0
 }
 
-/// Cutoff-threaded leave-one-out 1-NN of every `train` row against the
-/// rest of `train`.
-pub fn pruned_loocv_search(
-    d: &dyn Distance,
-    train: &[Vec<f64>],
-    warm_start: bool,
-) -> Vec<NearestNeighbour> {
-    let scan = Scan::new(d, train).pruned(true).warm_start(warm_start);
-    scan.nearest(Rows::LeaveOneOut).0
-}
-
-/// Cutoff-threaded k-NN search: each row's `min(k, train.len())` nearest
-/// `(distance, index)` pairs in `(total_cmp, index)` order.
-pub fn pruned_knn_search(
-    d: &dyn Distance,
-    test: &[Vec<f64>],
-    train: &[Vec<f64>],
-    k: usize,
-    warm_start: bool,
-) -> Vec<Vec<(f64, usize)>> {
-    let scan = Scan::new(d, train).pruned(true).warm_start(warm_start);
-    scan.top_k(Rows::Queries(test), k).0
-}
-
-/// Indexed 1-NN search of every `test` row against `train`: rows with an
-/// index structure skip candidates by lower bounds, the rest take the
-/// Cutoff plan.
-pub fn indexed_nn_search(
-    d: &dyn Distance,
-    test: &[Vec<f64>],
-    train: &[Vec<f64>],
-    ix: &TrainIndex,
-    warm_start: bool,
-) -> Vec<NearestNeighbour> {
-    indexed_nn_search_stats(d, test, train, ix, warm_start).0
-}
-
-/// [`indexed_nn_search`] also returning the work counters.
+/// Indexed 1-NN search of every `test` row against `train`, with the
+/// work counters: rows with an index structure skip candidates by lower
+/// bounds, the rest take the Cutoff plan.
 pub fn indexed_nn_search_stats(
     d: &dyn Distance,
     test: &[Vec<f64>],
@@ -715,51 +692,13 @@ pub fn indexed_nn_search_stats(
     scan.warm_start(warm_start).nearest(Rows::Queries(test))
 }
 
-/// Indexed leave-one-out 1-NN over `train` (row `i` excludes candidate
-/// `i`).
-pub fn indexed_loocv_search(
-    d: &dyn Distance,
-    train: &[Vec<f64>],
-    ix: &TrainIndex,
-    warm_start: bool,
-) -> Vec<NearestNeighbour> {
-    let scan = Scan::new(d, train).pruned(true).indexed(ix);
-    scan.warm_start(warm_start).nearest(Rows::LeaveOneOut).0
-}
-
-/// Indexed k-NN search: each row's `min(k, train.len())` nearest
-/// `(distance, index)` pairs in `(total_cmp, index)` order.
-pub fn indexed_knn_search(
-    d: &dyn Distance,
-    test: &[Vec<f64>],
-    train: &[Vec<f64>],
-    ix: &TrainIndex,
-    k: usize,
-    warm_start: bool,
-) -> Vec<Vec<(f64, usize)>> {
-    indexed_knn_search_stats(d, test, train, ix, k, warm_start).0
-}
-
-/// [`indexed_knn_search`] also returning the work counters.
-pub fn indexed_knn_search_stats(
-    d: &dyn Distance,
-    test: &[Vec<f64>],
-    train: &[Vec<f64>],
-    ix: &TrainIndex,
-    k: usize,
-    warm_start: bool,
-) -> (Vec<Vec<(f64, usize)>>, IndexedStats) {
-    let scan = Scan::new(d, train).pruned(true).indexed(ix);
-    scan.warm_start(warm_start).top_k(Rows::Queries(test), k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cell::CancelFlag;
     use crate::evaluator::{distance_cell, prepare};
     use crate::knn::knn_accuracy;
-    use crate::nn::{one_nn_accuracy, try_loocv_accuracy};
+    use crate::nn::{loocv_accuracy, one_nn_accuracy};
     use crate::request::Eval;
     use crate::{CellError, EvalError};
     use tsdist_core::elastic::{Dtw, Msm};
@@ -778,6 +717,14 @@ mod tests {
             })
             .collect()
     }
+
+    /// A pruned scan of `train`; `.indexed(ix)` on it gives the indexed
+    /// search with the same warm-start setting.
+    fn cut<'a>(d: &'a dyn Distance, train: &'a [Vec<f64>], warm: bool) -> Scan<'a> {
+        Scan::new(d, train).pruned(true).warm_start(warm)
+    }
+
+    const LOO: Rows<'static> = Rows::LeaveOneOut;
 
     fn labels(n: usize) -> Vec<Label> {
         (0..n).map(|i| i % 3).collect()
@@ -819,10 +766,10 @@ mod tests {
         let (trl, tel) = (labels(12), labels(9));
         let d = Dtw::with_window_pct(10.0);
         let e = distance_matrix(&d, &test, &train);
-        let exact = one_nn_accuracy(&e, &tel, &trl);
+        let exact = one_nn_accuracy(&e, &tel, &trl).unwrap();
         for warm in [false, true] {
             let nns = pruned_nn_search(&d, &test, &train, warm);
-            let pruned = one_nn_vote_accuracy(&nns, &tel, &trl);
+            let pruned = one_nn_vote_accuracy(&nns, &tel, &trl).unwrap();
             assert_eq!(pruned.to_bits(), exact.to_bits(), "warm_start={warm}");
         }
     }
@@ -846,9 +793,9 @@ mod tests {
         let d = Msm::new(0.5);
         // Full (non-mirrored) matrix: every cell computed directly.
         let w = Matrix::from_fn(14, 14, |i, j| d.distance(&train[i], &train[j]));
-        let exact = try_loocv_accuracy(&w, &trl).unwrap();
+        let exact = loocv_accuracy(&w, &trl).unwrap();
         for warm in [false, true] {
-            let pruned = loocv_vote(&pruned_loocv_search(&d, &train, warm), &trl);
+            let pruned = loocv_vote(&cut(&d, &train, warm).nearest(LOO).0, &trl);
             assert_eq!(pruned.to_bits(), exact.to_bits(), "warm_start={warm}");
         }
     }
@@ -861,9 +808,9 @@ mod tests {
         let d = Dtw::with_window_pct(10.0);
         let e = distance_matrix(&d, &test, &train);
         for k in [1, 3, 5, 99] {
-            let exact = knn_accuracy(&e, &tel, &trl, k);
+            let exact = knn_accuracy(&e, &tel, &trl, k).unwrap();
             for warm in [false, true] {
-                let rows = pruned_knn_search(&d, &test, &train, k, warm);
+                let rows = cut(&d, &train, warm).top_k(Rows::Queries(&test), k).0;
                 let pruned = knn_vote_accuracy(&rows, &tel, &trl);
                 assert_eq!(pruned.to_bits(), exact.to_bits(), "k={k} warm={warm}");
             }
@@ -907,12 +854,12 @@ mod tests {
         let test = toy(2, 4, 0.0);
         // Algorithm 1 falls back to the first training label.
         let nns = pruned_nn_search(&AlwaysNan, &test, &train, false);
-        let acc = one_nn_vote_accuracy(&nns, &[0, 1], &labels(3));
+        let acc = one_nn_vote_accuracy(&nns, &[0, 1], &labels(3)).unwrap();
         let e = distance_matrix(&AlwaysNan, &test, &train);
-        let exact = one_nn_accuracy(&e, &[0, 1], &labels(3));
+        let exact = one_nn_accuracy(&e, &[0, 1], &labels(3)).unwrap();
         assert_eq!(acc.to_bits(), exact.to_bits());
         // LOOCV predicts None instead: nothing is correct.
-        let loocv = pruned_loocv_search(&AlwaysNan, &train, true);
+        let loocv = cut(&AlwaysNan, &train, true).nearest(LOO).0;
         assert_eq!(loocv_vote(&loocv, &labels(3)), 0.0);
     }
 
@@ -974,10 +921,8 @@ mod tests {
             let (nns, stats) = indexed_nn_search_stats(&d, &test, &train, &ix, warm);
             assert_eq!(nns, pruned_nn_search(&d, &test, &train, warm));
             assert_eq!(stats.fallback_rows, stats.rows);
-            assert_eq!(
-                indexed_knn_search(&d, &test, &train, &ix, 3, warm),
-                pruned_knn_search(&d, &test, &train, 3, warm),
-            );
+            let (exact, q) = (cut(&d, &train, warm), Rows::Queries(&test));
+            assert_eq!(exact.indexed(&ix).top_k(q, 3).0, exact.top_k(q, 3).0);
         }
     }
 
@@ -987,7 +932,7 @@ mod tests {
         let test = toy(4, 24, 0.3);
         let d = Msm::new(0.5);
         let e = distance_matrix(&d, &test, &train);
-        let rows = pruned_knn_search(&d, &test, &train, 3, true);
+        let rows = cut(&d, &train, true).top_k(Rows::Queries(&test), 3).0;
         for (i, row) in rows.iter().enumerate() {
             // The matrix-backed selection order: (total_cmp, index).
             let mut idx: Vec<usize> = (0..train.len()).collect();
@@ -1000,7 +945,7 @@ mod tests {
     #[test]
     fn single_series_loocv_is_zero() {
         let train = toy(1, 4, 0.0);
-        let nns = pruned_loocv_search(&Euclidean, &train, true);
+        let nns = cut(&Euclidean, &train, true).nearest(LOO).0;
         assert_eq!(nns[0].index, None);
         assert_eq!(loocv_vote(&nns, &[0]), 0.0);
     }
@@ -1066,9 +1011,9 @@ mod tests {
         let ix = prepared_index(&d, &train);
         for k in [1, 3, 5, 99] {
             for warm in [false, true] {
-                let exact = pruned_knn_search(&d, &test, &train, k, warm);
-                let got = indexed_knn_search(&d, &test, &train, &ix, k, warm);
-                assert_eq!(got, exact, "k={k} warm={warm}");
+                let (exact, q) = (cut(&d, &train, warm), Rows::Queries(&test));
+                let got = exact.indexed(&ix).top_k(q, k).0;
+                assert_eq!(got, exact.top_k(q, k).0, "k={k} warm={warm}");
             }
         }
     }
@@ -1079,18 +1024,14 @@ mod tests {
         let d = Dtw::with_window_pct(10.0);
         let ix = prepared_index(&d, &train);
         for warm in [false, true] {
-            assert_eq!(
-                indexed_loocv_search(&d, &train, &ix, warm),
-                pruned_loocv_search(&d, &train, warm),
-                "warm={warm}"
-            );
+            let exact = cut(&d, &train, warm);
+            let got = exact.indexed(&ix).nearest(LOO).0;
+            assert_eq!(got, exact.nearest(LOO).0, "warm={warm}");
         }
         // Pivot plans must also honour the self-exclusion.
         let ix = prepared_index(&Euclidean, &train);
-        assert_eq!(
-            indexed_loocv_search(&Euclidean, &train, &ix, true),
-            pruned_loocv_search(&Euclidean, &train, true),
-        );
+        let exact = cut(&Euclidean, &train, true);
+        assert_eq!(exact.indexed(&ix).nearest(LOO).0, exact.nearest(LOO).0);
     }
 
     #[test]
@@ -1121,7 +1062,7 @@ mod tests {
         let ix = prepared_index(&d, &ds.train);
         let (nns, stats) = indexed_nn_search_stats(&d, &ds.test, &ds.train, &ix, true);
         assert_eq!(stats.fallback_rows, 0);
-        let cascade = one_nn_vote_accuracy(&nns, &ds.test_labels, &ds.train_labels);
+        let cascade = one_nn_vote_accuracy(&nns, &ds.test_labels, &ds.train_labels).unwrap();
         let exact = Eval::new(&d).on(&raw).run().unwrap().accuracy.unwrap();
         assert_eq!(cascade.to_bits(), exact.to_bits());
     }

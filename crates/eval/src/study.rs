@@ -1,15 +1,12 @@
-//! A declarative study runner: the orchestration pattern every
-//! experiment binary follows — evaluate a set of measures over an
-//! archive, compare each against a baseline with Wilcoxon (+ Holm), and
-//! rank everything together with Friedman + Nemenyi — packaged as a
-//! reusable API.
+//! The declarative study's entrants and report: the orchestration
+//! pattern every experiment binary follows — evaluate a set of measures
+//! over an archive, compare each against a baseline with Wilcoxon
+//! (+ Holm), and rank everything together with Friedman + Nemenyi. The
+//! runner is [`run_study_resumable`](crate::runner::run_study_resumable).
 
-use crate::cell::CellOutcome;
 use crate::comparison::{render_table, PairwiseComparison, RankingAnalysis};
-use crate::runner::{run_study_resumable, CellRunner, RunnerConfig};
 use tsdist_core::measure::Distance;
 use tsdist_core::normalization::Normalization;
-use tsdist_data::Dataset;
 
 /// One entrant of a study: a named measure under a normalization.
 pub struct Entrant {
@@ -68,46 +65,23 @@ impl StudyReport {
     }
 }
 
-/// Runs a study: the first entrant is the baseline. Datasets are
-/// evaluated in parallel.
-///
-/// This is the strict facade over the fault-tolerant runner
-/// ([`run_study_resumable`](crate::runner::run_study_resumable)): every
-/// cell must complete, and the first fault (panic, non-finite distance,
-/// typed evaluation error) aborts the study with a panic naming the
-/// offending cell. Use the runner directly for fault-tolerant or
-/// resumable execution.
-///
-/// # Panics
-/// Panics with fewer than two entrants, an empty archive, or any cell
-/// that fails to complete.
-pub fn run_study(archive: &[Dataset], entrants: &[Entrant]) -> StudyReport {
-    let runner = CellRunner::new(RunnerConfig::default());
-    let robust = run_study_resumable(archive, entrants, &runner);
-    for cell in robust.cells.iter().flatten() {
-        match &cell.outcome {
-            CellOutcome::Ok(_) => {}
-            CellOutcome::Failed(err) => panic!("cell {} failed: {err}", cell.key), // tsdist-lint: allow(no-unwrap-in-lib, reason = "documented strict facade: the first fault aborts the study")
-            CellOutcome::TimedOut => panic!("cell {} timed out", cell.key), // tsdist-lint: allow(no-unwrap-in-lib, reason = "documented strict facade: the first fault aborts the study")
-            CellOutcome::Skipped => panic!("cell {} was skipped", cell.key),
-        }
-    }
-    match robust.report {
-        Some(report) => report,
-        // Every cell completed (checked above), so the surviving subset
-        // is the full grid and a report always exists.
-        // tsdist-lint: allow(no-unwrap-in-lib, reason = "a complete grid (checked above) always yields a report")
-        None => unreachable!("complete grid always yields a report"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run_study_resumable, CellRunner, RunnerConfig};
     use tsdist_core::elastic::Msm;
     use tsdist_core::lockstep::{Euclidean, Lorentzian};
     use tsdist_core::sliding::CrossCorrelation;
     use tsdist_data::synthetic::{generate_archive, ArchiveConfig};
+    use tsdist_data::Dataset;
+
+    /// A study run by the default runner; every cell must complete.
+    fn run_study(archive: &[Dataset], entrants: &[Entrant]) -> StudyReport {
+        let runner = CellRunner::new(RunnerConfig::default());
+        let robust = run_study_resumable(archive, entrants, &runner);
+        assert_eq!(robust.outcome_counts().0, archive.len() * entrants.len());
+        robust.report.expect("a complete grid yields a report")
+    }
 
     fn entrants() -> Vec<Entrant> {
         vec![

@@ -20,8 +20,8 @@ use tsdist_data::ucr::write_ucr_dataset;
 use tsdist_data::{load_ucr_archive_lenient, Dataset};
 use tsdist_eval::cell::{CancelPanic, GuardedDistance};
 use tsdist_eval::{
-    cell_key, distance_matrix, run_study, run_study_resumable, CancelFlag, CellError, CellOutcome,
-    CellRunner, Entrant, Eval, Evaluation, RunnerConfig,
+    cell_key, distance_matrix, run_study_resumable, CancelFlag, CellError, CellOutcome, CellRunner,
+    Entrant, Eval, Evaluation, RunnerConfig,
 };
 
 /// One z-scored 1-NN cell on `ds` through the `Eval` builder, cancelled
@@ -83,7 +83,9 @@ fn chaos_panic_cells_fail_while_healthy_cells_are_bit_identical() {
     assert_eq!(robust.surviving_datasets, vec![0, 1, 2]);
 
     // ...and the healthy entrants are bit-identical to a chaos-free run.
-    let clean = run_study(&archive, &healthy_entrants());
+    let clean_runner = CellRunner::new(RunnerConfig::default());
+    let clean = run_study_resumable(&archive, &healthy_entrants(), &clean_runner);
+    let clean = clean.report.expect("a chaos-free study is rankable");
     let report = robust.report.as_ref().expect("healthy subset is rankable");
     for (robust_col, clean_col) in report.accuracies.iter().zip(&clean.accuracies) {
         for (a, b) in robust_col.iter().zip(clean_col) {
@@ -263,32 +265,6 @@ fn lenient_loader_feeds_a_study_over_the_surviving_datasets() {
     assert_eq!((ok, failed, timed_out, skipped), (4, 0, 0, 0));
     let report = robust.report.as_ref().expect("survivors are rankable");
     assert_eq!(report.accuracies[0].len(), 2);
-}
-
-#[test]
-fn strict_run_study_names_the_failing_cell() {
-    let archive = quick_archive(1);
-    let mut entrants = healthy_entrants();
-    entrants.push(Entrant::new(Box::new(ChaosDistance::new(
-        Euclidean,
-        Fault::Panic,
-        Schedule::Always,
-    ))));
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_study(&archive, &entrants)
-    }));
-    let payload = match caught {
-        Err(payload) => payload,
-        Ok(_) => panic!("strict facade must panic on chaos"),
-    };
-    let message = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default();
-    assert!(
-        message.contains("failed") && message.contains("Chaos"),
-        "panic message should name the cell: {message:?}"
-    );
 }
 
 #[test]

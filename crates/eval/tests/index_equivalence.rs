@@ -12,10 +12,7 @@ use tsdist_core::normalization::Normalization;
 use tsdist_core::registry;
 use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
 use tsdist_data::Dataset;
-use tsdist_eval::{
-    indexed_knn_search, indexed_loocv_search, indexed_nn_search, indexed_nn_search_stats, prepare,
-    pruned_knn_search, pruned_loocv_search, pruned_nn_search, Eval,
-};
+use tsdist_eval::{indexed_nn_search_stats, prepare, pruned_nn_search, Eval, Rows, Scan};
 
 fn dataset(seed: u64) -> Dataset {
     generate_dataset(&ArchiveConfig::quick(1, seed), 0)
@@ -59,18 +56,15 @@ fn registry_rows_match_exact_scan_for_nn_knn_and_loocv() {
     for (name, d) in roster() {
         let ix = index_for(d.as_ref(), &prepared.train);
         for warm in [false, true] {
-            let exact = pruned_nn_search(d.as_ref(), &prepared.test, &prepared.train, warm);
-            let got = indexed_nn_search(d.as_ref(), &prepared.test, &prepared.train, &ix, warm);
-            assert_eq!(got, exact, "{name} 1-NN warm={warm}");
-
-            let exact_k = pruned_knn_search(d.as_ref(), &prepared.test, &prepared.train, 3, warm);
-            let got_k =
-                indexed_knn_search(d.as_ref(), &prepared.test, &prepared.train, &ix, 3, warm);
-            assert_eq!(got_k, exact_k, "{name} 3-NN warm={warm}");
-
-            let exact_l = pruned_loocv_search(d.as_ref(), &prepared.train, warm);
-            let got_l = indexed_loocv_search(d.as_ref(), &prepared.train, &ix, warm);
-            assert_eq!(got_l, exact_l, "{name} LOOCV warm={warm}");
+            let exact = Scan::new(d.as_ref(), &prepared.train)
+                .pruned(true)
+                .warm_start(warm);
+            let got = exact.indexed(&ix);
+            let (test, loo) = (Rows::Queries(&prepared.test), Rows::LeaveOneOut);
+            let what = format!("{name} warm={warm}");
+            assert_eq!(got.nearest(test).0, exact.nearest(test).0, "{what} 1-NN");
+            assert_eq!(got.top_k(test, 3).0, exact.top_k(test, 3).0, "{what} 3-NN");
+            assert_eq!(got.nearest(loo).0, exact.nearest(loo).0, "{what} LOOCV");
         }
     }
 }
@@ -226,7 +220,7 @@ fn ties_resolve_to_the_lowest_index_through_every_plan() {
         Box::new(ls::SquaredEuclidean),
     ] {
         let ix = index_for(d.as_ref(), &train);
-        let nns = indexed_nn_search(d.as_ref(), &test, &train, &ix, true);
+        let (nns, _) = indexed_nn_search_stats(d.as_ref(), &test, &train, &ix, true);
         assert_eq!(nns[0].index, Some(0), "{}", d.name());
         assert_eq!(nns[0].distance, 0.0, "{}", d.name());
         assert_eq!(
@@ -245,24 +239,27 @@ fn empty_and_singleton_datasets_behave_like_the_exact_scan() {
 
     // Empty train: no rows can be answered; both paths agree on the
     // empty/degenerate results.
+    let query = Rows::Queries(std::slice::from_ref(&q));
     let empty: Vec<Vec<f64>> = Vec::new();
     let ix = index_for(&d, &empty);
+    let indexed = Scan::new(&d, &empty).pruned(true).indexed(&ix);
     assert_eq!(
-        indexed_nn_search(&d, std::slice::from_ref(&q), &empty, &ix, true),
+        indexed.nearest(query).0,
         pruned_nn_search(&d, std::slice::from_ref(&q), &empty, true),
     );
-    assert!(indexed_knn_search(&d, std::slice::from_ref(&q), &empty, &ix, 3, true)[0].is_empty());
+    assert!(indexed.top_k(query, 3).0[0].is_empty());
 
     // Empty test: nothing to answer.
     let train = vec![q.clone()];
     let ix = index_for(&d, &train);
-    assert!(indexed_nn_search(&d, &[], &train, &ix, true).is_empty());
+    let exact = Scan::new(&d, &train).pruned(true);
+    let indexed = exact.indexed(&ix);
+    assert!(indexed.nearest(Rows::Queries(&[])).0.is_empty());
 
     // Singleton train: 1-NN finds it, LOOCV excludes it and finds
     // nothing — identical to the pruned scan.
-    let nns = indexed_nn_search(&d, std::slice::from_ref(&q), &train, &ix, true);
-    assert_eq!(nns[0].index, Some(0));
-    let loocv = indexed_loocv_search(&d, &train, &ix, true);
-    assert_eq!(loocv, pruned_loocv_search(&d, &train, true));
+    assert_eq!(indexed.nearest(query).0[0].index, Some(0));
+    let loocv = indexed.nearest(Rows::LeaveOneOut).0;
+    assert_eq!(loocv, exact.nearest(Rows::LeaveOneOut).0);
     assert_eq!(loocv[0].index, None);
 }

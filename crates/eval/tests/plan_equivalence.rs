@@ -11,8 +11,8 @@ use tsdist_core::TrainIndex;
 use tsdist_data::{Dataset, Label};
 use tsdist_eval::cell::find_non_finite;
 use tsdist_eval::{
-    distance_matrix, knn_accuracy, loocv_accuracy, one_nn_accuracy, Eval, EvalError, IndexedStats,
-    NearestNeighbour, Rows, Scan,
+    distance_matrix, knn_accuracy, loocv_accuracy, one_nn_accuracy, one_nn_vote_accuracy, Eval,
+    EvalError, IndexedStats, NearestNeighbour, Rows, Scan,
 };
 use tsdist_linalg::Matrix;
 
@@ -175,16 +175,13 @@ fn every_plan_equals_the_matrix_reference() {
                 assert_rows_match(&format!("{what} 1-NN"), &nns, &stats, &plan, &e, false);
                 // Algorithm 1's accuracy: an all-non-finite row predicts
                 // the first training label.
-                let correct = nns
-                    .iter()
-                    .zip(&ds.test_labels)
-                    .filter(|(nn, &t)| {
-                        nn.index.map_or(ds.train_labels[0], |j| ds.train_labels[j]) == t
-                    })
-                    .count();
-                let acc = correct as f64 / test.len() as f64;
+                let acc = one_nn_vote_accuracy(&nns, &ds.test_labels, &ds.train_labels);
                 let expect = one_nn_accuracy(&e, &ds.test_labels, &ds.train_labels);
-                assert_eq!(acc.to_bits(), expect.to_bits(), "{what} 1-NN accuracy");
+                assert_eq!(
+                    acc.map(f64::to_bits),
+                    expect.map(f64::to_bits),
+                    "{what} 1-NN accuracy"
+                );
 
                 let (nns, stats) = scan.nearest(Rows::LeaveOneOut);
                 assert_rows_match(&format!("{what} LOOCV"), &nns, &stats, &plan, &w, true);
@@ -195,7 +192,7 @@ fn every_plan_equals_the_matrix_reference() {
                     .filter(|(nn, &t)| nn.index.map(|j| ds.train_labels[j]) == Some(t))
                     .count();
                 let acc = correct as f64 / train.len() as f64;
-                let expect = loocv_accuracy(&w, &ds.train_labels);
+                let expect = loocv_accuracy(&w, &ds.train_labels).unwrap();
                 assert_eq!(acc.to_bits(), expect.to_bits(), "{what} LOOCV accuracy");
 
                 for k in [1, 3, train.len() + 1] {
@@ -233,6 +230,21 @@ fn eval_for<'a>(name: &str, d: &'a dyn Distance, ds: &'a Dataset, ix: &'a TrainI
     }
 }
 
+/// The named plan's [`Scan`] of `train`, like [`eval_for`].
+fn scan_for<'a>(
+    name: &str,
+    d: &'a dyn Distance,
+    train: &'a [Vec<f64>],
+    ix: &'a TrainIndex,
+) -> Scan<'a> {
+    let scan = Scan::new(d, train);
+    match name {
+        "Exact" => scan,
+        "Cutoff" => scan.pruned(true),
+        _ => scan.indexed(ix),
+    }
+}
+
 #[test]
 fn eval_accuracies_and_the_non_finite_screen_match_the_matrix_path() {
     let ds = split();
@@ -262,7 +274,7 @@ fn eval_accuracies_and_the_non_finite_screen_match_the_matrix_path() {
                 // k > 1 votes without the screen, like `knn_accuracy`.
                 for k in [3, ds.train.len() + 1] {
                     let got = eval.k(k).run().expect("k-NN runs").accuracy.unwrap();
-                    let expect = knn_accuracy(&e, &ds.test_labels, &ds.train_labels, k);
+                    let expect = knn_accuracy(&e, &ds.test_labels, &ds.train_labels, k).unwrap();
                     assert_eq!(got.to_bits(), expect.to_bits(), "{what} k={k}");
                 }
             }
@@ -302,20 +314,25 @@ fn edge_cases_match_the_matrix_path() {
 
         // Single-series LOOCV: nothing is left to vote.
         let single_ix = TrainIndex::build(&single.train);
-        let scan = match name {
-            "Exact" => Scan::new(&d, &single.train),
-            "Cutoff" => Scan::new(&d, &single.train).pruned(true),
-            _ => Scan::new(&d, &single.train).indexed(&single_ix),
-        };
+        let scan = scan_for(name, &d, &single.train, &single_ix);
         let (nns, _) = scan.nearest(Rows::LeaveOneOut);
         assert_eq!(nns.len(), 1);
         assert_eq!(nns[0].index, None, "{name}");
         assert_eq!(
             loocv_accuracy(&Matrix::from_vec(1, 1, vec![0.0]), &[0]),
-            0.0
+            Ok(0.0)
         );
 
-        // An empty train split and k = 0 are typed errors.
+        // An empty train split and k = 0 are typed errors, also when the
+        // rows of an empty train split are voted on directly.
+        let scan = scan_for(name, &d, &no_train.train, &empty_ix);
+        let (nns, _) = scan.nearest(Rows::Queries(&no_train.test));
+        assert_eq!(nns.len(), no_train.test.len());
+        assert_eq!(
+            one_nn_vote_accuracy(&nns, &no_train.test_labels, &no_train.train_labels),
+            Err(EvalError::EmptyTrainSet),
+            "{name}"
+        );
         for k in [1, 3] {
             let eval = eval_for(name, &d, &no_train, &empty_ix).k(k);
             assert_eq!(eval.run(), Err(EvalError::EmptyTrainSet), "{name} k={k}");

@@ -18,9 +18,9 @@ proptest! {
         let e = Matrix::from_fn(r, p, |i, j| data[(i * p + j) % data.len()]);
         let test_labels: Vec<usize> = (0..r).map(|i| labels[i % labels.len()]).collect();
         let train_labels: Vec<usize> = (0..p).map(|i| labels[(i + 5) % labels.len()]).collect();
-        let acc = one_nn_accuracy(&e, &test_labels, &train_labels);
+        let acc = one_nn_accuracy(&e, &test_labels, &train_labels).unwrap();
         prop_assert!((0.0..=1.0).contains(&acc));
-        prop_assert_eq!(acc, knn_accuracy(&e, &test_labels, &train_labels, 1));
+        prop_assert_eq!(Ok(acc), knn_accuracy(&e, &test_labels, &train_labels, 1));
     }
 
     /// LOOCV accuracy is invariant to the matrix diagonal (self-distances
@@ -61,7 +61,7 @@ proptest! {
         let e = Matrix::from_fn(r, p, |i, j| data[(i * p + j) % data.len()]);
         let test_labels: Vec<usize> = (0..r).map(|i| labels[i % labels.len()]).collect();
         let train_labels: Vec<usize> = (0..p).map(|i| labels[(i + 3) % labels.len()]).collect();
-        let base = one_nn_accuracy(&e, &test_labels, &train_labels);
+        let base = one_nn_accuracy(&e, &test_labels, &train_labels).unwrap();
 
         // Append one column per test row with distance 0 and the true label?
         // That needs per-row labels; instead append a zero-distance column
@@ -72,7 +72,7 @@ proptest! {
         });
         let mut train2 = train_labels.clone();
         train2.push(test_labels[0]);
-        let improved = one_nn_accuracy(&e2, &test_labels, &train2);
+        let improved = one_nn_accuracy(&e2, &test_labels, &train2).unwrap();
         prop_assert!(improved >= base - 1e-12);
     }
 }

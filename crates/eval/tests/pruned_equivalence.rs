@@ -12,8 +12,8 @@ use tsdist_core::normalization::Normalization;
 use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
 use tsdist_data::Dataset;
 use tsdist_eval::{
-    distance_matrix, knn_accuracy, loocv_accuracy, prepare, pruned_loocv_search,
-    symmetric_distance_matrix, CancelFlag, Eval,
+    distance_matrix, knn_accuracy, loocv_accuracy, prepare, symmetric_distance_matrix, CancelFlag,
+    Eval, Rows, Scan,
 };
 
 fn measures() -> Vec<(&'static str, Box<dyn Distance>)> {
@@ -95,9 +95,13 @@ fn loocv_and_knn_flavours_agree_with_the_matrix_path() {
         // measures, the pruned path never builds a matrix at all — the
         // accuracies still match bit-for-bit.
         let w = symmetric_distance_matrix(d.as_ref(), &ds.train);
-        let exact_loocv = loocv_accuracy(&w, &ds.train_labels);
+        let exact_loocv = loocv_accuracy(&w, &ds.train_labels).unwrap();
         for warm in [false, true] {
-            let nns = pruned_loocv_search(d.as_ref(), &ds.train, warm);
+            let nns = Scan::new(d.as_ref(), &ds.train)
+                .pruned(true)
+                .warm_start(warm)
+                .nearest(Rows::LeaveOneOut)
+                .0;
             // LOOCV starts from "no prediction": an all-non-finite row
             // counts as incorrect.
             let correct = nns
@@ -115,7 +119,7 @@ fn loocv_and_knn_flavours_agree_with_the_matrix_path() {
 
         let e = distance_matrix(d.as_ref(), &ds.test, &ds.train);
         for k in [1usize, 3, 7] {
-            let exact_knn = knn_accuracy(&e, &ds.test_labels, &ds.train_labels, k);
+            let exact_knn = knn_accuracy(&e, &ds.test_labels, &ds.train_labels, k).unwrap();
             for warm in [false, true] {
                 let pruned_knn = accuracy(
                     Eval::new(d.as_ref())
@@ -143,7 +147,7 @@ fn warm_start_and_candidate_order_do_not_leak_into_results() {
     let ds = prepare(&raw, Normalization::ZScore);
     for (name, d) in measures() {
         let e = distance_matrix(d.as_ref(), &ds.test, &ds.train);
-        let exact = tsdist_eval::one_nn_accuracy(&e, &ds.test_labels, &ds.train_labels);
+        let exact = tsdist_eval::one_nn_accuracy(&e, &ds.test_labels, &ds.train_labels).unwrap();
         for warm in [false, true] {
             let pruned = accuracy(Eval::new(d.as_ref()).on(&raw).pruned(true).warm_start(warm));
             assert_eq!(exact.to_bits(), pruned.to_bits(), "{name} warm={warm}");

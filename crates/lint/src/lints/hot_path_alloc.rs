@@ -7,7 +7,7 @@
 //! 1-NN inner loop performs zero allocations per call (PR 1's ~1.9×
 //! win). A `Vec::new()` smuggled into one of these bodies silently
 //! regresses every study. Scratch space must come from the
-//! [`Workspace`] arena passed in.
+//! `Workspace` arena passed in.
 
 use crate::model::FileModel;
 use crate::report::{Diagnostic, Severity};

@@ -2,7 +2,7 @@
 //!
 //! Two tiers. The *per-file* lints are token-level passes over one
 //! [`FileModel`]; the *workspace* lints run over the
-//! [`WorkspaceModel`](crate::graph::WorkspaceModel) call graph and see
+//! [`crate::graph::WorkspaceModel`] call graph and see
 //! every file (plus the integration-test evidence corpus) at once.
 //! The engine-level `suppression-audit` is in neither list: it needs
 //! the matched/unmatched state of every suppression and lives in

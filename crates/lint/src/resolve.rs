@@ -141,7 +141,7 @@ const STD_METHODS: &[&str] = &[
     "zip",
 ];
 
-/// True when `name` is a std-shadowed method name (see [`STD_METHODS`]).
+/// True when `name` is a std-shadowed method name (see `STD_METHODS`).
 pub fn is_std_shadowed(name: &str) -> bool {
     STD_METHODS.binary_search(&name).is_ok()
 }

@@ -1,5 +1,5 @@
 //! The shared answering engine: one code path from wire request to
-//! [`Answer`], used verbatim by the live shard workers *and* the offline
+//! [`Answer`](tsdist_eval::Answer), used verbatim by the live shard workers *and* the offline
 //! journal replayer — which is what makes served answers byte-diffable
 //! against a replay.
 //!

@@ -29,6 +29,16 @@ fn accuracy(d: &dyn Distance, ds: &Dataset) -> f64 {
         .expect("dataset mode reports accuracy")
 }
 
+/// Test accuracy, train LOOCV accuracy and winning index of a grid tuned
+/// on the training split.
+fn tuned(grid: &[Box<dyn Distance>], ds: &Dataset) -> (f64, f64, usize) {
+    let (evaluation, best) =
+        evaluate_distance_supervised(grid, ds, Normalization::ZScore, &CancelFlag::new())
+            .expect("supervised evaluation");
+    let train = evaluation.train_accuracy.expect("tuned cells report LOOCV");
+    (evaluation.accuracy, train, best)
+}
+
 fn main() {
     // Two warp-archetype datasets stand in for ECG recordings (archetype
     // cycle: index 2 and 9 are "warp").
@@ -56,12 +66,10 @@ fn main() {
             .iter()
             .map(|&w| Box::new(elastic::Dtw::with_window_pct(w)) as Box<dyn Distance>)
             .collect();
-        let dtw = evaluate_distance_supervised(&dtw_grid, ds, Normalization::ZScore);
+        let (test, train, best) = tuned(&dtw_grid, ds);
         println!(
-            "  DTW (tuned δ={:<4})      accuracy = {:.4}  (train LOOCV {:.4})",
-            params::DTW_WINDOWS[dtw.best_index],
-            dtw.test_accuracy,
-            dtw.train_accuracy
+            "  DTW (tuned δ={:<4})      accuracy = {test:.4}  (train LOOCV {train:.4})",
+            params::DTW_WINDOWS[best],
         );
 
         // MSM with its cost tuned the same way.
@@ -69,12 +77,10 @@ fn main() {
             .iter()
             .map(|&c| Box::new(elastic::Msm::new(c)) as Box<dyn Distance>)
             .collect();
-        let msm = evaluate_distance_supervised(&msm_grid, ds, Normalization::ZScore);
+        let (test, train, best) = tuned(&msm_grid, ds);
         println!(
-            "  MSM (tuned c={:<5})     accuracy = {:.4}  (train LOOCV {:.4})",
-            params::MSM_COSTS[msm.best_index],
-            msm.test_accuracy,
-            msm.train_accuracy
+            "  MSM (tuned c={:<5})     accuracy = {test:.4}  (train LOOCV {train:.4})",
+            params::MSM_COSTS[best],
         );
 
         // TWE with the paper's unsupervised pick — no tuning needed.

@@ -69,7 +69,7 @@ fn main() {
     let w = distance_matrix(&Euclidean, &prepared.train, &prepared.train);
     println!(
         "ED train LOOCV accuracy: {:.4}",
-        loocv_accuracy(&w, &prepared.train_labels)
+        loocv_accuracy(&w, &prepared.train_labels).expect("square W, one label per series")
     );
 
     println!("\n1-NN test accuracy:");

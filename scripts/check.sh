@@ -11,6 +11,16 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (no rustdoc or cargo warnings)"
+# Cargo replays cached rustdoc diagnostics, so an up-to-date tree still
+# reports every warning. A deleted item must not leave a dead link behind.
+doc_log=$(cargo doc --workspace --no-deps --offline 2>&1)
+if grep -q 'warning:' <<<"$doc_log"; then
+  grep -A8 'warning:' <<<"$doc_log" >&2
+  echo "cargo doc printed warnings" >&2
+  exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q --workspace --offline
 

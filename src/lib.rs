@@ -107,9 +107,10 @@ pub mod linalg {
     pub use tsdist_linalg::*;
 }
 
-/// The post-redesign public surface in one import: the [`Eval`] request
-/// builder and its result types, the [`Distance`] trait with its
-/// [`Workspace`] scratch memory, normalizations, dataset types, and the
+/// The post-redesign public surface in one import: the
+/// [`Eval`](tsdist_eval::Eval) request builder and its result types, the
+/// [`Distance`](tsdist_core::Distance) trait with its
+/// [`Workspace`](tsdist_core::Workspace) scratch memory, normalizations, dataset types, and the
 /// measure registry constructors.
 ///
 /// ```
@@ -133,5 +134,5 @@ pub mod prelude {
     };
     pub use tsdist_core::{Distance, Kernel, Normalization, Workspace};
     pub use tsdist_data::{Dataset, Label};
-    pub use tsdist_eval::{Answer, CancelFlag, Eval, EvalError, EvalReport, EvalRequest};
+    pub use tsdist_eval::{Answer, CancelFlag, Eval, EvalError, EvalReport};
 }

@@ -93,7 +93,8 @@ fn supervised_tuning_never_loses_to_the_worst_grid_point_on_training() {
         Box::new(Dtw::with_window_pct(20.0)),
         Box::new(Dtw::with_window_pct(100.0)),
     ];
-    let out = evaluate_distance_supervised(&grid, &ds, Normalization::ZScore);
+    let flag = CancelFlag::new();
+    let (out, _) = evaluate_distance_supervised(&grid, &ds, Normalization::ZScore, &flag).unwrap();
     // The selected train accuracy must be the max over the grid, which we
     // verify by re-evaluating each grid point's LOOCV accuracy.
     use tsdist::eval::{distance_matrix, loocv_accuracy, prepare};
@@ -101,9 +102,9 @@ fn supervised_tuning_never_loses_to_the_worst_grid_point_on_training() {
     let mut best = f64::NEG_INFINITY;
     for g in &grid {
         let w = distance_matrix(g.as_ref(), &prepared.train, &prepared.train);
-        best = best.max(loocv_accuracy(&w, &prepared.train_labels));
+        best = best.max(loocv_accuracy(&w, &prepared.train_labels).unwrap());
     }
-    assert!((out.train_accuracy - best).abs() < 1e-12);
+    assert!((out.train_accuracy.unwrap() - best).abs() < 1e-12);
 }
 
 #[test]

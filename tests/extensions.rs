@@ -2,7 +2,7 @@
 //! through the public facade exactly as a downstream user would.
 
 use tsdist::data::synthetic::{generate_dataset, ArchiveConfig};
-use tsdist::eval::{run_study, Entrant};
+use tsdist::eval::{run_study_resumable, CellRunner, Entrant, RunnerConfig};
 use tsdist::measures::multivariate::{
     dtw_dependent, dtw_independent, ed_multivariate, sbd_independent, znorm_dims,
 };
@@ -19,14 +19,18 @@ fn study_api_reproduces_the_headline_ordering() {
     use tsdist::measures::lockstep::Euclidean;
 
     let archive = generate_archive(&ArchiveConfig::quick(14, 20));
-    let report = run_study(
+    let runner = CellRunner::new(RunnerConfig::default());
+    let robust = run_study_resumable(
         &archive,
         &[
             Entrant::new(Box::new(Euclidean)),
             Entrant::new(Box::new(CrossCorrelation::sbd())),
             Entrant::new(Box::new(Msm::new(0.5))),
         ],
+        &runner,
     );
+    assert_eq!(robust.outcome_counts(), (3 * 14, 0, 0, 0));
+    let report = robust.report.expect("every cell completed");
     // NCC_c and MSM both average above the ED baseline.
     let avg = |col: &Vec<f64>| col.iter().sum::<f64>() / col.len() as f64;
     assert!(avg(&report.accuracies[1]) > avg(&report.accuracies[0]));
