@@ -19,7 +19,8 @@
 //! claims in DESIGN.md §9 stay measurable rather than historical. The
 //! run also asserts the numeric contracts that make the comparison
 //! meaningful — wavefront DP values are *bit-identical* to row-major,
-//! every row-kernel entry is *bit-identical* to its per-pair value;
+//! every row-kernel entry is *bit-identical* to its per-pair value, on
+//! the timed rows and on tie-heavy rows (grid values held in runs);
 //! lane reductions agree within the lock-step conformance tolerance —
 //! and reports `lanes_hint` coverage over the parameter-free registry.
 //!
@@ -54,6 +55,19 @@ impl Noise {
 
     fn series(&mut self, n: usize) -> Vec<f64> {
         (0..n).map(|_| self.next()).collect()
+    }
+
+    /// Noise rounded to a 0.5 grid and held for runs of 1–4 samples:
+    /// equal neighbours and equal values across series, so the DP cells
+    /// see ties between their candidates.
+    fn tie_series(&mut self, n: usize) -> Vec<f64> {
+        let mut s = Vec::with_capacity(n);
+        while s.len() < n {
+            let v = (self.next() * 2.0).round() / 2.0;
+            let run = 1 + (self.next().abs() * 2.0) as usize;
+            s.extend(std::iter::repeat_n(v, run.min(n - s.len())));
+        }
+        s
     }
 }
 
@@ -151,14 +165,33 @@ struct RowKernelRow {
     identical_bits: bool,
 }
 
+/// Whether every entry of the rows `queries` x `cols` is the per-pair
+/// value bit for bit.
+fn rows_identical(
+    d: &dyn Distance,
+    queries: &[Vec<f64>],
+    cols: &[Vec<f64>],
+    ws: &mut Workspace,
+) -> bool {
+    let mut out = vec![0.0; cols.len()];
+    queries.iter().all(|x| {
+        d.distance_row_ws(x, cols, &mut out, ws);
+        out.iter()
+            .zip(cols)
+            .all(|(&v, y)| v.to_bits() == d.distance_ws(x, y, ws).to_bits())
+    })
+}
+
 /// One measure's matrix rows (`queries` x `cols`) through the row kernel
 /// against the per-pair `distance_ws` loop the batch engine ran before.
-/// `cells` counts a DP measure's cells for a pair of lengths.
+/// `cells` counts a DP measure's cells for a pair of lengths. The bit
+/// check covers the timed rows and the tie-heavy rows `ties`.
 fn bench_row_kernel(
     name: String,
     d: &dyn Distance,
     queries: &[Vec<f64>],
     cols: &[Vec<f64>],
+    ties: &(Vec<Vec<f64>>, Vec<Vec<f64>>),
     reps: usize,
     cells: Option<&dyn Fn(usize, usize) -> u64>,
 ) -> RowKernelRow {
@@ -180,12 +213,8 @@ fn bench_row_kernel(
             .map(|(x, y)| d.distance_ws(x, y, &mut ws))
             .sum()
     });
-    let identical_bits = queries.iter().all(|x| {
-        d.distance_row_ws(x, cols, &mut out, &mut ws);
-        out.iter()
-            .zip(cols)
-            .all(|(&v, y)| v.to_bits() == d.distance_ws(x, y, &mut ws).to_bits())
-    });
+    let identical_bits =
+        rows_identical(d, queries, cols, &mut ws) && rows_identical(d, &ties.0, &ties.1, &mut ws);
     let pairs = (queries.len() * cols.len()) as f64;
     let cells_per_sec = cells.map(|cells| {
         let total: u64 = queries
@@ -372,31 +401,59 @@ fn main() {
     let cols: Vec<Vec<f64>> = (0..row_cols).map(|_| noise.series(row_len)).collect();
     let long_x: Vec<Vec<f64>> = (0..long_queries).map(|_| noise.series(len)).collect();
     let long_y: Vec<Vec<f64>> = (0..long_cols).map(|_| noise.series(len)).collect();
+    // Tie-heavy rows for the bit check: grid values in runs, a column
+    // repeated inside a block and the query among the columns.
+    let mut tie_cols: Vec<Vec<f64>> = (0..row_cols).map(|_| noise.tie_series(row_len)).collect();
+    tie_cols[5] = tie_cols[2].clone();
+    tie_cols[7] = vec![0.5; row_len];
+    let mut tie_queries: Vec<Vec<f64>> = (0..row_queries)
+        .map(|_| noise.tie_series(row_len))
+        .collect();
+    tie_queries.push(tie_cols[9].clone());
+    let ties = (tie_queries, tie_cols);
     let full_table = |m: usize, n: usize| (m * n) as u64;
     let dtw_cells = |m: usize, n: usize| banded_cells(m, n, dtw.band(m, n));
     let msm = Msm::new(0.5);
     let twe = Twe::new(1.0, 1e-4);
     let sbd = CrossCorrelation::sbd();
     let row_kernels = vec![
-        bench_row_kernel(msm.name(), &msm, &queries, &cols, reps, Some(&full_table)),
+        bench_row_kernel(
+            msm.name(),
+            &msm,
+            &queries,
+            &cols,
+            &ties,
+            reps,
+            Some(&full_table),
+        ),
         bench_row_kernel(
             "TWE(l=1,nu=1e-4)".into(),
             &twe,
             &queries,
             &cols,
+            &ties,
             reps,
             Some(&full_table),
         ),
-        bench_row_kernel(dtw.name(), &dtw, &queries, &cols, reps, Some(&dtw_cells)),
+        bench_row_kernel(
+            dtw.name(),
+            &dtw,
+            &queries,
+            &cols,
+            &ties,
+            reps,
+            Some(&dtw_cells),
+        ),
         bench_row_kernel(
             format!("{}@{len}", dtw.name()),
             &dtw,
             &long_x,
             &long_y,
+            &ties,
             reps,
             Some(&dtw_cells),
         ),
-        bench_row_kernel(sbd.name(), &sbd, &queries, &cols, reps, None),
+        bench_row_kernel(sbd.name(), &sbd, &queries, &cols, &ties, reps, None),
     ];
     for row in &row_kernels {
         eprintln!(

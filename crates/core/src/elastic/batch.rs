@@ -12,14 +12,20 @@
 //! time, one column per SIMD lane:
 //!
 //! * **Layout.** The columns are copied into a column-major `[j][lane]`
-//!   scratch ([`Workspace::lane_rows3`]), so cell `j` of all lanes is one
-//!   `[f64; LANES]` vector, as are the two rolling DP rows.
-//! * **Identical bits.** Every lane evaluates exactly the scalar
-//!   kernel's cell expressions, with the same operand and `min` order;
-//!   only *which* register slot holds the value changes. Rust never
-//!   contracts or reassociates floating point, so each lane's result is
-//!   the per-pair `distance_ws` value bit for bit (pinned by the
-//!   `row_equivalence` suite).
+//!   scratch ([`Workspace::lane_rows`]), so cell `j` of all lanes is one
+//!   `[f64; LANES]` vector, as are the two rolling DP rows and the
+//!   per-column tables MSM and TWE keep.
+//! * **Identical bits.** Each lane returns the per-pair `distance_ws`
+//!   value bit for bit (pinned by the `row_equivalence` suite). The DTW
+//!   lanes evaluate exactly the scalar kernel's cell expressions, with
+//!   the same operand and `min` order; Rust never contracts or
+//!   reassociates floating point. The MSM and TWE cells compute the same
+//!   values with fewer operations: each IEEE operation of the scalar cell
+//!   is kept or replaced by one with the same result (a table lookup, a
+//!   compare-select `min` where no operand can be NaN or `-0.0`, MSM's
+//!   cost from one difference, see [`msm_cost_signed`]). Those rewrites
+//!   need finite inputs, so a block whose query or any column holds a NaN
+//!   or ±∞ runs per pair instead.
 //! * **Partial blocks.** A block with fewer than [`LANES`] columns fills
 //!   the unused lanes with a repeat of its last real column; those lanes
 //!   do redundant work and their results are discarded.
@@ -43,15 +49,16 @@ type Lanes = [f64; LANES];
 const INF: Lanes = [f64::INFINITY; LANES];
 
 /// Fills `out[j]` with the distance from `x` to `cols[j]`: blocks of
-/// equal-length columns go through `block`, everything else through
-/// `pair` (the measure's `distance_ws`).
+/// equal-length columns go through `block`, everything else, and every
+/// block `block` declines (`None`), through `pair` (the measure's
+/// `distance_ws`).
 pub(crate) fn row_ws(
     x: &[f64],
     cols: &[Vec<f64>],
     out: &mut [f64],
     ws: &mut Workspace,
     pair: impl Fn(&[f64], &[f64], &mut Workspace) -> f64,
-    block: impl Fn(&[f64], &[&[f64]; LANES], &mut Workspace) -> Lanes,
+    block: impl Fn(&[f64], &[&[f64]; LANES], &mut Workspace) -> Option<Lanes>,
 ) {
     debug_assert_eq!(out.len(), cols.len(), "one output slot per column");
     let mut cols = cols;
@@ -65,14 +72,19 @@ pub(crate) fn row_ws(
             .count();
         let (run_cols, rest_cols) = cols.split_at(run);
         let (run_out, rest_out) = std::mem::take(&mut out).split_at_mut(run);
-        if run == 1 || len == 0 || x.is_empty() {
-            for (slot, col) in run_out.iter_mut().zip(run_cols) {
-                *slot = pair(x, col, ws);
-            }
+        let values = if run == 1 || len == 0 || x.is_empty() {
+            None
         } else {
             let lanes: [&[f64]; LANES] = array::from_fn(|l| run_cols[l.min(run - 1)].as_slice());
-            let values = block(x, &lanes, ws);
-            run_out.copy_from_slice(&values[..run]);
+            block(x, &lanes, ws)
+        };
+        match values {
+            Some(values) => run_out.copy_from_slice(&values[..run]),
+            None => {
+                for (slot, col) in run_out.iter_mut().zip(run_cols) {
+                    *slot = pair(x, col, ws);
+                }
+            }
         }
         cols = rest_cols;
         out = rest_out;
@@ -88,69 +100,121 @@ fn interleave(cols: &[&[f64]; LANES], rows: &mut [Lanes]) {
     }
 }
 
-/// MSM's split/merge cost `C(new, adjacent, opposite)`: `cost` when
-/// `new` lies between its neighbours, otherwise `cost` plus the distance
-/// to the nearer one. Non-short-circuit `&`/`|` and a final select keep
-/// it branch-free, so the lane loop vectorizes; both arms are the
-/// expressions of the scalar kernel, so the value is the same.
+/// Lane-wise `a.min(b)` for operands that are never NaN: one compare
+/// and select, which lowers to a single `vminpd`. `f64::min` must also
+/// return the non-NaN operand, which costs an unordered compare and a
+/// blend on top.
 #[inline(always)]
-pub(crate) fn msm_cost(cost: f64, new: f64, adjacent: f64, opposite: f64) -> f64 {
-    let between = (adjacent <= new) & (new <= opposite) | (adjacent >= new) & (new >= opposite);
-    let far = cost + (new - adjacent).abs().min((new - opposite).abs());
-    if between {
-        cost
+fn min_sel(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
     } else {
-        far
+        a
+    }
+}
+
+/// MSM's split/merge cost `C(new, a, o)` for finite operands, in
+/// interval form: `cost + d` when `new` lies outside the interval
+/// spanned by `a` and `o`, `d` being its distance to the nearer end, and
+/// `cost` otherwise. `d` comes from one difference: with `gap = |new -
+/// a|` and `signed = sign(new - a) * (new - o)`, it is `min(gap,
+/// signed)`, which is positive exactly when `new` is outside.
+///
+/// This is the per-pair `C` bit for bit. A rounded difference has the
+/// sign of the exact one and is zero only for equal operands, so
+/// `signed > 0` (with `gap > 0`) says exactly that `new` lies on the
+/// same side of both neighbours. Then `signed` is `|new - o|` and
+/// `min(gap, signed)` is the per-pair `min(|new - a|, |new - o|)`, since
+/// `abs` and the sign flip are exact. Otherwise `new` lies between (or
+/// on) its neighbours and the cost is `cost`, as per pair.
+#[inline(always)]
+fn msm_cost_signed(cost: f64, gap: f64, signed: f64) -> f64 {
+    let d = min_sel(gap, signed);
+    if d > 0.0 {
+        cost + d
+    } else {
+        cost
+    }
+}
+
+/// Whether `x` and every column of a block are free of NaN and ±∞: the
+/// precondition of the MSM and TWE block kernels' select-min cells.
+fn all_finite(x: &[f64], cols: &[&[f64]; LANES]) -> bool {
+    // A non-short-circuit fold, so the pass vectorizes.
+    let finite = |s: &[f64]| s.iter().fold(true, |ok, v| ok & v.is_finite());
+    finite(x) && cols.iter().all(|c| finite(c))
+}
+
+/// Fills `steps[j]` with `|ys[j] - ys[j - 1]|` for `j >= 1`.
+fn fill_steps(ys: &[Lanes], steps: &mut [Lanes]) {
+    for ((s, y), y_prev) in steps[1..].iter_mut().zip(&ys[1..]).zip(ys) {
+        *s = array::from_fn(|l| (y[l] - y_prev[l]).abs());
     }
 }
 
 /// The MSM row-major recurrence over one block: `x` against
 /// [`LANES`] non-empty columns of one length. Lane `l` of the result is
-/// `Msm::distance_ws(x, cols[l])` bit for bit.
+/// `Msm::distance_ws(x, cols[l])` bit for bit; a block holding a NaN or
+/// ±∞ is declined (`None`) and runs per pair.
+///
+/// Each cell takes its three costs from one difference `dx = x_i - y_j`
+/// (see [`msm_cost_signed`]): the split's `|x_i - x_{i-1}|` and sign are
+/// per row, the merge's `|y_j - y_{j-1}|` and sign per column of the
+/// block. Every DP value is a sum of non-negative terms, so it is never
+/// NaN or `-0.0`; on such values [`min_sel`] picks the same value as
+/// the per-pair kernel's `f64::min`.
 pub(crate) fn msm_block_ws(
     cost: f64,
     x: &[f64],
     cols: &[&[f64]; LANES],
     ws: &mut Workspace,
-) -> Lanes {
-    let Some(&x0) = x.first() else {
-        return [f64::INFINITY; LANES];
-    };
+) -> Option<Lanes> {
+    let &x0 = x.first()?;
+    if !all_finite(x, cols) {
+        return None;
+    }
     let n = cols[0].len();
-    let (ys, mut prev, mut curr) = ws.lane_rows3(n);
+    let [ys, steps, signs, mut prev, mut curr] = ws.lane_rows(n);
     interleave(cols, ys);
+    fill_steps(ys, steps);
+    for ((s, y), y_prev) in signs[1..].iter_mut().zip(&ys[1..]).zip(ys.iter()) {
+        *s = array::from_fn(|l| (y_prev[l] - y[l]).signum());
+    }
+    // The merge cost C(y_j, y_{j-1}, x_i) from `dx = x_i - y_j`.
+    let merge = |step: f64, sign: f64, dx: f64| msm_cost_signed(cost, step, sign * dx);
 
     // Row 0.
     let mut left: Lanes = array::from_fn(|l| (x0 - ys[0][l]).abs());
     prev[0] = left;
-    for ((p, y), y_prev) in prev[1..].iter_mut().zip(&ys[1..]).zip(ys.iter()) {
-        left = array::from_fn(|l| left[l] + msm_cost(cost, y[l], y_prev[l], x0));
+    let cols_j = ys[1..].iter().zip(steps[1..].iter().zip(&signs[1..]));
+    for (p, (y, (step, sign))) in prev[1..].iter_mut().zip(cols_j) {
+        left = array::from_fn(|l| left[l] + merge(step[l], sign[l], x0 - y[l]));
         *p = left;
     }
 
     for (&xp, &xi) in x.iter().zip(&x[1..]) {
-        left = array::from_fn(|l| prev[0][l] + msm_cost(cost, xi, xp, ys[0][l]));
+        // The split cost C(x_i, x_{i-1}, y_j) from `dx = x_i - y_j`.
+        let (x_gap, x_sign) = ((xi - xp).abs(), (xi - xp).signum());
+        let split = |dx: f64| msm_cost_signed(cost, x_gap, x_sign * dx);
+        left = array::from_fn(|l| prev[0][l] + split(xi - ys[0][l]));
         curr[0] = left;
         let diag_up = prev.iter().zip(&prev[1..]);
-        let cells = curr[1..]
-            .iter_mut()
-            .zip(diag_up)
-            .zip(ys[1..].iter().zip(ys.iter()));
-        for ((c, (p_diag, p_up)), (y, y_prev)) in cells {
-            // Three small lane passes, not one: a single pass holding both
-            // cost functions is too large for LLVM to unroll, so it never
-            // reaches the SLP vectorizer and stays scalar.
-            let split_x: Lanes = array::from_fn(|l| p_up[l] + msm_cost(cost, xi, xp, y[l]));
-            let merge_c: Lanes = array::from_fn(|l| msm_cost(cost, y[l], xi, y_prev[l]));
+        let cols_j = ys[1..].iter().zip(steps[1..].iter().zip(&signs[1..]));
+        for ((c, (p_diag, p_up)), (y, (step, sign))) in
+            curr[1..].iter_mut().zip(diag_up).zip(cols_j)
+        {
             left = array::from_fn(|l| {
-                let move_cost = p_diag[l] + (xi - y[l]).abs();
-                move_cost.min(split_x[l]).min(left[l] + merge_c[l])
+                let dx = xi - y[l];
+                let move_cost = p_diag[l] + dx.abs();
+                let split_x = p_up[l] + split(dx);
+                let merge_y = left[l] + merge(step[l], sign[l], dx);
+                min_sel(min_sel(move_cost, split_x), merge_y)
             });
             *c = left;
         }
         std::mem::swap(&mut prev, &mut curr);
     }
-    prev[n - 1]
+    Some(prev[n - 1])
 }
 
 /// The banded DTW row-major recurrence (squared local costs, Sakoe–Chiba
@@ -176,7 +240,7 @@ pub(crate) fn dtw_block_ws(
 ) -> Lanes {
     let n = cols[0].len();
     debug_assert!(band >= x.len().abs_diff(n), "band strands the corner");
-    let (ys, mut prev, mut curr) = ws.lane_rows3(n + 1);
+    let [ys, mut prev, mut curr] = ws.lane_rows(n + 1);
     interleave(cols, &mut ys[1..]);
 
     // Row 0: only the origin is reachable.
@@ -208,47 +272,72 @@ pub(crate) fn dtw_block_ws(
 /// The TWE row-major recurrence (Marteau's 1-based form with a zero 0th
 /// sample) over one block: `x` against [`LANES`] non-empty columns of
 /// one length. Lane `l` of the result is `Twe::distance_ws(x, cols[l])`
-/// bit for bit.
+/// bit for bit; a block holding a NaN or ±∞ is declined (`None`) and
+/// runs per pair. The cells pick with [`min_sel`] for the reason given
+/// at [`msm_block_ws`]. They compute the per-pair cell's IEEE
+/// operations fewer times: `|y_j - y_{j-1}|` once per block,
+/// `|x_i - x_{i-1}|` once per row, the stiffness `2 nu |i - j|` once per
+/// block and diagonal, and the match term's `|x_{i-1} - y_{j-1}|` not at
+/// all, since it is the row above's `|x_i - y_j|`, carried in `gaps`.
 pub(crate) fn twe_block_ws(
     lambda: f64,
     nu: f64,
     x: &[f64],
     cols: &[&[f64]; LANES],
     ws: &mut Workspace,
-) -> Lanes {
+) -> Option<Lanes> {
+    if !all_finite(x, cols) {
+        return None;
+    }
+    let m = x.len();
     let n = cols[0].len();
-    let (ys, mut prev, mut curr) = ws.lane_rows3(n + 1);
+    // stiffness[k] is the per-pair `2 nu |i - j|` for `i - j = m - 1 - k`.
+    let mut stiffness = ws.take_aux();
+    stiffness.extend((0..m + n - 1).map(|k| 2.0 * nu * ((m - 1) as f64 - k as f64).abs()));
+    let [ys, steps, gaps, mut prev, mut curr] = ws.lane_rows(n + 1);
     ys[0] = [0.0; LANES];
     interleave(cols, &mut ys[1..]);
+    fill_steps(ys, steps);
+    // gaps[j] = |x_{i-1} - y_j| for the row above, first the zero sample's.
+    for (g, y) in gaps.iter_mut().zip(ys.iter()) {
+        *g = array::from_fn(|l| (0.0 - y[l]).abs());
+    }
 
     // Row 0: delete all of y.
     let mut left: Lanes = [0.0; LANES];
     prev[0] = left;
-    for ((p, y), y_prev) in prev[1..].iter_mut().zip(&ys[1..]).zip(ys.iter()) {
-        left = array::from_fn(|l| left[l] + (y[l] - y_prev[l]).abs() + nu + lambda);
+    for (p, step) in prev[1..].iter_mut().zip(&steps[1..]) {
+        left = array::from_fn(|l| left[l] + step[l] + nu + lambda);
         *p = left;
     }
 
     let x_prevs = std::iter::once(0.0).chain(x.iter().copied());
     for (i, (xp, &xi)) in (1usize..).zip(x_prevs.zip(x)) {
-        left = array::from_fn(|l| prev[0][l] + (xi - xp).abs() + nu + lambda);
+        let x_step = (xi - xp).abs();
+        left = array::from_fn(|l| prev[0][l] + x_step + nu + lambda);
         curr[0] = left;
+        let mut gap_up = gaps[0];
+        gaps[0] = array::from_fn(|l| (xi - ys[0][l]).abs());
         let diag_up = prev.iter().zip(&prev[1..]);
         let cells = curr[1..]
             .iter_mut()
             .zip(diag_up)
-            .zip(ys[1..].iter().zip(ys.iter()));
-        for (j, ((c, (p_diag, p_up)), (y, y_prev))) in (1usize..).zip(cells) {
-            let stiffness = 2.0 * nu * (i as f64 - j as f64).abs();
+            .zip(ys[1..].iter().zip(&steps[1..]))
+            .zip(gaps[1..].iter_mut().zip(&stiffness[m - i..]));
+        for (((c, (p_diag, p_up)), (y, step)), (gap, &stiff)) in cells {
+            let gap_here: Lanes = array::from_fn(|l| (xi - y[l]).abs());
             left = array::from_fn(|l| {
-                let m_cost = p_diag[l] + (xi - y[l]).abs() + (xp - y_prev[l]).abs() + stiffness;
-                let dx = p_up[l] + (xi - xp).abs() + nu + lambda;
-                let dy = left[l] + (y[l] - y_prev[l]).abs() + nu + lambda;
-                m_cost.min(dx).min(dy)
+                let m_cost = p_diag[l] + gap_here[l] + gap_up[l] + stiff;
+                let dx = p_up[l] + x_step + nu + lambda;
+                let dy = left[l] + step[l] + nu + lambda;
+                min_sel(min_sel(m_cost, dx), dy)
             });
+            gap_up = std::mem::replace(gap, gap_here);
             *c = left;
         }
         std::mem::swap(&mut prev, &mut curr);
     }
-    prev[n]
+    let result = prev[n];
+    ws.put_aux(stiffness);
+    Some(result)
 }

@@ -92,7 +92,14 @@ impl Distance for Dtw {
             out,
             ws,
             |x, y, ws| self.distance_ws(x, y, ws),
-            |x, block, ws| batch::dtw_block_ws(self.band(x.len(), block[0].len()), x, block, ws),
+            |x, block, ws| {
+                Some(batch::dtw_block_ws(
+                    self.band(x.len(), block[0].len()),
+                    x,
+                    block,
+                    ws,
+                ))
+            },
         );
     }
 

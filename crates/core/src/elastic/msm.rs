@@ -30,11 +30,19 @@ impl Msm {
 
     /// The split/merge cost function C(new, adjacent, opposite):
     /// `c` when `new` lies between its neighbours, otherwise `c` plus the
-    /// distance to the nearer neighbour (branch-free; shared with the
-    /// batch-axis row kernel).
+    /// distance to the nearer neighbour. Non-short-circuit `&`/`|` and a
+    /// final select keep it branch-free. The batch-axis row kernel uses
+    /// an interval form of the same cost that is equal on finite inputs;
+    /// this form also fixes what NaN and ±∞ inputs give.
     #[inline]
     fn c(&self, new: f64, adjacent: f64, opposite: f64) -> f64 {
-        batch::msm_cost(self.cost, new, adjacent, opposite)
+        let between = (adjacent <= new) & (new <= opposite) | (adjacent >= new) & (new >= opposite);
+        let far = self.cost + (new - adjacent).abs().min((new - opposite).abs());
+        if between {
+            self.cost
+        } else {
+            far
+        }
     }
 }
 

@@ -164,7 +164,7 @@ impl Distance for CrossCorrelation {
             out,
             ws,
             |x, y, ws| self.distance_ws(x, y, ws),
-            |x, block, ws| self.block_ws(x, block, ws),
+            |x, block, ws| Some(self.block_ws(x, block, ws)),
         );
     }
 

@@ -12,7 +12,7 @@
 //! A [`Workspace`] is a set of independent arenas:
 //!
 //! * [`Workspace::dp_rows2`] / [`Workspace::dp_rows4`] — `f64` DP rows,
-//! * `Workspace::lane_rows3` — lane-interleaved rows for the MSM/TWE/DTW
+//! * `Workspace::lane_rows` — lane-interleaved rows for the MSM/TWE/DTW
 //!   batch-axis row kernels (crate-internal),
 //! * [`Workspace::int_rows2`] — `u32` DP rows (LCSS/EDR),
 //! * [`Workspace::take_aux`] / [`Workspace::take_aux2`] — owned `f64`
@@ -28,13 +28,6 @@
 
 use crate::lanes::LANES;
 use tsdist_fft::CcScratch;
-
-/// The three rows handed out by [`Workspace::lane_rows3`].
-pub(crate) type LaneRows3<'a> = (
-    &'a mut [[f64; LANES]],
-    &'a mut [[f64; LANES]],
-    &'a mut [[f64; LANES]],
-);
 
 /// Reusable scratch arenas for [`crate::measure::Distance::distance_ws`].
 ///
@@ -106,24 +99,27 @@ impl Workspace {
         (a, b, c, extra)
     }
 
-    /// Three lane-interleaved rows of `len` cells each, carved from the
+    /// `K` lane-interleaved rows of `len` cells each, carved from the
     /// shared `f64` DP arena — the `[j][lane]` layout of the batch-axis
     /// row kernels behind MSM's, TWE's and DTW's
     /// [`crate::measure::Distance::distance_row_ws`]: cell `j` of all
-    /// [`LANES`] lanes is one array. The first row holds the interleaved
-    /// columns, the other two the rolling DP rows.
+    /// [`LANES`] lanes is one array. The kernels keep the interleaved
+    /// columns, the two rolling DP rows and MSM's and TWE's per-column
+    /// tables in them.
     ///
     /// Contents are unspecified; callers must initialize every cell they
     /// read.
-    pub(crate) fn lane_rows3(&mut self, len: usize) -> LaneRows3<'_> {
-        let cells = 3 * len * LANES;
+    pub(crate) fn lane_rows<const K: usize>(&mut self, len: usize) -> [&mut [[f64; LANES]]; K] {
+        let cells = K * len * LANES;
         if self.dp.len() < cells {
             self.dp.resize(cells, 0.0);
         }
-        let (rows, _) = self.dp[..cells].as_chunks_mut::<LANES>();
-        let (a, rest) = rows.split_at_mut(len);
-        let (b, c) = rest.split_at_mut(len);
-        (a, b, c)
+        let (mut rest, _) = self.dp[..cells].as_chunks_mut::<LANES>();
+        std::array::from_fn(|_| {
+            let (row, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            row
+        })
     }
 
     /// Two `u32` DP rows of length `len` (LCSS/EDR counters).
@@ -229,15 +225,15 @@ mod tests {
     #[test]
     fn lane_rows_are_disjoint_and_right_sized() {
         let mut ws = Workspace::new();
-        let (a, b, c) = ws.lane_rows3(5);
-        assert_eq!((a.len(), b.len(), c.len()), (5, 5, 5));
-        a.fill([1.0; LANES]);
-        b.fill([2.0; LANES]);
-        c.fill([3.0; LANES]);
-        let (a, b, c) = ws.lane_rows3(5);
-        assert!(a.iter().flatten().all(|&v| v == 1.0));
-        assert!(b.iter().flatten().all(|&v| v == 2.0));
-        assert!(c.iter().flatten().all(|&v| v == 3.0));
+        let rows = ws.lane_rows::<4>(5);
+        for (k, row) in (1..).zip(rows) {
+            assert_eq!(row.len(), 5);
+            row.fill([f64::from(k); LANES]);
+        }
+        let rows = ws.lane_rows::<4>(5);
+        for (k, row) in (1..).zip(rows) {
+            assert!(row.iter().flatten().all(|&v| v == f64::from(k)));
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! counts around the lane width, rows mixing lengths so blocks split,
 //! empty series — and over adversarial values, and it checks that the
 //! delegating wrappers reach an override instead of silently falling
-//! back to the per-pair loop.
+//! back to the per-pair loop. MSM and TWE also get tie-heavy and
+//! study-shaped series, whose cells rely on exact ties going the
+//! per-pair way, and blocks with one non-finite lane, which must run
+//! per pair.
 
 use tsdist_core::elastic::{Dtw, Msm, Twe};
 use tsdist_core::lanes::LANES;
@@ -41,6 +44,37 @@ impl Gen {
     fn series(&mut self, len: usize) -> Vec<f64> {
         (0..len).map(|_| self.value()).collect()
     }
+
+    /// Uniform in `0..bound`.
+    fn below(&mut self, bound: u64) -> usize {
+        (self.next_u64() % bound) as usize
+    }
+
+    /// Values on a 0.5 grid in `[-2, 2]`, held for runs of 1–4 samples,
+    /// so equal neighbours and equal values across series are common.
+    fn tie_series(&mut self, len: usize) -> Vec<f64> {
+        let mut s = Vec::with_capacity(len);
+        while s.len() < len {
+            let v = (self.value() * 2.0).round() / 2.0;
+            let run = 1 + self.below(4);
+            s.extend(std::iter::repeat_n(v, run.min(len - s.len())));
+        }
+        s
+    }
+
+    /// A z-scored random walk: the shape of a normalized study series.
+    fn zscored_walk(&mut self, len: usize) -> Vec<f64> {
+        let walk: Vec<f64> = (0..len)
+            .scan(0.0, |pos, _| {
+                *pos += self.value();
+                Some(*pos)
+            })
+            .collect();
+        let mean = walk.iter().sum::<f64>() / len as f64;
+        let var = walk.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / len as f64;
+        let sd = var.sqrt();
+        walk.iter().map(|v| (v - mean) / sd).collect()
+    }
 }
 
 /// Every distance instance the registry hands out (full Table 4 grids).
@@ -58,6 +92,14 @@ fn registry_distances() -> Vec<Box<dyn Distance>> {
 /// The measures with a batch-axis override, over a spread of
 /// parameters including the zero-cost and zero-band corners.
 fn batch_measures() -> Vec<Box<dyn Distance>> {
+    let mut all = msm_twe_measures();
+    all.extend(dtw_measures());
+    all.extend(ncc_measures());
+    all
+}
+
+/// MSM and TWE at the zero-cost corner and across their grids.
+fn msm_twe_measures() -> Vec<Box<dyn Distance>> {
     let mut all: Vec<Box<dyn Distance>> =
         vec![Box::new(Msm::new(0.0)), Box::new(Twe::new(0.0, 0.0))];
     for c in [0.01, 0.5, 100.0] {
@@ -66,8 +108,6 @@ fn batch_measures() -> Vec<Box<dyn Distance>> {
     for (lambda, nu) in [(1.0, 1e-4), (0.25, 1.0), (0.0, 1e-5)] {
         all.push(Box::new(Twe::new(lambda, nu)));
     }
-    all.extend(dtw_measures());
-    all.extend(ncc_measures());
     all
 }
 
@@ -306,7 +346,9 @@ fn adversarial_values_stay_bit_identical_in_every_lane() {
         queries.push(q);
     }
     let mut ws = Workspace::default();
-    // The batch kernels keep even NaN bits.
+    // The batch kernels keep even NaN bits: DTW and NCC lane for lane,
+    // MSM and TWE by handing any block with a NaN or ±∞ to the per-pair
+    // kernel.
     for d in batch_measures() {
         for x in &queries {
             check_row(d.as_ref(), x, &cols, &mut ws, "adversarial");
@@ -316,6 +358,75 @@ fn adversarial_values_stay_bit_identical_in_every_lane() {
         for x in &queries {
             let what = "adversarial";
             check_row_with(d.as_ref(), x, &cols, &mut ws, what, assert_bits_eq_any_nan);
+        }
+    }
+}
+
+#[test]
+fn msm_twe_rows_stay_identical_when_values_tie() {
+    let mut g = Gen(0x5EED_0007);
+    let mut ws = Workspace::default();
+    for (m, n) in [(2, 2), (12, 12), (17, 23), (23, 17), (33, 33)] {
+        let x = g.tie_series(m);
+        let mut cols: Vec<Vec<f64>> = (0..20).map(|_| g.tie_series(n)).collect();
+        // A column repeated inside a block and across blocks, and
+        // constant columns: equal DP candidates in many cells.
+        cols[5] = cols[2].clone();
+        cols[11] = cols[2].clone();
+        cols[7] = vec![0.5; n];
+        cols[8] = vec![0.0; n];
+        if m == n {
+            cols[3] = x.clone();
+        }
+        for d in msm_twe_measures() {
+            check_row(d.as_ref(), &x, &cols, &mut ws, &format!("ties m={m} n={n}"));
+            check_row(d.as_ref(), &vec![0.5; m], &cols, &mut ws, "constant query");
+        }
+    }
+}
+
+#[test]
+fn msm_twe_rows_match_per_pair_on_study_shaped_series() {
+    let mut g = Gen(0x5EED_0008);
+    let mut ws = Workspace::default();
+    let cols: Vec<Vec<f64>> = (0..30).map(|_| g.zscored_walk(96)).collect();
+    let mut queries: Vec<Vec<f64>> = (0..3).map(|_| g.zscored_walk(96)).collect();
+    queries.push(cols[9].clone());
+    for d in msm_twe_measures() {
+        for x in &queries {
+            check_row(d.as_ref(), x, &cols, &mut ws, "z-scored walks");
+        }
+    }
+}
+
+#[test]
+fn one_non_finite_lane_sends_its_block_per_pair() {
+    let mut g = Gen(0x5EED_0009);
+    let mut ws = Workspace::default();
+    let len = 11;
+    let x = g.series(len);
+    let clean: Vec<Vec<f64>> = (0..LANES).map(|_| g.series(len)).collect();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        // The query clean and holding the same value, so ∞ - ∞ = NaN
+        // arises inside the DP as well.
+        let mut bad_x = x.clone();
+        bad_x[3] = bad;
+        for lane in 0..LANES {
+            let mut one_sample = clean.clone();
+            one_sample[lane][len / 2] = bad;
+            let mut whole_column = clean.clone();
+            whole_column[lane] = vec![bad; len];
+            for cols in [&one_sample, &whole_column] {
+                for q in [&x, &bad_x] {
+                    for d in msm_twe_measures() {
+                        let what = format!("{bad} in lane {lane}");
+                        check_row(d.as_ref(), q, cols, &mut ws, &what);
+                    }
+                }
+            }
+        }
+        for d in msm_twe_measures() {
+            check_row(d.as_ref(), &bad_x, &clean, &mut ws, &format!("{bad} query"));
         }
     }
 }
