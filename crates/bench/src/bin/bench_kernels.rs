@@ -32,7 +32,8 @@ use std::time::Instant;
 
 use tsdist_bench::ExperimentConfig;
 use tsdist_core::elastic::{
-    dtw::dtw_banded_ws, wavefront::dtw_wavefront_ws, DerivativeDtw, Dtw, Erp, Msm, Twe, WeightedDtw,
+    dtw::dtw_banded_ws, wavefront::dtw_wavefront_ws, wdtw_row_major, DerivativeDtw, Dtw, Erp, Msm,
+    Twe, WeightedDtw,
 };
 use tsdist_core::lockstep::{Chebyshev, CityBlock, Euclidean, Minkowski};
 use tsdist_core::measure::Distance;
@@ -369,10 +370,13 @@ fn main() {
                 .sum()
         });
         let rowmajor_seconds = median_seconds(reps, || {
-            dp_inputs.iter().map(|(x, y)| wdtw.distance(x, y)).sum()
+            dp_inputs
+                .iter()
+                .map(|(x, y)| wdtw_row_major(x, y, wdtw.g))
+                .sum()
         });
         let identical_bits = dp_inputs.iter().all(|(x, y)| {
-            wdtw.distance_ws(x, y, &mut ws).to_bits() == wdtw.distance(x, y).to_bits()
+            wdtw.distance_ws(x, y, &mut ws).to_bits() == wdtw_row_major(x, y, wdtw.g).to_bits()
         });
         dp_rows.push(DpRow {
             name: "WDTW(g=0.05)",

@@ -5,7 +5,9 @@
 //!
 //! 1. `distance` agrees with the naive reference within the category
 //!    tolerance;
-//! 2. `distance_ws` is *bit-identical* to `distance`;
+//! 2. `distance_ws` over the engine's reused workspace is
+//!    *bit-identical* to `distance` (a fresh workspace), so no result
+//!    depends on what an earlier call left in the arenas;
 //! 3. `distance_upto` honours the cutoff contract (exact bits below the
 //!    cutoff or when the cutoff is non-finite, any value `>= cutoff`
 //!    otherwise) for cutoffs below / at / above the true distance, at

@@ -109,13 +109,6 @@ impl<D: Distance> Distance for ChaosDistance<D> {
         self.inner.lanes_hint()
     }
 
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        match self.inject() {
-            Some(v) => v,
-            None => self.inner.distance(x, y),
-        }
-    }
-
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         match self.inject() {
             Some(v) => v,

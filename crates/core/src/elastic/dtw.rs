@@ -64,14 +64,10 @@ impl Distance for Dtw {
         }
     }
 
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        dtw_banded(x, y, self.band(x.len(), y.len()))
-    }
-
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        // The anti-diagonal wavefront kernel: bit-identical to
-        // `dtw_banded` / `dtw_banded_ws` (same per-cell dataflow), but
-        // free of the row-major left-neighbour dependency chain.
+        // The anti-diagonal wavefront kernel: bit-identical to the
+        // row-major reference `dtw_banded_ws` (same per-cell dataflow),
+        // but free of its left-neighbour dependency chain.
         super::wavefront::dtw_wavefront_ws(x, y, self.band(x.len(), y.len()), ws)
     }
 
@@ -118,44 +114,12 @@ impl Distance for Dtw {
     }
 }
 
-/// Banded DTW with squared local costs and a two-row rolling DP — the
-/// primitive behind [`Dtw`], exposed for lower-bound search and the
-/// embedding measures.
-/// `band` is the absolute Sakoe–Chiba radius.
-pub fn dtw_banded(x: &[f64], y: &[f64], band: usize) -> f64 {
-    let m = x.len();
-    let n = y.len();
-    if m == 0 || n == 0 {
-        return if m == n { 0.0 } else { f64::INFINITY };
-    }
-
-    const INF: f64 = f64::INFINITY;
-    let mut prev = vec![INF; n + 1];
-    let mut curr = vec![INF; n + 1];
-    prev[0] = 0.0;
-
-    for i in 1..=m {
-        curr.fill(INF);
-        // Band limits for row i (1-based indices into y).
-        let lo = i.saturating_sub(band).max(1);
-        let hi = (i + band).min(n);
-        if lo > hi {
-            std::mem::swap(&mut prev, &mut curr);
-            continue;
-        }
-        for j in lo..=hi {
-            let d = x[i - 1] - y[j - 1];
-            let cost = d * d;
-            let best = prev[j - 1].min(prev[j]).min(curr[j - 1]);
-            curr[j] = cost + best;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[n]
-}
-
-/// Allocation-free twin of [`dtw_banded`]: the DP rows live in `ws`.
-/// Bit-identical results (same operations in the same order).
+/// Banded DTW with squared local costs and a two-row rolling DP whose
+/// rows live in `ws`. `band` is the absolute Sakoe–Chiba radius.
+///
+/// The row-major reference for the wavefront kernel behind [`Dtw`]
+/// (DESIGN.md §9.2), and the plain banded-DTW primitive of the
+/// multivariate and embedding measures.
 pub fn dtw_banded_ws(x: &[f64], y: &[f64], band: usize, ws: &mut Workspace) -> f64 {
     let m = x.len();
     let n = y.len();
@@ -177,7 +141,7 @@ pub fn dtw_banded_ws(x: &[f64], y: &[f64], band: usize, ws: &mut Workspace) -> f
             continue;
         }
         for j in lo..=hi {
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "reference row-major kernel: the wavefront equivalence tests compare against it, and only ItakuraDtw's pinched-parallelogram fallback calls it in production, at most once per pair")
+            // tsdist-lint: allow(hot-path-bounds-check, reason = "reference row-major kernel: the wavefront equivalence tests compare against it; in production only ItakuraDtw's pinched-parallelogram fallback and the multivariate and embedding measures call it")
             let d = x[i - 1] - y[j - 1];
             let cost = d * d;
             let best = prev[j - 1].min(prev[j]).min(curr[j - 1]);
@@ -261,11 +225,6 @@ impl Distance for DerivativeDtw {
         format!("DDTW(δ={})", self.dtw.window_pct)
     }
 
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        self.dtw
-            .distance(&Self::derivative(x), &Self::derivative(y))
-    }
-
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         // The derivatives live in the aux arenas so the DP rows remain
         // free for the nested banded-DTW call.
@@ -319,35 +278,6 @@ impl Distance for WeightedDtw {
         format!("WDTW(g={})", self.g)
     }
 
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return if m == n { 0.0 } else { f64::INFINITY };
-        }
-        const INF: f64 = f64::INFINITY;
-        let half = m.max(n) as f64 / 2.0;
-        // Precompute weights for all |i - j|.
-        let weights: Vec<f64> = (0..m.max(n))
-            .map(|k| 1.0 / (1.0 + (-self.g * (k as f64 - half)).exp()))
-            .collect();
-
-        let mut prev = vec![INF; n + 1];
-        let mut curr = vec![INF; n + 1];
-        prev[0] = 0.0;
-        for i in 1..=m {
-            curr.fill(INF);
-            for j in 1..=n {
-                let d = x[i - 1] - y[j - 1];
-                let w = weights[i.abs_diff(j)];
-                let best = prev[j - 1].min(prev[j]).min(curr[j - 1]);
-                curr[j] = w * d * d + best;
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n]
-    }
-
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         let m = x.len();
         let n = y.len();
@@ -357,8 +287,8 @@ impl Distance for WeightedDtw {
         let half = m.max(n) as f64 / 2.0;
         let mut weights = ws.take_aux();
         weights.extend((0..m.max(n)).map(|k| 1.0 / (1.0 + (-self.g * (k as f64 - half)).exp())));
-        // Anti-diagonal wavefront sweep, bit-identical to the allocating
-        // row-major `distance` (same per-cell dataflow).
+        // Anti-diagonal wavefront sweep, bit-identical to the row-major
+        // reference `wdtw_row_major` (same per-cell dataflow).
         let out = super::wavefront::wdtw_wavefront_ws(x, y, &weights, ws);
         ws.put_aux(weights);
         out
@@ -389,6 +319,38 @@ impl Distance for WeightedDtw {
     fn lanes_hint(&self) -> usize {
         crate::lanes::LANES
     }
+}
+
+/// Weighted DTW with logistic steepness `g` as a plain row-major DP over
+/// allocated rows: the reference the wavefront kernel behind
+/// [`WeightedDtw`] is bit-compared against (DESIGN.md §9.2).
+pub fn wdtw_row_major(x: &[f64], y: &[f64], g: f64) -> f64 {
+    let m = x.len();
+    let n = y.len();
+    if m == 0 || n == 0 {
+        return if m == n { 0.0 } else { f64::INFINITY };
+    }
+    const INF: f64 = f64::INFINITY;
+    let half = m.max(n) as f64 / 2.0;
+    // Precompute weights for all |i - j|.
+    let weights: Vec<f64> = (0..m.max(n))
+        .map(|k| 1.0 / (1.0 + (-g * (k as f64 - half)).exp()))
+        .collect();
+
+    let mut prev = vec![INF; n + 1];
+    let mut curr = vec![INF; n + 1];
+    prev[0] = 0.0;
+    for i in 1..=m {
+        curr.fill(INF);
+        for j in 1..=n {
+            let d = x[i - 1] - y[j - 1];
+            let w = weights[i.abs_diff(j)];
+            let best = prev[j - 1].min(prev[j]).min(curr[j - 1]);
+            curr[j] = w * d * d + best;
+        }
+        std::mem::swap(&mut prev, &mut curr);
+    }
+    prev[n]
 }
 
 #[cfg(test)]

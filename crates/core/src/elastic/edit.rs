@@ -39,33 +39,6 @@ impl Distance for Lcss {
         format!("LCSS(ε={},δ={})", self.epsilon, self.delta_pct)
     }
 
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return 1.0;
-        }
-        let band = ((self.delta_pct / 100.0 * m.max(n) as f64).ceil() as usize).max(m.abs_diff(n));
-
-        let mut prev = vec![0u32; n + 1];
-        let mut curr = vec![0u32; n + 1];
-        for i in 1..=m {
-            curr.fill(0);
-            let lo = i.saturating_sub(band).max(1);
-            let hi = (i + band).min(n);
-            for j in lo..=hi {
-                if (x[i - 1] - y[j - 1]).abs() < self.epsilon {
-                    curr[j] = prev[j - 1] + 1;
-                } else {
-                    curr[j] = prev[j].max(curr[j - 1]);
-                }
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        let lcss = prev.iter().copied().max().unwrap_or(0) as f64;
-        1.0 - lcss / m.min(n) as f64
-    }
-
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         let m = x.len();
         let n = y.len();
@@ -123,27 +96,6 @@ impl Distance for Edr {
         format!("EDR(ε={})", self.epsilon)
     }
 
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return if m == n { 0.0 } else { 1.0 };
-        }
-        let mut prev: Vec<u32> = (0..=n as u32).collect();
-        let mut curr = vec![0u32; n + 1];
-        for i in 1..=m {
-            curr[0] = i as u32;
-            for j in 1..=n {
-                let subcost = u32::from((x[i - 1] - y[j - 1]).abs() > self.epsilon);
-                curr[j] = (prev[j - 1] + subcost)
-                    .min(prev[j] + 1)
-                    .min(curr[j - 1] + 1);
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n] as f64 / m.max(n) as f64
-    }
-
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         let m = x.len();
         let n = y.len();
@@ -198,38 +150,13 @@ impl Distance for Erp {
         "ERP".into()
     }
 
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        let m = x.len();
-        let n = y.len();
-        let g = self.gap;
-        // Row 0: deleting all of y against gaps.
-        let mut prev: Vec<f64> = std::iter::once(0.0)
-            .chain(y.iter().scan(0.0, |acc, &v| {
-                *acc += (v - g).abs();
-                Some(*acc)
-            }))
-            .collect();
-        let mut curr = vec![0.0; n + 1];
-        for i in 1..=m {
-            curr[0] = prev[0] + (x[i - 1] - g).abs();
-            for j in 1..=n {
-                let match_cost = prev[j - 1] + (x[i - 1] - y[j - 1]).abs();
-                let del_x = prev[j] + (x[i - 1] - g).abs();
-                let del_y = curr[j - 1] + (y[j - 1] - g).abs();
-                curr[j] = match_cost.min(del_x).min(del_y);
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n]
-    }
-
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         // Anti-diagonal wavefront sweep (see `super::wavefront`): the
         // inner loop carries no dependency through the delete-in-y
         // (left-neighbour) term. Cost expressions and `min` operand order
-        // match the allocating row-major `distance` exactly — including
-        // the row-0 running-sum chain, built one term per diagonal — so
-        // results are bit-identical.
+        // match the row-major reference `erp_row_major` exactly —
+        // including the row-0 running-sum chain, built one term per
+        // diagonal — so results are bit-identical.
         let m = x.len();
         let n = y.len();
         let g = self.gap;
@@ -326,6 +253,33 @@ impl Distance for Erp {
     }
 }
 
+/// ERP with gap reference `g` as a plain row-major DP over allocated
+/// rows: the reference the wavefront kernel behind [`Erp`] is
+/// bit-compared against (DESIGN.md §9.2).
+pub fn erp_row_major(x: &[f64], y: &[f64], g: f64) -> f64 {
+    let m = x.len();
+    let n = y.len();
+    // Row 0: deleting all of y against gaps.
+    let mut prev: Vec<f64> = std::iter::once(0.0)
+        .chain(y.iter().scan(0.0, |acc, &v| {
+            *acc += (v - g).abs();
+            Some(*acc)
+        }))
+        .collect();
+    let mut curr = vec![0.0; n + 1];
+    for i in 1..=m {
+        curr[0] = prev[0] + (x[i - 1] - g).abs();
+        for j in 1..=n {
+            let match_cost = prev[j - 1] + (x[i - 1] - y[j - 1]).abs();
+            let del_x = prev[j] + (x[i - 1] - g).abs();
+            let del_y = curr[j - 1] + (y[j - 1] - g).abs();
+            curr[j] = match_cost.min(del_x).min(del_y);
+        }
+        std::mem::swap(&mut prev, &mut curr);
+    }
+    prev[n]
+}
+
 /// Sequence Weighted ALignmEnt (Swale; Morse & Patel 2007).
 ///
 /// A similarity model: matching points (within `epsilon`) earn `reward`,
@@ -364,28 +318,6 @@ impl Distance for Swale {
             "Swale(ε={},r={},p={})",
             self.epsilon, self.reward, self.penalty
         )
-    }
-
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return 0.0;
-        }
-        let mut prev: Vec<f64> = (0..=n).map(|j| -self.penalty * j as f64).collect();
-        let mut curr = vec![0.0; n + 1];
-        for i in 1..=m {
-            curr[0] = -self.penalty * i as f64;
-            for j in 1..=n {
-                if (x[i - 1] - y[j - 1]).abs() <= self.epsilon {
-                    curr[j] = prev[j - 1] + self.reward;
-                } else {
-                    curr[j] = (prev[j] - self.penalty).max(curr[j - 1] - self.penalty);
-                }
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        -prev[n]
     }
 
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {

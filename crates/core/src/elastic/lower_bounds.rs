@@ -145,7 +145,8 @@ pub fn lb_erp(x: &[f64], y: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elastic::dtw::dtw_banded;
+    use crate::elastic::dtw::dtw_banded_ws;
+    use crate::workspace::Workspace;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -257,11 +258,12 @@ mod tests {
     #[test]
     fn lb_kim_lower_bounds_dtw() {
         let mut rng = StdRng::seed_from_u64(17);
+        let mut ws = Workspace::new();
         for _ in 0..50 {
             let x = random_series(&mut rng, 24);
             let y = random_series(&mut rng, 24);
             let lb = lb_kim(&x, &y);
-            let d = dtw_banded(&x, &y, 24);
+            let d = dtw_banded_ws(&x, &y, 24, &mut ws);
             assert!(lb <= d + 1e-9, "LB_Kim {lb} > DTW {d}");
         }
     }
@@ -269,12 +271,13 @@ mod tests {
     #[test]
     fn lb_keogh_lower_bounds_banded_dtw() {
         let mut rng = StdRng::seed_from_u64(99);
+        let mut ws = Workspace::new();
         for band in [0usize, 2, 5, 23] {
             for _ in 0..30 {
                 let x = random_series(&mut rng, 24);
                 let y = random_series(&mut rng, 24);
                 let lb = lb_keogh_full(&x, &y, band);
-                let d = dtw_banded(&x, &y, band);
+                let d = dtw_banded_ws(&x, &y, band, &mut ws);
                 assert!(lb <= d + 1e-9, "LB_Keogh {lb} > DTW {d} (band {band})");
             }
         }

@@ -19,11 +19,13 @@
 //! [`WeightedDtw`] — are provided for the ablation benches, as are the
 //! [`lower_bounds`] used to accelerate DTW 1-NN search.
 //!
-//! All DP implementations run in O(m) memory: the reference kernels use
-//! two-row rolling buffers, the production DTW/WDTW/TWE/ERP paths use
-//! three rolling anti-diagonals (see [`wavefront`]), and MSM/TWE/DTW
-//! matrix rows run one row-major DP across eight training series at a
-//! time, one per SIMD lane (`Distance::distance_row_ws`).
+//! All DP implementations run in O(m) memory: the production
+//! DTW/WDTW/TWE/ERP paths use three rolling anti-diagonals (see
+//! [`wavefront`]), their row-major references ([`dtw_banded_ws`],
+//! [`wdtw_row_major`], [`erp_row_major`], [`twe_row_major`]) two rolling
+//! rows, and MSM/TWE/DTW matrix rows run one row-major DP across eight
+//! training series at a time, one per SIMD lane
+//! (`Distance::distance_row_ws`).
 
 pub(crate) mod batch;
 pub mod dtw;
@@ -35,12 +37,12 @@ pub mod variants;
 pub mod wavefront;
 
 pub use dtw::{
-    band_radius, dtw_banded, dtw_banded_pruned, dtw_banded_ws, DerivativeDtw, Dtw, WeightedDtw,
+    band_radius, dtw_banded_pruned, dtw_banded_ws, wdtw_row_major, DerivativeDtw, Dtw, WeightedDtw,
 };
-pub use edit::{Edr, Erp, Lcss, Swale};
+pub use edit::{erp_row_major, Edr, Erp, Lcss, Swale};
 pub use lower_bounds::{keogh_envelope, lb_erp, lb_keogh, lb_keogh_full, lb_keogh_upto, lb_kim};
 pub use msm::Msm;
-pub use twe::Twe;
+pub use twe::{twe_row_major, Twe};
 pub use variants::{Cid, ItakuraDtw};
 pub use wavefront::{
     dtw_wavefront_pruned, dtw_wavefront_ws, wdtw_wavefront_pruned, wdtw_wavefront_ws,

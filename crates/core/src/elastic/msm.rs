@@ -51,35 +51,6 @@ impl Distance for Msm {
         format!("MSM(c={})", self.cost)
     }
 
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return if m == n { 0.0 } else { f64::INFINITY };
-        }
-
-        let mut prev = vec![0.0f64; n];
-        let mut curr = vec![0.0f64; n];
-
-        // Row 0.
-        prev[0] = (x[0] - y[0]).abs();
-        for j in 1..n {
-            prev[j] = prev[j - 1] + self.c(y[j], y[j - 1], x[0]);
-        }
-
-        for i in 1..m {
-            curr[0] = prev[0] + self.c(x[i], x[i - 1], y[0]);
-            for j in 1..n {
-                let move_cost = prev[j - 1] + (x[i] - y[j]).abs();
-                let split_x = prev[j] + self.c(x[i], x[i - 1], y[j]);
-                let merge_y = curr[j - 1] + self.c(y[j], x[i], y[j - 1]);
-                curr[j] = move_cost.min(split_x).min(merge_y);
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n - 1]
-    }
-
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         // Row-major: the left-neighbour (merge) term serializes each
         // row, and diagonal order measured ~2x slower for MSM. Matrix

@@ -36,51 +36,12 @@ impl Distance for Twe {
         format!("TWE(λ={},ν={})", self.lambda, self.nu)
     }
 
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return if m == n { 0.0 } else { f64::INFINITY };
-        }
-        // 1-based with an implicit 0th sample equal to 0 (Marteau's
-        // convention); timestamps are the indices.
-        let xi = |i: usize| if i == 0 { 0.0 } else { x[i - 1] };
-        let yj = |j: usize| if j == 0 { 0.0 } else { y[j - 1] };
-
-        const INF: f64 = f64::INFINITY;
-        let mut prev = vec![INF; n + 1];
-        let mut curr = vec![INF; n + 1];
-        prev[0] = 0.0;
-        // Row 0: delete all of y.
-        for j in 1..=n {
-            prev[j] = prev[j - 1] + (yj(j) - yj(j - 1)).abs() + self.nu + self.lambda;
-        }
-
-        for i in 1..=m {
-            curr[0] = prev[0] + (xi(i) - xi(i - 1)).abs() + self.nu + self.lambda;
-            for j in 1..=n {
-                // Match both current samples (and their predecessors).
-                let m_cost = prev[j - 1]
-                    + (xi(i) - yj(j)).abs()
-                    + (xi(i - 1) - yj(j - 1)).abs()
-                    + 2.0 * self.nu * (i as f64 - j as f64).abs();
-                // Delete in x.
-                let dx = prev[j] + (xi(i) - xi(i - 1)).abs() + self.nu + self.lambda;
-                // Delete in y.
-                let dy = curr[j - 1] + (yj(j) - yj(j - 1)).abs() + self.nu + self.lambda;
-                curr[j] = m_cost.min(dx).min(dy);
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n]
-    }
-
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         // Anti-diagonal wavefront sweep (see `super::wavefront`): the
         // inner loop carries no dependency through the delete-in-y
         // (left-neighbour) term. Cost expressions and `min` operand order
-        // match the allocating row-major `distance` exactly, so results
-        // are bit-identical.
+        // match the row-major reference `twe_row_major` exactly, so
+        // results are bit-identical.
         let m = x.len();
         let n = y.len();
         if m == 0 || n == 0 {
@@ -200,6 +161,48 @@ impl Distance for Twe {
             |x, block, ws| batch::twe_block_ws(self.lambda, self.nu, x, block, ws),
         );
     }
+}
+
+/// TWE with deletion penalty `lambda` and stiffness `nu` as a plain
+/// row-major DP over allocated rows: the reference the wavefront kernel
+/// behind [`Twe`] is bit-compared against (DESIGN.md §9.2).
+pub fn twe_row_major(x: &[f64], y: &[f64], lambda: f64, nu: f64) -> f64 {
+    let m = x.len();
+    let n = y.len();
+    if m == 0 || n == 0 {
+        return if m == n { 0.0 } else { f64::INFINITY };
+    }
+    // 1-based with an implicit 0th sample equal to 0 (Marteau's
+    // convention); timestamps are the indices.
+    let xi = |i: usize| if i == 0 { 0.0 } else { x[i - 1] };
+    let yj = |j: usize| if j == 0 { 0.0 } else { y[j - 1] };
+
+    const INF: f64 = f64::INFINITY;
+    let mut prev = vec![INF; n + 1];
+    let mut curr = vec![INF; n + 1];
+    prev[0] = 0.0;
+    // Row 0: delete all of y.
+    for j in 1..=n {
+        prev[j] = prev[j - 1] + (yj(j) - yj(j - 1)).abs() + nu + lambda;
+    }
+
+    for i in 1..=m {
+        curr[0] = prev[0] + (xi(i) - xi(i - 1)).abs() + nu + lambda;
+        for j in 1..=n {
+            // Match both current samples (and their predecessors).
+            let m_cost = prev[j - 1]
+                + (xi(i) - yj(j)).abs()
+                + (xi(i - 1) - yj(j - 1)).abs()
+                + 2.0 * nu * (i as f64 - j as f64).abs();
+            // Delete in x.
+            let dx = prev[j] + (xi(i) - xi(i - 1)).abs() + nu + lambda;
+            // Delete in y.
+            let dy = curr[j - 1] + (yj(j) - yj(j - 1)).abs() + nu + lambda;
+            curr[j] = m_cost.min(dx).min(dy);
+        }
+        std::mem::swap(&mut prev, &mut curr);
+    }
+    prev[n]
 }
 
 #[cfg(test)]

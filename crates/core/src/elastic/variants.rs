@@ -49,25 +49,14 @@ impl<D: Distance> Distance for Cid<D> {
         self.inner.lanes_hint()
     }
 
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        let d = self.inner.distance(x, y);
-        let cx = Self::complexity(x);
-        let cy = Self::complexity(y);
-        let (hi, lo) = if cx >= cy { (cx, cy) } else { (cy, cx) };
-        if lo <= f64::EPSILON {
-            // A constant series has zero complexity; fall back to the raw
-            // distance rather than dividing by zero.
-            return d;
-        }
-        d * hi / lo
-    }
-
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         let d = self.inner.distance_ws(x, y, ws);
         let cx = Self::complexity(x);
         let cy = Self::complexity(y);
         let (hi, lo) = if cx >= cy { (cx, cy) } else { (cy, cx) };
         if lo <= f64::EPSILON {
+            // A constant series has zero complexity; fall back to the raw
+            // distance rather than dividing by zero.
             return d;
         }
         d * hi / lo
@@ -118,40 +107,6 @@ impl ItakuraDtw {
 impl Distance for ItakuraDtw {
     fn name(&self) -> String {
         format!("DTW-Itakura(s={})", self.max_slope)
-    }
-
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return if m == n { 0.0 } else { f64::INFINITY };
-        }
-        const INF: f64 = f64::INFINITY;
-        let mut prev = vec![INF; n + 1];
-        let mut curr = vec![INF; n + 1];
-        prev[0] = 0.0;
-        for i in 1..=m {
-            curr.fill(INF);
-            for j in 1..=n {
-                if !self.inside(i, j, m, n) {
-                    continue;
-                }
-                let d = x[i - 1] - y[j - 1];
-                let best = prev[j - 1].min(prev[j]).min(curr[j - 1]);
-                if best.is_finite() {
-                    curr[j] = d * d + best;
-                }
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        // The parallelogram always admits the diagonal-ish path, but for
-        // extreme length ratios it can pinch shut; fall back to the
-        // unconstrained value rather than returning infinity.
-        if prev[n].is_finite() {
-            prev[n]
-        } else {
-            super::dtw::dtw_banded(x, y, m.max(n))
-        }
     }
 
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {

@@ -382,8 +382,7 @@ pub fn wdtw_wavefront_pruned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elastic::dtw::{dtw_banded_ws, WeightedDtw};
-    use crate::measure::Distance;
+    use crate::elastic::dtw::{dtw_banded_ws, wdtw_row_major};
 
     /// SplitMix64 noise, the repo's deterministic test generator.
     fn noise(seed: u64, len: usize) -> Vec<f64> {
@@ -490,8 +489,7 @@ mod tests {
             let x = noise(seed, m);
             let y = noise(seed ^ 0xF00D, n);
             for g in [0.01, 0.05, 0.5] {
-                let wdtw = WeightedDtw::new(g);
-                let a = wdtw.distance(&x, &y);
+                let a = wdtw_row_major(&x, &y, g);
                 let half = m.max(n) as f64 / 2.0;
                 let weights: Vec<f64> = (0..m.max(n))
                     .map(|k| 1.0 / (1.0 + (-g * (k as f64 - half)).exp()))

@@ -11,7 +11,8 @@
 //! kernel — is retained.
 
 use super::Embedding;
-use crate::elastic::dtw::dtw_banded;
+use crate::elastic::dtw::dtw_banded_ws;
+use crate::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsdist_linalg::Matrix;
@@ -74,11 +75,12 @@ impl Embedding for Rws {
     fn embed(&self, series: &[Vec<f64>], _n_train: usize) -> Matrix {
         let omegas = self.random_series();
         let scale = 1.0 / (self.features as f64).sqrt();
+        let mut ws = Workspace::new();
         Matrix::from_fn(series.len(), self.features, |i, r| {
             let x = &series[i];
             let omega = &omegas[r];
             let band = x.len().max(omega.len());
-            let dtw = dtw_banded(x, omega, band);
+            let dtw = dtw_banded_ws(x, omega, band, &mut ws);
             scale * (-dtw / (self.gamma * x.len().max(1) as f64)).exp()
         })
     }

@@ -11,7 +11,8 @@
 //! `DESIGN.md`).
 
 use super::{select_landmarks, Embedding};
-use crate::elastic::dtw::dtw_banded;
+use crate::elastic::dtw::dtw_banded_ws;
+use crate::workspace::Workspace;
 use tsdist_linalg::{nystroem_features, Matrix};
 
 /// The SPIRAL embedding.
@@ -49,9 +50,9 @@ impl Spiral {
         }
     }
 
-    fn similarity(&self, x: &[f64], y: &[f64]) -> f64 {
+    fn similarity(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         let band = x.len().max(y.len());
-        let dtw = dtw_banded(x, y, band);
+        let dtw = dtw_banded_ws(x, y, band, ws);
         (-dtw / (self.gamma * x.len().max(1) as f64)).exp()
     }
 }
@@ -66,10 +67,13 @@ impl Embedding for Spiral {
         let k = lm_idx.len();
         let n = series.len();
 
+        let mut ws = Workspace::new();
         let s_ll = Matrix::from_fn(k, k, |i, j| {
-            self.similarity(&series[lm_idx[i]], &series[lm_idx[j]])
+            self.similarity(&series[lm_idx[i]], &series[lm_idx[j]], &mut ws)
         });
-        let s_nl = Matrix::from_fn(n, k, |i, j| self.similarity(&series[i], &series[lm_idx[j]]));
+        let s_nl = Matrix::from_fn(n, k, |i, j| {
+            self.similarity(&series[i], &series[lm_idx[j]], &mut ws)
+        });
         nystroem_features(&s_ll, &s_nl, self.dims)
     }
 }
@@ -100,7 +104,7 @@ mod tests {
     fn self_similarity_is_one() {
         let s = toy(3, 16);
         let sp = Spiral::new(1.0, 3, 3, 0);
-        assert!((sp.similarity(&s[0], &s[0]) - 1.0).abs() < 1e-12);
+        assert!((sp.similarity(&s[0], &s[0], &mut Workspace::new()) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -120,10 +124,11 @@ mod tests {
         let s = toy(5, 16);
         let sp = Spiral::new(1.0, 5, 5, 0);
         let z = sp.embed(&s, 5);
+        let mut ws = Workspace::new();
         for i in 0..5 {
             for j in 0..5 {
                 let approx: f64 = z.row(i).iter().zip(z.row(j)).map(|(a, b)| a * b).sum();
-                let exact = sp.similarity(&s[i], &s[j]);
+                let exact = sp.similarity(&s[i], &s[j], &mut ws);
                 assert!(
                     (approx - exact).abs() < 1e-6,
                     "({i},{j}): {approx} vs {exact}"

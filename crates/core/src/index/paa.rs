@@ -100,7 +100,8 @@ pub fn lb_paa(qmeans: &[f64], umax: &[f64], lmin: &[f64], bounds: &[usize]) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elastic::{dtw_banded, keogh_envelope, lb_keogh};
+    use crate::elastic::{dtw_banded_ws, keogh_envelope, lb_keogh};
+    use crate::workspace::Workspace;
 
     #[test]
     fn segment_bounds_cover_the_series_without_gaps() {
@@ -135,7 +136,7 @@ mod tests {
             paa_means(&x, &bounds, &mut qmeans);
             let paa = lb_paa(&qmeans, &umax, &lmin, &bounds);
             let keogh = lb_keogh(&x, &upper, &lower);
-            let dtw = dtw_banded(&x, &y, band);
+            let dtw = dtw_banded_ws(&x, &y, band, &mut Workspace::new());
             assert!(paa <= keogh, "band {band}: LB_PAA {paa} > LB_Keogh {keogh}");
             assert!(
                 keogh <= dtw * (1.0 + 1e-9),

@@ -46,11 +46,25 @@ impl Gak {
         assert!(sigma > 0.0, "GAK sigma must be positive, got {sigma}");
         Gak { sigma }
     }
+}
+
+impl Kernel for Gak {
+    fn name(&self) -> String {
+        format!("GAK(γ={})", self.sigma)
+    }
+
+    /// The raw kernel value `exp(log k)` — may underflow for long series;
+    /// the normalized-distance path goes through
+    /// [`Kernel::log_kernel_ws`], which is exact.
+    fn kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
+        self.log_kernel_ws(x, y, ws).exp()
+    }
 
     /// Log of the alignment kernel value (the quantity actually used for
     /// normalized comparisons; the raw value may be far below `f64`
-    /// range).
-    pub fn log_kernel(&self, x: &[f64], y: &[f64]) -> f64 {
+    /// range), from one linear-space DP over two rolling rows drawn from
+    /// `ws`, rescaled per row.
+    fn log_kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         let m = x.len();
         let n = y.len();
         if m == 0 || n == 0 {
@@ -60,8 +74,8 @@ impl Gak {
         let inv = 1.0 / (2.0 * sigma_eff * sigma_eff);
 
         // Linear-space rolling rows with cumulative log rescaling.
-        let mut prev = vec![0.0f64; n + 1];
-        let mut curr = vec![0.0f64; n + 1];
+        let (mut prev, mut curr) = ws.dp_rows2(n + 1);
+        prev.fill(0.0);
         prev[0] = 1.0;
         let mut log_scale = 0.0f64;
 
@@ -96,75 +110,6 @@ impl Gak {
         }
     }
 
-    /// [`Gak::log_kernel`] with rolling rows drawn from `ws` instead of
-    /// fresh allocations; bit-identical to the allocating path.
-    pub fn log_kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return if m == n { 0.0 } else { f64::NEG_INFINITY };
-        }
-        let sigma_eff = self.sigma * (m.max(n) as f64).sqrt();
-        let inv = 1.0 / (2.0 * sigma_eff * sigma_eff);
-
-        let (mut prev, mut curr) = ws.dp_rows2(n + 1);
-        prev.fill(0.0);
-        prev[0] = 1.0;
-        let mut log_scale = 0.0f64;
-
-        for i in 1..=m {
-            curr[0] = 0.0;
-            let xi = x[i - 1];
-            let mut row_max = 0.0f64;
-            for j in 1..=n {
-                let d = xi - y[j - 1];
-                let k_local = (-d * d * inv).exp();
-                let kappa = k_local / (2.0 - k_local);
-                let v = kappa * (prev[j] + curr[j - 1] + prev[j - 1]);
-                curr[j] = v;
-                row_max = row_max.max(v);
-            }
-            if row_max > 0.0 && !(1e-120..=1e120).contains(&row_max) {
-                let f = 1.0 / row_max;
-                for v in curr.iter_mut() {
-                    *v *= f;
-                }
-                log_scale += row_max.ln();
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        if prev[n] <= 0.0 {
-            f64::NEG_INFINITY
-        } else {
-            prev[n].ln() + log_scale
-        }
-    }
-}
-
-impl Kernel for Gak {
-    fn name(&self) -> String {
-        format!("GAK(γ={})", self.sigma)
-    }
-
-    /// The raw kernel value `exp(log k)` — may underflow for long series;
-    /// the normalized-distance path goes through
-    /// [`Kernel::log_kernel`], which is exact.
-    fn kernel(&self, x: &[f64], y: &[f64]) -> f64 {
-        Gak::log_kernel(self, x, y).exp()
-    }
-
-    fn log_kernel(&self, x: &[f64], y: &[f64]) -> f64 {
-        Gak::log_kernel(self, x, y)
-    }
-
-    fn kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        Gak::log_kernel_ws(self, x, y, ws).exp()
-    }
-
-    fn log_kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        Gak::log_kernel_ws(self, x, y, ws)
-    }
-
     fn is_symmetric(&self) -> bool {
         // The per-row rescale triggers on *row* maxima, which transposing
         // the DP changes; values match only to rounding, not bit-for-bit.
@@ -172,19 +117,19 @@ impl Kernel for Gak {
     }
 }
 
-/// Normalized GAK dissimilarity computed fully in log space:
-/// `d = 1 - exp(log k(x,y) - (log k(x,x) + log k(y,y)) / 2)`.
-pub fn gak_normalized_distance(gak: &Gak, x: &[f64], y: &[f64]) -> f64 {
-    let lxy = gak.log_kernel(x, y);
-    let lxx = gak.log_kernel(x, x);
-    let lyy = gak.log_kernel(y, y);
-    1.0 - (lxy - 0.5 * (lxx + lyy)).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::log_add3;
+    use crate::measure::{Distance, KernelDistance};
+
+    fn log_kernel(gak: &Gak, x: &[f64], y: &[f64]) -> f64 {
+        gak.log_kernel_ws(x, y, &mut Workspace::new())
+    }
+
+    fn normalized_distance(gak: Gak, x: &[f64], y: &[f64]) -> f64 {
+        KernelDistance(gak).distance(x, y)
+    }
 
     /// Reference log-sum-exp DP, kept as the oracle for the rescaled
     /// linear DP.
@@ -217,7 +162,7 @@ mod tests {
             .collect();
         for sigma in [0.05, 0.5, 1.0, 5.0] {
             let g = Gak::new(sigma);
-            let fast = g.log_kernel(&x, &y);
+            let fast = log_kernel(&g, &x, &y);
             let oracle = log_kernel_logsumexp(&g, &x, &y);
             if fast == f64::NEG_INFINITY || oracle == f64::NEG_INFINITY {
                 // Tiny sigma: every local kernel underflows to zero in
@@ -235,7 +180,7 @@ mod tests {
     #[test]
     fn identical_series_have_maximal_normalized_similarity() {
         let x: Vec<f64> = (0..24).map(|i| (i as f64 * 0.4).sin()).collect();
-        let d = gak_normalized_distance(&Gak::new(1.0), &x, &x);
+        let d = normalized_distance(Gak::new(1.0), &x, &x);
         assert!(d.abs() < 1e-9, "d = {d}");
     }
 
@@ -243,7 +188,7 @@ mod tests {
     fn normalized_similarity_is_at_most_one() {
         let x: Vec<f64> = (0..24).map(|i| (i as f64 * 0.4).sin()).collect();
         let y: Vec<f64> = (0..24).map(|i| ((i % 5) as f64) - 2.0).collect();
-        let d = gak_normalized_distance(&Gak::new(1.0), &x, &y);
+        let d = normalized_distance(Gak::new(1.0), &x, &y);
         assert!(d >= -1e-9, "d = {d}");
         assert!(d <= 1.0 + 1e-9);
     }
@@ -253,9 +198,9 @@ mod tests {
         // 400 points would underflow a direct product of local kernels.
         let x: Vec<f64> = (0..400).map(|i| (i as f64 * 0.05).sin()).collect();
         let y: Vec<f64> = (0..400).map(|i| (i as f64 * 0.05 + 0.5).sin()).collect();
-        let l = Gak::new(0.5).log_kernel(&x, &y);
+        let l = log_kernel(&Gak::new(0.5), &x, &y);
         assert!(l.is_finite());
-        let d = gak_normalized_distance(&Gak::new(0.5), &x, &y);
+        let d = normalized_distance(Gak::new(0.5), &x, &y);
         assert!(d.is_finite() && d > 0.0 && d <= 1.0, "d = {d}");
     }
 
@@ -273,8 +218,8 @@ mod tests {
             .collect();
         let noise: Vec<f64> = (0..48).map(|i| ((i * 7 % 11) as f64) / 5.0 - 1.0).collect();
         let g = Gak::new(0.5);
-        let d_warp = gak_normalized_distance(&g, &x, &warped);
-        let d_noise = gak_normalized_distance(&g, &x, &noise);
+        let d_warp = normalized_distance(g, &x, &warped);
+        let d_noise = normalized_distance(g, &x, &noise);
         assert!(d_warp < d_noise);
     }
 
@@ -282,15 +227,15 @@ mod tests {
     fn tiny_sigma_sharpens_discrimination() {
         let x = [0.0, 1.0, 0.0, -1.0];
         let y = [0.1, 0.9, 0.1, -0.9];
-        let close_broad = gak_normalized_distance(&Gak::new(5.0), &x, &y);
-        let close_sharp = gak_normalized_distance(&Gak::new(0.05), &x, &y);
+        let close_broad = normalized_distance(Gak::new(5.0), &x, &y);
+        let close_sharp = normalized_distance(Gak::new(0.05), &x, &y);
         assert!(close_sharp > close_broad);
     }
 
     #[test]
     fn empty_input_conventions() {
         let g = Gak::new(1.0);
-        assert_eq!(g.log_kernel(&[], &[]), 0.0);
-        assert_eq!(g.log_kernel(&[], &[1.0]), f64::NEG_INFINITY);
+        assert_eq!(log_kernel(&g, &[], &[]), 0.0);
+        assert_eq!(log_kernel(&g, &[], &[1.0]), f64::NEG_INFINITY);
     }
 }

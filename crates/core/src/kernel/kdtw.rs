@@ -52,9 +52,20 @@ impl Kdtw {
         let d = a - b;
         ((-self.nu * d * d).exp() + LOCAL_EPS) / (3.0 * (1.0 + LOCAL_EPS))
     }
+}
 
-    /// Log of the KDTW kernel value.
-    pub fn log_kernel_value(&self, x: &[f64], y: &[f64]) -> f64 {
+impl Kernel for Kdtw {
+    fn name(&self) -> String {
+        format!("KDTW(ν={})", self.nu)
+    }
+
+    fn kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
+        self.log_kernel_ws(x, y, ws).exp()
+    }
+
+    /// Log of the KDTW kernel value, from the two linear-space DPs over
+    /// four rolling rows drawn from `ws`, each rescaled per row.
+    fn log_kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         let m = x.len();
         let n = y.len();
         if m == 0 || n == 0 {
@@ -64,93 +75,13 @@ impl Kdtw {
         // Diagonal local kernels κ(x_i, y_i), index clamped to the shorter
         // length for unequal series.
         let min_mn = m.min(n);
-        let diag: Vec<f64> = (0..min_mn).map(|i| self.local(x[i], y[i])).collect();
-        let diag_at = |i: usize| diag[(i - 1).min(min_mn - 1)];
-
-        // Linear-space rolling rows with separate cumulative log scales
-        // for the two DPs.
-        let mut k_prev = vec![0.0f64; n + 1];
-        let mut k_curr = vec![0.0f64; n + 1];
-        let mut kp_prev = vec![0.0f64; n + 1];
-        let mut kp_curr = vec![0.0f64; n + 1];
-        let mut k_scale = 0.0f64;
-        let mut kp_scale = 0.0f64;
-
-        // Row 0.
-        k_prev[0] = 1.0;
-        kp_prev[0] = 1.0;
-        for j in 1..=n {
-            k_prev[j] = k_prev[j - 1] * self.local(x[0], y[j - 1]);
-            kp_prev[j] = kp_prev[j - 1] * diag_at(j);
-        }
-
-        for i in 1..=m {
-            k_curr[0] = k_prev[0] * self.local(x[i - 1], y[0]);
-            kp_curr[0] = kp_prev[0] * diag_at(i);
-            let mut k_max = k_curr[0];
-            let mut kp_max = kp_curr[0];
-            for j in 1..=n {
-                let lk = self.local(x[i - 1], y[j - 1]);
-                let v = lk * (k_prev[j] + k_curr[j - 1] + k_prev[j - 1]);
-                k_curr[j] = v;
-                k_max = k_max.max(v);
-
-                let mut w = kp_prev[j] * diag_at(i) + kp_curr[j - 1] * diag_at(j);
-                if i == j {
-                    w += kp_prev[j - 1] * lk;
-                }
-                kp_curr[j] = w;
-                kp_max = kp_max.max(w);
-            }
-            if k_max > 0.0 && !(1e-120..=1e120).contains(&k_max) {
-                let f = 1.0 / k_max;
-                for v in k_curr.iter_mut() {
-                    *v *= f;
-                }
-                k_scale += k_max.ln();
-                // K' rows in later iterations never mix with K rows, so
-                // the scales stay independent.
-            }
-            if kp_max > 0.0 && !(1e-120..=1e120).contains(&kp_max) {
-                let f = 1.0 / kp_max;
-                for v in kp_curr.iter_mut() {
-                    *v *= f;
-                }
-                kp_scale += kp_max.ln();
-            }
-            std::mem::swap(&mut k_prev, &mut k_curr);
-            std::mem::swap(&mut kp_prev, &mut kp_curr);
-        }
-
-        let log_k = if k_prev[n] > 0.0 {
-            k_prev[n].ln() + k_scale
-        } else {
-            f64::NEG_INFINITY
-        };
-        let log_kp = if kp_prev[n] > 0.0 {
-            kp_prev[n].ln() + kp_scale
-        } else {
-            f64::NEG_INFINITY
-        };
-        log_add(log_k, log_kp)
-    }
-
-    /// [`Kdtw::log_kernel_value`] with the four rolling rows and the
-    /// diagonal cache drawn from `ws`; bit-identical to the allocating
-    /// path.
-    pub fn log_kernel_value_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return if m == n { 0.0 } else { f64::NEG_INFINITY };
-        }
-
-        let min_mn = m.min(n);
         let mut diag = ws.take_aux();
         diag.extend((0..min_mn).map(|i| self.local(x[i], y[i])));
         let result = {
             let diag_at = |i: usize| diag[(i - 1).min(min_mn - 1)];
 
+            // Linear-space rolling rows with separate cumulative log
+            // scales for the two DPs.
             let (mut k_prev, mut k_curr, mut kp_prev, mut kp_curr) = ws.dp_rows4(n + 1);
             let mut k_scale = 0.0f64;
             let mut kp_scale = 0.0f64;
@@ -187,6 +118,8 @@ impl Kdtw {
                         *v *= f;
                     }
                     k_scale += k_max.ln();
+                    // K' rows in later iterations never mix with K rows,
+                    // so the scales stay independent.
                 }
                 if kp_max > 0.0 && !(1e-120..=1e120).contains(&kp_max) {
                     let f = 1.0 / kp_max;
@@ -214,28 +147,6 @@ impl Kdtw {
         ws.put_aux(diag);
         result
     }
-}
-
-impl Kernel for Kdtw {
-    fn name(&self) -> String {
-        format!("KDTW(ν={})", self.nu)
-    }
-
-    fn kernel(&self, x: &[f64], y: &[f64]) -> f64 {
-        self.log_kernel_value(x, y).exp()
-    }
-
-    fn log_kernel(&self, x: &[f64], y: &[f64]) -> f64 {
-        self.log_kernel_value(x, y)
-    }
-
-    fn kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        self.log_kernel_value_ws(x, y, ws).exp()
-    }
-
-    fn log_kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        self.log_kernel_value_ws(x, y, ws)
-    }
 
     fn is_symmetric(&self) -> bool {
         // Per-row rescaling triggers on row maxima; transposing changes
@@ -248,6 +159,10 @@ impl Kernel for Kdtw {
 mod tests {
     use super::*;
     use crate::measure::{Distance, KernelDistance};
+
+    fn log_kernel(k: &Kdtw, x: &[f64], y: &[f64]) -> f64 {
+        k.log_kernel_ws(x, y, &mut Workspace::new())
+    }
 
     /// Direct full-matrix f64 DP (no rescaling) — valid for short series,
     /// used as the oracle.
@@ -287,7 +202,7 @@ mod tests {
         let y: Vec<f64> = (0..20).map(|i| (i as f64 * 0.45 + 0.2).cos()).collect();
         for nu in [0.01, 0.125, 1.0] {
             let k = Kdtw::new(nu);
-            let fast = k.log_kernel_value(&x, &y);
+            let fast = log_kernel(&k, &x, &y);
             let oracle = kdtw_naive(&k, &x, &y);
             assert!(
                 (fast - oracle).abs() < 1e-9 * oracle.abs().max(1.0),
@@ -308,8 +223,8 @@ mod tests {
         let x = [0.2, 1.1, -0.6, 0.4, 0.9];
         let y = [1.0, -0.3, 0.5, -1.2, 0.0];
         let k = Kdtw::new(0.125);
-        let a = k.log_kernel_value(&x, &y);
-        let b = k.log_kernel_value(&y, &x);
+        let a = log_kernel(&k, &x, &y);
+        let b = log_kernel(&k, &y, &x);
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
     }
 
@@ -317,7 +232,7 @@ mod tests {
     fn log_space_survives_long_series() {
         let x: Vec<f64> = (0..500).map(|i| (i as f64 * 0.04).sin()).collect();
         let y: Vec<f64> = (0..500).map(|i| (i as f64 * 0.04 + 0.3).sin()).collect();
-        let l = Kdtw::new(0.125).log_kernel_value(&x, &y);
+        let l = log_kernel(&Kdtw::new(0.125), &x, &y);
         assert!(l.is_finite());
         let d = KernelDistance(Kdtw::new(0.125)).distance(&x, &y);
         assert!((0.0..=1.0 + 1e-9).contains(&d), "d = {d}");
@@ -359,7 +274,7 @@ mod tests {
     fn unequal_lengths_supported() {
         let x = [0.0, 1.0, 0.0];
         let y = [0.0, 0.5, 1.0, 0.5, 0.0];
-        let l = Kdtw::new(0.125).log_kernel_value(&x, &y);
+        let l = log_kernel(&Kdtw::new(0.125), &x, &y);
         assert!(l.is_finite());
     }
 }

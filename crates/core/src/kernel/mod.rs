@@ -18,7 +18,7 @@ mod kdtw;
 mod rbf;
 mod sink;
 
-pub use gak::{gak_normalized_distance, Gak};
+pub use gak::Gak;
 pub use kdtw::Kdtw;
 pub use rbf::Rbf;
 pub use sink::Sink;

@@ -1,6 +1,7 @@
 //! The Radial Basis Function kernel — the lock-step kernel baseline.
 
 use crate::measure::Kernel;
+use crate::workspace::Workspace;
 
 /// RBF kernel: `k(x, y) = exp(-γ ||x - y||^2)`.
 ///
@@ -29,7 +30,7 @@ impl Kernel for Rbf {
         format!("RBF(γ={})", self.gamma)
     }
 
-    fn kernel(&self, x: &[f64], y: &[f64]) -> f64 {
+    fn kernel_ws(&self, x: &[f64], y: &[f64], _: &mut Workspace) -> f64 {
         let sq: f64 = x.iter().zip(y).map(|(a, b)| (a - b) * (a - b)).sum();
         (-self.gamma * sq).exp()
     }

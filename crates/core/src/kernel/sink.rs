@@ -14,7 +14,6 @@
 
 use crate::measure::Kernel;
 use crate::workspace::Workspace;
-use tsdist_fft::cross_correlation;
 
 /// The SINK kernel with exponent weight γ.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,16 +38,6 @@ impl Kernel for Sink {
         format!("SINK(γ={})", self.gamma)
     }
 
-    fn kernel(&self, x: &[f64], y: &[f64]) -> f64 {
-        let nx: f64 = x.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let ny: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let denom = (nx * ny).max(f64::MIN_POSITIVE);
-        cross_correlation(x, y)
-            .iter()
-            .map(|&cc| (self.gamma * cc / denom).exp())
-            .sum()
-    }
-
     fn kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         let nx: f64 = x.iter().map(|v| v * v).sum::<f64>().sqrt();
         let ny: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -58,12 +47,6 @@ impl Kernel for Sink {
             .iter()
             .map(|&cc| (self.gamma * cc / denom).exp())
             .sum()
-    }
-
-    fn log_kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        // Mirrors the trait's default `log_kernel` formula over the
-        // scratch-buffer kernel path.
-        self.kernel_ws(x, y, ws).max(f64::MIN_POSITIVE).ln()
     }
 
     fn is_symmetric(&self) -> bool {

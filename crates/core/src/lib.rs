@@ -20,12 +20,13 @@
 //! ## The workspace hot path
 //!
 //! Batch callers (dissimilarity-matrix construction, 1-NN search) compare
-//! millions of pairs, so every measure also exposes an allocation-free
-//! entry point: [`Distance::distance_ws`] / [`Kernel::log_kernel_ws`] take
-//! a [`Workspace`] — a reusable scratch arena of DP rows, auxiliary
-//! vectors, and FFT buffers — and return *bit-identical* results to the
-//! allocating methods (enforced by the `ws_equivalence` test suite over
-//! the whole registry). Measures for which `d(x, y)` and `d(y, x)` are
+//! millions of pairs, so every measure's one body is an allocation-free
+//! entry point: [`Distance::distance_ws`] / [`Kernel::kernel_ws`] take a
+//! [`Workspace`] — a reusable scratch arena of DP rows, auxiliary
+//! vectors, and FFT buffers — and return the same bits whatever an
+//! earlier call left in it (enforced by the `ws_equivalence` test suite
+//! over the whole registry). [`Distance::distance`] and
+//! [`Kernel::kernel`] run that body with a fresh workspace. Measures for which `d(x, y)` and `d(y, x)` are
 //! bit-identical on equal-length inputs advertise it via
 //! [`Distance::is_symmetric`], which lets matrix builders compute only the
 //! upper triangle of train-by-train matrices.

@@ -2,6 +2,7 @@
 //! adaptive scaling distance (ASD).
 
 use crate::measure::Distance;
+use crate::workspace::Workspace;
 
 /// DISSIM (Frentzos et al. 2007): the definite integral over time of the
 /// pointwise distance between the two series' linear interpolants.
@@ -22,15 +23,15 @@ impl Distance for Dissim {
         "DISSIM".into()
     }
 
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
+    fn distance_ws(&self, x: &[f64], y: &[f64], _: &mut Workspace) -> f64 {
         let m = x.len().min(y.len());
         if m < 2 {
             return x.iter().zip(y).map(|(a, b)| (a - b).abs()).sum();
         }
         let mut acc = 0.0;
-        for i in 0..m - 1 {
-            let a = x[i] - y[i];
-            let b = x[i + 1] - y[i + 1];
+        for (xs, ys) in x.windows(2).zip(y.windows(2)) {
+            let a = xs[0] - ys[0];
+            let b = xs[1] - ys[1];
             if a * b >= 0.0 {
                 acc += 0.5 * (a.abs() + b.abs());
             } else {
@@ -55,7 +56,7 @@ impl Distance for AdaptiveScalingDistance {
         "ASD".into()
     }
 
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
+    fn distance_ws(&self, x: &[f64], y: &[f64], _: &mut Workspace) -> f64 {
         let xy: f64 = x.iter().zip(y).map(|(a, b)| a * b).sum();
         let yy: f64 = y.iter().map(|b| b * b).sum();
         let a = if yy > 0.0 { xy / yy } else { 0.0 };

@@ -88,7 +88,7 @@ impl Distance for Minkowski {
         format!("Minkowski(p={})", self.p)
     }
 
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
+    fn distance_ws(&self, x: &[f64], y: &[f64], _: &mut Workspace) -> f64 {
         zip_sum(x, y, |a, b| (a - b).abs().powf(self.p)).powf(1.0 / self.p)
     }
 

@@ -136,7 +136,12 @@ macro_rules! lockstep_measure {
             fn name(&self) -> String {
                 $label.into()
             }
-            fn distance(&self, $x: &[f64], $y: &[f64]) -> f64 {
+            fn distance_ws(
+                &self,
+                $x: &[f64],
+                $y: &[f64],
+                _: &mut crate::workspace::Workspace,
+            ) -> f64 {
                 $body
             }
             fn distance_upto(
@@ -170,7 +175,12 @@ macro_rules! lockstep_measure {
             fn name(&self) -> String {
                 $label.into()
             }
-            fn distance(&self, $x: &[f64], $y: &[f64]) -> f64 {
+            fn distance_ws(
+                &self,
+                $x: &[f64],
+                $y: &[f64],
+                _: &mut crate::workspace::Workspace,
+            ) -> f64 {
                 $body
             }
             fn is_symmetric(&self) -> bool {
@@ -191,7 +201,12 @@ macro_rules! lockstep_measure {
             fn name(&self) -> String {
                 $label.into()
             }
-            fn distance(&self, $x: &[f64], $y: &[f64]) -> f64 {
+            fn distance_ws(
+                &self,
+                $x: &[f64],
+                $y: &[f64],
+                _: &mut crate::workspace::Workspace,
+            ) -> f64 {
                 $body
             }
             fn lanes_hint(&self) -> usize {

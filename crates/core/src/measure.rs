@@ -1,13 +1,16 @@
 //! The core distance-measure abstraction.
 //!
-//! Besides the original [`Distance::distance`] entry point, every measure
-//! exposes [`Distance::distance_ws`], an allocation-free twin taking a
-//! [`Workspace`] of reusable scratch buffers, and declares via
+//! Every measure has one body, [`Distance::distance_ws`], which takes a
+//! [`Workspace`] of reusable scratch buffers so the matrix and 1-NN hot
+//! paths allocate nothing per pair. [`Distance::distance`] is a provided
+//! convenience that runs it with a fresh workspace. Measures declare via
 //! [`Distance::is_symmetric`] whether `d(x, y)` and `d(y, x)` are
 //! *bit-identical* — the contract the batch matrix engine in
 //! `tsdist-eval` relies on to compute only the upper triangle of
-//! train×train matrices. The same pair of extensions exists on
-//! [`Kernel`] ([`Kernel::log_kernel_ws`], [`Kernel::is_symmetric`]).
+//! train×train matrices. [`Kernel`] follows the same shape: its one body
+//! is [`Kernel::kernel_ws`] (plus [`Kernel::log_kernel_ws`] for the
+//! alignment kernels), and [`normalized_kernel_dissimilarity`] turns log
+//! kernel values into the dissimilarity every kernel path uses.
 
 use crate::workspace::Workspace;
 
@@ -72,24 +75,24 @@ pub trait Distance: Send + Sync {
     /// Human-readable measure name, e.g. `"Lorentzian"` or `"DTW(δ=10)"`.
     fn name(&self) -> String;
 
-    /// The dissimilarity between `x` and `y`.
+    /// The dissimilarity between `x` and `y`, using `ws` for scratch
+    /// memory instead of allocating — the measure's one body, which every
+    /// other entry point derives from.
     ///
     /// Implementations may assume `x` and `y` are non-empty and, unless
     /// documented otherwise, of equal length (the dataset substrate
-    /// guarantees rectangular datasets).
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64;
+    /// guarantees rectangular datasets). The result must not depend on
+    /// what earlier calls left in `ws`: DP- and FFT-based measures
+    /// initialize every arena cell they read.
+    fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64;
 
-    /// The dissimilarity between `x` and `y`, using `ws` for scratch
-    /// memory instead of allocating.
+    /// The dissimilarity between `x` and `y`:
+    /// [`Distance::distance_ws`] with a fresh [`Workspace`].
     ///
-    /// Must return exactly (bit-for-bit) the same value as
-    /// [`Distance::distance`]; the default simply delegates. DP- and
-    /// FFT-based measures override it to reuse the workspace arenas,
-    /// eliminating per-call heap traffic on the matrix-construction hot
-    /// path.
-    fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        let _ = ws;
-        self.distance(x, y)
+    /// A convenience for one-off calls; loops should hold one workspace
+    /// and call `distance_ws`. Measures do not override it.
+    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
+        self.distance_ws(x, y, &mut Workspace::new())
     }
 
     /// The dissimilarity between `x` and `y`, early-abandoning against a
@@ -253,14 +256,32 @@ impl<D: Distance + ?Sized> Distance for &D {
 /// A positive semi-definite kernel (similarity) function.
 ///
 /// Kernels are converted to dissimilarities for 1-NN classification via
-/// the normalized form `d(x, y) = 1 - k(x, y) / sqrt(k(x,x) * k(y,y))`;
-/// the evaluation platform caches the self-similarities `k(x,x)`.
+/// [`normalized_kernel_dissimilarity`] over log kernel values; the
+/// evaluation platform caches the log self-similarities `log k(x,x)`.
 pub trait Kernel: Send + Sync {
     /// Human-readable kernel name, e.g. `"GAK(γ=0.1)"`.
     fn name(&self) -> String;
 
-    /// The kernel value `k(x, y)`.
-    fn kernel(&self, x: &[f64], y: &[f64]) -> f64;
+    /// The kernel value `k(x, y)`, using `ws` for scratch memory — the
+    /// kernel's one body (or, for the alignment kernels, the exponential
+    /// of their one log-space body). The result must not depend on what
+    /// earlier calls left in `ws`.
+    fn kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64;
+
+    /// The *logarithm* of the kernel value, using `ws` for scratch
+    /// memory. Alignment kernels (GAK, KDTW) override this with their DP
+    /// because their raw values underflow `f64` for long series; the
+    /// normalized dissimilarity is computed entirely in log space from
+    /// this method. The default is `ln(max(k(x, y), f64::MIN_POSITIVE))`.
+    fn log_kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
+        self.kernel_ws(x, y, ws).max(f64::MIN_POSITIVE).ln()
+    }
+
+    /// The kernel value `k(x, y)`: [`Kernel::kernel_ws`] with a fresh
+    /// [`Workspace`]. Kernels do not override it.
+    fn kernel(&self, x: &[f64], y: &[f64]) -> f64 {
+        self.kernel_ws(x, y, &mut Workspace::new())
+    }
 
     /// The self-similarity `k(x, x)`; override when cheaper than the
     /// general case.
@@ -268,39 +289,7 @@ pub trait Kernel: Send + Sync {
         self.kernel(x, x)
     }
 
-    /// The *logarithm* of the kernel value. Alignment kernels (GAK, KDTW)
-    /// override this because their raw values underflow `f64` for long
-    /// series; the normalized dissimilarity is computed entirely in log
-    /// space from this method.
-    fn log_kernel(&self, x: &[f64], y: &[f64]) -> f64 {
-        self.kernel(x, y).max(f64::MIN_POSITIVE).ln()
-    }
-
-    /// Log of the self-similarity.
-    fn log_self_kernel(&self, x: &[f64]) -> f64 {
-        self.log_kernel(x, x)
-    }
-
-    /// The kernel value, using `ws` for scratch memory. Must be
-    /// bit-identical to [`Kernel::kernel`]; the default delegates.
-    fn kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        let _ = ws;
-        self.kernel(x, y)
-    }
-
-    /// The log kernel value, using `ws` for scratch memory. Must be
-    /// bit-identical to [`Kernel::log_kernel`]; the default delegates.
-    fn log_kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        let _ = ws;
-        self.log_kernel(x, y)
-    }
-
-    /// Log of the self-similarity, using `ws` for scratch memory.
-    fn log_self_kernel_ws(&self, x: &[f64], ws: &mut Workspace) -> f64 {
-        self.log_kernel_ws(x, x, ws)
-    }
-
-    /// Whether `log_kernel(x, y)` and `log_kernel(y, x)` are
+    /// Whether `log_kernel_ws(x, y)` and `log_kernel_ws(y, x)` are
     /// bit-identical for all inputs (see [`Distance::is_symmetric`] for
     /// why bit-exactness is the bar). The alignment kernels return
     /// `false`: their per-row rescaling (GAK, KDTW) and FFT rounding
@@ -315,59 +304,53 @@ impl<K: Kernel + ?Sized> Kernel for Box<K> {
     fn name(&self) -> String {
         (**self).name()
     }
-    fn kernel(&self, x: &[f64], y: &[f64]) -> f64 {
-        (**self).kernel(x, y)
-    }
-    fn self_kernel(&self, x: &[f64]) -> f64 {
-        (**self).self_kernel(x)
-    }
-    fn log_kernel(&self, x: &[f64], y: &[f64]) -> f64 {
-        (**self).log_kernel(x, y)
-    }
-    fn log_self_kernel(&self, x: &[f64]) -> f64 {
-        (**self).log_self_kernel(x)
-    }
     fn kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         (**self).kernel_ws(x, y, ws)
     }
     fn log_kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         (**self).log_kernel_ws(x, y, ws)
     }
-    fn log_self_kernel_ws(&self, x: &[f64], ws: &mut Workspace) -> f64 {
-        (**self).log_self_kernel_ws(x, ws)
+    fn kernel(&self, x: &[f64], y: &[f64]) -> f64 {
+        (**self).kernel(x, y)
+    }
+    fn self_kernel(&self, x: &[f64]) -> f64 {
+        (**self).self_kernel(x)
     }
     fn is_symmetric(&self) -> bool {
         (**self).is_symmetric()
     }
 }
 
-/// Adapter exposing a [`Kernel`] as a [`Distance`] through the normalized
-/// kernel dissimilarity. Self-similarities are recomputed per call; the
-/// evaluation platform prefers its cached kernel path, but this adapter
-/// makes every kernel usable anywhere a distance is expected.
+/// The normalized kernel dissimilarity
+/// `1 - exp(log k(x,y) - (log k(x,x) + log k(y,y)) / 2)`, computed from
+/// the three log kernel values. A non-finite self-similarity term (a
+/// degenerate series) gives `1`.
+#[inline]
+pub fn normalized_kernel_dissimilarity(lxy: f64, lxx: f64, lyy: f64) -> f64 {
+    let norm = 0.5 * (lxx + lyy);
+    if norm.is_finite() {
+        1.0 - (lxy - norm).exp()
+    } else {
+        1.0
+    }
+}
+
+/// Adapter exposing a [`Kernel`] as a [`Distance`] through
+/// [`normalized_kernel_dissimilarity`]. Self-similarities are recomputed
+/// per call; the evaluation platform prefers its cached kernel path, but
+/// this adapter makes every kernel usable anywhere a distance is
+/// expected.
 pub struct KernelDistance<K: Kernel>(pub K);
 
 impl<K: Kernel> Distance for KernelDistance<K> {
     fn name(&self) -> String {
         self.0.name()
     }
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        let lxy = self.0.log_kernel(x, y);
-        let lxx = self.0.log_self_kernel(x);
-        let lyy = self.0.log_self_kernel(y);
-        if !lxx.is_finite() || !lyy.is_finite() {
-            return 1.0;
-        }
-        1.0 - (lxy - 0.5 * (lxx + lyy)).exp()
-    }
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         let lxy = self.0.log_kernel_ws(x, y, ws);
-        let lxx = self.0.log_self_kernel_ws(x, ws);
-        let lyy = self.0.log_self_kernel_ws(y, ws);
-        if !lxx.is_finite() || !lyy.is_finite() {
-            return 1.0;
-        }
-        1.0 - (lxy - 0.5 * (lxx + lyy)).exp()
+        let lxx = self.0.log_kernel_ws(x, x, ws);
+        let lyy = self.0.log_kernel_ws(y, y, ws);
+        normalized_kernel_dissimilarity(lxy, lxx, lyy)
     }
     fn is_symmetric(&self) -> bool {
         // `lxx + lyy` commutes bit-exactly, so the adapter is exactly as
@@ -391,7 +374,7 @@ mod tests {
         fn name(&self) -> String {
             "dot".into()
         }
-        fn kernel(&self, x: &[f64], y: &[f64]) -> f64 {
+        fn kernel_ws(&self, x: &[f64], y: &[f64], _: &mut Workspace) -> f64 {
             x.iter().zip(y).map(|(a, b)| a * b).sum()
         }
     }
@@ -427,7 +410,7 @@ mod tests {
             fn name(&self) -> String {
                 "abs".into()
             }
-            fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
+            fn distance_ws(&self, x: &[f64], y: &[f64], _: &mut Workspace) -> f64 {
                 x.iter().zip(y).map(|(a, b)| (a - b).abs()).sum()
             }
         }

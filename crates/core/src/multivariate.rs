@@ -15,10 +15,11 @@
 //! * [`sbd_independent`] — per-dimension SBD, averaged,
 //! * [`znorm_dims`] — per-dimension z-normalization.
 
-use crate::elastic::dtw::dtw_banded;
+use crate::elastic::dtw::dtw_banded_ws;
 use crate::measure::Distance;
 use crate::normalization::Normalization;
 use crate::sliding::CrossCorrelation;
+use crate::workspace::Workspace;
 
 /// Validates a `d x m` multivariate series pair and returns `(d, m)`.
 ///
@@ -93,9 +94,10 @@ pub fn dtw_dependent(x: &[Vec<f64>], y: &[Vec<f64>], band: usize) -> f64 {
 /// same band, since the shared path is one feasible choice per dimension.
 pub fn dtw_independent(x: &[Vec<f64>], y: &[Vec<f64>], band: usize) -> f64 {
     check_pair(x, y);
+    let mut ws = Workspace::new();
     x.iter()
         .zip(y)
-        .map(|(xd, yd)| dtw_banded(xd, yd, band.max(xd.len().abs_diff(yd.len()))))
+        .map(|(xd, yd)| dtw_banded_ws(xd, yd, band.max(xd.len().abs_diff(yd.len())), &mut ws))
         .sum()
 }
 

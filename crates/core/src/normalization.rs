@@ -189,14 +189,6 @@ impl<D: Distance> Distance for AdaptiveScaled<D> {
         self.inner.lanes_hint()
     }
 
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        let xy: f64 = x.iter().zip(y).map(|(a, b)| a * b).sum();
-        let yy: f64 = y.iter().map(|b| b * b).sum();
-        let a = if yy > 0.0 { xy / yy } else { 1.0 };
-        let scaled: Vec<f64> = y.iter().map(|v| a * v).collect();
-        self.inner.distance(x, &scaled)
-    }
-
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut crate::Workspace) -> f64 {
         let xy: f64 = x.iter().zip(y).map(|(a, b)| a * b).sum();
         let yy: f64 = y.iter().map(|b| b * b).sum();
@@ -334,7 +326,7 @@ mod tests {
             fn name(&self) -> String {
                 "ED".into()
             }
-            fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
+            fn distance_ws(&self, x: &[f64], y: &[f64], _: &mut crate::Workspace) -> f64 {
                 x.iter()
                     .zip(y)
                     .map(|(a, b)| (a - b) * (a - b))

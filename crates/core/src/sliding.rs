@@ -21,7 +21,7 @@ use crate::elastic::batch;
 use crate::lanes::LANES;
 use crate::measure::Distance;
 use crate::workspace::Workspace;
-use tsdist_fft::{cross_correlation, overlap_at};
+use tsdist_fft::overlap_at;
 
 /// The normalization variant of the cross-correlation measure (Eq. 11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,14 +64,14 @@ impl CrossCorrelation {
         CrossCorrelation::new(NccVariant::Coefficient)
     }
 
-    /// The maximum normalized similarity over all shifts.
+    /// The maximum normalized similarity over all shifts:
+    /// [`CrossCorrelation::similarity_ws`] with a fresh [`Workspace`].
     pub fn similarity(&self, x: &[f64], y: &[f64]) -> f64 {
-        let cc = cross_correlation(x, y);
-        self.variant.reduce(|| cc.iter().copied(), x, y)
+        self.similarity_ws(x, y, &mut Workspace::new())
     }
 
-    /// [`CrossCorrelation::similarity`] with the FFT buffers drawn from
-    /// `ws`; bit-identical to the allocating path.
+    /// The maximum normalized similarity over all shifts, with the FFT
+    /// buffers drawn from `ws`.
     pub fn similarity_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         let cc = ws.cc_scratch().cross_correlation(x, y);
         self.variant.reduce(|| cc.iter().copied(), x, y)
@@ -103,8 +103,8 @@ impl NccVariant {
     /// cross-correlation sequence `cc` (a slice for one pair, one lane
     /// of the rows for a lane block): the maximum over all shifts of the
     /// sequence scaled by Eq. (11)'s normalizer. Empty series have
-    /// similarity 0. The one reduction behind the allocating, the
-    /// workspace and the lane path.
+    /// similarity 0. The one reduction behind the pair and the lane
+    /// path.
     fn reduce<I: Iterator<Item = f64>>(self, cc: impl FnOnce() -> I, x: &[f64], y: &[f64]) -> f64 {
         if x.is_empty() || y.is_empty() {
             return 0.0;
@@ -145,10 +145,6 @@ impl Distance for CrossCorrelation {
             NccVariant::Unbiased => "NCC_u".into(),
             NccVariant::Coefficient => "NCC_c".into(),
         }
-    }
-
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        self.dissimilarity(self.similarity(x, y))
     }
 
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {

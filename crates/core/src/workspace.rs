@@ -7,7 +7,10 @@
 //! and test×train matrices (millions of calls per dataset), so the batch
 //! engine in `tsdist-eval` owns one [`Workspace`] per worker thread and
 //! passes it to [`crate::measure::Distance::distance_ws`] /
-//! [`crate::measure::Kernel::log_kernel_ws`].
+//! [`crate::measure::Kernel::log_kernel_ws`] — each measure's one body.
+//! The convenience entry points [`crate::measure::Distance::distance`]
+//! and [`crate::measure::Kernel::kernel`] run that body with a fresh
+//! workspace.
 //!
 //! A [`Workspace`] is a set of independent arenas:
 //!
@@ -23,8 +26,8 @@
 //! Buffers only ever grow; a workspace reused across a matrix row settles
 //! at the high-water mark of the measures it served. The arenas hand out
 //! uncleared memory — every DP initializes its rows explicitly, which the
-//! `ws_equivalence` suite verifies by bit-comparing against the
-//! allocating paths.
+//! `ws_equivalence` suite verifies by bit-comparing a fresh workspace
+//! against one reused across measures and shapes.
 
 use crate::lanes::LANES;
 use tsdist_fft::CcScratch;

@@ -5,7 +5,7 @@
 //! fallback on NaN/INF series.
 
 use proptest::prelude::*;
-use tsdist_core::elastic::{dtw_banded, keogh_envelope, lb_keogh, Dtw};
+use tsdist_core::elastic::{dtw_banded_ws, keogh_envelope, lb_keogh, Dtw};
 use tsdist_core::index::{
     envelope_summary, lb_paa, paa_means, segment_bounds, QueryPlan, TrainIndex,
 };
@@ -22,7 +22,7 @@ fn check_paa_chain(query: &[f64], candidate: &[f64], band: usize, segments: usiz
     paa_means(query, &bounds, &mut qmeans);
     let paa = lb_paa(&qmeans, &umax, &lmin, &bounds);
     let keogh = lb_keogh(query, &upper, &lower);
-    let dtw = dtw_banded(query, candidate, band);
+    let dtw = dtw_banded_ws(query, candidate, band, &mut Workspace::new());
     assert!(
         paa <= keogh,
         "LB_PAA {paa} > LB_Keogh {keogh} (band {band}, segments {segments})"

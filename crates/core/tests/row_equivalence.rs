@@ -441,7 +441,7 @@ impl Distance for RowSentinel {
     fn name(&self) -> String {
         "row-sentinel".into()
     }
-    fn distance(&self, _x: &[f64], _y: &[f64]) -> f64 {
+    fn distance_ws(&self, _x: &[f64], _y: &[f64], _: &mut Workspace) -> f64 {
         0.0
     }
     fn distance_row_ws(

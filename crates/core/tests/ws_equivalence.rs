@@ -3,14 +3,21 @@
 //! Every measure must satisfy two contracts the batch matrix engine in
 //! `tsdist-eval` builds on:
 //!
-//! 1. `distance_ws` (and `log_kernel_ws` / `kernel_ws`) returns a value
-//!    *bit-identical* to the allocating path, with the workspace reused
-//!    across calls of different shapes and measures;
+//! 1. `distance_ws` (and `log_kernel_ws` / `kernel_ws`) returns the same
+//!    bits from a fresh workspace as from one reused across calls of
+//!    different shapes and measures, so no value depends on what an
+//!    earlier call left in the arenas;
 //! 2. a measure reporting `is_symmetric()` really is bit-symmetric, so
 //!    mirroring the upper triangle of a train×train matrix reproduces the
 //!    full computation exactly.
+//!
+//! It also holds the anti-diagonal wavefront DPs (DTW, DDTW, WDTW, ERP,
+//! TWE) to their row-major references bit for bit (DESIGN.md §9.2).
 
-use tsdist_core::elastic::{Cid, DerivativeDtw, Dtw, ItakuraDtw, WeightedDtw};
+use tsdist_core::elastic::{
+    dtw_banded_ws, erp_row_major, twe_row_major, wdtw_row_major, Cid, DerivativeDtw, Dtw, Erp,
+    ItakuraDtw, Twe, WeightedDtw,
+};
 use tsdist_core::kernel::{Gak, Kdtw, Rbf, Sink};
 use tsdist_core::measure::{Distance, Kernel, KernelDistance};
 use tsdist_core::registry;
@@ -41,10 +48,11 @@ impl Gen {
 }
 
 /// Random plus adversarial input pairs: equal lengths, unequal lengths,
-/// constant series (zero variance / zero complexity), and short series.
+/// constant series (zero variance / zero complexity), short series, and
+/// non-finite or near-overflow samples.
 fn input_pairs() -> Vec<(Vec<f64>, Vec<f64>)> {
     let mut g = Gen(0xC0FFEE);
-    vec![
+    let mut pairs = vec![
         (g.series(64), g.series(64)),
         (g.series(31), g.series(31)),
         (g.series(7), g.series(7)),
@@ -58,7 +66,19 @@ fn input_pairs() -> Vec<(Vec<f64>, Vec<f64>)> {
         (vec![0.5; 40], g.series(40)),
         (vec![1.0; 16], vec![1.0; 16]),
         (g.series(17), g.series(64)),
-    ]
+    ];
+    // One bad sample at the first, middle and last position, then a
+    // series made only of it. The tests run each pair in both argument
+    // orders, so the bad series also lands on the `y` side.
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e308, -1e308] {
+        for at in [0, 8, 15] {
+            let mut x = g.series(16);
+            x[at] = bad;
+            pairs.push((x, g.series(16)));
+        }
+        pairs.push((vec![bad; 16], g.series(16)));
+    }
+    pairs
 }
 
 /// Every registry distance (full Table 4 grids) plus the wrapper types
@@ -108,46 +128,88 @@ fn assert_bits_eq(a: f64, b: f64, what: &str) {
 }
 
 #[test]
-fn distance_ws_is_bit_identical_for_every_registry_measure() {
+fn distance_ws_gives_the_same_bits_from_a_fresh_and_a_dirty_workspace() {
     let pairs = input_pairs();
     // One long-lived workspace across all measures and shapes, exactly as
     // a matrix-builder worker uses it.
     let mut ws = Workspace::default();
     for d in all_distances() {
         for (x, y) in &pairs {
-            let plain = d.distance(x, y);
-            let scratch = d.distance_ws(x, y, &mut ws);
-            assert_bits_eq(plain, scratch, &format!("{} ws", d.name()));
+            let fresh = d.distance_ws(x, y, &mut Workspace::new());
+            let dirty = d.distance_ws(x, y, &mut ws);
+            assert_bits_eq(fresh, dirty, &format!("{} ws", d.name()));
             // And in the reversed argument order, which exercises the
             // unequal-length paths both ways.
-            let plain_r = d.distance(y, x);
-            let scratch_r = d.distance_ws(y, x, &mut ws);
-            assert_bits_eq(plain_r, scratch_r, &format!("{} ws (rev)", d.name()));
+            let fresh_r = d.distance_ws(y, x, &mut Workspace::new());
+            let dirty_r = d.distance_ws(y, x, &mut ws);
+            assert_bits_eq(fresh_r, dirty_r, &format!("{} ws (rev)", d.name()));
         }
     }
 }
 
 #[test]
-fn kernel_ws_is_bit_identical_for_every_registry_kernel() {
+fn kernel_ws_gives_the_same_bits_from_a_fresh_and_a_dirty_workspace() {
     let pairs = input_pairs();
     let mut ws = Workspace::default();
     for k in all_kernels() {
         for (x, y) in &pairs {
             assert_bits_eq(
-                k.kernel(x, y),
+                k.kernel_ws(x, y, &mut Workspace::new()),
                 k.kernel_ws(x, y, &mut ws),
                 &format!("{} kernel ws", k.name()),
             );
             assert_bits_eq(
-                k.log_kernel(x, y),
+                k.log_kernel_ws(x, y, &mut Workspace::new()),
                 k.log_kernel_ws(x, y, &mut ws),
                 &format!("{} log kernel ws", k.name()),
             );
+        }
+    }
+}
+
+#[test]
+fn wavefront_kernels_match_their_row_major_references_bit_for_bit() {
+    let mut ws = Workspace::default();
+    for (x, y) in &input_pairs() {
+        for (x, y) in [(x, y), (y, x)] {
+            for pct in [0.0, 5.0, 10.0, 37.0, 100.0] {
+                let dtw = Dtw::with_window_pct(pct);
+                let band = dtw.band(x.len(), y.len());
+                assert_bits_eq(
+                    dtw.distance_ws(x, y, &mut ws),
+                    dtw_banded_ws(x, y, band, &mut ws),
+                    &format!("{} vs row-major", dtw.name()),
+                );
+                let ddtw = DerivativeDtw::with_window_pct(pct);
+                let dx = DerivativeDtw::derivative(x);
+                let dy = DerivativeDtw::derivative(y);
+                assert_bits_eq(
+                    ddtw.distance_ws(x, y, &mut ws),
+                    dtw_banded_ws(&dx, &dy, band, &mut ws),
+                    &format!("{} vs row-major", ddtw.name()),
+                );
+            }
+            for g in [0.01, 0.05, 0.1] {
+                let wdtw = WeightedDtw::new(g);
+                assert_bits_eq(
+                    wdtw.distance_ws(x, y, &mut ws),
+                    wdtw_row_major(x, y, g),
+                    &format!("{} vs row-major", wdtw.name()),
+                );
+            }
             assert_bits_eq(
-                k.log_self_kernel(x),
-                k.log_self_kernel_ws(x, &mut ws),
-                &format!("{} log self kernel ws", k.name()),
+                Erp::new().distance_ws(x, y, &mut ws),
+                erp_row_major(x, y, 0.0),
+                "ERP vs row-major",
             );
+            for (lambda, nu) in [(0.0, 1e-5), (1.0, 1e-4), (0.5, 1.0)] {
+                let twe = Twe::new(lambda, nu);
+                assert_bits_eq(
+                    twe.distance_ws(x, y, &mut ws),
+                    twe_row_major(x, y, lambda, nu),
+                    &format!("{} vs row-major", twe.name()),
+                );
+            }
         }
     }
 }
@@ -169,14 +231,9 @@ fn symmetry_claims_hold_bit_exactly() {
         }
         for (x, y) in &pairs {
             assert_bits_eq(
-                d.distance(x, y),
-                d.distance(y, x),
-                &format!("{} symmetry", d.name()),
-            );
-            assert_bits_eq(
                 d.distance_ws(x, y, &mut ws),
                 d.distance_ws(y, x, &mut ws),
-                &format!("{} ws symmetry", d.name()),
+                &format!("{} symmetry", d.name()),
             );
         }
     }
@@ -186,8 +243,8 @@ fn symmetry_claims_hold_bit_exactly() {
         }
         for (x, y) in &pairs {
             assert_bits_eq(
-                k.log_kernel(x, y),
-                k.log_kernel(y, x),
+                k.log_kernel_ws(x, y, &mut ws),
+                k.log_kernel_ws(y, x, &mut ws),
                 &format!("{} kernel symmetry", k.name()),
             );
         }

@@ -271,7 +271,7 @@ pub struct CellResult {
 /// A [`Distance`] wrapper that checks a [`CancelFlag`] before every
 /// pairwise computation, and before every chunk of at most
 /// [`LANES`] columns of a matrix row. Pure delegation otherwise —
-/// including `distance_ws`, `distance_row_ws` and `is_symmetric` — so
+/// including `distance_row_ws`, `is_symmetric` and `lanes_hint` — so
 /// healthy guarded cells are bit-identical to unguarded ones.
 pub struct GuardedDistance<'a> {
     inner: &'a dyn Distance,
@@ -288,10 +288,6 @@ impl<'a> GuardedDistance<'a> {
 impl Distance for GuardedDistance<'_> {
     fn name(&self) -> String {
         self.inner.name()
-    }
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
-        self.flag.panic_if_cancelled();
-        self.inner.distance(x, y)
     }
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         self.flag.panic_if_cancelled();
@@ -312,6 +308,9 @@ impl Distance for GuardedDistance<'_> {
     }
     fn is_symmetric(&self) -> bool {
         self.inner.is_symmetric()
+    }
+    fn lanes_hint(&self) -> usize {
+        self.inner.lanes_hint()
     }
     // The index planner consults these on the *guarded* wrapper; without
     // forwarding, every indexed evaluation would silently degrade to the
@@ -343,22 +342,6 @@ impl Kernel for GuardedKernel<'_> {
     fn name(&self) -> String {
         self.inner.name()
     }
-    fn kernel(&self, x: &[f64], y: &[f64]) -> f64 {
-        self.flag.panic_if_cancelled();
-        self.inner.kernel(x, y)
-    }
-    fn self_kernel(&self, x: &[f64]) -> f64 {
-        self.flag.panic_if_cancelled();
-        self.inner.self_kernel(x)
-    }
-    fn log_kernel(&self, x: &[f64], y: &[f64]) -> f64 {
-        self.flag.panic_if_cancelled();
-        self.inner.log_kernel(x, y)
-    }
-    fn log_self_kernel(&self, x: &[f64]) -> f64 {
-        self.flag.panic_if_cancelled();
-        self.inner.log_self_kernel(x)
-    }
     fn kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         self.flag.panic_if_cancelled();
         self.inner.kernel_ws(x, y, ws)
@@ -367,9 +350,9 @@ impl Kernel for GuardedKernel<'_> {
         self.flag.panic_if_cancelled();
         self.inner.log_kernel_ws(x, y, ws)
     }
-    fn log_self_kernel_ws(&self, x: &[f64], ws: &mut Workspace) -> f64 {
+    fn self_kernel(&self, x: &[f64]) -> f64 {
         self.flag.panic_if_cancelled();
-        self.inner.log_self_kernel_ws(x, ws)
+        self.inner.self_kernel(x)
     }
     fn is_symmetric(&self) -> bool {
         self.inner.is_symmetric()
@@ -436,6 +419,9 @@ mod tests {
         assert_eq!(guarded.distance(&x, &y), Euclidean.distance(&x, &y));
         assert_eq!(guarded.is_symmetric(), Euclidean.is_symmetric());
         assert_eq!(guarded.name(), Euclidean.name());
+        // Euclidean runs on the lane kernels, so the default hint of 1
+        // would show a dropped forward.
+        assert_eq!(guarded.lanes_hint(), LANES);
         flag.cancel();
         let caught =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| guarded.distance(&x, &y)));

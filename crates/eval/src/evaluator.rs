@@ -262,6 +262,7 @@ mod tests {
     use tsdist_core::elastic::Dtw;
     use tsdist_core::kernel::Rbf;
     use tsdist_core::lockstep::Euclidean;
+    use tsdist_core::Workspace;
     use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
 
     fn easy_dataset() -> Dataset {
@@ -348,7 +349,7 @@ mod tests {
         fn name(&self) -> String {
             "counting".into()
         }
-        fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
+        fn distance_ws(&self, x: &[f64], y: &[f64], _: &mut Workspace) -> f64 {
             CALLS.fetch_add(1, Ordering::Relaxed);
             Euclidean.distance(x, y)
         }
@@ -357,7 +358,7 @@ mod tests {
         fn name(&self) -> String {
             "counting".into()
         }
-        fn kernel(&self, x: &[f64], y: &[f64]) -> f64 {
+        fn kernel_ws(&self, x: &[f64], y: &[f64], _: &mut Workspace) -> f64 {
             CALLS.fetch_add(1, Ordering::Relaxed);
             Rbf::new(0.01).kernel(x, y)
         }

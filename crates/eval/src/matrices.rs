@@ -37,7 +37,7 @@
 
 use crate::error::EvalError;
 use crate::parallel::{parallel_fill_rows, parallel_map_with};
-use tsdist_core::measure::{Distance, Kernel};
+use tsdist_core::measure::{normalized_kernel_dissimilarity, Distance, Kernel};
 use tsdist_core::Workspace;
 use tsdist_linalg::Matrix;
 
@@ -95,19 +95,6 @@ fn mirror_upper_to_lower(m: &mut Matrix) {
     }
 }
 
-/// The normalized kernel dissimilarity
-/// `1 - exp(log k(x,y) - (log k(x,x) + log k(y,y)) / 2)`, guarding the
-/// degenerate case of a non-finite self-similarity.
-#[inline]
-fn normalized_kernel_dissimilarity(lxy: f64, lxx: f64, lyy: f64) -> f64 {
-    let norm = 0.5 * (lxx + lyy);
-    if norm.is_finite() {
-        1.0 - (lxy - norm).exp()
-    } else {
-        1.0
-    }
-}
-
 /// Computes `W` and `E` for a kernel using the normalized dissimilarity,
 /// with the log self-similarities computed once per series instead of per
 /// pair, and the symmetric `W` fast path when [`Kernel::is_symmetric`]
@@ -128,10 +115,10 @@ pub fn kernel_matrices_into(
     e: &mut Matrix,
 ) {
     let log_self_train = parallel_map_with(train.len(), Workspace::default, |ws, i| {
-        k.log_self_kernel_ws(&train[i], ws)
+        k.log_kernel_ws(&train[i], &train[i], ws)
     });
     let log_self_test = parallel_map_with(test.len(), Workspace::default, |ws, i| {
-        k.log_self_kernel_ws(&test[i], ws)
+        k.log_kernel_ws(&test[i], &test[i], ws)
     });
 
     let n = train.len();
@@ -296,30 +283,21 @@ mod tests {
     #[test]
     fn alignment_kernel_matrices_match_the_serial_definition() {
         use tsdist_core::kernel::Gak;
-        use tsdist_core::measure::Kernel as _;
+        use tsdist_core::measure::KernelDistance;
         let train = toy(5, 12, 0.0);
         let test = toy(3, 12, 0.4);
         let k = Gak::new(0.5);
         let (w, e) = kernel_matrices(&k, &train, &test);
-        let self_train: Vec<f64> = train.iter().map(|s| k.log_self_kernel(s)).collect();
-        let self_test: Vec<f64> = test.iter().map(|s| k.log_self_kernel(s)).collect();
+        let serial = KernelDistance(k);
         for i in 0..5 {
             for j in 0..5 {
-                let expect = normalized_kernel_dissimilarity(
-                    k.log_kernel(&train[i], &train[j]),
-                    self_train[i],
-                    self_train[j],
-                );
+                let expect = serial.distance(&train[i], &train[j]);
                 assert_eq!(w[(i, j)].to_bits(), expect.to_bits(), "W ({i},{j})");
             }
         }
         for i in 0..3 {
             for j in 0..5 {
-                let expect = normalized_kernel_dissimilarity(
-                    k.log_kernel(&test[i], &train[j]),
-                    self_test[i],
-                    self_train[j],
-                );
+                let expect = serial.distance(&test[i], &train[j]);
                 assert_eq!(e[(i, j)].to_bits(), expect.to_bits(), "E ({i},{j})");
             }
         }

@@ -382,6 +382,7 @@ mod tests {
     use crate::matrices::distance_matrix;
     use tsdist_core::elastic::Dtw;
     use tsdist_core::lockstep::Euclidean;
+    use tsdist_core::Workspace;
     use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
 
     fn dataset() -> Dataset {
@@ -542,7 +543,7 @@ mod tests {
             fn name(&self) -> String {
                 "slow".into()
             }
-            fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
+            fn distance_ws(&self, x: &[f64], y: &[f64], _: &mut Workspace) -> f64 {
                 std::thread::sleep(std::time::Duration::from_millis(2));
                 Euclidean.distance(x, y)
             }
@@ -576,7 +577,7 @@ mod tests {
             fn name(&self) -> String {
                 "boom".into()
             }
-            fn distance(&self, _: &[f64], _: &[f64]) -> f64 {
+            fn distance_ws(&self, _: &[f64], _: &[f64], _: &mut Workspace) -> f64 {
                 panic!("injected fault")
             }
         }

@@ -824,7 +824,7 @@ mod tests {
             fn name(&self) -> String {
                 "poison".into()
             }
-            fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
+            fn distance_ws(&self, x: &[f64], y: &[f64], _: &mut Workspace) -> f64 {
                 if y[0] < 0.0 {
                     f64::NAN
                 } else {
@@ -846,7 +846,7 @@ mod tests {
             fn name(&self) -> String {
                 "nan".into()
             }
-            fn distance(&self, _: &[f64], _: &[f64]) -> f64 {
+            fn distance_ws(&self, _: &[f64], _: &[f64], _: &mut Workspace) -> f64 {
                 f64::NAN
             }
         }

@@ -317,7 +317,7 @@ impl Distance for CancelAt {
     fn name(&self) -> String {
         "CancelAt".into()
     }
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
+    fn distance_ws(&self, x: &[f64], y: &[f64], _: &mut Workspace) -> f64 {
         if self.calls.fetch_add(1, Ordering::SeqCst) + 1 == self.at {
             if let Some(flag) = &*self.flag.lock().expect("flag lock") {
                 flag.cancel();
@@ -413,7 +413,7 @@ impl Distance for RowSentinel {
     fn name(&self) -> String {
         "RowSentinel".into()
     }
-    fn distance(&self, _x: &[f64], _y: &[f64]) -> f64 {
+    fn distance_ws(&self, _x: &[f64], _y: &[f64], _: &mut Workspace) -> f64 {
         0.0
     }
     fn distance_row_ws(

@@ -13,6 +13,7 @@ use tsdist_core::elastic::Dtw;
 use tsdist_core::lockstep::Euclidean;
 use tsdist_core::measure::Distance;
 use tsdist_core::normalization::Normalization;
+use tsdist_core::Workspace;
 use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
 use tsdist_data::Dataset;
 use tsdist_eval::journal::recover_lines;
@@ -31,7 +32,7 @@ impl Distance for Slow {
     fn name(&self) -> String {
         "slow".into()
     }
-    fn distance(&self, x: &[f64], y: &[f64]) -> f64 {
+    fn distance_ws(&self, x: &[f64], y: &[f64], _: &mut Workspace) -> f64 {
         std::thread::sleep(self.0);
         Euclidean.distance(x, y)
     }

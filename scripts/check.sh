@@ -24,6 +24,9 @@ fi
 echo "==> cargo test -q"
 cargo test -q --workspace --offline
 
+echo "==> perfbench builds (the benchmark of record, built against the workspace)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 TSDIST=target/debug/tsdist

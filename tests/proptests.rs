@@ -1,10 +1,11 @@
 //! Workspace-level property-based tests on core invariants.
 
 use proptest::prelude::*;
-use tsdist::measures::elastic::{dtw_banded, lb_keogh_full, lb_kim, Dtw, Erp, Msm, Twe};
+use tsdist::measures::elastic::{dtw_banded_ws, lb_keogh_full, lb_kim, Dtw, Erp, Msm, Twe};
 use tsdist::measures::lockstep::{Chebyshev, CityBlock, Euclidean, Lorentzian};
 use tsdist::measures::registry::{lockstep_parameter_free, sliding_measures};
 use tsdist::measures::{Distance, Normalization};
+use tsdist::prelude::Workspace;
 use tsdist::stats::{average_ranks, wilcoxon_signed_rank};
 
 fn series_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -112,8 +113,9 @@ proptest! {
         let n = x.len().min(y.len());
         let (x, y) = (&x[..n], &y[..n]);
         let mut last = f64::INFINITY;
+        let mut ws = Workspace::new();
         for band in [0usize, 1, 2, 4, 8, n] {
-            let d = dtw_banded(x, y, band);
+            let d = dtw_banded_ws(x, y, band, &mut ws);
             prop_assert!(d <= last + 1e-9);
             last = d;
         }
@@ -128,8 +130,9 @@ proptest! {
     ) {
         let n = x.len().min(y.len());
         let (x, y) = (&x[..n], &y[..n]);
-        let d = dtw_banded(x, y, band.max(1));
-        prop_assert!(lb_kim(x, y) <= dtw_banded(x, y, n) + 1e-9);
+        let mut ws = Workspace::new();
+        let d = dtw_banded_ws(x, y, band.max(1), &mut ws);
+        prop_assert!(lb_kim(x, y) <= dtw_banded_ws(x, y, n, &mut ws) + 1e-9);
         prop_assert!(lb_keogh_full(x, y, band.max(1)) <= d + 1e-9);
     }
 
