@@ -10,11 +10,14 @@
 //!    bits come back, otherwise the result is not below `c` — so a value
 //!    that survives the comparison against a best-so-far is always the
 //!    true distance, and an abandoned candidate can never steal a win.
+//!    `upto` returns NaN only when the true distance is NaN.
 //!
-//! Cutoffs are swept around the true distance itself (fractions, the
-//! exact value, `next_up` — the engine's tie rule — and multiples) plus
-//! fixed extremes, so both the abandon and the must-be-exact branches are
-//! exercised for every measure of the registry and the wrapper types.
+//! The inputs include NaN, ±∞ and ±1e308 samples, so the contract is
+//! pinned on the non-finite paths too. Cutoffs are swept around the true
+//! distance itself (fractions, the exact value, `next_up` — the engine's
+//! tie rule — and multiples) plus fixed extremes, so both the abandon and
+//! the must-be-exact branches are exercised for every measure of the
+//! registry and the wrapper types.
 
 use tsdist_core::elastic::{Cid, DerivativeDtw, Dtw, ItakuraDtw, WeightedDtw};
 use tsdist_core::kernel::{Gak, Kdtw, Rbf, Sink};
@@ -47,10 +50,11 @@ impl Gen {
 }
 
 /// Random plus adversarial input pairs: equal lengths, unequal lengths,
-/// constant series (zero variance / zero complexity), and short series.
+/// constant series (zero variance / zero complexity), short series, and
+/// non-finite or near-overflow samples.
 fn input_pairs() -> Vec<(Vec<f64>, Vec<f64>)> {
     let mut g = Gen(0xC0FFEE);
-    vec![
+    let mut pairs = vec![
         (g.series(64), g.series(64)),
         (g.series(31), g.series(31)),
         (g.series(7), g.series(7)),
@@ -64,7 +68,20 @@ fn input_pairs() -> Vec<(Vec<f64>, Vec<f64>)> {
         (vec![0.5; 40], g.series(40)),
         (vec![1.0; 16], vec![1.0; 16]),
         (g.series(17), g.series(64)),
-    ]
+    ];
+    // One bad sample at the first, middle and last position, then a
+    // series made only of it. `reversed_arguments_honour_the_contract_too`
+    // runs each pair in both argument orders, so the bad series also
+    // lands on the `y` side.
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e308, -1e308] {
+        for at in [0, 8, 15] {
+            let mut x = g.series(16);
+            x[at] = bad;
+            pairs.push((x, g.series(16)));
+        }
+        pairs.push((vec![bad; 16], g.series(16)));
+    }
+    pairs
 }
 
 /// Every registry distance (full Table 4 grids) plus the wrapper types
@@ -94,6 +111,21 @@ fn all_distances() -> Vec<Box<dyn Distance>> {
     all.push(Box::new(KernelDistance(Sink::new(5.0))));
     all.push(Box::new(KernelDistance(Rbf::new(1.0))));
     all
+}
+
+/// The contract for a finite cutoff `c`: below the cutoff the exact bits
+/// come back; otherwise any value not below `c`. A NaN exact value is the
+/// measure's own answer (the scan reads NaN as a real distance, never as
+/// an abandon), so `upto` may return NaN only then, and a NaN exact
+/// value may also be abandoned to anything `>= c`.
+fn assert_upto_contract(exact: f64, c: f64, r: f64, what: &str) {
+    if exact < c {
+        assert_bits_eq(exact, r, what);
+    } else if exact.is_nan() {
+        assert!(r.is_nan() || r >= c, "{what}: exact NaN, got {r} < cutoff");
+    } else {
+        assert!(r >= c, "{what}: exact {exact}, got {r} < cutoff");
+    }
 }
 
 fn assert_bits_eq(a: f64, b: f64, what: &str) {
@@ -147,30 +179,10 @@ fn finite_cutoffs_are_admissible_for_every_registry_measure() {
     for d in all_distances() {
         for (x, y) in &pairs {
             let exact = d.distance_ws(x, y, &mut ws);
-            if exact.is_nan() {
-                // No measure in the registry produces NaN on these inputs;
-                // guard so a future regression fails loudly here instead
-                // of silently skipping the contract.
-                panic!("{} returned NaN on a suite input", d.name());
-            }
             for c in cutoffs_around(exact, &mut g) {
                 let r = d.distance_upto(x, y, &mut ws, c);
-                if exact < c {
-                    // Below the cutoff the value must be the exact bits.
-                    assert_bits_eq(
-                        exact,
-                        r,
-                        &format!("{} upto(cutoff {c}, exact {exact})", d.name()),
-                    );
-                } else {
-                    // At or above the cutoff anything not below `c` is
-                    // admissible (typically INF from an abandon).
-                    assert!(
-                        r >= c || r.is_nan(),
-                        "{}: cutoff {c}, exact {exact}, but upto returned {r} < cutoff",
-                        d.name()
-                    );
-                }
+                let what = format!("{} upto(cutoff {c}, exact {exact})", d.name());
+                assert_upto_contract(exact, c, r, &what);
             }
         }
     }
@@ -188,15 +200,8 @@ fn reversed_arguments_honour_the_contract_too() {
             let exact = d.distance_ws(y, x, &mut ws);
             for c in cutoffs_around(exact, &mut g) {
                 let r = d.distance_upto(y, x, &mut ws, c);
-                if exact < c {
-                    assert_bits_eq(exact, r, &format!("{} upto rev (cutoff {c})", d.name()));
-                } else {
-                    assert!(
-                        r >= c || r.is_nan(),
-                        "{}: rev cutoff {c}, exact {exact}, got {r} < cutoff",
-                        d.name()
-                    );
-                }
+                let what = format!("{} upto rev (cutoff {c}, exact {exact})", d.name());
+                assert_upto_contract(exact, c, r, &what);
             }
         }
     }
