@@ -6,8 +6,9 @@
 //! * **lock-step** — the multi-lane `chunks_exact` reductions
 //!   (`lanes::lane_sum` family) vs a sequential zip fold of the same
 //!   term, in GB/s of series data touched (two `f64` slices per pair);
-//! * **DP** — the anti-diagonal wavefront DTW/WDTW vs the row-major
-//!   reference kernels, in DP cells/s;
+//! * **DP** — `distance_ws` of DTW (at its 10% band) and WDTW, both the
+//!   anti-diagonal wavefront, vs the row-major reference kernels, in DP
+//!   cells/s;
 //! * **row** — the batch-axis row kernels of MSM, TWE, banded DTW and
 //!   NCC_c (`Distance::distance_row_ws`, eight training series per SIMD
 //!   lane) vs the per-pair `distance_ws` loop over the same matrix rows,
@@ -32,8 +33,7 @@ use std::time::Instant;
 
 use tsdist_bench::ExperimentConfig;
 use tsdist_core::elastic::{
-    dtw::dtw_banded_ws, wavefront::dtw_wavefront_ws, wdtw_row_major, DerivativeDtw, Dtw, Erp, Msm,
-    Twe, WeightedDtw,
+    dtw::dtw_banded_ws, wdtw_row_major, DerivativeDtw, Dtw, Erp, Msm, Twe, WeightedDtw,
 };
 use tsdist_core::lockstep::{Chebyshev, CityBlock, Euclidean, Minkowski};
 use tsdist_core::measure::Distance;
@@ -255,7 +255,8 @@ fn main() {
         (128, 8, 60)
     };
     let (long_queries, long_cols) = if cfg.quick { (1usize, 9usize) } else { (2, 20) };
-    let band = len / 10;
+    let dtw = Dtw::with_window_pct(10.0);
+    let band = dtw.band(len, len);
     let mut noise = Noise(cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xBEEF);
     let pairs: Vec<(Vec<f64>, Vec<f64>)> = (0..ls_pairs)
         .map(|_| (noise.series(len), noise.series(len)))
@@ -331,7 +332,6 @@ fn main() {
     let cells = banded_cells(len, len, band) * dp_pairs as u64;
     let full_cells = banded_cells(len, len, len) * dp_pairs as u64;
     let mut ws = Workspace::new();
-    let dtw = Dtw::with_window_pct(10.0);
     let wdtw = WeightedDtw::new(0.05);
 
     let mut dp_rows: Vec<DpRow> = Vec::new();
@@ -339,7 +339,7 @@ fn main() {
         let wavefront_seconds = median_seconds(reps, || {
             dp_inputs
                 .iter()
-                .map(|(x, y)| dtw_wavefront_ws(x, y, band, &mut ws))
+                .map(|(x, y)| dtw.distance_ws(x, y, &mut ws))
                 .sum()
         });
         let rowmajor_seconds = median_seconds(reps, || {
@@ -349,8 +349,7 @@ fn main() {
                 .sum()
         });
         let identical_bits = dp_inputs.iter().all(|(x, y)| {
-            dtw_wavefront_ws(x, y, band, &mut ws).to_bits()
-                == dtw_banded_ws(x, y, band, &mut ws).to_bits()
+            dtw.distance_ws(x, y, &mut ws).to_bits() == dtw_banded_ws(x, y, band, &mut ws).to_bits()
         });
         dp_rows.push(DpRow {
             name: "DTW(10%)",

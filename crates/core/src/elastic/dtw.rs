@@ -8,6 +8,7 @@
 //! to the Euclidean alignment.
 
 use super::batch;
+use super::wavefront::{wavefront_pruned, wavefront_ws, Squared, Weighted};
 use crate::measure::Distance;
 use crate::workspace::Workspace;
 
@@ -68,14 +69,14 @@ impl Distance for Dtw {
         // The anti-diagonal wavefront kernel: bit-identical to the
         // row-major reference `dtw_banded_ws` (same per-cell dataflow),
         // but free of its left-neighbour dependency chain.
-        super::wavefront::dtw_wavefront_ws(x, y, self.band(x.len(), y.len()), ws)
+        wavefront_ws(x, y, self.band(x.len(), y.len()), Squared, ws)
     }
 
     fn distance_upto(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
         if cutoff.is_nan() || cutoff == f64::INFINITY {
             return self.distance_ws(x, y, ws);
         }
-        dtw_banded_pruned(x, y, self.band(x.len(), y.len()), cutoff, ws).0
+        wavefront_pruned(x, y, self.band(x.len(), y.len()), Squared, cutoff, ws).0
     }
 
     fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
@@ -152,29 +153,6 @@ pub fn dtw_banded_ws(x: &[f64], y: &[f64], band: usize, ws: &mut Workspace) -> f
     prev[n]
 }
 
-/// Cutoff-pruned banded DTW (EAPruned-style, after Herrmann & Webb),
-/// since the vectorized-kernel backend a thin wrapper over the
-/// anti-diagonal [`super::wavefront::dtw_wavefront_pruned`]: live-window
-/// pruning now runs in diagonal space, abandoning once two *consecutive*
-/// diagonals go fully dead (a warping path can skip one diagonal via the
-/// diagonal move, never two).
-///
-/// Returns `(distance, dp_cells_computed)`. The distance honours the
-/// [`crate::measure::Distance::distance_upto`] contract against
-/// [`dtw_banded_ws`]: bit-identical when the true distance is `< cutoff`
-/// (live cells see the same operands in the same order — an inflated dead
-/// neighbour never wins the `min`), otherwise `f64::INFINITY`. `cutoff`
-/// must be finite; non-positive cutoffs abandon immediately.
-pub fn dtw_banded_pruned(
-    x: &[f64],
-    y: &[f64],
-    band: usize,
-    cutoff: f64,
-    ws: &mut Workspace,
-) -> (f64, u64) {
-    super::wavefront::dtw_wavefront_pruned(x, y, band, cutoff, ws)
-}
-
 /// Derivative DTW (Keogh & Pazzani 2001): DTW applied to the estimated
 /// first derivative
 /// `d_i = ((x_i - x_{i-1}) + (x_{i+1} - x_{i-1}) / 2) / 2`,
@@ -218,6 +196,24 @@ impl DerivativeDtw {
         d[0] = d[1];
         d[m - 1] = d[m - 2];
     }
+
+    /// Runs `dp` on the derivatives of `x` and `y`. They live in the aux
+    /// arenas so the DP rows remain free for the nested banded-DTW call.
+    fn with_derivatives(
+        x: &[f64],
+        y: &[f64],
+        ws: &mut Workspace,
+        dp: impl FnOnce(&[f64], &[f64], &mut Workspace) -> f64,
+    ) -> f64 {
+        let mut dx = ws.take_aux();
+        let mut dy = ws.take_aux2();
+        Self::derivative_into(x, &mut dx);
+        Self::derivative_into(y, &mut dy);
+        let d = dp(&dx, &dy, ws);
+        ws.put_aux(dx);
+        ws.put_aux2(dy);
+        d
+    }
 }
 
 impl Distance for DerivativeDtw {
@@ -226,29 +222,15 @@ impl Distance for DerivativeDtw {
     }
 
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        // The derivatives live in the aux arenas so the DP rows remain
-        // free for the nested banded-DTW call.
-        let mut dx = ws.take_aux();
-        let mut dy = ws.take_aux2();
-        Self::derivative_into(x, &mut dx);
-        Self::derivative_into(y, &mut dy);
-        let d = self.dtw.distance_ws(&dx, &dy, ws);
-        ws.put_aux(dx);
-        ws.put_aux2(dy);
-        d
+        Self::with_derivatives(x, y, ws, |dx, dy, ws| self.dtw.distance_ws(dx, dy, ws))
     }
 
     fn distance_upto(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
         // The derivative transform is cutoff-independent; the nested DTW
         // does the pruning (and handles non-finite cutoffs itself).
-        let mut dx = ws.take_aux();
-        let mut dy = ws.take_aux2();
-        Self::derivative_into(x, &mut dx);
-        Self::derivative_into(y, &mut dy);
-        let d = self.dtw.distance_upto(&dx, &dy, ws, cutoff);
-        ws.put_aux(dx);
-        ws.put_aux2(dy);
-        d
+        Self::with_derivatives(x, y, ws, |dx, dy, ws| {
+            self.dtw.distance_upto(dx, dy, ws, cutoff)
+        })
     }
 
     fn lanes_hint(&self) -> usize {
@@ -271,6 +253,23 @@ impl WeightedDtw {
     pub fn new(g: f64) -> Self {
         WeightedDtw { g }
     }
+
+    /// Runs `dp` on the logistic weights for lengths `m`, `n`
+    /// (`weights[k]` for `|i - j| = k`), held in the aux arena.
+    fn with_weights(
+        &self,
+        m: usize,
+        n: usize,
+        ws: &mut Workspace,
+        dp: impl FnOnce(&[f64], &mut Workspace) -> f64,
+    ) -> f64 {
+        let half = m.max(n) as f64 / 2.0;
+        let mut weights = ws.take_aux();
+        weights.extend((0..m.max(n)).map(|k| 1.0 / (1.0 + (-self.g * (k as f64 - half)).exp())));
+        let out = dp(&weights, ws);
+        ws.put_aux(weights);
+        out
+    }
 }
 
 impl Distance for WeightedDtw {
@@ -279,41 +278,23 @@ impl Distance for WeightedDtw {
     }
 
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return if m == n { 0.0 } else { f64::INFINITY };
-        }
-        let half = m.max(n) as f64 / 2.0;
-        let mut weights = ws.take_aux();
-        weights.extend((0..m.max(n)).map(|k| 1.0 / (1.0 + (-self.g * (k as f64 - half)).exp())));
         // Anti-diagonal wavefront sweep, bit-identical to the row-major
-        // reference `wdtw_row_major` (same per-cell dataflow).
-        let out = super::wavefront::wdtw_wavefront_ws(x, y, &weights, ws);
-        ws.put_aux(weights);
-        out
+        // reference `wdtw_row_major` (same per-cell dataflow). Band
+        // `m + n` is the unbanded range.
+        let (m, n) = (x.len(), y.len());
+        self.with_weights(m, n, ws, |w, ws| wavefront_ws(x, y, m + n, Weighted(w), ws))
     }
 
     fn distance_upto(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
         if cutoff.is_nan() || cutoff == f64::INFINITY {
             return self.distance_ws(x, y, ws);
         }
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return if m == n { 0.0 } else { f64::INFINITY };
-        }
-        if cutoff <= 0.0 {
-            return f64::INFINITY;
-        }
-        let half = m.max(n) as f64 / 2.0;
-        let mut weights = ws.take_aux();
-        weights.extend((0..m.max(n)).map(|k| 1.0 / (1.0 + (-self.g * (k as f64 - half)).exp())));
         // Wavefront live-window pruning, with the logistic weight folded
         // into the (still non-negative) local cost.
-        let out = super::wavefront::wdtw_wavefront_pruned(x, y, &weights, cutoff, ws).0;
-        ws.put_aux(weights);
-        out
+        let (m, n) = (x.len(), y.len());
+        self.with_weights(m, n, ws, |w, ws| {
+            wavefront_pruned(x, y, m + n, Weighted(w), cutoff, ws).0
+        })
     }
 
     fn lanes_hint(&self) -> usize {

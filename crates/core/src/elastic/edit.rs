@@ -1,5 +1,6 @@
 //! The edit-distance-based elastic measures: LCSS, EDR, ERP, and Swale.
 
+use super::eapruned::rows_upto;
 use crate::measure::Distance;
 use crate::workspace::Workspace;
 
@@ -192,64 +193,22 @@ impl Distance for Erp {
         if cutoff.is_nan() || cutoff == f64::INFINITY {
             return self.distance_ws(x, y, ws);
         }
-        const INF: f64 = f64::INFINITY;
-        if cutoff.is_nan() || cutoff <= 0.0 {
-            return INF;
-        }
-        let m = x.len();
-        let n = y.len();
         let g = self.gap;
-        let (mut prev, mut curr) = ws.dp_rows2(n + 1);
-        // Row 0: the exact delete chain. Increments are non-negative, so
-        // the live (`< cutoff`) window is the prefix `[0, p_hi]`.
-        prev[0] = 0.0;
-        let mut acc = 0.0;
-        let mut p_hi = 0usize;
-        for j in 1..=n {
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "pruned-window DP: the live window is data-dependent, so loop-variable indexing is inherent and bounded by the window clamps")
-            acc += (y[j - 1] - g).abs();
-            prev[j] = acc;
-            if acc < cutoff {
-                p_hi = j;
-            }
-        }
-        let mut p_lo = 0usize;
-        for i in 1..=m {
-            curr.fill(INF);
-            // Column 0 (delete all of x so far) is O(1) per row; keeping
-            // its chain exact lets liveness re-enter from the left.
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "pruned-window DP: the live window is data-dependent, so loop-variable indexing is inherent and bounded by the window clamps")
-            curr[0] = prev[0] + (x[i - 1] - g).abs();
-            let mut live_lo = usize::MAX;
-            let mut live_hi = 0usize;
-            if curr[0] < cutoff {
-                live_lo = 0;
-            }
-            let start = if live_lo == 0 { 1 } else { p_lo.max(1) };
-            for j in start..=n {
-                if j > p_hi + 1 && curr[j - 1] >= cutoff {
-                    break;
-                }
-                let match_cost = prev[j - 1] + (x[i - 1] - y[j - 1]).abs();
-                let del_x = prev[j] + (x[i - 1] - g).abs();
-                let del_y = curr[j - 1] + (y[j - 1] - g).abs();
-                let v = match_cost.min(del_x).min(del_y);
-                curr[j] = v;
-                if v < cutoff {
-                    if live_lo == usize::MAX {
-                        live_lo = j;
-                    }
-                    live_hi = j;
-                }
-            }
-            if live_lo == usize::MAX {
-                return INF;
-            }
-            p_lo = live_lo;
-            p_hi = live_hi;
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n]
+        // Row 0 deletes all of y against gaps, column 0 all of x.
+        rows_upto(
+            (x.len() + 1, y.len() + 1),
+            0.0,
+            cutoff,
+            ws,
+            |j, left| left + (y[j - 1] - g).abs(),
+            |i, up| up + (x[i - 1] - g).abs(),
+            |i, j, diag, up, left| {
+                let match_cost = diag + (x[i - 1] - y[j - 1]).abs();
+                let del_x = up + (x[i - 1] - g).abs();
+                let del_y = left + (y[j - 1] - g).abs();
+                match_cost.min(del_x).min(del_y)
+            },
+        )
     }
 }
 

@@ -20,33 +20,32 @@
 //! [`lower_bounds`] used to accelerate DTW 1-NN search.
 //!
 //! All DP implementations run in O(m) memory: the production
-//! DTW/WDTW/TWE/ERP paths use three rolling anti-diagonals (see
-//! [`wavefront`]), their row-major references ([`dtw_banded_ws`],
-//! [`wdtw_row_major`], [`erp_row_major`], [`twe_row_major`]) two rolling
-//! rows, and MSM/TWE/DTW matrix rows run one row-major DP across eight
-//! training series at a time, one per SIMD lane
-//! (`Distance::distance_row_ws`).
+//! DTW/WDTW/TWE/ERP paths use three rolling anti-diagonals (the
+//! crate-private `wavefront` module; DTW and WDTW share one exact and
+//! one pruned sweep there), their row-major references
+//! ([`dtw_banded_ws`], [`wdtw_row_major`], [`erp_row_major`],
+//! [`twe_row_major`]) two rolling rows, and MSM/TWE/DTW matrix rows run
+//! one row-major DP across eight training series at a time, one per SIMD
+//! lane (`Distance::distance_row_ws`). The `distance_upto` overrides of
+//! ERP, MSM, TWE and ItakuraDtw share one row-major early-abandon driver
+//! (the crate-private `eapruned` module).
 
 pub(crate) mod batch;
 pub mod dtw;
+mod eapruned;
 pub mod edit;
 pub mod lower_bounds;
 pub mod msm;
 pub mod twe;
 pub mod variants;
-pub mod wavefront;
+mod wavefront;
 
-pub use dtw::{
-    band_radius, dtw_banded_pruned, dtw_banded_ws, wdtw_row_major, DerivativeDtw, Dtw, WeightedDtw,
-};
+pub use dtw::{band_radius, dtw_banded_ws, wdtw_row_major, DerivativeDtw, Dtw, WeightedDtw};
 pub use edit::{erp_row_major, Edr, Erp, Lcss, Swale};
 pub use lower_bounds::{keogh_envelope, lb_erp, lb_keogh, lb_keogh_full, lb_keogh_upto, lb_kim};
 pub use msm::Msm;
 pub use twe::{twe_row_major, Twe};
 pub use variants::{Cid, ItakuraDtw};
-pub use wavefront::{
-    dtw_wavefront_pruned, dtw_wavefront_ws, wdtw_wavefront_pruned, wdtw_wavefront_ws,
-};
 
 #[cfg(test)]
 mod tests {

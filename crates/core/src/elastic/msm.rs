@@ -7,6 +7,7 @@
 //! than DTW, debunking M4.
 
 use super::batch;
+use super::eapruned::rows_upto;
 use crate::measure::Distance;
 use crate::workspace::Workspace;
 
@@ -93,65 +94,21 @@ impl Distance for Msm {
         if m == 0 || n == 0 {
             return if m == n { 0.0 } else { f64::INFINITY };
         }
-        const INF: f64 = f64::INFINITY;
-        if cutoff.is_nan() || cutoff <= 0.0 {
-            return INF;
-        }
-        let (mut prev, mut curr) = ws.dp_rows2(n);
-
-        // Row 0 is exact; `c(..) >= 0` keeps it non-decreasing, so the
-        // live window is the prefix `[0, p_hi]` (or the row is dead).
-        prev[0] = (x[0] - y[0]).abs();
-        let mut p_hi = 0usize;
-        let mut row0_live = prev[0] < cutoff;
-        for j in 1..n {
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "pruned-window DP: the live window is data-dependent, so loop-variable indexing is inherent and bounded by the window clamps")
-            prev[j] = prev[j - 1] + self.c(y[j], y[j - 1], x[0]);
-            if prev[j] < cutoff {
-                p_hi = j;
-                row0_live = true;
-            }
-        }
-        if !row0_live {
-            return INF;
-        }
-        let mut p_lo = 0usize;
-        for i in 1..m {
-            curr.fill(INF);
-            // Column 0 (split chain) stays exact so liveness can re-enter
-            // from the left.
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "pruned-window DP: the live window is data-dependent, so loop-variable indexing is inherent and bounded by the window clamps")
-            curr[0] = prev[0] + self.c(x[i], x[i - 1], y[0]);
-            let mut live_lo = usize::MAX;
-            let mut live_hi = 0usize;
-            if curr[0] < cutoff {
-                live_lo = 0;
-            }
-            let start = if live_lo == 0 { 1 } else { p_lo.max(1) };
-            for j in start..n {
-                if j > p_hi + 1 && curr[j - 1] >= cutoff {
-                    break;
-                }
-                let move_cost = prev[j - 1] + (x[i] - y[j]).abs();
-                let split_x = prev[j] + self.c(x[i], x[i - 1], y[j]);
-                let merge_y = curr[j - 1] + self.c(y[j], x[i], y[j - 1]);
-                let v = move_cost.min(split_x).min(merge_y);
-                curr[j] = v;
-                if v < cutoff {
-                    if live_lo == usize::MAX {
-                        live_lo = j;
-                    }
-                    live_hi = j;
-                }
-            }
-            if live_lo == usize::MAX {
-                return INF;
-            }
-            p_lo = live_lo;
-            p_hi = live_hi;
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n - 1]
+        // 0-based: row 0 and column 0 hold the first samples' chains.
+        rows_upto(
+            (m, n),
+            (x[0] - y[0]).abs(),
+            cutoff,
+            ws,
+            |j, left| left + self.c(y[j], y[j - 1], x[0]),
+            |i, up| up + self.c(x[i], x[i - 1], y[0]),
+            |i, j, diag, up, left| {
+                let move_cost = diag + (x[i] - y[j]).abs();
+                let split_x = up + self.c(x[i], x[i - 1], y[j]);
+                let merge_y = left + self.c(y[j], x[i], y[j - 1]);
+                move_cost.min(split_x).min(merge_y)
+            },
+        )
     }
 
     fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {

@@ -6,6 +6,7 @@
 //! one of the two measures the paper finds significantly better than DTW.
 
 use super::batch;
+use super::eapruned::rows_upto;
 use crate::measure::Distance;
 use crate::workspace::Workspace;
 
@@ -90,65 +91,26 @@ impl Distance for Twe {
         if m == 0 || n == 0 {
             return if m == n { 0.0 } else { f64::INFINITY };
         }
-        const INF: f64 = f64::INFINITY;
-        if cutoff.is_nan() || cutoff <= 0.0 {
-            return INF;
-        }
         let xi = |i: usize| if i == 0 { 0.0 } else { x[i - 1] };
         let yj = |j: usize| if j == 0 { 0.0 } else { y[j - 1] };
-
-        let (mut prev, mut curr) = ws.dp_rows2(n + 1);
-        // Row 0: the exact delete chain; non-negative increments make the
-        // live window the prefix `[0, p_hi]`.
-        prev[0] = 0.0;
-        let mut p_hi = 0usize;
-        for j in 1..=n {
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "pruned-window DP: the live window is data-dependent, so loop-variable indexing is inherent and bounded by the window clamps")
-            prev[j] = prev[j - 1] + (yj(j) - yj(j - 1)).abs() + self.nu + self.lambda;
-            if prev[j] < cutoff {
-                p_hi = j;
-            }
-        }
-        let mut p_lo = 0usize;
-        for i in 1..=m {
-            curr.fill(INF);
-            // Column 0 (delete all of x so far) stays exact so liveness
-            // can re-enter from the left.
-            curr[0] = prev[0] + (xi(i) - xi(i - 1)).abs() + self.nu + self.lambda;
-            let mut live_lo = usize::MAX;
-            let mut live_hi = 0usize;
-            if curr[0] < cutoff {
-                live_lo = 0;
-            }
-            let start = if live_lo == 0 { 1 } else { p_lo.max(1) };
-            for j in start..=n {
-                // tsdist-lint: allow(hot-path-bounds-check, reason = "pruned-window DP: the live window is data-dependent, so loop-variable indexing is inherent and bounded by the window clamps")
-                if j > p_hi + 1 && curr[j - 1] >= cutoff {
-                    break;
-                }
-                let m_cost = prev[j - 1]
+        // Row 0 deletes all of y, column 0 all of x.
+        rows_upto(
+            (m + 1, n + 1),
+            0.0,
+            cutoff,
+            ws,
+            |j, left| left + (yj(j) - yj(j - 1)).abs() + self.nu + self.lambda,
+            |i, up| up + (xi(i) - xi(i - 1)).abs() + self.nu + self.lambda,
+            |i, j, diag, up, left| {
+                let m_cost = diag
                     + (xi(i) - yj(j)).abs()
                     + (xi(i - 1) - yj(j - 1)).abs()
                     + 2.0 * self.nu * (i as f64 - j as f64).abs();
-                let dx = prev[j] + (xi(i) - xi(i - 1)).abs() + self.nu + self.lambda;
-                let dy = curr[j - 1] + (yj(j) - yj(j - 1)).abs() + self.nu + self.lambda;
-                let v = m_cost.min(dx).min(dy);
-                curr[j] = v;
-                if v < cutoff {
-                    if live_lo == usize::MAX {
-                        live_lo = j;
-                    }
-                    live_hi = j;
-                }
-            }
-            if live_lo == usize::MAX {
-                return INF;
-            }
-            p_lo = live_lo;
-            p_hi = live_hi;
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n]
+                let dx = up + (xi(i) - xi(i - 1)).abs() + self.nu + self.lambda;
+                let dy = left + (yj(j) - yj(j - 1)).abs() + self.nu + self.lambda;
+                m_cost.min(dx).min(dy)
+            },
+        )
     }
 
     fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {

@@ -6,6 +6,7 @@
 //! its main grids to avoid a parameter explosion; we provide them for the
 //! ablation benches.
 
+use super::eapruned::rows_upto;
 use crate::measure::Distance;
 use crate::workspace::Workspace;
 
@@ -159,47 +160,28 @@ impl Distance for ItakuraDtw {
             return 0.0;
         }
         const INF: f64 = f64::INFINITY;
-        if cutoff.is_nan() || cutoff <= 0.0 {
-            return INF;
-        }
-        let (mut prev, mut curr) = ws.dp_rows2(n + 1);
-        prev.fill(INF);
-        prev[0] = 0.0;
-        let (mut p_lo, mut p_hi) = (0usize, 0usize);
-        for i in 1..=m {
-            curr.fill(INF);
-            let start = p_lo.max(1);
-            let mut live_lo = usize::MAX;
-            let mut live_hi = 0usize;
-            for j in start..=n {
-                if j > p_hi + 1 && curr[j - 1] >= cutoff {
-                    break;
-                }
+        // Only the origin of row 0 and column 0 is inside the
+        // parallelogram; masked cells stay INF.
+        rows_upto(
+            (m + 1, n + 1),
+            0.0,
+            cutoff,
+            ws,
+            |_, _| INF,
+            |_, _| INF,
+            |i, j, diag, up, left| {
                 if !self.inside(i, j, m, n) {
-                    continue;
+                    return INF;
                 }
-                // tsdist-lint: allow(hot-path-bounds-check, reason = "Itakura-parallelogram mask makes every cell conditional; indexing is inherent and bounded by the mask clamp")
                 let d = x[i - 1] - y[j - 1];
-                let best = prev[j - 1].min(prev[j]).min(curr[j - 1]);
+                let best = diag.min(up).min(left);
                 if best.is_finite() {
-                    let v = d * d + best;
-                    curr[j] = v;
-                    if v < cutoff {
-                        if live_lo == usize::MAX {
-                            live_lo = j;
-                        }
-                        live_hi = j;
-                    }
+                    d * d + best
+                } else {
+                    INF
                 }
-            }
-            if live_lo == usize::MAX {
-                return INF;
-            }
-            p_lo = live_lo;
-            p_hi = live_hi;
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n]
+            },
+        )
     }
 }
 

@@ -102,10 +102,10 @@ diff "$SMOKE/resumed.txt" "$SMOKE/fresh.txt"
 echo "    resumed report is byte-identical to the uninterrupted run"
 
 echo "==> prune-equivalence smoke (exact vs --pruned journals, timing stripped)"
-"$TSDIST" evaluate-archive "$SMOKE/archive" --measures ed,dtw,msm \
+"$TSDIST" evaluate-archive "$SMOKE/archive" --measures ed,dtw,msm,twe,erp \
   --journal "$SMOKE/exact.ndjson" --study prune-smoke \
   >"$SMOKE/exact.txt" 2>/dev/null
-"$TSDIST" evaluate-archive "$SMOKE/archive" --measures ed,dtw,msm --pruned \
+"$TSDIST" evaluate-archive "$SMOKE/archive" --measures ed,dtw,msm,twe,erp --pruned \
   --journal "$SMOKE/pruned.ndjson" --study prune-smoke \
   >"$SMOKE/pruned.txt" 2>/dev/null
 
