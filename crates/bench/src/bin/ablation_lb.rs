@@ -1,7 +1,8 @@
 //! Ablation: DTW lower-bound pruning rates per distortion archetype
 //! (the Section 10 remark that elastic runtimes improve substantially
 //! with lower bounding), measured on the indexed 1-NN scan's
-//! `LB_PAA` → `LB_Keogh` → `distance_upto` cascade.
+//! `LB_PAA` → `LB_Keogh` cascade, whose survivors run in lane blocks of
+//! the DTW row kernel.
 
 use tsdist_bench::ExperimentConfig;
 use tsdist_core::elastic::Dtw;

@@ -26,7 +26,8 @@
 //! and reports `lanes_hint` coverage over the parameter-free registry.
 //!
 //! `--quick` shrinks series lengths / pair counts / repetitions for the
-//! `scripts/check.sh` smoke; the acceptance run uses defaults.
+//! `scripts/check.sh` smoke; the acceptance run uses defaults. The ledger
+//! goes to the repository root unless `--out` names another directory.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -240,7 +241,7 @@ fn bench_row_kernel(
 }
 
 fn main() {
-    let cfg = ExperimentConfig::from_args();
+    let cfg = ExperimentConfig::ledger_from_args();
     let (len, ls_pairs, dp_pairs, reps) = if cfg.quick {
         (256usize, 64usize, 8usize, 3usize)
     } else {

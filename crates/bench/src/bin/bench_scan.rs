@@ -41,7 +41,8 @@
 //!   re-pin both with `BENCH_SCAN_UPDATE_GOLDEN=1 bench_scan --quick`.
 //!
 //! `--quick` shrinks every dataset (16 or 48 series of length 64, 3
-//! repetitions) for the `scripts/check.sh` smoke.
+//! repetitions) for the `scripts/check.sh` smoke. The ledger goes to the
+//! repository root unless `--out` names another directory.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -476,7 +477,7 @@ fn ledger_json(
 }
 
 fn main() {
-    let cfg = ExperimentConfig::from_args();
+    let cfg = ExperimentConfig::ledger_from_args();
     let (bench_series, clustered_series, length, reps) = if cfg.quick {
         (16, 48, 64, 3)
     } else {

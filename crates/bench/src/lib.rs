@@ -13,7 +13,8 @@
 //! * `--datasets N` — archive size (default 42, the paper uses 128),
 //! * `--seed S` — archive seed (default 20),
 //! * `--quick` — small datasets for smoke runs,
-//! * `--out DIR` — results directory (default `results/`).
+//! * `--out DIR` — results directory (default `results/`; the two
+//!   ledgers default to the repository root, where they are committed).
 
 #![warn(missing_docs)]
 
@@ -68,7 +69,21 @@ impl ExperimentConfig {
     /// `--deadline-secs`, `--retries` from the process arguments; unknown
     /// arguments abort with a usage message.
     pub fn from_args() -> Self {
-        let mut cfg = ExperimentConfig::default();
+        Self::parse_args(ExperimentConfig::default())
+    }
+
+    /// [`ExperimentConfig::from_args`] for the ledger binaries
+    /// (`bench_scan`, `bench_kernels`): `--out` defaults to the
+    /// repository root, where their `BENCH_*.json` files are committed,
+    /// whatever the working directory.
+    pub fn ledger_from_args() -> Self {
+        Self::parse_args(ExperimentConfig {
+            out_dir: PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")),
+            ..ExperimentConfig::default()
+        })
+    }
+
+    fn parse_args(mut cfg: ExperimentConfig) -> Self {
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             match arg.as_str() {

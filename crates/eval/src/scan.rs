@@ -21,12 +21,20 @@
 //! * **Cascade** (plain banded DTW): candidates in ascending `LB_PAA`
 //!   order; a candidate is skipped when its stored (deflated) `LB_PAA`
 //!   reaches the cutoff, then when the cached `LB_Keogh` walk reaches the
-//!   inflated threshold; survivors run `distance_upto`. The order is
-//!   sorted, so the first `LB_PAA` skip in the sorted region ends the row.
+//!   inflated threshold. The order is ascending, so the first `LB_PAA`
+//!   skip in the sorted region ends the row. Survivors queue in blocks of
+//!   [`LANES`]; a full block, and the last one when the row ends, runs
+//!   through the measure's [`Distance::distance_row_ws`] (banded DTW's
+//!   lane kernel) and offers every exact value. A lone survivor runs
+//!   `distance_upto` instead.
 //! * **Pivots** (declared-metric measures): the pivots are visited first
 //!   with exact distances, which both seed the incumbent and give the
 //!   query-to-pivot distances of the reverse-triangle bound; the rest are
-//!   visited in ascending bound order under the same skip rule.
+//!   visited in ascending bound order under the same skip rule, each
+//!   survivor by `distance_upto`.
+//!
+//! The bound orders are sorted lazily: a row that stops early sorts only
+//! the candidates it reached, in exactly the full sort's order.
 //!
 //! # Two incumbents
 //!
@@ -69,6 +77,7 @@ use crate::nn::check_shapes;
 use crate::parallel::{parallel_map, worker_count};
 use tsdist_core::elastic::lb_keogh_upto;
 use tsdist_core::index::{cheap_score, paa_means, DtwBandIndex, PivotTable};
+use tsdist_core::lanes::LANES;
 use tsdist_core::measure::Distance;
 use tsdist_core::{QueryPlan, TrainIndex, Workspace};
 use tsdist_data::Label;
@@ -91,9 +100,12 @@ pub struct NearestNeighbour {
     pub distance: f64,
     /// First candidate whose *exactly computed* distance came out
     /// non-finite, if any. Under the Exact plan that is the row's first
-    /// non-finite entry. Elsewhere it is a best-effort screen: candidates
-    /// abandoned under a finite cutoff or skipped by a bound are not
-    /// inspectable, so a `None` there does not prove the row is finite.
+    /// non-finite entry. Elsewhere it is a best-effort screen, first in
+    /// visiting order: a NaN is always seen, and so is a ±∞ computed
+    /// exactly (under no finite cutoff, or in a Cascade lane block), but
+    /// candidates abandoned under a finite cutoff or skipped by a bound
+    /// are not inspectable, so a `None` there does not prove the row is
+    /// finite.
     pub non_finite: Option<usize>,
 }
 
@@ -307,11 +319,13 @@ impl<'a> Scan<'a> {
             }
             QueryPlan::Cascade(bix) => {
                 paa_means(x, bounds, &mut s.qmeans);
-                s.lbs.clear();
-                s.lbs
-                    .extend((0..train.len()).map(|j| bix.lb_paa(&s.qmeans, bounds, j)));
+                let qmeans = s.qmeans.as_slice();
                 s.order.clear();
-                s.order.extend((0..train.len()).filter(|&j| j != skip));
+                s.order.extend(
+                    (0..train.len())
+                        .filter(|&j| j != skip)
+                        .map(|j| (rank_key(bix.lb_paa(qmeans, bounds, j)), j)),
+                );
                 Tier::Cascade(bix)
             }
             QueryPlan::Pivots(table) => {
@@ -323,14 +337,16 @@ impl<'a> Scan<'a> {
     }
 }
 
-/// The bound tiers of a row's candidate visit.
+/// The bound tiers of a row's candidate visit. The rank key of each
+/// entry of `order` is the cheap score (Cutoff) or the bound.
 #[derive(Clone, Copy)]
 enum Tier<'a> {
     /// No bounds: every candidate runs `distance_upto`.
     Cutoff,
-    /// `LB_PAA` in `lbs`, then the cached `LB_Keogh` of clean candidates.
+    /// `LB_PAA`, then the cached `LB_Keogh` of clean candidates;
+    /// survivors run in lane blocks.
     Cascade(&'a DtwBandIndex),
-    /// The reverse-triangle pivot bound in `lbs`.
+    /// The reverse-triangle pivot bound.
     Pivots,
 }
 
@@ -468,20 +484,21 @@ struct Scratch {
     ws: Workspace,
     row: Vec<f64>,
     qmeans: Vec<f64>,
-    lbs: Vec<f64>,
-    order: Vec<usize>,
+    /// The row's candidates as `(rank_key(score or bound), index)`.
+    order: Vec<(u64, usize)>,
     scores: Vec<f64>,
     qsamples: Vec<f64>,
     qd: Vec<f64>,
     is_pivot: Vec<bool>,
     seeds: Vec<usize>,
+    block: Block,
 }
 
 impl Scratch {
-    /// Fills `order` with every candidate but `skip`, sorted by the cheap
-    /// first-pass score (ties by index). Scores come from the index's
-    /// hoisted sample table when it has one for `x` (bit-identical, so
-    /// the order is too).
+    /// Fills `order` with every candidate but `skip`, keyed by the cheap
+    /// first-pass score. Scores come from the index's hoisted sample
+    /// table when it has one for `x` (bit-identical, so the order is
+    /// too).
     fn order_by_cheap_score(
         &mut self,
         x: &[f64],
@@ -497,15 +514,17 @@ impl Scratch {
         }
         let scores = self.scores.as_slice();
         self.order.clear();
-        self.order.extend((0..train.len()).filter(|&j| j != skip));
-        self.order
-            .sort_unstable_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
+        self.order.extend(
+            (0..train.len())
+                .filter(|&j| j != skip)
+                .map(|j| (rank_key(scores[j]), j)),
+        );
     }
 
     /// The Pivots plan's first phase: every pivot is computed exactly,
     /// offered to `inc` (unless it is `skip`) and kept for the
-    /// reverse-triangle bound; `lbs`/`order` then hold every other
-    /// candidate and its bound. Returns the number of pivots offered.
+    /// reverse-triangle bound; `order` then holds every other candidate
+    /// keyed by its bound. Returns the number of pivots offered.
     fn visit_pivots<I: Incumbent>(
         &mut self,
         d: &dyn Distance,
@@ -528,23 +547,24 @@ impl Scratch {
                 inc.offer(v, p, true);
             }
         }
-        self.lbs.clear();
-        self.lbs.resize(train.len(), 0.0);
         self.order.clear();
         for j in 0..train.len() {
             if j != skip && !self.is_pivot[j] {
-                self.lbs[j] = table.lower_bound(&self.qd, j);
-                self.order.push(j);
+                self.order
+                    .push((rank_key(table.lower_bound(&self.qd, j)), j));
             }
         }
         offered
     }
 
     /// The candidate visit shared by the Cutoff, Cascade and Pivots
-    /// plans. Bounded tiers first sort `order` by `lbs`; the warm-start
-    /// seeds then go first, nearest first. A candidate whose bound
-    /// reaches the cutoff is skipped; in the sorted region that skip ends
-    /// the row, since every later bound is at least as large.
+    /// plans: the warm-start seeds first, nearest first, then `order` in
+    /// ascending `(key, index)` order, sorted lazily as the visit reaches
+    /// it. A candidate whose bound reaches the cutoff is skipped; in the
+    /// sorted region that skip ends the row, since every later bound is
+    /// at least as large. Cascade survivors queue for a lane block; the
+    /// cutoff cannot move while one is pending, because only a run block
+    /// offers values.
     fn visit<I: Incumbent>(
         &mut self,
         d: &dyn Distance,
@@ -555,20 +575,18 @@ impl Scratch {
         stats: &mut IndexedStats,
     ) {
         let bounded = !matches!(tier, Tier::Cutoff);
-        let lbs = self.lbs.as_slice();
-        if bounded {
-            self.order
-                .sort_unstable_by(|&a, &b| lbs[a].total_cmp(&lbs[b]).then(a.cmp(&b)));
-        }
         let mut sorted_from = 0;
         for &p in self.seeds.iter().rev() {
             sorted_from += usize::from(promote(&mut self.order, p));
         }
+        let mut lazy = LazySort::after(sorted_from);
         let mut lb_skipped = 0;
-        for (pos, &j) in self.order.iter().enumerate() {
+        for pos in 0..self.order.len() {
+            lazy.reach(&mut self.order, pos);
+            let (key, j) = self.order[pos];
             let cutoff = inc.cutoff();
             if bounded && cutoff.is_finite() && cutoff > 0.0 {
-                if lbs[j] >= cutoff {
+                if rank_value(key) >= cutoff {
                     if pos >= sorted_from {
                         lb_skipped += (self.order.len() - pos) as u64;
                         break;
@@ -587,10 +605,17 @@ impl Scratch {
                     }
                 }
             }
-            stats.examined += 1;
-            let v = d.distance_upto(x, &train[j], &mut self.ws, cutoff);
-            inc.offer(v, j, cutoff.is_nan() || cutoff == f64::INFINITY);
+            if let Tier::Cascade(_) = tier {
+                self.block.ids.push(j);
+                if self.block.ids.len() == LANES {
+                    self.block.run(d, x, train, &mut self.ws, inc, stats);
+                }
+            } else {
+                stats.examined += 1;
+                examine(d, x, &train[j], j, &mut self.ws, inc);
+            }
         }
+        self.block.run(d, x, train, &mut self.ws, inc, stats);
         match tier {
             Tier::Cutoff => {}
             Tier::Cascade(_) => stats.paa_skipped += lb_skipped,
@@ -599,11 +624,136 @@ impl Scratch {
     }
 }
 
+/// Computes candidate `j` under the incumbent's cutoff and offers it.
+fn examine<I: Incumbent>(
+    d: &dyn Distance,
+    x: &[f64],
+    y: &[f64],
+    j: usize,
+    ws: &mut Workspace,
+    inc: &mut I,
+) {
+    let cutoff = inc.cutoff();
+    let v = d.distance_upto(x, y, ws, cutoff);
+    inc.offer(v, j, cutoff.is_nan() || cutoff == f64::INFINITY);
+}
+
+/// Cascade survivors waiting for one lane block of the measure's row
+/// kernel. The scattered train series are copied into `cols`, which the
+/// row kernel takes; a copy is cheap next to the DP.
+#[derive(Default)]
+struct Block {
+    ids: Vec<usize>,
+    cols: Vec<Vec<f64>>,
+    out: Vec<f64>,
+}
+
+impl Block {
+    /// Runs the queued candidates, counts them as examined and offers
+    /// each value. Lane values are exact, so a lane's non-finite value is
+    /// the measure's own. A lone candidate keeps `distance_upto` and its
+    /// early abandon.
+    fn run<I: Incumbent>(
+        &mut self,
+        d: &dyn Distance,
+        x: &[f64],
+        train: &[Vec<f64>],
+        ws: &mut Workspace,
+        inc: &mut I,
+        stats: &mut IndexedStats,
+    ) {
+        let n = self.ids.len();
+        stats.examined += n as u64;
+        match self.ids[..] {
+            [] => {}
+            [j] => examine(d, x, &train[j], j, ws, inc),
+            _ => {
+                self.cols.resize_with(LANES, Vec::new);
+                for (col, &j) in self.cols.iter_mut().zip(&self.ids) {
+                    col.clear();
+                    col.extend_from_slice(&train[j]);
+                }
+                self.out.clear();
+                self.out.resize(n, 0.0);
+                d.distance_row_ws(x, &self.cols[..n], &mut self.out, ws);
+                for (&j, &v) in self.ids.iter().zip(&self.out) {
+                    inc.offer(v, j, true);
+                }
+            }
+        }
+        self.ids.clear();
+    }
+}
+
+/// A `u64` whose unsigned order is [`f64::total_cmp`]'s order of `v`, so
+/// `(rank_key(v), j)` tuples sort like `(v, j)` under `(total_cmp,
+/// index)` without re-deriving the key in every comparison.
+fn rank_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The value [`rank_key`] was made from, bit for bit.
+fn rank_value(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// A visiting order sorted only as far as the visit reaches:
+/// `order[..sorted]` is in ascending order, and the tail holds every
+/// later candidate unordered. Each extension selects the next `chunk`
+/// smallest keys and sorts them, and the chunk grows fourfold, so a row
+/// that stops early pays for about what it visits, and a row that visits
+/// everything makes a few selections and then sorts the rest. Keys are
+/// distinct (they carry the index), so the order is the full sort's.
+struct LazySort {
+    sorted: usize,
+    chunk: usize,
+}
+
+impl LazySort {
+    /// First selection size: covers a typical pruned row in one pass.
+    const FIRST: usize = 256;
+
+    /// `order[..sorted]` is already in visiting order (the promoted
+    /// warm-start seeds).
+    fn after(sorted: usize) -> Self {
+        LazySort {
+            sorted,
+            chunk: Self::FIRST,
+        }
+    }
+
+    /// Makes `order[pos]` the next candidate of the ascending order.
+    fn reach(&mut self, order: &mut [(u64, usize)], pos: usize) {
+        if pos < self.sorted {
+            return;
+        }
+        let rest = &mut order[pos..];
+        let take = if 2 * self.chunk >= rest.len() {
+            rest.len()
+        } else {
+            rest.select_nth_unstable(self.chunk);
+            self.chunk
+        };
+        rest[..take].sort_unstable();
+        self.sorted = pos + take;
+        self.chunk *= 4;
+    }
+}
+
 /// Moves candidate `front` to the head of `order`, preserving the
 /// relative order of everything else (the warm-start hook). Returns
 /// whether the candidate was present.
-fn promote(order: &mut [usize], front: usize) -> bool {
-    if let Some(pos) = order.iter().position(|&j| j == front) {
+fn promote(order: &mut [(u64, usize)], front: usize) -> bool {
+    if let Some(pos) = order.iter().position(|&(_, j)| j == front) {
         order[..=pos].rotate_right(1);
         true
     } else {
@@ -1047,6 +1197,125 @@ mod tests {
         let (got, stats) = indexed_nn_search_stats(&Canberra, &test, &train, &ix, false);
         assert_eq!(got, exact);
         assert_eq!(stats.fallback_rows, 1);
+    }
+
+    #[test]
+    fn rank_keys_order_like_total_cmp_and_round_trip() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0f64.next_up(),
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in values {
+            assert_eq!(rank_value(rank_key(a)).to_bits(), a.to_bits());
+            for b in values {
+                assert_eq!(rank_key(a).cmp(&rank_key(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_order_visits_tied_bounds_in_index_order() {
+        // Far more candidates than one selection, on twelve distinct
+        // bounds: every extension cuts through a run of ties.
+        let n = 5000;
+        let bound = |j: usize| ((j * 7919) % 12) as f64 * 0.25;
+        let mut order: Vec<(u64, usize)> = (0..n).map(|j| (rank_key(bound(j)), j)).collect();
+        let mut expect: Vec<usize> = (0..n).collect();
+        expect.sort_by(|&a, &b| bound(a).total_cmp(&bound(b)).then(a.cmp(&b)));
+        for stop in [1, LazySort::FIRST, LazySort::FIRST + 1, 3000, n] {
+            order.sort_unstable_by_key(|&(_, j)| (j * 31) % n);
+            let mut lazy = LazySort::after(0);
+            let visited: Vec<usize> = (0..stop)
+                .map(|pos| {
+                    lazy.reach(&mut order, pos);
+                    order[pos].1
+                })
+                .collect();
+            assert_eq!(visited, expect[..stop], "stop={stop}");
+        }
+    }
+
+    /// The Pivots plan of one row, in the full-sort order it had before
+    /// the order became lazy: `(examined, pivot_skipped, winner)`.
+    fn sorted_pivot_visit(
+        x: &[f64],
+        train: &[Vec<f64>],
+        table: &PivotTable,
+    ) -> (u64, u64, Option<usize>) {
+        let mut inc = Nearest::new();
+        let qd: Vec<f64> = table
+            .pivots()
+            .iter()
+            .map(|&p| Euclidean.distance(x, &train[p]))
+            .collect();
+        for (&p, &v) in table.pivots().iter().zip(&qd) {
+            inc.offer(v, p, true);
+        }
+        let mut rest: Vec<usize> = (0..train.len())
+            .filter(|j| !table.pivots().contains(j))
+            .collect();
+        let lb = |j: usize| table.lower_bound(&qd, j);
+        rest.sort_unstable_by(|&a, &b| lb(a).total_cmp(&lb(b)).then(a.cmp(&b)));
+        let mut examined = table.pivots().len() as u64;
+        for (pos, &j) in rest.iter().enumerate() {
+            let cutoff = inc.cutoff();
+            if cutoff.is_finite() && cutoff > 0.0 && lb(j) >= cutoff {
+                return (examined, (rest.len() - pos) as u64, inc.best_j);
+            }
+            examined += 1;
+            inc.offer(Euclidean.distance(x, &train[j]), j, true);
+        }
+        (examined, 0, inc.best_j)
+    }
+
+    #[test]
+    fn lazy_pivot_visits_count_like_the_sorted_visit() {
+        // Hash noise of length 24: the pivot bound is loose enough that
+        // rows stop on either side of the first lazy selection.
+        const M: usize = 24;
+        let noise = |n: usize, salt: f64| -> Vec<Vec<f64>> {
+            (0..n)
+                .map(|i| {
+                    (0..M)
+                        .map(|j| ((((i * M + j) as f64 + salt) * 12.9898).sin() * 43758.5).fract())
+                        .collect()
+                })
+                .collect()
+        };
+        let train = noise(1200, 0.0);
+        let test = noise(9, 0.5);
+        let ix = prepared_index(&Euclidean, &train);
+        let QueryPlan::Pivots(table) = ix.plan(&Euclidean, &test[0]) else {
+            panic!("ED has a pivot table");
+        };
+        let scan = cut(&Euclidean, &train, false).indexed(&ix);
+        let mut expect = IndexedStats::default();
+        let (mut fewest, mut most) = (u64::MAX, 0);
+        for (i, x) in test.iter().enumerate() {
+            let (row, stats) = scan.nearest(Rows::Queries(&test[i..=i]));
+            let (examined, skipped, winner) = sorted_pivot_visit(x, &train, table);
+            assert_eq!(
+                (stats.examined, stats.pivot_skipped, row[0].index),
+                (examined, skipped, winner),
+                "row {i}"
+            );
+            (fewest, most) = (fewest.min(examined), most.max(examined));
+            expect.rows += 1;
+            expect.candidates += train.len() as u64;
+            expect.examined += examined;
+            expect.pivot_skipped += skipped;
+        }
+        let first = LazySort::FIRST as u64;
+        assert!(fewest < first && most > first, "{fewest}..{most} examined");
+        assert_eq!(scan.nearest(Rows::Queries(&test)).1, expect);
     }
 
     #[test]

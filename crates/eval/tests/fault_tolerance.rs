@@ -2,26 +2,26 @@
 //! (panics, NaN, delays), deadline enforcement, retry recovery, journal
 //! kill/resume equivalence, the lenient archive loader feeding a study
 //! over the surviving datasets, and the cancellation granularity of
-//! guarded matrix rows.
+//! guarded matrix rows and of the indexed scan's lane blocks.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use tsdist_core::chaos::{ChaosDistance, Fault, Schedule};
-use tsdist_core::elastic::Msm;
+use tsdist_core::elastic::{Dtw, Msm};
 use tsdist_core::lanes::LANES;
 use tsdist_core::lockstep::{Euclidean, Lorentzian};
 use tsdist_core::measure::Distance;
 use tsdist_core::normalization::Normalization;
-use tsdist_core::Workspace;
+use tsdist_core::{IndexProfile, TrainIndex, Workspace};
 use tsdist_data::synthetic::{generate_archive, generate_dataset, ArchiveConfig};
 use tsdist_data::ucr::write_ucr_dataset;
 use tsdist_data::{load_ucr_archive_lenient, Dataset};
 use tsdist_eval::cell::{CancelPanic, GuardedDistance};
 use tsdist_eval::{
-    cell_key, distance_matrix, run_study_resumable, CancelFlag, CellError, CellOutcome, CellRunner,
-    Entrant, Eval, Evaluation, RunnerConfig,
+    cell_key, distance_matrix, prepare, run_study_resumable, worker_count, CancelFlag, CellError,
+    CellOutcome, CellRunner, Entrant, Eval, EvalError, Evaluation, RunnerConfig,
 };
 
 /// One z-scored 1-NN cell on `ds` through the `Eval` builder, cancelled
@@ -403,6 +403,73 @@ fn chaos_schedules_count_pairs_even_around_a_row_kernel() {
             }
         }
     }
+}
+
+/// Banded DTW (index profile included, so indexed scans take the
+/// Cascade) that counts its row-kernel calls and, once armed, raises the
+/// cancel flag inside each: a deadline firing in a lane block.
+struct CancelInBlock {
+    dtw: Dtw,
+    flag: Mutex<Option<CancelFlag>>,
+    blocks: AtomicUsize,
+}
+
+impl Distance for CancelInBlock {
+    fn name(&self) -> String {
+        "CancelInBlock".into()
+    }
+    fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
+        self.dtw.distance_ws(x, y, ws)
+    }
+    fn distance_upto(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
+        self.dtw.distance_upto(x, y, ws, cutoff)
+    }
+    fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
+        self.blocks.fetch_add(1, Ordering::SeqCst);
+        if let Some(flag) = &*self.flag.lock().expect("flag lock") {
+            flag.cancel();
+        }
+        self.dtw.distance_row_ws(x, cols, out, ws);
+    }
+    fn index_profile(&self) -> IndexProfile {
+        self.dtw.index_profile()
+    }
+}
+
+#[test]
+fn cancel_raised_in_a_lane_block_ends_an_indexed_dtw_eval() {
+    let raw = generate_dataset(&ArchiveConfig::quick(1, 13), 0);
+    let ds = prepare(&raw, Normalization::ZScore);
+    let measure = CancelInBlock {
+        dtw: Dtw::with_window_pct(10.0),
+        flag: Mutex::new(None),
+        blocks: AtomicUsize::new(0),
+    };
+    let mut ix = TrainIndex::build(&ds.train);
+    ix.prepare_measure(&measure, &ds.train);
+    let flag = CancelFlag::new();
+    let eval = Eval::new(&measure)
+        .on(&ds)
+        .assume_prepared(true)
+        .indexed(&ix)
+        .cancelled_by(&flag);
+    // Unarmed, the Cascade runs its survivors in lane blocks.
+    let healthy = eval.run().expect("an unarmed scan completes");
+    assert!(healthy.accuracy.is_some());
+    assert!(
+        measure.blocks.swap(0, Ordering::SeqCst) > 0,
+        "no lane block ran"
+    );
+
+    *measure.flag.lock().expect("flag lock") = Some(flag.clone());
+    assert_eq!(eval.run(), Err(EvalError::DeadlineExceeded));
+    // Each scan worker finishes at most the block it was in; the guarded
+    // check before the next block (or lone survivor) unwinds.
+    let blocks = measure.blocks.load(Ordering::SeqCst);
+    assert!(
+        (1..=worker_count()).contains(&blocks),
+        "{blocks} blocks after the flag was raised"
+    );
 }
 
 /// A test-only measure whose row override writes a sentinel, so a

@@ -2,7 +2,8 @@
 //! `nn.rs`/`knn.rs`: Exact, Cutoff, Cascade (DTW) and Pivots (ED), each
 //! for 1-NN rows, k-NN rows (k ∈ {1, 3, train.len() + 1}) and
 //! leave-one-out rows, warm start on and off, over a split with exact
-//! ties, a NaN candidate, a +∞ candidate and an all-NaN row.
+//! ties, a NaN candidate, a +∞ candidate and an all-NaN row; and the
+//! Cascade's lane blocks over train sizes around the block width.
 
 use tsdist_core::elastic::Dtw;
 use tsdist_core::lockstep::Euclidean;
@@ -146,16 +147,74 @@ fn assert_rows_match(
     }
 }
 
+/// Every plan of `d` over `ds` — 1-NN, LOOCV and k-NN rows for each
+/// `k` in `ks`, warm start on and off — against the matrix classifiers.
+fn assert_plans_match_matrices(d: &dyn Distance, ds: &Dataset, ks: &[usize]) {
+    let (train, test) = (&ds.train, &ds.test);
+    let mut ix = TrainIndex::build(train);
+    ix.prepare_measure(d, train);
+    let e = distance_matrix(d, test, train);
+    let w = distance_matrix(d, train, train);
+    for plan in plans(d, train, &ix) {
+        for warm in [false, true] {
+            let scan = plan.scan.warm_start(warm);
+            let what = format!("{} n={} {} warm={warm}", d.name(), train.len(), plan.name);
+
+            let (nns, stats) = scan.nearest(Rows::Queries(test));
+            assert_rows_match(&format!("{what} 1-NN"), &nns, &stats, &plan, &e, false);
+            // Algorithm 1's accuracy: an all-non-finite row predicts the
+            // first training label.
+            let acc = one_nn_vote_accuracy(&nns, &ds.test_labels, &ds.train_labels);
+            let expect = one_nn_accuracy(&e, &ds.test_labels, &ds.train_labels);
+            assert_eq!(
+                acc.map(f64::to_bits),
+                expect.map(f64::to_bits),
+                "{what} 1-NN accuracy"
+            );
+
+            let (nns, stats) = scan.nearest(Rows::LeaveOneOut);
+            assert_rows_match(&format!("{what} LOOCV"), &nns, &stats, &plan, &w, true);
+            // LOOCV starts from "no prediction" instead.
+            let correct = nns
+                .iter()
+                .zip(&ds.train_labels)
+                .filter(|(nn, &t)| nn.index.map(|j| ds.train_labels[j]) == Some(t))
+                .count();
+            let acc = correct as f64 / train.len() as f64;
+            let expect = loocv_accuracy(&w, &ds.train_labels).unwrap();
+            assert_eq!(acc.to_bits(), expect.to_bits(), "{what} LOOCV accuracy");
+
+            for &k in ks {
+                for (rows, m, loo) in [
+                    (Rows::Queries(test), &e, false),
+                    (Rows::LeaveOneOut, &w, true),
+                ] {
+                    let what = format!("{what} {k}-NN leave_one_out={loo}");
+                    let (got, stats) = scan.top_k(rows, k);
+                    let fallback = if plan.structured { 0 } else { stats.rows };
+                    assert_eq!(stats.fallback_rows, fallback, "{what}");
+                    for (i, row) in got.iter().enumerate() {
+                        let skip = if loo { i } else { usize::MAX };
+                        let expect = reference_knn(m.row(i), k, skip);
+                        assert_eq!(row.len(), expect.len(), "{what} row {i}");
+                        for (a, b) in row.iter().zip(&expect) {
+                            assert_eq!(a.1, b.1, "{what} row {i}");
+                            assert_eq!(a.0.to_bits(), b.0.to_bits(), "{what} row {i}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn every_plan_equals_the_matrix_reference() {
     let ds = split();
-    let (train, test) = (&ds.train, &ds.test);
     let dtw = Dtw::with_window_pct(10.0);
     for d in [&dtw as &dyn Distance, &Euclidean] {
-        let mut ix = TrainIndex::build(train);
-        ix.prepare_measure(d, train);
-        let e = distance_matrix(d, test, train);
-        let w = distance_matrix(d, train, train);
+        let e = distance_matrix(d, &ds.test, &ds.train);
+        let w = distance_matrix(d, &ds.train, &ds.train);
         // The split is adversarial on purpose: the first query ties two
         // candidates exactly and sees the +∞ and NaN candidates (ED keeps
         // NaN; DTW's min-plus recurrence turns it into +∞); the second
@@ -166,57 +225,60 @@ fn every_plan_equals_the_matrix_reference() {
         let near = w.row(2);
         assert!(near[1] > 0.0 && near[1].to_bits() == near[3].to_bits());
         assert!(e.row(1).iter().all(|v| !v.is_finite()), "all-NaN row");
-        for plan in plans(d, train, &ix) {
-            for warm in [false, true] {
-                let scan = plan.scan.warm_start(warm);
-                let what = format!("{} {} warm={warm}", d.name(), plan.name);
+        assert_plans_match_matrices(d, &ds, &[1, 3, ds.train.len() + 1]);
+    }
+}
 
-                let (nns, stats) = scan.nearest(Rows::Queries(test));
-                assert_rows_match(&format!("{what} 1-NN"), &nns, &stats, &plan, &e, false);
-                // Algorithm 1's accuracy: an all-non-finite row predicts
-                // the first training label.
-                let acc = one_nn_vote_accuracy(&nns, &ds.test_labels, &ds.train_labels);
-                let expect = one_nn_accuracy(&e, &ds.test_labels, &ds.train_labels);
-                assert_eq!(
-                    acc.map(f64::to_bits),
-                    expect.map(f64::to_bits),
-                    "{what} 1-NN accuracy"
-                );
+/// A split of `n` train series for the Cascade's lane blocks. Train:
+/// exact copies of the series nearest every query (ties, one run of
+/// them straddling the block boundary at 8), a NaN series and a +∞
+/// series (`LB_PAA` 0, so they are visited, and queued, first, in the
+/// block of the winner), and copies of a farther series. Test: the
+/// near series itself and two perturbations of it.
+fn block_split(n: usize) -> Dataset {
+    let near = wave(0.0, 0.5);
+    let far = wave(0.4, 0.8);
+    let mut nan = wave(0.0, 0.5);
+    nan[3] = f64::NAN;
+    let mut inf = wave(0.0, 0.5);
+    inf[12] = f64::INFINITY;
+    let train: Vec<Vec<f64>> = (0..n)
+        .map(|j| match j {
+            1 => nan.clone(),
+            4 => inf.clone(),
+            _ if j % 5 == 3 => far.clone(),
+            _ => near.clone(),
+        })
+        .collect();
+    let train_labels: Vec<Label> = (0..n).map(|j| j % 3).collect();
+    let test = vec![near, wave(0.05, 0.5), wave(0.0, 0.45)];
+    Dataset {
+        name: format!("blocks-{n}"),
+        train,
+        train_labels,
+        test,
+        test_labels: vec![0, 1, 2],
+    }
+}
 
-                let (nns, stats) = scan.nearest(Rows::LeaveOneOut);
-                assert_rows_match(&format!("{what} LOOCV"), &nns, &stats, &plan, &w, true);
-                // LOOCV starts from "no prediction" instead.
-                let correct = nns
-                    .iter()
-                    .zip(&ds.train_labels)
-                    .filter(|(nn, &t)| nn.index.map(|j| ds.train_labels[j]) == Some(t))
-                    .count();
-                let acc = correct as f64 / train.len() as f64;
-                let expect = loocv_accuracy(&w, &ds.train_labels).unwrap();
-                assert_eq!(acc.to_bits(), expect.to_bits(), "{what} LOOCV accuracy");
-
-                for k in [1, 3, train.len() + 1] {
-                    for (rows, m, loo) in [
-                        (Rows::Queries(test), &e, false),
-                        (Rows::LeaveOneOut, &w, true),
-                    ] {
-                        let what = format!("{what} {k}-NN leave_one_out={loo}");
-                        let (got, stats) = scan.top_k(rows, k);
-                        let fallback = if plan.structured { 0 } else { stats.rows };
-                        assert_eq!(stats.fallback_rows, fallback, "{what}");
-                        for (i, row) in got.iter().enumerate() {
-                            let skip = if loo { i } else { usize::MAX };
-                            let expect = reference_knn(m.row(i), k, skip);
-                            assert_eq!(row.len(), expect.len(), "{what} row {i}");
-                            for (a, b) in row.iter().zip(&expect) {
-                                assert_eq!(a.1, b.1, "{what} row {i}");
-                                assert_eq!(a.0.to_bits(), b.0.to_bits(), "{what} row {i}");
-                            }
-                        }
-                    }
-                }
-            }
+#[test]
+fn cascade_lane_blocks_equal_the_matrix_reference() {
+    let dtw = Dtw::with_window_pct(10.0);
+    for n in [2, 7, 8, 9, 17] {
+        let ds = block_split(n);
+        // Every copy of the near series ties exactly, and the NaN and +∞
+        // candidates come out non-finite.
+        let e = distance_matrix(&dtw, &ds.test, &ds.train);
+        let copies: Vec<usize> = (0..n).filter(|&j| ds.train[j] == ds.test[0]).collect();
+        for i in 0..ds.test.len() {
+            let row = e.row(i);
+            assert!(copies.iter().all(|&j| row[j].to_bits() == row[0].to_bits()));
+            assert!([1, 4]
+                .iter()
+                .filter(|&&j| j < n)
+                .all(|&j| !row[j].is_finite()));
         }
+        assert_plans_match_matrices(&dtw, &ds, &[1, 3]);
     }
 }
 
