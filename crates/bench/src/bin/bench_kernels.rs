@@ -6,9 +6,9 @@
 //! * **lock-step** — the multi-lane `chunks_exact` reductions
 //!   (`lanes::lane_sum` family) vs a sequential zip fold of the same
 //!   term, in GB/s of series data touched (two `f64` slices per pair);
-//! * **DP** — `distance_ws` of DTW (at its 10% band) and WDTW, both the
-//!   anti-diagonal wavefront, vs the row-major reference kernels, in DP
-//!   cells/s;
+//! * **DP** — `distance_ws` of DTW (at its 10% band), WDTW and ERP, all
+//!   the anti-diagonal wavefront, vs the row-major reference kernels, in
+//!   DP cells/s;
 //! * **row** — the batch-axis row kernels of MSM, TWE, banded DTW and
 //!   NCC_c (`Distance::distance_row_ws`, eight training series per SIMD
 //!   lane) vs the per-pair `distance_ws` loop over the same matrix rows,
@@ -34,7 +34,8 @@ use std::time::Instant;
 
 use tsdist_bench::ExperimentConfig;
 use tsdist_core::elastic::{
-    dtw::dtw_banded_ws, wdtw_row_major, DerivativeDtw, Dtw, Erp, Msm, Twe, WeightedDtw,
+    dtw::dtw_banded_ws, erp_row_major, wdtw_row_major, DerivativeDtw, Dtw, Erp, Msm, Twe,
+    WeightedDtw,
 };
 use tsdist_core::lockstep::{Chebyshev, CityBlock, Euclidean, Minkowski};
 use tsdist_core::measure::Distance;
@@ -153,6 +154,40 @@ struct DpRow {
     cells_per_sec_wavefront: f64,
     identical_bits: bool,
     lanes_hint: usize,
+}
+
+/// One anti-diagonal `distance_ws` against its row-major `reference`
+/// over `inputs`, in DP cells/s (`cells` per pass), with the bit gate.
+fn bench_dp(
+    name: &'static str,
+    d: &dyn Distance,
+    reference: impl Fn(&[f64], &[f64], &mut Workspace) -> f64,
+    inputs: &[(Vec<f64>, Vec<f64>)],
+    cells: u64,
+    reps: usize,
+) -> DpRow {
+    let mut ws = Workspace::new();
+    let wavefront_seconds = median_seconds(reps, || {
+        inputs
+            .iter()
+            .map(|(x, y)| d.distance_ws(x, y, &mut ws))
+            .sum()
+    });
+    let rowmajor_seconds = median_seconds(reps, || {
+        inputs.iter().map(|(x, y)| reference(x, y, &mut ws)).sum()
+    });
+    let identical_bits = inputs
+        .iter()
+        .all(|(x, y)| d.distance_ws(x, y, &mut ws).to_bits() == reference(x, y, &mut ws).to_bits());
+    DpRow {
+        name,
+        rowmajor_seconds,
+        wavefront_seconds,
+        cells_per_sec_rowmajor: cells as f64 / rowmajor_seconds.max(1e-12),
+        cells_per_sec_wavefront: cells as f64 / wavefront_seconds.max(1e-12),
+        identical_bits,
+        lanes_hint: d.lanes_hint(),
+    }
 }
 
 struct RowKernelRow {
@@ -332,62 +367,35 @@ fn main() {
     let dp_inputs = &pairs[..dp_pairs];
     let cells = banded_cells(len, len, band) * dp_pairs as u64;
     let full_cells = banded_cells(len, len, len) * dp_pairs as u64;
-    let mut ws = Workspace::new();
     let wdtw = WeightedDtw::new(0.05);
 
-    let mut dp_rows: Vec<DpRow> = Vec::new();
-    {
-        let wavefront_seconds = median_seconds(reps, || {
-            dp_inputs
-                .iter()
-                .map(|(x, y)| dtw.distance_ws(x, y, &mut ws))
-                .sum()
-        });
-        let rowmajor_seconds = median_seconds(reps, || {
-            dp_inputs
-                .iter()
-                .map(|(x, y)| dtw_banded_ws(x, y, band, &mut ws))
-                .sum()
-        });
-        let identical_bits = dp_inputs.iter().all(|(x, y)| {
-            dtw.distance_ws(x, y, &mut ws).to_bits() == dtw_banded_ws(x, y, band, &mut ws).to_bits()
-        });
-        dp_rows.push(DpRow {
-            name: "DTW(10%)",
-            rowmajor_seconds,
-            wavefront_seconds,
-            cells_per_sec_rowmajor: cells as f64 / rowmajor_seconds.max(1e-12),
-            cells_per_sec_wavefront: cells as f64 / wavefront_seconds.max(1e-12),
-            identical_bits,
-            lanes_hint: dtw.lanes_hint(),
-        });
-    }
-    {
-        let wavefront_seconds = median_seconds(reps, || {
-            dp_inputs
-                .iter()
-                .map(|(x, y)| wdtw.distance_ws(x, y, &mut ws))
-                .sum()
-        });
-        let rowmajor_seconds = median_seconds(reps, || {
-            dp_inputs
-                .iter()
-                .map(|(x, y)| wdtw_row_major(x, y, wdtw.g))
-                .sum()
-        });
-        let identical_bits = dp_inputs.iter().all(|(x, y)| {
-            wdtw.distance_ws(x, y, &mut ws).to_bits() == wdtw_row_major(x, y, wdtw.g).to_bits()
-        });
-        dp_rows.push(DpRow {
-            name: "WDTW(g=0.05)",
-            rowmajor_seconds,
-            wavefront_seconds,
-            cells_per_sec_rowmajor: full_cells as f64 / rowmajor_seconds.max(1e-12),
-            cells_per_sec_wavefront: full_cells as f64 / wavefront_seconds.max(1e-12),
-            identical_bits,
-            lanes_hint: wdtw.lanes_hint(),
-        });
-    }
+    let erp = Erp::new();
+    let dp_rows = vec![
+        bench_dp(
+            "DTW(10%)",
+            &dtw,
+            |x, y, ws| dtw_banded_ws(x, y, band, ws),
+            dp_inputs,
+            cells,
+            reps,
+        ),
+        bench_dp(
+            "WDTW(g=0.05)",
+            &wdtw,
+            |x, y, _| wdtw_row_major(x, y, wdtw.g),
+            dp_inputs,
+            full_cells,
+            reps,
+        ),
+        bench_dp(
+            "ERP",
+            &erp,
+            |x, y, _| erp_row_major(x, y, erp.gap),
+            dp_inputs,
+            full_cells,
+            reps,
+        ),
+    ];
     for row in &dp_rows {
         eprintln!(
             "[bench_kernels] {:14} row-major {:8.1} Mcells/s  wavefront {:8.1} Mcells/s  \

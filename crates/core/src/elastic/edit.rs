@@ -144,6 +144,28 @@ impl Erp {
     pub fn new() -> Self {
         Erp::default()
     }
+
+    /// The row-major ERP DP, exact at an infinite or NaN `cutoff` and
+    /// early abandoned below it (`eapruned::rows_upto`).
+    fn dp(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
+        let g = self.gap;
+        // Row 0 deletes all of y against gaps, column 0 all of x.
+        rows_upto(
+            (x.len() + 1, y.len() + 1),
+            0.0,
+            cutoff,
+            ws,
+            |j, left| left + (y[j - 1] - g).abs(),
+            |i, up| up + (x[i - 1] - g).abs(),
+            #[inline(always)]
+            |i, j, diag, up, left| {
+                let match_cost = diag + (x[i - 1] - y[j - 1]).abs();
+                let del_x = up + (x[i - 1] - g).abs();
+                let del_y = left + (y[j - 1] - g).abs();
+                match_cost.min(del_x).min(del_y)
+            },
+        )
+    }
 }
 
 impl Distance for Erp {
@@ -193,50 +215,15 @@ impl Distance for Erp {
         if cutoff.is_nan() || cutoff == f64::INFINITY {
             return self.distance_ws(x, y, ws);
         }
-        let g = self.gap;
-        // Row 0 deletes all of y against gaps, column 0 all of x.
-        rows_upto(
-            (x.len() + 1, y.len() + 1),
-            0.0,
-            cutoff,
-            ws,
-            |j, left| left + (y[j - 1] - g).abs(),
-            |i, up| up + (x[i - 1] - g).abs(),
-            |i, j, diag, up, left| {
-                let match_cost = diag + (x[i - 1] - y[j - 1]).abs();
-                let del_x = up + (x[i - 1] - g).abs();
-                let del_y = left + (y[j - 1] - g).abs();
-                match_cost.min(del_x).min(del_y)
-            },
-        )
+        self.dp(x, y, ws, cutoff)
     }
 }
 
-/// ERP with gap reference `g` as a plain row-major DP over allocated
-/// rows: the reference the wavefront kernel behind [`Erp`] is
-/// bit-compared against (DESIGN.md §9.2).
+/// ERP with gap reference `g` as a plain row-major DP over the same cells
+/// as [`Erp::distance_upto`]: the reference the wavefront kernel behind
+/// [`Erp`] is bit-compared against (DESIGN.md §9.2).
 pub fn erp_row_major(x: &[f64], y: &[f64], g: f64) -> f64 {
-    let m = x.len();
-    let n = y.len();
-    // Row 0: deleting all of y against gaps.
-    let mut prev: Vec<f64> = std::iter::once(0.0)
-        .chain(y.iter().scan(0.0, |acc, &v| {
-            *acc += (v - g).abs();
-            Some(*acc)
-        }))
-        .collect();
-    let mut curr = vec![0.0; n + 1];
-    for i in 1..=m {
-        curr[0] = prev[0] + (x[i - 1] - g).abs();
-        for j in 1..=n {
-            let match_cost = prev[j - 1] + (x[i - 1] - y[j - 1]).abs();
-            let del_x = prev[j] + (x[i - 1] - g).abs();
-            let del_y = curr[j - 1] + (y[j - 1] - g).abs();
-            curr[j] = match_cost.min(del_x).min(del_y);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[n]
+    Erp { gap: g }.dp(x, y, &mut Workspace::new(), f64::INFINITY)
 }
 
 /// Sequence Weighted ALignmEnt (Swale; Morse & Patel 2007).

@@ -19,16 +19,18 @@
 //! [`WeightedDtw`] — are provided for the ablation benches, as are the
 //! [`lower_bounds`] used to accelerate DTW 1-NN search.
 //!
-//! All DP implementations run in O(m) memory: the production
-//! DTW/WDTW/TWE/ERP paths use three rolling anti-diagonals (the
-//! crate-private `wavefront` module; DTW and WDTW share one exact and
-//! one pruned sweep there), their row-major references
-//! ([`dtw_banded_ws`], [`wdtw_row_major`], [`erp_row_major`],
-//! [`twe_row_major`]) two rolling rows, and MSM/TWE/DTW matrix rows run
-//! one row-major DP across eight training series at a time, one per SIMD
-//! lane (`Distance::distance_row_ws`). The `distance_upto` overrides of
-//! ERP, MSM, TWE and ItakuraDtw share one row-major early-abandon driver
-//! (the crate-private `eapruned` module).
+//! All DP implementations run in O(m) memory. The production DTW, DDTW,
+//! WDTW and ERP paths use three rolling anti-diagonals (the crate-private
+//! `wavefront` module; DTW and WDTW share one exact and one pruned sweep
+//! there), and their row-major references ([`dtw_banded_ws`],
+//! [`wdtw_row_major`], [`erp_row_major`]) two rolling rows. MSM, TWE,
+//! ERP and ItakuraDtw write their DP once, as cell closures that the
+//! crate-private `eapruned` module runs through one exact and one
+//! early-abandon row-major sweep: MSM's and TWE's `distance_ws`, Itakura's
+//! and `erp_row_major` take the exact one, and every `distance_upto` the
+//! pruned one. MSM/TWE/DTW matrix rows run one row-major DP across eight
+//! training series at a time, one per SIMD lane
+//! (`Distance::distance_row_ws`).
 
 pub(crate) mod batch;
 pub mod dtw;
@@ -44,7 +46,7 @@ pub use dtw::{band_radius, dtw_banded_ws, wdtw_row_major, DerivativeDtw, Dtw, We
 pub use edit::{erp_row_major, Edr, Erp, Lcss, Swale};
 pub use lower_bounds::{keogh_envelope, lb_erp, lb_keogh, lb_keogh_full, lb_keogh_upto, lb_kim};
 pub use msm::Msm;
-pub use twe::{twe_row_major, Twe};
+pub use twe::Twe;
 pub use variants::{Cid, ItakuraDtw};
 
 #[cfg(test)]

@@ -53,42 +53,14 @@ impl Distance for Msm {
     }
 
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        // Row-major: the left-neighbour (merge) term serializes each
-        // row, and diagonal order measured ~2x slower for MSM. Matrix
-        // rows get their SIMD lanes from `distance_row_ws` instead.
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return if m == n { 0.0 } else { f64::INFINITY };
-        }
-
-        let (mut prev, mut curr) = ws.dp_rows2(n);
-
-        // Row 0.
-        prev[0] = (x[0] - y[0]).abs();
-        for j in 1..n {
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "row-major recurrence carries curr[j - 1]; that dependency chain, not the bounds check, bounds the scalar kernel — matrix rows vectorize across columns in distance_row_ws")
-            prev[j] = prev[j - 1] + self.c(y[j], y[j - 1], x[0]);
-        }
-
-        for i in 1..m {
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "row-major recurrence carries curr[j - 1]; that dependency chain, not the bounds check, bounds the scalar kernel — matrix rows vectorize across columns in distance_row_ws")
-            curr[0] = prev[0] + self.c(x[i], x[i - 1], y[0]);
-            for j in 1..n {
-                let move_cost = prev[j - 1] + (x[i] - y[j]).abs();
-                let split_x = prev[j] + self.c(x[i], x[i - 1], y[j]);
-                let merge_y = curr[j - 1] + self.c(y[j], x[i], y[j - 1]);
-                curr[j] = move_cost.min(split_x).min(merge_y);
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n - 1]
+        // With no cutoff, `rows_upto` runs its exact sweep.
+        self.distance_upto(x, y, ws, f64::INFINITY)
     }
 
     fn distance_upto(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
-        if cutoff.is_nan() || cutoff == f64::INFINITY {
-            return self.distance_ws(x, y, ws);
-        }
+        // Row-major: the left-neighbour (merge) term serializes each
+        // row, and diagonal order measured ~2x slower for MSM. Matrix
+        // rows get their SIMD lanes from `distance_row_ws` instead.
         let m = x.len();
         let n = y.len();
         if m == 0 || n == 0 {
@@ -102,6 +74,7 @@ impl Distance for Msm {
             ws,
             |j, left| left + self.c(y[j], y[j - 1], x[0]),
             |i, up| up + self.c(x[i], x[i - 1], y[0]),
+            #[inline(always)]
             |i, j, diag, up, left| {
                 let move_cost = diag + (x[i] - y[j]).abs();
                 let split_x = up + self.c(x[i], x[i - 1], y[j]);

@@ -38,59 +38,21 @@ impl Distance for Twe {
     }
 
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        // Anti-diagonal wavefront sweep (see `super::wavefront`): the
-        // inner loop carries no dependency through the delete-in-y
-        // (left-neighbour) term. Cost expressions and `min` operand order
-        // match the row-major reference `twe_row_major` exactly, so
-        // results are bit-identical.
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return if m == n { 0.0 } else { f64::INFINITY };
-        }
-        let xi = |i: usize| if i == 0 { 0.0 } else { x[i - 1] };
-        let yj = |j: usize| if j == 0 { 0.0 } else { y[j - 1] };
-
-        let (mut p2, mut p1, mut cur, _) = ws.diag_scratch(m + 1, 0);
-        // Diagonal 0 is the padded origin cell (0, 0).
-        p1[0] = 0.0;
-        for d in 1..=(m + n) {
-            // Row-0 cell (0, d): delete all of y, one term per diagonal.
-            if d <= n {
-                cur[0] = p1[0] + (yj(d) - yj(d - 1)).abs() + self.nu + self.lambda;
-            }
-            // Column-0 cell (d, 0): delete all of x.
-            if d <= m {
-                // tsdist-lint: allow(hot-path-bounds-check, reason = "diagonal index arithmetic (j = d - i) and O(1) boundary cells have no slice-friendly form; every index is proven in-bounds by the diagonal-range algebra")
-                cur[d] = p1[d - 1] + (xi(d) - xi(d - 1)).abs() + self.nu + self.lambda;
-            }
-            let lo = 1.max(d.saturating_sub(n));
-            let hi = m.min(d - 1);
-            for i in lo..=hi {
-                let j = d - i;
-                let m_cost = p2[i - 1]
-                    + (xi(i) - yj(j)).abs()
-                    + (xi(i - 1) - yj(j - 1)).abs()
-                    + 2.0 * self.nu * (i as f64 - j as f64).abs();
-                let dx = p1[i - 1] + (xi(i) - xi(i - 1)).abs() + self.nu + self.lambda;
-                let dy = p1[i] + (yj(j) - yj(j - 1)).abs() + self.nu + self.lambda;
-                cur[i] = m_cost.min(dx).min(dy);
-            }
-            std::mem::swap(&mut p2, &mut p1);
-            std::mem::swap(&mut p1, &mut cur);
-        }
-        p1[m]
+        // With no cutoff, `rows_upto` runs its exact sweep.
+        self.distance_upto(x, y, ws, f64::INFINITY)
     }
 
     fn distance_upto(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
-        if cutoff.is_nan() || cutoff == f64::INFINITY {
-            return self.distance_ws(x, y, ws);
-        }
+        // Row-major: the anti-diagonal order measured 1.1-1.8x slower
+        // for TWE (DESIGN.md §9.2). Matrix rows get their SIMD lanes
+        // from `distance_row_ws` instead.
         let m = x.len();
         let n = y.len();
         if m == 0 || n == 0 {
             return if m == n { 0.0 } else { f64::INFINITY };
         }
+        // 1-based with an implicit 0th sample equal to 0 (Marteau's
+        // convention); timestamps are the indices.
         let xi = |i: usize| if i == 0 { 0.0 } else { x[i - 1] };
         let yj = |j: usize| if j == 0 { 0.0 } else { y[j - 1] };
         // Row 0 deletes all of y, column 0 all of x.
@@ -101,7 +63,10 @@ impl Distance for Twe {
             ws,
             |j, left| left + (yj(j) - yj(j - 1)).abs() + self.nu + self.lambda,
             |i, up| up + (xi(i) - xi(i - 1)).abs() + self.nu + self.lambda,
+            #[inline(always)]
             |i, j, diag, up, left| {
+                // Match both current samples (and their predecessors),
+                // delete in x, delete in y.
                 let m_cost = diag
                     + (xi(i) - yj(j)).abs()
                     + (xi(i - 1) - yj(j - 1)).abs()
@@ -123,48 +88,6 @@ impl Distance for Twe {
             |x, block, ws| batch::twe_block_ws(self.lambda, self.nu, x, block, ws),
         );
     }
-}
-
-/// TWE with deletion penalty `lambda` and stiffness `nu` as a plain
-/// row-major DP over allocated rows: the reference the wavefront kernel
-/// behind [`Twe`] is bit-compared against (DESIGN.md §9.2).
-pub fn twe_row_major(x: &[f64], y: &[f64], lambda: f64, nu: f64) -> f64 {
-    let m = x.len();
-    let n = y.len();
-    if m == 0 || n == 0 {
-        return if m == n { 0.0 } else { f64::INFINITY };
-    }
-    // 1-based with an implicit 0th sample equal to 0 (Marteau's
-    // convention); timestamps are the indices.
-    let xi = |i: usize| if i == 0 { 0.0 } else { x[i - 1] };
-    let yj = |j: usize| if j == 0 { 0.0 } else { y[j - 1] };
-
-    const INF: f64 = f64::INFINITY;
-    let mut prev = vec![INF; n + 1];
-    let mut curr = vec![INF; n + 1];
-    prev[0] = 0.0;
-    // Row 0: delete all of y.
-    for j in 1..=n {
-        prev[j] = prev[j - 1] + (yj(j) - yj(j - 1)).abs() + nu + lambda;
-    }
-
-    for i in 1..=m {
-        curr[0] = prev[0] + (xi(i) - xi(i - 1)).abs() + nu + lambda;
-        for j in 1..=n {
-            // Match both current samples (and their predecessors).
-            let m_cost = prev[j - 1]
-                + (xi(i) - yj(j)).abs()
-                + (xi(i - 1) - yj(j - 1)).abs()
-                + 2.0 * nu * (i as f64 - j as f64).abs();
-            // Delete in x.
-            let dx = prev[j] + (xi(i) - xi(i - 1)).abs() + nu + lambda;
-            // Delete in y.
-            let dy = curr[j - 1] + (yj(j) - yj(j - 1)).abs() + nu + lambda;
-            curr[j] = m_cost.min(dx).min(dy);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[n]
 }
 
 #[cfg(test)]

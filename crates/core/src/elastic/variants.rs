@@ -103,6 +103,37 @@ impl ItakuraDtw {
         let to_end_ok = (n - j) <= s * (m - i) && (n - j) >= (m - i) / s;
         from_start_ok && to_end_ok
     }
+
+    /// The parallelogram-masked DTW DP, exact at an infinite or NaN
+    /// `cutoff` and early abandoned below it (`eapruned::rows_upto`).
+    /// Only the origin of row 0 and column 0 is inside the
+    /// parallelogram; masked cells stay INF.
+    fn dp(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
+        let m = x.len();
+        let n = y.len();
+        const INF: f64 = f64::INFINITY;
+        rows_upto(
+            (m + 1, n + 1),
+            0.0,
+            cutoff,
+            ws,
+            |_, _| INF,
+            |_, _| INF,
+            #[inline(always)]
+            |i, j, diag, up, left| {
+                if !self.inside(i, j, m, n) {
+                    return INF;
+                }
+                let d = x[i - 1] - y[j - 1];
+                let best = diag.min(up).min(left);
+                if best.is_finite() {
+                    d * d + best
+                } else {
+                    INF
+                }
+            },
+        )
+    }
 }
 
 impl Distance for ItakuraDtw {
@@ -116,28 +147,7 @@ impl Distance for ItakuraDtw {
         if m == 0 || n == 0 {
             return if m == n { 0.0 } else { f64::INFINITY };
         }
-        const INF: f64 = f64::INFINITY;
-        let result = {
-            let (mut prev, mut curr) = ws.dp_rows2(n + 1);
-            prev.fill(INF);
-            prev[0] = 0.0;
-            for i in 1..=m {
-                curr.fill(INF);
-                for j in 1..=n {
-                    if !self.inside(i, j, m, n) {
-                        continue;
-                    }
-                    // tsdist-lint: allow(hot-path-bounds-check, reason = "Itakura-parallelogram mask makes every cell conditional; indexing is inherent and bounded by the mask clamp")
-                    let d = x[i - 1] - y[j - 1];
-                    let best = prev[j - 1].min(prev[j]).min(curr[j - 1]);
-                    if best.is_finite() {
-                        curr[j] = d * d + best;
-                    }
-                }
-                std::mem::swap(&mut prev, &mut curr);
-            }
-            prev[n]
-        };
+        let result = self.dp(x, y, ws, f64::INFINITY);
         if result.is_finite() {
             result
         } else {
@@ -154,34 +164,10 @@ impl Distance for ItakuraDtw {
             // therefore never falls back) is pruned.
             return self.distance_ws(x, y, ws);
         }
-        let m = x.len();
-        let n = y.len();
-        if m == 0 {
+        if x.is_empty() {
             return 0.0;
         }
-        const INF: f64 = f64::INFINITY;
-        // Only the origin of row 0 and column 0 is inside the
-        // parallelogram; masked cells stay INF.
-        rows_upto(
-            (m + 1, n + 1),
-            0.0,
-            cutoff,
-            ws,
-            |_, _| INF,
-            |_, _| INF,
-            |i, j, diag, up, left| {
-                if !self.inside(i, j, m, n) {
-                    return INF;
-                }
-                let d = x[i - 1] - y[j - 1];
-                let best = diag.min(up).min(left);
-                if best.is_finite() {
-                    d * d + best
-                } else {
-                    INF
-                }
-            },
-        )
+        self.dp(x, y, ws, cutoff)
     }
 }
 
