@@ -6,9 +6,9 @@
 //! * **lock-step** — the multi-lane `chunks_exact` reductions
 //!   (`lanes::lane_sum` family) vs a sequential zip fold of the same
 //!   term, in GB/s of series data touched (two `f64` slices per pair);
-//! * **DP** — `distance_ws` of DTW (at its 10% band), WDTW and ERP, all
-//!   the anti-diagonal wavefront, vs the row-major reference kernels, in
-//!   DP cells/s;
+//! * **DP** — `distance_ws` of DTW (at its 10% band) and WDTW, both the
+//!   anti-diagonal wavefront, vs the row-major reference kernels, in DP
+//!   cells/s;
 //! * **row** — the batch-axis row kernels of MSM, TWE, banded DTW and
 //!   NCC_c (`Distance::distance_row_ws`, eight training series per SIMD
 //!   lane) vs the per-pair `distance_ws` loop over the same matrix rows,
@@ -34,8 +34,7 @@ use std::time::Instant;
 
 use tsdist_bench::ExperimentConfig;
 use tsdist_core::elastic::{
-    dtw::dtw_banded_ws, erp_row_major, wdtw_row_major, DerivativeDtw, Dtw, Erp, Msm, Twe,
-    WeightedDtw,
+    dtw::dtw_banded_ws, wdtw_row_major, DerivativeDtw, Dtw, Erp, Msm, Twe, WeightedDtw,
 };
 use tsdist_core::lockstep::{Chebyshev, CityBlock, Euclidean, Minkowski};
 use tsdist_core::measure::Distance;
@@ -369,7 +368,6 @@ fn main() {
     let full_cells = banded_cells(len, len, len) * dp_pairs as u64;
     let wdtw = WeightedDtw::new(0.05);
 
-    let erp = Erp::new();
     let dp_rows = vec![
         bench_dp(
             "DTW(10%)",
@@ -383,14 +381,6 @@ fn main() {
             "WDTW(g=0.05)",
             &wdtw,
             |x, y, _| wdtw_row_major(x, y, wdtw.g),
-            dp_inputs,
-            full_cells,
-            reps,
-        ),
-        bench_dp(
-            "ERP",
-            &erp,
-            |x, y, _| erp_row_major(x, y, erp.gap),
             dp_inputs,
             full_cells,
             reps,

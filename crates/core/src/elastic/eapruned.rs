@@ -1,9 +1,11 @@
-//! The two row-major drivers behind MSM, TWE, ERP and Itakura DTW: the
-//! exact sweep [`rows_ws`] and the early-abandon sweep [`rows_upto`]
-//! (EAPruned, after Herrmann & Webb). Each measure writes its DP once, as
-//! a shape, an origin and three closures, and hands them to [`rows_upto`]
-//! with its cutoff; with no cutoff (+∞ or NaN) that runs the exact sweep,
-//! as the `Distance::distance_upto` contract asks.
+//! The two row-major drivers behind MSM, TWE, ERP, EDR, Swale and
+//! Itakura DTW: the exact sweep [`rows_ws`] and the early-abandon sweep
+//! [`rows_upto`] (EAPruned, after Herrmann & Webb). Each measure writes
+//! its DP once, as a shape, an origin and three closures. MSM, TWE, ERP
+//! and Itakura hand them to [`rows_upto`] with their cutoff; with no
+//! cutoff (+∞ or NaN) that runs the exact sweep, as the
+//! `Distance::distance_upto` contract asks. EDR and Swale have no
+//! early-abandon path and hand theirs to [`rows_ws`].
 //!
 //! The pruned sweep owns the whole pruning mechanism. Row 0 and column 0
 //! are exact chains. Each later row computes only the cells reachable
@@ -78,8 +80,8 @@ pub(super) fn rows_ws(
 /// * `cell(i, j, diag, up, left)`: an interior cell from its three
 ///   predecessors.
 ///
-/// Padded measures (TWE, ERP, Itakura) pass `(m + 1, n + 1)`; MSM, which
-/// starts from the first samples, passes `(m, n)`.
+/// Padded measures (TWE, ERP, Itakura, EDR, Swale) pass `(m + 1, n + 1)`;
+/// MSM, which starts from the first samples, passes `(m, n)`.
 pub(super) fn rows_upto(
     (rows, cols): (usize, usize),
     origin: f64,

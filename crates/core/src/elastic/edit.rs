@@ -1,6 +1,7 @@
 //! The edit-distance-based elastic measures: LCSS, EDR, ERP, and Swale.
 
-use super::eapruned::rows_upto;
+use super::band_radius;
+use super::eapruned::{rows_upto, rows_ws};
 use crate::measure::Distance;
 use crate::workspace::Workspace;
 
@@ -46,7 +47,7 @@ impl Distance for Lcss {
         if m == 0 || n == 0 {
             return 1.0;
         }
-        let band = ((self.delta_pct / 100.0 * m.max(n) as f64).ceil() as usize).max(m.abs_diff(n));
+        let band = band_radius(self.delta_pct, m, n);
 
         let (mut prev, mut curr) = ws.int_rows2(n + 1);
         prev.fill(0);
@@ -103,22 +104,20 @@ impl Distance for Edr {
         if m == 0 || n == 0 {
             return if m == n { 0.0 } else { 1.0 };
         }
-        let (mut prev, mut curr) = ws.int_rows2(n + 1);
-        for (j, slot) in prev.iter_mut().enumerate() {
-            *slot = j as u32;
-        }
-        for i in 1..=m {
-            curr[0] = i as u32;
-            for j in 1..=n {
-                // tsdist-lint: allow(hot-path-bounds-check, reason = "branchy threshold recurrence; the comparison chain, not the bounds check, dominates and blocks vectorization")
-                let subcost = u32::from((x[i - 1] - y[j - 1]).abs() > self.epsilon);
-                curr[j] = (prev[j - 1] + subcost)
-                    .min(prev[j] + 1)
-                    .min(curr[j - 1] + 1);
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n] as f64 / m.max(n) as f64
+        // Counts are small integers, exact in `f64`.
+        let edits = rows_ws(
+            (m + 1, n + 1),
+            0.0,
+            ws,
+            |j, _| j as f64,
+            |i, _| i as f64,
+            #[inline(always)]
+            |i, j, diag, up, left| {
+                let subcost = f64::from((x[i - 1] - y[j - 1]).abs() > self.epsilon);
+                (diag + subcost).min(up + 1.0).min(left + 1.0)
+            },
+        );
+        edits / m.max(n) as f64
     }
 }
 
@@ -144,10 +143,21 @@ impl Erp {
     pub fn new() -> Self {
         Erp::default()
     }
+}
 
-    /// The row-major ERP DP, exact at an infinite or NaN `cutoff` and
-    /// early abandoned below it (`eapruned::rows_upto`).
-    fn dp(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
+impl Distance for Erp {
+    fn name(&self) -> String {
+        "ERP".into()
+    }
+
+    fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
+        // With no cutoff, `rows_upto` runs its exact sweep.
+        self.distance_upto(x, y, ws, f64::INFINITY)
+    }
+
+    fn distance_upto(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
+        // Row-major: the anti-diagonal order was not reliably faster for
+        // ERP (DESIGN.md §9.2).
         let g = self.gap;
         // Row 0 deletes all of y against gaps, column 0 all of x.
         rows_upto(
@@ -166,64 +176,6 @@ impl Erp {
             },
         )
     }
-}
-
-impl Distance for Erp {
-    fn name(&self) -> String {
-        "ERP".into()
-    }
-
-    fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        // Anti-diagonal wavefront sweep (see `super::wavefront`): the
-        // inner loop carries no dependency through the delete-in-y
-        // (left-neighbour) term. Cost expressions and `min` operand order
-        // match the row-major reference `erp_row_major` exactly —
-        // including the row-0 running-sum chain, built one term per
-        // diagonal — so results are bit-identical.
-        let m = x.len();
-        let n = y.len();
-        let g = self.gap;
-        let (mut p2, mut p1, mut cur, _) = ws.diag_scratch(m + 1, 0);
-        // Diagonal 0 is the origin cell (0, 0).
-        p1[0] = 0.0;
-        for d in 1..=(m + n) {
-            // Row-0 cell (0, d): delete all of y against gaps.
-            if d <= n {
-                // tsdist-lint: allow(hot-path-bounds-check, reason = "diagonal index arithmetic (j = d - i) and O(1) boundary cells have no slice-friendly form; every index is proven in-bounds by the diagonal-range algebra")
-                cur[0] = p1[0] + (y[d - 1] - g).abs();
-            }
-            // Column-0 cell (d, 0): delete all of x against gaps.
-            if d <= m {
-                cur[d] = p1[d - 1] + (x[d - 1] - g).abs();
-            }
-            let lo = 1.max(d.saturating_sub(n));
-            let hi = m.min(d - 1);
-            for i in lo..=hi {
-                let j = d - i;
-                let match_cost = p2[i - 1] + (x[i - 1] - y[j - 1]).abs();
-                let del_x = p1[i - 1] + (x[i - 1] - g).abs();
-                let del_y = p1[i] + (y[j - 1] - g).abs();
-                cur[i] = match_cost.min(del_x).min(del_y);
-            }
-            std::mem::swap(&mut p2, &mut p1);
-            std::mem::swap(&mut p1, &mut cur);
-        }
-        p1[m]
-    }
-
-    fn distance_upto(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
-        if cutoff.is_nan() || cutoff == f64::INFINITY {
-            return self.distance_ws(x, y, ws);
-        }
-        self.dp(x, y, ws, cutoff)
-    }
-}
-
-/// ERP with gap reference `g` as a plain row-major DP over the same cells
-/// as [`Erp::distance_upto`]: the reference the wavefront kernel behind
-/// [`Erp`] is bit-compared against (DESIGN.md §9.2).
-pub fn erp_row_major(x: &[f64], y: &[f64], g: f64) -> f64 {
-    Erp { gap: g }.dp(x, y, &mut Workspace::new(), f64::INFINITY)
 }
 
 /// Sequence Weighted ALignmEnt (Swale; Morse & Patel 2007).
@@ -272,23 +224,24 @@ impl Distance for Swale {
         if m == 0 || n == 0 {
             return 0.0;
         }
-        let (mut prev, mut curr) = ws.dp_rows2(n + 1);
-        for (j, slot) in prev.iter_mut().enumerate() {
-            *slot = -self.penalty * j as f64;
-        }
-        for i in 1..=m {
-            curr[0] = -self.penalty * i as f64;
-            for j in 1..=n {
-                // tsdist-lint: allow(hot-path-bounds-check, reason = "branchy threshold recurrence; the comparison chain, not the bounds check, dominates and blocks vectorization")
+        // Boundary cells pay one gap per skipped point.
+        let gaps = |k: usize| -self.penalty * k as f64;
+        let score = rows_ws(
+            (m + 1, n + 1),
+            gaps(0),
+            ws,
+            |j, _| gaps(j),
+            |i, _| gaps(i),
+            #[inline(always)]
+            |i, j, diag, up, left| {
                 if (x[i - 1] - y[j - 1]).abs() <= self.epsilon {
-                    curr[j] = prev[j - 1] + self.reward;
+                    diag + self.reward
                 } else {
-                    curr[j] = (prev[j] - self.penalty).max(curr[j - 1] - self.penalty);
+                    (up - self.penalty).max(left - self.penalty)
                 }
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        -prev[n]
+            },
+        );
+        -score
     }
 }
 

@@ -19,15 +19,15 @@
 //! [`WeightedDtw`] — are provided for the ablation benches, as are the
 //! [`lower_bounds`] used to accelerate DTW 1-NN search.
 //!
-//! All DP implementations run in O(m) memory. The production DTW, DDTW,
-//! WDTW and ERP paths use three rolling anti-diagonals (the crate-private
-//! `wavefront` module; DTW and WDTW share one exact and one pruned sweep
-//! there), and their row-major references ([`dtw_banded_ws`],
-//! [`wdtw_row_major`], [`erp_row_major`]) two rolling rows. MSM, TWE,
-//! ERP and ItakuraDtw write their DP once, as cell closures that the
+//! All DP implementations run in O(m) memory. The production DTW, DDTW
+//! and WDTW paths use three rolling anti-diagonals (the crate-private
+//! `wavefront` module, one exact and one pruned sweep shared by DTW and
+//! WDTW), and their row-major references ([`dtw_banded_ws`],
+//! [`wdtw_row_major`]) two rolling rows. MSM, TWE, ERP, EDR, Swale and
+//! ItakuraDtw write their DP once, as cell closures that the
 //! crate-private `eapruned` module runs through one exact and one
-//! early-abandon row-major sweep: MSM's and TWE's `distance_ws`, Itakura's
-//! and `erp_row_major` take the exact one, and every `distance_upto` the
+//! early-abandon row-major sweep: every `distance_ws` takes the exact
+//! one, and the `distance_upto` of MSM, TWE, ERP and ItakuraDtw the
 //! pruned one. MSM/TWE/DTW matrix rows run one row-major DP across eight
 //! training series at a time, one per SIMD lane
 //! (`Distance::distance_row_ws`).
@@ -43,7 +43,7 @@ pub mod variants;
 mod wavefront;
 
 pub use dtw::{band_radius, dtw_banded_ws, wdtw_row_major, DerivativeDtw, Dtw, WeightedDtw};
-pub use edit::{erp_row_major, Edr, Erp, Lcss, Swale};
+pub use edit::{Edr, Erp, Lcss, Swale};
 pub use lower_bounds::{keogh_envelope, lb_erp, lb_keogh, lb_keogh_full, lb_keogh_upto, lb_kim};
 pub use msm::Msm;
 pub use twe::Twe;

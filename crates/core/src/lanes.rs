@@ -11,19 +11,28 @@
 //! binary tree over per-lane partial sums, so results differ from the
 //! sequential fold by a few ULPs (bounded by `n·eps` relative error for
 //! non-negative terms; see DESIGN.md §9 for the per-family policy).
-//! What never varies is the association *within this module*: the exact
-//! path ([`lane_sum`]) and the early-abandoning path ([`lane_sum_upto`])
-//! accumulate chunk-for-chunk identically, so a non-abandoned `upto`
-//! call reproduces the exact value bit-for-bit — the
-//! [`crate::measure::Distance::distance_upto`] contract.
-//!
-//! Early abandoning checks the cutoff once per [`ABANDON_BLOCK`]
-//! elements (not per element): the combined partial sum of non-negative
-//! terms is monotone non-decreasing under both per-lane accumulation and
-//! the combine tree, so a partial `>= cutoff` proves the full sum is too.
 //! Max-reductions ([`lane_max`]) are exactly reassociable — `f64::max`
 //! ignores NaN in any order and the terms are absolute values, so signed
 //! zeros cannot appear — and therefore bit-match the sequential fold.
+//!
+//! Every public entry point is one call of the private `fold`, which
+//! is generic over the three-slice term (two-slice callers pass `y`
+//! twice), the lane operation (`+` or `f64::max`) and the abandon
+//! predicate. The exact entry points pass `never`, so the exact and
+//! early-abandoning paths are one loop, and a non-abandoned `upto` call
+//! reproduces the exact value bit-for-bit by construction — the
+//! [`crate::measure::Distance::distance_upto`] contract.
+//!
+//! Early abandoning checks the cutoff once per [`ABANDON_BLOCK`]
+//! elements (not per element) and once on the final value. Admissibility:
+//! each partial handed to the predicate is the combine tree over
+//! per-lane prefixes. Both lane operations are monotone non-decreasing
+//! in each operand for non-negative terms, so each partial is a lower
+//! bound of the final value, and a partial that satisfies a monotone
+//! predicate proves the final value would too. A NaN partial never
+//! satisfies a `>=` predicate, so a NaN term never causes an abandon.
+
+use std::ops::Add;
 
 /// Number of independent accumulator lanes in the chunked reductions.
 ///
@@ -33,109 +42,80 @@
 pub const LANES: usize = 8;
 
 /// Elements between cutoff checks in the `upto` kernels: four chunks of
-/// [`LANES`], so the (7-add) combine tree amortizes to well under one
-/// extra operation per element.
+/// [`LANES`], so the (7-operation) combine tree amortizes to well under
+/// one extra operation per element.
 pub const ABANDON_BLOCK: usize = 4 * LANES;
 
-/// The fixed combine tree over the per-lane partial sums. Every caller
-/// — exact or abandoning — reduces through this same tree, which is what
-/// keeps the two paths bit-identical.
-#[inline]
-fn combine(acc: &[f64; LANES]) -> f64 {
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+/// The abandon predicate of the exact entry points, whose `fold` is
+/// therefore never `None`.
+fn never(_: f64) -> bool {
+    false
 }
 
-#[inline]
-fn combine_max(acc: &[f64; LANES]) -> f64 {
-    (acc[0].max(acc[1]).max(acc[2].max(acc[3]))).max(acc[4].max(acc[5]).max(acc[6].max(acc[7])))
-}
-
-/// Accumulates one [`LANES`]-sized chunk pair into the lane accumulators.
-#[inline]
-fn accumulate_chunk(
-    acc: &mut [f64; LANES],
-    cx: &[f64],
-    cy: &[f64],
-    f: &mut impl FnMut(f64, f64) -> f64,
-) {
-    // `chunks_exact` guarantees `cx.len() == cy.len() == LANES`, so the
-    // bounds checks vanish and the loop is a straight-line SLP candidate.
-    for k in 0..LANES {
-        acc[k] += f(cx[k], cy[k]);
+/// `op`-reduces `term(x_i, u_i, l_i)` over the common prefix of three
+/// slices: lane `k` of each [`LANES`]-wide chunk into accumulator `k`,
+/// the sequential remainder into a tail, then the fixed combine tree
+/// `op(op(op(a0,a1), op(a2,a3)), op(op(a4,a5), op(a6,a7)))` and the
+/// tail on top. Returns `None` as soon as `abandon` holds for the
+/// combined partial after a whole [`ABANDON_BLOCK`], or for the final
+/// value.
+#[inline(always)]
+fn fold(
+    (x, u, l): (&[f64], &[f64], &[f64]),
+    op: impl Fn(f64, f64) -> f64,
+    mut term: impl FnMut(f64, f64, f64) -> f64,
+    mut abandon: impl FnMut(f64) -> bool,
+) -> Option<f64> {
+    let n = x.len().min(u.len()).min(l.len());
+    let tree = |a: &[f64; LANES]| {
+        op(
+            op(op(a[0], a[1]), op(a[2], a[3])),
+            op(op(a[4], a[5]), op(a[6], a[7])),
+        )
+    };
+    let mut acc = [0.0f64; LANES];
+    let mut xc = x[..n].chunks_exact(LANES);
+    let mut uc = u[..n].chunks_exact(LANES);
+    let mut lc = l[..n].chunks_exact(LANES);
+    for (chunk, ((cx, cu), cl)) in (1..).zip((&mut xc).zip(&mut uc).zip(&mut lc)) {
+        // `chunks_exact` guarantees `LANES` elements per chunk, so the
+        // bounds checks vanish and the body is a straight-line SLP
+        // candidate.
+        for k in 0..LANES {
+            acc[k] = op(acc[k], term(cx[k], cu[k], cl[k]));
+        }
+        if chunk % (ABANDON_BLOCK / LANES) == 0 && abandon(tree(&acc)) {
+            return None;
+        }
     }
+    let tail = (xc.remainder().iter())
+        .zip(uc.remainder())
+        .zip(lc.remainder())
+        .fold(0.0, |t, ((&a, &b), &c)| op(t, term(a, b, c)));
+    let total = op(tree(&acc), tail);
+    (!abandon(total)).then_some(total)
 }
 
 /// `sum f(x_i, y_i)` over the common prefix, reduced across [`LANES`]
 /// accumulators with a scalar tail.
 #[inline]
 pub fn lane_sum(x: &[f64], y: &[f64], mut f: impl FnMut(f64, f64) -> f64) -> f64 {
-    let n = x.len().min(y.len());
-    let (x, y) = (&x[..n], &y[..n]);
-    let mut acc = [0.0f64; LANES];
-    let mut xc = x.chunks_exact(LANES);
-    let mut yc = y.chunks_exact(LANES);
-    for (cx, cy) in (&mut xc).zip(&mut yc) {
-        accumulate_chunk(&mut acc, cx, cy, &mut f);
-    }
-    let mut tail = 0.0;
-    for (&a, &b) in xc.remainder().iter().zip(yc.remainder()) {
-        tail += f(a, b);
-    }
-    combine(&acc) + tail
+    fold((x, y, y), f64::add, |a, b, _| f(a, b), never).unwrap_or(f64::INFINITY)
 }
 
 /// Early-abandoning [`lane_sum`] for **non-negative** term functions,
-/// generic over the abandon predicate (Euclidean confirms through a
-/// `sqrt`, Minkowski through a `powf` root; plain sums compare directly).
-///
-/// Returns `None` as soon as `abandon(partial_sum)` holds — checked once
-/// per [`ABANDON_BLOCK`] elements and once on the final sum — otherwise
-/// `Some(sum)` with `sum` bit-identical to [`lane_sum`].
-///
-/// Admissibility: each partial handed to `abandon` is a combine-tree sum
-/// of per-lane prefixes. Adding non-negative terms is monotone
-/// non-decreasing in every lane, and the combine tree is monotone in
-/// every operand, so each partial is a lower bound of the final sum; a
-/// partial that already satisfies the (monotone) abandon predicate
-/// proves the final sum would too. NaN terms never satisfy `>=`
-/// predicates and simply fall through to the exact value.
+/// generic over the monotone abandon predicate (Euclidean confirms
+/// through a `sqrt`, Minkowski through a `powf` root). Returns `None`
+/// once `abandon(partial)` holds at a block boundary or on the final
+/// sum, otherwise `Some(sum)` with `sum` bit-identical to [`lane_sum`].
 #[inline]
 pub fn lane_sum_upto_by(
     x: &[f64],
     y: &[f64],
     mut f: impl FnMut(f64, f64) -> f64,
-    mut abandon: impl FnMut(f64) -> bool,
+    abandon: impl FnMut(f64) -> bool,
 ) -> Option<f64> {
-    let n = x.len().min(y.len());
-    let (x, y) = (&x[..n], &y[..n]);
-    let mut acc = [0.0f64; LANES];
-    let mut i = 0;
-    while i + ABANDON_BLOCK <= n {
-        for (cx, cy) in x[i..i + ABANDON_BLOCK]
-            .chunks_exact(LANES)
-            .zip(y[i..i + ABANDON_BLOCK].chunks_exact(LANES))
-        {
-            accumulate_chunk(&mut acc, cx, cy, &mut f);
-        }
-        if abandon(combine(&acc)) {
-            return None;
-        }
-        i += ABANDON_BLOCK;
-    }
-    let mut xc = x[i..].chunks_exact(LANES);
-    let mut yc = y[i..].chunks_exact(LANES);
-    for (cx, cy) in (&mut xc).zip(&mut yc) {
-        accumulate_chunk(&mut acc, cx, cy, &mut f);
-    }
-    let mut tail = 0.0;
-    for (&a, &b) in xc.remainder().iter().zip(yc.remainder()) {
-        tail += f(a, b);
-    }
-    let total = combine(&acc) + tail;
-    if abandon(total) {
-        return None;
-    }
-    Some(total)
+    fold((x, y, y), f64::add, |a, b, _| f(a, b), abandon)
 }
 
 /// [`lane_sum_upto_by`] with the plain `partial >= cutoff` predicate,
@@ -145,284 +125,191 @@ pub fn lane_sum_upto(x: &[f64], y: &[f64], cutoff: f64, f: impl FnMut(f64, f64) 
     lane_sum_upto_by(x, y, f, |partial| partial >= cutoff).unwrap_or(f64::INFINITY)
 }
 
-/// Accumulates one [`LANES`]-sized chunk triple into the lane
-/// accumulators (the three-slice analogue of [`accumulate_chunk`], used
-/// by the envelope-based lower bounds).
+/// `sum f(x_i, u_i, l_i)` over the common prefix of three slices — the
+/// three-slice [`lane_sum`], shaped for LB_Keogh's (query,
+/// upper-envelope, lower-envelope) walk.
 #[inline]
-fn accumulate_chunk3(
-    acc: &mut [f64; LANES],
-    cx: &[f64],
-    cu: &[f64],
-    cl: &[f64],
-    f: &mut impl FnMut(f64, f64, f64) -> f64,
-) {
-    for k in 0..LANES {
-        acc[k] += f(cx[k], cu[k], cl[k]);
-    }
-}
-
-/// `sum f(x_i, u_i, l_i)` over the common prefix of three slices,
-/// reduced across [`LANES`] accumulators with a scalar tail — the
-/// three-slice [`lane_sum`], shaped for LB_Keogh's
-/// (query, upper-envelope, lower-envelope) walk.
-#[inline]
-pub fn lane_sum3(x: &[f64], u: &[f64], l: &[f64], mut f: impl FnMut(f64, f64, f64) -> f64) -> f64 {
-    let n = x.len().min(u.len()).min(l.len());
-    let (x, u, l) = (&x[..n], &u[..n], &l[..n]);
-    let mut acc = [0.0f64; LANES];
-    let mut xc = x.chunks_exact(LANES);
-    let mut uc = u.chunks_exact(LANES);
-    let mut lc = l.chunks_exact(LANES);
-    for ((cx, cu), cl) in (&mut xc).zip(&mut uc).zip(&mut lc) {
-        accumulate_chunk3(&mut acc, cx, cu, cl, &mut f);
-    }
-    let mut tail = 0.0;
-    for ((&a, &b), &c) in xc
-        .remainder()
-        .iter()
-        .zip(uc.remainder())
-        .zip(lc.remainder())
-    {
-        tail += f(a, b, c);
-    }
-    combine(&acc) + tail
+pub fn lane_sum3(x: &[f64], u: &[f64], l: &[f64], f: impl FnMut(f64, f64, f64) -> f64) -> f64 {
+    fold((x, u, l), f64::add, f, never).unwrap_or(f64::INFINITY)
 }
 
 /// Early-abandoning [`lane_sum3`] for **non-negative** term functions:
-/// returns [`f64::INFINITY`] as soon as a block-boundary partial reaches
-/// `cutoff`, otherwise the exact [`lane_sum3`] value bit-for-bit (same
-/// chunk layout, same combine tree — the admissibility argument of
-/// [`lane_sum_upto_by`] applies unchanged).
+/// [`f64::INFINITY`] once a block-boundary partial or the final sum
+/// reaches `cutoff`, otherwise the exact [`lane_sum3`] value.
 #[inline]
 pub fn lane_sum3_upto(
     x: &[f64],
     u: &[f64],
     l: &[f64],
     cutoff: f64,
-    mut f: impl FnMut(f64, f64, f64) -> f64,
+    f: impl FnMut(f64, f64, f64) -> f64,
 ) -> f64 {
-    let n = x.len().min(u.len()).min(l.len());
-    let (x, u, l) = (&x[..n], &u[..n], &l[..n]);
-    let mut acc = [0.0f64; LANES];
-    let mut i = 0;
-    while i + ABANDON_BLOCK <= n {
-        for ((cx, cu), cl) in x[i..i + ABANDON_BLOCK]
-            .chunks_exact(LANES)
-            .zip(u[i..i + ABANDON_BLOCK].chunks_exact(LANES))
-            .zip(l[i..i + ABANDON_BLOCK].chunks_exact(LANES))
-        {
-            accumulate_chunk3(&mut acc, cx, cu, cl, &mut f);
-        }
-        if combine(&acc) >= cutoff {
-            return f64::INFINITY;
-        }
-        i += ABANDON_BLOCK;
-    }
-    let mut xc = x[i..].chunks_exact(LANES);
-    let mut uc = u[i..].chunks_exact(LANES);
-    let mut lc = l[i..].chunks_exact(LANES);
-    for ((cx, cu), cl) in (&mut xc).zip(&mut uc).zip(&mut lc) {
-        accumulate_chunk3(&mut acc, cx, cu, cl, &mut f);
-    }
-    let mut tail = 0.0;
-    for ((&a, &b), &c) in xc
-        .remainder()
-        .iter()
-        .zip(uc.remainder())
-        .zip(lc.remainder())
-    {
-        tail += f(a, b, c);
-    }
-    let total = combine(&acc) + tail;
-    if total >= cutoff {
-        return f64::INFINITY;
-    }
-    total
+    fold((x, u, l), f64::add, f, |partial| partial >= cutoff).unwrap_or(f64::INFINITY)
 }
 
 /// `max f(x_i, y_i)` over the common prefix, reduced across [`LANES`]
 /// lanes. Bit-identical to the sequential `fold(0.0, f64::max)` for
-/// terms that are never negative zero (absolute values): `f64::max`
-/// ignores NaN operands in any order, so the reduction is exactly
-/// reassociable.
+/// terms that are never negative zero (absolute values).
 #[inline]
 pub fn lane_max(x: &[f64], y: &[f64], mut f: impl FnMut(f64, f64) -> f64) -> f64 {
-    let n = x.len().min(y.len());
-    let (x, y) = (&x[..n], &y[..n]);
-    let mut acc = [0.0f64; LANES];
-    let mut xc = x.chunks_exact(LANES);
-    let mut yc = y.chunks_exact(LANES);
-    for (cx, cy) in (&mut xc).zip(&mut yc) {
-        for k in 0..LANES {
-            acc[k] = acc[k].max(f(cx[k], cy[k]));
-        }
-    }
-    let mut tail = 0.0f64;
-    for (&a, &b) in xc.remainder().iter().zip(yc.remainder()) {
-        tail = tail.max(f(a, b));
-    }
-    combine_max(&acc).max(tail)
+    fold((x, y, y), f64::max, |a, b, _| f(a, b), never).unwrap_or(f64::INFINITY)
 }
 
-/// Early-abandoning [`lane_max`]: the running max is monotone
-/// non-decreasing, so a block whose combined max reaches `cutoff`
-/// settles the comparison. Returns [`f64::INFINITY`] on abandon,
-/// otherwise the exact [`lane_max`] value.
+/// Early-abandoning [`lane_max`]: [`f64::INFINITY`] once a
+/// block-boundary max or the final max reaches `cutoff`, otherwise the
+/// exact [`lane_max`] value.
 #[inline]
 pub fn lane_max_upto(x: &[f64], y: &[f64], cutoff: f64, mut f: impl FnMut(f64, f64) -> f64) -> f64 {
-    let n = x.len().min(y.len());
-    let (x, y) = (&x[..n], &y[..n]);
-    let mut acc = [0.0f64; LANES];
-    let mut i = 0;
-    while i + ABANDON_BLOCK <= n {
-        for (cx, cy) in x[i..i + ABANDON_BLOCK]
-            .chunks_exact(LANES)
-            .zip(y[i..i + ABANDON_BLOCK].chunks_exact(LANES))
-        {
-            for k in 0..LANES {
-                acc[k] = acc[k].max(f(cx[k], cy[k]));
-            }
-        }
-        if combine_max(&acc) >= cutoff {
-            return f64::INFINITY;
-        }
-        i += ABANDON_BLOCK;
-    }
-    let mut xc = x[i..].chunks_exact(LANES);
-    let mut yc = y[i..].chunks_exact(LANES);
-    for (cx, cy) in (&mut xc).zip(&mut yc) {
-        for k in 0..LANES {
-            acc[k] = acc[k].max(f(cx[k], cy[k]));
-        }
-    }
-    let mut tail = 0.0f64;
-    for (&a, &b) in xc.remainder().iter().zip(yc.remainder()) {
-        tail = tail.max(f(a, b));
-    }
-    let total = combine_max(&acc).max(tail);
-    if total >= cutoff {
-        return f64::INFINITY;
-    }
-    total
+    fold(
+        (x, y, y),
+        f64::max,
+        |a, b, _| f(a, b),
+        |partial| partial >= cutoff,
+    )
+    .unwrap_or(f64::INFINITY)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn series(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
+    fn series(n: usize, seed: u64) -> Vec<f64> {
         // SplitMix64-ish deterministic noise.
         let mut s = seed;
-        let mut next = move || {
-            s = s.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            ((z ^ (z >> 31)) as f64 / u64::MAX as f64) * 4.0 - 2.0
-        };
-        let x: Vec<f64> = (0..n).map(|_| next()).collect();
-        let y: Vec<f64> = (0..n).map(|_| next()).collect();
-        (x, y)
+        (0..n)
+            .map(|_| {
+                s = s.wrapping_add(0x9E3779B97F4A7C15);
+                let mut z = s;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+                ((z ^ (z >> 31)) as f64 / u64::MAX as f64) * 4.0 - 2.0
+            })
+            .collect()
     }
 
-    #[test]
-    fn lane_sum_matches_sequential_within_ulps() {
-        for n in [0, 1, 2, LANES - 1, LANES, LANES + 1, 2 * LANES + 3, 256] {
-            let (x, y) = series(n, n as u64 + 1);
-            let lane = lane_sum(&x, &y, |a, b| (a - b) * (a - b));
-            let seq: f64 = x.iter().zip(&y).map(|(&a, &b)| (a - b) * (a - b)).sum();
-            assert!(
-                (lane - seq).abs() <= 1e-12 * seq.abs().max(1.0),
-                "n={n}: lane {lane} vs seq {seq}"
-            );
-        }
+    fn abs_diff(a: f64, b: f64) -> f64 {
+        (a - b).abs()
     }
 
-    #[test]
-    fn upto_without_abandon_is_bit_identical_to_exact() {
-        for n in [
-            0,
-            1,
-            2,
-            LANES - 1,
-            LANES,
-            LANES + 1,
-            2 * LANES + 3,
-            255,
-            256,
-        ] {
-            let (x, y) = series(n, 77 + n as u64);
-            let exact = lane_sum(&x, &y, |a, b| (a - b).abs());
-            let upto = lane_sum_upto(&x, &y, f64::INFINITY, |a, b| (a - b).abs());
-            assert_eq!(exact.to_bits(), upto.to_bits(), "n={n}");
-        }
+    /// The LB_Keogh-style three-slice term, with the lower envelope one
+    /// below the upper.
+    fn keogh(v: f64, u: f64) -> f64 {
+        let d = (v - u).max(0.0) + (u - 1.0 - v).max(0.0);
+        d * d
     }
 
-    #[test]
-    fn upto_abandons_at_or_above_cutoff() {
-        let (x, y) = series(256, 3);
-        let exact = lane_sum(&x, &y, |a, b| (a - b).abs());
-        for frac in [0.1, 0.5, 0.99, 1.0] {
-            let cutoff = exact * frac;
-            let got = lane_sum_upto(&x, &y, cutoff, |a, b| (a - b).abs());
-            assert!(got >= cutoff, "cutoff {cutoff}: got {got}");
-        }
-        let above = lane_sum_upto(&x, &y, exact * 1.01, |a, b| (a - b).abs());
-        assert_eq!(above.to_bits(), exact.to_bits());
+    /// One reduction shape: its exact entry point, its `upto` entry
+    /// point, the sequential fold it reassociates, and whether that
+    /// fold must match to the bit (max) or within ULPs (sums).
+    struct Shape {
+        name: &'static str,
+        exact: fn(&[f64], &[f64]) -> f64,
+        upto: fn(&[f64], &[f64], f64) -> f64,
+        seq: fn(&[f64], &[f64]) -> f64,
+        bit_exact_seq: bool,
     }
 
+    fn lower(u: &[f64]) -> Vec<f64> {
+        u.iter().map(|v| v - 1.0).collect()
+    }
+
+    const SHAPES: [Shape; 4] = [
+        Shape {
+            name: "sum",
+            exact: |x, y| lane_sum(x, y, abs_diff),
+            upto: |x, y, c| lane_sum_upto(x, y, c, abs_diff),
+            seq: |x, y| x.iter().zip(y).map(|(&a, &b)| abs_diff(a, b)).sum(),
+            bit_exact_seq: false,
+        },
+        Shape {
+            name: "sum_by",
+            exact: |x, y| lane_sum(x, y, |a, b| (a - b) * (a - b)).sqrt(),
+            upto: |x, y, c| {
+                lane_sum_upto_by(x, y, |a, b| (a - b) * (a - b), |p| p.sqrt() >= c)
+                    .map_or(f64::INFINITY, f64::sqrt)
+            },
+            seq: |x, y| {
+                x.iter()
+                    .zip(y)
+                    .map(|(&a, &b)| (a - b) * (a - b))
+                    .sum::<f64>()
+                    .sqrt()
+            },
+            bit_exact_seq: false,
+        },
+        Shape {
+            name: "sum3",
+            exact: |x, u| lane_sum3(x, u, &lower(u), |v, u, _| keogh(v, u)),
+            upto: |x, u, c| lane_sum3_upto(x, u, &lower(u), c, |v, u, _| keogh(v, u)),
+            seq: |x, u| x.iter().zip(u).map(|(&v, &u)| keogh(v, u)).sum(),
+            bit_exact_seq: false,
+        },
+        Shape {
+            name: "max",
+            exact: |x, y| lane_max(x, y, abs_diff),
+            upto: |x, y, c| lane_max_upto(x, y, c, abs_diff),
+            seq: |x, y| {
+                x.iter()
+                    .zip(y)
+                    .map(|(&a, &b)| abs_diff(a, b))
+                    .fold(0.0, f64::max)
+            },
+            bit_exact_seq: true,
+        },
+    ];
+
     #[test]
-    fn lane_sum3_matches_two_slice_shape_and_upto_contract() {
-        for n in [0, 1, 2, LANES - 1, LANES, LANES + 1, 2 * LANES + 3, 256] {
-            let (x, u) = series(n, 1000 + n as u64);
-            let l: Vec<f64> = u.iter().map(|v| v - 1.0).collect();
-            let term = |v: f64, up: f64, lo: f64| {
-                let d = (v - up).max(0.0) + (lo - v).max(0.0);
-                d * d
-            };
-            let exact = lane_sum3(&x, &u, &l, term);
-            // Same terms through the two-slice kernel (folding the lower
-            // envelope into the closure) — identical chunk layout must
-            // give identical bits.
-            let li = std::cell::Cell::new(0usize);
-            let two = lane_sum(&x, &u, |v, up| {
-                let lo = l[li.get()];
-                li.set(li.get() + 1);
-                term(v, up, lo)
-            });
-            assert_eq!(exact.to_bits(), two.to_bits(), "n={n}");
-            // Non-abandoned upto is bit-identical; cutoff at half the
-            // value abandons admissibly.
-            let upto = lane_sum3_upto(&x, &u, &l, f64::INFINITY, term);
-            assert_eq!(exact.to_bits(), upto.to_bits(), "n={n}");
-            if exact > 0.0 {
-                let cut = lane_sum3_upto(&x, &u, &l, exact * 0.5, term);
-                assert!(cut >= exact * 0.5, "n={n}");
+    fn every_shape_honours_the_exact_and_upto_contracts() {
+        let max_len = 2 * ABANDON_BLOCK + LANES + 1;
+        for shape in &SHAPES {
+            for n in 0..=max_len {
+                // Equal lengths, then a longer `y`, then a longer `x`:
+                // the reductions run over the common prefix.
+                for (nx, ny) in [(n, n), (n, n + 3), (n + 5, n)] {
+                    let x = series(nx, 77 + n as u64);
+                    let y = series(ny, 1000 + n as u64);
+                    let what = format!("{} {nx}x{ny}", shape.name);
+                    let exact = (shape.exact)(&x, &y);
+                    let seq = (shape.seq)(&x[..n], &y[..n]);
+                    if shape.bit_exact_seq {
+                        assert_eq!(exact.to_bits(), seq.to_bits(), "{what}: vs sequential");
+                    } else {
+                        assert!(
+                            (exact - seq).abs() <= 1e-12 * seq.abs().max(1.0),
+                            "{what}: lanes {exact} vs sequential {seq}"
+                        );
+                    }
+                    // No cutoff, or one above the value: the exact bits.
+                    for c in [f64::INFINITY, exact * 1.01 + 1e-300] {
+                        let got = (shape.upto)(&x, &y, c);
+                        assert_eq!(exact.to_bits(), got.to_bits(), "{what}: upto({c})");
+                    }
+                    // A cutoff at or below the value: anything not below it.
+                    for frac in [0.1, 0.5, 0.99, 1.0] {
+                        let c = exact * frac;
+                        assert!((shape.upto)(&x, &y, c) >= c, "{what}: upto({c})");
+                    }
+                    // A NaN term never abandons: with NaN first, every
+                    // partial sum is NaN; an all-NaN series leaves the
+                    // max at zero, below any positive cutoff.
+                    let mut nan_x = x.clone();
+                    if let Some(first) = nan_x.first_mut() {
+                        *first = f64::NAN;
+                    }
+                    let all_nan = vec![f64::NAN; nx];
+                    for bad in [&nan_x, &all_nan] {
+                        let exact = (shape.exact)(bad, &y);
+                        for c in [1e-300, 1.0, 1e300] {
+                            let got = (shape.upto)(bad, &y, c);
+                            if exact.is_nan() {
+                                assert!(got.is_nan(), "{what}: NaN term abandoned at {c}");
+                            } else if exact < c {
+                                assert_eq!(exact.to_bits(), got.to_bits(), "{what}: NaN at {c}");
+                            }
+                        }
+                    }
+                }
             }
         }
-    }
-
-    #[test]
-    fn lane_max_is_bit_identical_to_fold() {
-        for n in [0, 1, LANES, LANES + 1, 2 * LANES + 3, 100] {
-            let (x, y) = series(n, 11 + n as u64);
-            let lane = lane_max(&x, &y, |a, b| (a - b).abs());
-            let seq = x
-                .iter()
-                .zip(&y)
-                .map(|(&a, &b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            assert_eq!(lane.to_bits(), seq.to_bits(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn lane_max_upto_matches_contract() {
-        let (x, y) = series(200, 5);
-        let exact = lane_max(&x, &y, |a, b| (a - b).abs());
-        let below = lane_max_upto(&x, &y, exact * 0.5, |a, b| (a - b).abs());
-        assert_eq!(below, f64::INFINITY);
-        let above = lane_max_upto(&x, &y, exact * 2.0, |a, b| (a - b).abs());
-        assert_eq!(above.to_bits(), exact.to_bits());
     }
 }

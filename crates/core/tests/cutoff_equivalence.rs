@@ -19,99 +19,10 @@
 //! the must-be-exact branches are exercised for every measure of the
 //! registry and the wrapper types.
 
-use tsdist_core::elastic::{Cid, DerivativeDtw, Dtw, ItakuraDtw, WeightedDtw};
-use tsdist_core::kernel::{Gak, Kdtw, Rbf, Sink};
-use tsdist_core::measure::{Distance, KernelDistance};
-use tsdist_core::registry;
-use tsdist_core::{AdaptiveScaled, Workspace};
+mod common;
 
-/// Tiny deterministic generator (SplitMix64) so the suite needs no
-/// external crates and reruns identically.
-struct Gen(u64);
-
-impl Gen {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[-2, 2)` — spans positive and negative values so the
-    /// density-style measures exercise their clamping branches.
-    fn value(&mut self) -> f64 {
-        ((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0
-    }
-
-    fn series(&mut self, len: usize) -> Vec<f64> {
-        (0..len).map(|_| self.value()).collect()
-    }
-}
-
-/// Random plus adversarial input pairs: equal lengths, unequal lengths,
-/// constant series (zero variance / zero complexity), short series, and
-/// non-finite or near-overflow samples.
-fn input_pairs() -> Vec<(Vec<f64>, Vec<f64>)> {
-    let mut g = Gen(0xC0FFEE);
-    let mut pairs = vec![
-        (g.series(64), g.series(64)),
-        (g.series(31), g.series(31)),
-        (g.series(7), g.series(7)),
-        // Lane-boundary lengths for the 8-lane chunked kernels: below,
-        // at, and just past one chunk, plus two chunks with a tail.
-        (g.series(1), g.series(1)),
-        (g.series(2), g.series(2)),
-        (g.series(8), g.series(8)),
-        (g.series(9), g.series(9)),
-        (g.series(19), g.series(19)),
-        (vec![0.5; 40], g.series(40)),
-        (vec![1.0; 16], vec![1.0; 16]),
-        (g.series(17), g.series(64)),
-    ];
-    // One bad sample at the first, middle and last position, then a
-    // series made only of it. `reversed_arguments_honour_the_contract_too`
-    // runs each pair in both argument orders, so the bad series also
-    // lands on the `y` side.
-    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e308, -1e308] {
-        for at in [0, 8, 15] {
-            let mut x = g.series(16);
-            x[at] = bad;
-            pairs.push((x, g.series(16)));
-        }
-        pairs.push((vec![bad; 16], g.series(16)));
-    }
-    pairs
-}
-
-/// Every registry distance (full Table 4 grids) plus the wrapper types
-/// that live outside the registry — the same population as the workspace
-/// equivalence suite, so a measure cannot gain a `distance_upto` override
-/// without entering this suite.
-fn all_distances() -> Vec<Box<dyn Distance>> {
-    let mut all: Vec<Box<dyn Distance>> = Vec::new();
-    all.extend(registry::lockstep_parameter_free());
-    all.extend(registry::minkowski_family().grid);
-    all.extend(registry::sliding_measures());
-    for family in registry::elastic_families() {
-        all.extend(family.grid);
-    }
-    // Odd window percentages give Sakoe-Chiba radii that are not
-    // multiples of the lane width, exercising the wavefront's ragged
-    // diagonal ranges.
-    all.push(Box::new(Dtw::with_window_pct(5.0)));
-    all.push(Box::new(Dtw::with_window_pct(37.0)));
-    all.push(Box::new(DerivativeDtw::with_window_pct(10.0)));
-    all.push(Box::new(WeightedDtw::new(0.1)));
-    all.push(Box::new(Cid::new(Dtw::with_window_pct(10.0))));
-    all.push(Box::new(ItakuraDtw::new(2.0)));
-    all.push(Box::new(AdaptiveScaled::new(Dtw::with_window_pct(10.0))));
-    all.push(Box::new(KernelDistance(Gak::new(0.1))));
-    all.push(Box::new(KernelDistance(Kdtw::new(0.125))));
-    all.push(Box::new(KernelDistance(Sink::new(5.0))));
-    all.push(Box::new(KernelDistance(Rbf::new(1.0))));
-    all
-}
+use common::{all_distances, assert_bits_eq, input_pairs, Gen};
+use tsdist_core::Workspace;
 
 /// The contract for a finite cutoff `c`: below the cutoff the exact bits
 /// come back; otherwise any value not below `c`. A NaN exact value is the
@@ -126,15 +37,6 @@ fn assert_upto_contract(exact: f64, c: f64, r: f64, what: &str) {
     } else {
         assert!(r >= c, "{what}: exact {exact}, got {r} < cutoff");
     }
-}
-
-fn assert_bits_eq(a: f64, b: f64, what: &str) {
-    assert!(
-        a.to_bits() == b.to_bits(),
-        "{what}: {a:?} ({:#x}) != {b:?} ({:#x})",
-        a.to_bits(),
-        b.to_bits()
-    );
 }
 
 /// The cutoff sweep for one (measure, pair): values bracketing the exact

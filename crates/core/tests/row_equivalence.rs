@@ -16,66 +16,15 @@
 //! per-pair way, and blocks with one non-finite lane, which must run
 //! per pair.
 
+mod common;
+
+use common::{assert_bits_eq, Gen};
 use tsdist_core::elastic::{Dtw, Msm, Twe};
 use tsdist_core::lanes::LANES;
 use tsdist_core::measure::Distance;
 use tsdist_core::registry;
 use tsdist_core::sliding::{CrossCorrelation, NccVariant};
 use tsdist_core::Workspace;
-
-/// Tiny deterministic generator (SplitMix64) so the suite needs no
-/// external crates and reruns identically.
-struct Gen(u64);
-
-impl Gen {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[-2, 2)`.
-    fn value(&mut self) -> f64 {
-        ((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0
-    }
-
-    fn series(&mut self, len: usize) -> Vec<f64> {
-        (0..len).map(|_| self.value()).collect()
-    }
-
-    /// Uniform in `0..bound`.
-    fn below(&mut self, bound: u64) -> usize {
-        (self.next_u64() % bound) as usize
-    }
-
-    /// Values on a 0.5 grid in `[-2, 2]`, held for runs of 1–4 samples,
-    /// so equal neighbours and equal values across series are common.
-    fn tie_series(&mut self, len: usize) -> Vec<f64> {
-        let mut s = Vec::with_capacity(len);
-        while s.len() < len {
-            let v = (self.value() * 2.0).round() / 2.0;
-            let run = 1 + self.below(4);
-            s.extend(std::iter::repeat_n(v, run.min(len - s.len())));
-        }
-        s
-    }
-
-    /// A z-scored random walk: the shape of a normalized study series.
-    fn zscored_walk(&mut self, len: usize) -> Vec<f64> {
-        let walk: Vec<f64> = (0..len)
-            .scan(0.0, |pos, _| {
-                *pos += self.value();
-                Some(*pos)
-            })
-            .collect();
-        let mean = walk.iter().sum::<f64>() / len as f64;
-        let var = walk.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / len as f64;
-        let sd = var.sqrt();
-        walk.iter().map(|v| (v - mean) / sd).collect()
-    }
-}
 
 /// Every distance instance the registry hands out (full Table 4 grids).
 fn registry_distances() -> Vec<Box<dyn Distance>> {
@@ -125,15 +74,6 @@ fn ncc_measures() -> Vec<Box<dyn Distance>> {
         .into_iter()
         .map(|v| Box::new(CrossCorrelation::new(v)) as Box<dyn Distance>)
         .collect()
-}
-
-fn assert_bits_eq(a: f64, b: f64, what: &str) {
-    assert!(
-        a.to_bits() == b.to_bits(),
-        "{what}: {a:?} ({:#x}) != {b:?} ({:#x})",
-        a.to_bits(),
-        b.to_bits()
-    );
 }
 
 /// Runs `distance_row_ws` into a sentinel-filled row and compares every

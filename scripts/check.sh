@@ -63,10 +63,9 @@ for measure in 'MSM(c=0.5)' 'TWE(l=1,nu=1e-4)' 'DTW(δ=10)' 'DTW(δ=10)@256' 'NC
     exit 1
   fi
 done
-# The anti-diagonal DPs (DTW, WDTW, ERP) must be recorded bit-identical
-# to their row-major references; ERP's is `erp_row_major`, which runs
-# ERP's shared cells through the exact row-major driver.
-for measure in 'DTW(10%)' 'WDTW(g=0.05)' 'ERP'; do
+# The anti-diagonal DPs (DTW, WDTW) must be recorded bit-identical to
+# their row-major references.
+for measure in 'DTW(10%)' 'WDTW(g=0.05)'; do
   if ! grep -F "{\"name\": \"$measure\", \"rowmajor_seconds\"" "$SMOKE/BENCH_kernels.json" \
     | grep -q '"identical_bits": true'; then
     echo "bench_kernels recorded no bit-identical $measure dp entry" >&2
