@@ -49,21 +49,33 @@ pub struct DtwBandIndex {
     band: usize,
     /// Per train series: the `(upper, lower)` Keogh envelope.
     envelopes: Vec<(Vec<f64>, Vec<f64>)>,
-    /// Per train series: the `(Û, L̂)` per-segment envelope summary.
-    summaries: Vec<(Vec<f64>, Vec<f64>)>,
+    /// Segment-major `segments × n` envelope summaries: `umax[s * n + j]`
+    /// is `Û_s` of train series `j` and `lmin[s * n + j]` its `L̂_s`.
+    /// One segment of every candidate is contiguous, which is what the
+    /// row sweep of [`DtwBandIndex::lb_paa_row`] reads.
+    umax: Vec<f64>,
+    lmin: Vec<f64>,
     /// Per train series: every value finite. Sliding min/max over NaN is
     /// comparison-order-dependent, so envelopes of unclean series can be
     /// finite garbage — such candidates must never be pruned by a bound.
+    /// A clean series has a finite envelope and summary.
     clean: Vec<bool>,
 }
 
 impl DtwBandIndex {
     fn build(train: &[Vec<f64>], band: usize, bounds: &[usize]) -> Self {
         let envelopes: Vec<_> = train.iter().map(|t| keogh_envelope(t, band)).collect();
-        let summaries = envelopes
-            .iter()
-            .map(|(u, l)| envelope_summary(u, l, bounds))
-            .collect();
+        let n = train.len();
+        let segments = bounds.len() - 1;
+        let mut umax = vec![0.0; segments * n];
+        let mut lmin = vec![0.0; segments * n];
+        for (j, (u, l)) in envelopes.iter().enumerate() {
+            let (su, sl) = envelope_summary(u, l, bounds);
+            for (s, (u, l)) in su.into_iter().zip(sl).enumerate() {
+                umax[s * n + j] = u;
+                lmin[s * n + j] = l;
+            }
+        }
         let clean = train
             .iter()
             .map(|t| t.iter().all(|v| v.is_finite()))
@@ -71,7 +83,8 @@ impl DtwBandIndex {
         DtwBandIndex {
             band,
             envelopes,
-            summaries,
+            umax,
+            lmin,
             clean,
         }
     }
@@ -101,8 +114,41 @@ impl DtwBandIndex {
         if !self.clean[j] {
             return 0.0;
         }
-        let (umax, lmin) = &self.summaries[j];
-        lb_paa(qmeans, umax, lmin, bounds)
+        let n = self.clean.len();
+        let umax = self.umax[j..].iter().step_by(n).copied();
+        let lmin = self.lmin[j..].iter().step_by(n).copied();
+        paa::lb_paa_by(qmeans, umax, lmin, bounds)
+    }
+
+    /// [`DtwBandIndex::lb_paa`] of the query against every train series,
+    /// written into `out` (cleared first) bit for bit, in one sweep per
+    /// segment across all candidates. Each candidate's terms accumulate
+    /// in segment order with the same expression. A non-finite query
+    /// mean gives every candidate `0.0`, as it does per candidate, since
+    /// clean candidates have a finite summary.
+    pub fn lb_paa_row(&self, qmeans: &[f64], bounds: &[usize], out: &mut Vec<f64>) {
+        let n = self.clean.len();
+        out.clear();
+        out.resize(n, 0.0);
+        if n == 0 {
+            return;
+        }
+        let segments = qmeans
+            .iter()
+            .zip(bounds.windows(2))
+            .zip(self.umax.chunks_exact(n).zip(self.lmin.chunks_exact(n)));
+        if !segments.clone().all(|((q, _), _)| q.is_finite()) {
+            return;
+        }
+        for ((&q, w), (umax, lmin)) in segments {
+            let m = paa::segment_len(w);
+            for ((acc, &u), &l) in out.iter_mut().zip(umax).zip(lmin) {
+                *acc += paa::paa_term(q, u, l, m);
+            }
+        }
+        for (acc, &clean) in out.iter_mut().zip(&self.clean) {
+            *acc = if clean { paa::deflate(*acc) } else { 0.0 };
+        }
     }
 }
 
@@ -326,7 +372,7 @@ impl TrainIndex {
     }
 
     /// Per-segment means of `query` under the index's boundaries —
-    /// scratch for [`DtwBandIndex::lb_paa`].
+    /// scratch for [`DtwBandIndex::lb_paa`] and [`DtwBandIndex::lb_paa_row`].
     pub fn query_means(&self, query: &[f64], out: &mut Vec<f64>) {
         paa_means(query, &self.bounds, out);
     }
@@ -387,6 +433,58 @@ mod tests {
         // must refuse, and so must an inert index.
         assert!(!ix.cheap_scores(&query[..10], &mut qs, &mut scores));
         assert!(!TrainIndex::build(&[]).cheap_scores(&[], &mut qs, &mut scores));
+    }
+
+    #[test]
+    fn lb_paa_rows_match_the_per_candidate_bound_bit_for_bit() {
+        let len = 128;
+        let finite: Vec<f64> = (0..len)
+            .map(|t| 1.2 + 1.1 * (t as f64 * 0.23).cos())
+            .collect();
+        let mut queries = vec![finite.clone()];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut q = finite.clone();
+            q[len / 3] = bad;
+            queries.push(q);
+        }
+        for n in [1, 7, 8, 9, 3000] {
+            let mut train = toy_train(n, len);
+            // Unclean series, the first and last among them.
+            for (j, t) in train.iter_mut().enumerate().step_by(4) {
+                t[j % len] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][j % 3];
+            }
+            for segments in [1, 64] {
+                let bounds = segment_bounds(len, segments);
+                let bix = DtwBandIndex::build(&train, 6, &bounds);
+                let (mut qmeans, mut row) = (Vec::new(), Vec::new());
+                let mut positive = 0;
+                for q in &queries {
+                    paa_means(q, &bounds, &mut qmeans);
+                    bix.lb_paa_row(&qmeans, &bounds, &mut row);
+                    assert_eq!(row.len(), n);
+                    for (j, &lb) in row.iter().enumerate() {
+                        let one = bix.lb_paa(&qmeans, &bounds, j);
+                        assert_eq!(lb.to_bits(), one.to_bits(), "n={n} s={segments} j={j}");
+                        // The per-candidate summary layout, rebuilt.
+                        let (u, l) = bix.envelope(j);
+                        let (umax, lmin) = envelope_summary(u, l, &bounds);
+                        let flat = lb_paa(&qmeans, &umax, &lmin, &bounds);
+                        let expect = if bix.is_clean(j) { flat } else { 0.0 };
+                        assert_eq!(lb.to_bits(), expect.to_bits(), "n={n} s={segments} j={j}");
+                        positive += usize::from(lb > 0.0);
+                    }
+                }
+                // Series 0 is unclean, the only one when n = 1.
+                assert!(
+                    n == 1 || positive > 0,
+                    "n={n} s={segments}: every bound is zero"
+                );
+            }
+        }
+        let empty = DtwBandIndex::build(&[], 2, &segment_bounds(8, 2));
+        let mut row = vec![1.0];
+        empty.lb_paa_row(&[0.0, 0.0], &segment_bounds(8, 2), &mut row);
+        assert!(row.is_empty());
     }
 
     #[test]

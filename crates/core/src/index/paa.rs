@@ -77,23 +77,54 @@ pub fn envelope_summary(upper: &[f64], lower: &[f64], bounds: &[usize]) -> (Vec<
 /// non-finite queries or envelopes can never prune a candidate — the
 /// cascade falls through to the exact computation.
 pub fn lb_paa(qmeans: &[f64], umax: &[f64], lmin: &[f64], bounds: &[usize]) -> f64 {
+    lb_paa_by(qmeans, umax.iter().copied(), lmin.iter().copied(), bounds)
+}
+
+/// [`lb_paa`] over any summary layout: `umax` and `lmin` yield one
+/// candidate's `Û_s` and `L̂_s` in segment order.
+pub(crate) fn lb_paa_by(
+    qmeans: &[f64],
+    umax: impl Iterator<Item = f64>,
+    lmin: impl Iterator<Item = f64>,
+    bounds: &[usize],
+) -> f64 {
     let mut sum = 0.0;
-    for (((&q, &u), &l), w) in qmeans.iter().zip(umax).zip(lmin).zip(bounds.windows(2)) {
+    for (((&q, u), l), w) in qmeans.iter().zip(umax).zip(lmin).zip(bounds.windows(2)) {
         // NaN comparisons are all-false, which would silently zero this
         // segment's excursion while other segments still contribute — an
         // inadmissible partial bound. Collapse to "no bound" instead.
         if !(q.is_finite() && u.is_finite() && l.is_finite()) {
             return 0.0;
         }
-        let e = if q > u {
-            q - u
-        } else if q < l {
-            l - q
-        } else {
-            0.0
-        };
-        sum += (w[1] - w[0]) as f64 * e * e;
+        sum += paa_term(q, u, l, segment_len(w));
     }
+    deflate(sum)
+}
+
+/// The point count `m_s` of the segment `w = [start, end]`.
+#[inline(always)]
+pub(crate) fn segment_len(w: &[usize]) -> f64 {
+    (w[1] - w[0]) as f64
+}
+
+/// One segment's LB_PAA term `m_s · e_s²` for a finite query mean `q`
+/// against the finite summary `(u, l)`: the expression every LB_PAA
+/// sum accumulates, whichever layout it reads.
+#[inline(always)]
+pub(crate) fn paa_term(q: f64, u: f64, l: f64, m: f64) -> f64 {
+    let e = if q > u {
+        q - u
+    } else if q < l {
+        l - q
+    } else {
+        0.0
+    };
+    m * e * e
+}
+
+/// The stored form of an LB_PAA sum: deflated by [`LB_DEFLATE`].
+#[inline(always)]
+pub(crate) fn deflate(sum: f64) -> f64 {
     (sum * LB_DEFLATE).max(0.0)
 }
 

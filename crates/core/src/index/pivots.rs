@@ -62,11 +62,38 @@ impl PivotTable {
     pub fn lower_bound(&self, qd: &[f64], j: usize) -> f64 {
         let mut lb = 0.0f64;
         for (pi, &a) in qd.iter().enumerate() {
-            let b = self.dist(pi, j);
-            let t = (a - b).abs() - PIVOT_MARGIN * (a.abs() + b.abs());
-            lb = lb.max(if t.is_finite() { t } else { 0.0 });
+            lb = lb.max(pivot_term(a, self.dist(pi, j)));
         }
         lb
+    }
+
+    /// [`PivotTable::lower_bound`] of every train series, written into
+    /// `out` (cleared first) bit for bit, in one sweep per pivot across
+    /// the row-major table: each candidate takes the maximum of the same
+    /// terms in the same pivot order.
+    pub fn lower_bounds(&self, qd: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.n, 0.0);
+        if self.n == 0 {
+            return;
+        }
+        for (&a, row) in qd.iter().zip(self.dists.chunks_exact(self.n)) {
+            for (lb, &b) in out.iter_mut().zip(row) {
+                *lb = lb.max(pivot_term(a, b));
+            }
+        }
+    }
+}
+
+/// One pivot's reverse-triangle term `|a − b|`, shrunk by
+/// [`PIVOT_MARGIN`]; a non-finite term counts as `0.0`.
+#[inline(always)]
+fn pivot_term(a: f64, b: f64) -> f64 {
+    let t = (a - b).abs() - PIVOT_MARGIN * (a.abs() + b.abs());
+    if t.is_finite() {
+        t
+    } else {
+        0.0
     }
 }
 
@@ -264,6 +291,47 @@ mod tests {
             let lb = table.lower_bound(&qd, j);
             let d = Euclidean.distance_ws(&query, t, &mut ws);
             assert!(lb <= d, "pivot lb {lb} > true {d} for candidate {j}");
+        }
+    }
+
+    #[test]
+    fn lower_bound_rows_match_the_per_candidate_bound_bit_for_bit() {
+        let query: Vec<f64> = (0..16).map(|t| (t as f64 * 0.61).cos()).collect();
+        for n in [1, 7, 8, 9, 3000] {
+            let train = toy_train(n, 16);
+            let mut table = build_pivot_table(&Euclidean, &train);
+            // Degenerate stored distances: ±∞ and NaN.
+            for (i, d) in table.dists.iter_mut().enumerate() {
+                match i % 13 {
+                    3 => *d = f64::INFINITY,
+                    7 => *d = f64::NAN,
+                    11 => *d = f64::NEG_INFINITY,
+                    _ => {}
+                }
+            }
+            let qd: Vec<f64> = table
+                .pivots()
+                .iter()
+                .map(|&p| Euclidean.distance(&query, &train[p]))
+                .collect();
+            let mut cases = vec![qd.clone()];
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut q = qd.clone();
+                q[qd.len() / 2] = bad;
+                cases.push(q);
+            }
+            let mut row = Vec::new();
+            let mut positive = 0;
+            for qd in &cases {
+                table.lower_bounds(qd, &mut row);
+                assert_eq!(row.len(), n);
+                for (j, &lb) in row.iter().enumerate() {
+                    let one = table.lower_bound(qd, j);
+                    assert_eq!(lb.to_bits(), one.to_bits(), "n={n} j={j} qd={qd:?}");
+                    positive += usize::from(lb > 0.0);
+                }
+            }
+            assert!(n == 1 || positive > 0, "n={n}: every bound is zero");
         }
     }
 

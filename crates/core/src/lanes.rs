@@ -36,9 +36,12 @@ use std::ops::Add;
 
 /// Number of independent accumulator lanes in the chunked reductions.
 ///
-/// Eight `f64` lanes fill one AVX-512 register or four SSE2 registers;
-/// either way the reduction becomes throughput-bound instead of
-/// latency-bound.
+/// Eight independent accumulators make the reduction throughput-bound
+/// instead of latency-bound. Eight `f64` would fit one AVX-512 register,
+/// but that is not what the compiler emits: on an AVX-512 host the
+/// release build keeps the eight accumulators in four xmm pairs (the
+/// chunk's subtract and square run in one zmm operation), and the
+/// batch-axis row kernels run their eight lanes on ymm pairs.
 pub const LANES: usize = 8;
 
 /// Elements between cutoff checks in the `upto` kernels: four chunks of

@@ -253,31 +253,61 @@ pub const V2_MAX_RECORD: usize = 64 * 1024 * 1024;
 
 const V2_HEADER: usize = 12; // magic + len + crc
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. The table is
-/// built at compile time — no allocation, no external crates.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
+/// The slice-by-8 tables of [`crc32`], built at compile time: `[0]` is
+/// the classic bytewise table, and `[k]` advances a byte's contribution
+/// past `k` further zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xedb8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
         }
-        table
-    };
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-8: eight bytes
+/// per step through eight lookup tables, the tail a byte at a time. No
+/// allocation, no external crates.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let byte = |w: u32, shift: u32| ((w >> shift) & 0xff) as usize;
     let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for ch in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+        c = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 8)]
+            ^ t[5][byte(lo, 16)]
+            ^ t[4][byte(lo, 24)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 8)]
+            ^ t[1][byte(hi, 16)]
+            ^ t[0][byte(hi, 24)];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][byte(c ^ u32::from(b), 0)] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -683,6 +713,32 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414f_a339
         );
+    }
+
+    #[test]
+    fn slice_by_8_matches_the_bytewise_crc() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let buf: Vec<u8> = (0..4096 + 8)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            // The bytewise reference, one byte further per length: its
+            // register before the final inversion after `len` bytes.
+            let mut c = 0xffff_ffffu32;
+            for len in 0..=4096 {
+                if len > 0 {
+                    let b = buf[start + len - 1];
+                    c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+                }
+                let bytes = &buf[start..start + len];
+                assert_eq!(crc32(bytes), c ^ 0xffff_ffff, "start {start}, len {len}");
+            }
+        }
     }
 
     #[test]

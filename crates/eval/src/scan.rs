@@ -33,8 +33,15 @@
 //!   visited in ascending bound order under the same skip rule, each
 //!   survivor by `distance_upto`.
 //!
-//! The bound orders are sorted lazily: a row that stops early sorts only
-//! the candidates it reached, in exactly the full sort's order.
+//! Each bounded row first computes every candidate's bound in one pass
+//! into its score buffer, as the Cutoff plan reads its hoisted cheap
+//! scores: [`DtwBandIndex::lb_paa_row`] sweeps the index's
+//! segment-major PAA summaries one segment across all candidates at a
+//! time, and [`PivotTable::lower_bounds`] sweeps the pivot table one
+//! pivot at a time. Both equal the per-candidate
+//! [`DtwBandIndex::lb_paa`] and [`PivotTable::lower_bound`] bit for bit.
+//! The bound orders are then sorted lazily: a row that stops early sorts
+//! only the candidates it reached, in exactly the full sort's order.
 //!
 //! # Two incumbents
 //!
@@ -319,13 +326,8 @@ impl<'a> Scan<'a> {
             }
             QueryPlan::Cascade(bix) => {
                 paa_means(x, bounds, &mut s.qmeans);
-                let qmeans = s.qmeans.as_slice();
-                s.order.clear();
-                s.order.extend(
-                    (0..train.len())
-                        .filter(|&j| j != skip)
-                        .map(|j| (rank_key(bix.lb_paa(qmeans, bounds, j)), j)),
-                );
+                bix.lb_paa_row(&s.qmeans, bounds, &mut s.scores);
+                order_by_scores(&mut s.order, &s.scores, |j| j != skip);
                 Tier::Cascade(bix)
             }
             QueryPlan::Pivots(table) => {
@@ -486,6 +488,8 @@ struct Scratch {
     qmeans: Vec<f64>,
     /// The row's candidates as `(rank_key(score or bound), index)`.
     order: Vec<(u64, usize)>,
+    /// Every candidate's cheap score or lower bound, by index: one row
+    /// method fills it, then `order` is built from it.
     scores: Vec<f64>,
     qsamples: Vec<f64>,
     qd: Vec<f64>,
@@ -512,13 +516,7 @@ impl Scratch {
             self.scores.clear();
             self.scores.extend(train.iter().map(|t| cheap_score(x, t)));
         }
-        let scores = self.scores.as_slice();
-        self.order.clear();
-        self.order.extend(
-            (0..train.len())
-                .filter(|&j| j != skip)
-                .map(|j| (rank_key(scores[j]), j)),
-        );
+        order_by_scores(&mut self.order, &self.scores, |j| j != skip);
     }
 
     /// The Pivots plan's first phase: every pivot is computed exactly,
@@ -547,13 +545,9 @@ impl Scratch {
                 inc.offer(v, p, true);
             }
         }
-        self.order.clear();
-        for j in 0..train.len() {
-            if j != skip && !self.is_pivot[j] {
-                self.order
-                    .push((rank_key(table.lower_bound(&self.qd, j)), j));
-            }
-        }
+        table.lower_bounds(&self.qd, &mut self.scores);
+        let is_pivot = &self.is_pivot;
+        order_by_scores(&mut self.order, &self.scores, |j| j != skip && !is_pivot[j]);
         offered
     }
 
@@ -622,6 +616,19 @@ impl Scratch {
             Tier::Pivots => stats.pivot_skipped += lb_skipped,
         }
     }
+}
+
+/// Fills `order` with every candidate `j` that `keep`s, keyed by
+/// `scores[j]` (a cheap score or a lower bound).
+fn order_by_scores(order: &mut Vec<(u64, usize)>, scores: &[f64], keep: impl Fn(usize) -> bool) {
+    order.clear();
+    order.extend(
+        scores
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| keep(j))
+            .map(|(j, &v)| (rank_key(v), j)),
+    );
 }
 
 /// Computes candidate `j` under the incumbent's cutoff and offers it.
@@ -852,7 +859,7 @@ mod tests {
     use crate::request::Eval;
     use crate::{CellError, EvalError};
     use tsdist_core::elastic::{Dtw, Msm};
-    use tsdist_core::lockstep::{Canberra, Euclidean, SquaredEuclidean};
+    use tsdist_core::lockstep::{Canberra, CityBlock, Euclidean, SquaredEuclidean};
     use tsdist_core::normalization::Normalization;
     use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
     use tsdist_data::Dataset;
@@ -1182,6 +1189,31 @@ mod tests {
         let ix = prepared_index(&Euclidean, &train);
         let exact = cut(&Euclidean, &train, true);
         assert_eq!(exact.indexed(&ix).nearest(LOO).0, exact.nearest(LOO).0);
+    }
+
+    #[test]
+    fn indexed_leave_one_out_matches_exact_at_both_ends() {
+        // Series n−1 duplicates series 0, so rows 0 and n−1 (skipping
+        // candidate 0 and n−1) each find the other at distance 0; a row
+        // that failed to skip itself would answer with itself.
+        let mut train = clustered(40, 48);
+        let n = train.len();
+        train[n - 1] = train[0].clone();
+        let dtw = Dtw::with_window_pct(10.0);
+        for d in [&dtw as &dyn Distance, &Euclidean, &CityBlock] {
+            let ix = prepared_index(d, &train);
+            let exact = Scan::new(d, &train);
+            let expect = exact.nearest(LOO).0;
+            assert_eq!(expect[0].index, Some(n - 1), "{}", d.name());
+            assert_eq!(expect[n - 1].index, Some(0), "{}", d.name());
+            for warm in [false, true] {
+                let indexed = cut(d, &train, warm).indexed(&ix);
+                let (got, stats) = indexed.nearest(LOO);
+                assert_eq!(stats.fallback_rows, 0, "{}", d.name());
+                assert_eq!(got, expect, "{} warm={warm}", d.name());
+                assert_eq!(indexed.top_k(LOO, 3).0, exact.top_k(LOO, 3).0);
+            }
+        }
     }
 
     #[test]
