@@ -5,7 +5,6 @@
 //! tsdist distance <measure> <a> <b> [--norm N]  distance between two series files
 //! tsdist evaluate <dataset-dir> [--measures L]  1-NN accuracy on a UCR dataset
 //! tsdist evaluate-archive <root> [--measures L] full study over an archive
-//! tsdist motif <series-file> --window W         top motif + discord (matrix profile)
 //! tsdist generate <out-dir> [--datasets N]      write a synthetic archive as UCR files
 //! tsdist summary <dataset-dir>                  dataset statistics
 //! ```
@@ -24,7 +23,6 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use tsdist_core::normalization::Normalization;
-use tsdist_core::subsequence::{top_discord, top_motif};
 use tsdist_data::synthetic::{generate_archive, ArchiveConfig};
 use tsdist_data::ucr::{load_ucr_archive, load_ucr_dataset, write_ucr_dataset};
 use tsdist_data::{load_ucr_archive_lenient, ArchiveSummary, Dataset, DatasetSummary};
@@ -40,7 +38,6 @@ fn main() -> ExitCode {
         Some("distance") => cmd_distance(&args[1..]),
         Some("evaluate") => cmd_evaluate(&args[1..]),
         Some("evaluate-archive") => cmd_evaluate_archive(&args[1..]),
-        Some("motif") => cmd_motif(&args[1..]),
         Some("generate") => cmd_generate(&args[1..]),
         Some("summary") => cmd_summary(&args[1..]),
         Some("conformance") => conformance::cmd_conformance(&args[1..]),
@@ -76,7 +73,6 @@ USAGE:
                           [--journal <file>] [--study <name>] [--lenient]
                           [--deadline-secs <S>] [--retries <R>] [--max-cells <N>]
                           [--pruned]
-  tsdist motif <series-file> --window <W>
   tsdist generate <out-dir> [--datasets <N>] [--seed <S>] [--quick]
   tsdist summary <dataset-dir>
   tsdist conformance [--update] [--quick] [--ulps] [--golden <file>]
@@ -427,29 +423,6 @@ fn cmd_evaluate_archive(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("reordering journal {path}: {e}"))?;
     }
     println!("{}", robust.render(&format!("study over {root}")));
-    Ok(())
-}
-
-fn cmd_motif(args: &[String]) -> Result<(), String> {
-    let (window, rest) = take_flag(args, "--window")?;
-    let window: usize = window
-        .ok_or("motif requires --window <W>")?
-        .parse()
-        .map_err(|_| "bad --window value")?;
-    let [path] = rest.as_slice() else {
-        return Err("usage: tsdist motif <series-file> --window <W>".into());
-    };
-    let series = read_series_file(Path::new(path))?;
-    if series.len() < 2 * window {
-        return Err(format!(
-            "series of length {} is too short for window {window}",
-            series.len()
-        ));
-    }
-    let (i, j, d) = top_motif(&series, window);
-    println!("top motif:   positions {i} and {j} (z-normalized ED {d:.4})");
-    let (k, dd) = top_discord(&series, window);
-    println!("top discord: position {k} (distance to nearest neighbour {dd:.4})");
     Ok(())
 }
 

@@ -124,6 +124,17 @@ pub fn standard_battery(seed: u64) -> Vec<InputPair> {
         x: rng.series(2, -1.0, 1.0),
         y: rng.series(2, -1.0, 1.0),
     });
+    // A close pair whose first samples lie 1.5082 apart: at length 16,
+    // GAK(γ=0.01)'s local kernel there is about 1e-309, so the maximum
+    // of its first DP row is subnormal and has no finite reciprocal.
+    let y = rng.series(16, -1.0, 1.0);
+    let mut x: Vec<f64> = y.iter().map(|v| v + rng.uniform(-0.02, 0.02)).collect();
+    x[0] = y[0] + 1.5082;
+    pairs.push(InputPair {
+        id: "subnormal-row-16",
+        x,
+        y,
+    });
     pairs
 }
 

@@ -135,13 +135,6 @@ pub fn lb_keogh_full(x: &[f64], y: &[f64], band: usize) -> f64 {
     lb_keogh(x, &upper, &lower)
 }
 
-/// LB_ERP: `|sum(x) - sum(y)|` lower-bounds the ERP distance with gap
-/// reference 0 (Chen & Ng 2004) — every ERP edit script must account for
-/// the total mass difference.
-pub fn lb_erp(x: &[f64], y: &[f64]) -> f64 {
-    (x.iter().sum::<f64>() - y.iter().sum::<f64>()).abs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,20 +297,5 @@ mod tests {
     #[test]
     fn empty_inputs() {
         assert_eq!(lb_kim(&[], &[]), 0.0);
-        assert_eq!(lb_erp(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn lb_erp_lower_bounds_erp() {
-        use crate::elastic::Erp;
-        use crate::measure::Distance;
-        let mut rng = StdRng::seed_from_u64(31);
-        for _ in 0..50 {
-            let x = random_series(&mut rng, 20);
-            let y = random_series(&mut rng, 24);
-            let lb = lb_erp(&x, &y);
-            let d = Erp::new().distance(&x, &y);
-            assert!(lb <= d + 1e-9, "LB_ERP {lb} > ERP {d}");
-        }
     }
 }

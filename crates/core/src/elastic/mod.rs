@@ -44,7 +44,7 @@ mod wavefront;
 
 pub use dtw::{band_radius, dtw_banded_ws, wdtw_row_major, DerivativeDtw, Dtw, WeightedDtw};
 pub use edit::{Edr, Erp, Lcss, Swale};
-pub use lower_bounds::{keogh_envelope, lb_erp, lb_keogh, lb_keogh_full, lb_keogh_upto, lb_kim};
+pub use lower_bounds::{keogh_envelope, lb_keogh, lb_keogh_full, lb_keogh_upto, lb_kim};
 pub use msm::Msm;
 pub use twe::Twe;
 pub use variants::{Cid, ItakuraDtw};

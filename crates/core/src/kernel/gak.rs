@@ -20,6 +20,7 @@
 //! instead of three `exp` + two `ln`) while producing the same
 //! `log k(x, y)` to full precision.
 
+use super::rescale_row;
 use crate::measure::Kernel;
 use crate::workspace::Workspace;
 
@@ -91,16 +92,10 @@ impl Kernel for Gak {
                 curr[j] = v;
                 row_max = row_max.max(v);
             }
-            // Rescale when the row drifts towards under/overflow.
-            if row_max > 0.0 && !(1e-120..=1e120).contains(&row_max) {
-                let f = 1.0 / row_max;
-                for v in curr.iter_mut() {
-                    *v *= f;
-                }
-                // prev is about to be discarded (it becomes this row), so
-                // only the accumulated scale must track the change.
-                log_scale += row_max.ln();
-            }
+            // Rescale when the row drifts towards under/overflow. prev is
+            // about to be discarded (it becomes this row), so only the
+            // accumulated scale must track the change.
+            log_scale += rescale_row(curr, row_max);
             std::mem::swap(&mut prev, &mut curr);
         }
         if prev[n] <= 0.0 {
@@ -175,6 +170,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn subnormal_row_maximum_stays_finite() {
+        // γ = 0.01 at length 16 gives σ = 0.04, so a first-sample gap of
+        // 1.5082 makes κ(x₁, y₁) ≈ 1e-309: subnormal, with a reciprocal
+        // that overflows. Every later cell of DP row 1 is at most that
+        // value, so it is the row maximum, and multiplying the row by the
+        // reciprocal would make its zero cell `curr[0]` NaN.
+        let y: Vec<f64> = (0..16).map(|j| (j as f64 * 0.37).sin()).collect();
+        let mut x: Vec<f64> = (0..16)
+            .map(|i| (i as f64 * 0.37).sin() + 0.02 * (i as f64).cos())
+            .collect();
+        x[0] = y[0] + 1.5082;
+        let g = Gak::new(0.01);
+        for (a, b) in [(&x, &y), (&y, &x)] {
+            let fast = log_kernel(&g, a, b);
+            let oracle = log_kernel_logsumexp(&g, a, b);
+            assert!(fast.is_finite(), "{fast}");
+            let ulps = crate::kernel::ulp_diff(fast, oracle);
+            assert!(
+                ulps <= crate::kernel::KERNEL_MAX_ULPS,
+                "{fast} vs {oracle}: {ulps} ulps"
+            );
+        }
+        assert_eq!(normalized_distance(g, &x, &y), 1.0);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! reports as the first measure to significantly outperform DTW in *both*
 //! supervised and unsupervised settings.
 
-use super::log_add;
+use super::{log_add, rescale_row};
 use crate::measure::Kernel;
 use crate::workspace::Workspace;
 
@@ -112,22 +112,10 @@ impl Kernel for Kdtw {
                     kp_curr[j] = w;
                     kp_max = kp_max.max(w);
                 }
-                if k_max > 0.0 && !(1e-120..=1e120).contains(&k_max) {
-                    let f = 1.0 / k_max;
-                    for v in k_curr.iter_mut() {
-                        *v *= f;
-                    }
-                    k_scale += k_max.ln();
-                    // K' rows in later iterations never mix with K rows,
-                    // so the scales stay independent.
-                }
-                if kp_max > 0.0 && !(1e-120..=1e120).contains(&kp_max) {
-                    let f = 1.0 / kp_max;
-                    for v in kp_curr.iter_mut() {
-                        *v *= f;
-                    }
-                    kp_scale += kp_max.ln();
-                }
+                // K' rows never mix with K rows, so the scales stay
+                // independent.
+                k_scale += rescale_row(k_curr, k_max);
+                kp_scale += rescale_row(kp_curr, kp_max);
                 std::mem::swap(&mut k_prev, &mut k_curr);
                 std::mem::swap(&mut kp_prev, &mut kp_curr);
             }
@@ -158,6 +146,7 @@ impl Kernel for Kdtw {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::log_add3;
     use crate::measure::{Distance, KernelDistance};
 
     fn log_kernel(k: &Kdtw, x: &[f64], y: &[f64]) -> f64 {
@@ -196,6 +185,64 @@ mod tests {
         (dp[m][n] + dp1[m][n]).ln()
     }
 
+    /// Log-space twin of [`kdtw_naive`]: the same two DPs with every
+    /// product a sum of logs and every sum a log-sum-exp, so nothing
+    /// underflows at any length.
+    fn kdtw_logsumexp(k: &Kdtw, x: &[f64], y: &[f64]) -> f64 {
+        let (m, n) = (x.len(), y.len());
+        let min_mn = m.min(n);
+        let ln_local = |a: f64, b: f64| k.local(a, b).ln();
+        let ln_diag = |i: usize| {
+            let idx = (i - 1).min(min_mn - 1);
+            ln_local(x[idx], y[idx])
+        };
+        let mut dp = vec![vec![f64::NEG_INFINITY; n + 1]; m + 1];
+        let mut dp1 = vec![vec![f64::NEG_INFINITY; n + 1]; m + 1];
+        dp[0][0] = 0.0;
+        dp1[0][0] = 0.0;
+        for j in 1..=n {
+            dp[0][j] = dp[0][j - 1] + ln_local(x[0], y[j - 1]);
+            dp1[0][j] = dp1[0][j - 1] + ln_diag(j);
+        }
+        for i in 1..=m {
+            dp[i][0] = dp[i - 1][0] + ln_local(x[i - 1], y[0]);
+            dp1[i][0] = dp1[i - 1][0] + ln_diag(i);
+            for j in 1..=n {
+                let lk = ln_local(x[i - 1], y[j - 1]);
+                dp[i][j] = lk + log_add3(dp[i - 1][j], dp[i][j - 1], dp[i - 1][j - 1]);
+                dp1[i][j] = log_add(dp1[i - 1][j] + ln_diag(i), dp1[i][j - 1] + ln_diag(j));
+                if i == j {
+                    dp1[i][j] = log_add(dp1[i][j], dp1[i - 1][j - 1] + lk);
+                }
+            }
+        }
+        log_add(dp[m][n], dp1[m][n])
+    }
+
+    #[test]
+    fn row_maxima_at_the_local_kernel_floor_stay_finite() {
+        // κ ≥ ε / (3 (1 + ε)) ≈ 3.3e-4 for every input, so a row maximum
+        // is at least 3.3e-4 times the previous row's, which the rescale
+        // keeps at or above 1e-120: no input drives a KDTW row maximum
+        // subnormal, unlike GAK's. Series 10 apart under a stiff ν put
+        // every local kernel on that floor, the deepest a row can fall
+        // between rescales.
+        let x: Vec<f64> = (0..300).map(|i| (i as f64 * 0.1).sin()).collect();
+        let y: Vec<f64> = (0..300).map(|j| 10.0 + (j as f64 * 0.13).cos()).collect();
+        let k = Kdtw::new(1.0);
+        assert_eq!(k.local(x[0], y[0]), LOCAL_EPS / (3.0 * (1.0 + LOCAL_EPS)));
+        for (a, b) in [(&x, &y), (&y, &x)] {
+            let fast = log_kernel(&k, a, b);
+            let oracle = kdtw_logsumexp(&k, a, b);
+            assert!(fast.is_finite(), "{fast}");
+            let ulps = crate::kernel::ulp_diff(fast, oracle);
+            assert!(
+                ulps <= crate::kernel::KERNEL_MAX_ULPS,
+                "{fast} vs {oracle}: {ulps} ulps"
+            );
+        }
+    }
+
     #[test]
     fn rescaled_dp_matches_naive_oracle() {
         let x: Vec<f64> = (0..20).map(|i| (i as f64 * 0.5).sin()).collect();
@@ -207,6 +254,11 @@ mod tests {
             assert!(
                 (fast - oracle).abs() < 1e-9 * oracle.abs().max(1.0),
                 "nu {nu}: {fast} vs {oracle}"
+            );
+            let logspace = kdtw_logsumexp(&k, &x, &y);
+            assert!(
+                (logspace - oracle).abs() < 1e-9 * oracle.abs().max(1.0),
+                "nu {nu}: log-space oracle {logspace} vs {oracle}"
             );
         }
     }

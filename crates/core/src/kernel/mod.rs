@@ -36,6 +36,33 @@ pub(crate) fn log_add(a: f64, b: f64) -> f64 {
     hi + (lo - hi).exp().ln_1p()
 }
 
+/// Rescales a linear-space DP row whose maximum `max` has left the safe
+/// band `[1e-120, 1e120]`, so the row's maximum becomes 1, and returns
+/// `ln(max)` for the caller's log scale; leaves the row alone and returns
+/// 0 otherwise, or when `max` is 0 (the row underflowed completely).
+///
+/// The row is multiplied by the reciprocal while that is finite. A
+/// subnormal `max` has an infinite reciprocal, and `0 · ∞` would turn
+/// the row's zero cells into NaN, so such a row is divided by `max`.
+#[inline]
+pub(crate) fn rescale_row(row: &mut [f64], max: f64) -> f64 {
+    let drifted = max > 0.0 && !(1e-120..=1e120).contains(&max);
+    if !drifted {
+        return 0.0;
+    }
+    let f = 1.0 / max;
+    if f.is_finite() {
+        for v in row.iter_mut() {
+            *v *= f;
+        }
+    } else {
+        for v in row.iter_mut() {
+            *v /= max;
+        }
+    }
+    max.ln()
+}
+
 /// Stable `log(exp(a) + exp(b) + exp(c))`.
 #[inline]
 #[cfg_attr(not(test), allow(dead_code))] // oracle for the rescaled DPs
@@ -43,10 +70,54 @@ pub(crate) fn log_add3(a: f64, b: f64, c: f64) -> f64 {
     log_add(log_add(a, b), c)
 }
 
+/// The kernel row of DESIGN.md §9.4's ULP table: the most a rescaled
+/// linear-space DP may drift from its log-space oracle.
+#[cfg(test)]
+pub(crate) const KERNEL_MAX_ULPS: u64 = 56;
+
+/// Representable `f64`s between `a` and `b` (both finite).
+#[cfg(test)]
+pub(crate) fn ulp_diff(a: f64, b: f64) -> u64 {
+    let ordered = |x: f64| {
+        let bits = x.to_bits() as i64;
+        if bits < 0 {
+            i64::MIN.wrapping_sub(bits)
+        } else {
+            bits
+        }
+    };
+    ordered(a).abs_diff(ordered(b))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::measure::{Distance, Kernel, KernelDistance};
+
+    #[test]
+    fn rescale_row_divides_by_a_subnormal_maximum() {
+        // 1e-309 is subnormal and its reciprocal overflows to +∞.
+        let max = 1e-309f64;
+        assert!((1.0 / max).is_infinite());
+        let mut row = [0.0, max, 0.0];
+        let log_factor = rescale_row(&mut row, max);
+        assert_eq!(log_factor, max.ln());
+        assert_eq!(row, [0.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn rescale_row_keeps_the_reciprocal_and_the_safe_band() {
+        let mut row = [0.0, 1e-130, 3e-131];
+        let f = 1.0 / 1e-130;
+        let expected = [0.0, 1e-130 * f, 3e-131 * f];
+        assert_eq!(rescale_row(&mut row, 1e-130), 1e-130f64.ln());
+        assert_eq!(row.map(f64::to_bits), expected.map(f64::to_bits));
+        for max in [0.0, 1e-120, 1.0, 1e120] {
+            let mut row = [0.0, max];
+            assert_eq!(rescale_row(&mut row, max), 0.0);
+            assert_eq!(row, [0.0, max]);
+        }
+    }
 
     #[test]
     fn log_add_matches_direct_computation() {

@@ -55,13 +55,10 @@ pub mod kernel;
 pub mod lanes;
 pub mod lockstep;
 pub mod measure;
-pub mod multivariate;
 pub mod normalization;
 pub mod params;
 pub mod registry;
-pub mod shape;
 pub mod sliding;
-pub mod subsequence;
 pub mod workspace;
 
 pub use index::{IndexStats, QueryPlan, TrainIndex};

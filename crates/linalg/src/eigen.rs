@@ -145,56 +145,6 @@ pub fn nystroem_features(k_ll: &Matrix, k_nl: &Matrix, dims: usize) -> Matrix {
     z
 }
 
-/// Dominant eigenpair of a symmetric matrix via power iteration with
-/// deflation-free Rayleigh-quotient convergence — much cheaper than the
-/// full Jacobi sweep when only the top eigenvector is needed (e.g. the
-/// k-Shape centroid extraction).
-///
-/// Returns `(eigenvalue, eigenvector)`; the eigenvector has unit norm.
-///
-/// # Panics
-/// Panics if the matrix is not square or is empty.
-pub fn dominant_eigenpair(a: &Matrix, max_iterations: usize) -> (f64, Vec<f64>) {
-    assert_eq!(
-        a.rows(),
-        a.cols(),
-        "power iteration requires a square matrix"
-    );
-    let n = a.rows();
-    assert!(n > 0, "empty matrix");
-
-    // Deterministic, not-axis-aligned start vector.
-    let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.7).sin() * 0.3).collect();
-    normalize(&mut v);
-    let mut lambda = 0.0;
-    for _ in 0..max_iterations.max(1) {
-        let mut w = a.matvec(&v);
-        let new_lambda: f64 = v.iter().zip(&w).map(|(p, q)| p * q).sum();
-        let norm = normalize(&mut w);
-        if norm <= 1e-300 {
-            // a v == 0: v is in the null space; any unit vector works.
-            return (0.0, v);
-        }
-        let converged = (new_lambda - lambda).abs() <= 1e-12 * new_lambda.abs().max(1.0);
-        lambda = new_lambda;
-        v = w;
-        if converged {
-            break;
-        }
-    }
-    (lambda, v)
-}
-
-fn normalize(v: &mut [f64]) -> f64 {
-    let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if norm > 1e-300 {
-        for x in v.iter_mut() {
-            *x /= norm;
-        }
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,35 +221,5 @@ mod tests {
         let a = Matrix::zeros(0, 0);
         let e = symmetric_eigen(&a);
         assert!(e.values.is_empty());
-    }
-
-    #[test]
-    fn power_iteration_matches_jacobi_dominant_pair() {
-        let n = 8;
-        let b = Matrix::from_fn(n, n, |i, j| ((i * 5 + j * 3) % 13) as f64 - 6.0);
-        // Positive definite-ish symmetric matrix: B B^T + n I.
-        let mut a = b.matmul(&b.transpose());
-        for i in 0..n {
-            a[(i, i)] += n as f64;
-        }
-        let full = symmetric_eigen(&a);
-        let (lambda, v) = dominant_eigenpair(&a, 500);
-        assert!(
-            (lambda - full.values[0]).abs() < 1e-6 * full.values[0].abs(),
-            "{lambda} vs {}",
-            full.values[0]
-        );
-        // Eigenvector matches up to sign.
-        let dot: f64 = (0..n).map(|i| v[i] * full.vectors[(i, 0)]).sum();
-        assert!(dot.abs() > 1.0 - 1e-6, "alignment {dot}");
-    }
-
-    #[test]
-    fn power_iteration_on_zero_matrix() {
-        let a = Matrix::zeros(3, 3);
-        let (lambda, v) = dominant_eigenpair(&a, 50);
-        assert_eq!(lambda, 0.0);
-        let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-        assert!((norm - 1.0).abs() < 1e-9);
     }
 }

@@ -18,5 +18,5 @@
 mod eigen;
 mod matrix;
 
-pub use eigen::{dominant_eigenpair, nystroem_features, symmetric_eigen, SymmetricEigen};
+pub use eigen::{nystroem_features, symmetric_eigen, SymmetricEigen};
 pub use matrix::Matrix;

@@ -1015,7 +1015,7 @@ mod tests {
     #[test]
     fn test_fns_are_neither_callers_nor_candidates() {
         let ws = build(&[(
-            "crates/core/src/shape.rs",
+            "crates/core/src/params.rs",
             "pub fn api() { helper(); }\nfn helper() {}\n\
              #[cfg(test)]\nmod tests {\n\
              fn helper() {}\n\

@@ -253,7 +253,7 @@ mod tests {
         // Assert only reachable from a private fn: no public entry, no
         // finding. Test-region asserts never count.
         let d = run(&[(
-            "crates/core/src/shape.rs",
+            "crates/core/src/params.rs",
             "fn internal(n: usize) { assert!(n > 0); }\n\
              fn driver(n: usize) { internal(n); }\n\
              #[cfg(test)]\nmod tests {\n\

@@ -1,209 +1,8 @@
-//! Companion tests and multiple-comparison corrections.
+//! Multiple-comparison correction.
 //!
-//! Demšar (2006) — the methodology paper this study follows — discusses
-//! the sign test and the paired t-test as (weaker / more assumption-laden)
-//! alternatives to Wilcoxon, and Holm's step-down procedure for
-//! controlling the family-wise error rate when one baseline is compared
-//! against many measures (exactly the shape of Tables 2/3/5/6/7). These
-//! are provided for sensitivity analyses around the paper's main tests.
-
-use crate::dist::normal_cdf;
-
-/// Result of a sign test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SignTestResult {
-    /// Wins of the first sample (positive differences).
-    pub wins: usize,
-    /// Wins of the second sample.
-    pub losses: usize,
-    /// Discarded ties.
-    pub ties: usize,
-    /// Two-sided p-value (exact binomial for `n <= 64`, normal
-    /// approximation beyond).
-    pub p_value: f64,
-}
-
-/// Two-sided sign test on paired samples: counts wins and losses,
-/// discards ties, and tests against a fair coin.
-///
-/// Returns `None` when every pair ties.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn sign_test(x: &[f64], y: &[f64]) -> Option<SignTestResult> {
-    assert_eq!(x.len(), y.len(), "paired test requires equal lengths");
-    let mut wins = 0usize;
-    let mut losses = 0usize;
-    let mut ties = 0usize;
-    for (a, b) in x.iter().zip(y) {
-        if a > b {
-            wins += 1;
-        } else if a < b {
-            losses += 1;
-        } else {
-            ties += 1;
-        }
-    }
-    let n = wins + losses;
-    if n == 0 {
-        return None;
-    }
-    let k = wins.min(losses);
-    let p_value = if n <= 64 {
-        // Exact: 2 * P(Binomial(n, 1/2) <= k).
-        let mut tail = 0.0f64;
-        for i in 0..=k {
-            tail += binomial_coefficient(n, i);
-        }
-        (2.0 * tail / 2f64.powi(n as i32)).min(1.0)
-    } else {
-        let nf = n as f64;
-        let z = ((k as f64 + 0.5) - nf / 2.0) / (nf / 4.0).sqrt();
-        (2.0 * normal_cdf(z)).min(1.0)
-    };
-    Some(SignTestResult {
-        wins,
-        losses,
-        ties,
-        p_value,
-    })
-}
-
-fn binomial_coefficient(n: usize, k: usize) -> f64 {
-    let k = k.min(n - k);
-    let mut acc = 1.0f64;
-    for i in 0..k {
-        acc = acc * (n - i) as f64 / (i + 1) as f64;
-    }
-    acc
-}
-
-/// Result of a paired t-test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PairedTTestResult {
-    /// The t statistic.
-    pub t: f64,
-    /// Degrees of freedom, `n - 1`.
-    pub dof: usize,
-    /// Two-sided p-value.
-    pub p_value: f64,
-}
-
-/// Two-sided paired t-test. The paper (following Demšar) prefers Wilcoxon
-/// because accuracy differences across datasets are neither normal nor
-/// commensurable; the t-test is provided for sensitivity comparison.
-///
-/// Returns `None` for fewer than two pairs or zero variance.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn paired_t_test(x: &[f64], y: &[f64]) -> Option<PairedTTestResult> {
-    assert_eq!(x.len(), y.len(), "paired test requires equal lengths");
-    let n = x.len();
-    if n < 2 {
-        return None;
-    }
-    let diffs: Vec<f64> = x.iter().zip(y).map(|(a, b)| a - b).collect();
-    let nf = n as f64;
-    let mean = diffs.iter().sum::<f64>() / nf;
-    let var = diffs.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / (nf - 1.0);
-    if var <= 0.0 {
-        return None;
-    }
-    let t = mean / (var / nf).sqrt();
-    let dof = n - 1;
-    let p_value = 2.0 * (1.0 - student_t_cdf(t.abs(), dof as f64));
-    Some(PairedTTestResult {
-        t,
-        dof,
-        p_value: p_value.clamp(0.0, 1.0),
-    })
-}
-
-/// CDF of Student's t distribution via the regularized incomplete beta
-/// function (continued-fraction evaluation).
-///
-/// # Panics
-///
-/// Panics when `dof` is not positive.
-pub fn student_t_cdf(t: f64, dof: f64) -> f64 {
-    assert!(dof > 0.0);
-    let x = dof / (dof + t * t);
-    let p = 0.5 * incomplete_beta(0.5 * dof, 0.5, x);
-    if t >= 0.0 {
-        1.0 - p
-    } else {
-        p
-    }
-}
-
-/// Regularized incomplete beta `I_x(a, b)` (Numerical Recipes `betai`).
-fn incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&x), "x out of range");
-    // tsdist-lint: allow(float-total-order, reason = "exact boundary: I_0(a, b) = 0 by definition")
-    if x == 0.0 {
-        return 0.0;
-    }
-    // tsdist-lint: allow(float-total-order, reason = "exact boundary: I_1(a, b) = 1 by definition")
-    if x == 1.0 {
-        return 1.0;
-    }
-    let ln_front =
-        crate::dist::ln_gamma(a + b) - crate::dist::ln_gamma(a) - crate::dist::ln_gamma(b)
-            + a * x.ln()
-            + b * (1.0 - x).ln();
-    let front = ln_front.exp();
-    if x < (a + 1.0) / (a + b + 2.0) {
-        front * beta_cf(a, b, x) / a
-    } else {
-        1.0 - front * beta_cf(b, a, 1.0 - x) / b
-    }
-}
-
-/// Continued fraction for the incomplete beta (Lentz's algorithm).
-fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
-    let qab = a + b;
-    let qap = a + 1.0;
-    let qam = a - 1.0;
-    let mut c = 1.0;
-    let mut d = 1.0 - qab * x / qap;
-    if d.abs() < 1e-300 {
-        d = 1e-300;
-    }
-    d = 1.0 / d;
-    let mut h = d;
-    for m in 1..200 {
-        let m = m as f64;
-        let m2 = 2.0 * m;
-        let aa = m * (b - m) * x / ((qam + m2) * (a + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < 1e-300 {
-            d = 1e-300;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < 1e-300 {
-            c = 1e-300;
-        }
-        d = 1.0 / d;
-        h *= d * c;
-        let aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < 1e-300 {
-            d = 1e-300;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < 1e-300 {
-            c = 1e-300;
-        }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() < 1e-12 {
-            break;
-        }
-    }
-    h
-}
+//! Holm's step-down procedure controls the family-wise error rate when
+//! one baseline is compared against many measures (exactly the shape of
+//! Tables 2/3/5/6/7), as Demšar (2006) recommends.
 
 /// Holm's step-down correction: given raw p-values, returns for each the
 /// adjusted p-value; `adjusted[i] < alpha` controls the family-wise error
@@ -232,55 +31,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sign_test_counts_and_exact_p() {
-        // 6 wins, 0 losses: p = 2 * (1/64) = 1/32.
-        let x = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
-        let y = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let r = sign_test(&x, &y).unwrap();
-        assert_eq!((r.wins, r.losses, r.ties), (6, 0, 0));
-        assert!((r.p_value - 2.0 / 64.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sign_test_balanced_is_insignificant() {
-        let x = [1.0, 0.0, 1.0, 0.0, 1.0, 0.0];
-        let y = [0.0, 1.0, 0.0, 1.0, 0.0, 1.0];
-        let r = sign_test(&x, &y).unwrap();
-        assert!(r.p_value > 0.9);
-    }
-
-    #[test]
-    fn sign_test_all_ties_is_none() {
-        assert!(sign_test(&[1.0, 2.0], &[1.0, 2.0]).is_none());
-    }
-
-    #[test]
-    fn t_cdf_known_values() {
-        // t(inf) approaches the normal; t = 0 is the median.
-        assert!((student_t_cdf(0.0, 10.0) - 0.5).abs() < 1e-9);
-        // P(T <= 2.228) = 0.975 for dof = 10.
-        assert!((student_t_cdf(2.228, 10.0) - 0.975).abs() < 1e-3);
-        // P(T <= 1.812) = 0.95 for dof = 10.
-        assert!((student_t_cdf(1.812, 10.0) - 0.95).abs() < 1e-3);
-    }
-
-    #[test]
-    fn paired_t_detects_strong_difference() {
-        let x: Vec<f64> = (0..20).map(|i| 1.0 + (i % 3) as f64 * 0.01).collect();
-        let y: Vec<f64> = (0..20).map(|i| (i % 4) as f64 * 0.01).collect();
-        let r = paired_t_test(&x, &y).unwrap();
-        assert!(r.p_value < 1e-6, "p = {}", r.p_value);
-        assert!(r.t > 0.0);
-    }
-
-    #[test]
-    fn paired_t_zero_variance_is_none() {
-        let x = [1.0, 2.0, 3.0];
-        let y = [0.0, 1.0, 2.0]; // constant difference
-        assert!(paired_t_test(&x, &y).is_none());
-    }
-
-    #[test]
     fn holm_adjustment_is_monotone_and_bounded() {
         let p = [0.01, 0.04, 0.03, 0.005];
         let adj = holm_adjust(&p);
@@ -303,17 +53,6 @@ mod tests {
     #[test]
     fn holm_handles_empty_input() {
         assert!(holm_adjust(&[]).is_empty());
-    }
-
-    #[test]
-    fn wilcoxon_t_and_sign_roughly_agree_on_strong_effects() {
-        use crate::wilcoxon::wilcoxon_signed_rank;
-        let x: Vec<f64> = (0..30).map(|i| 0.8 + (i % 5) as f64 * 0.02).collect();
-        let y: Vec<f64> = (0..30).map(|i| 0.5 + (i % 7) as f64 * 0.01).collect();
-        let w = wilcoxon_signed_rank(&x, &y).unwrap().p_value;
-        let t = paired_t_test(&x, &y).unwrap().p_value;
-        let s = sign_test(&x, &y).unwrap().p_value;
-        assert!(w < 0.01 && t < 0.01 && s < 0.01, "w={w} t={t} s={s}");
     }
 
     #[test]

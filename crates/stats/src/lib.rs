@@ -27,17 +27,13 @@
 
 #![warn(missing_docs)]
 
-mod bootstrap;
 mod corrections;
 mod dist;
 mod friedman;
 mod rank;
 mod wilcoxon;
 
-pub use bootstrap::{bootstrap_ci, bootstrap_mean_ci, bootstrap_paired_diff_ci, BootstrapInterval};
-pub use corrections::{
-    holm_adjust, paired_t_test, sign_test, student_t_cdf, PairedTTestResult, SignTestResult,
-};
+pub use corrections::holm_adjust;
 pub use dist::{
     chi_squared_cdf, erf, gamma_p, ln_gamma, normal_cdf, normal_pdf, normal_quantile,
     studentized_range_cdf, studentized_range_quantile,

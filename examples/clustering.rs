@@ -106,8 +106,12 @@ fn main() {
     // clustering shines while lock-step ED falls apart.
     let m = 96;
     let norm = Normalization::ZScore;
-    let lcg =
-        |seed: usize| ((seed as u64 * 6364136223846793005 + 1442695040888963407) >> 33) as usize;
+    let lcg = |seed: usize| {
+        ((seed as u64)
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407)
+            >> 33) as usize
+    };
     let class_shape = |class: usize, t: f64| -> f64 {
         match class {
             0 => (std::f64::consts::TAU * 2.0 * t).sin(),

@@ -32,6 +32,19 @@ trap 'rm -rf "$SMOKE"' EXIT
 TSDIST=target/debug/tsdist
 cargo build -q --offline -p tsdist-cli
 
+echo "==> examples run (every example under examples/ must exit zero)"
+cargo build -q --offline --examples
+for src in examples/*.rs; do
+  name=$(basename "$src" .rs)
+  # ucr_pipeline writes its demo dataset under the temp dir.
+  if ! TMPDIR="$SMOKE" "target/debug/examples/$name" >/dev/null 2>"$SMOKE/example.log"; then
+    echo "example $name exited non-zero" >&2
+    cat "$SMOKE/example.log" >&2
+    exit 1
+  fi
+done
+echo "    every example ran to a zero exit"
+
 echo "==> tsdist lint --deny-warnings --baseline (project invariants, results/lint/)"
 mkdir -p results/lint
 "$TSDIST" lint --deny-warnings --baseline results/lint/baseline.json \

@@ -70,12 +70,9 @@ pub mod measures {
     pub use tsdist_core::embedding;
     pub use tsdist_core::kernel;
     pub use tsdist_core::lockstep;
-    pub use tsdist_core::multivariate;
     pub use tsdist_core::params;
     pub use tsdist_core::registry;
-    pub use tsdist_core::shape;
     pub use tsdist_core::sliding;
-    pub use tsdist_core::subsequence;
     pub use tsdist_core::{AdaptiveScaled, Distance, Kernel, KernelDistance, Normalization, EPS};
 }
 

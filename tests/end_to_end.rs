@@ -3,7 +3,10 @@
 //! the *qualitative* findings of the paper at miniature scale.
 
 use tsdist::data::synthetic::{generate_archive, generate_dataset, ArchiveConfig};
-use tsdist::eval::{compare_to_baseline, evaluate_distance_supervised, rank_measures};
+use tsdist::eval::{
+    compare_to_baseline, evaluate_distance_supervised, rank_measures, run_study_resumable,
+    CellRunner, Entrant, RunnerConfig,
+};
 use tsdist::measures::elastic::{Dtw, Msm};
 use tsdist::measures::lockstep::Euclidean;
 use tsdist::measures::sliding::CrossCorrelation;
@@ -142,4 +145,34 @@ fn ucr_loader_feeds_the_same_pipeline() {
         acc, 1.0,
         "trivially separable UCR data must classify perfectly"
     );
+}
+
+#[test]
+fn study_api_reproduces_the_headline_ordering() {
+    use tsdist::data::synthetic::generate_archive;
+    use tsdist::measures::elastic::Msm;
+    use tsdist::measures::lockstep::Euclidean;
+
+    let archive = generate_archive(&ArchiveConfig::quick(14, 20));
+    let runner = CellRunner::new(RunnerConfig::default());
+    let robust = run_study_resumable(
+        &archive,
+        &[
+            Entrant::new(Box::new(Euclidean)),
+            Entrant::new(Box::new(CrossCorrelation::sbd())),
+            Entrant::new(Box::new(Msm::new(0.5))),
+        ],
+        &runner,
+    );
+    assert_eq!(robust.outcome_counts(), (3 * 14, 0, 0, 0));
+    let report = robust.report.expect("every cell completed");
+    // NCC_c and MSM both average above the ED baseline.
+    let avg = |col: &Vec<f64>| col.iter().sum::<f64>() / col.len() as f64;
+    assert!(avg(&report.accuracies[1]) > avg(&report.accuracies[0]));
+    assert!(avg(&report.accuracies[2]) > avg(&report.accuracies[0]));
+    // And the rank order agrees: ED has the worst (largest) average rank.
+    let ed_rank = report.ranking.friedman.average_ranks[0];
+    assert!(report.ranking.friedman.average_ranks[1..]
+        .iter()
+        .all(|&r| r < ed_rank));
 }
