@@ -18,7 +18,11 @@
 //!   NCC_c (`Distance::distance_row_ws`, eight training series per SIMD
 //!   lane) vs the per-pair `distance_ws` loop over the same matrix rows,
 //!   in µs per pair and, for the DPs, DP cells/s. DTW also runs at a long
-//!   length, where its per-pair wavefront is strongest.
+//!   length, where its per-pair wavefront is strongest;
+//! * **wire** — the `tsdist serve` request codec over a fixed corpus of
+//!   query lines, one per test series of a seeded standard-scale archive:
+//!   `parse_request_limited` (decode) and `render_query` (encode), in ns
+//!   per line.
 //!
 //! The scalar twins live in this binary on purpose: they are the
 //! pre-vectorization implementations, kept runnable so the speedup
@@ -27,8 +31,10 @@
 //! meaningful — wavefront DP values are *bit-identical* to row-major,
 //! every row-kernel entry is *bit-identical* to its per-pair value, on
 //! the timed rows and on tie-heavy rows (grid values held in runs);
-//! lane reductions agree within the lock-step conformance tolerance —
-//! and reports `lanes_hint` coverage over the parameter-free registry.
+//! lane reductions agree within the lock-step conformance tolerance,
+//! every decoded wire line gives back its source request with the
+//! series *bit-identical* — and reports `lanes_hint` coverage over the
+//! parameter-free registry.
 //!
 //! `--quick` shrinks series lengths / pair counts / repetitions for the
 //! `scripts/check.sh` smoke; the acceptance run uses defaults. The ledger
@@ -43,9 +49,12 @@ use tsdist_core::elastic::{
 };
 use tsdist_core::lockstep::{Chebyshev, CityBlock, Euclidean, Minkowski};
 use tsdist_core::measure::Distance;
+use tsdist_core::normalization::Normalization;
 use tsdist_core::registry;
 use tsdist_core::sliding::CrossCorrelation;
 use tsdist_core::Workspace;
+use tsdist_data::synthetic::{generate_archive, ArchiveConfig};
+use tsdist_serve::{parse_request_limited, render_query, Limits, QueryRequest, Request};
 
 /// SplitMix64 noise in `[-2, 2)` — the same deterministic generator the
 /// conformance batteries use, so runs are reproducible by seed alone.
@@ -362,6 +371,61 @@ fn bench_row_kernel(
     }
 }
 
+struct WireRow {
+    lines: usize,
+    bytes_per_line: f64,
+    points_per_line: f64,
+    decode_ns: f64,
+    encode_ns: f64,
+    identical_bits: bool,
+}
+
+/// The request codec over `queries`, `passes` sweeps per repetition:
+/// decode (`parse_request_limited` under the default limits) and encode
+/// (`render_query`) in ns per line. The bit gate: every line decodes to
+/// its source request, the series bit for bit.
+fn bench_wire(queries: &[QueryRequest], passes: usize, reps: usize) -> WireRow {
+    let lines: Vec<String> = queries.iter().map(render_query).collect();
+    let limits = Limits::default();
+    let per_line = |seconds: f64| seconds / (passes * lines.len()) as f64 * 1e9;
+    let decode_ns = per_line(median_seconds(reps, || {
+        let mut ok = 0.0;
+        for _ in 0..passes {
+            for line in &lines {
+                ok += f64::from(u8::from(
+                    parse_request_limited(black_box(line), &limits).is_ok(),
+                ));
+            }
+        }
+        ok
+    }));
+    let encode_ns = per_line(median_seconds(reps, || {
+        let mut bytes = 0.0;
+        for _ in 0..passes {
+            for q in queries {
+                bytes += render_query(black_box(q)).len() as f64;
+            }
+        }
+        bytes
+    }));
+    // `==` covers every field; the bits also tell -0.0 from 0.0. The
+    // archive series are finite, so no NaN fails `==`.
+    let identical_bits = lines.iter().zip(queries).all(|(line, q)| {
+        matches!(parse_request_limited(line, &limits), Ok(Request::Query(back))
+            if back == *q
+                && back.series.iter().zip(&q.series).all(|(a, b)| a.to_bits() == b.to_bits()))
+    });
+    let n = lines.len() as f64;
+    WireRow {
+        lines: lines.len(),
+        bytes_per_line: lines.iter().map(String::len).sum::<usize>() as f64 / n,
+        points_per_line: queries.iter().map(|q| q.series.len()).sum::<usize>() as f64 / n,
+        decode_ns,
+        encode_ns,
+        identical_bits,
+    }
+}
+
 fn main() {
     let cfg = ExperimentConfig::ledger_from_args();
     let (len, ls_pairs, dp_pairs, reps) = if cfg.quick {
@@ -383,6 +447,10 @@ fn main() {
     const UPTO_LEN: usize = 128;
     const UPTO_PAIRS: usize = 16;
     let upto_passes = if cfg.quick { 100usize } else { 2000 };
+    // Wire corpus: every test series of a standard-scale archive (64 to
+    // 160 samples), the same corpus in both modes.
+    const WIRE_DATASETS: usize = 4;
+    let wire_passes = if cfg.quick { 2usize } else { 20 };
     let dtw = Dtw::with_window_pct(10.0);
     let band = dtw.band(len, len);
     let mut noise = Noise(cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xBEEF);
@@ -578,6 +646,35 @@ fn main() {
         );
     }
 
+    // --- Wire: the serve request codec over archive test series. -----
+    let archive = generate_archive(&ArchiveConfig::standard(WIRE_DATASETS, cfg.seed));
+    let wire_queries: Vec<QueryRequest> = archive
+        .iter()
+        .flat_map(|ds| ds.test.iter().map(move |s| (ds, s)))
+        .enumerate()
+        .map(|(i, (ds, s))| QueryRequest {
+            id: i as u64,
+            dataset: ds.name.clone(),
+            measure: if i % 2 == 0 { "ed" } else { "dtw:10" }.into(),
+            norm: Normalization::ZScore,
+            k: 1,
+            pruned: true,
+            series: s.clone(),
+            deadline_ms: None,
+        })
+        .collect();
+    let wire = bench_wire(&wire_queries, wire_passes, reps);
+    eprintln!(
+        "[bench_kernels] wire {} lines ({:.0} B, {:.1} points each): decode {:8.0} ns  \
+         encode {:8.0} ns per line  bits {}",
+        wire.lines,
+        wire.bytes_per_line,
+        wire.points_per_line,
+        wire.decode_ns,
+        wire.encode_ns,
+        wire.identical_bits
+    );
+
     // --- lanes_hint coverage over the registry. -----------------------
     let mut instances: Vec<(String, usize)> = registry::lockstep_parameter_free()
         .into_iter()
@@ -607,6 +704,7 @@ fn main() {
          \"row_columns\": {row_cols}, \"long_row_queries\": {long_queries}, \
          \"long_row_columns\": {long_cols}, \"upto_length\": {UPTO_LEN}, \
          \"upto_pairs\": {UPTO_PAIRS}, \"upto_passes\": {upto_passes}, \
+         \"wire_datasets\": {WIRE_DATASETS}, \"wire_passes\": {wire_passes}, \
          \"seed\": {}, \"quick\": {}}},\n",
         cfg.seed, cfg.quick
     ));
@@ -684,7 +782,18 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"coverage\": {{\"vectorized\": {vectorized}, \"total\": {}}}\n}}\n",
+        "  ],\n  \"wire\": {{\"lines\": {}, \"bytes_per_line\": {:.1}, \
+         \"points_per_line\": {:.1}, \"decode_ns_per_line\": {:.0}, \
+         \"encode_ns_per_line\": {:.0}, \"identical_bits\": {}}},\n",
+        wire.lines,
+        wire.bytes_per_line,
+        wire.points_per_line,
+        wire.decode_ns,
+        wire.encode_ns,
+        wire.identical_bits
+    ));
+    json.push_str(&format!(
+        "  \"coverage\": {{\"vectorized\": {vectorized}, \"total\": {}}}\n}}\n",
         instances.len()
     ));
     cfg.save("BENCH_kernels.json", &json);
@@ -728,6 +837,10 @@ fn main() {
             );
             failed = true;
         }
+    }
+    if !wire.identical_bits {
+        eprintln!("FAIL: a decoded wire line differs from the request it was rendered from");
+        failed = true;
     }
     if vectorized == 0 {
         eprintln!("FAIL: no registry instance reports a vectorized kernel");

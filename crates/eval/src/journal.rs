@@ -51,7 +51,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use crate::cell::{CellError, CellOutcome, Evaluation};
-use crate::wire::{json_number, json_string, parse_json_object, JsonValue};
+use crate::wire::{get_num, get_str, json_number, json_string, parse_json_object};
 
 /// One parsed journal line.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,28 +97,19 @@ impl JournalEntry {
     /// Parses one journal line.
     pub fn parse(line: &str) -> Result<JournalEntry, String> {
         let fields = parse_json_object(line)?;
-        let get_str = |key: &str| -> Result<String, String> {
-            match fields.iter().find(|(k, _)| k == key) {
-                Some((_, JsonValue::Str(s))) => Ok(s.clone()),
-                _ => Err(format!("missing string field {key:?}")),
-            }
+        let string = |key: &str| {
+            get_str(&fields, key).ok_or_else(|| format!("missing string field {key:?}"))
         };
-        let get_num = |key: &str| -> Option<f64> {
-            match fields.iter().find(|(k, _)| k == key) {
-                Some((_, JsonValue::Num(n))) => Some(*n),
-                _ => None,
-            }
-        };
-        let study = get_str("study")?;
-        let cell = get_str("cell")?;
-        let seconds = get_num("seconds").ok_or("missing number field \"seconds\"")?;
-        let outcome = match get_str("outcome")?.as_str() {
+        let study = string("study")?.to_string();
+        let cell = string("cell")?.to_string();
+        let seconds = get_num(&fields, "seconds").ok_or("missing number field \"seconds\"")?;
+        let outcome = match string("outcome")? {
             "ok" => CellOutcome::Ok(Evaluation {
-                accuracy: get_num("accuracy").ok_or("ok entry without accuracy")?,
-                train_accuracy: get_num("train_accuracy"),
+                accuracy: get_num(&fields, "accuracy").ok_or("ok entry without accuracy")?,
+                train_accuracy: get_num(&fields, "train_accuracy"),
             }),
             "failed" => CellOutcome::Failed(CellError::Panicked {
-                message: get_str("error").unwrap_or_default(),
+                message: string("error").unwrap_or_default().to_string(),
             }),
             "timeout" => CellOutcome::TimedOut,
             other => return Err(format!("unknown outcome {other:?}")),

@@ -8,45 +8,87 @@
 //! what lets served answers be diffed byte-for-byte against offline
 //! replays, and journaled cells reproduce bit-identical tables.
 //!
+//! Decoding is one left-to-right pass of a byte cursor over the line,
+//! and it borrows from the line. Every structural byte (`{`, `}`, `,`,
+//! `:`, `"`, `\`) is ASCII, so every cut falls on a char boundary: a key
+//! or string value without an escape is a slice of the line
+//! ([`Cow::Borrowed`]), and only a string holding a `\` escape is
+//! copied, through the escape decoder. A number parses straight from its
+//! slice with `str::parse::<f64>`. Encoding appends to one buffer:
+//! [`ObjectWriter`] writes every key and value in place, with no
+//! temporary `String` per field.
+//!
 //! Extracted from the journal implementation (PR 3) so the query
 //! service speaks exactly the same dialect instead of growing a second,
 //! subtly different encoder.
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
 /// Escapes a string as a JSON string literal (with surrounding quotes).
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_string(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal. The bytes that need an
+/// escape are all ASCII, so the runs between them are copied whole, and
+/// a string with none (a count that vectorizes) is copied in one piece.
+fn push_string(out: &mut String, s: &str) {
+    let needs_escape = |b: u8| b < 0x20 || b == b'"' || b == b'\\';
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    if s.bytes().filter(|&b| needs_escape(b)).count() > 0 {
+        for (i, b) in s.bytes().enumerate() {
+            if !needs_escape(b) {
+                continue;
+            }
+            out.push_str(&s[run..i]);
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\t' => out.push_str("\\t"),
+                b'\r' => out.push_str("\\r"),
+                _ => {
+                    // Writing to a `String` cannot fail.
+                    let _ = write!(out, "\\u{b:04x}");
+                }
+            }
+            run = i + 1;
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
-    out
 }
 
 /// Formats a float so that `parse::<f64>()` round-trips it bit-exactly
 /// (Rust's `Display` emits the shortest such representation); non-finite
 /// values fall back to `null`.
 pub fn json_number(v: f64) -> String {
+    let mut out = String::new();
+    push_number(&mut out, v);
+    out
+}
+
+/// Appends [`json_number`]'s rendering of `v` to `out`.
+fn push_number(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{v}");
     } else {
-        "null".into()
+        out.push_str("null");
     }
 }
 
-/// A value in the flat object grammar.
+/// A value in the flat object grammar, borrowing from the parsed line.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A JSON string.
-    Str(String),
+pub enum JsonValue<'a> {
+    /// A JSON string: a slice of the line, owned only when it held an
+    /// escape.
+    Str(Cow<'a, str>),
     /// A finite JSON number.
     Num(f64),
     /// The `null` literal (also how non-finite floats travel).
@@ -54,10 +96,10 @@ pub enum JsonValue {
 }
 
 /// The parsed fields of one flat JSON object, in line order.
-pub type Fields = Vec<(String, JsonValue)>;
+pub type Fields<'a> = Vec<(Cow<'a, str>, JsonValue<'a>)>;
 
 /// Looks up a string field.
-pub fn get_str<'a>(fields: &'a Fields, key: &str) -> Option<&'a str> {
+pub fn get_str<'f>(fields: &'f Fields<'_>, key: &str) -> Option<&'f str> {
     match fields.iter().find(|(k, _)| k == key) {
         Some((_, JsonValue::Str(s))) => Some(s),
         _ => None,
@@ -65,7 +107,7 @@ pub fn get_str<'a>(fields: &'a Fields, key: &str) -> Option<&'a str> {
 }
 
 /// Looks up a numeric field.
-pub fn get_num(fields: &Fields, key: &str) -> Option<f64> {
+pub fn get_num(fields: &Fields<'_>, key: &str) -> Option<f64> {
     match fields.iter().find(|(k, _)| k == key) {
         Some((_, JsonValue::Num(n))) => Some(*n),
         _ => None,
@@ -73,49 +115,50 @@ pub fn get_num(fields: &Fields, key: &str) -> Option<f64> {
 }
 
 /// Parses the flat JSON object grammar: string keys, and
-/// string / number / null values.
-pub fn parse_json_object(line: &str) -> Result<Fields, String> {
-    let mut chars = line.trim().chars().peekable();
+/// string / number / null values. Keys and unescaped strings borrow from
+/// `line`.
+pub fn parse_json_object(line: &str) -> Result<Fields<'_>, String> {
+    let s = line.trim();
+    let b = s.as_bytes();
     let mut fields = Vec::new();
-    if chars.next() != Some('{') {
+    if b.first() != Some(&b'{') {
         return Err("expected '{'".into());
     }
+    let mut at = 1;
     loop {
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
+        match b.get(at) {
+            Some(b'}') => {
+                at += 1;
                 break;
             }
-            Some('"') => {}
-            Some(',') => {
-                chars.next();
+            Some(b'"') => {}
+            Some(b',') => {
+                at += 1;
                 continue;
             }
             _ => return Err("expected key".into()),
         }
-        let key = parse_string(&mut chars)?;
-        if chars.next() != Some(':') {
+        let key = parse_string(s, &mut at)?;
+        if b.get(at) != Some(&b':') {
             return Err(format!("expected ':' after key {key:?}"));
         }
-        let value = match chars.peek() {
-            Some('"') => JsonValue::Str(parse_string(&mut chars)?),
-            Some('n') => {
-                for expected in "null".chars() {
-                    if chars.next() != Some(expected) {
-                        return Err("bad literal".into());
-                    }
+        at += 1;
+        let value = match b.get(at) {
+            Some(b'"') => JsonValue::Str(parse_string(s, &mut at)?),
+            Some(b'n') => {
+                if !b[at..].starts_with(b"null") {
+                    return Err("bad literal".into());
                 }
+                at += 4;
                 JsonValue::Null
             }
             Some(_) => {
-                let mut num = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c == ',' || c == '}' {
-                        break;
-                    }
-                    num.push(c);
-                    chars.next();
-                }
+                let end = b[at..]
+                    .iter()
+                    .position(|&c| c == b',' || c == b'}')
+                    .map_or(b.len(), |p| at + p);
+                let num = &s[at..end];
+                at = end;
                 JsonValue::Num(
                     num.trim()
                         .parse::<f64>()
@@ -126,21 +169,44 @@ pub fn parse_json_object(line: &str) -> Result<Fields, String> {
         };
         fields.push((key, value));
     }
-    if chars.next().is_some() {
+    if at < b.len() {
         return Err("trailing characters after object".into());
     }
     Ok(fields)
 }
 
-/// Parses a JSON string literal (cursor on the opening quote).
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected '\"'".into());
+/// Parses the JSON string literal whose opening quote is `s[*at]`,
+/// leaving `*at` just past its closing quote. A literal without a `\`
+/// is borrowed from `s`. Both searches are `str::find` for one ASCII
+/// byte, which scans a word at a time.
+fn parse_string<'a>(s: &'a str, at: &mut usize) -> Result<Cow<'a, str>, String> {
+    let start = *at + 1;
+    let rest = &s[start..];
+    let quote = rest.find('"');
+    match quote.map_or(rest, |q| &rest[..q]).find('\\') {
+        Some(escape) => unescape(s, start, start + escape, at).map(Cow::Owned),
+        None => match quote {
+            Some(q) => {
+                *at = start + q + 1;
+                Ok(Cow::Borrowed(&rest[..q]))
+            }
+            None => Err("unterminated string".into()),
+        },
     }
-    let mut out = String::new();
+}
+
+/// The escape path of [`parse_string`]: copies the literal that starts
+/// at `s[start]` and holds its first `\` at `s[escape]`, decoding
+/// escapes up to the closing quote.
+fn unescape(s: &str, start: usize, escape: usize, at: &mut usize) -> Result<String, String> {
+    let mut out = String::from(&s[start..escape]);
+    let mut chars = s[escape..].chars();
     loop {
         match chars.next() {
-            Some('"') => return Ok(out),
+            Some('"') => {
+                *at = s.len() - chars.as_str().len();
+                return Ok(out);
+            }
             Some('\\') => match chars.next() {
                 Some('"') => out.push('"'),
                 Some('\\') => out.push('\\'),
@@ -162,7 +228,8 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<
 }
 
 /// Incremental writer for one flat JSON object line — the encoding twin
-/// of [`parse_json_object`]. Fields render in insertion order.
+/// of [`parse_json_object`]. Fields render in insertion order, each
+/// written straight into the one line buffer.
 #[derive(Debug, Default)]
 pub struct ObjectWriter {
     buf: String,
@@ -176,28 +243,29 @@ impl ObjectWriter {
 
     fn key(&mut self, key: &str) {
         self.buf.push(if self.buf.is_empty() { '{' } else { ',' });
-        self.buf.push_str(&json_string(key));
+        push_string(&mut self.buf, key);
         self.buf.push(':');
     }
 
     /// Appends a string field.
     pub fn str(mut self, key: &str, value: &str) -> Self {
         self.key(key);
-        self.buf.push_str(&json_string(value));
+        push_string(&mut self.buf, value);
         self
     }
 
     /// Appends a numeric field (non-finite renders as `null`).
     pub fn num(mut self, key: &str, value: f64) -> Self {
         self.key(key);
-        self.buf.push_str(&json_number(value));
+        push_number(&mut self.buf, value);
         self
     }
 
     /// Appends an unsigned integer field.
     pub fn uint(mut self, key: &str, value: usize) -> Self {
         self.key(key);
-        self.buf.push_str(&format!("{value}"));
+        // Writing to a `String` cannot fail.
+        let _ = write!(self.buf, "{value}");
         self
     }
 

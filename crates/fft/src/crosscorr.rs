@@ -19,16 +19,6 @@
 use crate::complex::Complex;
 use crate::fft::{next_power_of_two, LaneComplex, Lanes, Twiddles, LANES};
 
-/// Cross-correlation via FFT. Output length is `x.len() + y.len() - 1`;
-/// entry `k` corresponds to shift `s = k - (y.len() - 1)`.
-///
-/// Returns an empty vector if either input is empty. Runs through a
-/// fresh [`CcScratch`], so it is bit-identical to
-/// [`CcScratch::cross_correlation`].
-pub fn cross_correlation(x: &[f64], y: &[f64]) -> Vec<f64> {
-    CcScratch::new().cross_correlation(x, y).to_vec()
-}
-
 /// Reusable state for FFT cross-correlation: the twiddle tables of the
 /// last transform length, the spectrum of the last query, and the work
 /// and output buffers.
@@ -81,9 +71,11 @@ impl CcScratch {
         self.spectrum_len = l;
     }
 
-    /// Cross-correlation with the same convention as
-    /// [`cross_correlation`], writing into reused buffers. The returned
-    /// slice is valid until the next call on this scratch.
+    /// Cross-correlation via FFT, writing into reused buffers. The
+    /// output has `x.len() + y.len() - 1` entries; entry `k` is shift
+    /// `s = k - (y.len() - 1)`. Returns an empty slice if either input is
+    /// empty. The returned slice is valid until the next call on this
+    /// scratch.
     pub fn cross_correlation(&mut self, x: &[f64], y: &[f64]) -> &[f64] {
         let p = x.len();
         let q = y.len();
@@ -179,7 +171,8 @@ fn shift_halves<T>(buf: &[T], p: usize, q: usize) -> (&[T], &[T]) {
 }
 
 /// Direct O(p*q) cross-correlation with the same output convention as
-/// [`cross_correlation`]. Used as a test oracle and for tiny inputs.
+/// [`CcScratch::cross_correlation`]. Used as a test oracle and for tiny
+/// inputs.
 pub fn cross_correlation_naive(x: &[f64], y: &[f64]) -> Vec<f64> {
     let p = x.len() as isize;
     let q = y.len() as isize;
@@ -213,6 +206,11 @@ pub fn overlap_at(p: usize, q: usize, k: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The correlation through a fresh scratch.
+    fn cross_correlation(x: &[f64], y: &[f64]) -> Vec<f64> {
+        CcScratch::new().cross_correlation(x, y).to_vec()
+    }
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -368,6 +366,7 @@ mod tests {
             for (g, e) in got.iter().zip(&expected) {
                 assert_eq!(g.to_bits(), e.to_bits());
             }
+            // A fresh scratch has no cached spectrum to reuse.
             let fresh = cross_correlation(x, y);
             assert!(fresh
                 .iter()

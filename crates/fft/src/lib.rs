@@ -13,15 +13,16 @@
 //! * [`Complex`] — a minimal complex-number type,
 //! * [`fft`] / [`ifft`] — radix-2 Cooley–Tukey for power-of-two lengths and
 //!   Bluestein's chirp-z for arbitrary lengths,
-//! * [`cross_correlation`] — the full shift-product sequence used by the
-//!   NCC measures, and [`CcScratch`], its reusable-buffer form, which
-//!   also correlates one query against [`LANES`] columns at once
-//!   ([`CcScratch::cross_correlation_lanes`]).
+//! * [`CcScratch`] — the full shift-product sequence used by the NCC
+//!   measures ([`CcScratch::cross_correlation`]), computed in reused
+//!   buffers, which also correlates one query against [`LANES`] columns
+//!   at once ([`CcScratch::cross_correlation_lanes`]).
 //!
 //! ```
-//! use tsdist_fft::cross_correlation;
+//! use tsdist_fft::CcScratch;
 //! let x = [0.0, 1.0, 2.0, 1.0, 0.0];
-//! let cc = cross_correlation(&x, &x);
+//! let mut scratch = CcScratch::new();
+//! let cc = scratch.cross_correlation(&x, &x);
 //! assert_eq!(cc.len(), 2 * x.len() - 1);
 //! // a signal correlates best with itself at zero shift
 //! let max = cc.iter().cloned().fold(f64::MIN, f64::max);
@@ -36,5 +37,5 @@ mod crosscorr;
 mod fft;
 
 pub use complex::Complex;
-pub use crosscorr::{cross_correlation, cross_correlation_naive, overlap_at, CcScratch};
+pub use crosscorr::{cross_correlation_naive, overlap_at, CcScratch};
 pub use fft::{fft, fft_real, ifft, is_power_of_two, next_power_of_two, Lanes, LANES};

@@ -2,11 +2,12 @@
 //!
 //! `CcScratch::cross_correlation_lanes` correlates one query against
 //! `LANES` equal-length columns at once, one column per SIMD lane. Each
-//! lane must be `cross_correlation(x, column)` bit for bit, for every
-//! shape the transform length depends on and for values that turn a
-//! lane into NaN or ±∞ without touching its neighbours.
+//! lane must be a fresh scratch's per-pair `cross_correlation(x,
+//! column)` bit for bit, for every shape the transform length depends on
+//! and for values that turn a lane into NaN or ±∞ without touching its
+//! neighbours.
 
-use tsdist_fft::{cross_correlation, CcScratch, LANES};
+use tsdist_fft::{CcScratch, LANES};
 
 /// SplitMix64 values in `[-2, 2)`: deterministic, no external crates.
 struct Gen(u64);
@@ -23,6 +24,11 @@ impl Gen {
     fn series(&mut self, len: usize) -> Vec<f64> {
         (0..len).map(|_| self.value()).collect()
     }
+}
+
+/// The per-pair sequence through a fresh scratch.
+fn cross_correlation(x: &[f64], y: &[f64]) -> Vec<f64> {
+    CcScratch::new().cross_correlation(x, y).to_vec()
 }
 
 /// Runs one block and compares every lane with the per-pair sequence.

@@ -1,7 +1,7 @@
 //! Property-based tests for the FFT substrate.
 
 use proptest::prelude::*;
-use tsdist_fft::{cross_correlation, cross_correlation_naive, fft, ifft, Complex};
+use tsdist_fft::{cross_correlation_naive, fft, ifft, CcScratch, Complex};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -25,7 +25,7 @@ proptest! {
         x in proptest::collection::vec(-100f64..100.0, 1..64),
         y in proptest::collection::vec(-100f64..100.0, 1..64),
     ) {
-        let fast = cross_correlation(&x, &y);
+        let fast = CcScratch::new().cross_correlation(&x, &y).to_vec();
         let slow = cross_correlation_naive(&x, &y);
         prop_assert_eq!(fast.len(), slow.len());
         for (a, b) in fast.iter().zip(&slow) {

@@ -154,17 +154,6 @@ impl Matrix {
         out
     }
 
-    /// Matrix-vector product `self * v`.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
-        (0..self.rows)
-            .map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect()
-    }
-
     /// Scales every entry in place.
     pub fn scale_in_place(&mut self, k: f64) {
         for v in &mut self.data {
@@ -265,14 +254,6 @@ mod tests {
     fn transpose_involution() {
         let a = Matrix::from_fn(4, 2, |i, j| (i + 10 * j) as f64);
         assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Matrix::from_fn(3, 4, |i, j| (i * j) as f64 + 1.0);
-        let v = vec![1.0, -1.0, 2.0, 0.5];
-        let as_mat = a.matmul(&Matrix::from_vec(4, 1, v.clone()));
-        assert_eq!(a.matvec(&v), as_mat.as_slice());
     }
 
     #[test]

@@ -65,17 +65,4 @@ proptest! {
         let sum: f64 = e.values.iter().sum();
         prop_assert!((trace - sum).abs() < 1e-8);
     }
-
-    /// matvec agrees with matmul against a column.
-    #[test]
-    fn matvec_consistency(
-        a in matrix_strategy(4, 6),
-        v in proptest::collection::vec(-5.0f64..5.0, 6),
-    ) {
-        let direct = a.matvec(&v);
-        let as_col = a.matmul(&Matrix::from_vec(6, 1, v.clone()));
-        for (i, x) in direct.iter().enumerate() {
-            prop_assert!((x - as_col[(i, 0)]).abs() < 1e-10);
-        }
-    }
 }

@@ -95,7 +95,7 @@ pub fn read_limited_line<R: BufRead>(
             if buf.is_empty() {
                 return Ok(LineRead::Eof);
             }
-            return Ok(LineRead::Line(String::from_utf8_lossy(&buf).into_owned()));
+            return Ok(LineRead::Line(into_string(buf)));
         }
         let newline_at = available.iter().position(|&b| b == b'\n');
         let take = newline_at.map_or(available.len(), |i| i);
@@ -114,13 +114,20 @@ pub fn read_limited_line<R: BufRead>(
             if discarded > 0 {
                 return Ok(LineRead::TooLong(discarded));
             }
-            let mut line = String::from_utf8_lossy(&buf).into_owned();
+            let mut line = into_string(buf);
             if line.ends_with('\r') {
                 line.pop();
             }
             return Ok(LineRead::Line(line));
         }
     }
+}
+
+/// Hands `buf` over as the line's `String` without a copy; only invalid
+/// UTF-8 takes the lossy path, which replaces each bad sequence with
+/// U+FFFD.
+fn into_string(buf: Vec<u8>) -> String {
+    String::from_utf8(buf).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 #[cfg(test)]
@@ -182,6 +189,42 @@ mod tests {
             [LineRead::Line(s)] => assert_eq!(s, "ab\u{fffd}cd"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn lines_match_the_lossy_copy_of_their_bytes() {
+        // Valid and invalid UTF-8, with and without `\r\n`, and a final
+        // fragment without a newline: each line is what the lossy copy
+        // of its bytes, minus a trailing `\r`, was.
+        let lines: [&[u8]; 7] = [
+            b"plain",
+            b"cr\r",
+            b"bad\xff\r",
+            b"\xe2\x82\r",
+            "caf\u{e9} \u{1f600}".as_bytes(),
+            b"\xc3(\xa0\xa1",
+            b"",
+        ];
+        let mut input = Vec::new();
+        for line in lines {
+            input.extend_from_slice(line);
+            input.push(b'\n');
+        }
+        input.extend_from_slice(b"tail\xfe\r");
+        let expected: Vec<LineRead> = lines
+            .iter()
+            .map(|bytes| {
+                let mut line = String::from_utf8_lossy(bytes).into_owned();
+                if line.ends_with('\r') {
+                    line.pop();
+                }
+                LineRead::Line(line)
+            })
+            .chain([LineRead::Line("tail\u{fffd}\r".into())])
+            .collect();
+        assert_eq!(read_all(&input, 64), expected);
+        assert_eq!(expected[2], LineRead::Line("bad\u{fffd}".into()));
+        assert_eq!(expected[3], LineRead::Line("\u{fffd}".into()));
     }
 
     #[test]

@@ -46,6 +46,8 @@
 //!  "shard_1":"up queue=3 restarts=0 quarantined=0 index_series=0 index_bands=0 index_pivots=0"}
 //! ```
 
+use std::fmt::Write as _;
+
 use crate::limits::Limits;
 use tsdist_core::normalization::Normalization;
 use tsdist_eval::request::Answer;
@@ -373,8 +375,7 @@ impl Response {
                     Some(l) => w.uint("label", l),
                     None => w.null("label"),
                 };
-                w.str("neighbours", &encode_indices(&answer.neighbours))
-                    .finish()
+                w.str("neighbours", &join(&answer.neighbours)).finish()
             }
             Response::Error { id, code, message } => ObjectWriter::new()
                 .uint("id", usize_of(*id))
@@ -473,37 +474,53 @@ fn usize_of(id: u64) -> usize {
 /// floats (non-finite values render as `NaN` / `inf` / `-inf`, which
 /// `f64::from_str` parses back bit-exactly for the values we produce).
 pub fn encode_series(series: &[f64]) -> String {
-    let mut out = String::new();
-    for (i, v) in series.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{v}"));
-    }
-    out
+    join(series)
 }
 
 /// Decodes a comma-joined series.
 pub fn decode_series(text: &str) -> Result<Vec<f64>, String> {
-    if text.is_empty() {
-        return Ok(Vec::new());
-    }
-    text.split(',')
-        .map(|t| {
-            t.trim()
-                .parse::<f64>()
-                .map_err(|_| format!("bad series value {t:?}"))
-        })
-        .collect()
+    decode_points(text, series_points(text))
 }
 
-fn encode_indices(indices: &[usize]) -> String {
+/// The values in a comma-joined series: its separators plus one, or none
+/// for the empty string. The count allocates nothing, so it can gate
+/// the ingress limit before the series is decoded.
+fn series_points(text: &str) -> usize {
+    if text.is_empty() {
+        0
+    } else {
+        text.bytes().filter(|&b| b == b',').count() + 1
+    }
+}
+
+/// Decodes a comma-joined series of `points` values (its
+/// [`series_points`]) into a vector allocated once at that size. Each
+/// token goes through `str::parse::<f64>`.
+fn decode_points(text: &str, points: usize) -> Result<Vec<f64>, String> {
+    let mut series = Vec::with_capacity(points);
+    if text.is_empty() {
+        return Ok(series);
+    }
+    for t in text.split(',') {
+        series.push(
+            t.trim()
+                .parse::<f64>()
+                .map_err(|_| format!("bad series value {t:?}"))?,
+        );
+    }
+    Ok(series)
+}
+
+/// Joins values with commas, each in its `Display` form, written
+/// straight into one buffer.
+fn join<T: std::fmt::Display>(values: &[T]) -> String {
     let mut out = String::new();
-    for (i, v) in indices.iter().enumerate() {
+    for (i, v) in values.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{v}"));
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{v}");
     }
     out
 }
@@ -642,20 +659,16 @@ pub fn parse_request_limited(line: &str, limits: &Limits) -> Result<Request, Req
             };
             let raw_series = get_str(&fields, "series")
                 .ok_or_else(|| RequestError::invalid("query without series"))?;
-            // Allocation-free length pre-check so an over-limit series is
-            // rejected before a value vector is ever built.
-            let points = if raw_series.is_empty() {
-                0
-            } else {
-                raw_series.bytes().filter(|&b| b == b',').count() + 1
-            };
+            // The separator count gates the limit before anything is
+            // allocated, then sizes the decoded series.
+            let points = series_points(raw_series);
             if points > limits.max_series_len {
                 return Err(RequestError::limit(format!(
                     "series of {points} points exceeds limit {}",
                     limits.max_series_len
                 )));
             }
-            let series = decode_series(raw_series).map_err(RequestError::invalid)?;
+            let series = decode_points(raw_series, points).map_err(RequestError::invalid)?;
             if series.is_empty() {
                 return Err(RequestError::invalid("empty series"));
             }
@@ -794,6 +807,60 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    fn query_with_series(series: &str) -> String {
+        format!(
+            "{{\"op\":\"query\",\"id\":1,\"dataset\":\"d\",\"measure\":\"ed\",\"series\":\"{series}\"}}"
+        )
+    }
+
+    #[test]
+    fn series_edge_tokens_decode_to_their_exact_bits() {
+        let line = query_with_series("-0.0,5e-324,1e308,NaN,inf,-inf, 0.5 ,  -2.25,1e-7  ");
+        let expected = [
+            -0.0,
+            f64::from_bits(1),
+            1e308,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.5,
+            -2.25,
+            1e-7,
+        ];
+        match parse_request(&line) {
+            Ok(Request::Query(q)) => {
+                let bits: Vec<u64> = q.series.iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits, want);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn empty_series_tokens_are_invalid_requests() {
+        for series in ["1,,2", "1,2,", ",1", "1, ,2"] {
+            let err = parse_request_limited(&query_with_series(series), &Limits::default())
+                .expect_err(series);
+            assert_eq!(err.code, ErrorCode::InvalidRequest, "{series}");
+        }
+    }
+
+    #[test]
+    fn over_limit_series_is_refused_before_its_tokens_are_decoded() {
+        let limits = Limits {
+            max_series_len: 4,
+            ..Limits::default()
+        };
+        let err = parse_request_limited(&query_with_series("x,y,z,w,v"), &limits)
+            .expect_err("five points over a limit of four");
+        assert_eq!(err.code, ErrorCode::LimitExceeded);
+        assert_eq!(err.message, "series of 5 points exceeds limit 4");
+        let err = parse_request_limited(&query_with_series("x,y,z,w"), &limits)
+            .expect_err("garbage tokens within the limit");
+        assert_eq!(err.code, ErrorCode::InvalidRequest);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! cargo run --release --example shift_invariant_search
 //! ```
 
-use tsdist::fft::cross_correlation;
+use tsdist::fft::CcScratch;
 use tsdist::measures::lockstep::Euclidean;
 use tsdist::measures::sliding::CrossCorrelation;
 use tsdist::measures::{Distance, Normalization};
@@ -87,7 +87,8 @@ fn main() {
         .find(|(n, _)| *n == sbd_best.1)
         .expect("best candidate present")
         .1;
-    let cc = cross_correlation(best_series, &query);
+    let mut scratch = CcScratch::new();
+    let cc = scratch.cross_correlation(best_series, &query);
     let (argmax, _) = cc
         .iter()
         .enumerate()

@@ -55,7 +55,7 @@ echo "==> conformance gate (quick differential + committed golden bits)"
 "$TSDIST" conformance --quick >/dev/null
 echo "    quick oracle subset clean, golden bits match results/conformance/registry_v1.tsv"
 
-echo "==> bench_kernels smoke (lane/wavefront/row kernels vs scalar twins, bit gates)"
+echo "==> bench_kernels smoke (lane/wavefront/row kernels vs scalar twins, wire codec, bit gates)"
 cargo build -q --offline -p tsdist-bench --bin bench_kernels
 target/debug/bench_kernels --quick --out "$SMOKE" >/dev/null 2>"$SMOKE/bench_kernels.log"
 if [ ! -s "$SMOKE/BENCH_kernels.json" ]; then
@@ -85,11 +85,17 @@ for measure in 'DTW(10%)' 'WDTW(g=0.05)'; do
     exit 1
   fi
 done
+# The serve request codec: every decoded wire line must give back the
+# series it was rendered from, bit for bit.
+if ! grep -F '"wire": {' "$SMOKE/BENCH_kernels.json" | grep -q '"identical_bits": true'; then
+  echo "bench_kernels recorded no bit-identical wire entry" >&2
+  exit 1
+fi
 if grep -q '"identical_bits": false' "$SMOKE/BENCH_kernels.json"; then
   echo "bench_kernels reported a wavefront/row-major or row/pair bit mismatch" >&2
   exit 1
 fi
-echo "    lane + wavefront + row kernels bit/tolerance gates pass; artifact has coverage"
+echo "    lane + wavefront + row kernel and wire codec bit/tolerance gates pass; artifact has coverage"
 
 echo "==> resumable-study smoke (kill after one cell, resume, diff)"
 "$TSDIST" generate "$SMOKE/archive" --datasets 2 --seed 7 --quick >/dev/null
