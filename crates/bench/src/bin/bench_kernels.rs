@@ -6,11 +6,6 @@
 //! * **lock-step** — the multi-lane `chunks_exact` reductions
 //!   (`lanes::lane_sum` family) vs a sequential zip fold of the same
 //!   term, in GB/s of series data touched (two `f64` slices per pair);
-//! * **upto** — ED's and CityBlock's early-abandoning `distance_upto`
-//!   (the kernel the Pivots and Cutoff plans run per survivor) on a few
-//!   pairs of length 128 that stay cache-resident, in ns per call: with
-//!   no cutoff, and with the median exact distance as the cutoff (about
-//!   half the calls abandon), next to the exact `distance_ws`;
 //! * **DP** — `distance_ws` of DTW (at its 10% band) and WDTW, both the
 //!   anti-diagonal wavefront, vs the row-major reference kernels, in DP
 //!   cells/s;
@@ -143,89 +138,6 @@ fn bench_lockstep(
         max_rel_err,
         lanes_hint: d.lanes_hint(),
     }
-}
-
-struct UptoRow {
-    name: &'static str,
-    exact_ns: f64,
-    open_ns: f64,
-    cut_ns: f64,
-    cutoff: f64,
-    abandoned: usize,
-    contract_holds: bool,
-}
-
-/// One lock-step measure's `distance_upto` over cache-resident `pairs`,
-/// `passes` times per repetition: with no cutoff and under the median
-/// exact distance, next to `distance_ws`. The contract gate: with no
-/// cutoff the exact bits come back, and under the cutoff every pair
-/// nearer than it does too, every other one returns `>= cutoff`.
-fn bench_abandon(
-    name: &'static str,
-    d: &dyn Distance,
-    pairs: &[(Vec<f64>, Vec<f64>)],
-    passes: usize,
-    reps: usize,
-) -> UptoRow {
-    let mut ws = Workspace::new();
-    let exact: Vec<f64> = pairs
-        .iter()
-        .map(|(x, y)| d.distance_ws(x, y, &mut ws))
-        .collect();
-    let mut sorted = exact.clone();
-    sorted.sort_by(f64::total_cmp);
-    let cutoff = sorted[sorted.len() / 2];
-    let exact_ns = ns_per_call(pairs, passes, reps, &mut ws, |x, y, ws| {
-        d.distance_ws(x, y, ws)
-    });
-    let open_ns = ns_per_call(pairs, passes, reps, &mut ws, |x, y, ws| {
-        d.distance_upto(x, y, ws, f64::INFINITY)
-    });
-    let cut_ns = ns_per_call(pairs, passes, reps, &mut ws, |x, y, ws| {
-        d.distance_upto(x, y, ws, cutoff)
-    });
-    let mut abandoned = 0;
-    let mut contract_holds = true;
-    for ((x, y), &e) in pairs.iter().zip(&exact) {
-        let open = d.distance_upto(x, y, &mut ws, f64::INFINITY);
-        let cut = d.distance_upto(x, y, &mut ws, cutoff);
-        abandoned += usize::from(cut.to_bits() != e.to_bits());
-        contract_holds &= open.to_bits() == e.to_bits()
-            && if e < cutoff {
-                cut.to_bits() == e.to_bits()
-            } else {
-                cut >= cutoff
-            };
-    }
-    UptoRow {
-        name,
-        exact_ns,
-        open_ns,
-        cut_ns,
-        cutoff,
-        abandoned,
-        contract_holds,
-    }
-}
-
-/// Median nanoseconds per call of `f` over `passes` sweeps of `pairs`.
-fn ns_per_call(
-    pairs: &[(Vec<f64>, Vec<f64>)],
-    passes: usize,
-    reps: usize,
-    ws: &mut Workspace,
-    mut f: impl FnMut(&[f64], &[f64], &mut Workspace) -> f64,
-) -> f64 {
-    let seconds = median_seconds(reps, || {
-        let mut acc = 0.0;
-        for _ in 0..passes {
-            for (x, y) in pairs {
-                acc += f(black_box(x), black_box(y), ws);
-            }
-        }
-        acc
-    });
-    seconds / (passes * pairs.len()) as f64 * 1e9
 }
 
 /// Banded DP cell count for an `m × n` table with Sakoe–Chiba radius
@@ -442,11 +354,6 @@ fn main() {
         (128, 8, 60)
     };
     let (long_queries, long_cols) = if cfg.quick { (1usize, 9usize) } else { (2, 20) };
-    // upto rows: 16 pairs of length 128 are 32 KiB of series, which
-    // stays in L1/L2 across passes, so per-call compute shows.
-    const UPTO_LEN: usize = 128;
-    const UPTO_PAIRS: usize = 16;
-    let upto_passes = if cfg.quick { 100usize } else { 2000 };
     // Wire corpus: every test series of a standard-scale archive (64 to
     // 160 samples), the same corpus in both modes.
     const WIRE_DATASETS: usize = 4;
@@ -520,22 +427,6 @@ fn main() {
             row.gbps_lane,
             row.scalar_seconds / row.lane_seconds.max(1e-12),
             row.max_rel_err
-        );
-    }
-
-    // --- upto: early-abandoning lock-step calls, cache-resident. ------
-    let upto_pairs: Vec<(Vec<f64>, Vec<f64>)> = (0..UPTO_PAIRS)
-        .map(|_| (noise.series(UPTO_LEN), noise.series(UPTO_LEN)))
-        .collect();
-    let upto_rows = vec![
-        bench_abandon("ED", &Euclidean, &upto_pairs, upto_passes, reps),
-        bench_abandon("CityBlock", &CityBlock, &upto_pairs, upto_passes, reps),
-    ];
-    for row in &upto_rows {
-        eprintln!(
-            "[bench_kernels] {:14} upto len {UPTO_LEN}: exact {:6.1} ns  open {:6.1} ns  \
-             cut {:6.1} ns ({}/{UPTO_PAIRS} abandoned)  contract {}",
-            row.name, row.exact_ns, row.open_ns, row.cut_ns, row.abandoned, row.contract_holds
         );
     }
 
@@ -702,9 +593,7 @@ fn main() {
          \"dp_pairs\": {dp_pairs}, \"band\": {band}, \"repetitions\": {reps}, \
          \"row_length\": {row_len}, \"row_queries\": {row_queries}, \
          \"row_columns\": {row_cols}, \"long_row_queries\": {long_queries}, \
-         \"long_row_columns\": {long_cols}, \"upto_length\": {UPTO_LEN}, \
-         \"upto_pairs\": {UPTO_PAIRS}, \"upto_passes\": {upto_passes}, \
-         \"wire_datasets\": {WIRE_DATASETS}, \"wire_passes\": {wire_passes}, \
+         \"long_row_columns\": {long_cols}, \"wire_datasets\": {WIRE_DATASETS}, \"wire_passes\": {wire_passes}, \
          \"seed\": {}, \"quick\": {}}},\n",
         cfg.seed, cfg.quick
     ));
@@ -723,22 +612,6 @@ fn main() {
             r.max_rel_err,
             r.lanes_hint,
             if i + 1 < lockstep.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"upto\": [\n");
-    for (i, r) in upto_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"length\": {UPTO_LEN}, \"exact_ns\": {:.2}, \
-             \"upto_open_ns\": {:.2}, \"upto_cut_ns\": {:.2}, \"cutoff\": {:.6}, \
-             \"abandoned\": {}, \"pairs\": {UPTO_PAIRS}, \"contract_holds\": {}}}{}\n",
-            r.name,
-            r.exact_ns,
-            r.open_ns,
-            r.cut_ns,
-            r.cutoff,
-            r.abandoned,
-            r.contract_holds,
-            if i + 1 < upto_rows.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n  \"dp\": [\n");
@@ -807,15 +680,6 @@ fn main() {
             eprintln!(
                 "FAIL: {} lane kernel drifts {:e} from the scalar twin (tolerance 1e-12)",
                 r.name, r.max_rel_err
-            );
-            failed = true;
-        }
-    }
-    for r in &upto_rows {
-        if !r.contract_holds {
-            eprintln!(
-                "FAIL: {} distance_upto breaks its contract against distance_ws",
-                r.name
             );
             failed = true;
         }

@@ -119,8 +119,9 @@ impl Distance for Dtw {
 /// rows live in `ws`. `band` is the absolute Sakoe–Chiba radius.
 ///
 /// The row-major reference for the wavefront kernel behind [`Dtw`]
-/// (DESIGN.md §9.2). In production only ItakuraDtw's fallback and the
-/// embedding measures (RWS, SPIRAL) call it.
+/// (DESIGN.md §9.2). No production path calls it: the tests and
+/// `bench_kernels`' dp gate compare the wavefront against it bit for
+/// bit.
 pub fn dtw_banded_ws(x: &[f64], y: &[f64], band: usize, ws: &mut Workspace) -> f64 {
     let m = x.len();
     let n = y.len();
@@ -142,7 +143,7 @@ pub fn dtw_banded_ws(x: &[f64], y: &[f64], band: usize, ws: &mut Workspace) -> f
             continue;
         }
         for j in lo..=hi {
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "reference row-major kernel: the wavefront equivalence tests compare against it; in production only ItakuraDtw's pinched-parallelogram fallback and the embedding measures call it")
+            // tsdist-lint: allow(hot-path-bounds-check, reason = "reference row-major kernel: the wavefront equivalence tests and bench_kernels' dp gate compare against it; no production path calls it")
             let d = x[i - 1] - y[j - 1];
             let cost = d * d;
             let best = prev[j - 1].min(prev[j]).min(curr[j - 1]);

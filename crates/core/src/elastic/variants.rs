@@ -151,7 +151,7 @@ impl Distance for ItakuraDtw {
         if result.is_finite() {
             result
         } else {
-            super::dtw::dtw_banded_ws(x, y, m.max(n), ws)
+            super::Dtw::unconstrained().distance_ws(x, y, ws)
         }
     }
 

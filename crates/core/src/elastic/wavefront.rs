@@ -347,6 +347,9 @@ mod tests {
             (8, 47, 33),
             (9, 64, 64),
             (10, 128, 100),
+            // Long series against short random ones, as RWS aligns them.
+            (14, 97, 3),
+            (15, 1, 25),
         ] {
             let x = noise(seed, m);
             let y = noise(seed ^ 0xDEAD, n);

@@ -11,7 +11,8 @@
 //! kernel — is retained.
 
 use super::Embedding;
-use crate::elastic::dtw::dtw_banded_ws;
+use crate::elastic::Dtw;
+use crate::measure::Distance;
 use crate::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,13 +76,12 @@ impl Embedding for Rws {
     fn embed(&self, series: &[Vec<f64>], _n_train: usize) -> Matrix {
         let omegas = self.random_series();
         let scale = 1.0 / (self.features as f64).sqrt();
+        let dtw = Dtw::unconstrained();
         let mut ws = Workspace::new();
         Matrix::from_fn(series.len(), self.features, |i, r| {
             let x = &series[i];
-            let omega = &omegas[r];
-            let band = x.len().max(omega.len());
-            let dtw = dtw_banded_ws(x, omega, band, &mut ws);
-            scale * (-dtw / (self.gamma * x.len().max(1) as f64)).exp()
+            let d = dtw.distance_ws(x, &omegas[r], &mut ws);
+            scale * (-d / (self.gamma * x.len().max(1) as f64)).exp()
         })
     }
 }

@@ -11,7 +11,8 @@
 //! `DESIGN.md`).
 
 use super::{select_landmarks, Embedding};
-use crate::elastic::dtw::dtw_banded_ws;
+use crate::elastic::Dtw;
+use crate::measure::Distance;
 use crate::workspace::Workspace;
 use tsdist_linalg::{nystroem_features, Matrix};
 
@@ -51,8 +52,7 @@ impl Spiral {
     }
 
     fn similarity(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        let band = x.len().max(y.len());
-        let dtw = dtw_banded_ws(x, y, band, ws);
+        let dtw = Dtw::unconstrained().distance_ws(x, y, ws);
         (-dtw / (self.gamma * x.len().max(1) as f64)).exp()
     }
 }
