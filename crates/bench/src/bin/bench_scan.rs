@@ -17,8 +17,9 @@
 //!   test series of length 256, the `mixed` archetype, whose
 //!   nearest-neighbour contrast, and hence abandoning, is representative)
 //!   under eight measures;
-//! * three small synthetic-archive datasets under the eleven measures with
-//!   a `distance_upto` override or a delegating default;
+//! * three small synthetic-archive datasets under eleven measures whose
+//!   `distance_upto` abandons: five lock-step (ED, CityBlock, Chebyshev,
+//!   Minkowski, Lorentzian) and six elastic;
 //! * a clustered dataset (64 / 64, length 256, see [`clustered_dataset`])
 //!   under ten measure×normalization workloads with an index structure:
 //!   the DTW band cascade, the declared-metric lock-steps under z-score,
@@ -121,8 +122,8 @@ fn timed() -> Vec<Workload> {
     ]
 }
 
-/// Every family with a `distance_upto` override plus defaults that merely
-/// delegate: the archive datasets' measures.
+/// The archive datasets' measures: lock-step and elastic families whose
+/// `distance_upto` abandons.
 fn registry() -> Vec<Workload> {
     vec![
         zscored("ED", Box::new(Euclidean)),

@@ -4,13 +4,14 @@
 //! Avg(L1, L∞) is one of the measures Table 2 finds significantly better
 //! than ED under z-score, UnitLength, and MeanNorm.
 
-use super::{clamp_pos, lockstep_measure, safe_div, zip_sum};
+use super::{clamp_pos, lockstep_measure, safe_div};
+use crate::lanes::lane_sum;
 
 lockstep_measure!(
     /// Taneja divergence: `sum ((x+y)/2) ln((x+y) / (2 sqrt(x*y)))`.
     Taneja,
     "Taneja",
-    |x, y| zip_sum(x, y, |a, b| {
+    |x, y| lane_sum(x, y, |a, b| {
         let (a, b) = (clamp_pos(a), clamp_pos(b));
         let m = 0.5 * (a + b);
         m * ((a + b) / (2.0 * (a * b).sqrt())).ln()
@@ -21,7 +22,7 @@ lockstep_measure!(
     /// Kumar–Johnson distance: `sum (x^2 - y^2)^2 / (2 (x*y)^{3/2})`.
     KumarJohnson,
     "KumarJohnson",
-    |x, y| zip_sum(x, y, |a, b| {
+    |x, y| lane_sum(x, y, |a, b| {
         let (ca, cb) = (clamp_pos(a), clamp_pos(b));
         let num = (a * a - b * b) * (a * a - b * b);
         safe_div(num, 2.0 * (ca * cb).powf(1.5))
@@ -33,7 +34,7 @@ lockstep_measure!(
     AvgL1Linf,
     "AvgL1Linf",
     |x, y| {
-        let l1 = zip_sum(x, y, |a, b| (a - b).abs());
+        let l1 = lane_sum(x, y, |a, b| (a - b).abs());
         let linf = x
             .iter()
             .zip(y)

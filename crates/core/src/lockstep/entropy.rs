@@ -3,14 +3,15 @@
 //! All six require density-like positive inputs; values are clamped to a
 //! positive floor before logarithms (`clamp_pos`).
 
-use super::{clamp_pos, lockstep_measure, zip_sum};
+use super::{clamp_pos, lockstep_measure};
+use crate::lanes::lane_sum;
 
 lockstep_measure!(
     asymmetric
     /// Kullback–Leibler divergence: `sum x ln(x/y)`. Asymmetric.
     KullbackLeibler,
     "KullbackLeibler",
-    |x, y| zip_sum(x, y, |a, b| {
+    |x, y| lane_sum(x, y, |a, b| {
         let (a, b) = (clamp_pos(a), clamp_pos(b));
         a * (a / b).ln()
     })
@@ -20,7 +21,7 @@ lockstep_measure!(
     /// Jeffreys divergence (symmetrized KL): `sum (x - y) ln(x/y)`.
     Jeffreys,
     "Jeffreys",
-    |x, y| zip_sum(x, y, |a, b| {
+    |x, y| lane_sum(x, y, |a, b| {
         let (ca, cb) = (clamp_pos(a), clamp_pos(b));
         // `ln(ca) - ln(cb)` rather than `(ca / cb).ln()`: the former is the
         // exact negation of its swap, so each term — and therefore the sum —
@@ -37,7 +38,7 @@ lockstep_measure!(
     /// K divergence: `sum x ln(2x / (x+y))`.
     KDivergence,
     "KDivergence",
-    |x, y| zip_sum(x, y, |a, b| {
+    |x, y| lane_sum(x, y, |a, b| {
         let (a, b) = (clamp_pos(a), clamp_pos(b));
         a * (2.0 * a / (a + b)).ln()
     })
@@ -48,7 +49,7 @@ lockstep_measure!(
     /// the Jensen–Shannon divergence. Evaluated under MinMax in Table 2.
     Topsoe,
     "Topsoe",
-    |x, y| zip_sum(x, y, |a, b| {
+    |x, y| lane_sum(x, y, |a, b| {
         let (a, b) = (clamp_pos(a), clamp_pos(b));
         let m = a + b;
         a * (2.0 * a / m).ln() + b * (2.0 * b / m).ln()
@@ -61,7 +62,7 @@ lockstep_measure!(
     JensenShannon,
     "JensenShannon",
     |x, y| 0.5
-        * zip_sum(x, y, |a, b| {
+        * lane_sum(x, y, |a, b| {
             let (a, b) = (clamp_pos(a), clamp_pos(b));
             let m = a + b;
             a * (2.0 * a / m).ln() + b * (2.0 * b / m).ln()
@@ -73,7 +74,7 @@ lockstep_measure!(
     /// `sum [(x ln x + y ln y)/2 - ((x+y)/2) ln((x+y)/2)]`.
     JensenDifference,
     "JensenDifference",
-    |x, y| zip_sum(x, y, |a, b| {
+    |x, y| lane_sum(x, y, |a, b| {
         let (a, b) = (clamp_pos(a), clamp_pos(b));
         let m = 0.5 * (a + b);
         0.5 * (a * a.ln() + b * b.ln()) - m * m.ln()

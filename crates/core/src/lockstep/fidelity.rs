@@ -7,7 +7,8 @@
 //! positive (MinMax) — one of the paper's motivations for studying
 //! normalization at all.
 
-use super::{clamp_pos, lockstep_measure, zip_sum};
+use super::{clamp_pos, lockstep_measure};
+use crate::lanes::lane_sum;
 use crate::measure::EPS;
 
 lockstep_measure!(
@@ -15,14 +16,14 @@ lockstep_measure!(
     /// coefficient subtracted from one).
     Fidelity,
     "Fidelity",
-    |x, y| 1.0 - zip_sum(x, y, |a, b| (clamp_pos(a) * clamp_pos(b)).sqrt())
+    |x, y| 1.0 - lane_sum(x, y, |a, b| (clamp_pos(a) * clamp_pos(b)).sqrt())
 );
 
 lockstep_measure!(
     /// Bhattacharyya distance: `-ln sum sqrt(x*y)`.
     Bhattacharyya,
     "Bhattacharyya",
-    |x, y| -zip_sum(x, y, |a, b| (clamp_pos(a) * clamp_pos(b)).sqrt())
+    |x, y| -lane_sum(x, y, |a, b| (clamp_pos(a) * clamp_pos(b)).sqrt())
         .max(EPS)
         .ln()
 );
@@ -32,7 +33,7 @@ lockstep_measure!(
     Hellinger,
     "Hellinger",
     |x, y| (2.0
-        * zip_sum(x, y, |a, b| {
+        * lane_sum(x, y, |a, b| {
             let d = clamp_pos(a).sqrt() - clamp_pos(b).sqrt();
             d * d
         }))
@@ -43,7 +44,7 @@ lockstep_measure!(
     /// Matusita distance: `sqrt(sum (sqrt(x) - sqrt(y))^2)`.
     Matusita,
     "Matusita",
-    |x, y| zip_sum(x, y, |a, b| {
+    |x, y| lane_sum(x, y, |a, b| {
         let d = clamp_pos(a).sqrt() - clamp_pos(b).sqrt();
         d * d
     })
@@ -54,7 +55,7 @@ lockstep_measure!(
     /// Squared-chord distance: `sum (sqrt(x) - sqrt(y))^2`.
     SquaredChord,
     "SquaredChord",
-    |x, y| zip_sum(x, y, |a, b| {
+    |x, y| lane_sum(x, y, |a, b| {
         let d = clamp_pos(a).sqrt() - clamp_pos(b).sqrt();
         d * d
     })

@@ -4,7 +4,8 @@
 //! measures the paper surfaces as significantly better than ED — but only
 //! under MeanNorm normalization.
 
-use super::{lockstep_measure, safe_div, zip_sum};
+use super::{lockstep_measure, safe_div};
+use crate::lanes::lane_sum;
 
 lockstep_measure!(
     /// Inner-product dissimilarity: `1 - sum x*y`. (Any strictly
@@ -12,14 +13,14 @@ lockstep_measure!(
     /// decisions.)
     InnerProduct,
     "InnerProduct",
-    |x, y| 1.0 - zip_sum(x, y, |a, b| a * b)
+    |x, y| 1.0 - lane_sum(x, y, |a, b| a * b)
 );
 
 lockstep_measure!(
     /// Harmonic-mean dissimilarity: `1 - 2 sum (x*y / (x+y))`.
     HarmonicMean,
     "HarmonicMean",
-    |x, y| 1.0 - 2.0 * zip_sum(x, y, |a, b| safe_div(a * b, a + b))
+    |x, y| 1.0 - 2.0 * lane_sum(x, y, |a, b| safe_div(a * b, a + b))
 );
 
 lockstep_measure!(
@@ -27,9 +28,9 @@ lockstep_measure!(
     Cosine,
     "Cosine",
     |x, y| {
-        let dot = zip_sum(x, y, |a, b| a * b);
-        let nx = zip_sum(x, x, |a, b| a * b).sqrt();
-        let ny = zip_sum(y, y, |a, b| a * b).sqrt();
+        let dot = lane_sum(x, y, |a, b| a * b);
+        let nx = lane_sum(x, x, |a, b| a * b).sqrt();
+        let ny = lane_sum(y, y, |a, b| a * b).sqrt();
         1.0 - safe_div(dot, nx * ny)
     }
 );
@@ -40,9 +41,9 @@ lockstep_measure!(
     KumarHassebrook,
     "KumarHassebrook",
     |x, y| {
-        let dot = zip_sum(x, y, |a, b| a * b);
-        let sx = zip_sum(x, x, |a, b| a * b);
-        let sy = zip_sum(y, y, |a, b| a * b);
+        let dot = lane_sum(x, y, |a, b| a * b);
+        let sx = lane_sum(x, x, |a, b| a * b);
+        let sy = lane_sum(y, y, |a, b| a * b);
         1.0 - safe_div(dot, sx + sy - dot)
     }
 );
@@ -52,10 +53,10 @@ lockstep_measure!(
     Jaccard,
     "Jaccard",
     |x, y| {
-        let num = zip_sum(x, y, |a, b| (a - b) * (a - b));
-        let dot = zip_sum(x, y, |a, b| a * b);
-        let sx = zip_sum(x, x, |a, b| a * b);
-        let sy = zip_sum(y, y, |a, b| a * b);
+        let num = lane_sum(x, y, |a, b| (a - b) * (a - b));
+        let dot = lane_sum(x, y, |a, b| a * b);
+        let sx = lane_sum(x, x, |a, b| a * b);
+        let sy = lane_sum(y, y, |a, b| a * b);
         safe_div(num, sx + sy - dot)
     }
 );
@@ -65,9 +66,9 @@ lockstep_measure!(
     Dice,
     "Dice",
     |x, y| {
-        let num = zip_sum(x, y, |a, b| (a - b) * (a - b));
-        let sx = zip_sum(x, x, |a, b| a * b);
-        let sy = zip_sum(y, y, |a, b| a * b);
+        let num = lane_sum(x, y, |a, b| (a - b) * (a - b));
+        let sx = lane_sum(x, x, |a, b| a * b);
+        let sy = lane_sum(y, y, |a, b| a * b);
         safe_div(num, sx + sy)
     }
 );

@@ -1,21 +1,22 @@
 //! The Intersection family: seven measures built on coordinate-wise
 //! minima and maxima.
 
-use super::{lockstep_measure, safe_div, zip_sum};
+use super::{lockstep_measure, safe_div};
+use crate::lanes::lane_sum;
 
 lockstep_measure!(
     /// Non-intersection distance: `(1/2) sum |x-y|` (the distance form of
     /// the histogram-intersection similarity `sum min(x,y)`).
     Intersection,
     "Intersection",
-    |x, y| 0.5 * zip_sum(x, y, |a, b| (a - b).abs())
+    |x, y| 0.5 * lane_sum(x, y, |a, b| (a - b).abs())
 );
 
 lockstep_measure!(
     /// Wave Hedges distance: `sum |x-y| / max(x,y)`.
     WaveHedges,
     "WaveHedges",
-    |x, y| zip_sum(x, y, |a, b| safe_div((a - b).abs(), a.max(b)))
+    |x, y| lane_sum(x, y, |a, b| safe_div((a - b).abs(), a.max(b)))
 );
 
 lockstep_measure!(
@@ -25,8 +26,8 @@ lockstep_measure!(
     Czekanowski,
     "Czekanowski",
     |x, y| safe_div(
-        zip_sum(x, y, |a, b| (a - b).abs()),
-        zip_sum(x, y, |a, b| a + b)
+        lane_sum(x, y, |a, b| (a - b).abs()),
+        lane_sum(x, y, |a, b| a + b)
     )
 );
 
@@ -35,7 +36,7 @@ lockstep_measure!(
     /// `1 - sum min / sum (x+y)`; ranges in `[1/2, 1]` on positive data).
     Motyka,
     "Motyka",
-    |x, y| safe_div(zip_sum(x, y, f64::max), zip_sum(x, y, |a, b| a + b))
+    |x, y| safe_div(lane_sum(x, y, f64::max), lane_sum(x, y, |a, b| a + b))
 );
 
 lockstep_measure!(
@@ -44,8 +45,8 @@ lockstep_measure!(
     KulczynskiS,
     "Kulczynski-s",
     |x, y| safe_div(
-        zip_sum(x, y, |a, b| (a - b).abs()),
-        zip_sum(x, y, f64::min)
+        lane_sum(x, y, |a, b| (a - b).abs()),
+        lane_sum(x, y, f64::min)
     )
 );
 
@@ -53,7 +54,7 @@ lockstep_measure!(
     /// Ruzicka distance: `1 - sum min(x,y) / sum max(x,y)`.
     Ruzicka,
     "Ruzicka",
-    |x, y| 1.0 - safe_div(zip_sum(x, y, f64::min), zip_sum(x, y, f64::max))
+    |x, y| 1.0 - safe_div(lane_sum(x, y, f64::min), lane_sum(x, y, f64::max))
 );
 
 lockstep_measure!(
@@ -61,8 +62,8 @@ lockstep_measure!(
     Tanimoto,
     "Tanimoto",
     |x, y| {
-        let mx = zip_sum(x, y, f64::max);
-        let mn = zip_sum(x, y, f64::min);
+        let mx = lane_sum(x, y, f64::max);
+        let mn = lane_sum(x, y, f64::min);
         safe_div(mx - mn, mx)
     }
 );

@@ -5,20 +5,21 @@
 //! unknown measures the paper finds significantly better than ED — but
 //! only under MinMax normalization.
 
-use super::{lockstep_measure, safe_div, zip_sum};
+use super::{lockstep_measure, safe_div};
+use crate::lanes::lane_sum;
 
 lockstep_measure!(
     /// Vicis–Wave Hedges (Emanon1): `sum |x-y| / min(x,y)`.
     VicisWaveHedges,
     "VicisWaveHedges",
-    |x, y| zip_sum(x, y, |a, b| safe_div((a - b).abs(), a.min(b)))
+    |x, y| lane_sum(x, y, |a, b| safe_div((a - b).abs(), a.min(b)))
 );
 
 lockstep_measure!(
     /// Vicis symmetric chi-squared 1 (Emanon2): `sum (x-y)^2 / min(x,y)^2`.
     VicisSymmetricChiSq1,
     "Emanon2",
-    |x, y| zip_sum(x, y, |a, b| {
+    |x, y| lane_sum(x, y, |a, b| {
         let mn = a.min(b);
         safe_div((a - b) * (a - b), mn * mn)
     })
@@ -28,14 +29,14 @@ lockstep_measure!(
     /// Vicis symmetric chi-squared 2 (Emanon3): `sum (x-y)^2 / min(x,y)`.
     VicisSymmetricChiSq2,
     "Emanon3",
-    |x, y| zip_sum(x, y, |a, b| safe_div((a - b) * (a - b), a.min(b)))
+    |x, y| lane_sum(x, y, |a, b| safe_div((a - b) * (a - b), a.min(b)))
 );
 
 lockstep_measure!(
     /// Vicis symmetric chi-squared 3 (Emanon4): `sum (x-y)^2 / max(x,y)`.
     VicisSymmetricChiSq3,
     "Emanon4",
-    |x, y| zip_sum(x, y, |a, b| safe_div((a - b) * (a - b), a.max(b)))
+    |x, y| lane_sum(x, y, |a, b| safe_div((a - b) * (a - b), a.max(b)))
 );
 
 lockstep_measure!(
@@ -44,8 +45,8 @@ lockstep_measure!(
     MaxSymmetricChiSq,
     "Emanon5",
     |x, y| {
-        let dx = zip_sum(x, y, |a, b| safe_div((a - b) * (a - b), a));
-        let dy = zip_sum(x, y, |a, b| safe_div((a - b) * (a - b), b));
+        let dx = lane_sum(x, y, |a, b| safe_div((a - b) * (a - b), a));
+        let dy = lane_sum(x, y, |a, b| safe_div((a - b) * (a - b), b));
         dx.max(dy)
     }
 );

@@ -250,7 +250,7 @@ lockstep_measure!(
     /// Jeffreys, as it was before the conformance oracle caught it.
     Jeffreys,
     "Jeffreys",
-    |x, y| zip_sum(x, y, |a, b| {
+    |x, y| lane_sum(x, y, |a, b| {
         let (ca, cb) = (clamp_pos(a), clamp_pos(b));
         (ca - cb) * (ca / cb).ln()
     })
@@ -261,7 +261,7 @@ lockstep_measure!(
 lockstep_measure!(
     Jeffreys,
     "Jeffreys",
-    |x, y| zip_sum(x, y, |a, b| {
+    |x, y| lane_sum(x, y, |a, b| {
         let (ca, cb) = (clamp_pos(a), clamp_pos(b));
         (ca - cb) * (ca.ln() - cb.ln())
     })
@@ -273,7 +273,7 @@ lockstep_measure!(
     asymmetric
     KullbackLeibler,
     "KullbackLeibler",
-    |x, y| zip_sum(x, y, |a, b| {
+    |x, y| lane_sum(x, y, |a, b| {
         let (a, b) = (clamp_pos(a), clamp_pos(b));
         a * (a / b).ln()
     })
@@ -289,10 +289,10 @@ lockstep_measure!(
 
     #[test]
     fn fires_on_direct_params_and_safe_div() {
-        let direct = r#"lockstep_measure!(M, "M", |x, y| zip_sum(x, y, |a, b| (a / b).ln()));"#;
+        let direct = r#"lockstep_measure!(M, "M", |x, y| lane_sum(x, y, |a, b| (a / b).ln()));"#;
         assert_eq!(run(direct).len(), 1);
         let via_safe_div =
-            r#"lockstep_measure!(M, "M", |x, y| zip_sum(x, y, |a, b| safe_div(a, b).ln()));"#;
+            r#"lockstep_measure!(M, "M", |x, y| lane_sum(x, y, |a, b| safe_div(a, b).ln()));"#;
         assert_eq!(run(via_safe_div).len(), 1);
     }
 
@@ -302,7 +302,7 @@ lockstep_measure!(
         assert!(run(ASYMMETRIC).is_empty());
         // Topsøe-style `(2.0 * a / m)` with m = a + b: not a bare-param divide.
         let topsoe = r#"
-lockstep_measure!(M, "M", |x, y| zip_sum(x, y, |a, b| {
+lockstep_measure!(M, "M", |x, y| lane_sum(x, y, |a, b| {
     let m = a + b;
     a * (2.0 * a / m).ln() + b * (2.0 * b / m).ln()
 }));
@@ -318,7 +318,7 @@ lockstep_measure!(M, "M", |x, y| zip_sum(x, y, |a, b| {
 
     #[test]
     fn division_without_a_log_is_fine() {
-        let src = r#"lockstep_measure!(M, "M", |x, y| zip_sum(x, y, |a, b| (a / b).abs()));"#;
+        let src = r#"lockstep_measure!(M, "M", |x, y| lane_sum(x, y, |a, b| (a / b).abs()));"#;
         assert!(run(src).is_empty());
     }
 }

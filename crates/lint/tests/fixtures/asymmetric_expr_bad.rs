@@ -5,7 +5,7 @@
 lockstep_measure!(
     Jeffreys,
     "Jeffreys",
-    |x, y| zip_sum(x, y, |a, b| {
+    |x, y| lane_sum(x, y, |a, b| {
         let (ca, cb) = (clamp_pos(a), clamp_pos(b));
         (ca - cb) * (ca / cb).ln()
     })
@@ -15,7 +15,7 @@ lockstep_measure!(
     asymmetric
     KullbackLeibler,
     "KullbackLeibler",
-    |x, y| zip_sum(x, y, |a, b| {
+    |x, y| lane_sum(x, y, |a, b| {
         let (ca, cb) = (clamp_pos(a), clamp_pos(b));
         ca * (ca / cb).ln()
     })
