@@ -3,13 +3,23 @@
 //!
 //! For each (dataset, measure, normalization) the binary runs
 //! [`Scan`] once per plan: `Exact`, `Cutoff`, and `Cascade` or `Pivots`
-//! when the split's [`TrainIndex`] has a structure for the measure. It
-//! writes one row per plan: the median wall seconds of `reps` whole scans
-//! of the test split, the candidates considered and examined, the 1-NN
-//! accuracy, and whether the plan's answers (index and distance bits)
-//! equal the Exact plan's. Every scan runs with `warm_start(false)`, so
-//! rows are independent and the counters do not depend on how rows are
-//! chunked across threads.
+//! when the split's [`TrainIndex`] has a structure for the measure, then
+//! `Auto` (pruned, indexed, [`Scan::auto`]: each row's bounded plan or
+//! Exact, by measured cost). It writes one row per plan: the median and
+//! the first of the wall seconds of `reps` whole scans of the test split,
+//! the candidates considered and examined, the rows run under each plan
+//! (last repetition), the 1-NN accuracy, and whether the plan's answers
+//! (index and distance bits) equal the Exact plan's. Auto's repetitions
+//! share one index and so one plan memory, like the queries of a served
+//! split: its first repetition pays the sampling rows, its median is the
+//! settled plan. The `auto` section lists every Auto row below
+//! [`AUTO_EXACT_BAR`] of Exact's speed or more than [`AUTO_BEST_BAR`]
+//! behind the fastest fixed plan, with its first repetition's time
+//! against that plan's median (the sampling cost). Every scan runs with
+//! `warm_start(false)`, so rows are independent and the fixed plans'
+//! counters do not depend on how rows are chunked across threads. Each
+//! repetition runs every plan once, in an order rotated by one plan per
+//! repetition, so a slow spell of the host falls on every plan alike.
 //!
 //! Three kinds of dataset:
 //!
@@ -89,6 +99,13 @@ const SPEEDUP_BARS: &[(&str, f64)] = &[
     ("DDTW(δ=10)", 2.0),
     ("WDTW(g=0.05)", 2.0),
 ];
+
+/// Auto rows slower than this fraction of Exact's speed are listed in
+/// the ledger.
+const AUTO_EXACT_BAR: f64 = 0.95;
+/// Auto rows more than this factor behind the fastest fixed plan are
+/// listed in the ledger, with the rows they ran under each plan.
+const AUTO_BEST_BAR: f64 = 1.10;
 
 /// Label of the timed dataset, also its key in the accuracy golden.
 const BENCH: &str = "bench";
@@ -257,6 +274,8 @@ struct Row {
     plan: &'static str,
     pin: Pin,
     seconds: f64,
+    /// The first repetition's seconds (Auto's includes its sampling).
+    first_seconds: f64,
     stats: IndexedStats,
     accuracy: f64,
     identical: bool,
@@ -276,36 +295,52 @@ fn same_answers(a: &[NearestNeighbour], b: &[NearestNeighbour]) -> bool {
 }
 
 /// The rows of one workload on one dataset: every plan the split
-/// supports, each timed over `reps` whole scans.
+/// supports, each timed over `reps` whole scans, then Auto.
 fn plan_rows(suite: &Suite, w: &Workload, reps: usize) -> Vec<Row> {
     let prepared = prepare(&suite.ds, w.norm);
     let (d, train) = (w.d.as_ref(), &prepared.train);
     let mut ix = TrainIndex::build(train);
     ix.prepare_measure(d, train);
     let structure = ix.stats();
-    let base = Scan::new(d, train).warm_start(false);
-    let mut plans = vec![("Exact", base), ("Cutoff", base.pruned(true))];
+    let mut plans = vec!["Exact", "Cutoff"];
     if structure.dtw_bands > 0 {
-        plans.push(("Cascade", base.pruned(true).indexed(&ix)));
+        plans.push("Cascade");
     } else if structure.pivot_tables > 0 {
-        plans.push(("Pivots", base.pruned(true).indexed(&ix)));
+        plans.push("Pivots");
     }
-    let mut exact: Vec<NearestNeighbour> = Vec::new();
+    plans.push("Auto");
+    let base = Scan::new(d, train).warm_start(false);
+    // Auto's repetitions share the index, and with it the plan memory,
+    // as a served split's queries do: the first pays the sampling rows.
+    let scans: Vec<Scan<'_>> = plans
+        .iter()
+        .map(|&plan| match plan {
+            "Exact" => base,
+            "Cutoff" => base.pruned(true),
+            "Auto" => base.pruned(true).indexed(&ix).auto(true),
+            _ => base.pruned(true).indexed(&ix),
+        })
+        .collect();
+    // Repetitions interleave the plans, each starting one plan later
+    // than the last, so a slow spell of the host, or the state one plan
+    // leaves behind, falls on every plan alike.
+    let mut times = vec![Vec::with_capacity(reps); plans.len()];
+    let mut answers = vec![(Vec::new(), IndexedStats::default()); plans.len()];
+    for rep in 0..reps {
+        for p in (0..plans.len()).map(|p| (p + rep) % plans.len()) {
+            let start = Instant::now();
+            answers[p] = scans[p].nearest(Rows::Queries(&prepared.test));
+            times[p].push(start.elapsed().as_secs_f64());
+        }
+    }
+    let exact = answers[0].0.clone();
     plans
         .into_iter()
-        .map(|(plan, scan)| {
-            let mut times = Vec::with_capacity(reps);
-            let mut answers = (Vec::new(), IndexedStats::default());
-            for _ in 0..reps {
-                let start = Instant::now();
-                answers = scan.nearest(Rows::Queries(&prepared.test));
-                times.push(start.elapsed().as_secs_f64());
-            }
+        .zip(times)
+        .zip(answers)
+        .map(|((plan, mut times), (nns, stats))| {
+            let first_seconds = times[0];
             times.sort_by(f64::total_cmp);
-            let (nns, stats) = answers;
-            if plan == "Exact" {
-                exact.clone_from(&nns);
-            }
             Row {
                 dataset: suite.label.clone(),
                 measure: w.name,
@@ -313,6 +348,7 @@ fn plan_rows(suite: &Suite, w: &Workload, reps: usize) -> Vec<Row> {
                 plan,
                 pin: suite.pin,
                 seconds: times[times.len() / 2],
+                first_seconds,
                 stats,
                 accuracy: one_nn_vote_accuracy(&nns, &prepared.test_labels, &prepared.train_labels)
                     .expect("a generated split has a train label per series"),
@@ -320,6 +356,50 @@ fn plan_rows(suite: &Suite, w: &Workload, reps: usize) -> Vec<Row> {
             }
         })
         .collect()
+}
+
+/// How Auto did on each (dataset, measure, normalization): its median
+/// time against Exact's and the fastest fixed plan's, with the rows it
+/// ran under each plan (its sampling and probe rows included).
+struct AutoReport<'a> {
+    auto: &'a Row,
+    exact: f64,
+    best: &'a Row,
+}
+
+impl AutoReport<'_> {
+    /// Auto's speed relative to Exact (above 1 is faster).
+    fn vs_exact(&self) -> f64 {
+        self.exact / self.auto.seconds
+    }
+
+    /// Auto's time relative to the fastest fixed plan (above 1 is
+    /// slower).
+    fn behind_best(&self) -> f64 {
+        self.auto.seconds / self.best.seconds
+    }
+}
+
+fn auto_reports(rows: &[Row]) -> Vec<AutoReport<'_>> {
+    let same =
+        |a: &Row, b: &Row| (&a.dataset, a.measure, a.norm) == (&b.dataset, b.measure, b.norm);
+    rows.iter()
+        .filter(|r| r.plan == "Auto")
+        .filter_map(|auto| {
+            let fixed = || rows.iter().filter(|r| r.plan != "Auto" && same(r, auto));
+            let exact = fixed().find(|r| r.plan == "Exact")?.seconds;
+            let best = fixed().min_by(|a, b| a.seconds.total_cmp(&b.seconds))?;
+            Some(AutoReport { auto, exact, best })
+        })
+        .collect()
+}
+
+/// The rows a scan ran under each plan, as a JSON object.
+fn rows_by_plan(s: &IndexedStats) -> String {
+    format!(
+        "{{\"Exact\": {}, \"Cutoff\": {}, \"Cascade\": {}, \"Pivots\": {}}}",
+        s.exact_rows, s.cutoff_rows, s.cascade_rows, s.pivot_rows
+    )
 }
 
 /// A committed golden: tab-separated lines whose first two fields are the
@@ -445,15 +525,18 @@ fn ledger_json(
         .map(|r| {
             format!(
                 "    {{\"dataset\": \"{}\", \"measure\": \"{}\", \"norm\": \"{}\", \
-                 \"plan\": \"{}\", \"median_seconds\": {:.6e}, \"candidates\": {}, \
-                 \"examined\": {}, \"accuracy\": {}, \"identical\": {}}}",
+                 \"plan\": \"{}\", \"median_seconds\": {:.6e}, \"first_seconds\": {:.6e}, \
+                 \"candidates\": {}, \"examined\": {}, \"rows_by_plan\": {}, \"accuracy\": {}, \
+                 \"identical\": {}}}",
                 r.dataset,
                 r.measure,
                 r.norm,
                 r.plan,
                 r.seconds,
+                r.first_seconds,
                 r.stats.candidates,
                 r.stats.examined,
+                rows_by_plan(&r.stats),
                 r.accuracy,
                 r.identical
             )
@@ -461,8 +544,46 @@ fn ledger_json(
         .collect();
     json.push_str(&items.join(",\n"));
     let failures = rows.iter().filter(|r| !r.identical).count();
+    let reports = auto_reports(rows);
+    let listed = |keep: &dyn Fn(&AutoReport<'_>) -> bool| -> String {
+        let items: Vec<String> = reports
+            .iter()
+            .filter(|a| keep(a))
+            .map(|a| {
+                format!(
+                    "      {{\"dataset\": \"{}\", \"measure\": \"{}\", \"norm\": \"{}\", \
+                     \"vs_exact\": {:.3}, \"behind_best\": {:.3}, \"best_plan\": \"{}\", \
+                     \"first_behind_best\": {:.3}, \"rows_by_plan\": {}}}",
+                    a.auto.dataset,
+                    a.auto.measure,
+                    a.auto.norm,
+                    a.vs_exact(),
+                    a.behind_best(),
+                    a.best.plan,
+                    a.auto.first_seconds / a.best.seconds,
+                    rows_by_plan(&a.auto.stats)
+                )
+            })
+            .collect();
+        if items.is_empty() {
+            "[]".to_string()
+        } else {
+            format!("[\n{}\n    ]", items.join(",\n"))
+        }
+    };
+    let min_vs_exact = reports
+        .iter()
+        .map(AutoReport::vs_exact)
+        .min_by(f64::total_cmp)
+        .map_or("null".to_string(), |v| format!("{v:.3}"));
     json.push_str(&format!(
-        "\n  ],\n  \"failures\": {failures},\n  \"median_examined_fraction\": {},\n  \
+        "\n  ],\n  \"auto\": {{\n    \"min_vs_exact\": {min_vs_exact},\n    \
+         \"below_0.95_of_exact\": {},\n    \"over_10pct_behind_best\": {}\n  }},",
+        listed(&|a| a.vs_exact() < AUTO_EXACT_BAR),
+        listed(&|a| a.behind_best() > AUTO_BEST_BAR)
+    ));
+    json.push_str(&format!(
+        "\n  \"failures\": {failures},\n  \"median_examined_fraction\": {},\n  \
          \"examined_bar\": {EXAMINED_BAR},\n  \
          \"provenance\": {{\"baseline\": \"pre-vectorization kernels (scalar zip folds, \
          row-major DP), Exact and Cutoff on bench\", \"baseline_medians_seconds\": {{\n",
@@ -482,7 +603,7 @@ fn main() {
     let (bench_series, clustered_series, length, reps) = if cfg.quick {
         (16, 48, 64, 3)
     } else {
-        (64, 64, 256, 5)
+        (64, 64, 256, 15)
     };
 
     // Index 6 of a 7-dataset archive is the `mixed` archetype.
@@ -554,6 +675,19 @@ fn main() {
     let median_fraction = fractions.get(fractions.len() / 2).copied();
     let ledger = ledger_json(&cfg, reps, &suites, &rows, median_fraction);
     cfg.save("BENCH_scan.json", &ledger);
+    for a in auto_reports(&rows) {
+        eprintln!(
+            "[bench_scan] Auto {:14} ({:8}) on {}: {:.2}x Exact's speed, {:.2}x the time of \
+             {} (rows by plan {})",
+            a.auto.measure,
+            a.auto.norm,
+            a.auto.dataset,
+            a.vs_exact(),
+            a.behind_best(),
+            a.best.plan,
+            rows_by_plan(&a.auto.stats)
+        );
+    }
 
     let mut failed = false;
     for r in rows.iter().filter(|r| !r.identical) {

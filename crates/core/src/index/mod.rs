@@ -22,7 +22,9 @@
 //! positive-regime data with a non-positive query, unprepared measure)
 //! gets [`QueryPlan::Linear`], i.e. an unpruned or cutoff-threaded scan.
 //! The base index also holds the strided sample table behind
-//! [`cheap_score`], the candidate order of those cutoff-threaded scans.
+//! [`cheap_score`], the candidate order of those cutoff-threaded scans,
+//! and the [`PlanMemory`] in which Auto scans remember what each bounded
+//! plan and Exact cost on this split (see [`plans`]).
 //! Every bound produced here is deflated for floating-point safety
 //! (see [`paa::LB_DEFLATE`] and [`pivots::PIVOT_MARGIN`]), which is what
 //! lets the planner skip candidates while keeping 1-NN/k-NN answers
@@ -30,6 +32,7 @@
 
 pub mod paa;
 pub mod pivots;
+pub mod plans;
 
 use std::collections::BTreeMap;
 
@@ -38,6 +41,7 @@ use crate::measure::{Distance, IndexProfile, MetricRegime, EPS};
 
 pub use paa::{envelope_summary, lb_paa, paa_means, segment_bounds, LB_DEFLATE};
 pub use pivots::{assert_metric_on, find_metric_violation, PivotTable, PIVOT_MARGIN};
+pub use plans::{Choice, PlanKey, PlanMemory, RowCost};
 
 /// Seed for the conformance sampling run at pivot-table build time.
 const CONFORMANCE_SEED: u64 = 0x7D15_7A9C_E11B_0001;
@@ -194,6 +198,9 @@ pub struct TrainIndex {
     /// Flat `n x sample_positions.len()` table: row `j` holds train
     /// series `j`'s samples.
     samples: Vec<f64>,
+    /// What each bounded plan and Exact cost per candidate on this
+    /// split, for every Auto scan of it.
+    plans: PlanMemory,
 }
 
 /// The stride [`cheap_score`] samples two series of `n` points with.
@@ -245,6 +252,7 @@ impl TrainIndex {
             pivot_tables: BTreeMap::new(),
             sample_positions,
             samples,
+            plans: PlanMemory::default(),
         }
     }
 
@@ -375,6 +383,14 @@ impl TrainIndex {
     /// scratch for [`DtwBandIndex::lb_paa`] and [`DtwBandIndex::lb_paa_row`].
     pub fn query_means(&self, query: &[f64], out: &mut Vec<f64>) {
         paa_means(query, &self.bounds, out);
+    }
+
+    /// The plan memory of Auto scans of this split: one entry per
+    /// bounded plan, keyed like the structures (a Cascade by its band, a
+    /// pivot table or a Cutoff by the measure's name), kept for the
+    /// index's lifetime.
+    pub fn plans(&self) -> &PlanMemory {
+        &self.plans
     }
 
     /// Structure counts, for `serve` health reporting and benches.

@@ -100,8 +100,8 @@ fn tune(
 
 /// The one distance-cell core, shared by the runner and the
 /// [`Eval`](crate::request::Eval) builder: Algorithm 1 over a
-/// [`prepare`]d dataset's test split, through a [`Scan`] whose plan
-/// inputs are `index` and `pruned`, with the NaN/±Inf screen.
+/// [`prepare`]d dataset's test split, through an Auto [`Scan`] whose
+/// plan inputs are `index` and `pruned`, with the NaN/±Inf screen.
 ///
 /// The measure is guarded by `cancel`. An unindexed, unpruned scan builds
 /// `E` exactly like [`distance_matrix`](crate::matrices::distance_matrix)
@@ -133,7 +133,8 @@ pub(crate) fn distance_cell(
     };
     let mut scan = Scan::new(d, &prepared.train)
         .pruned(pruned)
-        .warm_start(warm_start);
+        .warm_start(warm_start)
+        .auto(true);
     if let Some(ix) = index {
         scan = scan.indexed(ix);
     }

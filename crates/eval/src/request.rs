@@ -88,9 +88,11 @@ impl<'a> Eval<'a> {
         self
     }
 
-    /// Use the cutoff-threaded pruned scan instead of materializing the
-    /// dissimilarity matrix. Results are byte-identical either way; only
-    /// the work done changes.
+    /// Offer rows without an index structure the cutoff-threaded scan
+    /// (the Cutoff plan) instead of materializing the dissimilarity
+    /// matrix. A hint: the request's scan is Auto, so such a row still
+    /// takes Exact where Exact measures cheaper. Results are
+    /// byte-identical either way; only the work done changes.
     pub fn pruned(mut self, yes: bool) -> Self {
         self.pruned = yes;
         self
@@ -134,10 +136,13 @@ impl<'a> Eval<'a> {
 
     /// Search through a caller-owned [`TrainIndex`] built over this
     /// dataset's **prepared** train split: rows the index has a structure
-    /// for skip candidates via the PAA lower-bound cascade or metric
+    /// for may skip candidates via the PAA lower-bound cascade or metric
     /// pivot bounds, everything else takes the usual scan: cutoff-threaded
     /// (in the order of the index's sample table) if
-    /// [`pruned`](Eval::pruned), exact otherwise. Answers and
+    /// [`pruned`](Eval::pruned), exact otherwise. The scan is Auto: a row
+    /// takes its bounded plan unless Exact measured cheaper on this
+    /// split, and the measurements live in the index's plan memory, so
+    /// every request through one index shares them. Answers and
     /// accuracies are byte-identical with or without the index — it only
     /// changes how much work is done. Building the index on anything
     /// other than the prepared split the request will search violates
@@ -213,7 +218,8 @@ impl<'a> Eval<'a> {
     {
         let scan = Scan::new(d, train)
             .pruned(self.pruned)
-            .warm_start(self.warm_start);
+            .warm_start(self.warm_start)
+            .auto(true);
         match self.index {
             Some(ix) => scan.indexed(ix),
             None => scan,

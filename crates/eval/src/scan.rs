@@ -2,13 +2,23 @@
 //! platform — Algorithm 1 on a test split, leave-one-out tuning, served
 //! queries — is one [`Scan`].
 //!
-//! # Four plans
+//! # Four plans and Auto
 //!
-//! Each row is searched under one plan, chosen by one rule: a row takes
+//! Each row is searched under one of four plans. Its **bounded** plan is
 //! [`Cascade`](QueryPlan::Cascade) or [`Pivots`](QueryPlan::Pivots) when
 //! the supplied [`TrainIndex`] has a structure for it
-//! ([`TrainIndex::plan`]); otherwise it takes **Cutoff** if the scan is
-//! pruned and **Exact** if it is not.
+//! ([`TrainIndex::plan`]), otherwise **Cutoff** if the scan is pruned; a
+//! row with none of these takes **Exact**. A fixed-plan scan runs every
+//! row under its bounded plan. An **Auto** scan ([`Scan::auto`], what
+//! [`Eval`](crate::Eval) and the query server use) runs a row with a
+//! bounded plan under Exact instead where Exact is measurably cheaper on
+//! the split: it times rows under both, keeps the bounded plan on a near
+//! tie, prices Exact from the Cascade's own lane blocks where they show a
+//! clear win, and re-probes at geometrically spaced rows (the rule is in
+//! [`tsdist_core::index::plans`]). The costs live in the index's
+//! [`PlanMemory`], keyed like its structures, so every scan of one index
+//! shares one decision; an unindexed scan keeps its own for its rows.
+//! Every plan gives the same answers, so the choice only moves speed.
 //!
 //! * **Exact**: the row of distances from the measure's
 //!   [`Distance::distance_row_ws`] kernel, the one the dissimilarity
@@ -62,7 +72,10 @@
 //! distance reaches the cutoff; then it can neither win nor tie. So each
 //! row's result is the same for every plan, visiting order, chunking and
 //! warm start (seeding a row with the previous row's winners): those
-//! change only how fast the cutoff tightens.
+//! change only how fast the cutoff tightens. The one plan-dependent
+//! output is the best-effort [`NearestNeighbour::non_finite`] screen, so
+//! under Auto it may report a ±∞ candidate on one run and not on another;
+//! a NaN is reported under every plan.
 //!
 //! Floating-point safety: `LB_PAA` values are stored pre-deflated
 //! ([`tsdist_core::index::LB_DEFLATE`]); the `LB_Keogh` tier instead
@@ -82,8 +95,11 @@ use crate::knn::majority_vote;
 use crate::matrices::distance_matrix;
 use crate::nn::check_shapes;
 use crate::parallel::{parallel_map, worker_count};
+use std::time::Instant;
 use tsdist_core::elastic::lb_keogh_upto;
-use tsdist_core::index::{cheap_score, paa_means, DtwBandIndex, PivotTable};
+use tsdist_core::index::{
+    cheap_score, paa_means, Choice, DtwBandIndex, PivotTable, PlanKey, PlanMemory, RowCost,
+};
 use tsdist_core::lanes::LANES;
 use tsdist_core::measure::Distance;
 use tsdist_core::{QueryPlan, TrainIndex, Workspace};
@@ -134,6 +150,15 @@ pub struct IndexedStats {
     pub pivot_skipped: u64,
     /// Rows without an index structure (Exact or Cutoff plan).
     pub fallback_rows: u64,
+    /// Rows answered by the Exact plan: rows with no bounded plan, and
+    /// rows an Auto scan sent to Exact (indexed ones included).
+    pub exact_rows: u64,
+    /// Rows answered by the Cutoff plan.
+    pub cutoff_rows: u64,
+    /// Rows answered by the Cascade plan.
+    pub cascade_rows: u64,
+    /// Rows answered by the Pivots plan.
+    pub pivot_rows: u64,
 }
 
 impl IndexedStats {
@@ -150,6 +175,10 @@ impl IndexedStats {
         self.keogh_skipped += o.keogh_skipped;
         self.pivot_skipped += o.pivot_skipped;
         self.fallback_rows += o.fallback_rows;
+        self.exact_rows += o.exact_rows;
+        self.cutoff_rows += o.cutoff_rows;
+        self.cascade_rows += o.cascade_rows;
+        self.pivot_rows += o.pivot_rows;
     }
 }
 
@@ -164,8 +193,9 @@ pub enum Rows<'a> {
 }
 
 /// One nearest-neighbour search over a train split. The plan inputs are
-/// the index ([`Scan::indexed`]) and whether the scan is pruned
-/// ([`Scan::pruned`]); see the module docs for the plan rule.
+/// the index ([`Scan::indexed`]), whether the scan is pruned
+/// ([`Scan::pruned`]) and whether it is Auto ([`Scan::auto`]); see the
+/// module docs for the plan rule.
 #[derive(Clone, Copy)]
 pub struct Scan<'a> {
     measure: &'a dyn Distance,
@@ -173,6 +203,7 @@ pub struct Scan<'a> {
     index: Option<&'a TrainIndex>,
     pruned: bool,
     warm_start: bool,
+    auto: bool,
 }
 
 impl<'a> Scan<'a> {
@@ -185,6 +216,7 @@ impl<'a> Scan<'a> {
             index: None,
             pruned: false,
             warm_start: true,
+            auto: false,
         }
     }
 
@@ -199,6 +231,17 @@ impl<'a> Scan<'a> {
     /// changes a result).
     pub fn warm_start(mut self, yes: bool) -> Self {
         self.warm_start = yes;
+        self
+    }
+
+    /// Lets every row with a bounded plan (Cascade, Pivots, or Cutoff
+    /// when pruned) take Exact instead where Exact is measurably cheaper
+    /// on this split: the Auto plan. What each plan cost is remembered
+    /// in the index's [`PlanMemory`] (shared by every scan of the index)
+    /// or, without an index, for this call's rows. Never changes a
+    /// result.
+    pub fn auto(mut self, yes: bool) -> Self {
+        self.auto = yes;
         self
     }
 
@@ -250,6 +293,10 @@ impl<'a> Scan<'a> {
         // all as one matrix, the study's `E`, and scan it on this thread.
         let matrix = (self.index.is_none() && !self.pruned)
             .then(|| distance_matrix(self.measure, queries, self.train));
+        let own_memory = PlanMemory::default();
+        let memory = self
+            .auto
+            .then(|| self.index.map_or(&own_memory, TrainIndex::plans));
         let chunk = |(lo, hi): (usize, usize)| {
             let mut s = Scratch::default();
             let mut inc = incumbent();
@@ -258,7 +305,14 @@ impl<'a> Scan<'a> {
             for (i, x) in queries.iter().enumerate().take(hi).skip(lo) {
                 let skip = if leave_one_out { i } else { usize::MAX };
                 let exact_row = matrix.as_ref().map(|e| e.row(i));
-                self.row(x, skip, exact_row, &mut inc, &mut s, &mut stats);
+                // A chunk's first row pays its one-time setup (a fresh
+                // worker and scratch), which its later rows do not: it
+                // is a cost sample only when it is the chunk's only row.
+                let planner = memory.map(|memory| Planner {
+                    memory,
+                    sample: i > lo || hi - lo == 1,
+                });
+                self.row(x, skip, exact_row, planner, &mut inc, &mut s, &mut stats);
                 if self.warm_start {
                     inc.seeds(&mut s.seeds);
                 }
@@ -281,8 +335,71 @@ impl<'a> Scan<'a> {
         (rows, stats)
     }
 
-    /// Searches one row under its plan, leaving the result in `inc`.
+    /// Searches one row under its plan, leaving the result in `inc`. An
+    /// Auto row (`planner` given) asks the plan memory whether a row with
+    /// a bounded plan takes it or Exact, and records what the row cost.
+    #[allow(clippy::too_many_arguments)]
     fn row<I: Incumbent>(
+        &self,
+        x: &[f64],
+        skip: usize,
+        exact_row: Option<&[f64]>,
+        planner: Option<Planner<'_>>,
+        inc: &mut I,
+        s: &mut Scratch,
+        stats: &mut IndexedStats,
+    ) {
+        inc.reset();
+        let candidates = (self.train.len() - usize::from(skip < self.train.len())) as u64;
+        stats.rows += 1;
+        stats.candidates += candidates;
+        let plan = match self.index {
+            Some(ix) => ix.plan(self.measure, x),
+            None => QueryPlan::Linear,
+        };
+        let tier = match plan {
+            QueryPlan::Linear => {
+                stats.fallback_rows += 1;
+                if !self.pruned {
+                    return self.exact(x, skip, exact_row, inc, s, stats, candidates);
+                }
+                Tier::Cutoff
+            }
+            QueryPlan::Cascade(bix) => Tier::Cascade(bix),
+            QueryPlan::Pivots(table) => Tier::Pivots(table),
+        };
+        let Some(Planner { memory, sample }) = planner else {
+            return self.bounded(x, skip, tier, inc, s, stats);
+        };
+        let key = match tier {
+            Tier::Cascade(bix) => PlanKey::Cascade(bix.band()),
+            Tier::Pivots(_) => PlanKey::Pivots(self.measure.name()),
+            Tier::Cutoff => PlanKey::Cutoff(self.measure.name()),
+        };
+        let taken = memory.decide(&key);
+        s.block.priced = sample.then_some((0, 0));
+        let start = sample.then(Instant::now);
+        match taken {
+            Choice::Exact => self.exact(x, skip, None, inc, s, stats, candidates),
+            Choice::Bounded => self.bounded(x, skip, tier, inc, s, stats),
+        }
+        let (Some(start), Some((lane_nanos, lanes))) = (start, s.block.priced.take()) else {
+            return;
+        };
+        let cost = RowCost {
+            taken,
+            nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            candidates,
+            lane_nanos,
+            lanes,
+        };
+        memory.record(&key, &cost);
+    }
+
+    /// The Exact plan: every candidate from the measure's row kernel (or
+    /// the prebuilt matrix row), offered in natural order.
+    #[allow(clippy::too_many_arguments)]
+    fn exact<I: Incumbent>(
         &self,
         x: &[f64],
         skip: usize,
@@ -290,53 +407,65 @@ impl<'a> Scan<'a> {
         inc: &mut I,
         s: &mut Scratch,
         stats: &mut IndexedStats,
+        candidates: u64,
+    ) {
+        stats.exact_rows += 1;
+        stats.examined += candidates;
+        let row = match exact_row {
+            Some(row) => row,
+            None => {
+                s.row.resize(self.train.len(), 0.0);
+                let (d, train) = (self.measure, self.train);
+                d.distance_row_ws(x, train, &mut s.row, &mut s.ws);
+                &s.row
+            }
+        };
+        for (j, &v) in row.iter().enumerate() {
+            if j != skip {
+                inc.offer(v, j, true);
+            }
+        }
+    }
+
+    /// A bounded plan: the row's candidate order (cheap scores, `LB_PAA`
+    /// or pivot bounds), then the shared visit.
+    fn bounded<I: Incumbent>(
+        &self,
+        x: &[f64],
+        skip: usize,
+        tier: Tier<'_>,
+        inc: &mut I,
+        s: &mut Scratch,
+        stats: &mut IndexedStats,
     ) {
         let (d, train) = (self.measure, self.train);
-        inc.reset();
-        let candidates = (train.len() - usize::from(skip < train.len())) as u64;
-        stats.rows += 1;
-        stats.candidates += candidates;
-        let (plan, bounds) = match self.index {
-            Some(ix) => (ix.plan(d, x), ix.bounds()),
-            None => (QueryPlan::Linear, &[][..]),
-        };
-        let tier = match plan {
-            QueryPlan::Linear if !self.pruned => {
-                stats.fallback_rows += 1;
-                stats.examined += candidates;
-                let row = match exact_row {
-                    Some(row) => row,
-                    None => {
-                        s.row.resize(train.len(), 0.0);
-                        d.distance_row_ws(x, train, &mut s.row, &mut s.ws);
-                        &s.row
-                    }
-                };
-                for (j, &v) in row.iter().enumerate() {
-                    if j != skip {
-                        inc.offer(v, j, true);
-                    }
-                }
-                return;
-            }
-            QueryPlan::Linear => {
-                stats.fallback_rows += 1;
+        match tier {
+            Tier::Cutoff => {
+                stats.cutoff_rows += 1;
                 s.order_by_cheap_score(x, train, self.index, skip);
-                Tier::Cutoff
             }
-            QueryPlan::Cascade(bix) => {
+            Tier::Cascade(bix) => {
+                stats.cascade_rows += 1;
+                let bounds = self.index.map_or(&[][..], TrainIndex::bounds);
                 paa_means(x, bounds, &mut s.qmeans);
                 bix.lb_paa_row(&s.qmeans, bounds, &mut s.scores);
                 order_by_scores(&mut s.order, &s.scores, |j| j != skip);
-                Tier::Cascade(bix)
             }
-            QueryPlan::Pivots(table) => {
+            Tier::Pivots(table) => {
+                stats.pivot_rows += 1;
                 stats.examined += s.visit_pivots(d, x, train, table, skip, inc);
-                Tier::Pivots
             }
-        };
+        }
         s.visit(d, x, train, tier, inc, stats);
     }
+}
+
+/// An Auto row's plan memory, and whether the row's cost is recorded as
+/// a sample.
+#[derive(Clone, Copy)]
+struct Planner<'m> {
+    memory: &'m PlanMemory,
+    sample: bool,
 }
 
 /// The bound tiers of a row's candidate visit. The rank key of each
@@ -349,7 +478,7 @@ enum Tier<'a> {
     /// survivors run in lane blocks.
     Cascade(&'a DtwBandIndex),
     /// The reverse-triangle pivot bound.
-    Pivots,
+    Pivots(&'a PivotTable),
 }
 
 /// The per-row search state of a plan: Algorithm 1's incumbent or the
@@ -613,7 +742,7 @@ impl Scratch {
         match tier {
             Tier::Cutoff => {}
             Tier::Cascade(_) => stats.paa_skipped += lb_skipped,
-            Tier::Pivots => stats.pivot_skipped += lb_skipped,
+            Tier::Pivots(_) => stats.pivot_skipped += lb_skipped,
         }
     }
 }
@@ -653,6 +782,9 @@ struct Block {
     ids: Vec<usize>,
     cols: Vec<Vec<f64>>,
     out: Vec<f64>,
+    /// In an Auto row, the nanoseconds and candidates of the row kernel
+    /// calls so far: the price of an Exact candidate.
+    priced: Option<(u64, u64)>,
 }
 
 impl Block {
@@ -682,7 +814,12 @@ impl Block {
                 }
                 self.out.clear();
                 self.out.resize(n, 0.0);
+                let start = self.priced.is_some().then(Instant::now);
                 d.distance_row_ws(x, &self.cols[..n], &mut self.out, ws);
+                if let (Some(start), Some((nanos, lanes))) = (start, &mut self.priced) {
+                    *nanos += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    *lanes += n as u64;
+                }
                 for (&j, &v) in self.ids.iter().zip(&self.out) {
                     inc.offer(v, j, true);
                 }
@@ -1344,6 +1481,7 @@ mod tests {
             expect.candidates += train.len() as u64;
             expect.examined += examined;
             expect.pivot_skipped += skipped;
+            expect.pivot_rows += 1;
         }
         let first = LazySort::FIRST as u64;
         assert!(fewest < first && most > first, "{fewest}..{most} examined");

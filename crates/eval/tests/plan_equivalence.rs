@@ -1,14 +1,19 @@
-//! The scan engine's four plans against the matrix-backed classifiers of
-//! `nn.rs`/`knn.rs`: Exact, Cutoff, Cascade (DTW) and Pivots (ED), each
-//! for 1-NN rows, k-NN rows (k ∈ {1, 3, train.len() + 1}) and
-//! leave-one-out rows, warm start on and off, over a split with exact
-//! ties, a NaN candidate, a +∞ candidate and an all-NaN row; and the
-//! Cascade's lane blocks over train sizes around the block width.
+//! The scan engine's four plans and Auto against the matrix-backed
+//! classifiers of `nn.rs`/`knn.rs`: Exact, Cutoff, Cascade (DTW), Pivots
+//! (ED), and Auto three ways (measuring as it goes, and with a plan
+//! memory primed so that every row takes Exact, or every row its bounded
+//! plan), each for 1-NN rows, k-NN rows (k ∈ {1, 3, train.len() + 1})
+//! and leave-one-out rows, warm start on and off, over a split with exact
+//! ties, a NaN candidate, a +∞ candidate and an all-NaN row; the
+//! Cascade's lane blocks over train sizes around the block width; and the
+//! plan memory's rule, driven by fed costs instead of the clock.
 
 use tsdist_core::elastic::Dtw;
+use tsdist_core::index::plans::MIN_SAMPLES;
+use tsdist_core::index::{Choice, PlanKey, RowCost};
 use tsdist_core::lockstep::Euclidean;
 use tsdist_core::measure::Distance;
-use tsdist_core::TrainIndex;
+use tsdist_core::{QueryPlan, TrainIndex};
 use tsdist_data::{Dataset, Label};
 use tsdist_eval::cell::find_non_finite;
 use tsdist_eval::{
@@ -54,38 +59,136 @@ fn split() -> Dataset {
     }
 }
 
-/// One plan: the scan it runs, and whether its rows must take an index
-/// structure.
+/// One plan: the scan it runs, whether its rows must take an index
+/// structure, and the plan every row must run under (`None`: Auto's own
+/// mix of Exact and the bounded plan).
 struct Plan<'a> {
     name: &'static str,
     scan: Scan<'a>,
     structured: bool,
+    every_row: Option<&'static str>,
 }
 
-fn plans<'a>(d: &'a dyn Distance, train: &'a [Vec<f64>], ix: &'a TrainIndex) -> Vec<Plan<'a>> {
+/// The key of `d`'s bounded plan for `query` in `ix`'s plan memory.
+fn plan_key(ix: &TrainIndex, d: &dyn Distance, query: &[f64]) -> PlanKey {
+    match ix.plan(d, query) {
+        QueryPlan::Cascade(bix) => PlanKey::Cascade(bix.band()),
+        QueryPlan::Pivots(_) => PlanKey::Pivots(d.name()),
+        QueryPlan::Linear => PlanKey::Cutoff(d.name()),
+    }
+}
+
+/// Feeds `rows` timed rows of `ns_per_candidate` under `taken` into the
+/// plan memory of `ix` under `key`.
+fn feed(ix: &TrainIndex, key: &PlanKey, taken: Choice, ns_per_candidate: u64, rows: usize) {
+    for _ in 0..rows {
+        let cost = RowCost {
+            taken,
+            nanos: ns_per_candidate * 100,
+            candidates: 100,
+            lane_nanos: 0,
+            lanes: 0,
+        };
+        ix.plans().record(key, &cost);
+    }
+}
+
+/// A copy of `ix` whose plan memory already priced `d`'s bounded plan
+/// and Exact, the loser a million times dearer per candidate than any
+/// row costs, so every Auto row takes `winner` and no probe comes within
+/// a test's rows.
+fn primed(ix: &TrainIndex, d: &dyn Distance, query: &[f64], winner: Choice) -> TrainIndex {
+    let ix = ix.clone();
+    let key = plan_key(&ix, d, query);
+    let (bounded, exact) = match winner {
+        Choice::Bounded => (1, 1_000_000_000),
+        Choice::Exact => (1_000_000_000, 1),
+    };
+    feed(&ix, &key, Choice::Bounded, bounded, MIN_SAMPLES);
+    feed(&ix, &key, Choice::Exact, exact, MIN_SAMPLES);
+    ix
+}
+
+/// The fixed plans, then Auto through `auto` (a fresh index) and through
+/// the two primed copies of `primed`.
+fn plans<'a>(
+    d: &'a dyn Distance,
+    train: &'a [Vec<f64>],
+    ix: &'a TrainIndex,
+    auto: &'a TrainIndex,
+    primed: &'a [TrainIndex; 2],
+) -> Vec<Plan<'a>> {
+    let bounded = if d.name().contains("DTW") {
+        "Cascade"
+    } else {
+        "Pivots"
+    };
+    let auto_scan = |ix| Scan::new(d, train).pruned(true).indexed(ix).auto(true);
     vec![
         Plan {
             name: "Exact",
             scan: Scan::new(d, train),
             structured: false,
+            every_row: Some("Exact"),
         },
         Plan {
             name: "Cutoff",
             scan: Scan::new(d, train).pruned(true),
             structured: false,
+            every_row: Some("Cutoff"),
         },
         // Unpruned, so a row without a structure would show up as Exact
         // in `fallback_rows`.
         Plan {
-            name: if d.name().contains("DTW") {
-                "Cascade"
-            } else {
-                "Pivots"
-            },
+            name: bounded,
             scan: Scan::new(d, train).indexed(ix),
             structured: true,
+            every_row: Some(bounded),
+        },
+        Plan {
+            name: "Auto",
+            scan: auto_scan(auto),
+            structured: true,
+            every_row: None,
+        },
+        Plan {
+            name: "Auto (Exact won)",
+            scan: auto_scan(&primed[0]),
+            structured: true,
+            every_row: Some("Exact"),
+        },
+        Plan {
+            name: "Auto (bounded won)",
+            scan: auto_scan(&primed[1]),
+            structured: true,
+            every_row: Some(bounded),
         },
     ]
+}
+
+/// The rows `stats` counts under the named plan.
+fn rows_under(stats: &IndexedStats, plan: &str) -> u64 {
+    match plan {
+        "Exact" => stats.exact_rows,
+        "Cutoff" => stats.cutoff_rows,
+        "Cascade" => stats.cascade_rows,
+        _ => stats.pivot_rows,
+    }
+}
+
+/// Every row ran under the plan `plan` must take, and was counted once.
+fn assert_plan_taken(what: &str, stats: &IndexedStats, plan: &Plan<'_>) {
+    let fallback = if plan.structured { 0 } else { stats.rows };
+    assert_eq!(stats.fallback_rows, fallback, "{what}: plan not taken");
+    let counted = stats.exact_rows + stats.cutoff_rows + stats.cascade_rows + stats.pivot_rows;
+    assert_eq!(counted, stats.rows, "{what}: rows by plan");
+    if let Some(every) = plan.every_row {
+        assert_eq!(
+            rows_under(stats, every),
+            stats.rows,
+            "{what}: not all {every}"
+        );
+    }
 }
 
 /// Algorithm 1's strict-`<` scan of one matrix row in natural order,
@@ -120,8 +223,7 @@ fn assert_rows_match(
     leave_one_out: bool,
 ) {
     assert_eq!(nns.len(), m.rows(), "{what}");
-    let fallback = if plan.structured { 0 } else { stats.rows };
-    assert_eq!(stats.fallback_rows, fallback, "{what}: plan not taken");
+    assert_plan_taken(what, stats, plan);
     for (i, nn) in nns.iter().enumerate() {
         let skip = if leave_one_out { i } else { usize::MAX };
         let row = m.row(i);
@@ -155,7 +257,14 @@ fn assert_plans_match_matrices(d: &dyn Distance, ds: &Dataset, ks: &[usize]) {
     ix.prepare_measure(d, train);
     let e = distance_matrix(d, test, train);
     let w = distance_matrix(d, train, train);
-    for plan in plans(d, train, &ix) {
+    // Every scan of one index shares its plan memory: Auto's runs below
+    // (1-NN, leave-one-out, k-NN, warm start on and off) carry theirs on.
+    let auto = ix.clone();
+    let primed = [
+        primed(&ix, d, &test[0], Choice::Exact),
+        primed(&ix, d, &test[0], Choice::Bounded),
+    ];
+    for plan in plans(d, train, &ix, &auto, &primed) {
         for warm in [false, true] {
             let scan = plan.scan.warm_start(warm);
             let what = format!("{} n={} {} warm={warm}", d.name(), train.len(), plan.name);
@@ -191,8 +300,7 @@ fn assert_plans_match_matrices(d: &dyn Distance, ds: &Dataset, ks: &[usize]) {
                 ] {
                     let what = format!("{what} {k}-NN leave_one_out={loo}");
                     let (got, stats) = scan.top_k(rows, k);
-                    let fallback = if plan.structured { 0 } else { stats.rows };
-                    assert_eq!(stats.fallback_rows, fallback, "{what}");
+                    assert_plan_taken(&what, &stats, &plan);
                     for (i, row) in got.iter().enumerate() {
                         let skip = if loo { i } else { usize::MAX };
                         let expect = reference_knn(m.row(i), k, skip);
@@ -316,9 +424,22 @@ fn eval_accuracies_and_the_non_finite_screen_match_the_matrix_path() {
         ix.prepare_measure(d, &ds.train);
         let e = distance_matrix(d, &ds.test, &ds.train);
         let first = find_non_finite(&e).expect("the split has non-finite entries");
-        for name in ["Exact", "Cutoff", "Indexed"] {
+        // `Eval` scans are Auto: also through plan memories primed for
+        // each outcome.
+        let primed = [
+            primed(&ix, d, &ds.test[0], Choice::Exact),
+            primed(&ix, d, &ds.test[0], Choice::Bounded),
+        ];
+        let routes = [
+            ("Exact", &ix),
+            ("Cutoff", &ix),
+            ("Indexed", &ix),
+            ("Indexed (Exact won)", &primed[0]),
+            ("Indexed (bounded won)", &primed[1]),
+        ];
+        for (name, ix) in routes {
             for warm in [false, true] {
-                let eval = eval_for(name, d, &ds, &ix).warm_start(warm);
+                let eval = eval_for(name, d, &ds, ix).warm_start(warm);
                 let what = format!("{} {name} warm={warm}", d.name());
                 // k = 1 is the study cell: the screen reports the first
                 // non-finite entry, exactly `find_non_finite`'s under the
@@ -403,5 +524,66 @@ fn edge_cases_match_the_matrix_path() {
         }
         let eval = eval_for(name, &d, &ds, &ix).k(0);
         assert_eq!(eval.run(), Err(EvalError::ZeroK), "{name}");
+    }
+}
+
+#[test]
+fn the_plan_memory_persists_across_scans_and_follows_measured_costs() {
+    let ds = split();
+    let dtw = Dtw::with_window_pct(10.0);
+    for d in [&dtw as &dyn Distance, &Euclidean] {
+        let (train, test) = (&ds.train, &ds.test);
+        let mut ix = TrainIndex::build(train);
+        ix.prepare_measure(d, train);
+        let key = plan_key(&ix, d, &test[0]);
+        let bounded = if d.name().contains("DTW") {
+            "Cascade"
+        } else {
+            "Pivots"
+        };
+        let auto = |ix| Scan::new(d, train).indexed(ix).auto(true).warm_start(false);
+        let fixed = Scan::new(d, train).indexed(&ix).warm_start(false);
+        let one = Rows::Queries(&test[..1]);
+
+        // Nothing measured yet: the first row takes the bounded plan.
+        let fresh = ix.clone();
+        let (_, stats) = auto(&fresh).nearest(one);
+        assert_eq!(rows_under(&stats, bounded), 1, "{}", d.name());
+        assert_eq!(fresh.plans().rows(&key), 1);
+
+        // A near tie (Exact 3% cheaper) keeps the bounded plan.
+        let tie = ix.clone();
+        feed(&tie, &key, Choice::Bounded, 1_030_000, MIN_SAMPLES);
+        feed(&tie, &key, Choice::Exact, 1_000_000, MIN_SAMPLES);
+        let (_, stats) = auto(&tie).nearest(one);
+        assert_eq!(rows_under(&stats, bounded), 1, "{} near tie", d.name());
+
+        // A bounded plan measured slower is replaced by Exact, for every
+        // row of every later scan of the same index: the memory persists.
+        let slower = ix.clone();
+        feed(&slower, &key, Choice::Bounded, 1_000_000_000, MIN_SAMPLES);
+        feed(&slower, &key, Choice::Exact, 1_000, MIN_SAMPLES);
+        let (nns, stats) = auto(&slower).nearest(Rows::Queries(test));
+        assert_eq!(stats.exact_rows, test.len() as u64, "{}", d.name());
+        assert_eq!(stats.fallback_rows, 0, "indexed rows sent to Exact");
+        let answers = |nns: &[NearestNeighbour]| -> Vec<(Option<usize>, u64)> {
+            nns.iter()
+                .map(|nn| (nn.index, nn.distance.to_bits()))
+                .collect()
+        };
+        let expect = fixed.nearest(Rows::Queries(test)).0;
+        assert_eq!(answers(&nns), answers(&expect), "{}", d.name());
+        let (rows, stats) = auto(&slower).top_k(Rows::LeaveOneOut, 3);
+        assert_eq!(stats.exact_rows, train.len() as u64, "{}", d.name());
+        let bits = |rows: &[Vec<(f64, usize)>]| -> Vec<Vec<(u64, usize)>> {
+            let row = |r: &Vec<(f64, usize)>| r.iter().map(|&(v, j)| (v.to_bits(), j)).collect();
+            rows.iter().map(row).collect()
+        };
+        let expect = fixed.top_k(Rows::LeaveOneOut, 3).0;
+        assert_eq!(bits(&rows), bits(&expect), "{}", d.name());
+        let total = (test.len() + train.len()) as u64;
+        assert_eq!(slower.plans().rows(&key), total);
+        // The index it was cloned from never saw those rows.
+        assert_eq!(ix.plans().rows(&key), 0);
     }
 }

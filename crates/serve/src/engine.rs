@@ -11,7 +11,9 @@
 //! consults before falling back to a scan over every candidate. Both
 //! are built once at shard
 //! prepare time and amortized across every batch the engine answers —
-//! the point of shard-affine routing. Measures resolve once per spec and
+//! the point of shard-affine routing. The index also holds the plan
+//! memory of [`Eval`]'s Auto scan, so what each bounded plan and Exact
+//! cost on the split is measured once and shared by every later batch. Measures resolve once per spec and
 //! persist, so stateful wrappers (fault-injection counters) behave like
 //! a long-lived server process.
 //!
@@ -180,16 +182,20 @@ impl Engine {
     /// byte-diffing against unbatched offline replay.
     pub fn answer_batch(&mut self, requests: &[QueryRequest]) -> Vec<Response> {
         let mut out: Vec<Option<Response>> = vec![None; requests.len()];
+        // Each miss keeps its cache key until its answer is stored.
+        let mut keys: Vec<Option<CacheKey>> = vec![None; requests.len()];
         let mut groups: BTreeMap<GroupKey, Vec<usize>> = BTreeMap::new();
         for (i, q) in requests.iter().enumerate() {
-            if let Some(answer) = self.answers.get(&CacheKey::of(q)) {
+            let key = CacheKey::of(q);
+            if let Some(answer) = self.answers.get(&key) {
                 out[i] = Some(Response::Answer { id: q.id, answer });
                 continue;
             }
+            keys[i] = Some(key);
             groups.entry(GroupKey::of(q, i)).or_default().push(i);
         }
         for members in groups.values() {
-            self.run_group(requests, members, &mut out);
+            self.run_group(requests, members, &mut keys, &mut out);
         }
         out.into_iter()
             .enumerate()
@@ -203,11 +209,13 @@ impl Engine {
             .collect()
     }
 
-    /// Runs one group through a single [`Eval`] call.
+    /// Runs one group through a single [`Eval`] call, storing each
+    /// answer under its member's cache key from `keys`.
     fn run_group(
         &mut self,
         requests: &[QueryRequest],
         members: &[usize],
+        keys: &mut [Option<CacheKey>],
         out: &mut [Option<Response>],
     ) {
         fn fail(
@@ -322,7 +330,9 @@ impl Engine {
         match eval.run() {
             Ok(report) => {
                 for (&i, answer) in members.iter().zip(report.answers) {
-                    self.answers.put(CacheKey::of(&requests[i]), answer.clone());
+                    if let Some(key) = keys[i].take() {
+                        self.answers.put(key, answer.clone());
+                    }
                     out[i] = Some(Response::Answer {
                         id: requests[i].id,
                         answer,

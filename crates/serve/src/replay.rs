@@ -1,9 +1,13 @@
 //! Offline replay of a request journal.
 //!
-//! The server journals every *accepted* query as a canonical request
-//! line (`render_query` output — the same NDJSON dialect as
-//! `tsdist_eval::journal`). Replaying those lines through the same
-//! [`Engine`] the shard workers use reproduces every answer
+//! The server journals every *accepted* query as the request line it
+//! received, byte for byte without its line ending (`\r\n` or `\n`).
+//! Replay decodes each line with the same decoder that produced the
+//! request the server answered ([`parse_request`] is the server's
+//! `parse_request_limited` without limits, and an accepted line was
+//! within them), so a non-canonical number (`1e0`, `-0.0`, padding)
+//! replays as the value the server saw. Replaying those lines through
+//! the same [`Engine`] the shard workers use reproduces every answer
 //! byte-identically: grouping, batching, caching, and sharding are all
 //! answer-invariant by construction, so `live response == replayed
 //! response` line-for-line (modulo arrival order; correlate by id).

@@ -66,7 +66,7 @@ use tsdist_eval::wire::{get_num, parse_json_object};
 
 use crate::engine::MeasureResolver;
 use crate::limits::{read_limited_line, Limits, LineRead};
-use crate::protocol::{parse_request_limited, render_query, ErrorCode, Request, Response};
+use crate::protocol::{parse_request_limited, ErrorCode, Request, Response};
 use crate::supervisor::{
     lock, Job, KillSpec, QuotaGuard, ShardState, Supervisor, SupervisorConfig,
 };
@@ -85,8 +85,8 @@ pub struct ServerConfig {
     /// Per-shard LRU answer-cache capacity (0 disables).
     pub cache_cap: usize,
     /// When set, every accepted query is journaled to this durable v2
-    /// journal (CRC32-framed records, segment rotation) as its canonical
-    /// replayable request line.
+    /// journal (CRC32-framed records, segment rotation) as the request
+    /// line it arrived as, without its line ending.
     pub journal_path: Option<PathBuf>,
     /// Durability knobs of the request journal (segment size, fsync
     /// policy).
@@ -352,10 +352,6 @@ fn handle_line(
                     ),
                 });
             };
-            // Canonical replayable form, journaled only once the job is
-            // actually accepted (a rejected request has no answer for a
-            // replay to reproduce).
-            let journal_line = shared.journal.as_ref().map(|_| render_query(&req));
             let job = Job {
                 req,
                 reply: reply.clone(),
@@ -370,8 +366,12 @@ fn handle_line(
                     if let Some(state) = shared.states.get(shard) {
                         state.note_enqueued();
                     }
-                    if let (Some(journal), Some(line)) = (&shared.journal, journal_line) {
-                        let _ = journal.append_line(&line);
+                    // The received line itself, journaled only once the job
+                    // is actually accepted (a rejected request has no
+                    // answer for a replay to reproduce). Replay decodes it
+                    // with the decoder that produced `req`.
+                    if let Some(journal) = &shared.journal {
+                        let _ = journal.append_line(line);
                     }
                 }
                 Err(TrySendError::Full(job)) => send(Response::Error {

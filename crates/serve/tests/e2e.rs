@@ -2,7 +2,8 @@
 //! port, a real TCP client, and the contracts the protocol promises —
 //! byte-identical answers vs the offline evaluator, typed backpressure
 //! and deadline errors, drain-on-shutdown with journal-replay
-//! equivalence, and graceful degradation under injected faults.
+//! equivalence, a journal that keeps the received lines themselves, and
+//! graceful degradation under injected faults.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -18,10 +19,11 @@ use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
 use tsdist_data::Dataset;
 use tsdist_eval::journal::recover_lines;
 use tsdist_eval::Eval;
+use tsdist_serve::protocol::parse_request;
 use tsdist_serve::supervisor::KillSpec;
 use tsdist_serve::{
     fuzz_server, render_query, replay_journal, Client, ErrorCode, FuzzConfig, Limits,
-    MeasureResolver, QueryRequest, Response, RetryPolicy, Server, ServerConfig,
+    MeasureResolver, QueryRequest, Request, Response, RetryPolicy, Server, ServerConfig,
 };
 
 /// A measure that sleeps per pairwise call — deadline and backpressure
@@ -528,6 +530,95 @@ fn shutdown_mid_batch_drains_and_journal_replays_byte_identically() {
         checked += 1;
     }
     assert!(checked > 0);
+    let _ = std::fs::remove_file(&journal_path);
+}
+
+/// A query line in non-canonical spellings a client may send: padding
+/// around the object and its numbers, an exponent `k`, and series tokens
+/// written `-0.0`, `1e0`, in exponent form and with padding.
+/// `render_query` would spell each of them differently.
+fn non_canonical_line(id: u64, dataset: &str, measure: &str, k: &str, series: &[f64]) -> String {
+    let mut tokens = vec!["-0.0".to_string(), "1e0".to_string()];
+    tokens.extend(series.iter().skip(2).enumerate().map(|(t, v)| match t % 3 {
+        0 => format!("{v:e}"),
+        1 => format!("  {v} "),
+        _ => format!("{v}"),
+    }));
+    format!(
+        "  {{\"op\":\"query\",\"id\": {id} ,\"dataset\":\"{dataset}\",\
+         \"measure\":\"{measure}\",\"k\": {k},\"pruned\":1,\"series\":\"{}\"}} ",
+        tokens.join(",")
+    )
+}
+
+#[test]
+fn the_journal_keeps_received_lines_and_replays_them_bit_for_bit() {
+    let datasets = archive();
+    let journal_path = std::env::temp_dir().join(format!(
+        "tsdist_serve_e2e_raw_journal_{}.ndjson",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&journal_path);
+    let mut handle = Server::start(
+        datasets.clone(),
+        resolver(),
+        &ServerConfig {
+            shards: 2,
+            journal_path: Some(journal_path.clone()),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server");
+    let mut sent = Vec::new();
+    for (i, ds) in datasets.iter().enumerate() {
+        for (q, series) in ds.test.iter().enumerate().take(4) {
+            let id = (10 * i + q + 1) as u64;
+            let measure = if q % 2 == 0 { "ed" } else { "dtw:10" };
+            let k = if q < 2 { "1" } else { "3e0" };
+            sent.push(non_canonical_line(id, &ds.name, measure, k, series));
+        }
+    }
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut live: BTreeMap<u64, String> = BTreeMap::new();
+    for (n, line) in sent.iter().enumerate() {
+        // Every other line arrives with a `\r\n` ending.
+        let wire = if n % 2 == 0 {
+            line.clone()
+        } else {
+            format!("{line}\r")
+        };
+        client.send_line(&wire).expect("send");
+        let answer = client.recv_line().expect("answer");
+        let r = Response::parse(&answer).expect("parse live response");
+        assert!(matches!(r, Response::Answer { .. }), "{answer}");
+        live.insert(r.id(), answer);
+    }
+    handle.shutdown();
+
+    // The journal holds each received line byte for byte, without its
+    // line ending, and not its canonical rendering.
+    let recovered = recover_lines(&journal_path).expect("recover journal");
+    assert_eq!(recovered.corrupt_records, 0);
+    assert_eq!(recovered.lines, sent);
+    for line in &sent {
+        let Ok(Request::Query(q)) = parse_request(line) else {
+            panic!("{line} is a query");
+        };
+        assert_ne!(&render_query(&q), line);
+        assert_eq!(q.series[0].to_bits(), (-0.0f64).to_bits());
+    }
+    // Replay decodes the same lines and answers them bit for bit.
+    let replayed = replay_journal(recovered.lines, datasets, resolver());
+    assert_eq!(replayed.len(), sent.len());
+    for line in &replayed {
+        let r = Response::parse(line).expect("parse replayed response");
+        assert_eq!(
+            live.get(&r.id()),
+            Some(line),
+            "live vs replay for id {}",
+            r.id()
+        );
+    }
     let _ = std::fs::remove_file(&journal_path);
 }
 

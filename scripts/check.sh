@@ -156,11 +156,20 @@ if grep -q '"identical": false' "$SMOKE/BENCH_scan.json"; then
   echo "bench_scan recorded a plan whose answers differ from the Exact plan" >&2
   exit 1
 fi
+# Every (dataset, measure, normalization) must hold an Auto row, so the
+# `identical` gate above covers the planner's answers too.
+row_keys='"dataset": "[^"]*", "measure": "[^"]*", "norm": "[^"]*", "plan"'
+workloads=$(grep -o "$row_keys" "$SMOKE/BENCH_scan.json" | sort -u | wc -l)
+auto_rows=$(grep -o "$row_keys"': "Auto"' "$SMOKE/BENCH_scan.json" | sort -u | wc -l)
+if [ "$workloads" -eq 0 ] || [ "$auto_rows" -ne "$workloads" ]; then
+  echo "bench_scan recorded $auto_rows Auto rows for $workloads (dataset, measure, norm) workloads" >&2
+  exit 1
+fi
 # The binary exits non-zero on a golden mismatch; double-check it actually
 # reached both golden comparisons rather than silently skipping them.
 grep -q 'identical to golden .*bench_prune_quick.tsv' "$SMOKE/bench_scan.log"
 grep -q 'identical to golden .*bench_index_quick.tsv' "$SMOKE/bench_scan.log"
-echo "    bench_scan smoke: every plan byte-identical to Exact, accuracies and counters match the committed goldens"
+echo "    bench_scan smoke: every plan (Auto on every workload) byte-identical to Exact, accuracies and counters match the committed goldens"
 
 echo "==> serve smoke (100 mixed queries, live vs replay, clean shutdown)"
 "$TSDIST" serve "$SMOKE/archive" --addr 127.0.0.1:0 \
