@@ -15,11 +15,12 @@
 //! settled plan. The `auto` section lists every Auto row below
 //! [`AUTO_EXACT_BAR`] of Exact's speed or more than [`AUTO_BEST_BAR`]
 //! behind the fastest fixed plan, with its first repetition's time
-//! against that plan's median (the sampling cost). Every scan runs with
-//! `warm_start(false)`, so rows are independent and the fixed plans'
-//! counters do not depend on how rows are chunked across threads. Each
-//! repetition runs every plan once, in an order rotated by one plan per
-//! repetition, so a slow spell of the host falls on every plan alike.
+//! against that plan's median (the sampling cost). Every plan, Exact
+//! included, runs through the one scan driver, whose workers claim rows
+//! one at a time; rows are independent, so the fixed plans' counters do
+//! not depend on which worker answers which row. Each repetition runs
+//! every plan once, in an order rotated by one plan per repetition, so a
+//! slow spell of the host falls on every plan alike.
 //!
 //! Three kinds of dataset:
 //!
@@ -309,7 +310,7 @@ fn plan_rows(suite: &Suite, w: &Workload, reps: usize) -> Vec<Row> {
         plans.push("Pivots");
     }
     plans.push("Auto");
-    let base = Scan::new(d, train).warm_start(false);
+    let base = Scan::new(d, train);
     // Auto's repetitions share the index, and with it the plan memory,
     // as a served split's queries do: the first pays the sampling rows.
     let scans: Vec<Scan<'_>> = plans
@@ -502,8 +503,8 @@ fn ledger_json(
     median_fraction: Option<f64>,
 ) -> String {
     let mut json = format!(
-        "{{\n  \"config\": {{\"seed\": {}, \"quick\": {}, \"repetitions\": {reps}, \
-         \"warm_start\": false}},\n  \"datasets\": [\n",
+        "{{\n  \"config\": {{\"seed\": {}, \"quick\": {}, \"repetitions\": {reps}}},\n  \
+         \"datasets\": [\n",
         cfg.seed, cfg.quick
     );
     let items: Vec<String> = suites

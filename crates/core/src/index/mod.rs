@@ -168,6 +168,7 @@ pub struct IndexStats {
 }
 
 /// How the planner should search one query row.
+#[derive(Clone, Copy)]
 pub enum QueryPlan<'a> {
     /// LB_PAA → cached LB_Keogh → `distance_upto` cascade.
     Cascade(&'a DtwBandIndex),
@@ -345,38 +346,48 @@ impl TrainIndex {
         }
     }
 
-    /// Resolves the search plan for one query row. Falls back to
-    /// [`QueryPlan::Linear`] whenever the structure would not be
-    /// admissible: length mismatch, unprepared measure, or a
-    /// positive-regime pivot table facing a query with coordinates below
-    /// `EPS` (NaN coordinates fail that gate too).
+    /// Resolves the search plan for one query row:
+    /// [`TrainIndex::measure_plan`], unless [`TrainIndex::admits`] turns
+    /// the query down.
     pub fn plan(&self, d: &dyn Distance, query: &[f64]) -> QueryPlan<'_> {
-        if self.series_len == 0 || query.len() != self.series_len {
+        let plan = self.measure_plan(d);
+        if self.admits(&plan, query) {
+            plan
+        } else {
+            QueryPlan::Linear
+        }
+    }
+
+    /// The structure prepared for `d`, whatever the query:
+    /// [`QueryPlan::Linear`] when there is none. A scan resolves it once
+    /// and asks [`TrainIndex::admits`] per row, so the measure's name is
+    /// formatted once, not per row.
+    pub fn measure_plan(&self, d: &dyn Distance) -> QueryPlan<'_> {
+        if self.series_len == 0 {
             return QueryPlan::Linear;
         }
-        match d.index_profile() {
+        let structure = match d.index_profile() {
             IndexProfile::KeoghDtw { window_pct } => {
                 let band = band_radius(window_pct, self.series_len, self.series_len);
-                match self.dtw_bands.get(&band) {
-                    Some(ix) => QueryPlan::Cascade(ix),
-                    None => QueryPlan::Linear,
-                }
+                self.dtw_bands.get(&band).map(QueryPlan::Cascade)
             }
-            IndexProfile::None => match self.pivot_tables.get(&d.name()) {
-                Some(t) => {
-                    let regime_ok = match t.regime() {
-                        MetricRegime::Positive => query.iter().all(|&v| v >= EPS),
-                        _ => true,
-                    };
-                    if regime_ok {
-                        QueryPlan::Pivots(t)
-                    } else {
-                        QueryPlan::Linear
-                    }
+            IndexProfile::None => self.pivot_tables.get(&d.name()).map(QueryPlan::Pivots),
+        };
+        structure.unwrap_or(QueryPlan::Linear)
+    }
+
+    /// Whether `query` may take `plan`: the structure is admissible only
+    /// for a query of the indexed length, and a positive-regime pivot
+    /// table only for a query with no coordinate below `EPS` (NaN
+    /// coordinates fail that gate too).
+    pub fn admits(&self, plan: &QueryPlan<'_>, query: &[f64]) -> bool {
+        query.len() == self.series_len
+            && match plan {
+                QueryPlan::Pivots(t) if t.regime() == MetricRegime::Positive => {
+                    query.iter().all(|&v| v >= EPS)
                 }
-                None => QueryPlan::Linear,
-            },
-        }
+                _ => true,
+            }
     }
 
     /// Per-segment means of `query` under the index's boundaries —

@@ -31,6 +31,7 @@ use std::time::Duration;
 use crate::error::EvalError;
 use tsdist_core::lanes::LANES;
 use tsdist_core::measure::{Distance, IndexProfile, Kernel, MetricRegime};
+use tsdist_core::normalization::{AdaptiveScaled, Normalization};
 use tsdist_core::Workspace;
 use tsdist_linalg::Matrix;
 
@@ -282,6 +283,24 @@ impl<'a> GuardedDistance<'a> {
     /// Guards `inner` with `flag`.
     pub fn new(inner: &'a dyn Distance, flag: &'a CancelFlag) -> Self {
         GuardedDistance { inner, flag }
+    }
+}
+
+/// Runs `f` on `d` as a cell measures it: guarded by `flag`, then, under
+/// a pairwise normalization, rescaled per pair ([`AdaptiveScaled`]).
+/// Per-pair rescaling invalidates every precomputed bound; the wrapper
+/// declares no index profile, so no scan row gets an index structure.
+pub(crate) fn with_cell_measure<R>(
+    d: &dyn Distance,
+    norm: Normalization,
+    flag: &CancelFlag,
+    f: impl FnOnce(&dyn Distance) -> R,
+) -> R {
+    let guarded = GuardedDistance::new(d, flag);
+    if norm.is_pairwise() {
+        f(&AdaptiveScaled::new(guarded))
+    } else {
+        f(&guarded)
     }
 }
 

@@ -15,17 +15,17 @@
 //! a deadline pass `&CancelFlag::new()`.
 
 use crate::cell::{
-    find_non_finite, CancelFlag, CellError, Evaluation, GuardedDistance, GuardedKernel,
+    find_non_finite, with_cell_measure, CancelFlag, CellError, Evaluation, GuardedKernel,
 };
 use crate::error::EvalError;
 use crate::matrices::{
-    embedding_matrices, kernel_matrices, kernel_matrices_into, symmetric_distance_matrix_into,
+    embedding_matrices, kernel_matrix, symmetric_distance_matrix_into, symmetric_kernel_matrix_into,
 };
 use crate::nn::{loocv_accuracy, one_nn_accuracy};
 use crate::scan::{one_nn_vote_accuracy, Rows, Scan};
 use tsdist_core::embedding::Embedding;
 use tsdist_core::measure::{Distance, Kernel};
-use tsdist_core::normalization::{AdaptiveScaled, Normalization};
+use tsdist_core::normalization::Normalization;
 use tsdist_core::TrainIndex;
 use tsdist_data::{Dataset, Label};
 use tsdist_linalg::Matrix;
@@ -62,37 +62,37 @@ fn test_accuracy(e: &Matrix, prepared: &Dataset) -> Result<f64, CellError> {
 }
 
 /// The one supervised grid loop (Section 3's LOOCCV tuning). For each of
-/// the `points` grid points it checks `cancel`, lets `point` fill `W` and,
-/// when the point builds both at once, the test-by-train `E` (left empty
-/// otherwise), screens `W` and then `E`, and scores the LOOCV accuracy on
-/// `W`. The first point with the best accuracy wins ties, in grid order.
-/// `score` then gives the winner's test accuracy from its index and `E`.
-/// Returns the evaluation and the winning index.
-fn tune(
+/// the `points` grid points it checks `cancel`, lets `point` fill `W`,
+/// screens `W` and scores the LOOCV accuracy on it. The first point with
+/// the best accuracy wins ties, in grid order. Of what each `point`
+/// returns besides `W` (an embedding's `E`, or nothing), only the
+/// winner's is kept; `score` gives the winner's test accuracy from its
+/// index and that value. Returns the evaluation and the winning index.
+///
+/// Nothing but `W` is screened per point, so a non-finite test-by-train
+/// entry fails a cell only at the winning point, whose `E` `score`
+/// builds or receives and screens.
+fn tune<T>(
     points: usize,
     train_labels: &[Label],
     cancel: &CancelFlag,
-    mut point: impl FnMut(usize, &mut Matrix, &mut Matrix) -> Result<(), CellError>,
-    score: impl FnOnce(usize, &Matrix) -> Result<f64, CellError>,
+    mut point: impl FnMut(usize, &mut Matrix) -> Result<T, CellError>,
+    score: impl FnOnce(usize, T) -> Result<f64, CellError>,
 ) -> Result<(Evaluation, usize), CellError> {
     let mut w = Matrix::zeros(0, 0);
-    let mut e = Matrix::zeros(0, 0);
-    let mut best_e = Matrix::zeros(0, 0);
-    let mut best: Option<(usize, f64)> = None;
+    let mut best: Option<(usize, f64, T)> = None;
     for idx in 0..points {
         cancel.checkpoint()?;
-        point(idx, &mut w, &mut e)?;
+        let kept = point(idx, &mut w)?;
         screen(&w)?;
-        screen(&e)?;
         let train_acc = loocv_accuracy(&w, train_labels)?;
-        if best.is_none_or(|(_, acc)| train_acc > acc) {
-            best = Some((idx, train_acc));
-            std::mem::swap(&mut e, &mut best_e);
+        if best.as_ref().is_none_or(|&(_, acc, _)| train_acc > acc) {
+            best = Some((idx, train_acc, kept));
         }
     }
-    let (idx, train_acc) = best.ok_or(CellError::from(EvalError::EmptyGrid))?;
+    let (idx, train_acc, kept) = best.ok_or(CellError::from(EvalError::EmptyGrid))?;
     let evaluation = Evaluation {
-        accuracy: score(idx, &best_e)?,
+        accuracy: score(idx, kept)?,
         train_accuracy: Some(train_acc),
     };
     Ok((evaluation, idx))
@@ -103,7 +103,8 @@ fn tune(
 /// [`prepare`]d dataset's test split, through an Auto [`Scan`] whose
 /// plan inputs are `index` and `pruned`, with the NaN/±Inf screen.
 ///
-/// The measure is guarded by `cancel`. An unindexed, unpruned scan builds
+/// The measure is guarded by `cancel` (and rescaled per pair under a
+/// pairwise `norm`). An unindexed, unpruned scan computes every row of
 /// `E` exactly like [`distance_matrix`](crate::matrices::distance_matrix)
 /// and reports the first non-finite entry in row-major order, as
 /// [`find_non_finite`] does. Other plans never see every entry, so their
@@ -118,27 +119,13 @@ pub(crate) fn distance_cell(
     cancel: &CancelFlag,
     index: Option<&TrainIndex>,
     pruned: bool,
-    warm_start: bool,
 ) -> Result<Evaluation, CellError> {
     cancel.checkpoint()?;
-    let guarded = GuardedDistance::new(d, cancel);
-    let scaled;
-    let d: &dyn Distance = if norm.is_pairwise() {
-        // Per-pair rescaling invalidates every precomputed bound; the
-        // wrapper declares no index profile, so no row gets a structure.
-        scaled = AdaptiveScaled::new(&guarded);
-        &scaled
-    } else {
-        &guarded
-    };
-    let mut scan = Scan::new(d, &prepared.train)
-        .pruned(pruned)
-        .warm_start(warm_start)
-        .auto(true);
-    if let Some(ix) = index {
-        scan = scan.indexed(ix);
-    }
-    let (nns, _) = scan.nearest(Rows::Queries(&prepared.test));
+    let nns = with_cell_measure(d, norm, cancel, |d| {
+        let scan = Scan::new(d, &prepared.train).pruned(pruned).auto(true);
+        let scan = index.map_or(scan, |ix| scan.indexed(ix));
+        scan.nearest(Rows::Queries(&prepared.test)).0
+    });
     if let Some((i, j)) = nns
         .iter()
         .enumerate()
@@ -163,18 +150,15 @@ pub fn evaluate_distance_supervised(
 ) -> Result<(Evaluation, usize), CellError> {
     let prepared = prepare(ds, norm);
     // Symmetric measures only compute the upper triangle of `W`.
-    let point = |idx: usize, w: &mut Matrix, _: &mut Matrix| {
-        let guarded = GuardedDistance::new(grid[idx].as_ref(), cancel);
-        if norm.is_pairwise() {
-            symmetric_distance_matrix_into(&AdaptiveScaled::new(guarded), &prepared.train, w);
-        } else {
-            symmetric_distance_matrix_into(&guarded, &prepared.train, w);
-        }
+    let point = |idx: usize, w: &mut Matrix| {
+        with_cell_measure(grid[idx].as_ref(), norm, cancel, |d| {
+            symmetric_distance_matrix_into(d, &prepared.train, w);
+        });
         Ok(())
     };
-    let score = |best: usize, _: &Matrix| {
+    let score = |best: usize, ()| {
         let d = grid[best].as_ref();
-        Ok(distance_cell(d, &prepared, norm, cancel, None, false, true)?.accuracy)
+        Ok(distance_cell(d, &prepared, norm, cancel, None, false)?.accuracy)
     };
     tune(grid.len(), &prepared.train_labels, cancel, point, score)
 }
@@ -186,27 +170,38 @@ pub fn evaluate_kernel(
     ds: &Dataset,
     cancel: &CancelFlag,
 ) -> Result<Evaluation, CellError> {
-    cancel.checkpoint()?;
-    let prepared = prepare(ds, Normalization::ZScore);
-    let guarded = GuardedKernel::new(k, cancel);
-    let (_, e) = kernel_matrices(&guarded, &prepared.train, &prepared.test);
-    Ok(Evaluation::unsupervised(test_accuracy(&e, &prepared)?))
+    kernel_test_accuracy(k, &prepare(ds, Normalization::ZScore), cancel)
 }
 
-/// Supervised evaluation of a kernel grid (LOOCV on `W`, test on the
-/// winner's `E`), returning the evaluation and the winning grid index.
+/// Algorithm 1 on the guarded kernel's test-by-train `E`.
+fn kernel_test_accuracy(
+    k: &dyn Kernel,
+    prepared: &Dataset,
+    cancel: &CancelFlag,
+) -> Result<Evaluation, CellError> {
+    cancel.checkpoint()?;
+    let guarded = GuardedKernel::new(k, cancel);
+    let e = kernel_matrix(&guarded, &prepared.test, &prepared.train);
+    Ok(Evaluation::unsupervised(test_accuracy(&e, prepared)?))
+}
+
+/// Supervised evaluation of a kernel grid (LOOCV on each point's `W`,
+/// then the winner's `E` alone is built and scored), returning the
+/// evaluation and the winning grid index.
 pub fn evaluate_kernel_supervised(
     grid: &[Box<dyn Kernel>],
     ds: &Dataset,
     cancel: &CancelFlag,
 ) -> Result<(Evaluation, usize), CellError> {
     let prepared = prepare(ds, Normalization::ZScore);
-    let point = |idx: usize, w: &mut Matrix, e: &mut Matrix| {
+    let point = |idx: usize, w: &mut Matrix| {
         let guarded = GuardedKernel::new(grid[idx].as_ref(), cancel);
-        kernel_matrices_into(&guarded, &prepared.train, &prepared.test, w, e);
+        symmetric_kernel_matrix_into(&guarded, &prepared.train, w);
         Ok(())
     };
-    let score = |_, e: &Matrix| test_accuracy(e, &prepared);
+    let score = |best: usize, ()| {
+        Ok(kernel_test_accuracy(grid[best].as_ref(), &prepared, cancel)?.accuracy)
+    };
     tune(grid.len(), &prepared.train_labels, cancel, point, score)
 }
 
@@ -247,11 +242,12 @@ pub fn evaluate_embedding_supervised(
 ) -> Result<(Evaluation, usize), CellError> {
     let prepared = prepare(ds, Normalization::ZScore);
     let (all, n_train) = (train_then_test(&prepared), prepared.train.len());
-    let point = |idx: usize, w: &mut Matrix, e: &mut Matrix| {
-        (*w, *e) = embedding_matrices(&grid[idx].embed(&all, n_train), n_train)?;
-        Ok(())
+    let point = |idx: usize, w: &mut Matrix| {
+        let e;
+        (*w, e) = embedding_matrices(&grid[idx].embed(&all, n_train), n_train)?;
+        Ok(e)
     };
-    let score = |_, e: &Matrix| test_accuracy(e, &prepared);
+    let score = |_, e: Matrix| test_accuracy(&e, &prepared);
     tune(grid.len(), &prepared.train_labels, cancel, point, score)
 }
 
@@ -372,6 +368,54 @@ mod tests {
             CALLS.fetch_add(1, Ordering::Relaxed);
             Matrix::from_fn(series.len(), series[0].len(), |i, j| series[i][j])
         }
+    }
+
+    /// RBF over the common prefix; `poison`ed, NaN between series of
+    /// different lengths. With test series one sample longer than train
+    /// series, only `E` goes non-finite, and `W` is the unpoisoned one.
+    struct CrossNan {
+        poison: bool,
+    }
+    impl Kernel for CrossNan {
+        fn name(&self) -> String {
+            "cross-nan".into()
+        }
+        fn kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
+            self.log_kernel_ws(x, y, ws).exp()
+        }
+        fn log_kernel_ws(&self, x: &[f64], y: &[f64], _: &mut Workspace) -> f64 {
+            if self.poison && x.len() != y.len() {
+                return f64::NAN;
+            }
+            let m = x.len().min(y.len());
+            Rbf::new(0.01).kernel(&x[..m], &y[..m]).ln()
+        }
+    }
+
+    #[test]
+    fn a_non_finite_e_fails_a_kernel_cell_only_at_the_winning_grid_point() {
+        let mut ds = easy_dataset();
+        ds.test.iter_mut().for_each(|s| s.push(0.0));
+        let flag = CancelFlag::new();
+        // Both points give the same `W`, so the first wins the tie.
+        let grid = |poison_first: bool| -> Vec<Box<dyn Kernel>> {
+            vec![
+                Box::new(CrossNan {
+                    poison: poison_first,
+                }),
+                Box::new(CrossNan {
+                    poison: !poison_first,
+                }),
+            ]
+        };
+        let (out, best) = evaluate_kernel_supervised(&grid(false), &ds, &flag).unwrap();
+        assert_eq!(best, 0);
+        assert!((0.0..=1.0).contains(&out.accuracy));
+        let lost = evaluate_kernel_supervised(&grid(true), &ds, &flag);
+        assert!(
+            matches!(lost, Err(CellError::NonFiniteDistance { .. })),
+            "{lost:?}"
+        );
     }
 
     /// The supervised evaluation of `kind` over `n` identical grid points.

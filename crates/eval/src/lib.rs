@@ -46,7 +46,9 @@
 //! incumbents (Algorithm 1's nearest neighbour and the top-k selection),
 //! chosen by one rule from the supplied [`tsdist_core::TrainIndex`] and
 //! whether the search is pruned. Every plan gives the same answers, bit
-//! for bit; they differ only in the work done. The matrix-consuming
+//! for bit; they differ only in the work done. Each row depends only on
+//! its own query, and the rows are claimed one at a time from the worker
+//! pool of the matrix builders ([`parallel`]). The matrix-consuming
 //! classifiers of [`nn`] and [`knn`] are its reference.
 //!
 //! The typical flow for one experiment:
@@ -106,8 +108,8 @@ pub use journal::{
 };
 pub use knn::{knn_accuracy, ConfusionMatrix};
 pub use matrices::{
-    distance_matrix, embedding_matrices, kernel_matrices, kernel_matrices_into,
-    symmetric_distance_matrix, symmetric_distance_matrix_into,
+    distance_matrix, embedding_matrices, kernel_matrix, symmetric_distance_matrix,
+    symmetric_distance_matrix_into, symmetric_kernel_matrix_into,
 };
 pub use nn::{loocv_accuracy, one_nn_accuracy};
 pub use parallel::{parallel_fill_rows, parallel_map, parallel_map_with, worker_count};

@@ -16,6 +16,11 @@
 //! hint promises bit-identical `d(x, y)` and `d(y, x)`, so the mirrored
 //! matrix equals the full computation exactly.
 //!
+//! Kernel matrices come from the same two shapes of builder
+//! ([`kernel_matrix`], [`symmetric_kernel_matrix_into`]), over the
+//! normalized kernel dissimilarity with each series' log self-similarity
+//! computed once.
+//!
 //! The `*_into` builders fill a caller-owned [`Matrix`], which the
 //! supervised grid loop uses to reuse one `W` allocation across all grid
 //! points.
@@ -95,58 +100,67 @@ fn mirror_upper_to_lower(m: &mut Matrix) {
     }
 }
 
-/// Computes `W` and `E` for a kernel using the normalized dissimilarity,
-/// with the log self-similarities computed once per series instead of per
-/// pair, and the symmetric `W` fast path when [`Kernel::is_symmetric`]
-/// holds.
-pub fn kernel_matrices(k: &dyn Kernel, train: &[Vec<f64>], test: &[Vec<f64>]) -> (Matrix, Matrix) {
-    let mut w = Matrix::zeros(0, 0);
-    let mut e = Matrix::zeros(0, 0);
-    kernel_matrices_into(k, train, test, &mut w, &mut e);
-    (w, e)
+/// Computes the `rows.len() x cols.len()` kernel dissimilarity matrix
+/// `M[i][j] = normalized_kernel_dissimilarity(k, rows[i], cols[j])`,
+/// with each series' log self-similarity computed once instead of per
+/// pair.
+pub fn kernel_matrix(k: &dyn Kernel, rows: &[Vec<f64>], cols: &[Vec<f64>]) -> Matrix {
+    let (log_rows, log_cols) = (log_self(k, rows), log_self(k, cols));
+    let mut out = Matrix::zeros(rows.len(), cols.len());
+    parallel_fill_rows(
+        out.as_mut_slice(),
+        cols.len(),
+        Workspace::default,
+        |ws, i, out_row| kernel_row(k, &rows[i], log_rows[i], cols, &log_cols, out_row, ws),
+    );
+    out
 }
 
-/// [`kernel_matrices`] into caller-owned matrices.
-pub fn kernel_matrices_into(
-    k: &dyn Kernel,
-    train: &[Vec<f64>],
-    test: &[Vec<f64>],
-    w: &mut Matrix,
-    e: &mut Matrix,
-) {
-    let log_self_train = parallel_map_with(train.len(), Workspace::default, |ws, i| {
-        k.log_kernel_ws(&train[i], &train[i], ws)
-    });
-    let log_self_test = parallel_map_with(test.len(), Workspace::default, |ws, i| {
-        k.log_kernel_ws(&test[i], &test[i], ws)
-    });
-
-    let n = train.len();
-    w.resize(n, n);
-    if k.is_symmetric() {
-        parallel_fill_rows(w.as_mut_slice(), n, Workspace::default, |ws, i, out_row| {
-            for (j, slot) in out_row.iter_mut().enumerate().skip(i) {
-                let lxy = k.log_kernel_ws(&train[i], &train[j], ws);
-                *slot = normalized_kernel_dissimilarity(lxy, log_self_train[i], log_self_train[j]);
-            }
-        });
-        mirror_upper_to_lower(w);
-    } else {
-        parallel_fill_rows(w.as_mut_slice(), n, Workspace::default, |ws, i, out_row| {
-            for (j, slot) in out_row.iter_mut().enumerate() {
-                let lxy = k.log_kernel_ws(&train[i], &train[j], ws);
-                *slot = normalized_kernel_dissimilarity(lxy, log_self_train[i], log_self_train[j]);
-            }
-        });
+/// The square `items x items` kernel dissimilarity matrix into a
+/// caller-owned matrix, with each log self-similarity computed once;
+/// when [`Kernel::is_symmetric`] holds, only the upper triangle is
+/// computed and mirrored.
+pub fn symmetric_kernel_matrix_into(k: &dyn Kernel, items: &[Vec<f64>], out: &mut Matrix) {
+    let log = log_self(k, items);
+    let n = items.len();
+    out.resize(n, n);
+    let symmetric = k.is_symmetric();
+    parallel_fill_rows(
+        out.as_mut_slice(),
+        n,
+        Workspace::default,
+        |ws, i, out_row| {
+            let j0 = if symmetric { i } else { 0 };
+            let (cols, log_cols, out) = (&items[j0..], &log[j0..], &mut out_row[j0..]);
+            kernel_row(k, &items[i], log[i], cols, log_cols, out, ws);
+        },
+    );
+    if symmetric {
+        mirror_upper_to_lower(out);
     }
+}
 
-    e.resize(test.len(), n);
-    parallel_fill_rows(e.as_mut_slice(), n, Workspace::default, |ws, i, out_row| {
-        for (j, slot) in out_row.iter_mut().enumerate() {
-            let lxy = k.log_kernel_ws(&test[i], &train[j], ws);
-            *slot = normalized_kernel_dissimilarity(lxy, log_self_test[i], log_self_train[j]);
-        }
-    });
+/// Every series' log self-similarity, in parallel.
+fn log_self(k: &dyn Kernel, series: &[Vec<f64>]) -> Vec<f64> {
+    parallel_map_with(series.len(), Workspace::default, |ws, i| {
+        k.log_kernel_ws(&series[i], &series[i], ws)
+    })
+}
+
+/// One row of a kernel dissimilarity matrix: `x` (log self-similarity
+/// `log_x`) against every column.
+fn kernel_row(
+    k: &dyn Kernel,
+    x: &[f64],
+    log_x: f64,
+    cols: &[Vec<f64>],
+    log_cols: &[f64],
+    out: &mut [f64],
+    ws: &mut Workspace,
+) {
+    for ((slot, y), &log_y) in out.iter_mut().zip(cols).zip(log_cols) {
+        *slot = normalized_kernel_dissimilarity(k.log_kernel_ws(x, y, ws), log_x, log_y);
+    }
 }
 
 /// Computes `W` and `E` as plain Euclidean distances between embedding
@@ -260,13 +274,20 @@ mod tests {
         assert_eq!(m, first);
     }
 
+    /// A kernel's train-by-train and test-by-train matrices.
+    fn kernel_pair(k: &dyn Kernel, train: &[Vec<f64>], test: &[Vec<f64>]) -> (Matrix, Matrix) {
+        let mut w = Matrix::zeros(0, 0);
+        symmetric_kernel_matrix_into(k, train, &mut w);
+        (w, kernel_matrix(k, test, train))
+    }
+
     #[test]
     fn kernel_matrices_match_kernel_distance_adapter() {
         use tsdist_core::kernel::Rbf;
         use tsdist_core::measure::KernelDistance;
         let train = toy(4, 6, 0.0);
         let test = toy(3, 6, 0.3);
-        let (w, e) = kernel_matrices(&Rbf::new(0.1), &train, &test);
+        let (w, e) = kernel_pair(&Rbf::new(0.1), &train, &test);
         let adapter = KernelDistance(Rbf::new(0.1));
         for i in 0..4 {
             for j in 0..4 {
@@ -287,7 +308,7 @@ mod tests {
         let train = toy(5, 12, 0.0);
         let test = toy(3, 12, 0.4);
         let k = Gak::new(0.5);
-        let (w, e) = kernel_matrices(&k, &train, &test);
+        let (w, e) = kernel_pair(&k, &train, &test);
         let serial = KernelDistance(k);
         for i in 0..5 {
             for j in 0..5 {

@@ -1,8 +1,9 @@
 //! A minimal work-stealing-free parallel map over indices.
 //!
 //! The evaluation platform's unit of work (a dissimilarity-matrix row, a
-//! dataset) is coarse enough that a shared atomic counter over scoped
-//! threads saturates all cores without any dependency beyond `std`.
+//! nearest-neighbour scan row, a dataset) is coarse enough that a shared
+//! atomic counter over scoped threads saturates all cores without any
+//! dependency beyond `std`. Every entry point runs on one claiming loop.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -73,63 +74,26 @@ where
 }
 
 /// [`parallel_map`] with one piece of per-worker mutable state created by
-/// `init` — the hook the batch matrix engine uses to give every worker
-/// thread its own `Workspace` of scratch buffers.
+/// `init` — the hook the batch matrix engine and the scan engine use to
+/// give every worker thread its own scratch buffers.
 pub fn parallel_map_with<S, T, I, F>(n: usize, init: I, f: F) -> Vec<T>
 where
-    S: Send,
     T: Send + Default,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    let workers = worker_count().min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
-    }
-
     let mut results: Vec<T> = Vec::with_capacity(n);
     results.resize_with(n, T::default);
-    let next = AtomicUsize::new(0);
-    let first_panic = FirstPanic::new();
-    // SAFETY-free: each worker claims a distinct index and writes a
-    // distinct slot; we hand out disjoint &mut via raw pointer arithmetic
-    // guarded by the atomic counter.
     let results_ptr = SendPtr(results.as_mut_ptr());
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let next = &next;
-            let init = &init;
-            let f = &f;
-            let results_ptr = &results_ptr;
-            let first_panic = &first_panic;
-            scope.spawn(move || {
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    let mut state = init();
-                    loop {
-                        if first_panic.is_poisoned() {
-                            return;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            return;
-                        }
-                        let value = f(&mut state, i);
-                        // Each index is claimed exactly once, so this
-                        // write is exclusive.
-                        unsafe {
-                            *results_ptr.0.add(i) = value;
-                        }
-                    }
-                }));
-                if let Err(payload) = caught {
-                    first_panic.record(payload);
-                }
-            });
+    claim_each(n, init, |state, i| {
+        let value = f(state, i);
+        // SAFETY: `i < n`, the vector's length, and each index is claimed
+        // exactly once, so this is the only access to slot `i`, which
+        // holds an initialized value for the assignment to drop.
+        unsafe {
+            *results_ptr.at(i) = value;
         }
     });
-    first_panic.resume();
     results
 }
 
@@ -142,33 +106,45 @@ where
 /// `data.len()` is a multiple of `row_len`) are left untouched.
 pub fn parallel_fill_rows<S, I, F>(data: &mut [f64], row_len: usize, init: I, fill: F)
 where
-    S: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &mut [f64]) + Sync,
 {
-    if row_len == 0 || data.is_empty() {
+    if row_len == 0 {
         return;
     }
     let n = data.len() / row_len;
+    let data_ptr = SendPtr(data.as_mut_ptr());
+    claim_each(n, init, |state, i| {
+        // SAFETY: row `i < n = data.len() / row_len` lies inside `data`,
+        // and each row index is claimed exactly once, so the row slices
+        // handed out are disjoint.
+        let row = unsafe { std::slice::from_raw_parts_mut(data_ptr.at(i * row_len), row_len) };
+        fill(state, i, row);
+    });
+}
+
+/// The one worker pool: runs `f(&mut state, i)` once for every `i in
+/// 0..n`, workers claiming indices from a shared counter, each with its
+/// own state from `init`. One worker (or one index) runs on the calling
+/// thread. A worker's panic stops the others claiming and is re-raised
+/// here with its payload.
+fn claim_each<S, I, F>(n: usize, init: I, f: F)
+where
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) + Sync,
+{
     let workers = worker_count().min(n.max(1));
     if workers <= 1 || n <= 1 {
         let mut state = init();
-        for (i, row) in data.chunks_exact_mut(row_len).enumerate() {
-            fill(&mut state, i, row);
-        }
+        (0..n).for_each(|i| f(&mut state, i));
         return;
     }
 
     let next = AtomicUsize::new(0);
     let first_panic = FirstPanic::new();
-    let data_ptr = SendPtr(data.as_mut_ptr());
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let next = &next;
-            let init = &init;
-            let fill = &fill;
-            let data_ptr = &data_ptr;
-            let first_panic = &first_panic;
+            let (next, init, f, first_panic) = (&next, &init, &f, &first_panic);
             scope.spawn(move || {
                 let caught = catch_unwind(AssertUnwindSafe(|| {
                     let mut state = init();
@@ -180,12 +156,7 @@ where
                         if i >= n {
                             return;
                         }
-                        // Each row index is claimed exactly once, so the
-                        // row slices handed out are disjoint.
-                        let row = unsafe {
-                            std::slice::from_raw_parts_mut(data_ptr.0.add(i * row_len), row_len)
-                        };
-                        fill(&mut state, i, row);
+                        f(&mut state, i);
                     }
                 }));
                 if let Err(payload) = caught {
@@ -197,9 +168,27 @@ where
     first_panic.resume();
 }
 
+/// The output buffer's pointer, shared by the workers.
 struct SendPtr<T>(*mut T);
+// SAFETY: workers dereference the pointer only at indices each claims
+// exactly once, so no two threads reach one element; `T: Send` because
+// they write (and drop) `T` values on their own threads.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as for `Send`: a shared `&SendPtr` yields only pointers to
+// elements one worker owns at a time.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
+
+impl<T> SendPtr<T> {
+    /// The pointer `offset` elements on. A method, so a closure captures
+    /// the whole (`Sync`) wrapper rather than its raw pointer field.
+    ///
+    /// # Safety
+    /// `offset` must lie within the allocation the pointer was taken
+    /// from.
+    unsafe fn at(&self, offset: usize) -> *mut T {
+        self.0.add(offset)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -26,7 +26,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use crate::cell::{CancelFlag, CancelPanic, GuardedDistance, Watchdog};
+use crate::cell::{with_cell_measure, CancelFlag, CancelPanic, Watchdog};
 use crate::error::EvalError;
 use crate::evaluator::{distance_cell, prepare, preprocess_series};
 use crate::knn::majority_vote;
@@ -34,7 +34,7 @@ use crate::nn::check_shapes;
 use crate::runner::panic_message;
 use crate::scan::{knn_vote_accuracy, Rows, Scan};
 use tsdist_core::measure::Distance;
-use tsdist_core::normalization::{AdaptiveScaled, Normalization};
+use tsdist_core::normalization::Normalization;
 use tsdist_core::TrainIndex;
 use tsdist_data::{Dataset, Label};
 
@@ -46,7 +46,6 @@ pub struct Eval<'a> {
     dataset: Option<&'a Dataset>,
     norm: Normalization,
     pruned: bool,
-    warm_start: bool,
     k: usize,
     deadline: Option<Duration>,
     cancel: Option<&'a CancelFlag>,
@@ -58,14 +57,13 @@ pub struct Eval<'a> {
 impl<'a> Eval<'a> {
     /// A request evaluating `measure`, with defaults matching the
     /// historical entry points: z-score normalization, exact (unpruned)
-    /// scan, `k = 1`, warm start on, no deadline.
+    /// scan, `k = 1`, no deadline.
     pub fn new(measure: &'a dyn Distance) -> Self {
         Eval {
             measure,
             dataset: None,
             norm: Normalization::ZScore,
             pruned: false,
-            warm_start: true,
             k: 1,
             deadline: None,
             cancel: None,
@@ -95,13 +93,6 @@ impl<'a> Eval<'a> {
     /// byte-identical either way; only the work done changes.
     pub fn pruned(mut self, yes: bool) -> Self {
         self.pruned = yes;
-        self
-    }
-
-    /// Whether pruned scans seed each row with the previous row's winner
-    /// (default: `true`; never changes any result).
-    pub fn warm_start(mut self, yes: bool) -> Self {
-        self.warm_start = yes;
         self
     }
 
@@ -216,10 +207,7 @@ impl<'a> Eval<'a> {
     where
         'a: 's,
     {
-        let scan = Scan::new(d, train)
-            .pruned(self.pruned)
-            .warm_start(self.warm_start)
-            .auto(true);
+        let scan = Scan::new(d, train).pruned(self.pruned).auto(true);
         match self.index {
             Some(ix) => scan.indexed(ix),
             None => scan,
@@ -249,7 +237,6 @@ impl<'a> Eval<'a> {
                 flag,
                 self.index,
                 self.pruned,
-                self.warm_start,
             );
             cell.map_err(EvalError::from)?.accuracy
         } else {
@@ -259,18 +246,11 @@ impl<'a> Eval<'a> {
                     answers: Vec::new(),
                 });
             }
-            let guarded = GuardedDistance::new(self.measure, flag);
-            let knn = |d: &dyn Distance| {
-                let (rows, _) = self
-                    .scan(d, &prepared.train)
-                    .top_k(Rows::Queries(&prepared.test), self.k);
-                knn_vote_accuracy(&rows, &prepared.test_labels, &prepared.train_labels)
-            };
-            if self.norm.is_pairwise() {
-                knn(&AdaptiveScaled::new(guarded))
-            } else {
-                knn(&guarded)
-            }
+            let rows = with_cell_measure(self.measure, self.norm, flag, |d| {
+                let scan = self.scan(d, &prepared.train);
+                scan.top_k(Rows::Queries(&prepared.test), self.k).0
+            });
+            knn_vote_accuracy(&rows, &prepared.test_labels, &prepared.train_labels)
         };
         Ok(EvalReport {
             accuracy: Some(accuracy),
@@ -300,17 +280,9 @@ impl<'a> Eval<'a> {
             &prepared_storage
         };
         let queries: Vec<Vec<f64>> = qs.iter().map(|s| preprocess_series(s, self.norm)).collect();
-        let guarded = GuardedDistance::new(self.measure, flag);
-        let answers = if self.norm.is_pairwise() {
-            self.answer_rows(
-                &AdaptiveScaled::new(guarded),
-                &queries,
-                train,
-                &ds.train_labels,
-            )
-        } else {
-            self.answer_rows(&guarded, &queries, train, &ds.train_labels)
-        };
+        let answers = with_cell_measure(self.measure, self.norm, flag, |d| {
+            self.answer_rows(d, &queries, train, &ds.train_labels)
+        });
         Ok(EvalReport {
             accuracy: None,
             answers,

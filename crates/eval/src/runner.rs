@@ -421,7 +421,6 @@ pub fn run_study_resumable(
                         flag,
                         None,
                         pruned,
-                        true,
                     )
                 })
             })

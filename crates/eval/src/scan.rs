@@ -21,9 +21,9 @@
 //! Every plan gives the same answers, so the choice only moves speed.
 //!
 //! * **Exact**: the row of distances from the measure's
-//!   [`Distance::distance_row_ws`] kernel, the one the dissimilarity
-//!   matrices use, read in natural order. A scan with neither an index
-//!   nor pruning builds all its rows as one [`distance_matrix`] call,
+//!   [`Distance::distance_row_ws`] kernel, the call the dissimilarity
+//!   matrices make for each row, read in natural order. A scan with
+//!   neither an index nor pruning runs every row this way, so it computes
 //!   exactly the study's `E`.
 //! * **Cutoff**: candidates in cheap-score order
 //!   ([`tsdist_core::index::cheap_score`]), each computed by
@@ -70,12 +70,24 @@
 //!
 //! A candidate is only skipped when a provable lower bound on its
 //! distance reaches the cutoff; then it can neither win nor tie. So each
-//! row's result is the same for every plan, visiting order, chunking and
-//! warm start (seeding a row with the previous row's winners): those
+//! row's result is the same for every plan and visiting order: those
 //! change only how fast the cutoff tightens. The one plan-dependent
 //! output is the best-effort [`NearestNeighbour::non_finite`] screen, so
 //! under Auto it may report a ±∞ candidate on one run and not on another;
 //! a NaN is reported under every plan.
+//!
+//! # Rows are independent
+//!
+//! A row reads only its own query, the train split and the index, so its
+//! answer and its counters do not depend on the other rows. The rows run
+//! on the worker pool of the matrix builders
+//! ([`crate::parallel::parallel_map_with`]): each worker claims the next
+//! unanswered row and keeps one scratch and one incumbent for all the
+//! rows it answers. An Auto scan counts a row as a cost sample unless it
+//! is its worker's first (which pays the worker's start-up), or it is the
+//! scan's only row. So a scan of two to `workers` rows, whose workers
+//! mostly answer one row each, records few or no samples, and its rows
+//! follow what the plan memory already knows.
 //!
 //! Floating-point safety: `LB_PAA` values are stored pre-deflated
 //! ([`tsdist_core::index::LB_DEFLATE`]); the `LB_Keogh` tier instead
@@ -92,9 +104,9 @@
 
 use crate::error::EvalError;
 use crate::knn::majority_vote;
-use crate::matrices::distance_matrix;
 use crate::nn::check_shapes;
-use crate::parallel::{parallel_map, worker_count};
+use crate::parallel::parallel_map_with;
+use std::sync::OnceLock;
 use std::time::Instant;
 use tsdist_core::elastic::lb_keogh_upto;
 use tsdist_core::index::{
@@ -202,20 +214,17 @@ pub struct Scan<'a> {
     train: &'a [Vec<f64>],
     index: Option<&'a TrainIndex>,
     pruned: bool,
-    warm_start: bool,
     auto: bool,
 }
 
 impl<'a> Scan<'a> {
-    /// An unpruned, unindexed scan of `train` under `measure`, warm
-    /// start on.
+    /// An unpruned, unindexed scan of `train` under `measure`.
     pub fn new(measure: &'a dyn Distance, train: &'a [Vec<f64>]) -> Self {
         Scan {
             measure,
             train,
             index: None,
             pruned: false,
-            warm_start: true,
             auto: false,
         }
     }
@@ -224,13 +233,6 @@ impl<'a> Scan<'a> {
     /// instead of computing the full row (Exact plan).
     pub fn pruned(mut self, yes: bool) -> Self {
         self.pruned = yes;
-        self
-    }
-
-    /// Whether each row first visits the previous row's winners (never
-    /// changes a result).
-    pub fn warm_start(mut self, yes: bool) -> Self {
-        self.warm_start = yes;
         self
     }
 
@@ -274,8 +276,11 @@ impl<'a> Scan<'a> {
         })
     }
 
-    /// The one driver: rows in parallel chunks, each row planned and
-    /// searched with a fresh incumbent.
+    /// The one driver: workers claim rows from the pool
+    /// ([`parallel_map_with`]), each with its own scratch and incumbent,
+    /// and every row is planned and searched on its own. The index
+    /// structure is resolved once per scan; each row only checks whether
+    /// its query may take it.
     fn drive<I: Incumbent>(
         &self,
         rows: Rows<'_>,
@@ -286,141 +291,130 @@ impl<'a> Scan<'a> {
             Rows::LeaveOneOut => (self.train, true),
         };
         let n = queries.len();
-        if n == 0 {
-            return (Vec::new(), IndexedStats::default());
-        }
-        // Every row of an unindexed, unpruned scan is Exact: build them
-        // all as one matrix, the study's `E`, and scan it on this thread.
-        let matrix = (self.index.is_none() && !self.pruned)
-            .then(|| distance_matrix(self.measure, queries, self.train));
+        let structure = self
+            .index
+            .map_or(QueryPlan::Linear, |ix| ix.measure_plan(self.measure));
         let own_memory = PlanMemory::default();
-        let memory = self
-            .auto
-            .then(|| self.index.map_or(&own_memory, TrainIndex::plans));
-        let chunk = |(lo, hi): (usize, usize)| {
-            let mut s = Scratch::default();
-            let mut inc = incumbent();
-            let mut stats = IndexedStats::default();
-            let mut out = Vec::with_capacity(hi - lo);
-            for (i, x) in queries.iter().enumerate().take(hi).skip(lo) {
-                let skip = if leave_one_out { i } else { usize::MAX };
-                let exact_row = matrix.as_ref().map(|e| e.row(i));
-                // A chunk's first row pays its one-time setup (a fresh
-                // worker and scratch), which its later rows do not: it
-                // is a cost sample only when it is the chunk's only row.
-                let planner = memory.map(|memory| Planner {
-                    memory,
-                    sample: i > lo || hi - lo == 1,
-                });
-                self.row(x, skip, exact_row, planner, &mut inc, &mut s, &mut stats);
-                if self.warm_start {
-                    inc.seeds(&mut s.seeds);
-                }
-                out.push(inc.finish());
-            }
-            (out, stats)
-        };
-        let per_chunk = if matrix.is_some() {
-            vec![chunk((0, n))]
-        } else {
-            let spans = chunk_spans(n);
-            parallel_map(spans.len(), |c| chunk(spans[c]))
-        };
+        let planner = self.auto.then(|| Planner {
+            memory: self.index.map_or(&own_memory, TrainIndex::plans),
+            named: OnceLock::new(),
+        });
+        let worker = || (Scratch::default(), incumbent(), false);
+        let per_row = parallel_map_with(n, worker, |(s, inc, started), i| {
+            let x = &queries[i];
+            let skip = if leave_one_out { i } else { usize::MAX };
+            let plan = match self.index {
+                Some(ix) if ix.admits(&structure, x) => structure,
+                _ => QueryPlan::Linear,
+            };
+            // A worker's first row pays its one-time setup (a fresh
+            // thread and scratch), which its later rows do not: it is a
+            // cost sample only when it is the scan's only row.
+            let sample = *started || n == 1;
+            *started = true;
+            let stats = self.row(x, skip, plan, planner.as_ref().map(|p| (p, sample)), inc, s);
+            (inc.finish(), stats)
+        });
         let mut stats = IndexedStats::default();
-        let mut rows = Vec::with_capacity(n);
-        for (chunk, chunk_stats) in per_chunk {
-            rows.extend(chunk);
-            stats.absorb(&chunk_stats);
-        }
+        let rows = per_row
+            .into_iter()
+            .map(|(out, row)| {
+                stats.absorb(&row);
+                out
+            })
+            .collect();
         (rows, stats)
     }
 
-    /// Searches one row under its plan, leaving the result in `inc`. An
-    /// Auto row (`planner` given) asks the plan memory whether a row with
-    /// a bounded plan takes it or Exact, and records what the row cost.
-    #[allow(clippy::too_many_arguments)]
+    /// Searches one row under `plan` (its query's plan from the index),
+    /// leaving the result in `inc`, and returns the row's counters. An
+    /// Auto row (`planner` given, with whether the row is a cost sample)
+    /// asks the plan memory whether a row with a bounded plan takes it or
+    /// Exact, and records what a sampled row cost.
     fn row<I: Incumbent>(
         &self,
         x: &[f64],
         skip: usize,
-        exact_row: Option<&[f64]>,
-        planner: Option<Planner<'_>>,
+        plan: QueryPlan<'_>,
+        planner: Option<(&Planner<'_>, bool)>,
         inc: &mut I,
         s: &mut Scratch,
-        stats: &mut IndexedStats,
-    ) {
+    ) -> IndexedStats {
         inc.reset();
         let candidates = (self.train.len() - usize::from(skip < self.train.len())) as u64;
-        stats.rows += 1;
-        stats.candidates += candidates;
-        let plan = match self.index {
-            Some(ix) => ix.plan(self.measure, x),
-            None => QueryPlan::Linear,
+        let mut stats = IndexedStats {
+            rows: 1,
+            candidates,
+            ..IndexedStats::default()
         };
         let tier = match plan {
             QueryPlan::Linear => {
                 stats.fallback_rows += 1;
                 if !self.pruned {
-                    return self.exact(x, skip, exact_row, inc, s, stats, candidates);
+                    self.exact(x, skip, inc, s, &mut stats);
+                    return stats;
                 }
                 Tier::Cutoff
             }
             QueryPlan::Cascade(bix) => Tier::Cascade(bix),
             QueryPlan::Pivots(table) => Tier::Pivots(table),
         };
-        let Some(Planner { memory, sample }) = planner else {
-            return self.bounded(x, skip, tier, inc, s, stats);
+        let Some((planner, sample)) = planner else {
+            self.bounded(x, skip, tier, inc, s, &mut stats);
+            return stats;
         };
+        let named = || {
+            planner.named.get_or_init(|| {
+                let name = self.measure.name();
+                (PlanKey::Pivots(name.clone()), PlanKey::Cutoff(name))
+            })
+        };
+        let cascade;
         let key = match tier {
-            Tier::Cascade(bix) => PlanKey::Cascade(bix.band()),
-            Tier::Pivots(_) => PlanKey::Pivots(self.measure.name()),
-            Tier::Cutoff => PlanKey::Cutoff(self.measure.name()),
+            Tier::Cascade(bix) => {
+                cascade = PlanKey::Cascade(bix.band());
+                &cascade
+            }
+            Tier::Pivots(_) => &named().0,
+            Tier::Cutoff => &named().1,
         };
-        let taken = memory.decide(&key);
+        let taken = planner.memory.decide(key);
         s.block.priced = sample.then_some((0, 0));
         let start = sample.then(Instant::now);
         match taken {
-            Choice::Exact => self.exact(x, skip, None, inc, s, stats, candidates),
-            Choice::Bounded => self.bounded(x, skip, tier, inc, s, stats),
+            Choice::Exact => self.exact(x, skip, inc, s, &mut stats),
+            Choice::Bounded => self.bounded(x, skip, tier, inc, s, &mut stats),
         }
-        let (Some(start), Some((lane_nanos, lanes))) = (start, s.block.priced.take()) else {
-            return;
-        };
-        let cost = RowCost {
-            taken,
-            nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            candidates,
-            lane_nanos,
-            lanes,
-        };
-        memory.record(&key, &cost);
+        if let (Some(start), Some((lane_nanos, lanes))) = (start, s.block.priced.take()) {
+            let cost = RowCost {
+                taken,
+                nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                candidates,
+                lane_nanos,
+                lanes,
+            };
+            planner.memory.record(key, &cost);
+        }
+        stats
     }
 
-    /// The Exact plan: every candidate from the measure's row kernel (or
-    /// the prebuilt matrix row), offered in natural order.
-    #[allow(clippy::too_many_arguments)]
+    /// The Exact plan: every candidate from the measure's row kernel, the
+    /// call the dissimilarity matrices make for a row, offered in natural
+    /// order.
     fn exact<I: Incumbent>(
         &self,
         x: &[f64],
         skip: usize,
-        exact_row: Option<&[f64]>,
         inc: &mut I,
         s: &mut Scratch,
         stats: &mut IndexedStats,
-        candidates: u64,
     ) {
         stats.exact_rows += 1;
-        stats.examined += candidates;
-        let row = match exact_row {
-            Some(row) => row,
-            None => {
-                s.row.resize(self.train.len(), 0.0);
-                let (d, train) = (self.measure, self.train);
-                d.distance_row_ws(x, train, &mut s.row, &mut s.ws);
-                &s.row
-            }
-        };
-        for (j, &v) in row.iter().enumerate() {
+        stats.examined += stats.candidates;
+        s.row.resize(self.train.len(), 0.0);
+        self.measure
+            .distance_row_ws(x, self.train, &mut s.row, &mut s.ws);
+        for (j, &v) in s.row.iter().enumerate() {
             if j != skip {
                 inc.offer(v, j, true);
             }
@@ -460,12 +454,12 @@ impl<'a> Scan<'a> {
     }
 }
 
-/// An Auto row's plan memory, and whether the row's cost is recorded as
-/// a sample.
-#[derive(Clone, Copy)]
+/// An Auto scan's plan memory, and its Pivots and Cutoff keys, which
+/// name the measure: formatted at most once per scan, when a row first
+/// needs one (a Cascade's key is its band).
 struct Planner<'m> {
     memory: &'m PlanMemory,
-    sample: bool,
+    named: OnceLock<(PlanKey, PlanKey)>,
 }
 
 /// The bound tiers of a row's candidate visit. The rank key of each
@@ -485,7 +479,7 @@ enum Tier<'a> {
 /// top-k selection. Both the update rule and the cutoff live here, once.
 trait Incumbent {
     /// What a finished row reports.
-    type Output: Send;
+    type Output: Send + Default;
     /// Starts a new row.
     fn reset(&mut self);
     /// The cutoff a candidate's distance is computed under: a candidate
@@ -497,9 +491,6 @@ trait Incumbent {
     fn offer(&mut self, v: f64, j: usize, exact: bool);
     /// The finished row.
     fn finish(&self) -> Self::Output;
-    /// Replaces `seeds` with the row's winners, nearest first, when it
-    /// found a full set (the next row's warm start).
-    fn seeds(&self, seeds: &mut Vec<usize>);
 }
 
 /// Algorithm 1's incumbent: smallest index among minimizers; a
@@ -551,13 +542,6 @@ impl Incumbent for Nearest {
             non_finite: self.non_finite,
         }
     }
-
-    fn seeds(&self, seeds: &mut Vec<usize>) {
-        if let Some(j) = self.best_j {
-            seeds.clear();
-            seeds.push(j);
-        }
-    }
 }
 
 /// The k-NN selection: the `k >= 1` smallest `(distance, index)` pairs
@@ -600,16 +584,9 @@ impl Incumbent for TopK {
     fn finish(&self) -> Vec<(f64, usize)> {
         self.heap.clone()
     }
-
-    fn seeds(&self, seeds: &mut Vec<usize>) {
-        if self.heap.len() == self.k {
-            seeds.clear();
-            seeds.extend(self.heap.iter().map(|&(_, j)| j));
-        }
-    }
 }
 
-/// Per-chunk scratch reused across rows.
+/// Per-worker scratch reused across rows.
 #[derive(Default)]
 struct Scratch {
     ws: Workspace,
@@ -623,7 +600,6 @@ struct Scratch {
     qsamples: Vec<f64>,
     qd: Vec<f64>,
     is_pivot: Vec<bool>,
-    seeds: Vec<usize>,
     block: Block,
 }
 
@@ -681,11 +657,10 @@ impl Scratch {
     }
 
     /// The candidate visit shared by the Cutoff, Cascade and Pivots
-    /// plans: the warm-start seeds first, nearest first, then `order` in
-    /// ascending `(key, index)` order, sorted lazily as the visit reaches
-    /// it. A candidate whose bound reaches the cutoff is skipped; in the
-    /// sorted region that skip ends the row, since every later bound is
-    /// at least as large. Cascade survivors queue for a lane block; the
+    /// plans: `order` in ascending `(key, index)` order, sorted lazily as
+    /// the visit reaches it. The first candidate whose bound reaches the
+    /// cutoff ends the row, since every later bound is at least as
+    /// large. Cascade survivors queue for a lane block; the
     /// cutoff cannot move while one is pending, because only a run block
     /// offers values.
     fn visit<I: Incumbent>(
@@ -698,11 +673,7 @@ impl Scratch {
         stats: &mut IndexedStats,
     ) {
         let bounded = !matches!(tier, Tier::Cutoff);
-        let mut sorted_from = 0;
-        for &p in self.seeds.iter().rev() {
-            sorted_from += usize::from(promote(&mut self.order, p));
-        }
-        let mut lazy = LazySort::after(sorted_from);
+        let mut lazy = LazySort::new();
         let mut lb_skipped = 0;
         for pos in 0..self.order.len() {
             lazy.reach(&mut self.order, pos);
@@ -710,12 +681,8 @@ impl Scratch {
             let cutoff = inc.cutoff();
             if bounded && cutoff.is_finite() && cutoff > 0.0 {
                 if rank_value(key) >= cutoff {
-                    if pos >= sorted_from {
-                        lb_skipped += (self.order.len() - pos) as u64;
-                        break;
-                    }
-                    lb_skipped += 1;
-                    continue;
+                    lb_skipped += (self.order.len() - pos) as u64;
+                    break;
                 }
                 if let Tier::Cascade(bix) = tier {
                     if bix.is_clean(j) {
@@ -866,11 +833,10 @@ impl LazySort {
     /// First selection size: covers a typical pruned row in one pass.
     const FIRST: usize = 256;
 
-    /// `order[..sorted]` is already in visiting order (the promoted
-    /// warm-start seeds).
-    fn after(sorted: usize) -> Self {
+    /// An order not yet sorted at all.
+    fn new() -> Self {
         LazySort {
-            sorted,
+            sorted: 0,
             chunk: Self::FIRST,
         }
     }
@@ -891,28 +857,6 @@ impl LazySort {
         self.sorted = pos + take;
         self.chunk *= 4;
     }
-}
-
-/// Moves candidate `front` to the head of `order`, preserving the
-/// relative order of everything else (the warm-start hook). Returns
-/// whether the candidate was present.
-fn promote(order: &mut [(u64, usize)], front: usize) -> bool {
-    if let Some(pos) = order.iter().position(|&(_, j)| j == front) {
-        order[..=pos].rotate_right(1);
-        true
-    } else {
-        false
-    }
-}
-
-/// Splits `0..n` into one contiguous span per worker. Chunk boundaries
-/// affect only where warm-start chains reset, never any row's result.
-fn chunk_spans(n: usize) -> Vec<(usize, usize)> {
-    let chunk = n.div_ceil(worker_count().max(1)).max(1);
-    (0..n)
-        .step_by(chunk)
-        .map(|s| (s, (s + chunk).min(n)))
-        .collect()
 }
 
 /// Algorithm 1's accuracy from a batch of row results: `predicted`
@@ -962,28 +906,32 @@ pub(crate) fn knn_vote_accuracy(
 }
 
 /// Cutoff-threaded 1-NN search of every `test` row against `train`.
+///
+/// `_warm_start` has no effect: every row depends only on its own query.
+/// The parameter stays for existing callers.
 pub fn pruned_nn_search(
     d: &dyn Distance,
     test: &[Vec<f64>],
     train: &[Vec<f64>],
-    warm_start: bool,
+    _warm_start: bool,
 ) -> Vec<NearestNeighbour> {
-    let scan = Scan::new(d, train).pruned(true).warm_start(warm_start);
+    let scan = Scan::new(d, train).pruned(true);
     scan.nearest(Rows::Queries(test)).0
 }
 
 /// Indexed 1-NN search of every `test` row against `train`, with the
 /// work counters: rows with an index structure skip candidates by lower
-/// bounds, the rest take the Cutoff plan.
+/// bounds, the rest take the Cutoff plan. `_warm_start` has no effect,
+/// as in [`pruned_nn_search`].
 pub fn indexed_nn_search_stats(
     d: &dyn Distance,
     test: &[Vec<f64>],
     train: &[Vec<f64>],
     ix: &TrainIndex,
-    warm_start: bool,
+    _warm_start: bool,
 ) -> (Vec<NearestNeighbour>, IndexedStats) {
     let scan = Scan::new(d, train).pruned(true).indexed(ix);
-    scan.warm_start(warm_start).nearest(Rows::Queries(test))
+    scan.nearest(Rows::Queries(test))
 }
 
 #[cfg(test)]
@@ -992,11 +940,14 @@ mod tests {
     use crate::cell::CancelFlag;
     use crate::evaluator::{distance_cell, prepare};
     use crate::knn::knn_accuracy;
+    use crate::matrices::distance_matrix;
     use crate::nn::{loocv_accuracy, one_nn_accuracy};
     use crate::request::Eval;
     use crate::{CellError, EvalError};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use tsdist_core::elastic::{Dtw, Msm};
     use tsdist_core::lockstep::{Canberra, CityBlock, Euclidean, SquaredEuclidean};
+    use tsdist_core::measure::MetricRegime;
     use tsdist_core::normalization::Normalization;
     use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
     use tsdist_data::Dataset;
@@ -1013,9 +964,9 @@ mod tests {
     }
 
     /// A pruned scan of `train`; `.indexed(ix)` on it gives the indexed
-    /// search with the same warm-start setting.
-    fn cut<'a>(d: &'a dyn Distance, train: &'a [Vec<f64>], warm: bool) -> Scan<'a> {
-        Scan::new(d, train).pruned(true).warm_start(warm)
+    /// search.
+    fn cut<'a>(d: &'a dyn Distance, train: &'a [Vec<f64>]) -> Scan<'a> {
+        Scan::new(d, train).pruned(true)
     }
 
     const LOO: Rows<'static> = Rows::LeaveOneOut;
@@ -1061,11 +1012,9 @@ mod tests {
         let d = Dtw::with_window_pct(10.0);
         let e = distance_matrix(&d, &test, &train);
         let exact = one_nn_accuracy(&e, &tel, &trl).unwrap();
-        for warm in [false, true] {
-            let nns = pruned_nn_search(&d, &test, &train, warm);
-            let pruned = one_nn_vote_accuracy(&nns, &tel, &trl).unwrap();
-            assert_eq!(pruned.to_bits(), exact.to_bits(), "warm_start={warm}");
-        }
+        let nns = pruned_nn_search(&d, &test, &train, false);
+        let pruned = one_nn_vote_accuracy(&nns, &tel, &trl).unwrap();
+        assert_eq!(pruned.to_bits(), exact.to_bits());
     }
 
     #[test]
@@ -1075,7 +1024,7 @@ mod tests {
         let s = vec![1.0, 2.0, 3.0, 4.0];
         let train = vec![s.clone(), s.clone()];
         let test = vec![s.clone()];
-        let nns = pruned_nn_search(&Euclidean, &test, &train, true);
+        let nns = pruned_nn_search(&Euclidean, &test, &train, false);
         assert_eq!(nns[0].index, Some(0));
         assert_eq!(nns[0].distance, 0.0);
     }
@@ -1088,10 +1037,8 @@ mod tests {
         // Full (non-mirrored) matrix: every cell computed directly.
         let w = Matrix::from_fn(14, 14, |i, j| d.distance(&train[i], &train[j]));
         let exact = loocv_accuracy(&w, &trl).unwrap();
-        for warm in [false, true] {
-            let pruned = loocv_vote(&cut(&d, &train, warm).nearest(LOO).0, &trl);
-            assert_eq!(pruned.to_bits(), exact.to_bits(), "warm_start={warm}");
-        }
+        let pruned = loocv_vote(&cut(&d, &train).nearest(LOO).0, &trl);
+        assert_eq!(pruned.to_bits(), exact.to_bits());
     }
 
     #[test]
@@ -1103,11 +1050,9 @@ mod tests {
         let e = distance_matrix(&d, &test, &train);
         for k in [1, 3, 5, 99] {
             let exact = knn_accuracy(&e, &tel, &trl, k).unwrap();
-            for warm in [false, true] {
-                let rows = cut(&d, &train, warm).top_k(Rows::Queries(&test), k).0;
-                let pruned = knn_vote_accuracy(&rows, &tel, &trl);
-                assert_eq!(pruned.to_bits(), exact.to_bits(), "k={k} warm={warm}");
-            }
+            let rows = cut(&d, &train).top_k(Rows::Queries(&test), k).0;
+            let pruned = knn_vote_accuracy(&rows, &tel, &trl);
+            assert_eq!(pruned.to_bits(), exact.to_bits(), "k={k}");
         }
     }
 
@@ -1153,7 +1098,7 @@ mod tests {
         let exact = one_nn_accuracy(&e, &[0, 1], &labels(3)).unwrap();
         assert_eq!(acc.to_bits(), exact.to_bits());
         // LOOCV predicts None instead: nothing is correct.
-        let loocv = cut(&AlwaysNan, &train, true).nearest(LOO).0;
+        let loocv = cut(&AlwaysNan, &train).nearest(LOO).0;
         assert_eq!(loocv_vote(&loocv, &labels(3)), 0.0);
     }
 
@@ -1161,15 +1106,7 @@ mod tests {
     fn typed_errors_mirror_the_matrix_entry_points() {
         let flag = CancelFlag::new();
         let cell = |ds: &Dataset, pruned: bool| {
-            distance_cell(
-                &Euclidean,
-                ds,
-                Normalization::ZScore,
-                &flag,
-                None,
-                pruned,
-                true,
-            )
+            distance_cell(&Euclidean, ds, Normalization::ZScore, &flag, None, pruned)
         };
         let mismatched = Dataset {
             name: "mismatched".into(),
@@ -1211,13 +1148,11 @@ mod tests {
         let test = toy(9, 40, 0.25);
         let d = Dtw::with_window_pct(10.0);
         let ix = TrainIndex::build(&train);
-        for warm in [false, true] {
-            let (nns, stats) = indexed_nn_search_stats(&d, &test, &train, &ix, warm);
-            assert_eq!(nns, pruned_nn_search(&d, &test, &train, warm));
-            assert_eq!(stats.fallback_rows, stats.rows);
-            let (exact, q) = (cut(&d, &train, warm), Rows::Queries(&test));
-            assert_eq!(exact.indexed(&ix).top_k(q, 3).0, exact.top_k(q, 3).0);
-        }
+        let (nns, stats) = indexed_nn_search_stats(&d, &test, &train, &ix, false);
+        assert_eq!(nns, pruned_nn_search(&d, &test, &train, false));
+        assert_eq!(stats.fallback_rows, stats.rows);
+        let (exact, q) = (cut(&d, &train), Rows::Queries(&test));
+        assert_eq!(exact.indexed(&ix).top_k(q, 3).0, exact.top_k(q, 3).0);
     }
 
     #[test]
@@ -1226,7 +1161,7 @@ mod tests {
         let test = toy(4, 24, 0.3);
         let d = Msm::new(0.5);
         let e = distance_matrix(&d, &test, &train);
-        let rows = cut(&d, &train, true).top_k(Rows::Queries(&test), 3).0;
+        let rows = cut(&d, &train).top_k(Rows::Queries(&test), 3).0;
         for (i, row) in rows.iter().enumerate() {
             // The matrix-backed selection order: (total_cmp, index).
             let mut idx: Vec<usize> = (0..train.len()).collect();
@@ -1239,7 +1174,7 @@ mod tests {
     #[test]
     fn single_series_loocv_is_zero() {
         let train = toy(1, 4, 0.0);
-        let nns = cut(&Euclidean, &train, true).nearest(LOO).0;
+        let nns = cut(&Euclidean, &train).nearest(LOO).0;
         assert_eq!(nns[0].index, None);
         assert_eq!(loocv_vote(&nns, &[0]), 0.0);
     }
@@ -1250,16 +1185,14 @@ mod tests {
         let test = clustered(10, 64);
         let d = Dtw::with_window_pct(10.0);
         let ix = prepared_index(&d, &train);
-        for warm in [false, true] {
-            let exact = pruned_nn_search(&d, &test, &train, warm);
-            let (got, stats) = indexed_nn_search_stats(&d, &test, &train, &ix, warm);
-            assert_eq!(got, exact, "warm={warm}");
-            assert_eq!(stats.fallback_rows, 0);
-            assert!(
-                stats.examined < stats.candidates,
-                "no candidate skipped: {stats:?}"
-            );
-        }
+        let exact = pruned_nn_search(&d, &test, &train, false);
+        let (got, stats) = indexed_nn_search_stats(&d, &test, &train, &ix, false);
+        assert_eq!(got, exact);
+        assert_eq!(stats.fallback_rows, 0);
+        assert!(
+            stats.examined < stats.candidates,
+            "no candidate skipped: {stats:?}"
+        );
     }
 
     #[test]
@@ -1267,8 +1200,8 @@ mod tests {
         let train = toy(20, 32, 0.0);
         let test = toy(8, 32, 0.5);
         let ix = prepared_index(&Euclidean, &train);
-        let exact = pruned_nn_search(&Euclidean, &test, &train, true);
-        let (got, stats) = indexed_nn_search_stats(&Euclidean, &test, &train, &ix, true);
+        let exact = pruned_nn_search(&Euclidean, &test, &train, false);
+        let (got, stats) = indexed_nn_search_stats(&Euclidean, &test, &train, &ix, false);
         assert_eq!(got, exact);
         assert_eq!(stats.fallback_rows, 0);
         assert!(stats.pivot_skipped > 0, "pivot tier never fired: {stats:?}");
@@ -1279,8 +1212,8 @@ mod tests {
         let train = toy(10, 16, 0.0);
         let test = toy(4, 16, 0.2);
         let ix = prepared_index(&SquaredEuclidean, &train);
-        let exact = pruned_nn_search(&SquaredEuclidean, &test, &train, true);
-        let (got, stats) = indexed_nn_search_stats(&SquaredEuclidean, &test, &train, &ix, true);
+        let exact = pruned_nn_search(&SquaredEuclidean, &test, &train, false);
+        let (got, stats) = indexed_nn_search_stats(&SquaredEuclidean, &test, &train, &ix, false);
         assert_eq!(got, exact);
         assert_eq!(stats.fallback_rows, stats.rows);
         assert_eq!(stats.examined, stats.candidates);
@@ -1292,8 +1225,8 @@ mod tests {
         let other = toy(5, 16, 0.0);
         let test = toy(3, 16, 0.2);
         let ix = prepared_index(&Euclidean, &other);
-        let (got, stats) = indexed_nn_search_stats(&Euclidean, &test, &train, &ix, true);
-        assert_eq!(got, pruned_nn_search(&Euclidean, &test, &train, true));
+        let (got, stats) = indexed_nn_search_stats(&Euclidean, &test, &train, &ix, false);
+        assert_eq!(got, pruned_nn_search(&Euclidean, &test, &train, false));
         assert_eq!(stats.fallback_rows, stats.rows);
     }
 
@@ -1304,11 +1237,9 @@ mod tests {
         let d = Dtw::with_window_pct(10.0);
         let ix = prepared_index(&d, &train);
         for k in [1, 3, 5, 99] {
-            for warm in [false, true] {
-                let (exact, q) = (cut(&d, &train, warm), Rows::Queries(&test));
-                let got = exact.indexed(&ix).top_k(q, k).0;
-                assert_eq!(got, exact.top_k(q, k).0, "k={k} warm={warm}");
-            }
+            let (exact, q) = (cut(&d, &train), Rows::Queries(&test));
+            let got = exact.indexed(&ix).top_k(q, k).0;
+            assert_eq!(got, exact.top_k(q, k).0, "k={k}");
         }
     }
 
@@ -1317,14 +1248,11 @@ mod tests {
         let train = toy(16, 40, 0.0);
         let d = Dtw::with_window_pct(10.0);
         let ix = prepared_index(&d, &train);
-        for warm in [false, true] {
-            let exact = cut(&d, &train, warm);
-            let got = exact.indexed(&ix).nearest(LOO).0;
-            assert_eq!(got, exact.nearest(LOO).0, "warm={warm}");
-        }
+        let exact = cut(&d, &train);
+        assert_eq!(exact.indexed(&ix).nearest(LOO).0, exact.nearest(LOO).0);
         // Pivot plans must also honour the self-exclusion.
         let ix = prepared_index(&Euclidean, &train);
-        let exact = cut(&Euclidean, &train, true);
+        let exact = cut(&Euclidean, &train);
         assert_eq!(exact.indexed(&ix).nearest(LOO).0, exact.nearest(LOO).0);
     }
 
@@ -1343,13 +1271,11 @@ mod tests {
             let expect = exact.nearest(LOO).0;
             assert_eq!(expect[0].index, Some(n - 1), "{}", d.name());
             assert_eq!(expect[n - 1].index, Some(0), "{}", d.name());
-            for warm in [false, true] {
-                let indexed = cut(d, &train, warm).indexed(&ix);
-                let (got, stats) = indexed.nearest(LOO);
-                assert_eq!(stats.fallback_rows, 0, "{}", d.name());
-                assert_eq!(got, expect, "{} warm={warm}", d.name());
-                assert_eq!(indexed.top_k(LOO, 3).0, exact.top_k(LOO, 3).0);
-            }
+            let indexed = cut(d, &train).indexed(&ix);
+            let (got, stats) = indexed.nearest(LOO);
+            assert_eq!(stats.fallback_rows, 0, "{}", d.name());
+            assert_eq!(got, expect, "{}", d.name());
+            assert_eq!(indexed.top_k(LOO, 3).0, exact.top_k(LOO, 3).0);
         }
     }
 
@@ -1401,7 +1327,7 @@ mod tests {
         expect.sort_by(|&a, &b| bound(a).total_cmp(&bound(b)).then(a.cmp(&b)));
         for stop in [1, LazySort::FIRST, LazySort::FIRST + 1, 3000, n] {
             order.sort_unstable_by_key(|&(_, j)| (j * 31) % n);
-            let mut lazy = LazySort::after(0);
+            let mut lazy = LazySort::new();
             let visited: Vec<usize> = (0..stop)
                 .map(|pos| {
                     lazy.reach(&mut order, pos);
@@ -1465,7 +1391,7 @@ mod tests {
         let QueryPlan::Pivots(table) = ix.plan(&Euclidean, &test[0]) else {
             panic!("ED has a pivot table");
         };
-        let scan = cut(&Euclidean, &train, false).indexed(&ix);
+        let scan = cut(&Euclidean, &train).indexed(&ix);
         let mut expect = IndexedStats::default();
         let (mut fewest, mut most) = (u64::MAX, 0);
         for (i, x) in test.iter().enumerate() {
@@ -1499,7 +1425,7 @@ mod tests {
         let ds = prepare(&raw, Normalization::ZScore);
         let d = Dtw::with_window_pct(10.0);
         let ix = prepared_index(&d, &ds.train);
-        let (nns, stats) = indexed_nn_search_stats(&d, &ds.test, &ds.train, &ix, true);
+        let (nns, stats) = indexed_nn_search_stats(&d, &ds.test, &ds.train, &ix, false);
         assert_eq!(stats.fallback_rows, 0);
         let cascade = one_nn_vote_accuracy(&nns, &ds.test_labels, &ds.train_labels).unwrap();
         let exact = Eval::new(&d).on(&raw).run().unwrap().accuracy.unwrap();
@@ -1512,12 +1438,113 @@ mod tests {
         let ds = prepare(&raw, Normalization::ZScore);
         let d = Dtw::with_window_pct(10.0);
         let ix = prepared_index(&d, &ds.train);
-        let (_, stats) = indexed_nn_search_stats(&d, &ds.test, &ds.train, &ix, true);
+        let (_, stats) = indexed_nn_search_stats(&d, &ds.test, &ds.train, &ix, false);
         assert!(stats.examined > 0, "cascade never reached the DP");
         assert!(
             stats.examined < stats.candidates,
             "no comparison skipped: {stats:?}"
         );
+    }
+
+    /// Row `i` of `rows` answered on its own, by a fresh worker.
+    fn alone<I: Incumbent>(
+        scan: &Scan<'_>,
+        rows: Rows<'_>,
+        i: usize,
+        mut inc: I,
+    ) -> (I::Output, IndexedStats) {
+        let (x, skip) = match rows {
+            Rows::Queries(q) => (&q[i], usize::MAX),
+            Rows::LeaveOneOut => (&scan.train[i], i),
+        };
+        let plan = scan
+            .index
+            .map_or(QueryPlan::Linear, |ix| ix.plan(scan.measure, x));
+        let stats = scan.row(x, skip, plan, None, &mut inc, &mut Scratch::default());
+        (inc.finish(), stats)
+    }
+
+    #[test]
+    fn every_row_answers_as_it_would_alone() {
+        // Under each fixed bounded plan, for 1-NN and k-NN, query and
+        // leave-one-out rows: a many-row scan gives every row the answer
+        // that row gets alone, and counts the sum of their counters.
+        let train = clustered(40, 48);
+        let test = clustered(13, 48);
+        let dtw = Dtw::with_window_pct(10.0);
+        let (cascade, pivots) = (
+            prepared_index(&dtw, &train),
+            prepared_index(&Euclidean, &train),
+        );
+        let scans = [
+            ("Cutoff", cut(&dtw, &train)),
+            ("Cascade", cut(&dtw, &train).indexed(&cascade)),
+            ("Pivots", cut(&Euclidean, &train).indexed(&pivots)),
+        ];
+        for (name, scan) in scans {
+            for (what, rows) in [("queries", Rows::Queries(&test)), ("LOO", LOO)] {
+                let n = match rows {
+                    Rows::Queries(q) => q.len(),
+                    Rows::LeaveOneOut => train.len(),
+                };
+                let (nearest, nearest_stats) = scan.nearest(rows);
+                let (top, top_stats) = scan.top_k(rows, 3);
+                let (mut nearest_sum, mut top_sum) =
+                    (IndexedStats::default(), IndexedStats::default());
+                for i in 0..n {
+                    let (nn, stats) = alone(&scan, rows, i, Nearest::new());
+                    assert_eq!(nn, nearest[i], "{name} {what} 1-NN row {i}");
+                    nearest_sum.absorb(&stats);
+                    let inc = TopK {
+                        k: 3,
+                        heap: Vec::new(),
+                    };
+                    let (kept, stats) = alone(&scan, rows, i, inc);
+                    assert_eq!(kept, top[i], "{name} {what} 3-NN row {i}");
+                    top_sum.absorb(&stats);
+                }
+                assert_eq!(nearest_stats, nearest_sum, "{name} {what} 1-NN");
+                assert_eq!(top_stats, top_sum, "{name} {what} 3-NN");
+                let bounded = nearest_sum.cascade_rows + nearest_sum.pivot_rows;
+                assert_eq!(bounded > 0, name != "Cutoff", "{name} {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_auto_scan_names_its_measure_once_not_per_row() {
+        // Formatting the name keys the pivot table and the plan memory;
+        // a many-row scan must not pay for it on every row.
+        static NAMES: AtomicUsize = AtomicUsize::new(0);
+        struct Named;
+        impl Distance for Named {
+            fn name(&self) -> String {
+                NAMES.fetch_add(1, Ordering::Relaxed);
+                "named ED".into()
+            }
+            fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
+                Euclidean.distance_ws(x, y, ws)
+            }
+            fn is_symmetric(&self) -> bool {
+                true
+            }
+            fn metric_regime(&self) -> MetricRegime {
+                MetricRegime::All
+            }
+        }
+        let train = toy(30, 16, 0.0);
+        let test = toy(40, 16, 0.3);
+        let ix = prepared_index(&Named, &train);
+        assert!(matches!(ix.plan(&Named, &test[0]), QueryPlan::Pivots(_)));
+        let pivots = Scan::new(&Named, &train).indexed(&ix).auto(true);
+        let cutoff = Scan::new(&Named, &train).pruned(true).auto(true);
+        for (scan, rows) in [(pivots, Rows::Queries(&test)), (cutoff, LOO)] {
+            let before = NAMES.load(Ordering::Relaxed);
+            let (_, stats) = scan.nearest(rows);
+            let calls = NAMES.load(Ordering::Relaxed) - before;
+            assert!(stats.rows >= 30, "{stats:?}");
+            assert!(calls <= 2, "{calls} name calls for {} rows", stats.rows);
+        }
     }
 
     #[test]
@@ -1526,14 +1553,14 @@ mod tests {
         let ds = prepare(&raw, Normalization::ZScore);
         let d = Dtw::with_window_pct(10.0);
         let ix = prepared_index(&d, &ds.train);
-        let first = indexed_nn_search_stats(&d, &ds.test, &ds.train, &ix, true);
-        let again = indexed_nn_search_stats(&d, &ds.test, &ds.train, &ix, true);
+        let first = indexed_nn_search_stats(&d, &ds.test, &ds.train, &ix, false);
+        let again = indexed_nn_search_stats(&d, &ds.test, &ds.train, &ix, false);
         let fresh = indexed_nn_search_stats(
             &d,
             &ds.test,
             &ds.train,
             &prepared_index(&d, &ds.train),
-            true,
+            false,
         );
         assert_eq!(first, again);
         assert_eq!(first, fresh);

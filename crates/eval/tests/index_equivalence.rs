@@ -2,8 +2,7 @@
 //! 1-NN rows, k-NN rows, LOOCV rows, and `Eval`-builder accuracies —
 //! must be byte-identical to the exact (pruned) scan, across the
 //! registry's elastic instances, the declared-metric lock-step measures,
-//! warm-start settings, pairwise-normalization wrappers, ties, and
-//! degenerate datasets.
+//! pairwise-normalization wrappers, ties, and degenerate datasets.
 
 use tsdist_core::index::TrainIndex;
 use tsdist_core::lockstep as ls;
@@ -55,17 +54,12 @@ fn registry_rows_match_exact_scan_for_nn_knn_and_loocv() {
     let prepared = prepare(&dataset(42), Normalization::ZScore);
     for (name, d) in roster() {
         let ix = index_for(d.as_ref(), &prepared.train);
-        for warm in [false, true] {
-            let exact = Scan::new(d.as_ref(), &prepared.train)
-                .pruned(true)
-                .warm_start(warm);
-            let got = exact.indexed(&ix);
-            let (test, loo) = (Rows::Queries(&prepared.test), Rows::LeaveOneOut);
-            let what = format!("{name} warm={warm}");
-            assert_eq!(got.nearest(test).0, exact.nearest(test).0, "{what} 1-NN");
-            assert_eq!(got.top_k(test, 3).0, exact.top_k(test, 3).0, "{what} 3-NN");
-            assert_eq!(got.nearest(loo).0, exact.nearest(loo).0, "{what} LOOCV");
-        }
+        let exact = Scan::new(d.as_ref(), &prepared.train).pruned(true);
+        let got = exact.indexed(&ix);
+        let (test, loo) = (Rows::Queries(&prepared.test), Rows::LeaveOneOut);
+        assert_eq!(got.nearest(test).0, exact.nearest(test).0, "{name} 1-NN");
+        assert_eq!(got.top_k(test, 3).0, exact.top_k(test, 3).0, "{name} 3-NN");
+        assert_eq!(got.nearest(loo).0, exact.nearest(loo).0, "{name} LOOCV");
     }
 }
 
@@ -77,29 +71,25 @@ fn eval_builder_indexed_accuracies_are_byte_identical() {
     for (name, d) in roster() {
         let ix = index_for(d.as_ref(), &prepared.train);
         for k in [1, 3] {
-            for warm in [false, true] {
-                let exact = Eval::new(d.as_ref())
-                    .on(&ds)
-                    .normalized(norm)
-                    .pruned(true)
-                    .k(k)
-                    .warm_start(warm)
-                    .run()
-                    .unwrap();
-                let indexed = Eval::new(d.as_ref())
-                    .on(&ds)
-                    .normalized(norm)
-                    .indexed(&ix)
-                    .k(k)
-                    .warm_start(warm)
-                    .run()
-                    .unwrap();
-                assert_eq!(
-                    indexed.accuracy.unwrap().to_bits(),
-                    exact.accuracy.unwrap().to_bits(),
-                    "{name} k={k} warm={warm}"
-                );
-            }
+            let exact = Eval::new(d.as_ref())
+                .on(&ds)
+                .normalized(norm)
+                .pruned(true)
+                .k(k)
+                .run()
+                .unwrap();
+            let indexed = Eval::new(d.as_ref())
+                .on(&ds)
+                .normalized(norm)
+                .indexed(&ix)
+                .k(k)
+                .run()
+                .unwrap();
+            assert_eq!(
+                indexed.accuracy.unwrap().to_bits(),
+                exact.accuracy.unwrap().to_bits(),
+                "{name} k={k}"
+            );
         }
     }
 }

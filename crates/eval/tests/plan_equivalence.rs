@@ -3,7 +3,7 @@
 //! (ED), and Auto three ways (measuring as it goes, and with a plan
 //! memory primed so that every row takes Exact, or every row its bounded
 //! plan), each for 1-NN rows, k-NN rows (k ∈ {1, 3, train.len() + 1})
-//! and leave-one-out rows, warm start on and off, over a split with exact
+//! and leave-one-out rows, over a split with exact
 //! ties, a NaN candidate, a +∞ candidate and an all-NaN row; the
 //! Cascade's lane blocks over train sizes around the block width; and the
 //! plan memory's rule, driven by fed costs instead of the clock.
@@ -31,9 +31,8 @@ fn wave(phase: f64, off: f64) -> Vec<f64> {
 }
 
 /// The adversarial split. Train: two identical series (exact ties), a
-/// near copy of them between the two (as a leave-one-out row, its tied
-/// neighbours come in the order a warm start from the previous row
-/// prefers: larger index first), a series with a NaN sample, a series
+/// near copy of them between the two (as a leave-one-out row, it ties
+/// between a smaller and a larger index), a series with a NaN sample, a series
 /// with a +∞ sample, and ordinary ones in two classes. Test: a copy of
 /// the tied series, an all-NaN series (every distance non-finite) and
 /// ordinary queries.
@@ -250,7 +249,7 @@ fn assert_rows_match(
 }
 
 /// Every plan of `d` over `ds` — 1-NN, LOOCV and k-NN rows for each
-/// `k` in `ks`, warm start on and off — against the matrix classifiers.
+/// `k` in `ks` — against the matrix classifiers.
 fn assert_plans_match_matrices(d: &dyn Distance, ds: &Dataset, ks: &[usize]) {
     let (train, test) = (&ds.train, &ds.test);
     let mut ix = TrainIndex::build(train);
@@ -258,57 +257,55 @@ fn assert_plans_match_matrices(d: &dyn Distance, ds: &Dataset, ks: &[usize]) {
     let e = distance_matrix(d, test, train);
     let w = distance_matrix(d, train, train);
     // Every scan of one index shares its plan memory: Auto's runs below
-    // (1-NN, leave-one-out, k-NN, warm start on and off) carry theirs on.
+    // (1-NN, leave-one-out, k-NN) carry theirs on.
     let auto = ix.clone();
     let primed = [
         primed(&ix, d, &test[0], Choice::Exact),
         primed(&ix, d, &test[0], Choice::Bounded),
     ];
     for plan in plans(d, train, &ix, &auto, &primed) {
-        for warm in [false, true] {
-            let scan = plan.scan.warm_start(warm);
-            let what = format!("{} n={} {} warm={warm}", d.name(), train.len(), plan.name);
+        let scan = plan.scan;
+        let what = format!("{} n={} {}", d.name(), train.len(), plan.name);
 
-            let (nns, stats) = scan.nearest(Rows::Queries(test));
-            assert_rows_match(&format!("{what} 1-NN"), &nns, &stats, &plan, &e, false);
-            // Algorithm 1's accuracy: an all-non-finite row predicts the
-            // first training label.
-            let acc = one_nn_vote_accuracy(&nns, &ds.test_labels, &ds.train_labels);
-            let expect = one_nn_accuracy(&e, &ds.test_labels, &ds.train_labels);
-            assert_eq!(
-                acc.map(f64::to_bits),
-                expect.map(f64::to_bits),
-                "{what} 1-NN accuracy"
-            );
+        let (nns, stats) = scan.nearest(Rows::Queries(test));
+        assert_rows_match(&format!("{what} 1-NN"), &nns, &stats, &plan, &e, false);
+        // Algorithm 1's accuracy: an all-non-finite row predicts the
+        // first training label.
+        let acc = one_nn_vote_accuracy(&nns, &ds.test_labels, &ds.train_labels);
+        let expect = one_nn_accuracy(&e, &ds.test_labels, &ds.train_labels);
+        assert_eq!(
+            acc.map(f64::to_bits),
+            expect.map(f64::to_bits),
+            "{what} 1-NN accuracy"
+        );
 
-            let (nns, stats) = scan.nearest(Rows::LeaveOneOut);
-            assert_rows_match(&format!("{what} LOOCV"), &nns, &stats, &plan, &w, true);
-            // LOOCV starts from "no prediction" instead.
-            let correct = nns
-                .iter()
-                .zip(&ds.train_labels)
-                .filter(|(nn, &t)| nn.index.map(|j| ds.train_labels[j]) == Some(t))
-                .count();
-            let acc = correct as f64 / train.len() as f64;
-            let expect = loocv_accuracy(&w, &ds.train_labels).unwrap();
-            assert_eq!(acc.to_bits(), expect.to_bits(), "{what} LOOCV accuracy");
+        let (nns, stats) = scan.nearest(Rows::LeaveOneOut);
+        assert_rows_match(&format!("{what} LOOCV"), &nns, &stats, &plan, &w, true);
+        // LOOCV starts from "no prediction" instead.
+        let correct = nns
+            .iter()
+            .zip(&ds.train_labels)
+            .filter(|(nn, &t)| nn.index.map(|j| ds.train_labels[j]) == Some(t))
+            .count();
+        let acc = correct as f64 / train.len() as f64;
+        let expect = loocv_accuracy(&w, &ds.train_labels).unwrap();
+        assert_eq!(acc.to_bits(), expect.to_bits(), "{what} LOOCV accuracy");
 
-            for &k in ks {
-                for (rows, m, loo) in [
-                    (Rows::Queries(test), &e, false),
-                    (Rows::LeaveOneOut, &w, true),
-                ] {
-                    let what = format!("{what} {k}-NN leave_one_out={loo}");
-                    let (got, stats) = scan.top_k(rows, k);
-                    assert_plan_taken(&what, &stats, &plan);
-                    for (i, row) in got.iter().enumerate() {
-                        let skip = if loo { i } else { usize::MAX };
-                        let expect = reference_knn(m.row(i), k, skip);
-                        assert_eq!(row.len(), expect.len(), "{what} row {i}");
-                        for (a, b) in row.iter().zip(&expect) {
-                            assert_eq!(a.1, b.1, "{what} row {i}");
-                            assert_eq!(a.0.to_bits(), b.0.to_bits(), "{what} row {i}");
-                        }
+        for &k in ks {
+            for (rows, m, loo) in [
+                (Rows::Queries(test), &e, false),
+                (Rows::LeaveOneOut, &w, true),
+            ] {
+                let what = format!("{what} {k}-NN leave_one_out={loo}");
+                let (got, stats) = scan.top_k(rows, k);
+                assert_plan_taken(&what, &stats, &plan);
+                for (i, row) in got.iter().enumerate() {
+                    let skip = if loo { i } else { usize::MAX };
+                    let expect = reference_knn(m.row(i), k, skip);
+                    assert_eq!(row.len(), expect.len(), "{what} row {i}");
+                    for (a, b) in row.iter().zip(&expect) {
+                        assert_eq!(a.1, b.1, "{what} row {i}");
+                        assert_eq!(a.0.to_bits(), b.0.to_bits(), "{what} row {i}");
                     }
                 }
             }
@@ -438,28 +435,26 @@ fn eval_accuracies_and_the_non_finite_screen_match_the_matrix_path() {
             ("Indexed (bounded won)", &primed[1]),
         ];
         for (name, ix) in routes {
-            for warm in [false, true] {
-                let eval = eval_for(name, d, &ds, ix).warm_start(warm);
-                let what = format!("{} {name} warm={warm}", d.name());
-                // k = 1 is the study cell: the screen reports the first
-                // non-finite entry, exactly `find_non_finite`'s under the
-                // Exact plan and an actually non-finite one elsewhere.
-                match eval.run() {
-                    Err(EvalError::NonFiniteDistance { i, j }) => {
-                        if name == "Exact" {
-                            assert_eq!((i, j), first, "{what}");
-                        } else {
-                            assert!(!e[(i, j)].is_finite(), "{what}: ({i}, {j})");
-                        }
+            let eval = eval_for(name, d, &ds, ix);
+            let what = format!("{} {name}", d.name());
+            // k = 1 is the study cell: the screen reports the first
+            // non-finite entry, exactly `find_non_finite`'s under the
+            // Exact plan and an actually non-finite one elsewhere.
+            match eval.run() {
+                Err(EvalError::NonFiniteDistance { i, j }) => {
+                    if name == "Exact" {
+                        assert_eq!((i, j), first, "{what}");
+                    } else {
+                        assert!(!e[(i, j)].is_finite(), "{what}: ({i}, {j})");
                     }
-                    other => panic!("{what}: expected the non-finite screen, got {other:?}"),
                 }
-                // k > 1 votes without the screen, like `knn_accuracy`.
-                for k in [3, ds.train.len() + 1] {
-                    let got = eval.k(k).run().expect("k-NN runs").accuracy.unwrap();
-                    let expect = knn_accuracy(&e, &ds.test_labels, &ds.train_labels, k).unwrap();
-                    assert_eq!(got.to_bits(), expect.to_bits(), "{what} k={k}");
-                }
+                other => panic!("{what}: expected the non-finite screen, got {other:?}"),
+            }
+            // k > 1 votes without the screen, like `knn_accuracy`.
+            for k in [3, ds.train.len() + 1] {
+                let got = eval.k(k).run().expect("k-NN runs").accuracy.unwrap();
+                let expect = knn_accuracy(&e, &ds.test_labels, &ds.train_labels, k).unwrap();
+                assert_eq!(got.to_bits(), expect.to_bits(), "{what} k={k}");
             }
         }
     }
@@ -541,8 +536,8 @@ fn the_plan_memory_persists_across_scans_and_follows_measured_costs() {
         } else {
             "Pivots"
         };
-        let auto = |ix| Scan::new(d, train).indexed(ix).auto(true).warm_start(false);
-        let fixed = Scan::new(d, train).indexed(&ix).warm_start(false);
+        let auto = |ix| Scan::new(d, train).indexed(ix).auto(true);
+        let fixed = Scan::new(d, train).indexed(&ix);
         let one = Rows::Queries(&test[..1]);
 
         // Nothing measured yet: the first row takes the bounded plan.

@@ -96,61 +96,44 @@ fn loocv_and_knn_flavours_agree_with_the_matrix_path() {
         // accuracies still match bit-for-bit.
         let w = symmetric_distance_matrix(d.as_ref(), &ds.train);
         let exact_loocv = loocv_accuracy(&w, &ds.train_labels).unwrap();
-        for warm in [false, true] {
-            let nns = Scan::new(d.as_ref(), &ds.train)
-                .pruned(true)
-                .warm_start(warm)
-                .nearest(Rows::LeaveOneOut)
-                .0;
-            // LOOCV starts from "no prediction": an all-non-finite row
-            // counts as incorrect.
-            let correct = nns
-                .iter()
-                .zip(&ds.train_labels)
-                .filter(|(nn, &truth)| nn.index.map(|j| ds.train_labels[j]) == Some(truth))
-                .count();
-            let pruned_loocv = correct as f64 / ds.train_labels.len() as f64;
-            assert_eq!(
-                exact_loocv.to_bits(),
-                pruned_loocv.to_bits(),
-                "{name} LOOCV (warm={warm})"
-            );
-        }
+        let nns = Scan::new(d.as_ref(), &ds.train)
+            .pruned(true)
+            .nearest(Rows::LeaveOneOut)
+            .0;
+        // LOOCV starts from "no prediction": an all-non-finite row counts
+        // as incorrect.
+        let correct = nns
+            .iter()
+            .zip(&ds.train_labels)
+            .filter(|(nn, &truth)| nn.index.map(|j| ds.train_labels[j]) == Some(truth))
+            .count();
+        let pruned_loocv = correct as f64 / ds.train_labels.len() as f64;
+        assert_eq!(
+            exact_loocv.to_bits(),
+            pruned_loocv.to_bits(),
+            "{name} LOOCV"
+        );
 
         let e = distance_matrix(d.as_ref(), &ds.test, &ds.train);
         for k in [1usize, 3, 7] {
             let exact_knn = knn_accuracy(&e, &ds.test_labels, &ds.train_labels, k).unwrap();
-            for warm in [false, true] {
-                let pruned_knn = accuracy(
-                    Eval::new(d.as_ref())
-                        .on(&raw)
-                        .k(k)
-                        .pruned(true)
-                        .warm_start(warm),
-                );
-                assert_eq!(
-                    exact_knn.to_bits(),
-                    pruned_knn.to_bits(),
-                    "{name} {k}-NN (warm={warm})"
-                );
-            }
+            let pruned_knn = accuracy(Eval::new(d.as_ref()).on(&raw).k(k).pruned(true));
+            assert_eq!(exact_knn.to_bits(), pruned_knn.to_bits(), "{name} {k}-NN");
         }
     }
 }
 
 #[test]
-fn warm_start_and_candidate_order_do_not_leak_into_results() {
-    // The engine's internals (cheap first-pass ordering, warm-started
-    // cutoffs, chunked parallel spans) must be invisible: both warm-start
-    // settings reproduce the plain 1-NN accuracy exactly.
+fn candidate_order_does_not_leak_into_results() {
+    // The engine's internals (cheap first-pass ordering, cutoffs, rows
+    // claimed across workers) must be invisible: the pruned scan
+    // reproduces the plain 1-NN accuracy exactly.
     let raw = generate_dataset(&ArchiveConfig::quick(1, 31), 0);
     let ds = prepare(&raw, Normalization::ZScore);
     for (name, d) in measures() {
         let e = distance_matrix(d.as_ref(), &ds.test, &ds.train);
         let exact = tsdist_eval::one_nn_accuracy(&e, &ds.test_labels, &ds.train_labels).unwrap();
-        for warm in [false, true] {
-            let pruned = accuracy(Eval::new(d.as_ref()).on(&raw).pruned(true).warm_start(warm));
-            assert_eq!(exact.to_bits(), pruned.to_bits(), "{name} warm={warm}");
-        }
+        let pruned = accuracy(Eval::new(d.as_ref()).on(&raw).pruned(true));
+        assert_eq!(exact.to_bits(), pruned.to_bits(), "{name}");
     }
 }
