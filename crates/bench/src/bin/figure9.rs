@@ -6,7 +6,9 @@
 //! Each inference cell is one `Eval` run on the prepared split (the `E`
 //! build and the 1-NN vote) under the fault-tolerant runner, cancelled by
 //! the runner's flag, so `--deadline-secs` interrupts a stalling kernel
-//! mid-matrix and the remaining measures still report.
+//! mid-matrix and the remaining measures still report. A kernel's cell
+//! computes each train and test series' self-similarity once, so its
+//! time is one kernel DP per (test, train) pair plus one per series.
 
 use tsdist_bench::{robust_column, ExperimentConfig};
 use tsdist_core::elastic::{Dtw, Erp, Msm, Twe};

@@ -6,6 +6,10 @@
 //! (unsupervised); weak measures are omitted from the figures, as in the
 //! paper.
 //!
+//! A kernel is scored as the distance [`KernelDistance`]: its grid
+//! through the supervised distance evaluator, its fixed γ through the
+//! unsupervised distance column.
+//!
 //! Cells run under the fault-tolerant runner: a panicking or timed-out
 //! (measure, dataset) cell is excluded (and reported) instead of aborting
 //! the whole table, and `--journal` makes an interrupted run resumable.
@@ -13,13 +17,11 @@
 use tsdist_bench::{
     reduce_columns, render_ranking, robust_column, robust_distance_column, ExperimentConfig,
 };
+use tsdist_core::measure::{Distance, KernelDistance};
 use tsdist_core::normalization::Normalization;
 use tsdist_core::registry::{elastic_families, kernel_families, kernel_unsupervised};
 use tsdist_core::sliding::CrossCorrelation;
-use tsdist_eval::{
-    compare_to_baseline, evaluate_distance_supervised, evaluate_kernel, evaluate_kernel_supervised,
-    render_table,
-};
+use tsdist_eval::{compare_to_baseline, evaluate_distance_supervised, render_table};
 
 const BASELINE: &str = "NCC_c";
 
@@ -43,8 +45,13 @@ fn main() {
     let fig_kernels = ["KDTW", "GAK", "SINK"];
     for family in kernel_families() {
         let label = format!("{} [LOOCCV]", family.family);
+        let grid: Vec<Box<dyn Distance>> = family
+            .grid
+            .into_iter()
+            .map(|k| Box::new(KernelDistance(k)) as _)
+            .collect();
         columns.push(robust_column(&runner, &archive, &label, |ds, flag| {
-            Ok(evaluate_kernel_supervised(&family.grid, ds, flag)?.0)
+            Ok(evaluate_distance_supervised(&grid, ds, norm, flag)?.0)
         }));
         table_names.push(label.clone());
         if fig_kernels.contains(&family.family) {
@@ -52,9 +59,10 @@ fn main() {
         }
     }
     for (name, kernel) in kernel_unsupervised() {
-        columns.push(robust_column(&runner, &archive, &name, |ds, flag| {
-            evaluate_kernel(kernel.as_ref(), ds, flag)
-        }));
+        let measure = KernelDistance(kernel);
+        columns.push(robust_distance_column(
+            &runner, &archive, &name, &measure, norm,
+        ));
         table_names.push(name.clone());
         if !name.starts_with("RBF") {
             unsup_names.push(name);

@@ -9,8 +9,8 @@
 //! `tsdist-eval` relies on to compute only the upper triangle of
 //! train×train matrices. [`Kernel`] follows the same shape: its one body
 //! is [`Kernel::kernel_ws`] (plus [`Kernel::log_kernel_ws`] for the
-//! alignment kernels), and [`normalized_kernel_dissimilarity`] turns log
-//! kernel values into the dissimilarity every kernel path uses.
+//! alignment kernels), and [`KernelDistance`] makes it a distance through
+//! [`normalized_kernel_dissimilarity`] over log kernel values.
 
 use crate::workspace::Workspace;
 
@@ -191,6 +191,17 @@ pub trait Distance: Send + Sync {
     fn index_profile(&self) -> IndexProfile {
         IndexProfile::None
     }
+
+    /// The kernel this measure is the normalized dissimilarity of, if
+    /// any: `Some(k)` promises that [`Distance::distance_ws`] equals
+    /// [`normalized_kernel_dissimilarity`] over `k`'s log values of
+    /// `(x, y)`, `(x, x)` and `(y, y)` bit for bit. The evaluation
+    /// platform then computes each series' self-similarity once instead
+    /// of per pair. The default is `None`; [`KernelDistance`] returns its
+    /// kernel, and `Box` and `&` forward the inner measure's answer.
+    fn as_kernel(&self) -> Option<&dyn Kernel> {
+        None
+    }
 }
 
 impl<D: Distance + ?Sized> Distance for Box<D> {
@@ -220,6 +231,9 @@ impl<D: Distance + ?Sized> Distance for Box<D> {
     }
     fn index_profile(&self) -> IndexProfile {
         (**self).index_profile()
+    }
+    fn as_kernel(&self) -> Option<&dyn Kernel> {
+        (**self).as_kernel()
     }
 }
 
@@ -251,13 +265,19 @@ impl<D: Distance + ?Sized> Distance for &D {
     fn index_profile(&self) -> IndexProfile {
         (**self).index_profile()
     }
+    fn as_kernel(&self) -> Option<&dyn Kernel> {
+        (**self).as_kernel()
+    }
 }
 
 /// A positive semi-definite kernel (similarity) function.
 ///
-/// Kernels are converted to dissimilarities for 1-NN classification via
-/// [`normalized_kernel_dissimilarity`] over log kernel values; the
-/// evaluation platform caches the log self-similarities `log k(x,x)`.
+/// A kernel is evaluated as a [`Distance`]: [`KernelDistance`] turns it
+/// into the normalized dissimilarity
+/// [`normalized_kernel_dissimilarity`] over log kernel values, which 1-NN
+/// classification ranks. The evaluation platform reaches the kernel
+/// through [`Distance::as_kernel`] and computes each series' log
+/// self-similarity `log k(x,x)` once per matrix or scan, not per pair.
 pub trait Kernel: Send + Sync {
     /// Human-readable kernel name, e.g. `"GAK(γ=0.1)"`.
     fn name(&self) -> String;
@@ -336,10 +356,12 @@ pub fn normalized_kernel_dissimilarity(lxy: f64, lxx: f64, lyy: f64) -> f64 {
 }
 
 /// Adapter exposing a [`Kernel`] as a [`Distance`] through
-/// [`normalized_kernel_dissimilarity`]. Self-similarities are recomputed
-/// per call; the evaluation platform prefers its cached kernel path, but
-/// this adapter makes every kernel usable anywhere a distance is
-/// expected.
+/// [`normalized_kernel_dissimilarity`], so every kernel is usable
+/// anywhere a distance is expected. A bare call computes all three log
+/// kernel values, so each pair costs three kernel evaluations; through
+/// [`Distance::as_kernel`] the evaluation platform's matrices and scans
+/// compute each series' self-similarity once and only the cross term
+/// per pair, with the same bits.
 pub struct KernelDistance<K: Kernel>(pub K);
 
 impl<K: Kernel> Distance for KernelDistance<K> {
@@ -356,6 +378,9 @@ impl<K: Kernel> Distance for KernelDistance<K> {
         // `lxx + lyy` commutes bit-exactly, so the adapter is exactly as
         // symmetric as the underlying kernel's cross term.
         self.0.is_symmetric()
+    }
+    fn as_kernel(&self) -> Option<&dyn Kernel> {
+        Some(&self.0)
     }
 }
 
@@ -417,5 +442,19 @@ mod tests {
         let b: Box<dyn Distance> = Box::new(Abs);
         assert_eq!(b.name(), "abs");
         assert_eq!(b.distance(&[1.0], &[3.0]), 2.0);
+        assert!(b.as_kernel().is_none());
+    }
+
+    #[test]
+    fn kernel_distances_expose_their_kernel_through_box_and_ref() {
+        let d: Box<dyn Distance> = Box::new(KernelDistance(Dot));
+        let (x, y) = ([1.0, 2.0], [3.0, -1.0]);
+        let k = d.as_kernel().expect("a kernel distance exposes its kernel");
+        assert_eq!(k.name(), "dot");
+        assert_eq!(k.kernel(&x, &y), Dot.kernel(&x, &y));
+        fn exposes<D: Distance>(d: D) -> bool {
+            d.as_kernel().is_some()
+        }
+        assert!(exposes(&d), "`&D` forwards it");
     }
 }

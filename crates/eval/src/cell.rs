@@ -11,13 +11,15 @@
 //!   points; the watchdog is a background thread that raises the flag
 //!   when the deadline elapses, so even the matrix kernels (which never
 //!   look at a clock) are interrupted at the next pairwise call.
-//! * [`GuardedDistance`] / [`GuardedKernel`] — transparent measure
-//!   wrappers that consult the flag before every pairwise computation
-//!   (for matrix rows: before every block of at most `LANES` columns)
-//!   and unwind with a cancellation payload once it is raised. They
-//!   delegate `distance_ws` / `distance_row_ws` / `is_symmetric`, so
-//!   guarded evaluation is bit-identical to unguarded evaluation for
-//!   healthy cells.
+//! * [`GuardedDistance`] — the transparent measure wrapper that consults
+//!   the flag before every pairwise computation (for matrix rows: before
+//!   every block of at most `LANES` columns) and unwinds with a
+//!   cancellation payload once it is raised. It delegates `distance_ws` /
+//!   `distance_row_ws` / `is_symmetric`, so guarded evaluation is
+//!   bit-identical to unguarded evaluation for healthy cells. A kernel
+//!   ([`Distance::as_kernel`]) is measured by a kernel cell instead,
+//!   which checks the flag the same way and computes each series' log
+//!   self-similarity once per cell rather than per pair.
 //! * [`find_non_finite`] — the at-the-source NaN/±Inf guard: a
 //!   dissimilarity matrix containing a non-finite cell is reported as
 //!   [`CellError::NonFiniteDistance`] instead of silently sorting last
@@ -29,8 +31,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::error::EvalError;
+use crate::parallel::parallel_map_with;
 use tsdist_core::lanes::LANES;
-use tsdist_core::measure::{Distance, IndexProfile, Kernel, MetricRegime};
+use tsdist_core::measure::{
+    normalized_kernel_dissimilarity, Distance, IndexProfile, Kernel, MetricRegime,
+};
 use tsdist_core::normalization::{AdaptiveScaled, Normalization};
 use tsdist_core::Workspace;
 use tsdist_linalg::Matrix;
@@ -286,21 +291,25 @@ impl<'a> GuardedDistance<'a> {
     }
 }
 
-/// Runs `f` on `d` as a cell measures it: guarded by `flag`, then, under
-/// a pairwise normalization, rescaled per pair ([`AdaptiveScaled`]).
-/// Per-pair rescaling invalidates every precomputed bound; the wrapper
-/// declares no index profile, so no scan row gets an index structure.
+/// Runs `f` on `d` as a cell over the split `train` measures it: guarded
+/// by `flag`, then, under a pairwise normalization, rescaled per pair
+/// ([`AdaptiveScaled`]). Per-pair rescaling invalidates every
+/// precomputed bound; the wrapper declares no index profile, so no scan
+/// row gets an index structure. A kernel ([`Distance::as_kernel`]) under
+/// any other normalization is measured by a [`KernelCell`] over `train`.
 pub(crate) fn with_cell_measure<R>(
     d: &dyn Distance,
     norm: Normalization,
     flag: &CancelFlag,
+    train: &[Vec<f64>],
     f: impl FnOnce(&dyn Distance) -> R,
 ) -> R {
-    let guarded = GuardedDistance::new(d, flag);
     if norm.is_pairwise() {
-        f(&AdaptiveScaled::new(guarded))
-    } else {
-        f(&guarded)
+        return f(&AdaptiveScaled::new(GuardedDistance::new(d, flag)));
+    }
+    match d.as_kernel() {
+        Some(k) => f(&KernelCell::new(d, k, flag, train)),
+        None => f(&GuardedDistance::new(d, flag)),
     }
 }
 
@@ -342,39 +351,99 @@ impl Distance for GuardedDistance<'_> {
     }
 }
 
-/// The [`Kernel`] counterpart of [`GuardedDistance`]: every kernel entry
-/// point checks the flag, then delegates (bit-identically) to the inner
-/// kernel.
-pub struct GuardedKernel<'a> {
-    inner: &'a dyn Kernel,
+/// A kernel's cell measure: `d`, whose [`Distance::as_kernel`] is `k`,
+/// with the log self-similarity of every series of the split computed
+/// once, in parallel and under `flag`, when the cell binds it. A matrix
+/// or scan row computes its `log k(x, x)` once, or reads it when `x` is
+/// a series of the split, and reads each column's `log k(y, y)` when the
+/// columns are a sub-slice of the split; each entry is then
+/// [`normalized_kernel_dissimilarity`] of the same three values in the
+/// same order as `d` computes them, so the cell is bit-identical to `d`.
+/// A lone pair runs `d` itself. The flag is checked before every pair
+/// and every chunk of at most [`LANES`] columns, as [`GuardedDistance`]
+/// checks it, but a row stays one call so its `log k(x, x)` is computed
+/// once.
+struct KernelCell<'a> {
+    d: &'a dyn Distance,
+    k: &'a dyn Kernel,
     flag: &'a CancelFlag,
+    split: &'a [Vec<f64>],
+    /// `log k(s, s)` of every series `s` of the split, by index.
+    log_self: Vec<f64>,
 }
 
-impl<'a> GuardedKernel<'a> {
-    /// Guards `inner` with `flag`.
-    pub fn new(inner: &'a dyn Kernel, flag: &'a CancelFlag) -> Self {
-        GuardedKernel { inner, flag }
+impl<'a> KernelCell<'a> {
+    fn new(
+        d: &'a dyn Distance,
+        k: &'a dyn Kernel,
+        flag: &'a CancelFlag,
+        split: &'a [Vec<f64>],
+    ) -> Self {
+        let log_self = parallel_map_with(split.len(), Workspace::default, |ws, i| {
+            flag.panic_if_cancelled();
+            k.log_kernel_ws(&split[i], &split[i], ws)
+        });
+        KernelCell {
+            d,
+            k,
+            flag,
+            split,
+            log_self,
+        }
+    }
+
+    /// The cached `log k(y, y)` of `cols`, when they are a sub-slice of
+    /// the split.
+    fn cached(&self, cols: &[Vec<f64>]) -> Option<&[f64]> {
+        let size = std::mem::size_of::<Vec<f64>>();
+        let offset = (cols.as_ptr() as usize).checked_sub(self.split.as_ptr() as usize)?;
+        let start = offset / size;
+        let end = start + cols.len();
+        (offset % size == 0 && end <= self.split.len()).then(|| &self.log_self[start..end])
     }
 }
 
-impl Kernel for GuardedKernel<'_> {
+impl Distance for KernelCell<'_> {
     fn name(&self) -> String {
-        self.inner.name()
+        self.d.name()
     }
-    fn kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
+    fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
         self.flag.panic_if_cancelled();
-        self.inner.kernel_ws(x, y, ws)
+        self.d.distance_ws(x, y, ws)
     }
-    fn log_kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        self.flag.panic_if_cancelled();
-        self.inner.log_kernel_ws(x, y, ws)
-    }
-    fn self_kernel(&self, x: &[f64]) -> f64 {
-        self.flag.panic_if_cancelled();
-        self.inner.self_kernel(x)
+    fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
+        let own = self
+            .split
+            .iter()
+            .position(|s| std::ptr::eq(s.as_slice(), x));
+        let lxx = match own {
+            Some(i) => self.log_self[i],
+            None => {
+                self.flag.panic_if_cancelled();
+                self.k.log_kernel_ws(x, x, ws)
+            }
+        };
+        let cached = self.cached(cols);
+        for (c, (cols, out)) in cols.chunks(LANES).zip(out.chunks_mut(LANES)).enumerate() {
+            self.flag.panic_if_cancelled();
+            for (j, (slot, y)) in out.iter_mut().zip(cols).enumerate() {
+                let lxy = self.k.log_kernel_ws(x, y, ws);
+                let lyy = match cached {
+                    Some(lyy) => lyy[c * LANES + j],
+                    None => self.k.log_kernel_ws(y, y, ws),
+                };
+                *slot = normalized_kernel_dissimilarity(lxy, lxx, lyy);
+            }
+        }
     }
     fn is_symmetric(&self) -> bool {
-        self.inner.is_symmetric()
+        self.d.is_symmetric()
+    }
+    fn metric_regime(&self) -> MetricRegime {
+        self.d.metric_regime()
+    }
+    fn index_profile(&self) -> IndexProfile {
+        self.d.index_profile()
     }
 }
 
@@ -446,6 +515,44 @@ mod tests {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| guarded.distance(&x, &y)));
         let payload = caught.expect_err("cancelled guard must unwind");
         assert!(payload.downcast_ref::<CancelPanic>().is_some());
+    }
+
+    #[test]
+    fn a_kernel_cell_is_its_kernel_distance_until_cancelled() {
+        use tsdist_core::kernel::Kdtw;
+        use tsdist_core::measure::KernelDistance;
+        let split: Vec<Vec<f64>> = (0..3)
+            .map(|i| (0..10).map(|j| ((i * 10 + j) as f64 * 0.3).sin()).collect())
+            .collect();
+        let query = [0.5, -1.0, 2.0, 0.0, 1.0];
+        let d = KernelDistance(Kdtw::new(0.125));
+        let flag = CancelFlag::new();
+        with_cell_measure(&d, Normalization::ZScore, &flag, &split, |cell| {
+            let mut out = [0.0; 3];
+            cell.distance_row_ws(&query, &split, &mut out, &mut Workspace::new());
+            for (j, y) in split.iter().enumerate() {
+                let expect = d.distance(&query, y).to_bits();
+                assert_eq!(out[j].to_bits(), expect, "row column {j}");
+                assert_eq!(cell.distance(&query, y).to_bits(), expect, "pair {j}");
+                assert_eq!(
+                    cell.distance(y, &query).to_bits(),
+                    d.distance(y, &query).to_bits()
+                );
+            }
+            assert_eq!(cell.name(), d.name());
+            assert_eq!(cell.is_symmetric(), d.is_symmetric());
+            flag.cancel();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cell.distance_row_ws(&split[0], &split, &mut out, &mut Workspace::new())
+            }));
+            let payload = caught.expect_err("a cancelled kernel cell must unwind");
+            assert!(payload.downcast_ref::<CancelPanic>().is_some());
+        });
+        // Binding a split computes its self-similarities under the flag.
+        let bound = std::panic::catch_unwind(|| {
+            with_cell_measure(&d, Normalization::ZScore, &flag, &split, |_| ())
+        });
+        assert!(bound.is_err(), "binding under a raised flag must unwind");
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! High-level evaluation of measures on datasets: normalization handling,
-//! the supervised (LOOCCV) and unsupervised settings, and category-
-//! specific paths for distances, kernels, and embeddings. Unsupervised
-//! distance evaluation goes through the [`Eval`](crate::request::Eval)
-//! request builder, which shares `distance_cell` with the study runner.
+//! the supervised (LOOCCV) and unsupervised settings, and the two kinds
+//! of measure: distances and embeddings. A kernel is a distance
+//! ([`KernelDistance`](tsdist_core::measure::KernelDistance)), evaluated
+//! here under z-normalization like any other: the cell measures it with
+//! each series' self-similarity computed once. Unsupervised distance
+//! evaluation goes through the [`Eval`](crate::request::Eval) request
+//! builder, which shares `distance_cell` with the study runner.
 //!
 //! Every function here is a cancellable, fault-classified cell core, the
 //! work the fault-tolerant [`CellRunner`](crate::runner::CellRunner)
@@ -14,17 +17,13 @@
 //! instead of silently sorting last in the 1-NN selection. Callers without
 //! a deadline pass `&CancelFlag::new()`.
 
-use crate::cell::{
-    find_non_finite, with_cell_measure, CancelFlag, CellError, Evaluation, GuardedKernel,
-};
+use crate::cell::{find_non_finite, with_cell_measure, CancelFlag, CellError, Evaluation};
 use crate::error::EvalError;
-use crate::matrices::{
-    embedding_matrices, kernel_matrix, symmetric_distance_matrix_into, symmetric_kernel_matrix_into,
-};
+use crate::matrices::{embedding_matrices, embedding_test_matrix, symmetric_distance_matrix_into};
 use crate::nn::{loocv_accuracy, one_nn_accuracy};
 use crate::scan::{one_nn_vote_accuracy, Rows, Scan};
 use tsdist_core::embedding::Embedding;
-use tsdist_core::measure::{Distance, Kernel};
+use tsdist_core::measure::Distance;
 use tsdist_core::normalization::Normalization;
 use tsdist_core::TrainIndex;
 use tsdist_data::{Dataset, Label};
@@ -104,7 +103,8 @@ fn tune<T>(
 /// plan inputs are `index` and `pruned`, with the NaN/±Inf screen.
 ///
 /// The measure is guarded by `cancel` (and rescaled per pair under a
-/// pairwise `norm`). An unindexed, unpruned scan computes every row of
+/// pairwise `norm`; a kernel's train self-similarities are computed once
+/// for the cell). An unindexed, unpruned scan computes every row of
 /// `E` exactly like [`distance_matrix`](crate::matrices::distance_matrix)
 /// and reports the first non-finite entry in row-major order, as
 /// [`find_non_finite`] does. Other plans never see every entry, so their
@@ -121,7 +121,7 @@ pub(crate) fn distance_cell(
     pruned: bool,
 ) -> Result<Evaluation, CellError> {
     cancel.checkpoint()?;
-    let nns = with_cell_measure(d, norm, cancel, |d| {
+    let nns = with_cell_measure(d, norm, cancel, &prepared.train, |d| {
         let scan = Scan::new(d, &prepared.train).pruned(pruned).auto(true);
         let scan = index.map_or(scan, |ix| scan.indexed(ix));
         scan.nearest(Rows::Queries(&prepared.test)).0
@@ -151,7 +151,7 @@ pub fn evaluate_distance_supervised(
     let prepared = prepare(ds, norm);
     // Symmetric measures only compute the upper triangle of `W`.
     let point = |idx: usize, w: &mut Matrix| {
-        with_cell_measure(grid[idx].as_ref(), norm, cancel, |d| {
+        with_cell_measure(grid[idx].as_ref(), norm, cancel, &prepared.train, |d| {
             symmetric_distance_matrix_into(d, &prepared.train, w);
         });
         Ok(())
@@ -159,48 +159,6 @@ pub fn evaluate_distance_supervised(
     let score = |best: usize, ()| {
         let d = grid[best].as_ref();
         Ok(distance_cell(d, &prepared, norm, cancel, None, false)?.accuracy)
-    };
-    tune(grid.len(), &prepared.train_labels, cancel, point, score)
-}
-
-/// Test accuracy of one kernel on one dataset (kernels are evaluated
-/// under z-normalization, as in Section 8).
-pub fn evaluate_kernel(
-    k: &dyn Kernel,
-    ds: &Dataset,
-    cancel: &CancelFlag,
-) -> Result<Evaluation, CellError> {
-    kernel_test_accuracy(k, &prepare(ds, Normalization::ZScore), cancel)
-}
-
-/// Algorithm 1 on the guarded kernel's test-by-train `E`.
-fn kernel_test_accuracy(
-    k: &dyn Kernel,
-    prepared: &Dataset,
-    cancel: &CancelFlag,
-) -> Result<Evaluation, CellError> {
-    cancel.checkpoint()?;
-    let guarded = GuardedKernel::new(k, cancel);
-    let e = kernel_matrix(&guarded, &prepared.test, &prepared.train);
-    Ok(Evaluation::unsupervised(test_accuracy(&e, prepared)?))
-}
-
-/// Supervised evaluation of a kernel grid (LOOCV on each point's `W`,
-/// then the winner's `E` alone is built and scored), returning the
-/// evaluation and the winning grid index.
-pub fn evaluate_kernel_supervised(
-    grid: &[Box<dyn Kernel>],
-    ds: &Dataset,
-    cancel: &CancelFlag,
-) -> Result<(Evaluation, usize), CellError> {
-    let prepared = prepare(ds, Normalization::ZScore);
-    let point = |idx: usize, w: &mut Matrix| {
-        let guarded = GuardedKernel::new(grid[idx].as_ref(), cancel);
-        symmetric_kernel_matrix_into(&guarded, &prepared.train, w);
-        Ok(())
-    };
-    let score = |best: usize, ()| {
-        Ok(kernel_test_accuracy(grid[best].as_ref(), &prepared, cancel)?.accuracy)
     };
     tune(grid.len(), &prepared.train_labels, cancel, point, score)
 }
@@ -229,7 +187,7 @@ pub fn evaluate_embedding(
     let prepared = prepare(ds, Normalization::ZScore);
     let n_train = prepared.train.len();
     let z = emb.embed(&train_then_test(&prepared), n_train);
-    let (_, e) = embedding_matrices(&z, n_train)?;
+    let e = embedding_test_matrix(&z, n_train)?;
     Ok(Evaluation::unsupervised(test_accuracy(&e, &prepared)?))
 }
 
@@ -256,9 +214,11 @@ mod tests {
     use super::*;
     use crate::request::Eval;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use tsdist_core::elastic::Dtw;
     use tsdist_core::kernel::Rbf;
     use tsdist_core::lockstep::Euclidean;
+    use tsdist_core::measure::{Kernel, KernelDistance};
     use tsdist_core::Workspace;
     use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
 
@@ -312,9 +272,7 @@ mod tests {
     #[test]
     fn kernel_evaluation_beats_chance_on_shape_data() {
         let ds = easy_dataset();
-        let acc = evaluate_kernel(&Rbf::new(0.01), &ds, &CancelFlag::new())
-            .unwrap()
-            .accuracy;
+        let acc = distance_accuracy(&KernelDistance(Rbf::new(0.01)), &ds, Normalization::ZScore);
         let chance = 1.0 / ds.n_classes() as f64;
         assert!(acc > chance, "acc {acc} <= chance {chance}");
     }
@@ -398,20 +356,21 @@ mod tests {
         ds.test.iter_mut().for_each(|s| s.push(0.0));
         let flag = CancelFlag::new();
         // Both points give the same `W`, so the first wins the tie.
-        let grid = |poison_first: bool| -> Vec<Box<dyn Kernel>> {
+        let grid = |poison_first: bool| -> Vec<Box<dyn Distance>> {
             vec![
-                Box::new(CrossNan {
+                Box::new(KernelDistance(CrossNan {
                     poison: poison_first,
-                }),
-                Box::new(CrossNan {
+                })),
+                Box::new(KernelDistance(CrossNan {
                     poison: !poison_first,
-                }),
+                })),
             ]
         };
-        let (out, best) = evaluate_kernel_supervised(&grid(false), &ds, &flag).unwrap();
+        let z = Normalization::ZScore;
+        let (out, best) = evaluate_distance_supervised(&grid(false), &ds, z, &flag).unwrap();
         assert_eq!(best, 0);
         assert!((0.0..=1.0).contains(&out.accuracy));
-        let lost = evaluate_kernel_supervised(&grid(true), &ds, &flag);
+        let lost = evaluate_distance_supervised(&grid(true), &ds, z, &flag);
         assert!(
             matches!(lost, Err(CellError::NonFiniteDistance { .. })),
             "{lost:?}"
@@ -432,8 +391,10 @@ mod tests {
                 evaluate_distance_supervised(&grid, ds, Normalization::ZScore, flag)
             }
             "kernel" => {
-                let grid: Vec<Box<dyn Kernel>> = (0..n).map(|_| Box::new(Counting) as _).collect();
-                evaluate_kernel_supervised(&grid, ds, flag)
+                let grid: Vec<Box<dyn Distance>> = (0..n)
+                    .map(|_| Box::new(KernelDistance(Counting)) as _)
+                    .collect();
+                evaluate_distance_supervised(&grid, ds, Normalization::ZScore, flag)
             }
             _ => {
                 let grid: Vec<Box<dyn Embedding>> =
@@ -465,6 +426,51 @@ mod tests {
             assert_eq!(cancelled, Err(CellError::DeadlineExceeded), "{kind}");
             let calls = CALLS.load(Ordering::Relaxed) - before;
             assert_eq!(calls, 0, "{kind}: a matrix was built after cancellation");
+        }
+    }
+
+    /// RBF, counting its `log_kernel_ws` calls per instance.
+    struct CountingKernel {
+        symmetric: bool,
+        calls: Arc<AtomicUsize>,
+    }
+    impl Kernel for CountingKernel {
+        fn name(&self) -> String {
+            "counting-kernel".into()
+        }
+        fn kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
+            self.log_kernel_ws(x, y, ws).exp()
+        }
+        fn log_kernel_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            Rbf::new(0.01).log_kernel_ws(x, y, ws)
+        }
+        fn is_symmetric(&self) -> bool {
+            self.symmetric
+        }
+    }
+
+    #[test]
+    fn a_supervised_kernel_cell_computes_each_self_similarity_once_per_matrix() {
+        let ds = easy_dataset();
+        let (n, t, points) = (ds.train.len(), ds.test.len(), 3);
+        for symmetric in [true, false] {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let grid: Vec<Box<dyn Distance>> = (0..points)
+                .map(|_| {
+                    let calls = Arc::clone(&calls);
+                    Box::new(KernelDistance(CountingKernel { symmetric, calls })) as _
+                })
+                .collect();
+            let flag = CancelFlag::new();
+            evaluate_distance_supervised(&grid, &ds, Normalization::ZScore, &flag).unwrap();
+            // Each grid point's `W`: `n` self-similarities and the cross
+            // terms of the upper triangle (symmetric) or of every cell.
+            // The winner's `E`: `n + t` self-similarities, `t·n` cross.
+            let cross = if symmetric { n * (n + 1) / 2 } else { n * n };
+            let expect = points * (n + cross) + n + t + t * n;
+            let calls = calls.load(Ordering::Relaxed);
+            assert_eq!(calls, expect, "symmetric: {symmetric}");
         }
     }
 }

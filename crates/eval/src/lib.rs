@@ -99,8 +99,7 @@ pub use comparison::{
 };
 pub use error::EvalError;
 pub use evaluator::{
-    evaluate_distance_supervised, evaluate_embedding, evaluate_embedding_supervised,
-    evaluate_kernel, evaluate_kernel_supervised, prepare,
+    evaluate_distance_supervised, evaluate_embedding, evaluate_embedding_supervised, prepare,
 };
 pub use journal::{
     crc32, is_v2_journal, read_journal, recover_lines, rewrite_journal_in_order, DurableConfig,
@@ -108,8 +107,7 @@ pub use journal::{
 };
 pub use knn::{knn_accuracy, ConfusionMatrix};
 pub use matrices::{
-    distance_matrix, embedding_matrices, kernel_matrix, symmetric_distance_matrix,
-    symmetric_distance_matrix_into, symmetric_kernel_matrix_into,
+    distance_matrix, embedding_matrices, symmetric_distance_matrix, symmetric_distance_matrix_into,
 };
 pub use nn::{loocv_accuracy, one_nn_accuracy};
 pub use parallel::{parallel_fill_rows, parallel_map, parallel_map_with, worker_count};

@@ -16,10 +16,11 @@
 //! hint promises bit-identical `d(x, y)` and `d(y, x)`, so the mirrored
 //! matrix equals the full computation exactly.
 //!
-//! Kernel matrices come from the same two shapes of builder
-//! ([`kernel_matrix`], [`symmetric_kernel_matrix_into`]), over the
-//! normalized kernel dissimilarity with each series' log self-similarity
-//! computed once.
+//! Kernels take the same builders as every other distance: an
+//! evaluation cell measures a
+//! [`KernelDistance`](tsdist_core::measure::KernelDistance) through a
+//! kernel cell measure whose row call computes each series' log
+//! self-similarity once, not per pair (see [`crate::cell`]).
 //!
 //! The `*_into` builders fill a caller-owned [`Matrix`], which the
 //! supervised grid loop uses to reuse one `W` allocation across all grid
@@ -41,8 +42,8 @@
 //! automatically.
 
 use crate::error::EvalError;
-use crate::parallel::{parallel_fill_rows, parallel_map_with};
-use tsdist_core::measure::{normalized_kernel_dissimilarity, Distance, Kernel};
+use crate::parallel::parallel_fill_rows;
+use tsdist_core::measure::Distance;
 use tsdist_core::Workspace;
 use tsdist_linalg::Matrix;
 
@@ -100,97 +101,45 @@ fn mirror_upper_to_lower(m: &mut Matrix) {
     }
 }
 
-/// Computes the `rows.len() x cols.len()` kernel dissimilarity matrix
-/// `M[i][j] = normalized_kernel_dissimilarity(k, rows[i], cols[j])`,
-/// with each series' log self-similarity computed once instead of per
-/// pair.
-pub fn kernel_matrix(k: &dyn Kernel, rows: &[Vec<f64>], cols: &[Vec<f64>]) -> Matrix {
-    let (log_rows, log_cols) = (log_self(k, rows), log_self(k, cols));
-    let mut out = Matrix::zeros(rows.len(), cols.len());
-    parallel_fill_rows(
-        out.as_mut_slice(),
-        cols.len(),
-        Workspace::default,
-        |ws, i, out_row| kernel_row(k, &rows[i], log_rows[i], cols, &log_cols, out_row, ws),
-    );
-    out
-}
-
-/// The square `items x items` kernel dissimilarity matrix into a
-/// caller-owned matrix, with each log self-similarity computed once;
-/// when [`Kernel::is_symmetric`] holds, only the upper triangle is
-/// computed and mirrored.
-pub fn symmetric_kernel_matrix_into(k: &dyn Kernel, items: &[Vec<f64>], out: &mut Matrix) {
-    let log = log_self(k, items);
-    let n = items.len();
-    out.resize(n, n);
-    let symmetric = k.is_symmetric();
-    parallel_fill_rows(
-        out.as_mut_slice(),
-        n,
-        Workspace::default,
-        |ws, i, out_row| {
-            let j0 = if symmetric { i } else { 0 };
-            let (cols, log_cols, out) = (&items[j0..], &log[j0..], &mut out_row[j0..]);
-            kernel_row(k, &items[i], log[i], cols, log_cols, out, ws);
-        },
-    );
-    if symmetric {
-        mirror_upper_to_lower(out);
-    }
-}
-
-/// Every series' log self-similarity, in parallel.
-fn log_self(k: &dyn Kernel, series: &[Vec<f64>]) -> Vec<f64> {
-    parallel_map_with(series.len(), Workspace::default, |ws, i| {
-        k.log_kernel_ws(&series[i], &series[i], ws)
-    })
-}
-
-/// One row of a kernel dissimilarity matrix: `x` (log self-similarity
-/// `log_x`) against every column.
-fn kernel_row(
-    k: &dyn Kernel,
-    x: &[f64],
-    log_x: f64,
-    cols: &[Vec<f64>],
-    log_cols: &[f64],
-    out: &mut [f64],
-    ws: &mut Workspace,
-) {
-    for ((slot, y), &log_y) in out.iter_mut().zip(cols).zip(log_cols) {
-        *slot = normalized_kernel_dissimilarity(k.log_kernel_ws(x, y, ws), log_x, log_y);
-    }
-}
-
 /// Computes `W` and `E` as plain Euclidean distances between embedding
 /// rows (`z` holds train rows first, then test rows) — how the paper
 /// compares embedding measures. An `n_train` above the embedded row count
 /// is a typed error.
 pub fn embedding_matrices(z: &Matrix, n_train: usize) -> Result<(Matrix, Matrix), EvalError> {
+    let e = embedding_test_matrix(z, n_train)?;
+    let w = Matrix::from_fn(n_train, n_train, |i, j| ed(z.row(i), z.row(j)));
+    Ok((w, e))
+}
+
+/// The `E` of [`embedding_matrices`] alone, for callers that need no `W`.
+pub(crate) fn embedding_test_matrix(z: &Matrix, n_train: usize) -> Result<Matrix, EvalError> {
     let n = z.rows();
     if n_train > n {
         return Err(EvalError::TrainCountExceedsRows { n_train, rows: n });
     }
-    let ed = |a: &[f64], b: &[f64]| -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(p, q)| (p - q) * (p - q))
-            .sum::<f64>()
-            .sqrt()
-    };
-    let w = Matrix::from_fn(n_train, n_train, |i, j| ed(z.row(i), z.row(j)));
-    let e = Matrix::from_fn(n - n_train, n_train, |i, j| {
+    Ok(Matrix::from_fn(n - n_train, n_train, |i, j| {
         ed(z.row(n_train + i), z.row(j))
-    });
-    Ok((w, e))
+    }))
+}
+
+/// Euclidean distance between two embedding rows.
+fn ed(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(p, q)| (p - q) * (p - q))
+        .sum::<f64>()
+        .sqrt()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::{with_cell_measure, CancelFlag};
     use tsdist_core::elastic::Dtw;
+    use tsdist_core::kernel::{Gak, Rbf};
     use tsdist_core::lockstep::{Euclidean, KullbackLeibler};
+    use tsdist_core::measure::KernelDistance;
+    use tsdist_core::normalization::Normalization;
 
     fn toy(n: usize, m: usize, off: f64) -> Vec<Vec<f64>> {
         (0..n)
@@ -274,54 +223,45 @@ mod tests {
         assert_eq!(m, first);
     }
 
-    /// A kernel's train-by-train and test-by-train matrices.
-    fn kernel_pair(k: &dyn Kernel, train: &[Vec<f64>], test: &[Vec<f64>]) -> (Matrix, Matrix) {
-        let mut w = Matrix::zeros(0, 0);
-        symmetric_kernel_matrix_into(k, train, &mut w);
-        (w, kernel_matrix(k, test, train))
+    /// A kernel's train-by-train and test-by-train matrices, built by
+    /// the matrix builders on the cell measure of `d` over `train`.
+    fn kernel_pair(d: &dyn Distance, train: &[Vec<f64>], test: &[Vec<f64>]) -> (Matrix, Matrix) {
+        let flag = CancelFlag::new();
+        let cell = |f: &dyn Fn(&dyn Distance) -> Matrix| {
+            with_cell_measure(d, Normalization::ZScore, &flag, train, f)
+        };
+        let w = cell(&|d| symmetric_distance_matrix(d, train));
+        (w, cell(&|d| distance_matrix(d, test, train)))
+    }
+
+    /// Every entry of `(W, E)` equals `d`'s per-pair value, bit for bit.
+    fn assert_pair_matches(d: &dyn Distance, train: &[Vec<f64>], test: &[Vec<f64>]) {
+        let (w, e) = kernel_pair(d, train, test);
+        for (m, rows, name) in [(&w, train, "W"), (&e, test, "E")] {
+            assert_eq!((m.rows(), m.cols()), (rows.len(), train.len()));
+            for (i, x) in rows.iter().enumerate() {
+                for (j, y) in train.iter().enumerate() {
+                    let expect = d.distance(x, y);
+                    assert_eq!(m[(i, j)].to_bits(), expect.to_bits(), "{name} ({i},{j})");
+                }
+            }
+        }
     }
 
     #[test]
     fn kernel_matrices_match_kernel_distance_adapter() {
-        use tsdist_core::kernel::Rbf;
-        use tsdist_core::measure::KernelDistance;
-        let train = toy(4, 6, 0.0);
-        let test = toy(3, 6, 0.3);
-        let (w, e) = kernel_pair(&Rbf::new(0.1), &train, &test);
-        let adapter = KernelDistance(Rbf::new(0.1));
-        for i in 0..4 {
-            for j in 0..4 {
-                assert!((w[(i, j)] - adapter.distance(&train[i], &train[j])).abs() < 1e-12);
-            }
-        }
-        for i in 0..3 {
-            for j in 0..4 {
-                assert!((e[(i, j)] - adapter.distance(&test[i], &train[j])).abs() < 1e-12);
-            }
-        }
+        // RBF is symmetric, so `W` takes the mirrored upper triangle.
+        let d = KernelDistance(Rbf::new(0.1));
+        assert!(d.is_symmetric());
+        assert_pair_matches(&d, &toy(4, 6, 0.0), &toy(3, 6, 0.3));
     }
 
     #[test]
     fn alignment_kernel_matrices_match_the_serial_definition() {
-        use tsdist_core::kernel::Gak;
-        use tsdist_core::measure::KernelDistance;
-        let train = toy(5, 12, 0.0);
-        let test = toy(3, 12, 0.4);
-        let k = Gak::new(0.5);
-        let (w, e) = kernel_pair(&k, &train, &test);
-        let serial = KernelDistance(k);
-        for i in 0..5 {
-            for j in 0..5 {
-                let expect = serial.distance(&train[i], &train[j]);
-                assert_eq!(w[(i, j)].to_bits(), expect.to_bits(), "W ({i},{j})");
-            }
-        }
-        for i in 0..3 {
-            for j in 0..5 {
-                let expect = serial.distance(&test[i], &train[j]);
-                assert_eq!(e[(i, j)].to_bits(), expect.to_bits(), "E ({i},{j})");
-            }
-        }
+        // Eleven training series span two chunks of `LANES` columns.
+        let d = KernelDistance(Gak::new(0.5));
+        assert!(!d.is_symmetric());
+        assert_pair_matches(&d, &toy(11, 12, 0.0), &toy(3, 12, 0.4));
     }
 
     #[test]

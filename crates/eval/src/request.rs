@@ -246,7 +246,7 @@ impl<'a> Eval<'a> {
                     answers: Vec::new(),
                 });
             }
-            let rows = with_cell_measure(self.measure, self.norm, flag, |d| {
+            let rows = with_cell_measure(self.measure, self.norm, flag, &prepared.train, |d| {
                 let scan = self.scan(d, &prepared.train);
                 scan.top_k(Rows::Queries(&prepared.test), self.k).0
             });
@@ -280,7 +280,7 @@ impl<'a> Eval<'a> {
             &prepared_storage
         };
         let queries: Vec<Vec<f64>> = qs.iter().map(|s| preprocess_series(s, self.norm)).collect();
-        let answers = with_cell_measure(self.measure, self.norm, flag, |d| {
+        let answers = with_cell_measure(self.measure, self.norm, flag, train, |d| {
             self.answer_rows(d, &queries, train, &ds.train_labels)
         });
         Ok(EvalReport {
@@ -566,5 +566,122 @@ mod tests {
             .run()
             .expect_err("fault must surface");
         assert!(matches!(err, EvalError::Faulted { ref message } if message.contains("injected")));
+    }
+
+    /// What a per-pair brute force of `d` answers for `q` against the
+    /// prepared `train`: Algorithm 1's strict `<` in natural order at
+    /// `k = 1`, the `k` smallest in `(total_cmp, index)` order otherwise.
+    fn brute_force(
+        d: &dyn Distance,
+        train: &[Vec<f64>],
+        labels: &[Label],
+        q: &[f64],
+        k: usize,
+    ) -> Answer {
+        let q = preprocess_series(q, Normalization::ZScore);
+        let mut row: Vec<(f64, usize)> = train
+            .iter()
+            .enumerate()
+            .map(|(j, y)| (d.distance(&q, y), j))
+            .collect();
+        if k == 1 {
+            let (mut best, mut index) = (f64::INFINITY, None);
+            for &(v, j) in &row {
+                if v < best {
+                    (best, index) = (v, Some(j));
+                }
+            }
+            return Answer {
+                index,
+                distance: best,
+                label: Some(index.map_or(labels[0], |j| labels[j])),
+                neighbours: index.into_iter().collect(),
+            };
+        }
+        row.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        row.truncate(k);
+        let neighbours: Vec<usize> = row.iter().map(|&(_, j)| j).collect();
+        Answer {
+            index: neighbours.first().copied(),
+            distance: row.first().map_or(f64::INFINITY, |&(v, _)| v),
+            label: majority_vote(&neighbours, labels),
+            neighbours,
+        }
+    }
+
+    #[test]
+    fn served_kernel_answers_equal_a_per_pair_brute_force_bit_for_bit() {
+        use tsdist_core::kernel::{Gak, Kdtw, Rbf, Sink};
+        use tsdist_core::measure::KernelDistance;
+        use tsdist_core::params::unsupervised as u;
+        let ds = dataset();
+        let pool: Vec<(Vec<f64>, Label)> = ds
+            .train
+            .iter()
+            .cloned()
+            .zip(ds.train_labels.iter().copied())
+            .chain(ds.test.iter().cloned().zip(ds.test_labels.iter().copied()))
+            .collect();
+        assert!(pool.len() >= 17 + 3, "the pool covers the largest split");
+        let nan_series = |s: &[f64]| {
+            let mut s = s.to_vec();
+            let mid = s.len() / 2;
+            s[mid] = f64::NAN;
+            s
+        };
+        // Queries: two of the split's length, two of another length, and
+        // one with a NaN sample.
+        let tail = &pool[pool.len() - 3..];
+        let mut queries = vec![tail[0].0.clone(), tail[1].0.clone()];
+        queries.push(tail[2].0[..tail[2].0.len() - 5].to_vec());
+        queries.push([&tail[0].0[..], &tail[1].0[..7]].concat());
+        queries.push(nan_series(&tail[2].0));
+        let measures: Vec<Box<dyn Distance>> = vec![
+            Box::new(KernelDistance(Gak::new(u::GAK_GAMMA))),
+            Box::new(KernelDistance(Kdtw::new(u::KDTW_GAMMA))),
+            Box::new(KernelDistance(Sink::new(u::SINK_GAMMA))),
+            Box::new(KernelDistance(Rbf::new(u::RBF_GAMMA))),
+        ];
+        // Train sizes at the edges of a chunk of `LANES` columns.
+        for n in [1, 8, 9, 17] {
+            let mut train: Vec<Vec<f64>> = pool[..n].iter().map(|(s, _)| s.clone()).collect();
+            if n > 1 {
+                train[n / 2] = nan_series(&train[n / 2]);
+            }
+            let labels: Vec<Label> = pool[..n].iter().map(|&(_, l)| l).collect();
+            let prepared: Vec<Vec<f64>> = train
+                .iter()
+                .map(|s| preprocess_series(s, Normalization::ZScore))
+                .collect();
+            let served = Dataset {
+                name: format!("served-{n}"),
+                train,
+                train_labels: labels.clone(),
+                test: Vec::new(),
+                test_labels: Vec::new(),
+            };
+            for (d, k, pruned) in measures
+                .iter()
+                .flat_map(|d| [(d, 1, false), (d, 3, false), (d, 1, true)])
+            {
+                let report = Eval::new(d.as_ref())
+                    .on(&served)
+                    .queries(&queries)
+                    .k(k)
+                    .pruned(pruned)
+                    .run()
+                    .unwrap();
+                for (q, (got, query)) in report.answers.iter().zip(&queries).enumerate() {
+                    let want = brute_force(d.as_ref(), &prepared, &labels, query, k);
+                    let at = format!("{} n={n} k={k} pruned={pruned} query {q}", d.name());
+                    assert_eq!(got.distance.to_bits(), want.distance.to_bits(), "{at}");
+                    assert_eq!(
+                        (got.index, got.label, &got.neighbours),
+                        (want.index, want.label, &want.neighbours),
+                        "{at}"
+                    );
+                }
+            }
+        }
     }
 }

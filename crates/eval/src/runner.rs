@@ -433,8 +433,8 @@ pub fn run_study_resumable(
 }
 
 /// Builds the surviving-subset report from an executed cell grid. Public
-/// so the bench binaries can reuse it for supervised/kernel/embedding
-/// grids that [`run_study_resumable`] doesn't cover.
+/// so the bench binaries can reuse it for supervised and embedding grids
+/// that [`run_study_resumable`] doesn't cover.
 pub fn summarize_cells(
     names: Vec<String>,
     dataset_names: Vec<String>,

@@ -55,6 +55,16 @@ echo "==> conformance gate (quick differential + committed golden bits)"
 "$TSDIST" conformance --quick >/dev/null
 echo "    quick oracle subset clean, golden bits match results/conformance/registry_v1.tsv"
 
+echo "==> table6 golden (kernels through the distance path; committed tables)"
+# Kernels are scored as distances, with each self-similarity computed
+# once per cell; the tables must not move by a bit.
+cargo build -q --offline -p tsdist-bench --bin table6
+target/debug/table6 --quick --datasets 4 --out "$SMOKE/table6" >/dev/null 2>"$SMOKE/table6.log"
+for f in table6.txt figure7.txt figure8.txt; do
+  diff "results/conformance/table6_quick_d4/$f" "$SMOKE/table6/$f"
+done
+echo "    table6 --quick --datasets 4: table6.txt, figure7.txt, figure8.txt match the golden"
+
 echo "==> bench_kernels smoke (lane/wavefront/row kernels vs scalar twins, wire codec, bit gates)"
 cargo build -q --offline -p tsdist-bench --bin bench_kernels
 target/debug/bench_kernels --quick --out "$SMOKE" >/dev/null 2>"$SMOKE/bench_kernels.log"
