@@ -3,7 +3,7 @@
 //! MSM/TWE) before the full experiment suite is run. Not part of the
 //! reproduction index; used during development and kept as a sanity tool.
 
-use tsdist_bench::{archive_accuracies, ExperimentConfig};
+use tsdist_bench::{summarize, ExperimentConfig};
 use tsdist_core::elastic::{Dtw, Msm, Twe};
 use tsdist_core::lockstep::{CityBlock, Euclidean, Lorentzian};
 use tsdist_core::measure::Distance;
@@ -13,6 +13,7 @@ use tsdist_core::sliding::CrossCorrelation;
 fn main() {
     let cfg = ExperimentConfig::from_args();
     let archive = cfg.archive();
+    let runner = cfg.runner("calibrate");
     let measures: Vec<(&str, Box<dyn Distance>)> = vec![
         ("ED", Box::new(Euclidean)),
         ("Manhattan", Box::new(CityBlock)),
@@ -23,6 +24,15 @@ fn main() {
         ("MSM(0.5)", Box::new(Msm::new(0.5))),
         ("TWE", Box::new(Twe::new(1.0, 1e-4))),
     ];
+    let columns = measures
+        .iter()
+        .map(|(name, m)| {
+            let cells = runner.distance_column(&archive, name, m.as_ref(), Normalization::ZScore);
+            (name.to_string(), cells)
+        })
+        .collect();
+    let study = summarize(&archive, columns);
+
     println!("{:<12} {:>8}  per-archetype means", "measure", "avg");
     let arche_names = [
         "shape",
@@ -33,16 +43,17 @@ fn main() {
         "trend",
         "mixed",
     ];
-    for (name, m) in &measures {
-        let accs = archive_accuracies(&archive, m.as_ref(), Normalization::ZScore);
+    for (name, accs) in study.columns() {
         let avg: f64 = accs.iter().sum::<f64>() / accs.len() as f64;
         print!("{name:<12} {avg:>8.4}  ");
         for (ai, an) in arche_names.iter().enumerate() {
-            let vals: Vec<f64> = accs
+            // Archive index `i` holds archetype `i % 7`.
+            let vals: Vec<f64> = study
+                .surviving_datasets
                 .iter()
-                .enumerate()
-                .filter(|(i, _)| i % 7 == ai)
-                .map(|(_, v)| *v)
+                .zip(&accs)
+                .filter(|(&i, _)| i % 7 == ai)
+                .map(|(_, &v)| v)
                 .collect();
             if !vals.is_empty() {
                 let m = vals.iter().sum::<f64>() / vals.len() as f64;
@@ -51,4 +62,5 @@ fn main() {
         }
         println!();
     }
+    print!("{}", study.fault_note());
 }

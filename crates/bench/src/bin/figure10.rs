@@ -5,28 +5,17 @@
 //! shift/warp-archetype datasets and plot error curves for ED, NCC_c, and
 //! MSM.
 
-use tsdist_bench::{csv_block, ExperimentConfig};
+use tsdist_bench::{column, csv_block, summarize, ExperimentConfig};
 use tsdist_core::elastic::Msm;
 use tsdist_core::lockstep::Euclidean;
 use tsdist_core::measure::Distance;
 use tsdist_core::normalization::Normalization;
 use tsdist_core::sliding::CrossCorrelation;
 use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
-use tsdist_eval::{parallel_map, Eval};
-
-/// Dataset-mode accuracy through the consolidated request builder.
-fn accuracy(d: &dyn Distance, ds: &tsdist_data::Dataset) -> f64 {
-    Eval::new(d)
-        .on(ds)
-        .normalized(Normalization::ZScore)
-        .run()
-        .expect("figure10 evaluation")
-        .accuracy
-        .expect("dataset mode reports accuracy")
-}
 
 fn main() {
     let cfg = ExperimentConfig::from_args();
+    let runner = cfg.runner("figure10");
     // Dedicated large-training-set datasets: shift (index 1) and warp
     // (index 2) archetypes with train size scaled up.
     let mut archive_cfg = ArchiveConfig::standard(cfg.n_datasets.max(4), cfg.seed);
@@ -45,22 +34,42 @@ fn main() {
         ("MSM(c=0.5)", Box::new(Msm::new(0.5))),
     ];
 
-    let mut rows = Vec::new();
-    for (name, m) in &measures {
-        // Error averaged over the datasets at each training-set size.
-        let errors: Vec<f64> = fractions
+    // One column per (measure, training fraction), over the datasets
+    // with their training splits cut to that fraction.
+    let label = |name: &str, f: f64| format!("{name} [train {:.0}%]", f * 100.0);
+    let mut columns = Vec::new();
+    for &f in &fractions {
+        let shrunk: Vec<_> = datasets
             .iter()
-            .map(|&f| {
-                let errs = parallel_map(datasets.len(), |d| {
-                    let n = ((datasets[d].n_train() as f64) * f).ceil() as usize;
-                    let shrunk = datasets[d].with_train_prefix(n.max(2));
-                    1.0 - accuracy(m.as_ref(), &shrunk)
-                });
-                errs.iter().sum::<f64>() / errs.len() as f64
+            .map(|ds| {
+                let n = ((ds.n_train() as f64) * f).ceil() as usize;
+                ds.with_train_prefix(n.max(2))
             })
             .collect();
-        rows.push((name.to_string(), errors));
+        for (name, m) in &measures {
+            let cells =
+                runner.distance_column(&shrunk, &label(name, f), m.as_ref(), Normalization::ZScore);
+            columns.push((label(name, f), cells));
+        }
     }
+    let study = summarize(&datasets, columns);
+    let surviving = study.columns();
+
+    // Error averaged over the datasets at each training-set size.
+    let rows: Vec<(String, Vec<f64>)> = measures
+        .iter()
+        .map(|(name, _)| {
+            let errors = fractions
+                .iter()
+                .map(|&f| {
+                    column(&surviving, &label(name, f)).map_or(f64::NAN, |accs| {
+                        accs.iter().map(|a| 1.0 - a).sum::<f64>() / accs.len() as f64
+                    })
+                })
+                .collect();
+            (name.to_string(), errors)
+        })
+        .collect();
 
     let header = format!(
         "measure,{}",
@@ -70,9 +79,10 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",")
     );
-    let out = format!(
+    let mut out = format!(
         "## Figure 10: error rate vs training-set size (shift/warp datasets)\n{}",
         csv_block(&header, &rows)
     );
+    out.push_str(&study.fault_note());
     cfg.save("figure10.csv", &out);
 }

@@ -3,7 +3,7 @@
 //! fault-tolerant runner, so a faulty (normalization, dataset) cell is
 //! excluded and reported instead of aborting the figure.
 
-use tsdist_bench::{reduce_columns, render_ranking, robust_distance_column, ExperimentConfig};
+use tsdist_bench::{render_ranking, summarize, ExperimentConfig};
 use tsdist_core::lockstep::{Euclidean, Lorentzian};
 use tsdist_core::normalization::Normalization;
 
@@ -14,27 +14,19 @@ fn main() {
 
     let mut columns = Vec::new();
     for norm in Normalization::ALL {
-        columns.push(robust_distance_column(
-            &runner,
-            &archive,
-            &format!("Lorentzian [{}]", norm.name()),
-            &Lorentzian,
-            norm,
-        ));
+        let label = format!("Lorentzian [{}]", norm.name());
+        let cells = runner.distance_column(&archive, &label, &Lorentzian, norm);
+        columns.push((label, cells));
     }
-    columns.push(robust_distance_column(
-        &runner,
-        &archive,
-        "ED [z-score]",
-        &Euclidean,
-        Normalization::ZScore,
-    ));
+    let label = "ED [z-score]";
+    let cells = runner.distance_column(&archive, label, &Euclidean, Normalization::ZScore);
+    columns.push((label.to_string(), cells));
 
-    let reduced = reduce_columns(&archive, &columns);
+    let study = summarize(&archive, columns);
     let figure = render_ranking(
         "Figure 3: Lorentzian × normalizations vs ED (z-score)",
-        &reduced.columns,
-        &reduced.note,
+        &study.columns(),
+        &study.fault_note(),
     );
     cfg.save("figure3.txt", &figure);
 }

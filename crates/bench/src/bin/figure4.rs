@@ -5,7 +5,7 @@
 //! runner, so faulty cells are excluded and reported instead of aborting
 //! the figure.
 
-use tsdist_bench::{reduce_columns, render_ranking, robust_distance_column, ExperimentConfig};
+use tsdist_bench::{render_ranking, summarize, ExperimentConfig};
 use tsdist_core::lockstep::Lorentzian;
 use tsdist_core::normalization::Normalization;
 use tsdist_core::sliding::CrossCorrelation;
@@ -25,27 +25,19 @@ fn main() {
     ];
     let mut columns = Vec::new();
     for norm in norms {
-        columns.push(robust_distance_column(
-            &runner,
-            &archive,
-            &format!("NCC_c [{}]", norm.name()),
-            &sbd,
-            norm,
-        ));
+        let label = format!("NCC_c [{}]", norm.name());
+        let cells = runner.distance_column(&archive, &label, &sbd, norm);
+        columns.push((label, cells));
     }
-    columns.push(robust_distance_column(
-        &runner,
-        &archive,
-        "Lorentzian [UnitLength]",
-        &Lorentzian,
-        Normalization::UnitLength,
-    ));
+    let label = "Lorentzian [UnitLength]";
+    let cells = runner.distance_column(&archive, label, &Lorentzian, Normalization::UnitLength);
+    columns.push((label.to_string(), cells));
 
-    let reduced = reduce_columns(&archive, &columns);
+    let study = summarize(&archive, columns);
     let figure = render_ranking(
         "Figure 4: NCC_c × normalizations vs Lorentzian",
-        &reduced.columns,
-        &reduced.note,
+        &study.columns(),
+        &study.fault_note(),
     );
     cfg.save("figure4.txt", &figure);
 }

@@ -10,7 +10,7 @@
 //! computes each train and test series' self-similarity once, so its
 //! time is one kernel DP per (test, train) pair plus one per series.
 
-use tsdist_bench::{robust_column, ExperimentConfig};
+use tsdist_bench::{column, summarize, ExperimentConfig};
 use tsdist_core::elastic::{Dtw, Erp, Msm, Twe};
 use tsdist_core::kernel::{Gak, Kdtw, Sink};
 use tsdist_core::lockstep::{Euclidean, Lorentzian};
@@ -48,49 +48,44 @@ fn main() {
         ),
     ];
 
+    let columns = measures
+        .iter()
+        .map(|(name, m)| {
+            let cells = runner.column(&prepared, name, |ds, flag| {
+                let report = Eval::new(m.as_ref())
+                    .on(ds)
+                    .assume_prepared(true)
+                    .cancelled_by(flag)
+                    .run()?;
+                Ok(Evaluation::unsupervised(
+                    report.accuracy.expect("dataset mode reports accuracy"),
+                ))
+            });
+            (name.to_string(), cells)
+        })
+        .collect();
+    let study = summarize(&prepared, columns);
+
+    // Each point covers the datasets every surviving measure completed.
     let mut out = String::from("## Figure 9: accuracy vs inference runtime\n");
     out.push_str(&format!(
         "{:<16} {:>10} {:>14}\n",
         "measure", "avg acc", "total sec"
     ));
-    let mut faults = Vec::new();
-    for (name, m) in &measures {
-        let (_, cells) = robust_column(&runner, &prepared, name, |ds, flag| {
-            let report = Eval::new(m.as_ref())
-                .on(ds)
-                .assume_prepared(true)
-                .cancelled_by(flag)
-                .run()?;
-            Ok(Evaluation::unsupervised(
-                report.accuracy.expect("dataset mode reports accuracy"),
-            ))
-        });
-        let completed: Vec<_> = cells
-            .iter()
-            .filter_map(|c| c.outcome.evaluation().map(|e| (e.accuracy, c.seconds)))
-            .collect();
-        for cell in &cells {
-            if !cell.outcome.is_ok() {
-                faults.push(format!("  {:<8} {}", cell.outcome.label(), cell.key));
-            }
-        }
-        if completed.is_empty() {
+    let surviving = study.columns();
+    for (name, cells) in study.names.iter().zip(&study.cells) {
+        let Some(accs) = column(&surviving, name) else {
             out.push_str(&format!("{name:<16} {:>10} {:>14}\n", "-", "-"));
             continue;
-        }
-        let acc: f64 = completed.iter().map(|(a, _)| a).sum::<f64>() / completed.len() as f64;
-        let secs: f64 = completed.iter().map(|(_, s)| s).sum();
+        };
+        let acc: f64 = accs.iter().sum::<f64>() / accs.len() as f64;
+        let secs: f64 = study
+            .surviving_datasets
+            .iter()
+            .map(|&d| cells[d].seconds)
+            .sum();
         out.push_str(&format!("{name:<16} {acc:>10.4} {secs:>14.4}\n"));
     }
-    if !faults.is_empty() {
-        out.push_str(&format!(
-            "\nfault summary: {} cell(s) did not complete\n",
-            faults.len()
-        ));
-        for line in &faults {
-            out.push_str(line);
-            out.push('\n');
-        }
-    }
+    out.push_str(&study.fault_note());
     cfg.save("figure9.txt", &out);
 }

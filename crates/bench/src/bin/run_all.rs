@@ -1,7 +1,9 @@
 //! Runs the complete reproduction suite — every table and figure binary
 //! plus the ablations — with the reference configuration, writing all
 //! artifacts to the results directory. This is the one-command version of
-//! the reference run recorded in EXPERIMENTS.md.
+//! the reference run recorded in EXPERIMENTS.md. Every flag, the runner's
+//! `--journal`, `--deadline-secs` and `--retries` included, is forwarded
+//! to each binary; only `--datasets` is set per binary.
 //!
 //! ```sh
 //! cargo run --release -p tsdist-bench --bin run_all            # full (~30 min on 1 core)
@@ -47,18 +49,14 @@ fn main() {
     for (bin, datasets) in plan {
         let start = Instant::now();
         eprintln!("==> {bin} (--datasets {datasets})");
-        let mut command = Command::new(exe_dir.join(bin));
-        command
-            .arg("--datasets")
-            .arg(datasets.to_string())
-            .arg("--seed")
-            .arg(cfg.seed.to_string())
-            .arg("--out")
-            .arg(&cfg.out_dir);
-        if cfg.quick {
-            command.arg("--quick");
-        }
-        let status = command.status().unwrap_or_else(|e| {
+        let child = ExperimentConfig {
+            n_datasets: *datasets,
+            ..cfg.clone()
+        };
+        let status = Command::new(exe_dir.join(bin))
+            .args(child.args())
+            .status()
+            .unwrap_or_else(|e| {
             panic!("failed to launch {bin}: {e} (build with `cargo build --release -p tsdist-bench` first)")
         });
         assert!(status.success(), "{bin} failed with {status}");

@@ -4,67 +4,67 @@
 //! saved as CSV alongside), with Wilcoxon significance and per-dataset
 //! win/tie/loss counts.
 
-use tsdist_bench::{archive_accuracies, ExperimentConfig};
-use tsdist_core::lockstep::Euclidean;
+use tsdist_bench::{column, summarize, ExperimentConfig};
 use tsdist_core::normalization::Normalization;
 use tsdist_core::registry::{lockstep_parameter_free, minkowski_family};
-use tsdist_eval::{
-    compare_to_baseline, evaluate_distance_supervised, parallel_map, render_table, CancelFlag,
-};
+use tsdist_eval::{compare_to_baseline, evaluate_distance_supervised, render_table};
+
+const BASELINE: &str = "ED [z-score]";
 
 fn main() {
     let cfg = ExperimentConfig::from_args();
     let archive = cfg.archive();
+    let runner = cfg.runner("table2");
 
-    let baseline = archive_accuracies(&archive, &Euclidean, Normalization::ZScore);
-    let base_avg: f64 = baseline.iter().sum::<f64>() / baseline.len() as f64;
-
-    let mut rows = Vec::new();
-    let mut csv = String::from("measure,normalization,avg_accuracy\n");
-
+    // Each column's (measure, normalization), for the CSV.
+    let mut specs = Vec::new();
+    let mut columns = Vec::new();
     // The supervised Minkowski family, tuned per dataset under each norm.
+    let fam = minkowski_family();
     for norm in Normalization::ALL {
-        let fam = minkowski_family();
-        let accs: Vec<f64> = parallel_map(archive.len(), |i| {
-            evaluate_distance_supervised(&fam.grid, &archive[i], norm, &CancelFlag::new())
-                .expect("supervised Minkowski evaluation")
-                .0
-                .accuracy
+        let label = format!("Minkowski [{}]", norm.name());
+        let cells = runner.column(&archive, &label, |ds, flag| {
+            Ok(evaluate_distance_supervised(&fam.grid, ds, norm, flag)?.0)
         });
-        let avg: f64 = accs.iter().sum::<f64>() / accs.len() as f64;
-        csv.push_str(&format!("Minkowski,{},{:.4}\n", norm.name(), avg));
-        if avg > base_avg {
-            rows.push(compare_to_baseline(
-                format!("Minkowski [{}]", norm.name()),
-                &accs,
-                &baseline,
-            ));
+        columns.push((label, cells));
+        specs.push(("Minkowski".to_string(), norm));
+    }
+    // The 51 parameter-free measures under each normalization; ED under
+    // z-score is the baseline.
+    for measure in lockstep_parameter_free() {
+        for norm in Normalization::ALL {
+            let label = format!("{} [{}]", measure.name(), norm.name());
+            let cells = runner.distance_column(&archive, &label, measure.as_ref(), norm);
+            columns.push((label, cells));
+            specs.push((measure.name(), norm));
         }
     }
 
-    // The 51 parameter-free measures under each normalization.
-    for measure in lockstep_parameter_free() {
-        for norm in Normalization::ALL {
-            let accs = archive_accuracies(&archive, measure.as_ref(), norm);
-            let avg: f64 = accs.iter().sum::<f64>() / accs.len() as f64;
-            csv.push_str(&format!("{},{},{:.4}\n", measure.name(), norm.name(), avg));
-            if avg > base_avg {
-                rows.push(compare_to_baseline(
-                    format!("{} [{}]", measure.name(), norm.name()),
-                    &accs,
-                    &baseline,
-                ));
-            }
+    let study = summarize(&archive, columns);
+    let columns = study.columns();
+    let baseline = column(&columns, BASELINE)
+        .expect("the ED [z-score] baseline completed no cell; cannot rank the table")
+        .to_vec();
+    let base_avg: f64 = baseline.iter().sum::<f64>() / baseline.len() as f64;
+    let mut rows = Vec::new();
+    let mut csv = String::from("measure,normalization,avg_accuracy\n");
+    for (&e, (label, accs)) in study.surviving_entrants.iter().zip(&columns) {
+        let (measure, norm) = &specs[e];
+        let avg: f64 = accs.iter().sum::<f64>() / accs.len() as f64;
+        csv.push_str(&format!("{measure},{},{avg:.4}\n", norm.name()));
+        if avg > base_avg {
+            rows.push(compare_to_baseline(label.clone(), accs, &baseline));
         }
     }
 
     rows.sort_by(|a, b| b.average_accuracy.total_cmp(&a.average_accuracy));
-    let table = render_table(
+    let mut table = render_table(
         "Table 2: lock-step measures vs ED (z-score)",
         &rows,
         "ED [z-score] (baseline)",
         &baseline,
     );
+    table.push_str(&study.fault_note());
     cfg.save("table2.txt", &table);
     cfg.save("table2_full.csv", &csv);
 }

@@ -8,9 +8,7 @@
 //! (measure, dataset) cell is excluded (and reported) instead of aborting
 //! the whole table, and `--journal` makes an interrupted run resumable.
 
-use tsdist_bench::{
-    reduce_columns, render_ranking, robust_column, robust_distance_column, ExperimentConfig,
-};
+use tsdist_bench::{column, render_ranking, summarize, ExperimentConfig};
 use tsdist_core::normalization::Normalization;
 use tsdist_core::registry::{elastic_families, elastic_unsupervised};
 use tsdist_core::sliding::CrossCorrelation;
@@ -27,40 +25,33 @@ fn main() {
     let mut columns = Vec::new();
     let mut sup_names = Vec::new();
     let mut unsup_names = Vec::new();
-    columns.push(robust_distance_column(
-        &runner,
-        &archive,
-        BASELINE,
-        &CrossCorrelation::sbd(),
-        norm,
+    columns.push((
+        BASELINE.to_string(),
+        runner.distance_column(&archive, BASELINE, &CrossCorrelation::sbd(), norm),
     ));
     // Supervised setting: LOOCCV tuning over the Table 4 grids.
     for family in elastic_families() {
         let label = format!("{} [LOOCCV]", family.family);
-        columns.push(robust_column(&runner, &archive, &label, |ds, flag| {
+        let cells = runner.column(&archive, &label, |ds, flag| {
             Ok(evaluate_distance_supervised(&family.grid, ds, norm, flag)?.0)
-        }));
+        });
+        columns.push((label.clone(), cells));
         sup_names.push(label);
     }
     // Unsupervised setting: the paper's fixed parameters.
     for (name, measure) in elastic_unsupervised() {
-        columns.push(robust_distance_column(
-            &runner,
-            &archive,
-            &name,
-            measure.as_ref(),
-            norm,
-        ));
+        let cells = runner.distance_column(&archive, &name, measure.as_ref(), norm);
+        columns.push((name.clone(), cells));
         unsup_names.push(name);
     }
 
-    let reduced = reduce_columns(&archive, &columns);
-    let baseline = reduced
-        .get(BASELINE)
+    let study = summarize(&archive, columns);
+    let columns = study.columns();
+    let note = study.fault_note();
+    let baseline = column(&columns, BASELINE)
         .expect("the NCC_c baseline completed no cell; cannot rank the table")
         .to_vec();
-    let mut rows: Vec<_> = reduced
-        .columns
+    let mut rows: Vec<_> = columns
         .iter()
         .filter(|(name, _)| name != BASELINE)
         .map(|(name, accs)| compare_to_baseline(name.clone(), accs, &baseline))
@@ -72,7 +63,7 @@ fn main() {
         "NCC_c (baseline)",
         &baseline,
     );
-    table.push_str(&reduced.note);
+    table.push_str(&note);
     cfg.save("table5.txt", &table);
 
     // Figures 5 and 6: the same accuracies, ranked with Friedman+Nemenyi.
@@ -90,9 +81,9 @@ fn main() {
     ] {
         let mut cols: Vec<(String, Vec<f64>)> = group
             .iter()
-            .filter_map(|name| reduced.get(name).map(|a| (name.clone(), a.to_vec())))
+            .filter_map(|name| column(&columns, name).map(|a| (name.clone(), a.to_vec())))
             .collect();
         cols.push((BASELINE.into(), baseline.clone()));
-        cfg.save(fname, &render_ranking(title, &cols, &reduced.note));
+        cfg.save(fname, &render_ranking(title, &cols, &note));
     }
 }

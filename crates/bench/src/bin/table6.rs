@@ -14,9 +14,7 @@
 //! (measure, dataset) cell is excluded (and reported) instead of aborting
 //! the whole table, and `--journal` makes an interrupted run resumable.
 
-use tsdist_bench::{
-    reduce_columns, render_ranking, robust_column, robust_distance_column, ExperimentConfig,
-};
+use tsdist_bench::{column, render_ranking, summarize, ExperimentConfig};
 use tsdist_core::measure::{Distance, KernelDistance};
 use tsdist_core::normalization::Normalization;
 use tsdist_core::registry::{elastic_families, kernel_families, kernel_unsupervised};
@@ -35,12 +33,9 @@ fn main() {
     let mut sup_names = Vec::new();
     let mut unsup_names = Vec::new();
     let mut table_names = Vec::new();
-    columns.push(robust_distance_column(
-        &runner,
-        &archive,
-        BASELINE,
-        &CrossCorrelation::sbd(),
-        norm,
+    columns.push((
+        BASELINE.to_string(),
+        runner.distance_column(&archive, BASELINE, &CrossCorrelation::sbd(), norm),
     ));
     let fig_kernels = ["KDTW", "GAK", "SINK"];
     for family in kernel_families() {
@@ -50,9 +45,10 @@ fn main() {
             .into_iter()
             .map(|k| Box::new(KernelDistance(k)) as _)
             .collect();
-        columns.push(robust_column(&runner, &archive, &label, |ds, flag| {
+        let cells = runner.column(&archive, &label, |ds, flag| {
             Ok(evaluate_distance_supervised(&grid, ds, norm, flag)?.0)
-        }));
+        });
+        columns.push((label.clone(), cells));
         table_names.push(label.clone());
         if fig_kernels.contains(&family.family) {
             sup_names.push(label);
@@ -60,9 +56,8 @@ fn main() {
     }
     for (name, kernel) in kernel_unsupervised() {
         let measure = KernelDistance(kernel);
-        columns.push(robust_distance_column(
-            &runner, &archive, &name, &measure, norm,
-        ));
+        let cells = runner.distance_column(&archive, &name, &measure, norm);
+        columns.push((name.clone(), cells));
         table_names.push(name.clone());
         if !name.starts_with("RBF") {
             unsup_names.push(name);
@@ -74,36 +69,31 @@ fn main() {
     for family in elastic_families() {
         if keep_elastic.contains(&family.family) {
             let label = format!("{} [LOOCCV elastic]", family.family);
-            columns.push(robust_column(&runner, &archive, &label, |ds, flag| {
+            let cells = runner.column(&archive, &label, |ds, flag| {
                 Ok(evaluate_distance_supervised(&family.grid, ds, norm, flag)?.0)
-            }));
+            });
+            columns.push((label.clone(), cells));
             sup_names.push(label);
         }
     }
     for (name, measure) in tsdist_core::registry::elastic_unsupervised() {
         if name.starts_with("MSM") || name.starts_with("TWE") || name == "DTW(δ=10)" {
-            columns.push(robust_distance_column(
-                &runner,
-                &archive,
-                &name,
-                measure.as_ref(),
-                norm,
-            ));
+            let cells = runner.distance_column(&archive, &name, measure.as_ref(), norm);
+            columns.push((name.clone(), cells));
             unsup_names.push(name);
         }
     }
 
-    let reduced = reduce_columns(&archive, &columns);
-    let baseline = reduced
-        .get(BASELINE)
+    let study = summarize(&archive, columns);
+    let columns = study.columns();
+    let note = study.fault_note();
+    let baseline = column(&columns, BASELINE)
         .expect("the NCC_c baseline completed no cell; cannot rank the table")
         .to_vec();
     let mut rows: Vec<_> = table_names
         .iter()
         .filter_map(|name| {
-            reduced
-                .get(name)
-                .map(|accs| compare_to_baseline(name.clone(), accs, &baseline))
+            column(&columns, name).map(|accs| compare_to_baseline(name.clone(), accs, &baseline))
         })
         .collect();
     rows.sort_by(|a, b| b.average_accuracy.total_cmp(&a.average_accuracy));
@@ -113,7 +103,7 @@ fn main() {
         "NCC_c (baseline)",
         &baseline,
     );
-    table.push_str(&reduced.note);
+    table.push_str(&note);
     cfg.save("table6.txt", &table);
 
     for (fname, title, group) in [
@@ -130,9 +120,9 @@ fn main() {
     ] {
         let mut cols: Vec<(String, Vec<f64>)> = group
             .iter()
-            .filter_map(|name| reduced.get(name).map(|a| (name.clone(), a.to_vec())))
+            .filter_map(|name| column(&columns, name).map(|a| (name.clone(), a.to_vec())))
             .collect();
         cols.push((BASELINE.into(), baseline.clone()));
-        cfg.save(fname, &render_ranking(title, &cols, &reduced.note));
+        cfg.save(fname, &render_ranking(title, &cols, &note));
     }
 }

@@ -8,7 +8,7 @@
 //! (family, dataset) cell is excluded (and reported) instead of aborting
 //! the whole table, and `--journal` makes an interrupted run resumable.
 
-use tsdist_bench::{reduce_columns, robust_column, robust_distance_column, ExperimentConfig};
+use tsdist_bench::{column, summarize, ExperimentConfig};
 use tsdist_core::normalization::Normalization;
 use tsdist_core::params::EMBEDDING_DIMS;
 use tsdist_core::registry::embedding_families;
@@ -35,19 +35,21 @@ fn main() {
     let dims = EMBEDDING_DIMS.min(min_train);
 
     let mut columns = Vec::new();
-    columns.push(robust_distance_column(
-        &runner,
-        &archive,
-        BASELINE,
-        &CrossCorrelation::sbd(),
-        Normalization::ZScore,
+    columns.push((
+        BASELINE.to_string(),
+        runner.distance_column(
+            &archive,
+            BASELINE,
+            &CrossCorrelation::sbd(),
+            Normalization::ZScore,
+        ),
     ));
     // Family grids are rebuilt per dataset because SIDL's atom length
     // depends on the series length.
     let family_names = ["GRAIL", "RWS", "SPIRAL", "SIDL"];
     for fname in family_names {
         let label = format!("{fname} [LOOCCV]");
-        columns.push(robust_column(&runner, &archive, &label, |ds, flag| {
+        let cells = runner.column(&archive, &label, |ds, flag| {
             let fams = embedding_families(dims, ds.series_len(), cfg.seed);
             // An unregistered family leaves the cell with no grid to tune.
             let (_, grid) = fams
@@ -55,16 +57,16 @@ fn main() {
                 .find(|(n, _)| *n == fname)
                 .ok_or(CellError::Eval(EvalError::EmptyGrid))?;
             Ok(evaluate_embedding_supervised(&grid, ds, flag)?.0)
-        }));
+        });
+        columns.push((label, cells));
     }
 
-    let reduced = reduce_columns(&archive, &columns);
-    let baseline = reduced
-        .get(BASELINE)
+    let study = summarize(&archive, columns);
+    let columns = study.columns();
+    let baseline = column(&columns, BASELINE)
         .expect("the NCC_c baseline completed no cell; cannot rank the table")
         .to_vec();
-    let mut rows: Vec<_> = reduced
-        .columns
+    let mut rows: Vec<_> = columns
         .iter()
         .filter(|(name, _)| name != BASELINE)
         .map(|(name, accs)| compare_to_baseline(name.clone(), accs, &baseline))
@@ -76,6 +78,6 @@ fn main() {
         "NCC_c (baseline)",
         &baseline,
     );
-    table.push_str(&reduced.note);
+    table.push_str(&study.fault_note());
     cfg.save("table7.txt", &table);
 }

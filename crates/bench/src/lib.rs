@@ -14,24 +14,32 @@
 //! * `--seed S` — archive seed (default 20),
 //! * `--quick` — small datasets for smoke runs,
 //! * `--out DIR` — results directory (default `results/`; the two
-//!   ledgers default to the repository root, where they are committed).
+//!   ledgers default to the repository root, where they are committed),
+//! * `--journal`, `--deadline-secs S`, `--retries N` — the cell runner's
+//!   knobs: journal each cell to `<out>/<binary>.journal.ndjson` and
+//!   resume from it, bound each cell attempt's wall clock, retry failed
+//!   cells.
+//!
+//! Every binary that evaluates cells runs them through the runner's one
+//! column ([`CellRunner::column`]) and reports over the surviving subset
+//! ([`summarize`]), so a faulty cell is excluded and listed in the
+//! artifact's fault note instead of aborting the run. `table1`, `table4`,
+//! `figure1` and `archive_summary` evaluate no cells, and `ablation_lb`
+//! and the two ledgers time scans outside the runner: the runner flags
+//! are accepted and inert there. `run_all` forwards every flag to the
+//! binaries it launches.
 
 #![warn(missing_docs)]
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use tsdist_core::measure::Distance;
-use tsdist_core::normalization::Normalization;
 use tsdist_data::synthetic::{generate_archive, ArchiveConfig};
 use tsdist_data::Dataset;
-use tsdist_eval::{
-    cell_key, parallel_map, CancelFlag, CellError, CellOutcome, CellResult, CellRunner, Eval,
-    Evaluation, RunnerConfig,
-};
+use tsdist_eval::{summarize_cells, CellResult, CellRunner, RobustStudyReport, RunnerConfig};
 
 /// Configuration shared by all experiment binaries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Number of synthetic datasets in the archive.
     pub n_datasets: usize,
@@ -69,7 +77,7 @@ impl ExperimentConfig {
     /// `--deadline-secs`, `--retries` from the process arguments; unknown
     /// arguments abort with a usage message.
     pub fn from_args() -> Self {
-        Self::parse_args(ExperimentConfig::default())
+        Self::parse_args(ExperimentConfig::default(), std::env::args().skip(1))
     }
 
     /// [`ExperimentConfig::from_args`] for the ledger binaries
@@ -77,14 +85,17 @@ impl ExperimentConfig {
     /// repository root, where their `BENCH_*.json` files are committed,
     /// whatever the working directory.
     pub fn ledger_from_args() -> Self {
-        Self::parse_args(ExperimentConfig {
-            out_dir: PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")),
-            ..ExperimentConfig::default()
-        })
+        Self::parse_args(
+            ExperimentConfig {
+                out_dir: PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")),
+                ..ExperimentConfig::default()
+            },
+            std::env::args().skip(1),
+        )
     }
 
-    fn parse_args(mut cfg: ExperimentConfig) -> Self {
-        let mut args = std::env::args().skip(1);
+    fn parse_args(mut cfg: ExperimentConfig, args: impl IntoIterator<Item = String>) -> Self {
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--datasets" => {
@@ -127,6 +138,32 @@ impl ExperimentConfig {
             }
         }
         cfg
+    }
+
+    /// The arguments that make a binary parse exactly this config:
+    /// `run_all` launches each experiment with them.
+    pub fn args(&self) -> Vec<String> {
+        let mut args = vec![
+            "--datasets".to_string(),
+            self.n_datasets.to_string(),
+            "--seed".to_string(),
+            self.seed.to_string(),
+            "--out".to_string(),
+            self.out_dir.display().to_string(),
+        ];
+        if self.quick {
+            args.push("--quick".into());
+        }
+        if self.journal {
+            args.push("--journal".into());
+        }
+        if let Some(secs) = self.deadline_secs {
+            args.extend(["--deadline-secs".into(), secs.to_string()]);
+        }
+        if self.retries > 0 {
+            args.extend(["--retries".into(), self.retries.to_string()]);
+        }
+        args
     }
 
     /// Builds the fault-tolerant cell runner for one experiment. With
@@ -189,187 +226,33 @@ fn usage(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!(
         "usage: <bin> [--datasets N] [--seed S] [--quick] [--out DIR] \
-         [--journal] [--deadline-secs S] [--retries N]"
+         [--journal] [--deadline-secs S] [--retries N]\n\
+         (the last three are inert in table1, table4, figure1, archive_summary, \
+         ablation_lb, bench_scan and bench_kernels, which evaluate no runner cells)"
     );
     std::process::exit(2)
 }
 
-/// Per-dataset accuracies of a distance measure across an archive,
-/// parallelized over datasets.
-pub fn archive_accuracies(archive: &[Dataset], d: &dyn Distance, norm: Normalization) -> Vec<f64> {
-    parallel_map(archive.len(), |i| {
-        Eval::new(d)
-            .on(&archive[i])
-            .normalized(norm)
-            .run()
-            .expect("archive evaluation")
-            .accuracy
-            .expect("dataset mode reports accuracy")
-    })
-}
-
-/// One experiment column: an entrant label plus its per-dataset cell
-/// results (aligned with the archive order).
-pub type RobustColumn = (String, Vec<CellResult>);
-
-/// Runs one entrant over every dataset of the archive through the
-/// fault-tolerant cell runner, parallelized over datasets. The closure
-/// evaluates a single cell and should forward the [`CancelFlag`] into the
-/// cancellable `evaluate_*` cores.
-pub fn robust_column<F>(
-    runner: &CellRunner,
+/// The surviving-subset report of an experiment's columns (entrant
+/// label, [`CellRunner::column`] cells), in entrant order over `archive`.
+pub fn summarize(
     archive: &[Dataset],
-    entrant: &str,
-    eval: F,
-) -> RobustColumn
-where
-    F: Fn(&Dataset, &CancelFlag) -> Result<Evaluation, CellError> + Sync,
-{
-    let cells = parallel_map(archive.len(), |i| {
-        let ds = &archive[i];
-        runner.run_cell(&cell_key(entrant, &ds.name), |flag| eval(ds, flag))
-    });
-    (entrant.to_string(), cells)
+    columns: Vec<(String, Vec<CellResult>)>,
+) -> RobustStudyReport {
+    let (names, cells) = columns.into_iter().unzip();
+    summarize_cells(
+        names,
+        archive.iter().map(|d| d.name.clone()).collect(),
+        cells,
+    )
 }
 
-/// Robust per-dataset column for an unsupervised distance measure.
-pub fn robust_distance_column(
-    runner: &CellRunner,
-    archive: &[Dataset],
-    entrant: &str,
-    d: &dyn Distance,
-    norm: Normalization,
-) -> RobustColumn {
-    robust_column(runner, archive, entrant, |ds, flag| {
-        Eval::new(d)
-            .on(ds)
-            .normalized(norm)
-            .cancelled_by(flag)
-            .run()
-            .map(|report| {
-                Evaluation::unsupervised(report.accuracy.expect("dataset mode reports accuracy"))
-            })
-            .map_err(CellError::from)
-    })
-}
-
-/// Accuracy columns restricted to the surviving subset of a robust study:
-/// entrants with at least one completed cell, over the datasets every
-/// surviving entrant completed.
-pub struct ReducedColumns {
-    /// Archive indices of the datasets every surviving entrant completed.
-    pub kept_datasets: Vec<usize>,
-    /// Surviving entrants with their accuracies over `kept_datasets`.
-    pub columns: Vec<(String, Vec<f64>)>,
-    /// Human-readable fault summary; empty when every cell completed, so
-    /// healthy runs produce byte-identical artifacts.
-    pub note: String,
-}
-
-impl ReducedColumns {
-    /// Accuracies of a surviving entrant by label.
-    pub fn get(&self, entrant: &str) -> Option<&[f64]> {
-        self.columns
-            .iter()
-            .find(|(name, _)| name == entrant)
-            .map(|(_, accs)| accs.as_slice())
-    }
-}
-
-/// Reduces robust columns to the surviving subset and renders the fault
-/// note. Dead entrants (zero completed cells) are dropped first; then any
-/// dataset a surviving entrant did not complete is excluded so rankings
-/// stay paired.
-pub fn reduce_columns(archive: &[Dataset], columns: &[RobustColumn]) -> ReducedColumns {
-    let n_datasets = archive.len();
-    let alive: Vec<bool> = columns
+/// The accuracies of the surviving column `entrant`, if it survived.
+pub fn column<'a>(columns: &'a [(String, Vec<f64>)], entrant: &str) -> Option<&'a [f64]> {
+    columns
         .iter()
-        .map(|(_, cells)| cells.iter().any(|c| c.outcome.is_ok()))
-        .collect();
-    let kept_datasets: Vec<usize> = (0..n_datasets)
-        .filter(|&i| {
-            columns
-                .iter()
-                .zip(&alive)
-                .all(|((_, cells), &a)| !a || cells[i].outcome.is_ok())
-        })
-        .collect();
-
-    let mut incomplete = Vec::new();
-    for (_, cells) in columns {
-        for cell in cells {
-            match &cell.outcome {
-                CellOutcome::Ok(_) => {}
-                CellOutcome::Failed(err) => {
-                    incomplete.push(format!("  FAILED   {}: {err}", cell.key));
-                }
-                CellOutcome::TimedOut => incomplete.push(format!("  TIMEOUT  {}", cell.key)),
-                CellOutcome::Skipped => incomplete.push(format!("  SKIPPED  {}", cell.key)),
-            }
-        }
-    }
-
-    let mut note = String::new();
-    if !incomplete.is_empty() {
-        let total = columns.len() * n_datasets;
-        note.push_str(&format!(
-            "\nfault summary: {} of {total} cells did not complete\n",
-            incomplete.len()
-        ));
-        for line in &incomplete {
-            note.push_str(line);
-            note.push('\n');
-        }
-        let dead: Vec<&str> = columns
-            .iter()
-            .zip(&alive)
-            .filter(|(_, &a)| !a)
-            .map(|((name, _), _)| name.as_str())
-            .collect();
-        if !dead.is_empty() {
-            note.push_str(&format!(
-                "dropped entrants (zero completed cells): {}\n",
-                dead.join(", ")
-            ));
-        }
-        note.push_str(&format!(
-            "rankings cover {} of {n_datasets} datasets\n",
-            kept_datasets.len()
-        ));
-    }
-
-    let reduced: Vec<(String, Vec<f64>)> = columns
-        .iter()
-        .zip(&alive)
-        .filter(|(_, &a)| a)
-        .map(|((name, cells), _)| {
-            let accs = kept_datasets
-                .iter()
-                .map(|&i| match cells[i].outcome.evaluation() {
-                    Some(e) => e.accuracy,
-                    None => unreachable!("kept datasets are complete for surviving entrants"),
-                })
-                .collect();
-            (name.clone(), accs)
-        })
-        .collect();
-
-    ReducedColumns {
-        kept_datasets,
-        columns: reduced,
-        note,
-    }
-}
-
-/// Transposes entrant-major accuracy columns into the dataset-major matrix
-/// shape expected by `rank_measures`.
-pub fn ranking_matrix(columns: &[(String, Vec<f64>)]) -> (Vec<String>, Vec<Vec<f64>>) {
-    let names: Vec<String> = columns.iter().map(|(name, _)| name.clone()).collect();
-    let n_rows = columns.first().map_or(0, |(_, accs)| accs.len());
-    let rows = (0..n_rows)
-        .map(|i| columns.iter().map(|(_, accs)| accs[i]).collect())
-        .collect();
-    (names, rows)
+        .find(|(name, _)| name == entrant)
+        .map(|(_, accs)| accs.as_slice())
 }
 
 /// Renders a critical-difference ranking over surviving accuracy columns,
@@ -377,10 +260,13 @@ pub fn ranking_matrix(columns: &[(String, Vec<f64>)]) -> (Vec<String>, Vec<Vec<f
 /// completed to rank anything — so a figure binary degrades instead of
 /// panicking when a whole study faults out.
 pub fn render_ranking(title: &str, columns: &[(String, Vec<f64>)], note: &str) -> String {
-    let rankable = columns.len() >= 2 && columns.iter().all(|(_, accs)| !accs.is_empty());
-    let mut out = if rankable {
-        let (names, matrix) = ranking_matrix(columns);
-        tsdist_eval::rank_measures(&names, &matrix).render(title)
+    let n_datasets = columns.first().map_or(0, |(_, accs)| accs.len());
+    let mut out = if columns.len() >= 2 && n_datasets > 0 {
+        let names: Vec<String> = columns.iter().map(|(name, _)| name.clone()).collect();
+        let rows: Vec<Vec<f64>> = (0..n_datasets)
+            .map(|d| columns.iter().map(|(_, accs)| accs[d]).collect())
+            .collect();
+        tsdist_eval::rank_measures(&names, &rows).render(title)
     } else {
         format!("## {title}\nno surviving subset to rank (insufficient completed cells)\n")
     };
@@ -408,6 +294,7 @@ pub fn csv_block(header: &str, rows: &[(String, Vec<f64>)]) -> String {
 mod tests {
     use super::*;
     use tsdist_core::lockstep::Euclidean;
+    use tsdist_core::normalization::Normalization;
 
     #[test]
     fn default_config_is_sane() {
@@ -425,7 +312,16 @@ mod tests {
         };
         let archive = cfg.archive();
         assert_eq!(archive.len(), 3);
-        let accs = archive_accuracies(&archive, &Euclidean, Normalization::ZScore);
+        let cells = cfg.runner("bench-lib-test").distance_column(
+            &archive,
+            "ED",
+            &Euclidean,
+            Normalization::ZScore,
+        );
+        let study = summarize(&archive, vec![("ED".into(), cells)]);
+        let accs = column(&study.columns(), "ED")
+            .expect("ED survives")
+            .to_vec();
         assert_eq!(accs.len(), 3);
         assert!(accs.iter().all(|a| (0.0..=1.0).contains(a)));
     }
@@ -438,43 +334,46 @@ mod tests {
     }
 
     #[test]
-    fn robust_columns_reduce_to_surviving_subset() {
-        use tsdist_core::chaos::{ChaosDistance, Fault, Schedule};
-
-        let cfg = ExperimentConfig {
-            n_datasets: 3,
-            quick: true,
-            ..Default::default()
-        };
-        let archive = cfg.archive();
-        let runner = cfg.runner("bench-lib-test");
-        let norm = Normalization::ZScore;
-        let chaos = ChaosDistance::new(Euclidean, Fault::Panic, Schedule::Always);
-        let columns = vec![
-            robust_distance_column(&runner, &archive, "ED", &Euclidean, norm),
-            robust_distance_column(&runner, &archive, "Chaos", &chaos, norm),
+    fn render_ranking_ranks_entrant_major_columns() {
+        let cols = vec![
+            ("a".into(), vec![1.0, 2.0, 0.5]),
+            ("b".into(), vec![3.0, 4.0, 0.2]),
         ];
-        let reduced = reduce_columns(&archive, &columns);
-        // The dead entrant is dropped; the healthy one keeps every dataset.
-        assert_eq!(reduced.columns.len(), 1);
-        assert_eq!(reduced.kept_datasets, vec![0, 1, 2]);
-        assert!(reduced.note.contains("3 of 6 cells did not complete"));
-        assert!(reduced.note.contains("dropped entrants"));
-        let healthy = reduced.get("ED").expect("ED survives");
-        let direct = archive_accuracies(&archive, &Euclidean, norm);
-        assert_eq!(healthy, direct.as_slice());
-
-        // A fully healthy study renders no note at all.
-        let clean = reduce_columns(&archive, &columns[..1]);
-        assert!(clean.note.is_empty());
-        assert_eq!(clean.columns.len(), 1);
+        let names = vec!["a".to_string(), "b".to_string()];
+        let rows = vec![vec![1.0, 3.0], vec![2.0, 4.0], vec![0.5, 0.2]];
+        let want = tsdist_eval::rank_measures(&names, &rows).render("T") + "note\n";
+        assert_eq!(render_ranking("T", &cols, "note\n"), want);
+        // One surviving column has nothing to rank against.
+        assert_eq!(
+            render_ranking("T", &cols[..1], "note\n"),
+            "## T\nno surviving subset to rank (insufficient completed cells)\nnote\n"
+        );
     }
 
     #[test]
-    fn ranking_matrix_transposes_columns() {
-        let cols = vec![("a".into(), vec![1.0, 2.0]), ("b".into(), vec![3.0, 4.0])];
-        let (names, rows) = ranking_matrix(&cols);
-        assert_eq!(names, vec!["a", "b"]);
-        assert_eq!(rows, vec![vec![1.0, 3.0], vec![2.0, 4.0]]);
+    fn child_args_parse_back_to_the_same_config() {
+        let configs = [
+            ExperimentConfig::default(),
+            ExperimentConfig {
+                n_datasets: 7,
+                seed: 3,
+                quick: true,
+                out_dir: PathBuf::from("some dir/out"),
+                journal: true,
+                deadline_secs: Some(0.1 + 0.2),
+                retries: 2,
+            },
+        ];
+        for cfg in configs {
+            // Parsing starts from another default so every field must
+            // come from the arguments.
+            let start = ExperimentConfig {
+                n_datasets: 1,
+                seed: 1,
+                out_dir: PathBuf::from("elsewhere"),
+                ..ExperimentConfig::default()
+            };
+            assert_eq!(ExperimentConfig::parse_args(start, cfg.args()), cfg);
+        }
     }
 }

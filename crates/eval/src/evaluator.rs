@@ -5,7 +5,8 @@
 //! here under z-normalization like any other: the cell measures it with
 //! each series' self-similarity computed once. Unsupervised distance
 //! evaluation goes through the [`Eval`](crate::request::Eval) request
-//! builder, which shares `distance_cell` with the study runner.
+//! builder, which runs `distance_cell`; the study runner's distance
+//! cells are `Eval` requests.
 //!
 //! Every function here is a cancellable, fault-classified cell core, the
 //! work the fault-tolerant [`CellRunner`](crate::runner::CellRunner)

@@ -27,8 +27,13 @@
 //! and journaled to a line-delimited file ([`journal`]); re-running a
 //! killed study with the same journal replays completed cells
 //! bit-identically and executes only the missing, failed, and timed-out
-//! ones. [`run_study_resumable`] reports rankings over the surviving
-//! subset with an explicit N. Knobs live on
+//! ones. An entrant runs over an archive as one
+//! [`CellRunner::column`] (for a distance measure,
+//! [`CellRunner::distance_column`], one [`Eval`] per cell), and
+//! [`summarize_cells`] reduces a study's columns to the surviving subset:
+//! the entrants with a completed cell, over the datasets all of them
+//! completed. [`run_study_resumable`] is the two together, and every
+//! experiment binary of `tsdist-bench` uses them. Knobs live on
 //! [`RunnerConfig`]: `deadline`, `max_retries`, `retry_backoff`,
 //! `max_cells` (stop-after-N, the hook the kill/resume smoke test uses).
 //!

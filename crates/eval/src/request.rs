@@ -3,7 +3,10 @@
 //! [`Eval`] is the one typed request for unsupervised distance
 //! evaluation that the CLI, the query server (`tsdist-serve`), and the
 //! study runner share verbatim — one request type flows from wire format
-//! to inner loop, the [`Scan`] engine.
+//! to inner loop, the [`Scan`] engine. Every cell of the runner's
+//! [`distance_column`](crate::runner::CellRunner::distance_column), and
+//! so every cell of [`run_study_resumable`](crate::runner::run_study_resumable),
+//! is one dataset-mode request under the cell's cancel flag.
 //!
 //! Two modes, selected by whether [`Eval::queries`] was called:
 //!

@@ -22,10 +22,12 @@ use crate::cell::{
 use crate::comparison::{
     compare_to_baseline, holm_adjusted_p_values, rank_measures, PairwiseComparison,
 };
-use crate::evaluator::{distance_cell, prepare};
 use crate::journal::{read_journal, Journal, JournalEntry};
 use crate::parallel::parallel_map;
+use crate::request::Eval;
 use crate::study::{Entrant, StudyReport};
+use tsdist_core::measure::Distance;
+use tsdist_core::normalization::Normalization;
 use tsdist_data::Dataset;
 
 /// Knobs of a [`CellRunner`].
@@ -285,6 +287,46 @@ impl CellRunner {
         };
         (outcome, seconds)
     }
+
+    /// One entrant's column: a [`run_cell`](CellRunner::run_cell) per
+    /// dataset of `archive`, keyed [`cell_key`]`(entrant, dataset)`, the
+    /// datasets in parallel. `f` evaluates one dataset and should forward
+    /// the [`CancelFlag`] into the cancellable cores.
+    pub fn column<F>(&self, archive: &[Dataset], entrant: &str, f: F) -> Vec<CellResult>
+    where
+        F: Fn(&Dataset, &CancelFlag) -> Result<Evaluation, CellError> + Sync,
+    {
+        parallel_map(archive.len(), |i| {
+            let ds = &archive[i];
+            self.run_cell(&cell_key(entrant, &ds.name), |flag| f(ds, flag))
+        })
+    }
+
+    /// The column of an unsupervised distance measure: each cell is one
+    /// dataset-mode [`Eval`] of `d` under `norm`, cancelled by the cell's
+    /// flag and pruned as the config says. A measure panic is reported as
+    /// [`CellError::Panicked`] with the panic's message, a deadline as
+    /// [`CellOutcome::TimedOut`].
+    pub fn distance_column(
+        &self,
+        archive: &[Dataset],
+        entrant: &str,
+        d: &dyn Distance,
+        norm: Normalization,
+    ) -> Vec<CellResult> {
+        self.column(archive, entrant, |ds, flag| {
+            let report = Eval::new(d)
+                .on(ds)
+                .normalized(norm)
+                .pruned(self.config.pruned)
+                .cancelled_by(flag)
+                .run()?;
+            // Dataset mode always reports an accuracy.
+            Ok(Evaluation::unsupervised(
+                report.accuracy.unwrap_or(f64::NAN),
+            ))
+        })
+    }
 }
 
 /// Renders a panic payload: the `&str` / `String` message when there is
@@ -315,8 +357,8 @@ pub struct RobustStudyReport {
     /// completed — the subset rankings are computed over.
     pub surviving_datasets: Vec<usize>,
     /// The statistical report over the surviving subset; `None` when the
-    /// baseline died, fewer than two entrants survived, or no dataset is
-    /// complete.
+    /// baseline (the first entrant) died, fewer than two entrants
+    /// survived, or no dataset is complete.
     pub report: Option<StudyReport>,
 }
 
@@ -335,6 +377,77 @@ impl RobustStudyReport {
         counts
     }
 
+    /// The surviving entrants' accuracies over the surviving datasets,
+    /// in entrant order.
+    pub fn columns(&self) -> Vec<(String, Vec<f64>)> {
+        self.surviving_entrants
+            .iter()
+            .map(|&e| {
+                let accuracies = self
+                    .surviving_datasets
+                    .iter()
+                    .map(|&d| {
+                        self.cells[e][d]
+                            .outcome
+                            .evaluation()
+                            .map_or(f64::NAN, |ev| ev.accuracy)
+                    })
+                    .collect();
+                (self.names[e].clone(), accuracies)
+            })
+            .collect()
+    }
+
+    /// One line per cell that did not complete, in grid order.
+    fn fault_lines(&self) -> Vec<String> {
+        self.cells
+            .iter()
+            .flatten()
+            .filter_map(|cell| match &cell.outcome {
+                CellOutcome::Ok(_) => None,
+                CellOutcome::Failed(err) => Some(format!("  FAILED   {}: {err}", cell.key)),
+                CellOutcome::TimedOut => Some(format!("  TIMEOUT  {}", cell.key)),
+                CellOutcome::Skipped => Some(format!("  SKIPPED  {}", cell.key)),
+            })
+            .collect()
+    }
+
+    /// The fault note an artifact appends: every cell that did not
+    /// complete, the dropped entrants and how many datasets the rankings
+    /// cover. Empty when every cell completed, so healthy runs write
+    /// byte-identical artifacts.
+    pub fn fault_note(&self) -> String {
+        let lines = self.fault_lines();
+        if lines.is_empty() {
+            return String::new();
+        }
+        let mut note = format!(
+            "\nfault summary: {} of {} cells did not complete\n",
+            lines.len(),
+            self.names.len() * self.dataset_names.len()
+        );
+        for line in &lines {
+            note.push_str(line);
+            note.push('\n');
+        }
+        let dead: Vec<&str> = (0..self.names.len())
+            .filter(|e| !self.surviving_entrants.contains(e))
+            .map(|e| self.names[e].as_str())
+            .collect();
+        if !dead.is_empty() {
+            note.push_str(&format!(
+                "dropped entrants (zero completed cells): {}\n",
+                dead.join(", ")
+            ));
+        }
+        note.push_str(&format!(
+            "rankings cover {} of {} datasets\n",
+            self.surviving_datasets.len(),
+            self.dataset_names.len()
+        ));
+        note
+    }
+
     /// Renders the fault summary plus (when available) the surviving-
     /// subset tables. Deterministic: contains no timing data, so an
     /// interrupted-and-resumed study renders byte-identically to an
@@ -346,19 +459,9 @@ impl RobustStudyReport {
             "== {title} ==\ncells: {ok} ok, {failed} failed, {timed_out} timed out, \
              {skipped} skipped (of {total})\n"
         );
-        for cell in self.cells.iter().flatten() {
-            match &cell.outcome {
-                CellOutcome::Failed(err) => {
-                    out.push_str(&format!("  FAILED   {}: {err}\n", cell.key));
-                }
-                CellOutcome::TimedOut => {
-                    out.push_str(&format!("  TIMEOUT  {}\n", cell.key));
-                }
-                CellOutcome::Skipped => {
-                    out.push_str(&format!("  SKIPPED  {}\n", cell.key));
-                }
-                CellOutcome::Ok(_) => {}
-            }
+        for line in self.fault_lines() {
+            out.push_str(&line);
+            out.push('\n');
         }
         match &self.report {
             Some(report) => {
@@ -384,11 +487,9 @@ pub fn cell_key(entrant: &str, dataset: &str) -> String {
     format!("{entrant}::{dataset}")
 }
 
-/// Runs a study through `runner`: one cell per (entrant, dataset), the
-/// datasets of each entrant in parallel. The first entrant is the
-/// baseline. Statistics are computed over the surviving subset — the
-/// entrants with at least one completed cell, on the datasets all of
-/// them completed.
+/// Runs a study through `runner`: the
+/// [`distance_column`](CellRunner::distance_column) of each entrant, then
+/// [`summarize_cells`]. The first entrant is the baseline.
 ///
 /// # Panics
 /// Panics with fewer than two entrants or an empty archive (API misuse;
@@ -404,37 +505,20 @@ pub fn run_study_resumable(
     );
     assert!(!archive.is_empty(), "empty archive");
 
-    let pruned = runner.config().pruned;
     let cells: Vec<Vec<CellResult>> = entrants
         .iter()
-        .map(|entrant| {
-            parallel_map(archive.len(), |i| {
-                let ds = &archive[i];
-                runner.run_cell(&cell_key(&entrant.name, &ds.name), |flag| {
-                    flag.checkpoint()?;
-                    let norm = entrant.normalization;
-                    let prepared = prepare(ds, norm);
-                    distance_cell(
-                        entrant.measure.as_ref(),
-                        &prepared,
-                        norm,
-                        flag,
-                        None,
-                        pruned,
-                    )
-                })
-            })
-        })
+        .map(|e| runner.distance_column(archive, &e.name, e.measure.as_ref(), e.normalization))
         .collect();
-
     let names: Vec<String> = entrants.iter().map(|e| e.name.clone()).collect();
     let dataset_names: Vec<String> = archive.iter().map(|d| d.name.clone()).collect();
     summarize_cells(names, dataset_names, cells)
 }
 
-/// Builds the surviving-subset report from an executed cell grid. Public
-/// so the bench binaries can reuse it for supervised and embedding grids
-/// that [`run_study_resumable`] doesn't cover.
+/// Builds the surviving-subset report from an executed cell grid
+/// (`cells[entrant][dataset]`, baseline first): the entrants with at
+/// least one completed cell survive, and the datasets every survivor
+/// completed are kept. A dead baseline leaves the subset as it is and
+/// only the statistical `report` empty.
 pub fn summarize_cells(
     names: Vec<String>,
     dataset_names: Vec<String>,
@@ -443,68 +527,48 @@ pub fn summarize_cells(
     let surviving_entrants: Vec<usize> = (0..names.len())
         .filter(|&e| cells[e].iter().any(|c| c.outcome.is_ok()))
         .collect();
-    let baseline_survived = surviving_entrants.first() == Some(&0);
-    let surviving_datasets: Vec<usize> = if baseline_survived {
-        (0..dataset_names.len())
-            .filter(|&d| {
-                surviving_entrants
-                    .iter()
-                    .all(|&e| cells[e][d].outcome.is_ok())
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    let report =
-        if baseline_survived && surviving_entrants.len() >= 2 && !surviving_datasets.is_empty() {
-            let kept_names: Vec<String> = surviving_entrants
+    let surviving_datasets: Vec<usize> = (0..dataset_names.len())
+        .filter(|&d| {
+            surviving_entrants
                 .iter()
-                .map(|&e| names[e].clone())
-                .collect();
-            let accuracies: Vec<Vec<f64>> = surviving_entrants
-                .iter()
-                .map(|&e| {
-                    surviving_datasets
-                        .iter()
-                        .map(|&d| match cells[e][d].outcome.evaluation() {
-                            Some(eval) => eval.accuracy,
-                            None => f64::NAN,
-                        })
-                        .collect()
-                })
-                .collect();
-            let baseline = &accuracies[0];
-            let rows: Vec<PairwiseComparison> = kept_names
-                .iter()
-                .zip(&accuracies)
-                .skip(1)
-                .map(|(name, accs)| compare_to_baseline(name.clone(), accs, baseline))
-                .collect();
-            let holm_adjusted = holm_adjusted_p_values(&rows);
-            let table: Vec<Vec<f64>> = (0..surviving_datasets.len())
-                .map(|d| accuracies.iter().map(|col| col[d]).collect())
-                .collect();
-            let ranking = rank_measures(&kept_names, &table);
-            Some(StudyReport {
-                names: kept_names,
-                accuracies,
-                rows,
-                holm_adjusted,
-                ranking,
-            })
-        } else {
-            None
-        };
-
-    RobustStudyReport {
+                .all(|&e| cells[e][d].outcome.is_ok())
+        })
+        .collect();
+    let mut robust = RobustStudyReport {
         names,
         dataset_names,
         cells,
         surviving_entrants,
         surviving_datasets,
-        report,
+        report: None,
+    };
+    let rankable = robust.surviving_entrants.first() == Some(&0)
+        && robust.surviving_entrants.len() >= 2
+        && !robust.surviving_datasets.is_empty();
+    if rankable {
+        let (names, accuracies): (Vec<String>, Vec<Vec<f64>>) =
+            robust.columns().into_iter().unzip();
+        let baseline = &accuracies[0];
+        let rows: Vec<PairwiseComparison> = names
+            .iter()
+            .zip(&accuracies)
+            .skip(1)
+            .map(|(name, accs)| compare_to_baseline(name.clone(), accs, baseline))
+            .collect();
+        let holm_adjusted = holm_adjusted_p_values(&rows);
+        let table: Vec<Vec<f64>> = (0..robust.surviving_datasets.len())
+            .map(|d| accuracies.iter().map(|col| col[d]).collect())
+            .collect();
+        let ranking = rank_measures(&names, &table);
+        robust.report = Some(StudyReport {
+            names,
+            accuracies,
+            rows,
+            holm_adjusted,
+            ranking,
+        });
     }
+    robust
 }
 
 #[cfg(test)]
@@ -638,6 +702,164 @@ mod tests {
         let report = summarize_cells(names, datasets, cells);
         assert!(report.report.is_none());
         assert!(report.render("Robust").contains("no surviving subset"));
+    }
+
+    fn quick_archive() -> Vec<Dataset> {
+        tsdist_data::synthetic::generate_archive(&tsdist_data::synthetic::ArchiveConfig::quick(
+            3, 20,
+        ))
+    }
+
+    fn summarize(archive: &[Dataset], columns: Vec<(&str, Vec<CellResult>)>) -> RobustStudyReport {
+        let (names, cells) = columns
+            .into_iter()
+            .map(|(name, cells)| (name.to_string(), cells))
+            .unzip();
+        summarize_cells(
+            names,
+            archive.iter().map(|d| d.name.clone()).collect(),
+            cells,
+        )
+    }
+
+    #[test]
+    fn robust_columns_reduce_to_surviving_subset() {
+        use tsdist_core::chaos::{ChaosDistance, Fault, Schedule};
+        use tsdist_core::lockstep::Euclidean;
+
+        let archive = quick_archive();
+        let runner = CellRunner::new(RunnerConfig::named("column-test"));
+        let norm = Normalization::ZScore;
+        let chaos = ChaosDistance::new(Euclidean, Fault::Panic, Schedule::Always);
+        let healthy = runner.column(&archive, "ED", |ds, flag| {
+            let report = Eval::new(&Euclidean)
+                .on(ds)
+                .normalized(norm)
+                .cancelled_by(flag)
+                .run()?;
+            Ok(Evaluation::unsupervised(
+                report.accuracy.unwrap_or(f64::NAN),
+            ))
+        });
+        let dead = runner.distance_column(&archive, "Chaos", &chaos, norm);
+        let study = summarize(&archive, vec![("ED", healthy.clone()), ("Chaos", dead)]);
+        // The dead entrant is dropped; the healthy one keeps every dataset.
+        let columns = study.columns();
+        assert_eq!(columns.len(), 1);
+        assert_eq!(study.surviving_datasets, vec![0, 1, 2]);
+        let note = study.fault_note();
+        assert!(note.contains("3 of 6 cells did not complete"));
+        assert!(note.contains("dropped entrants"));
+        let direct: Vec<f64> = archive
+            .iter()
+            .map(|ds| {
+                Eval::new(&Euclidean)
+                    .on(ds)
+                    .run()
+                    .unwrap()
+                    .accuracy
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(columns[0], ("ED".to_string(), direct));
+
+        // A fully healthy study renders no note at all.
+        let clean = summarize(&archive, vec![("ED", healthy)]);
+        assert!(clean.fault_note().is_empty());
+        assert_eq!(clean.columns().len(), 1);
+    }
+
+    #[test]
+    fn dead_first_entrant_keeps_the_subset() {
+        // figure3's layout: the ranked entrants come first, the reference
+        // last, and the first one may die without emptying the subset.
+        let names = vec!["dead".to_string(), "a".to_string(), "b".to_string()];
+        let datasets = vec!["d0".to_string(), "d1".to_string()];
+        let cells = vec![
+            vec![failed_cell("dead::d0"), failed_cell("dead::d1")],
+            vec![ok_cell("a::d0", 0.9), ok_cell("a::d1", 0.8)],
+            vec![ok_cell("b::d0", 0.7), failed_cell("b::d1")],
+        ];
+        let study = summarize_cells(names, datasets, cells);
+        assert_eq!(study.surviving_entrants, vec![1, 2]);
+        assert_eq!(study.surviving_datasets, vec![0]);
+        assert!(study.report.is_none());
+        assert_eq!(
+            study.columns(),
+            vec![("a".to_string(), vec![0.9]), ("b".to_string(), vec![0.7])]
+        );
+        let note = study.fault_note();
+        assert!(note.contains("3 of 6 cells did not complete"));
+        assert!(note.contains("dropped entrants (zero completed cells): dead\n"));
+        assert!(note.ends_with("rankings cover 1 of 2 datasets\n"));
+    }
+
+    #[test]
+    fn distance_column_cells_equal_eval_and_keep_their_fault_outcomes() {
+        use crate::evaluator::{distance_cell, prepare};
+        use tsdist_core::elastic::Msm;
+        use tsdist_core::lockstep::Euclidean;
+        use tsdist_core::Workspace;
+
+        struct Slow;
+        impl Distance for Slow {
+            fn name(&self) -> String {
+                "slow".into()
+            }
+            fn distance_ws(&self, x: &[f64], y: &[f64], _: &mut Workspace) -> f64 {
+                std::thread::sleep(Duration::from_millis(2));
+                Euclidean.distance(x, y)
+            }
+        }
+        struct Boom;
+        impl Distance for Boom {
+            fn name(&self) -> String {
+                "boom".into()
+            }
+            fn distance_ws(&self, _: &[f64], _: &[f64], _: &mut Workspace) -> f64 {
+                panic!("injected fault")
+            }
+        }
+
+        let archive = quick_archive();
+        let msm = Msm::new(0.5);
+        for pruned in [false, true] {
+            for norm in [Normalization::ZScore, Normalization::MinMax] {
+                let mut config = RunnerConfig::named("eval-bits");
+                if pruned {
+                    config = config.with_pruned();
+                }
+                for d in [&msm as &dyn Distance, &Boom] {
+                    let column =
+                        CellRunner::new(config.clone()).distance_column(&archive, "m", d, norm);
+                    // The direct cell the runner's study loop ran before
+                    // it went through `Eval`.
+                    let direct = CellRunner::new(config.clone());
+                    for (ds, cell) in archive.iter().zip(&column) {
+                        let want = direct.run_cell(&cell.key, |flag| {
+                            distance_cell(d, &prepare(ds, norm), norm, flag, None, pruned)
+                        });
+                        assert_eq!(cell.outcome, want.outcome, "{}", cell.key);
+                        match &cell.outcome {
+                            CellOutcome::Ok(e) => {
+                                let eval = Eval::new(d).on(ds).normalized(norm).pruned(pruned);
+                                let accuracy = eval.run().unwrap().accuracy.unwrap();
+                                assert_eq!(e.accuracy.to_bits(), accuracy.to_bits());
+                            }
+                            CellOutcome::Failed(CellError::Panicked { message }) => {
+                                assert_eq!(message, "injected fault");
+                            }
+                            other => panic!("unexpected outcome {other:?}"),
+                        }
+                    }
+                }
+            }
+        }
+
+        let runner =
+            CellRunner::new(RunnerConfig::default().with_deadline(Duration::from_millis(20)));
+        let slow = runner.distance_column(&archive[..1], "slow", &Slow, Normalization::ZScore);
+        assert_eq!(slow[0].outcome, CellOutcome::TimedOut);
     }
 
     #[test]

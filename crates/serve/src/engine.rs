@@ -352,17 +352,14 @@ impl Engine {
     }
 }
 
-/// Maps an evaluation error to its wire code.
+/// Maps an evaluation error to its wire code; the message is the
+/// error's own wording.
 fn classify(e: &EvalError) -> (ErrorCode, String) {
-    match e {
-        EvalError::DeadlineExceeded => {
-            (ErrorCode::DeadlineExceeded, "deadline exceeded".to_string())
-        }
-        EvalError::Faulted { message } => {
-            (ErrorCode::Internal, format!("measure faulted: {message}"))
-        }
-        other => (ErrorCode::Internal, other.to_string()),
-    }
+    let code = match e {
+        EvalError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
+        _ => ErrorCode::Internal,
+    };
+    (code, e.to_string())
 }
 
 #[cfg(test)]

@@ -65,6 +65,33 @@ for f in table6.txt figure7.txt figure8.txt; do
 done
 echo "    table6 --quick --datasets 4: table6.txt, figure7.txt, figure8.txt match the golden"
 
+echo "==> table2 journal smoke (one ok line per cell; a rerun replays every cell, same bytes)"
+# table2 runs every cell through the runner's column, so --journal
+# covers the largest table: the second run computes nothing.
+cargo build -q --offline -p tsdist-bench --bin table2
+target/debug/table2 --quick --datasets 2 --journal --out "$SMOKE/t2" >/dev/null 2>"$SMOKE/t2_first.log"
+cp "$SMOKE/t2/table2.txt" "$SMOKE/t2_first.txt"
+cp "$SMOKE/t2/table2_full.csv" "$SMOKE/t2_first.csv"
+target/debug/table2 --quick --datasets 2 --journal --out "$SMOKE/t2" >/dev/null 2>"$SMOKE/t2_second.log"
+diff "$SMOKE/t2_first.txt" "$SMOKE/t2/table2.txt"
+diff "$SMOKE/t2_first.csv" "$SMOKE/t2/table2_full.csv"
+# One entrant per CSV row (the header aside), two datasets each.
+cells=$(( ($(wc -l < "$SMOKE/t2/table2_full.csv") - 1) * 2 ))
+journal="$SMOKE/t2/table2.journal.ndjson"
+lines=$(wc -l < "$journal")
+ok_lines=$(grep -c '"outcome":"ok"' "$journal")
+keys=$(grep -o '"cell":"[^"]*"' "$journal" | sort -u | wc -l)
+if [ "$lines" -ne "$cells" ] || [ "$ok_lines" -ne "$cells" ] || [ "$keys" -ne "$cells" ]; then
+  echo "table2 journal holds $lines lines, $ok_lines ok, $keys distinct cells; expected $cells of each" >&2
+  exit 1
+fi
+if ! grep -q "replayed $cells completed cell(s)" "$SMOKE/t2_second.log"; then
+  echo "the second table2 run did not replay all $cells cells:" >&2
+  cat "$SMOKE/t2_second.log" >&2
+  exit 1
+fi
+echo "    table2 --quick --datasets 2 --journal: $cells ok cells journaled once, all replayed, artifacts byte-identical"
+
 echo "==> bench_kernels smoke (lane/wavefront/row kernels vs scalar twins, wire codec, bit gates)"
 cargo build -q --offline -p tsdist-bench --bin bench_kernels
 target/debug/bench_kernels --quick --out "$SMOKE" >/dev/null 2>"$SMOKE/bench_kernels.log"
