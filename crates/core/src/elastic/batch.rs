@@ -8,27 +8,35 @@
 //! a narrow band leaves it diagonals of a handful of cells. A matrix
 //! row, however, is one query `x` against many training columns, and
 //! those pairs are independent. The kernels here run the scalar
-//! row-major recurrence once for [`LANES`] equal-length columns at a
-//! time, one column per SIMD lane:
+//! row-major recurrence once for a block of `W` equal-length columns at
+//! a time, one column per SIMD lane:
 //!
+//! * **Widths.** MSM, TWE and NCC run blocks of [`LANES`] columns. DTW
+//!   runs blocks of [`MAX_ROW_BLOCK`](crate::lanes::MAX_ROW_BLOCK) =
+//!   `2 * LANES`: its cell is short enough that one sweep of eight lanes
+//!   waits on the `left` chain, and sixteen lanes give the vector unit
+//!   two independent chains. A run of at most [`LANES`] columns takes
+//!   the [`LANES`] instance of the same kernel. MSM's and TWE's longer
+//!   cells keep the vector unit busy at eight lanes, and measured slower
+//!   at sixteen.
 //! * **Layout.** The columns are copied into a column-major `[j][lane]`
 //!   scratch ([`Workspace::lane_rows`]), so cell `j` of all lanes is one
-//!   `[f64; LANES]` vector, as are the two rolling DP rows and the
+//!   `[f64; W]` vector, as are the two rolling DP rows and the
 //!   per-column tables MSM and TWE keep.
 //! * **Identical bits.** Each lane returns the per-pair `distance_ws`
-//!   value bit for bit (pinned by the `row_equivalence` suite). The DTW
-//!   lanes evaluate exactly the scalar kernel's cell expressions, with
-//!   the same operand and `min` order; Rust never contracts or
-//!   reassociates floating point. The MSM and TWE cells compute the same
-//!   values with fewer operations: each IEEE operation of the scalar cell
-//!   is kept or replaced by one with the same result (a table lookup, a
-//!   compare-select `min` where no operand can be NaN or `-0.0`, MSM's
-//!   cost from one difference, see [`msm_cost_signed`]). Those rewrites
-//!   need finite inputs, so a block whose query or any column holds a NaN
-//!   or ±∞ runs per pair instead.
-//! * **Partial blocks.** A block with fewer than [`LANES`] columns fills
-//!   the unused lanes with a repeat of its last real column; those lanes
-//!   do redundant work and their results are discarded.
+//!   value bit for bit (pinned by the `row_equivalence` suite). The cells
+//!   compute the per-pair values with the same or fewer operations: each
+//!   IEEE operation of the scalar cell is kept or replaced by one with
+//!   the same result (a table lookup, a compare-select `min` where no
+//!   operand can be NaN or `-0.0`, MSM's cost from one difference, see
+//!   [`msm_cost_signed`]); Rust never contracts or reassociates floating
+//!   point. Those rewrites need finite inputs, so a block whose query or
+//!   any column holds a NaN or ±∞ runs per pair instead.
+//! * **Partial blocks.** A block with fewer than `W` columns fills the
+//!   unused lanes with a repeat of its last real column; those lanes do
+//!   redundant work and their results are discarded. A run of more than
+//!   [`LANES`] columns fills one `W`-wide block, a shorter run one
+//!   [`LANES`]-wide block.
 //! * **Length runs.** A block only ever holds columns of one length.
 //!   The row is split into runs of equal-length columns; a run of one
 //!   column, an empty column or an empty query falls back to the
@@ -40,50 +48,52 @@
 use std::array;
 
 use crate::lanes::LANES;
+use crate::measure::Distance;
 use crate::workspace::Workspace;
 
-/// One DP cell (or one sample) of all [`LANES`] columns of a block.
-type Lanes = [f64; LANES];
+/// One DP cell (or one sample) of all `W` columns of a block.
+type Lanes<const W: usize> = [f64; W];
 
-/// An unreachable cell in every lane.
-const INF: Lanes = [f64::INFINITY; LANES];
+/// A batch-axis block kernel of width `W`: the distances from `x` to the
+/// `W` equal-length, non-empty columns of one block, lane `l` being
+/// `distance_ws(x, cols[l])` bit for bit, or `None` to run the block per
+/// pair.
+pub(crate) trait LaneBlock<const W: usize> {
+    fn block_ws(&self, x: &[f64], cols: &[&[f64]; W], ws: &mut Workspace) -> Option<Lanes<W>>;
+}
 
-/// Fills `out[j]` with the distance from `x` to `cols[j]`: blocks of
-/// equal-length columns go through `block`, everything else, and every
-/// block `block` declines (`None`), through `pair` (the measure's
-/// `distance_ws`).
-pub(crate) fn row_ws(
+/// Fills `out[j]` with `d.distance_ws(x, cols[j])`: runs of equal-length
+/// columns go through `d`'s block kernel, a run of more than [`LANES`]
+/// columns in blocks of `W` and a shorter one in a block of [`LANES`];
+/// everything else, and every block the kernel declines, runs per pair.
+pub(crate) fn row_ws<const W: usize, D>(
+    d: &D,
     x: &[f64],
     cols: &[Vec<f64>],
     out: &mut [f64],
     ws: &mut Workspace,
-    pair: impl Fn(&[f64], &[f64], &mut Workspace) -> f64,
-    block: impl Fn(&[f64], &[&[f64]; LANES], &mut Workspace) -> Option<Lanes>,
-) {
+) where
+    D: Distance + LaneBlock<W> + LaneBlock<LANES>,
+{
     debug_assert_eq!(out.len(), cols.len(), "one output slot per column");
     let mut cols = cols;
     let mut out = out;
     while let Some(first) = cols.first() {
         let len = first.len();
-        let run = cols
-            .iter()
-            .take(LANES)
-            .take_while(|c| c.len() == len)
-            .count();
+        let run = cols.iter().take(W).take_while(|c| c.len() == len).count();
         let (run_cols, rest_cols) = cols.split_at(run);
         let (run_out, rest_out) = std::mem::take(&mut out).split_at_mut(run);
-        let values = if run == 1 || len == 0 || x.is_empty() {
-            None
-        } else {
-            let lanes: [&[f64]; LANES] = array::from_fn(|l| run_cols[l.min(run - 1)].as_slice());
-            block(x, &lanes, ws)
-        };
-        match values {
-            Some(values) => run_out.copy_from_slice(&values[..run]),
-            None => {
-                for (slot, col) in run_out.iter_mut().zip(run_cols) {
-                    *slot = pair(x, col, ws);
-                }
+        let done = run > 1
+            && len > 0
+            && !x.is_empty()
+            && if run > LANES {
+                block_run::<W>(d, x, run_cols, run_out, ws)
+            } else {
+                block_run::<LANES>(d, x, run_cols, run_out, ws)
+            };
+        if !done {
+            for (slot, col) in run_out.iter_mut().zip(run_cols) {
+                *slot = d.distance_ws(x, col, ws);
             }
         }
         cols = rest_cols;
@@ -91,8 +101,27 @@ pub(crate) fn row_ws(
     }
 }
 
+/// Runs one block of `W` lanes over the (at most `W`) columns of a run,
+/// padding with its last column, and writes the run's values; `false`
+/// when the kernel declines the block.
+fn block_run<const W: usize>(
+    d: &impl LaneBlock<W>,
+    x: &[f64],
+    run_cols: &[Vec<f64>],
+    run_out: &mut [f64],
+    ws: &mut Workspace,
+) -> bool {
+    let last = run_cols.len() - 1;
+    let lanes: [&[f64]; W] = array::from_fn(|l| run_cols[l.min(last)].as_slice());
+    let Some(values) = d.block_ws(x, &lanes, ws) else {
+        return false;
+    };
+    run_out.copy_from_slice(&values[..run_out.len()]);
+    true
+}
+
 /// Transposes the block's columns into `rows[j][lane]`.
-fn interleave(cols: &[&[f64]; LANES], rows: &mut [Lanes]) {
+fn interleave<const W: usize>(cols: &[&[f64]; W], rows: &mut [Lanes<W>]) {
     for (lane, col) in cols.iter().enumerate() {
         for (row, &v) in rows.iter_mut().zip(col.iter()) {
             row[lane] = v;
@@ -138,15 +167,15 @@ fn msm_cost_signed(cost: f64, gap: f64, signed: f64) -> f64 {
 }
 
 /// Whether `x` and every column of a block are free of NaN and ±∞: the
-/// precondition of the MSM and TWE block kernels' select-min cells.
-fn all_finite(x: &[f64], cols: &[&[f64]; LANES]) -> bool {
+/// precondition of the block kernels' select-min cells.
+fn all_finite<const W: usize>(x: &[f64], cols: &[&[f64]; W]) -> bool {
     // A non-short-circuit fold, so the pass vectorizes.
     let finite = |s: &[f64]| s.iter().fold(true, |ok, v| ok & v.is_finite());
     finite(x) && cols.iter().all(|c| finite(c))
 }
 
 /// Fills `steps[j]` with `|ys[j] - ys[j - 1]|` for `j >= 1`.
-fn fill_steps(ys: &[Lanes], steps: &mut [Lanes]) {
+fn fill_steps(ys: &[Lanes<LANES>], steps: &mut [Lanes<LANES>]) {
     for ((s, y), y_prev) in steps[1..].iter_mut().zip(&ys[1..]).zip(ys) {
         *s = array::from_fn(|l| (y[l] - y_prev[l]).abs());
     }
@@ -168,7 +197,7 @@ pub(crate) fn msm_block_ws(
     x: &[f64],
     cols: &[&[f64]; LANES],
     ws: &mut Workspace,
-) -> Option<Lanes> {
+) -> Option<Lanes<LANES>> {
     let &x0 = x.first()?;
     if !all_finite(x, cols) {
         return None;
@@ -184,7 +213,7 @@ pub(crate) fn msm_block_ws(
     let merge = |step: f64, sign: f64, dx: f64| msm_cost_signed(cost, step, sign * dx);
 
     // Row 0.
-    let mut left: Lanes = array::from_fn(|l| (x0 - ys[0][l]).abs());
+    let mut left: Lanes<LANES> = array::from_fn(|l| (x0 - ys[0][l]).abs());
     prev[0] = left;
     let cols_j = ys[1..].iter().zip(steps[1..].iter().zip(&signs[1..]));
     for (p, (y, (step, sign))) in prev[1..].iter_mut().zip(cols_j) {
@@ -218,11 +247,17 @@ pub(crate) fn msm_block_ws(
 }
 
 /// The banded DTW row-major recurrence (squared local costs, Sakoe–Chiba
-/// radius `band`) over one block: `x` against [`LANES`] non-empty
-/// columns of one length. Lane `l` of the result is
-/// `Dtw::distance_ws(x, cols[l])` bit for bit: the cell is
-/// `d * d + prev[j - 1].min(prev[j]).min(curr[j - 1])`, the expression
-/// and `min` order of `dtw_banded_ws` and of the wavefront kernel.
+/// radius `band`) over one block: `x` against `W` non-empty columns of
+/// one length. Lane `l` of the result is `Dtw::distance_ws(x, cols[l])`
+/// bit for bit; a block holding a NaN or ±∞ is declined (`None`) and
+/// runs per pair.
+///
+/// The cell is `d * d + min(min(diag, up), left)`, the expression and
+/// `min` order of `dtw_banded_ws` and of the wavefront kernel, with
+/// [`min_sel`] for `f64::min`. On finite inputs every cell is `d * d`
+/// plus a min of earlier cells (or of the row-0 origin's `0.0` and the
+/// ∞ fill): `d * d` is `+0.0` or more, and `+∞` only on overflow, so no
+/// DP value is NaN or `-0.0` and [`min_sel`] picks the per-pair value.
 ///
 /// Only the cells a row reads outside its own band are reset to ∞: the
 /// one left of the band (the first cell's left neighbour) and the one
@@ -232,41 +267,45 @@ pub(crate) fn msm_block_ws(
 ///
 /// `band` must be at least `|x.len() - n|` (as `Dtw::band` guarantees),
 /// so every row's band is non-empty and the corner is reachable.
-pub(crate) fn dtw_block_ws(
+pub(crate) fn dtw_block_ws<const W: usize>(
     band: usize,
     x: &[f64],
-    cols: &[&[f64]; LANES],
+    cols: &[&[f64]; W],
     ws: &mut Workspace,
-) -> Lanes {
+) -> Option<Lanes<W>> {
+    if !all_finite(x, cols) {
+        return None;
+    }
     let n = cols[0].len();
     debug_assert!(band >= x.len().abs_diff(n), "band strands the corner");
+    let inf = [f64::INFINITY; W];
     let [ys, mut prev, mut curr] = ws.lane_rows(n + 1);
     interleave(cols, &mut ys[1..]);
 
     // Row 0: only the origin is reachable.
-    prev[0] = [0.0; LANES];
-    prev[1..].fill(INF);
+    prev[0] = [0.0; W];
+    prev[1..].fill(inf);
 
     for (i, &xi) in (1usize..).zip(x) {
         let lo = i.saturating_sub(band).max(1);
         let hi = (i + band).min(n);
-        let mut left = INF;
+        let mut left = inf;
         curr[lo - 1] = left;
         let diag_up = prev[lo - 1..hi].iter().zip(&prev[lo..=hi]);
         let cells = curr[lo..=hi].iter_mut().zip(diag_up).zip(&ys[lo..=hi]);
         for ((c, (p_diag, p_up)), y) in cells {
             left = array::from_fn(|l| {
                 let d = xi - y[l];
-                d * d + p_diag[l].min(p_up[l]).min(left[l])
+                d * d + min_sel(min_sel(p_diag[l], p_up[l]), left[l])
             });
             *c = left;
         }
         if let Some(edge) = curr.get_mut(hi + 1) {
-            *edge = INF;
+            *edge = inf;
         }
         std::mem::swap(&mut prev, &mut curr);
     }
-    prev[n]
+    Some(prev[n])
 }
 
 /// The TWE row-major recurrence (Marteau's 1-based form with a zero 0th
@@ -285,7 +324,7 @@ pub(crate) fn twe_block_ws(
     x: &[f64],
     cols: &[&[f64]; LANES],
     ws: &mut Workspace,
-) -> Option<Lanes> {
+) -> Option<Lanes<LANES>> {
     if !all_finite(x, cols) {
         return None;
     }
@@ -304,7 +343,7 @@ pub(crate) fn twe_block_ws(
     }
 
     // Row 0: delete all of y.
-    let mut left: Lanes = [0.0; LANES];
+    let mut left: Lanes<LANES> = [0.0; LANES];
     prev[0] = left;
     for (p, step) in prev[1..].iter_mut().zip(&steps[1..]) {
         left = array::from_fn(|l| left[l] + step[l] + nu + lambda);
@@ -325,7 +364,7 @@ pub(crate) fn twe_block_ws(
             .zip(ys[1..].iter().zip(&steps[1..]))
             .zip(gaps[1..].iter_mut().zip(&stiffness[m - i..]));
         for (((c, (p_diag, p_up)), (y, step)), (gap, &stiff)) in cells {
-            let gap_here: Lanes = array::from_fn(|l| (xi - y[l]).abs());
+            let gap_here: Lanes<LANES> = array::from_fn(|l| (xi - y[l]).abs());
             left = array::from_fn(|l| {
                 let m_cost = p_diag[l] + gap_here[l] + gap_up[l] + stiff;
                 let dx = p_up[l] + x_step + nu + lambda;

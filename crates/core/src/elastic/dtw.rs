@@ -7,8 +7,9 @@
 //! from the diagonal, `δ = 100` is unconstrained, and `δ = 0` degenerates
 //! to the Euclidean alignment.
 
-use super::batch;
+use super::batch::{self, LaneBlock};
 use super::wavefront::{wavefront_pruned, wavefront_ws, Squared, Weighted};
+use crate::lanes::{LANES, MAX_ROW_BLOCK};
 use crate::measure::Distance;
 use crate::workspace::Workspace;
 
@@ -80,28 +81,14 @@ impl Distance for Dtw {
     }
 
     fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
-        // Row-major across eight columns, one per lane: at narrow bands
-        // the wavefront's diagonals are too short to fill the vector
-        // unit, while the lanes always are full.
-        batch::row_ws(
-            x,
-            cols,
-            out,
-            ws,
-            |x, y, ws| self.distance_ws(x, y, ws),
-            |x, block, ws| {
-                Some(batch::dtw_block_ws(
-                    self.band(x.len(), block[0].len()),
-                    x,
-                    block,
-                    ws,
-                ))
-            },
-        );
+        // Row-major across sixteen columns, one per lane: at narrow
+        // bands the wavefront's diagonals are too short to fill the
+        // vector unit, while the lanes always are full.
+        batch::row_ws::<MAX_ROW_BLOCK, _>(self, x, cols, out, ws);
     }
 
     fn lanes_hint(&self) -> usize {
-        crate::lanes::LANES
+        LANES
     }
 
     fn index_profile(&self) -> crate::measure::IndexProfile {
@@ -112,6 +99,12 @@ impl Distance for Dtw {
         crate::measure::IndexProfile::KeoghDtw {
             window_pct: self.window_pct,
         }
+    }
+}
+
+impl<const W: usize> LaneBlock<W> for Dtw {
+    fn block_ws(&self, x: &[f64], cols: &[&[f64]; W], ws: &mut Workspace) -> Option<[f64; W]> {
+        batch::dtw_block_ws(self.band(x.len(), cols[0].len()), x, cols, ws)
     }
 }
 
@@ -299,7 +292,7 @@ impl Distance for WeightedDtw {
     }
 
     fn lanes_hint(&self) -> usize {
-        crate::lanes::LANES
+        LANES
     }
 }
 

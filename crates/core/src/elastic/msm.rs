@@ -6,8 +6,9 @@
 //! the two measures (with TWE) that the paper finds significantly better
 //! than DTW, debunking M4.
 
-use super::batch;
+use super::batch::{self, LaneBlock};
 use super::eapruned::rows_upto;
+use crate::lanes::LANES;
 use crate::measure::Distance;
 use crate::workspace::Workspace;
 
@@ -85,14 +86,18 @@ impl Distance for Msm {
     }
 
     fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
-        batch::row_ws(
-            x,
-            cols,
-            out,
-            ws,
-            |x, y, ws| self.distance_ws(x, y, ws),
-            |x, block, ws| batch::msm_block_ws(self.cost, x, block, ws),
-        );
+        batch::row_ws::<LANES, _>(self, x, cols, out, ws);
+    }
+}
+
+impl LaneBlock<LANES> for Msm {
+    fn block_ws(
+        &self,
+        x: &[f64],
+        cols: &[&[f64]; LANES],
+        ws: &mut Workspace,
+    ) -> Option<[f64; LANES]> {
+        batch::msm_block_ws(self.cost, x, cols, ws)
     }
 }
 

@@ -5,8 +5,9 @@
 //! timestamp gap) and `λ` penalizes delete operations. With MSM, it is
 //! one of the two measures the paper finds significantly better than DTW.
 
-use super::batch;
+use super::batch::{self, LaneBlock};
 use super::eapruned::rows_upto;
+use crate::lanes::LANES;
 use crate::measure::Distance;
 use crate::workspace::Workspace;
 
@@ -79,14 +80,18 @@ impl Distance for Twe {
     }
 
     fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
-        batch::row_ws(
-            x,
-            cols,
-            out,
-            ws,
-            |x, y, ws| self.distance_ws(x, y, ws),
-            |x, block, ws| batch::twe_block_ws(self.lambda, self.nu, x, block, ws),
-        );
+        batch::row_ws::<LANES, _>(self, x, cols, out, ws);
+    }
+}
+
+impl LaneBlock<LANES> for Twe {
+    fn block_ws(
+        &self,
+        x: &[f64],
+        cols: &[&[f64]; LANES],
+        ws: &mut Workspace,
+    ) -> Option<[f64; LANES]> {
+        batch::twe_block_ws(self.lambda, self.nu, x, cols, ws)
     }
 }
 

@@ -44,6 +44,13 @@ use std::ops::Add;
 /// batch-axis row kernels run their eight lanes on ymm pairs.
 pub const LANES: usize = 8;
 
+/// The widest block of columns a batch-axis row kernel
+/// ([`crate::measure::Distance::distance_row_ws`]) runs at once: banded
+/// DTW's blocks of `2 * LANES`; MSM, TWE and NCC run [`LANES`]. Callers
+/// that hand a row kernel its columns in chunks size them by it, so each
+/// chunk can fill one block.
+pub const MAX_ROW_BLOCK: usize = 2 * LANES;
+
 /// Elements between cutoff checks in the `upto` kernels: four chunks of
 /// [`LANES`], so the (7-operation) combine tree amortizes to well under
 /// one extra operation per element.

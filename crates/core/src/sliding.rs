@@ -17,7 +17,7 @@
 
 use std::array;
 
-use crate::elastic::batch;
+use crate::elastic::batch::{self, LaneBlock};
 use crate::lanes::LANES;
 use crate::measure::Distance;
 use crate::workspace::Workspace;
@@ -85,16 +85,23 @@ impl CrossCorrelation {
             _ => -sim,
         }
     }
+}
 
-    /// Distances from `x` to [`LANES`] equal-length, non-empty columns
-    /// through the lane cross-correlation; lane `l` is
-    /// `distance_ws(x, cols[l])` bit for bit.
-    fn block_ws(&self, x: &[f64], cols: &[&[f64]; LANES], ws: &mut Workspace) -> [f64; LANES] {
+/// Distances from `x` to [`LANES`] equal-length, non-empty columns
+/// through the lane cross-correlation; lane `l` is `distance_ws(x,
+/// cols[l])` bit for bit.
+impl LaneBlock<LANES> for CrossCorrelation {
+    fn block_ws(
+        &self,
+        x: &[f64],
+        cols: &[&[f64]; LANES],
+        ws: &mut Workspace,
+    ) -> Option<[f64; LANES]> {
         let rows = ws.cc_scratch().cross_correlation_lanes(x, cols);
-        array::from_fn(|l| {
+        Some(array::from_fn(|l| {
             let lane = || rows.iter().map(|r| r[l]);
             self.dissimilarity(self.variant.reduce(lane, x, cols[l]))
-        })
+        }))
     }
 }
 
@@ -154,14 +161,7 @@ impl Distance for CrossCorrelation {
     fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
         // Eight columns per FFT, one per lane; the query's spectrum is
         // computed once per row and transform length.
-        batch::row_ws(
-            x,
-            cols,
-            out,
-            ws,
-            |x, y, ws| self.distance_ws(x, y, ws),
-            |x, block, ws| Some(self.block_ws(x, block, ws)),
-        );
+        batch::row_ws::<LANES, _>(self, x, cols, out, ws);
     }
 
     fn is_symmetric(&self) -> bool {

@@ -29,7 +29,6 @@
 //! `ws_equivalence` suite verifies by bit-comparing a fresh workspace
 //! against one reused across measures and shapes.
 
-use crate::lanes::LANES;
 use tsdist_fft::CcScratch;
 
 /// Reusable scratch arenas for [`crate::measure::Distance::distance_ws`].
@@ -105,19 +104,22 @@ impl Workspace {
     /// `K` lane-interleaved rows of `len` cells each, carved from the
     /// shared `f64` DP arena — the `[j][lane]` layout of the batch-axis
     /// row kernels behind MSM's, TWE's and DTW's
-    /// [`crate::measure::Distance::distance_row_ws`]: cell `j` of all
-    /// [`LANES`] lanes is one array. The kernels keep the interleaved
+    /// [`crate::measure::Distance::distance_row_ws`]: cell `j` of all `W`
+    /// lanes of a block is one array. The kernels keep the interleaved
     /// columns, the two rolling DP rows and MSM's and TWE's per-column
     /// tables in them.
     ///
     /// Contents are unspecified; callers must initialize every cell they
     /// read.
-    pub(crate) fn lane_rows<const K: usize>(&mut self, len: usize) -> [&mut [[f64; LANES]]; K] {
-        let cells = K * len * LANES;
+    pub(crate) fn lane_rows<const K: usize, const W: usize>(
+        &mut self,
+        len: usize,
+    ) -> [&mut [[f64; W]]; K] {
+        let cells = K * len * W;
         if self.dp.len() < cells {
             self.dp.resize(cells, 0.0);
         }
-        let (mut rest, _) = self.dp[..cells].as_chunks_mut::<LANES>();
+        let (mut rest, _) = self.dp[..cells].as_chunks_mut::<W>();
         std::array::from_fn(|_| {
             let (row, tail) = std::mem::take(&mut rest).split_at_mut(len);
             rest = tail;
@@ -181,6 +183,7 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::{LANES, MAX_ROW_BLOCK};
 
     #[test]
     fn dp_rows_are_disjoint_and_right_sized() {
@@ -227,16 +230,19 @@ mod tests {
 
     #[test]
     fn lane_rows_are_disjoint_and_right_sized() {
+        fn check<const K: usize, const W: usize>(ws: &mut Workspace, len: usize) {
+            for (k, row) in (1..).zip(ws.lane_rows::<K, W>(len)) {
+                assert_eq!(row.len(), len);
+                row.fill([f64::from(k); W]);
+            }
+            for (k, row) in (1..).zip(ws.lane_rows::<K, W>(len)) {
+                assert!(row.iter().flatten().all(|&v| v == f64::from(k)));
+            }
+        }
         let mut ws = Workspace::new();
-        let rows = ws.lane_rows::<4>(5);
-        for (k, row) in (1..).zip(rows) {
-            assert_eq!(row.len(), 5);
-            row.fill([f64::from(k); LANES]);
-        }
-        let rows = ws.lane_rows::<4>(5);
-        for (k, row) in (1..).zip(rows) {
-            assert!(row.iter().flatten().all(|&v| v == f64::from(k)));
-        }
+        check::<4, LANES>(&mut ws, 5);
+        // A wider block carves the same arena into wider cells.
+        check::<3, MAX_ROW_BLOCK>(&mut ws, 7);
     }
 
     #[test]

@@ -1,26 +1,28 @@
 //! Registry-driven equivalence suite for the row entry point.
 //!
 //! The batch matrix engine in `tsdist-eval` fills every matrix row with
-//! `Distance::distance_row_ws`. MSM, TWE and banded DTW override it with
-//! a batch-axis kernel that runs one DP over eight equal-length columns
-//! at a time, one per SIMD lane, and the four NCC variants with a lane
-//! FFT over eight columns; every other measure keeps the per-pair
-//! default. Either way each entry must be the per-pair `distance_ws`
-//! value bit for bit. This suite checks that for every registry
-//! instance over the shapes that stress the lane blocking — column
-//! counts around the lane width, rows mixing lengths so blocks split,
-//! empty series — and over adversarial values, and it checks that the
-//! delegating wrappers reach an override instead of silently falling
-//! back to the per-pair loop. MSM and TWE also get tie-heavy and
-//! study-shaped series, whose cells rely on exact ties going the
-//! per-pair way, and blocks with one non-finite lane, which must run
-//! per pair.
+//! `Distance::distance_row_ws`. MSM and TWE override it with a
+//! batch-axis kernel that runs one DP over eight equal-length columns
+//! at a time, one per SIMD lane, banded DTW with the same kernel shape
+//! over sixteen columns (eight for a run of at most eight), and the four
+//! NCC variants with a lane FFT over eight columns; every other measure
+//! keeps the per-pair default. Either way each entry must be the
+//! per-pair `distance_ws` value bit for bit. This suite checks that for
+//! every registry instance over the shapes that stress the lane blocking
+//! — column counts around both lane widths, rows mixing lengths so
+//! blocks split, empty series — and over adversarial values, and it
+//! checks that the delegating wrappers reach an override instead of
+//! silently falling back to the per-pair loop. MSM, TWE and DTW also get
+//! tie-heavy series, whose cells rely on exact ties going the per-pair
+//! way, and blocks with one non-finite lane, which must run per pair;
+//! MSM and TWE get study-shaped series, and DTW a sweep over every
+//! column count up to forty.
 
 mod common;
 
 use common::{assert_bits_eq, Gen};
 use tsdist_core::elastic::{Dtw, Msm, Twe};
-use tsdist_core::lanes::LANES;
+use tsdist_core::lanes::{LANES, MAX_ROW_BLOCK};
 use tsdist_core::measure::Distance;
 use tsdist_core::registry;
 use tsdist_core::sliding::{CrossCorrelation, NccVariant};
@@ -41,9 +43,16 @@ fn registry_distances() -> Vec<Box<dyn Distance>> {
 /// The measures with a batch-axis override, over a spread of
 /// parameters including the zero-cost and zero-band corners.
 fn batch_measures() -> Vec<Box<dyn Distance>> {
+    let mut all = select_min_measures();
+    all.extend(ncc_measures());
+    all
+}
+
+/// The measures whose lane blocks pick with a compare-select `min` on
+/// finite blocks and send any other block per pair.
+fn select_min_measures() -> Vec<Box<dyn Distance>> {
     let mut all = msm_twe_measures();
     all.extend(dtw_measures());
-    all.extend(ncc_measures());
     all
 }
 
@@ -109,7 +118,7 @@ fn assert_bits_eq_any_nan(a: f64, b: f64, what: &str) {
     }
 }
 
-const COLUMN_COUNTS: [usize; 7] = [0, 1, 7, 8, 9, 17, 30];
+const COLUMN_COUNTS: [usize; 9] = [0, 1, 7, 8, 9, 16, 17, 25, 30];
 
 #[test]
 fn every_registry_instance_matches_per_pair_over_column_counts() {
@@ -178,6 +187,26 @@ fn dtw_rows_match_per_pair_when_query_and_columns_differ_in_length() {
             let x = g.series(m);
             let pool: Vec<Vec<f64>> = (0..19).map(|_| g.series(n)).collect();
             check_row(d.as_ref(), &x, &pool, &mut ws, &format!("m={m} n={n}"));
+        }
+    }
+}
+
+#[test]
+fn dtw_rows_match_per_pair_at_every_column_count_up_to_forty() {
+    let mut g = Gen(0x5EED_000A);
+    let mut ws = Workspace::default();
+    // Every count from 1 to 40 splits a row into sixteen-wide blocks, an
+    // eight-wide or padded sixteen-wide remainder, or one per-pair
+    // column, at the study's lengths and at unequal ones (the band
+    // always covers the length difference).
+    for (m, n) in [(96, 96), (128, 128), (128, 96), (96, 128)] {
+        let x = g.series(m);
+        let pool: Vec<Vec<f64>> = (0..40).map(|_| g.series(n)).collect();
+        for d in dtw_measures() {
+            for count in 1..=pool.len() {
+                let what = format!("m={m} n={n} {count} cols");
+                check_row(d.as_ref(), &x, &pool[..count], &mut ws, &what);
+            }
         }
     }
 }
@@ -286,8 +315,8 @@ fn adversarial_values_stay_bit_identical_in_every_lane() {
         queries.push(q);
     }
     let mut ws = Workspace::default();
-    // The batch kernels keep even NaN bits: DTW and NCC lane for lane,
-    // MSM and TWE by handing any block with a NaN or ±∞ to the per-pair
+    // The batch kernels keep even NaN bits: NCC lane for lane, MSM, TWE
+    // and DTW by handing any block with a NaN or ±∞ to the per-pair
     // kernel.
     for d in batch_measures() {
         for x in &queries {
@@ -303,7 +332,7 @@ fn adversarial_values_stay_bit_identical_in_every_lane() {
 }
 
 #[test]
-fn msm_twe_rows_stay_identical_when_values_tie() {
+fn lane_rows_stay_identical_when_values_tie() {
     let mut g = Gen(0x5EED_0007);
     let mut ws = Workspace::default();
     for (m, n) in [(2, 2), (12, 12), (17, 23), (23, 17), (33, 33)] {
@@ -318,7 +347,7 @@ fn msm_twe_rows_stay_identical_when_values_tie() {
         if m == n {
             cols[3] = x.clone();
         }
-        for d in msm_twe_measures() {
+        for d in select_min_measures() {
             check_row(d.as_ref(), &x, &cols, &mut ws, &format!("ties m={m} n={n}"));
             check_row(d.as_ref(), &vec![0.5; m], &cols, &mut ws, "constant query");
         }
@@ -345,27 +374,32 @@ fn one_non_finite_lane_sends_its_block_per_pair() {
     let mut ws = Workspace::default();
     let len = 11;
     let x = g.series(len);
-    let clean: Vec<Vec<f64>> = (0..LANES).map(|_| g.series(len)).collect();
+    // Two MSM/TWE blocks, one DTW block.
+    let width = MAX_ROW_BLOCK;
+    let clean: Vec<Vec<f64>> = (0..width).map(|_| g.series(len)).collect();
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         // The query clean and holding the same value, so ∞ - ∞ = NaN
         // arises inside the DP as well.
         let mut bad_x = x.clone();
         bad_x[3] = bad;
-        for lane in 0..LANES {
+        for lane in 0..width {
             let mut one_sample = clean.clone();
             one_sample[lane][len / 2] = bad;
             let mut whole_column = clean.clone();
             whole_column[lane] = vec![bad; len];
             for cols in [&one_sample, &whole_column] {
                 for q in [&x, &bad_x] {
-                    for d in msm_twe_measures() {
+                    for d in select_min_measures() {
                         let what = format!("{bad} in lane {lane}");
                         check_row(d.as_ref(), q, cols, &mut ws, &what);
+                        // The lane's eight-wide block, as a short run.
+                        let block = lane / LANES * LANES..(lane / LANES + 1) * LANES;
+                        check_row(d.as_ref(), q, &cols[block], &mut ws, &what);
                     }
                 }
             }
         }
-        for d in msm_twe_measures() {
+        for d in select_min_measures() {
             check_row(d.as_ref(), &bad_x, &clean, &mut ws, &format!("{bad} query"));
         }
     }

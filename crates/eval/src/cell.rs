@@ -13,10 +13,11 @@
 //!   look at a clock) are interrupted at the next pairwise call.
 //! * [`GuardedDistance`] — the transparent measure wrapper that consults
 //!   the flag before every pairwise computation (for matrix rows: before
-//!   every block of at most `LANES` columns) and unwinds with a
-//!   cancellation payload once it is raised. It delegates `distance_ws` /
-//!   `distance_row_ws` / `is_symmetric`, so guarded evaluation is
-//!   bit-identical to unguarded evaluation for healthy cells. A kernel
+//!   every chunk of at most `MAX_ROW_BLOCK` columns, one DTW lane block)
+//!   and unwinds with a cancellation payload once it is raised. It
+//!   delegates `distance_ws` / `distance_row_ws` / `is_symmetric`, so
+//!   guarded evaluation is bit-identical to unguarded evaluation for
+//!   healthy cells. A kernel
 //!   ([`Distance::as_kernel`]) is measured by a kernel cell instead,
 //!   which checks the flag the same way and computes each series' log
 //!   self-similarity once per cell rather than per pair.
@@ -32,7 +33,7 @@ use std::time::Duration;
 
 use crate::error::EvalError;
 use crate::parallel::parallel_map_with;
-use tsdist_core::lanes::LANES;
+use tsdist_core::lanes::{LANES, MAX_ROW_BLOCK};
 use tsdist_core::measure::{
     normalized_kernel_dissimilarity, Distance, IndexProfile, Kernel, MetricRegime,
 };
@@ -276,7 +277,7 @@ pub struct CellResult {
 
 /// A [`Distance`] wrapper that checks a [`CancelFlag`] before every
 /// pairwise computation, and before every chunk of at most
-/// [`LANES`] columns of a matrix row. Pure delegation otherwise —
+/// [`MAX_ROW_BLOCK`] columns of a matrix row. Pure delegation otherwise —
 /// including `distance_row_ws`, `is_symmetric` and `lanes_hint` — so
 /// healthy guarded cells are bit-identical to unguarded ones.
 pub struct GuardedDistance<'a> {
@@ -326,10 +327,11 @@ impl Distance for GuardedDistance<'_> {
         self.inner.distance_upto(x, y, ws, cutoff)
     }
     // Forwarded so the inner measure's row kernel is reached; the flag
-    // is checked once per chunk of at most `LANES` columns, which keeps
-    // the cancellation latency at one SIMD block of work.
+    // is checked once per chunk of at most `MAX_ROW_BLOCK` columns,
+    // which keeps the cancellation latency at one SIMD block of work.
     fn distance_row_ws(&self, x: &[f64], cols: &[Vec<f64>], out: &mut [f64], ws: &mut Workspace) {
-        for (cols, out) in cols.chunks(LANES).zip(out.chunks_mut(LANES)) {
+        let chunks = cols.chunks(MAX_ROW_BLOCK);
+        for (cols, out) in chunks.zip(out.chunks_mut(MAX_ROW_BLOCK)) {
             self.flag.panic_if_cancelled();
             self.inner.distance_row_ws(x, cols, out, ws);
         }

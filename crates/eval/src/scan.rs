@@ -32,8 +32,11 @@
 //!   order; a candidate is skipped when its stored (deflated) `LB_PAA`
 //!   reaches the cutoff, then when the cached `LB_Keogh` walk reaches the
 //!   inflated threshold. The order is ascending, so the first `LB_PAA`
-//!   skip in the sorted region ends the row. Survivors queue in blocks of
-//!   [`LANES`]; a full block, and the last one when the row ends, runs
+//!   skip in the sorted region ends the row. Survivors queue for a lane
+//!   block of [`LANES`] columns while the row's cutoff is still infinite,
+//!   so the first block seeds it as early as an eight-lane block can, and
+//!   of [`MAX_ROW_BLOCK`] columns (banded DTW's full block width) after
+//!   that. A full block, and the last one when the row ends, runs
 //!   through the measure's [`Distance::distance_row_ws`] (banded DTW's
 //!   lane kernel) and offers every exact value. A lone survivor runs
 //!   `distance_upto` instead.
@@ -112,7 +115,7 @@ use tsdist_core::elastic::lb_keogh_upto;
 use tsdist_core::index::{
     cheap_score, paa_means, Choice, DtwBandIndex, PivotTable, PlanKey, PlanMemory, RowCost,
 };
-use tsdist_core::lanes::LANES;
+use tsdist_core::lanes::{LANES, MAX_ROW_BLOCK};
 use tsdist_core::measure::Distance;
 use tsdist_core::{QueryPlan, TrainIndex, Workspace};
 use tsdist_data::Label;
@@ -697,7 +700,12 @@ impl Scratch {
             }
             if let Tier::Cascade(_) = tier {
                 self.block.ids.push(j);
-                if self.block.ids.len() == LANES {
+                let width = if cutoff.is_finite() {
+                    MAX_ROW_BLOCK
+                } else {
+                    LANES
+                };
+                if self.block.ids.len() == width {
                     self.block.run(d, x, train, &mut self.ws, inc, stats);
                 }
             } else {
@@ -774,7 +782,7 @@ impl Block {
             [] => {}
             [j] => examine(d, x, &train[j], j, ws, inc),
             _ => {
-                self.cols.resize_with(LANES, Vec::new);
+                self.cols.resize_with(MAX_ROW_BLOCK, Vec::new);
                 for (col, &j) in self.cols.iter_mut().zip(&self.ids) {
                     col.clear();
                     col.extend_from_slice(&train[j]);
@@ -1564,5 +1572,110 @@ mod tests {
         );
         assert_eq!(first, again);
         assert_eq!(first, fresh);
+    }
+
+    /// Banded DTW that records what a caller hands it: the column count
+    /// of every `distance_row_ws` call and the number of `distance_upto`
+    /// calls.
+    struct Recording {
+        dtw: Dtw,
+        rows: std::sync::Mutex<Vec<usize>>,
+        upto: AtomicUsize,
+    }
+
+    impl Recording {
+        fn new() -> Self {
+            Recording {
+                dtw: Dtw::with_window_pct(10.0),
+                rows: Default::default(),
+                upto: AtomicUsize::new(0),
+            }
+        }
+
+        /// The row calls' column counts and the `distance_upto` calls
+        /// since the last take.
+        fn take(&self) -> (Vec<usize>, usize) {
+            let rows = std::mem::take(&mut *self.rows.lock().unwrap());
+            (rows, self.upto.swap(0, Ordering::Relaxed))
+        }
+    }
+
+    impl Distance for Recording {
+        fn name(&self) -> String {
+            "recording DTW".into()
+        }
+        fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
+            self.dtw.distance_ws(x, y, ws)
+        }
+        fn distance_upto(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
+            self.upto.fetch_add(1, Ordering::Relaxed);
+            self.dtw.distance_upto(x, y, ws, cutoff)
+        }
+        fn distance_row_ws(
+            &self,
+            x: &[f64],
+            cols: &[Vec<f64>],
+            out: &mut [f64],
+            ws: &mut Workspace,
+        ) {
+            self.rows.lock().unwrap().push(cols.len());
+            self.dtw.distance_row_ws(x, cols, out, ws);
+        }
+        fn index_profile(&self) -> tsdist_core::measure::IndexProfile {
+            self.dtw.index_profile()
+        }
+    }
+
+    #[test]
+    fn cascade_blocks_seed_the_cutoff_narrow_then_run_full_width() {
+        // Identical candidates tie at one finite distance that no bound
+        // reaches, so every candidate survives to a lane block: the
+        // first of `LANES` columns, the rest of `MAX_ROW_BLOCK`, the last
+        // with the remainder, and a lone remainder by `distance_upto`.
+        let d = Recording::new();
+        let query: Vec<f64> = (0..48).map(|j| (j as f64 * 0.3).cos()).collect();
+        let series: Vec<f64> = (0..48).map(|j| (j as f64 * 0.7).sin()).collect();
+        let w = MAX_ROW_BLOCK;
+        for (n, blocks, upto) in [
+            (1, vec![], 1),
+            (5, vec![5], 0),
+            (LANES, vec![LANES], 0),
+            (LANES + 1, vec![LANES], 1),
+            (LANES + 2, vec![LANES, 2], 0),
+            (LANES + w, vec![LANES, w], 0),
+            (LANES + 2 * w + 1, vec![LANES, w, w], 1),
+            (LANES + 2 * w + 5, vec![LANES, w, w, 5], 0),
+        ] {
+            let train = vec![series.clone(); n];
+            let ix = prepared_index(&d, &train);
+            let rows = [query.clone()];
+            let scan = cut(&d, &train).indexed(&ix);
+            d.take();
+            let (nns, stats) = scan.nearest(Rows::Queries(&rows));
+            assert_eq!(stats.cascade_rows, 1, "n={n}: {stats:?}");
+            assert_eq!(stats.examined, n as u64, "n={n}: {stats:?}");
+            assert_eq!(nns[0].index, Some(0), "n={n}");
+            assert_eq!(d.take(), (blocks, upto), "n={n}");
+        }
+    }
+
+    #[test]
+    fn guarded_rows_reach_the_measure_in_chunks_of_at_most_two_blocks() {
+        let d = Recording::new();
+        let flag = CancelFlag::new();
+        let guarded = crate::cell::GuardedDistance::new(&d, &flag);
+        let x: Vec<f64> = (0..20).map(|j| (j as f64 * 0.3).cos()).collect();
+        let w = MAX_ROW_BLOCK;
+        for (n, chunks) in [
+            (3, vec![3]),
+            (w, vec![w]),
+            (w + 1, vec![w, 1]),
+            (2 * w + 9, vec![w, w, 9]),
+        ] {
+            let cols = clustered(n, 20);
+            let mut out = vec![0.0; n];
+            guarded.distance_row_ws(&x, &cols, &mut out, &mut Workspace::new());
+            assert_eq!(d.take(), (chunks, 0), "n={n}");
+        }
     }
 }

@@ -330,7 +330,7 @@ impl Distance for CancelAt {
 #[test]
 fn cancel_raised_mid_row_stops_the_guarded_row_within_one_chunk() {
     let flag = CancelFlag::new();
-    // Raised on the 11th pair, inside the second chunk of the row.
+    // Raised on the 11th pair, inside the first chunk of the row.
     let measure = CancelAt::new(11);
     measure.arm(&flag);
     let guarded = GuardedDistance::new(&measure, &flag);
@@ -342,7 +342,8 @@ fn cancel_raised_mid_row_stops_the_guarded_row_within_one_chunk() {
     }))
     .expect_err("a raised flag must unwind the row");
     assert!(unwound.downcast_ref::<CancelPanic>().is_some());
-    // The second chunk finishes, the check before the third stops it.
+    // The first chunk (`MAX_ROW_BLOCK` = 2 * LANES pairs) finishes, the
+    // check before the second stops it.
     assert_eq!(measure.calls(), 2 * LANES);
 }
 
